@@ -2,13 +2,16 @@
 
 Every function mirrors its scalar sibling in :mod:`repro.core` but operates
 on a *stack* of channels ``(batch, n_clients, n_antennas)`` at once, using
-broadcasting ``linalg`` (stacked ``svd``/``pinv``/``eigh``/matmul loop over
+broadcasting ``linalg`` (stacked ``svd``/``eigh``/matmul loop over
 the trailing two axes inside one call).  The contract -- asserted by the
 equivalence suite -- is **bit-identity** on the NumPy namespace: slice ``i``
 of every output equals the scalar function applied to slice ``i`` of the
 input, including the data-dependent control flow of the power-balancing
-iteration and the reverse water-filling bisection, which run with per-item
-masks that freeze an item the same round the scalar loop would exit.
+iteration, which runs with per-item masks that freeze an item the same
+round the scalar loop would exit.  Reverse water-filling needs no masks: it
+is solved in closed form, and the scalar
+:func:`repro.core.waterfill.reverse_waterfill` is this kernel on a batch of
+one.
 
 This is the heart of the ``backend="vectorized"`` Runner path: Monte-Carlo
 sweeps spend their time in many tiny (4x4-ish) matrix problems, where the
@@ -32,7 +35,6 @@ import numpy as np
 
 from ..phy.capacity import per_antenna_row_power, stream_sinrs
 from ..xp import array_namespace, to_numpy
-from .waterfill import _BUDGET_RTOL
 
 
 def _as_channel_stack(h):
@@ -65,13 +67,17 @@ def zfbf_directions(h, rcond: float = 1e-12):
         )
     if n_clients == 0:
         raise ValueError("need at least one client")
-    singular_values = xp.linalg.svd(h, compute_uv=False)
+    # One SVD serves the rank check and the pseudo-inverse, which is
+    # numpy.linalg.pinv's own formula: conjugate, SVD, then V S^-1 U^T.
+    u, singular_values, vh = xp.linalg.svd(xp.conj(h), full_matrices=False)
     if xp.any(singular_values[..., -1] <= rcond * singular_values[..., 0]):
         raise np.linalg.LinAlgError(
             "a channel matrix in the batch is (numerically) rank deficient; "
             "zero-forcing cannot separate these clients"
         )
-    v = xp.linalg.pinv(h, rcond=rcond)
+    v = xp.swapaxes(vh, -1, -2) @ (
+        (1.0 / singular_values)[..., None] * xp.swapaxes(u, -1, -2)
+    )
     norms = xp.linalg.norm(v, axis=-2)
     return v / norms[..., None, :]
 
@@ -135,8 +141,19 @@ def reverse_waterfill(
 
     ``row_powers_mw`` and ``sinrs`` are ``(..., n_streams)`` stacks; the
     budget and weight floor are shared scalars (one radio config per batch).
-    The bisection iterates all items together but freezes each item the
-    iteration its own tolerance is met, reproducing the scalar early exit.
+
+    The water level is solved in closed form, with no iteration.  The
+    total reduction ``f(L) = sum_j clip(m_j - L, 0, c_j)`` over marginals
+    ``m_j`` and caps ``c_j`` is continuous, non-increasing and linear
+    between its breakpoints ``m_j`` and ``m_j - c_j``.  Evaluating ``f`` at
+    all ``2K`` sorted breakpoints at once brackets the root of
+    ``f(L) = required`` in one segment.  Inside it every stream is
+    untouched, at its cap, or on the water line (cut by ``m_j - L``), so
+    one linear equation gives the level.  That equation is solved relative
+    to the highest on-line marginal ``top``: the reductions come out as
+    ``d_j - shift`` with ``d_j = m_j - top``, never as ``m_j - L``, so
+    zero-SINR streams (marginals near ``1e12 * q``) never cancel
+    catastrophically and the budget is met to rounding.
     """
     xp = array_namespace(row_powers_mw, sinrs)
     q = xp.asarray(row_powers_mw, dtype=xp.float_dtype)
@@ -159,66 +176,56 @@ def reverse_waterfill(
     rho_safe = xp.maximum(rho, 1e-12)
     marginal = (1.0 + 1.0 / rho_safe) * q  # water-level coordinates per stream
     caps = (1.0 - min_weight**2) * q  # max removable power per stream (req. i)
-
-    def total_reduction(level):
-        return xp.sum(xp.clip(marginal - level[..., None], 0.0, caps), axis=-1)
-
-    max_possible = total_reduction(xp.zeros_like(required))
-    capped = ~trivial & (required >= max_possible)
+    floors = marginal - caps  # levels at or below which a stream is at its cap
+    # Every marginal is at least its cap, so level 0 cuts every stream to it.
+    capped = ~trivial & (required >= xp.sum(caps, axis=-1))
 
     # --- capped branch: min-weight caps bind everywhere ----------------
-    capped_reductions = caps
-    capped_weights = xp.sqrt(
-        xp.maximum(1.0 - capped_reductions / xp.maximum(q, 1e-300), 0.0)
-    )
+    capped_weights = xp.sqrt(xp.maximum(1.0 - caps / xp.maximum(q, 1e-300), 0.0))
     capped_weights = xp.where(q > 0, xp.maximum(capped_weights, min_weight), 1.0)
 
-    # --- bisection branch, per-item freeze on convergence --------------
-    bisect = ~trivial & ~capped
-    low = xp.zeros_like(required)
-    high = xp.max(marginal, axis=-1)
-    active = xp.copy(bisect)
-    for _ in range(200):
-        if not xp.any(active):
-            break
-        mid = 0.5 * (low + high)
-        reduce_mid = total_reduction(mid)
-        go_low = reduce_mid > required
-        low = xp.where(active & go_low, mid, low)
-        high = xp.where(active & ~go_low, mid, high)
-        active = active & (high - low > _BUDGET_RTOL * xp.maximum(1.0, high))
-    level = 0.5 * (low + high)
-    reductions = xp.clip(marginal - level[..., None], 0.0, caps)
-
-    # Exact budget: distribute any bisection residual across the streams
-    # strictly between 0 and their cap (same repair as the scalar solver).
-    residual = required - xp.sum(reductions, axis=-1)
-    between = (reductions > 0) & (reductions < caps)
-    n_active = xp.sum(between, axis=-1)
-    fix = bisect & (xp.abs(residual) > _BUDGET_RTOL * power_budget_mw) & (n_active > 0)
-    if xp.any(fix):
-        adjusted = xp.clip(
-            reductions + (residual / xp.maximum(n_active, 1))[..., None],
-            0.0,
-            caps,
-        )
-        reductions = xp.where(fix[..., None] & between, adjusted, reductions)
+    # --- closed-form branch --------------------------------------------
+    # f is non-increasing, so the last breakpoint still cutting at least
+    # `required` is the left end of the segment holding the root.
+    breaks = xp.sort(xp.concatenate([floors, marginal], axis=-1), axis=-1)
+    cut = xp.sum(
+        xp.clip(marginal[..., None, :] - breaks[..., :, None], 0.0, caps[..., None, :]),
+        axis=-1,
+    )
+    n_cutting = xp.sum(cut >= required[..., None], axis=-1)
+    left = xp.clip(n_cutting - 1, 0, breaks.shape[-1] - 2)[..., None]
+    lo = xp.take_along_axis(breaks, left, axis=-1)
+    hi = xp.take_along_axis(breaks, left + 1, axis=-1)
+    at_cap = floors >= hi
+    on_line = (marginal > lo) & ~at_cap
+    top = xp.max(xp.where(on_line, marginal, 0.0), axis=-1)
+    offsets = xp.where(on_line, marginal - top[..., None], 0.0)
+    n_line = xp.asarray(xp.maximum(xp.sum(on_line, axis=-1), 1), dtype=xp.float_dtype)
+    shift = (
+        xp.sum(offsets, axis=-1) + xp.sum(xp.where(at_cap, caps, 0.0), axis=-1) - required
+    ) / n_line
+    level = top + shift
+    reductions = xp.clip(
+        xp.where(at_cap, caps, xp.where(on_line, offsets - shift[..., None], 0.0)),
+        0.0,
+        caps,
+    )
 
     with xp.errstate(divide="ignore", invalid="ignore"):
         ratio = xp.where(q > 0, reductions / xp.maximum(q, 1e-300), 0.0)
-    bisect_weights = xp.sqrt(xp.clip(1.0 - ratio, min_weight**2, 1.0))
+    solved_weights = xp.sqrt(xp.clip(1.0 - ratio, min_weight**2, 1.0))
 
     # --- select per-item branch results --------------------------------
     ones = xp.ones_like(q)
     weights = xp.where(
         trivial[..., None],
         ones,
-        xp.where(capped[..., None], capped_weights, bisect_weights),
+        xp.where(capped[..., None], capped_weights, solved_weights),
     )
     reductions_out = xp.where(
         trivial[..., None],
         xp.zeros_like(q),
-        xp.where(capped[..., None], capped_reductions, reductions),
+        xp.where(capped[..., None], caps, reductions),
     )
     water_level = xp.where(trivial, xp.inf, xp.where(capped, 0.0, level))
     return BatchWaterfillResult(

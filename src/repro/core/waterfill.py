@@ -17,6 +17,10 @@ requirements shape the solver:
   element's power;
 * (ii) **only reductions are allowed** (``P_j >= 0``) -- increases could
   re-violate antennas that were already fixed and prevent convergence.
+
+The level is found in closed form by
+:func:`repro.core.batch.reverse_waterfill`; this single-row form is that
+kernel on a batch of one, so both backends share one implementation.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Tolerance on meeting the power budget, relative to the budget.
-_BUDGET_RTOL = 1e-9
+from .batch import reverse_waterfill as _reverse_waterfill_stack
 
 
 @dataclass(frozen=True)
@@ -73,72 +76,10 @@ def reverse_waterfill(
     rho = np.asarray(sinrs, dtype=float)
     if q.shape != rho.shape or q.ndim != 1:
         raise ValueError("row_powers_mw and sinrs must be 1-D with equal length")
-    if power_budget_mw <= 0:
-        raise ValueError("power_budget_mw must be positive")
-    if not 0.0 < min_weight < 1.0:
-        raise ValueError("min_weight must be in (0, 1)")
-    if np.any(q < 0) or np.any(rho < 0):
-        raise ValueError("row powers and SINRs must be non-negative")
-
-    total = float(q.sum())
-    required_reduction = total - power_budget_mw
-    if required_reduction <= 0:
-        return WaterfillResult(
-            weights=np.ones_like(q),
-            reductions_mw=np.zeros_like(q),
-            water_level=float(np.inf),
-            capped=False,
-        )
-
-    # Guard against zero-SINR streams: (1 + 1/rho) -> a large finite weight so
-    # such streams are shaved first (they carry ~no rate anyway).
-    rho_safe = np.maximum(rho, 1e-12)
-    marginal = (1.0 + 1.0 / rho_safe) * q  # water-level coordinates per stream
-    caps = (1.0 - min_weight**2) * q  # max removable power per stream (req. i)
-
-    def total_reduction(level: float) -> float:
-        return float(np.sum(np.clip(marginal - level, 0.0, caps)))
-
-    max_possible = total_reduction(0.0)
-    if required_reduction >= max_possible:
-        # Min-weight caps bind everywhere: return the deepest allowed cut.
-        reductions = caps
-        weights = np.sqrt(np.maximum(1.0 - reductions / np.maximum(q, 1e-300), 0.0))
-        weights = np.where(q > 0, np.maximum(weights, min_weight), 1.0)
-        return WaterfillResult(
-            weights=weights, reductions_mw=reductions, water_level=0.0, capped=True
-        )
-
-    # total_reduction is continuous and non-increasing in the level; bisect.
-    low, high = 0.0, float(marginal.max())
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if total_reduction(mid) > required_reduction:
-            low = mid
-        else:
-            high = mid
-        if high - low <= _BUDGET_RTOL * max(1.0, high):
-            break
-    level = 0.5 * (low + high)
-    reductions = np.clip(marginal - level, 0.0, caps)
-
-    # Exact budget: distribute any residual due to bisection tolerance across
-    # the streams that are strictly between 0 and their cap.
-    residual = required_reduction - float(reductions.sum())
-    if abs(residual) > _BUDGET_RTOL * power_budget_mw:
-        active = (reductions > 0) & (reductions < caps)
-        n_active = int(active.sum())
-        if n_active:
-            adjusted = reductions[active] + residual / n_active
-            reductions = reductions.copy()
-            reductions[active] = np.clip(adjusted, 0.0, caps[active])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q > 0, reductions / np.maximum(q, 1e-300), 0.0)
-    weights = np.sqrt(np.clip(1.0 - ratio, min_weight**2, 1.0))
+    result = _reverse_waterfill_stack(q[None], rho[None], power_budget_mw, min_weight)
     return WaterfillResult(
-        weights=weights,
-        reductions_mw=reductions,
-        water_level=level,
-        capped=False,
+        weights=result.weights[0],
+        reductions_mw=result.reductions_mw[0],
+        water_level=float(result.water_level[0]),
+        capped=bool(result.capped[0]),
     )

@@ -33,13 +33,15 @@ def zfbf_directions(h: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
         )
     if n_clients == 0:
         raise ValueError("need at least one client")
-    singular_values = np.linalg.svd(h, compute_uv=False)
+    # One SVD serves the rank check and the pseudo-inverse, which is
+    # numpy.linalg.pinv's own formula: conjugate, SVD, then V S^-1 U^T.
+    u, singular_values, vh = np.linalg.svd(np.conj(h), full_matrices=False)
     if singular_values[-1] <= rcond * singular_values[0]:
         raise np.linalg.LinAlgError(
             "channel matrix is (numerically) rank deficient; zero-forcing "
             "cannot separate these clients"
         )
-    v = np.linalg.pinv(h, rcond=rcond)
+    v = vh.T @ ((1.0 / singular_values)[:, None] * u.T)
     norms = np.linalg.norm(v, axis=0)
     return v / norms[None, :]
 

@@ -37,6 +37,8 @@ CORE_COUNTERS = (
     "rng.seeds_derived",
     "engine.rounds",
     "engine.txops",
+    "precode.rounds",
+    "precode.unconverged",
     "assoc.handoffs",
     "assoc.outages",
     "xp.to_host.calls",

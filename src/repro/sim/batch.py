@@ -593,9 +593,12 @@ class RoundBasedEvaluatorBatch:
                 if self.mode is MacMode.CAS:
                     v = batch_naive_precoder(stack, radio.per_antenna_power_mw)
                 else:
-                    v = batch_power_balanced_precoder(
+                    balanced = batch_power_balanced_precoder(
                         stack, radio.per_antenna_power_mw, radio.noise_mw
-                    ).v
+                    )
+                    v = balanced.v
+                    _obs().count("precode.rounds", int(xp.sum(balanced.rounds)))
+                    _obs().count("precode.unconverged", int(xp.sum(~balanced.converged)))
                 for index, key in enumerate(keys):
                     precoders[key] = v[index]
 

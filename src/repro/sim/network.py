@@ -464,9 +464,12 @@ class NetworkSimulation:
             if self.mode is MacMode.CAS:
                 v = naive_scaled_precoder(h_est, radio.per_antenna_power_mw)
             else:
-                v = power_balanced_precoder(
+                balanced = power_balanced_precoder(
                     h_est, radio.per_antenna_power_mw, radio.noise_mw
-                ).v
+                )
+                v = balanced.v
+                _obs().count("precode.rounds", balanced.rounds)
+                _obs().count("precode.unconverged", int(not balanced.converged))
 
         # A stale run pays sounding airtime only on TXOPs carrying an (as
         # yet unpaid) sounding exchange; fresh runs pay every TXOP.

@@ -391,9 +391,12 @@ class RoundBasedEvaluator:
         h_est = apply_csi_error(h_sub, self.sim.csi_error_std, self._csi_rng)
         if self.mode is MacMode.CAS:
             return naive_scaled_precoder(h_est, radio.per_antenna_power_mw)
-        return power_balanced_precoder(
+        balanced = power_balanced_precoder(
             h_est, radio.per_antenna_power_mw, radio.noise_mw
-        ).v
+        )
+        _obs().count("precode.rounds", balanced.rounds)
+        _obs().count("precode.unconverged", int(not balanced.converged))
+        return balanced.v
 
     # ------------------------------------------------------------------
     def evaluate_round(self, primary_ap: int) -> RoundResult:

@@ -47,23 +47,16 @@ def _torch_dtype(namespace: "TorchNamespace", dtype):
 
 
 class _TorchLinalg:
-    """``xp.linalg`` surface: svd/pinv/norm with NumPy keyword spellings."""
+    """``xp.linalg`` surface: svd/norm with NumPy keyword spellings."""
 
     #: Raised by the batched ZFBF rank check regardless of namespace.
     LinAlgError = np.linalg.LinAlgError
 
-    def svd(self, a, full_matrices: bool = True, compute_uv: bool = True):
-        if not compute_uv:
-            return torch.linalg.svdvals(a)
+    def svd(self, a, full_matrices: bool = True):
         return torch.linalg.svd(a, full_matrices=full_matrices)
 
     def svdvals(self, a):
         return torch.linalg.svdvals(a)
-
-    def pinv(self, a, rcond: float = 1e-15):
-        # NumPy's rcond is relative to the largest singular value, which is
-        # exactly torch.linalg.pinv's rtol semantics.
-        return torch.linalg.pinv(a, rtol=rcond)
 
     def norm(self, a, ord=None, axis=None, keepdims: bool = False):
         return torch.linalg.norm(a, ord=ord, dim=axis, keepdim=keepdims)
@@ -220,6 +213,9 @@ class TorchNamespace(ArrayNamespace):
 
     def argsort(self, x, axis=-1):
         return torch.argsort(x, dim=axis)
+
+    def sort(self, x, axis=-1):
+        return torch.sort(x, dim=axis).values
 
     # -- shaping and indexing ------------------------------------------
     def stack(self, arrays, axis=0):

@@ -108,6 +108,32 @@ def test_series_byte_identical_with_telemetry_on_or_off(
         assert counters["engine.rounds"] > 0
 
 
+@pytest.mark.parametrize(
+    "experiment,params",
+    [("roaming_handoff", {"rounds_per_topology": 8}),
+     ("latency_vs_load", {"rounds_per_topology": 20})],
+)
+def test_precoder_counters_agree_across_backends(experiment, params):
+    # precode.rounds / precode.unconverged count the same MIDAS solves on
+    # both backends; the test above covers their output-byte neutrality.
+    # (Rejection-sampled sweeps such as fig15 are left out: the vectorized
+    # Runner also evaluates surplus draws it then drops, so every engine
+    # counter legitimately reads higher there.)
+    counts = {}
+    series = {}
+    for backend in _BACKENDS:
+        telemetry = obs.Telemetry()
+        series[backend] = _run(experiment, params, backend, telemetry=telemetry).series
+        counters = telemetry.counters
+        counts[backend] = (counters["precode.rounds"], counters["precode.unconverged"])
+    assert counts["loop"] == counts["vectorized"]
+    assert counts["loop"][0] > 0
+    for name in series["loop"]:
+        assert np.array_equal(
+            np.asarray(series["loop"][name]), np.asarray(series["vectorized"][name])
+        )
+
+
 def test_result_telemetry_summary_only_when_enabled():
     baseline = _run("roaming_handoff", {"rounds_per_topology": 4}, "loop")
     assert baseline.telemetry is None

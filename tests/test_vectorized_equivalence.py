@@ -96,7 +96,7 @@ def test_batched_power_balance_metadata_matches():
 
 @pytest.mark.parametrize("budget", [0.5, 3.0, 50.0])
 def test_batched_reverse_waterfill_matches_all_branches(budget):
-    # Budgets chosen to hit the capped, bisection, and trivial branches.
+    # Budgets chosen to hit the capped, closed-form, and trivial branches.
     rng = np.random.default_rng(9)
     q = rng.uniform(0.0, 5.0, (40, 4))
     rho = rng.uniform(0.0, 30.0, (40, 4))

@@ -1,10 +1,14 @@
 """Reverse water-filling tests (paper eqs. 7-9)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers.waterfill_oracle import exact_reductions
+from repro.core import batch as core_batch
 from repro.core.waterfill import reverse_waterfill
 
 positive_arrays = st.lists(
@@ -27,7 +31,7 @@ class TestBudgetRestoration:
         rho = np.array([100.0, 50.0, 10.0, 20.0])
         result = reverse_waterfill(q, rho, 1.0)
         new_row = np.sum(result.weights**2 * q)
-        assert new_row == pytest.approx(1.0, rel=1e-6)
+        assert new_row == pytest.approx(1.0, rel=1e-12)
 
     def test_weights_within_unit_interval(self):
         q = np.array([2.0, 0.5, 0.1])
@@ -113,4 +117,106 @@ class TestProperties:
         assert np.all(result.weights > 0)
         assert np.all(result.weights <= 1.0 + 1e-12)
         if not result.capped:
-            assert np.sum(result.weights**2 * q) <= budget * (1 + 1e-6)
+            assert np.sum(result.weights**2 * q) <= budget * (1 + 1e-12)
+
+
+def _kernel_problem(q, rho, budget, min_weight):
+    """The marginals, caps and required cut the kernel solves, in its own
+    float arithmetic, so the oracle solves exactly the same problem."""
+    marginal = (1.0 + 1.0 / np.maximum(rho, 1e-12)) * q
+    caps = (1.0 - min_weight**2) * q
+    return marginal, caps, float(np.sum(q)) - budget
+
+
+def assert_exact_solution(q, rho, budget, min_weight=0.1):
+    """A solved row against the rational oracle, the KKT structure of the
+    water level, and the budget."""
+    q = np.asarray(q, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    result = reverse_waterfill(q, rho, budget, min_weight)
+    assert not result.capped
+    marginal, caps, required = _kernel_problem(q, rho, budget, min_weight)
+    # The row's power scale, plus each stream's own level resolution: a
+    # zero-SINR stream's marginal sits near 1e12 * q.
+    tol = 1e-12 * max(budget, float(q.sum())) + 1e-14 * marginal
+
+    exact = exact_reductions(marginal, caps, required)
+    for got, want, t in zip(result.reductions_mw, exact, tol):
+        assert abs(Fraction(float(got)) - want) <= t
+
+    # KKT: on-line streams share the level, untouched streams sit at or
+    # below it, streams at their cap at or above it.
+    r, level = result.reductions_mw, result.water_level
+    untouched = r == 0.0
+    at_cap = (r == caps) & ~untouched
+    on_line = ~untouched & ~at_cap
+    assert np.all(marginal[untouched] <= level + tol[untouched])
+    assert np.all(marginal[at_cap] - caps[at_cap] >= level - tol[at_cap])
+    assert np.all(np.abs(marginal[on_line] - r[on_line] - level) <= tol[on_line])
+
+    new_row = float(np.sum(result.weights**2 * q))
+    assert abs(new_row - budget) <= 1e-12 * budget
+
+
+#: (row powers, SINRs, budget) rows for each edge of the closed form.
+EDGE_ROWS = {
+    # Two zero-SINR streams: the first is cut to its cap, the second is
+    # the only stream on the line, 1e12 above the others.
+    "zero_sinr": ([1.0, 0.8, 0.5, 0.3], [0.0, 20.0, 5.0, 0.0], 1.5),
+    "zero_power": ([1.2, 0.0, 0.9, 0.0], [10.0, 3.0, 50.0, 0.0], 1.0),
+    "equal_marginals": ([0.5, 0.5, 0.5, 0.5], [10.0, 10.0, 10.0, 10.0], 1.2),
+    "cap_binds_on_some": ([1.0, 1.0, 1.0], [0.0, 10.0, 10.0], 1.5),
+    "single_stream": ([2.0], [7.0], 0.5),
+}
+
+_streams = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1e4)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    def test_edge_rows_match_the_oracle(self, name):
+        assert_exact_solution(*EDGE_ROWS[name])
+
+    @given(_streams, st.floats(min_value=0.05, max_value=0.95), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_rows_match_the_oracle(self, rows, budget_fraction, tied):
+        if tied:  # every stream twice: equal marginals, tied breakpoints
+            rows = rows + rows
+        q = np.array([row[0] for row in rows])
+        rho = np.array([row[1] for row in rows])
+        assume(q.sum() > 0)
+        assert_exact_solution(q, rho, budget_fraction * float(q.sum()))
+
+
+def test_item_result_independent_of_batch_composition():
+    rng = np.random.default_rng(12)
+    q = rng.uniform(0.0, 5.0, (32, 4))
+    rho = rng.uniform(0.0, 30.0, (32, 4))
+    rho[::5, 0] = 0.0
+    q[::7, 1] = 0.0
+    q[:4] *= 0.05  # under budget: the trivial branch
+    q[4:8] *= 100.0  # beyond every cap: the capped branch
+    budget = 3.0
+    fields = ("weights", "reductions_mw", "water_level", "capped")
+    full = core_batch.reverse_waterfill(q, rho, budget)
+    assert np.all(np.isinf(full.water_level[:4])) and np.all(full.capped[4:8])
+
+    order = rng.permutation(len(q))
+    shuffled = core_batch.reverse_waterfill(q[order], rho[order], budget)
+    for field in fields:
+        assert np.array_equal(getattr(shuffled, field), getattr(full, field)[order])
+    for size in (1, 3, 17):
+        part = core_batch.reverse_waterfill(q[:size], rho[:size], budget)
+        for field in fields:
+            assert np.array_equal(getattr(part, field), getattr(full, field)[:size])
+    grid = core_batch.reverse_waterfill(q.reshape(4, 8, 4), rho.reshape(4, 8, 4), budget)
+    for field in fields:
+        flat = getattr(grid, field).reshape(getattr(full, field).shape)
+        assert np.array_equal(flat, getattr(full, field))
