@@ -6,8 +6,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-# The RunSpec/Runner adapter lives with the tier-1 helpers; reuse it here
-# (the deprecated per-figure shims now raise under the warning filters).
+# The RunSpec/Runner adapter lives with the tier-1 helpers; reuse it here.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import experiment_runner  # noqa: E402,F401  (re-export)
 

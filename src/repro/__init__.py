@@ -43,7 +43,7 @@ factories) remains importable directly for custom studies; see
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 from .analysis import (
     EmpiricalCdf,

@@ -2,28 +2,24 @@
 
 An experiment is a pair of pure functions over plain parameter dicts:
 
-``build(topo_seed, params) -> dict | None``
-    Evaluate one topology.  Returning ``None`` rejects the topology
-    (placement constraints) and the runner draws another seed.  ``build``
-    must be a module-level callable so worker processes can resolve it.
+``build_batch(topo_seeds, params) -> list[dict | None]``
+    Evaluate a batch of topology seeds (stacked channel synthesis +
+    batched linear algebra), returning one outcome per seed in order.  A
+    ``None`` entry rejects that draw (placement constraints) and the
+    runner draws another seed.  This is the only evaluation hook: a
+    single topology is a batch of one, so every backend calls it -- the
+    ``loop`` backend with one seed per call, the ``vectorized`` backend
+    with whole stacks.  Entry ``i`` must not depend on the batch it was
+    computed in (its size, order, or neighbours).  It must be a
+    module-level callable so worker processes can resolve it.
 
 ``finalize(outcomes, params) -> ExperimentResult``
     Reduce the accepted per-topology outcomes into named series.
 
-An experiment may additionally provide a *batched* build hook:
-
-``build_batch(topo_seeds, params) -> list[dict | None]``
-    Evaluate a whole batch of topology seeds at once (stacked channel
-    synthesis + batched linear algebra), returning one outcome per seed in
-    order, ``None`` for rejected draws.  The contract is bit-identity:
-    entry ``i`` must equal ``build(topo_seeds[i], params)`` exactly.  The
-    runner uses this hook when constructed with ``backend="vectorized"``
-    and falls back to per-topology ``build`` calls when it is absent.
-
 Modules register experiments with the :func:`register_experiment`
 decorator, either on an :class:`ExperimentDef` factory call or on a class
-carrying ``name``/``description``/``defaults``/``build``/``finalize``
-(and optionally ``build_batch``) attributes.
+carrying ``name``/``description``/``defaults``/``build_batch``/``finalize``
+attributes.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from typing import Any, Callable, Mapping, Sequence
 from .registry import EXPERIMENTS
 from .result import ExperimentResult
 
-BuildFn = Callable[[int, dict], "dict | None"]
 BatchBuildFn = Callable[[Sequence[int], dict], "list[dict | None]"]
 FinalizeFn = Callable[[list, dict], ExperimentResult]
 
@@ -43,16 +38,20 @@ _RESERVED_PARAMS = {"seed"}
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """A registered experiment: defaults plus build/finalize callables."""
+    """A registered experiment: defaults plus build_batch/finalize callables."""
 
     name: str
     description: str
-    build: BuildFn
+    build_batch: BatchBuildFn
     finalize: FinalizeFn
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    build_batch: BatchBuildFn | None = None
 
     def __post_init__(self):
+        if not callable(self.build_batch):
+            raise TypeError(
+                f"experiment {self.name!r} must define a callable build_batch "
+                f"hook, got {type(self.build_batch).__name__}"
+            )
         if "n_topologies" not in self.defaults:
             raise ValueError(
                 f"experiment {self.name!r} must declare an n_topologies default"
@@ -74,7 +73,7 @@ def register_experiment(obj):
             name = "fig03"
             description = "..."
             defaults = {"n_topologies": 60}
-            build = staticmethod(_build)
+            build_batch = staticmethod(_build_batch)
             finalize = staticmethod(_finalize)
 
     or called directly with an :class:`ExperimentDef`.
@@ -85,10 +84,9 @@ def register_experiment(obj):
         defn = ExperimentDef(
             name=obj.name,
             description=obj.description,
-            build=obj.build,
+            build_batch=getattr(obj, "build_batch", None),
             finalize=obj.finalize,
             defaults=dict(obj.defaults),
-            build_batch=getattr(obj, "build_batch", None),
         )
     EXPERIMENTS.add(defn.name, defn)
     return obj

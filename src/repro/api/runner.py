@@ -2,19 +2,21 @@
 
 The runner owns everything the declarative spec deliberately leaves out:
 
-* **backend** -- ``"loop"`` (default) evaluates one topology at a time;
-  ``"vectorized"`` hands whole seed batches to the experiment's
-  ``build_batch`` hook, which evaluates all draws as stacked arrays
-  (batched channel synthesis + broadcasting linalg precoders);
-  ``"array_api"`` is the vectorized path executed under an explicit
-  :mod:`repro.xp` namespace (``namespace``/``device``/``dtype``), which is
-  how the same code runs on torch/CUDA.  ``"loop"``, ``"vectorized"``, and
-  ``"array_api"`` on the default NumPy/float64 namespace walk the same
-  derived-seed stream and are **bit-identical**; other namespace
-  configurations meet documented tolerance contracts instead (see
-  ``docs/api.md``).  Experiments without a batch hook fall back to the
-  loop path with a warning naming the experiment;
-* **parallelism** -- per-topology evaluations fan out over a
+* **backend** -- every backend evaluates through the experiment's one
+  ``build_batch`` hook; they differ only in how many seeds one call
+  stacks.  ``"loop"`` (default) is a batch of one: one seed per
+  ``build_batch`` call, fanned out over worker processes when
+  ``jobs > 1``.  ``"vectorized"`` hands whole seed batches to the hook,
+  which evaluates all draws as stacked arrays (batched channel synthesis
+  + broadcasting linalg precoders); ``"array_api"`` is the vectorized
+  path executed under an explicit :mod:`repro.xp` namespace
+  (``namespace``/``device``/``dtype``), which is how the same code runs
+  on torch/CUDA.  ``"loop"``, ``"vectorized"``, and ``"array_api"`` on
+  the default NumPy/float64 namespace walk the same derived-seed stream
+  and are **bit-identical** (an item's result never depends on the batch
+  it was computed in); other namespace configurations meet documented
+  tolerance contracts instead (see ``docs/api.md``);
+* **parallelism** -- loop-backend evaluations fan out over a
   ``ProcessPoolExecutor`` when ``jobs > 1``; topology seeds are drawn in
   vectorized batches from the same derived-seed stream the serial path
   walks, and outcomes are accepted in stream order, so ``jobs=1`` and
@@ -125,12 +127,13 @@ def resolve_params(defn: ExperimentDef, spec: RunSpec) -> dict:
 def _build_one(experiment: str, topo_seed: int, params: dict):
     """Worker entry point: evaluate one topology of one experiment.
 
+    A batch of one through the experiment's ``build_batch`` hook.
     Module-level (picklable) and self-bootstrapping so it works under both
     ``fork`` and ``spawn`` start methods.
     """
     load_builtin_experiments()
     defn = get_experiment_def(experiment)
-    return defn.build(topo_seed, params)
+    return defn.build_batch([topo_seed], params)[0]
 
 
 #: Seeds per round under the vectorized backend (when ``batch_size`` is
@@ -171,10 +174,11 @@ class Runner:
         ``max(8, 4*jobs)`` for the loop backend and 1024 for the
         vectorized one.  Affects scheduling only, never results.
     backend:
-        ``"loop"`` (default), ``"vectorized"``, or ``"array_api"``.  The
-        vectorized backend evaluates stacked topology batches through the
-        experiment's ``build_batch`` hook when it defines one;
-        ``"array_api"`` runs that same code path under the namespace
+        ``"loop"`` (default), ``"vectorized"``, or ``"array_api"``.  All
+        three evaluate through the experiment's ``build_batch`` hook.
+        ``"loop"`` passes one seed per call (process-parallel when
+        ``jobs > 1``); ``"vectorized"`` passes stacked topology batches;
+        ``"array_api"`` runs the vectorized path under the namespace
         selected by ``namespace``/``device``/``dtype``.  Results are
         bit-identical across ``loop``/``vectorized``/``array_api``-on-
         NumPy-float64; other configurations (torch, float32) meet the
@@ -485,16 +489,7 @@ class Runner:
         root_seed = int(params["seed"])
         stream_start = 0 if window is None else int(window[0])
         max_attempts = n if window is not None else max(200, 80 * n)
-        batched_backend = self.backend in ("vectorized", "array_api")
-        vectorized = batched_backend and defn.build_batch is not None
-        if batched_backend and defn.build_batch is None:
-            obsmod.active().count("runner.loop_fallbacks")
-            warnings.warn(
-                f"experiment {defn.name!r} defines no build_batch hook; "
-                f"falling back to the per-topology loop backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        vectorized = self.backend in ("vectorized", "array_api")
         # The array_api backend is the vectorized sweep executed under an
         # active repro.xp namespace; build_batch hooks (and the compute
         # boundaries they call) pick it up via repro.xp.active().
@@ -556,7 +551,7 @@ class Runner:
                         _build_one, repeat(defn.name), seeds, repeat(params)
                     )
                 else:
-                    outcomes = (defn.build(s, params) for s in seeds)
+                    outcomes = (defn.build_batch([s], params)[0] for s in seeds)
                 for outcome in outcomes:
                     if outcome is None:
                         continue

@@ -2,13 +2,10 @@
 
 Every figure of the paper's evaluation is a registered experiment executed
 through the declarative :class:`repro.api.RunSpec` /
-:class:`repro.api.Runner` pipeline; the per-module ``run(...)`` functions
-remain as deprecated shims.  Benchmarks regenerate figures at full scale,
-tests smoke them at reduced sizes, and ``python -m repro.experiments``
-runs any of them from the command line.
+:class:`repro.api.Runner` pipeline; each module registers one
+``build_batch`` / ``finalize`` pair.  Benchmarks regenerate figures at
+full scale, tests smoke them at reduced sizes, and
+``python -m repro.experiments`` runs any of them from the command line.
 """
 
-from .common import ExperimentResult, legacy_run
-from .registry import EXPERIMENTS, get_experiment
-
-__all__ = ["ExperimentResult", "legacy_run", "EXPERIMENTS", "get_experiment"]
+from . import registry  # noqa: F401  (importing it registers every experiment)

@@ -18,24 +18,17 @@ import numpy as np
 
 from .. import rng as rng_mod
 from ..api.experiments import register_experiment
-from ..api.precoders import precoder_matrix, precoder_matrix_batch
+from ..api.precoders import precoder_matrix_batch
 from ..api.scenarios import resolve_environment
-from ..channel.model import ChannelModel, apply_csi_error
+from ..channel.model import apply_csi_error
 from ..channel.pathloss import coverage_range_m
 from ..core.batch import power_balanced_precoder as batch_power_balanced
-from ..core.power_balance import power_balanced_precoder
 from ..core.tagging import TagTable
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios, single_ap_scenario
-from .common import (
-    ExperimentResult,
-    batched_channels,
-    batched_selection_capacities,
-    channel_for,
-    legacy_run,
-)
-from .fig14_tagging import _subchannel, capacity_of_selection, tagged_selection
+from .common import ExperimentResult, batched_channels, batched_selection_capacities
+from .fig14_tagging import _subchannel, tagged_selection
 
 
 def _series_from(outcomes: list[dict], keys) -> dict[str, np.ndarray]:
@@ -45,22 +38,6 @@ def _series_from(outcomes: list[dict], keys) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 # Tag width
 # ----------------------------------------------------------------------
-def _tag_width_build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    scenario = single_ap_scenario(env, AntennaMode.DAS, seed=topo_seed)
-    model = channel_for(scenario, topo_seed)
-    rng = rng_mod.make_rng(topo_seed)
-    available = rng.choice(4, size=params["n_available"], replace=False)
-    h = model.channel_matrix()
-    rssi = model.client_rx_power_dbm()
-    out = {}
-    for width in params["widths"]:
-        tags = TagTable.from_rssi(rssi, tag_width=width)
-        clients = tagged_selection(tags, available, rssi)
-        out[f"width_{width}"] = capacity_of_selection(scenario, h, available, clients)
-    return out
-
-
 def _tag_width_build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     scenarios = [
@@ -112,27 +89,8 @@ class TagWidthAblation:
         "widths": [1, 2, 3, 4],
         "n_available": 2,
     }
-    build = staticmethod(_tag_width_build)
     build_batch = staticmethod(_tag_width_build_batch)
     finalize = staticmethod(_tag_width_finalize)
-
-
-def tag_width_sweep(
-    n_topologies: int = 40,
-    seed: int = 0,
-    environment=None,
-    widths: tuple[int, ...] = (1, 2, 3, 4),
-    n_available: int = 2,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_tag_width`` spec."""
-    return legacy_run(
-        "ablation_tag_width",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        widths=widths,
-        n_available=n_available,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -140,29 +98,6 @@ def tag_width_sweep(
 # ----------------------------------------------------------------------
 def _ring_key(low: float, high: float) -> str:
     return f"ring_{int(low * 100)}_{int(high * 100)}"
-
-
-def _das_radius_build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    coverage = coverage_range_m(env.radio)
-    out = {}
-    for low, high in params["fractions"]:
-        pair = paired_scenarios(
-            env,
-            [(0.0, 0.0)],
-            seed=topo_seed,
-            das_radius_min_m=low * coverage,
-            das_radius_max_m=high * coverage,
-            name="ablation_radius",
-        )
-        scenario = pair[AntennaMode.DAS]
-        h = channel_for(scenario, topo_seed).channel_matrix()
-        radio = scenario.radio
-        v = power_balanced_precoder(h, radio.per_antenna_power_mw, radio.noise_mw).v
-        out[_ring_key(low, high)] = sum_capacity_bps_hz(
-            stream_sinrs(h, v, radio.noise_mw)
-        )
-    return out
 
 
 def _das_radius_build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -216,25 +151,8 @@ class DasRadiusAblation:
         "environment": "office_b",
         "fractions": [[0.2, 0.4], [0.5, 0.75], [0.8, 1.0]],
     }
-    build = staticmethod(_das_radius_build)
     build_batch = staticmethod(_das_radius_build_batch)
     finalize = staticmethod(_das_radius_finalize)
-
-
-def das_radius_sweep(
-    n_topologies: int = 40,
-    seed: int = 0,
-    environment=None,
-    fractions: tuple[tuple[float, float], ...] = ((0.2, 0.4), (0.5, 0.75), (0.8, 1.0)),
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_das_radius`` spec."""
-    return legacy_run(
-        "ablation_das_radius",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        fractions=fractions,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -245,20 +163,6 @@ def _precoder_names(params: dict) -> list[str]:
     if params["include_full_optimal"]:
         names.append("full_optimal")
     return names
-
-
-def _precoders_build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    scenario = single_ap_scenario(env, AntennaMode.DAS, seed=topo_seed)
-    h = channel_for(scenario, topo_seed).channel_matrix()
-    p = scenario.radio.per_antenna_power_mw
-    noise = scenario.radio.noise_mw
-    return {
-        name: sum_capacity_bps_hz(
-            stream_sinrs(h, precoder_matrix(name, h, p, noise), noise)
-        )
-        for name in _precoder_names(params)
-    }
 
 
 def _precoders_build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -300,46 +204,13 @@ class PrecoderAblation:
         "environment": "office_b",
         "include_full_optimal": True,
     }
-    build = staticmethod(_precoders_build)
     build_batch = staticmethod(_precoders_build_batch)
     finalize = staticmethod(_precoders_finalize)
-
-
-def precoder_comparison(
-    n_topologies: int = 12,
-    seed: int = 0,
-    environment=None,
-    include_full_optimal: bool = True,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_precoders`` spec."""
-    return legacy_run(
-        "ablation_precoders",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        include_full_optimal=include_full_optimal,
-    )
 
 
 # ----------------------------------------------------------------------
 # CSI error
 # ----------------------------------------------------------------------
-def _csi_error_build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    scenario = single_ap_scenario(env, AntennaMode.DAS, seed=topo_seed)
-    model = ChannelModel(scenario.deployment, scenario.radio, seed=topo_seed)
-    h = model.channel_matrix()
-    p = scenario.radio.per_antenna_power_mw
-    noise = scenario.radio.noise_mw
-    rng = rng_mod.make_rng(topo_seed)
-    out = {}
-    for err in params["error_stds"]:
-        h_est = apply_csi_error(h, err, rng)
-        v = power_balanced_precoder(h_est, p, noise).v
-        out[f"err_{err:g}"] = sum_capacity_bps_hz(stream_sinrs(h, v, noise))
-    return out
-
-
 def _csi_error_build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     scenarios = [
@@ -349,8 +220,9 @@ def _csi_error_build_batch(topo_seeds, params: dict) -> list[dict]:
     p = radio.per_antenna_power_mw
     noise = radio.noise_mw
     h = batched_channels(scenarios, topo_seeds).channel_matrices()
-    # CSI noise draws walk each item's own generator in error_stds order,
-    # exactly like the scalar build; the precoding/capacity math batches.
+    # CSI noise draws walk each item's own generator in error_stds order, so
+    # an item's draws never depend on its batch; the precoding/capacity
+    # math batches.
     error_stds = list(params["error_stds"])
     estimates = {err: [] for err in error_stds}
     for index, seed in enumerate(topo_seeds):
@@ -391,22 +263,5 @@ class CsiErrorAblation:
         "environment": "office_b",
         "error_stds": [0.0, 0.05, 0.1, 0.2],
     }
-    build = staticmethod(_csi_error_build)
     build_batch = staticmethod(_csi_error_build_batch)
     finalize = staticmethod(_csi_error_finalize)
-
-
-def csi_error_sweep(
-    n_topologies: int = 30,
-    seed: int = 0,
-    environment=None,
-    error_stds: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2),
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``ablation_csi_error`` spec."""
-    return legacy_run(
-        "ablation_csi_error",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        error_stds=error_stds,
-    )

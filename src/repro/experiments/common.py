@@ -1,130 +1,23 @@
-"""Shared experiment plumbing: results, sweeps, and the precoder zoo.
+"""Shared experiment plumbing: batched channels, gates, and capacities.
 
-The result type and precoder dispatch now live in :mod:`repro.api`
-(:class:`~repro.api.result.ExperimentResult`,
-:func:`~repro.api.precoders.capacity_for` over the precoder registry); this
-module re-exports them for backwards compatibility and keeps the
-serial-sweep helpers plus the :func:`legacy_run` shim that adapts the old
-per-figure ``run(...)`` signatures onto ``RunSpec``/``Runner``.
+Every helper here works on a batch of topology draws; a single topology is
+a batch of one.  The result type and precoder dispatch live in
+:mod:`repro.api` (:class:`~repro.api.result.ExperimentResult`,
+:func:`~repro.api.precoders.capacity_for_batch` over the precoder
+registry) and are re-exported for the experiment modules.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable
-
 import numpy as np
 
-import hashlib
-
-from .. import rng as rng_mod
 from .. import xp as xpmod
-from ..api.precoders import capacity_for, capacity_for_batch  # noqa: F401  (re-export)
-from ..api.registry import ENVIRONMENTS
-from ..api.result import ExperimentResult, RunResult  # noqa: F401  (re-export)
-from ..api.runner import Runner
-from ..api.scenarios import environment_named
-from ..api.spec import RunSpec
+from ..api.precoders import capacity_for_batch  # noqa: F401  (re-export)
+from ..api.result import ExperimentResult  # noqa: F401  (re-export)
 from ..channel.batch import ChannelBatch
-from ..channel.model import ChannelModel
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
-from ..topology.scenarios import OfficeEnvironment, Scenario
-
-
-def legacy_run(
-    experiment: str,
-    *,
-    n_topologies: int | None = None,
-    seed: int = 0,
-    environment=None,
-    precoder: str | None = None,
-    **params,
-) -> RunResult:
-    """Run a registered experiment through the modern ``RunSpec`` pipeline.
-
-    This backs the deprecated per-module ``run(...)`` entry points: it
-    accepts their old keyword arguments (including ``environment`` given as
-    an :class:`OfficeEnvironment` instance) and forwards everything to a
-    serial :class:`~repro.api.runner.Runner`.
-    """
-    warnings.warn(
-        f"calling the legacy run() entry point for {experiment!r}; build a "
-        "repro.api.RunSpec and use repro.api.Runner instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if isinstance(environment, OfficeEnvironment):
-        environment = _environment_name(environment)
-    spec = RunSpec(
-        experiment=experiment,
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        precoder=precoder,
-        params=params,
-    )
-    return Runner().run(spec)
-
-
-def _environment_name(environment: OfficeEnvironment) -> str:
-    """Registry name for an environment given as an instance.
-
-    An instance matching its registered factory resolves to that name.  A
-    customized instance (old call sites could pass any
-    :class:`OfficeEnvironment`) is registered in-process under a
-    content-derived alias so the spec stays a plain string and the runner
-    reproduces the caller's exact environment.
-    """
-    name = environment.name
-    if name in ENVIRONMENTS and environment_named(name) == environment:
-        return name
-    digest = hashlib.sha256(repr(environment).encode()).hexdigest()[:8]
-    alias = f"{name}#{digest}"
-    if alias not in ENVIRONMENTS:
-        ENVIRONMENTS.add(alias, lambda environment=environment: environment)
-    elif environment_named(alias) != environment:
-        raise ValueError(
-            f"environment alias collision for {alias!r}; register the "
-            "environment explicitly with repro.register_environment"
-        )
-    return alias
-
-
-def sweep_topologies(
-    n_topologies: int,
-    seed: int,
-    build: Callable[[int], dict],
-) -> list[dict]:
-    """Evaluate ``build(topology_seed)`` over derived per-topology seeds.
-
-    ``build`` may return ``None`` to reject a topology (placement
-    constraints); the sweep keeps drawing seeds until ``n_topologies``
-    results are collected (with a generous attempt cap).
-
-    :class:`~repro.api.runner.Runner` subsumes this helper (same seed
-    stream, plus batching and process parallelism); it remains for direct
-    library use and the old call sites.
-    """
-    if n_topologies < 1:
-        raise ValueError("need at least one topology")
-    results: list[dict] = []
-    attempts = 0
-    max_attempts = max(200, 80 * n_topologies)
-    stream = rng_mod.seed_stream(seed)
-    while len(results) < n_topologies and attempts < max_attempts:
-        topo_seed = next(stream)
-        attempts += 1
-        outcome = build(topo_seed)
-        if outcome is not None:
-            results.append(outcome)
-    if len(results) < n_topologies:
-        raise RuntimeError(
-            f"only {len(results)}/{n_topologies} topologies satisfied the "
-            f"placement constraints after {attempts} attempts"
-        )
-    return results
 
 
 def three_ap_overhearing_batch(environment, seeds):
@@ -159,17 +52,12 @@ def three_ap_overhearing_batch(environment, seeds):
     return index, accepted_seeds, [cas_all[i] for i in index], das_scenarios
 
 
-def channel_for(scenario: Scenario, seed: int) -> ChannelModel:
-    """Channel model bound to a scenario with a derived seed."""
-    return ChannelModel(scenario.deployment, scenario.radio, seed=seed)
-
-
 def batched_channels(scenarios, seeds) -> ChannelBatch:
     """Batched channel state for same-shape scenarios, one per topology seed.
 
-    The vectorized mirror of mapping :func:`channel_for` over
-    ``zip(scenarios, seeds)``: item ``i`` of every stacked array is
-    bit-identical to the scalar model's output for ``scenarios[i]``.
+    Item ``i`` of every stacked array is the channel of ``scenarios[i]``
+    drawn from ``seeds[i]``, bit-identical to a scalar
+    :class:`~repro.channel.model.ChannelModel` bound to that pair.
     """
     scenarios = list(scenarios)
     radio = scenarios[0].radio
@@ -178,27 +66,14 @@ def batched_channels(scenarios, seeds) -> ChannelBatch:
     return ChannelBatch([s.deployment for s in scenarios], radio, seeds)
 
 
-def greedy_siso_snrs(model: ChannelModel) -> np.ndarray:
-    """Fig 7's greedy client-antenna mapping: repeatedly take the strongest
-    remaining (client, antenna) pair and exclude both from further rounds;
-    returns the per-client link SNR (dB)."""
-    snr = model.snr_db_map(model.deployment.client_positions).copy()
-    n = min(snr.shape)
-    values = np.empty(n)
-    for i in range(n):
-        j, k = np.unravel_index(np.argmax(snr), snr.shape)
-        values[i] = snr[j, k]
-        snr[j, :] = -np.inf
-        snr[:, k] = -np.inf
-    return values
-
-
 def greedy_siso_snrs_batch(snr_db: np.ndarray) -> np.ndarray:
-    """Stacked greedy mapping over ``(batch, n_clients, n_antennas)`` SNRs.
+    """Fig 7's greedy client-antenna mapping over ``(batch, n_clients,
+    n_antennas)`` link SNRs (dB).
 
-    Runs the same flat-argmax / row-column-exclusion rounds as
-    :func:`greedy_siso_snrs`, one argmax per item per round (including its
-    first-index tie-breaking), so each item's series is bit-identical.
+    Each round takes the strongest remaining (client, antenna) pair per
+    item (flat argmax, first-index tie-breaking) and excludes both from
+    later rounds; returns ``(batch, min(n_clients, n_antennas))`` SNRs in
+    the order they were taken.
     """
     snr = np.array(snr_db, dtype=float)
     if snr.ndim != 3:
@@ -220,8 +95,7 @@ def batched_selection_capacities(subchannels, radio) -> list[float]:
     """Power-balanced capacities for a list of per-selection subchannels.
 
     ``subchannels`` holds one ``(n_chosen, n_available)`` channel slice per
-    selection (or ``None``/empty for "no clients chosen", worth 0.0 --
-    matching :func:`repro.experiments.fig14_tagging.capacity_of_selection`).
+    selection (or ``None``/empty for "no clients chosen", worth 0.0).
     Same-shape slices are stacked and solved through the batched
     power-balancing precoder in one call; results scatter back in order.
     """

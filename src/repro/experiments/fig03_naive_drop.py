@@ -14,35 +14,7 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import (
-    ExperimentResult,
-    batched_channels,
-    capacity_for,
-    capacity_for_batch,
-    channel_for,
-    legacy_run,
-)
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    n = params["n_antennas"]
-    pair = paired_scenarios(
-        env,
-        [(0.0, 0.0)],
-        antennas_per_ap=n,
-        clients_per_ap=n,
-        seed=topo_seed,
-        name="fig03",
-    )
-    out = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        scenario = pair[mode]
-        h = channel_for(scenario, topo_seed).channel_matrix()
-        reference = capacity_for(scenario, h, "total_power")
-        naive = capacity_for(scenario, h, "naive")
-        out[mode.value] = max(0.0, reference - naive)
-    return out
+from .common import ExperimentResult, batched_channels, capacity_for_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -93,22 +65,5 @@ class Fig03Experiment:
     name = "fig03"
     description = "Capacity drop of naive power scaling, CAS vs DAS (Fig 3)"
     defaults = {"n_topologies": 60, "environment": "office_b", "n_antennas": 4}
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig03`` spec."""
-    return legacy_run(
-        "fig03",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-    )

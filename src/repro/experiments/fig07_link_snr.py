@@ -13,31 +13,7 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import (
-    ExperimentResult,
-    batched_channels,
-    channel_for,
-    greedy_siso_snrs,
-    greedy_siso_snrs_batch,
-    legacy_run,
-)
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    n = params["n_antennas"]
-    pair = paired_scenarios(
-        env,
-        [(0.0, 0.0)],
-        antennas_per_ap=n,
-        clients_per_ap=n,
-        seed=topo_seed,
-        name="fig07",
-    )
-    return {
-        mode.value: greedy_siso_snrs(channel_for(pair[mode], topo_seed))
-        for mode in (AntennaMode.CAS, AntennaMode.DAS)
-    }
+from .common import ExperimentResult, batched_channels, greedy_siso_snrs_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -89,22 +65,5 @@ class Fig07Experiment:
     name = "fig07"
     description = "Link-layer SISO SNR, CAS vs DAS (Fig 7)"
     defaults = {"n_topologies": 60, "environment": "office_b", "n_antennas": 4}
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig07`` spec."""
-    return legacy_run(
-        "fig07",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-    )

@@ -16,36 +16,8 @@ import numpy as np
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..topology.deployment import AntennaMode
-from ..topology.scenarios import office_a, office_b, paired_scenarios
-from .common import (
-    ExperimentResult,
-    batched_channels,
-    capacity_for,
-    capacity_for_batch,
-    channel_for,
-    legacy_run,
-)
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    out: dict = {}
-    for n in params["antenna_counts"]:
-        pair = paired_scenarios(
-            env,
-            [(0.0, 0.0)],
-            antennas_per_ap=n,
-            clients_per_ap=n,
-            seed=topo_seed,
-            name="fig0809",
-        )
-        cas = pair[AntennaMode.CAS]
-        das = pair[AntennaMode.DAS]
-        h_cas = channel_for(cas, topo_seed).channel_matrix()
-        h_das = channel_for(das, topo_seed).channel_matrix()
-        out[f"cas_{n}x{n}"] = capacity_for(cas, h_cas, "naive")
-        out[f"midas_{n}x{n}"] = capacity_for(das, h_das, params["precoder"])
-    return out
+from ..topology.scenarios import paired_scenarios
+from .common import ExperimentResult, batched_channels, capacity_for_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -106,7 +78,6 @@ class Fig08Experiment:
         "antenna_counts": [2, 4],
         "precoder": "balanced",
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
 
@@ -121,36 +92,5 @@ class Fig09Experiment:
         "antenna_counts": [2, 4],
         "precoder": "balanced",
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    antenna_counts: tuple[int, ...] = (2, 4),
-) -> ExperimentResult:
-    """Deprecated shim: Fig 8/9 with an explicit environment (default B)."""
-    return legacy_run(
-        "fig09",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        antenna_counts=antenna_counts,
-    )
-
-
-def run_office_a(n_topologies: int = 60, seed: int = 0, **kwargs) -> ExperimentResult:
-    """Deprecated shim: Fig 8 (Office A)."""
-    return legacy_run(
-        "fig08", n_topologies=n_topologies, seed=seed, environment=office_a(), **kwargs
-    )
-
-
-def run_office_b(n_topologies: int = 60, seed: int = 0, **kwargs) -> ExperimentResult:
-    """Deprecated shim: Fig 9 (Office B)."""
-    return legacy_run(
-        "fig09", n_topologies=n_topologies, seed=seed, environment=office_b(), **kwargs
-    )

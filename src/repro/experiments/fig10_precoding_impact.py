@@ -13,36 +13,9 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import (
-    ExperimentResult,
-    batched_channels,
-    capacity_for,
-    capacity_for_batch,
-    channel_for,
-    legacy_run,
-)
+from .common import ExperimentResult, batched_channels, capacity_for_batch
 
 _SERIES = ("cas_naive", "cas_balanced", "das_naive", "das_balanced")
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    n = params["n_antennas"]
-    pair = paired_scenarios(
-        env,
-        [(0.0, 0.0)],
-        antennas_per_ap=n,
-        clients_per_ap=n,
-        seed=topo_seed,
-        name="fig10",
-    )
-    out = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        scenario = pair[mode]
-        h = channel_for(scenario, topo_seed).channel_matrix()
-        out[f"{mode.value}_naive"] = capacity_for(scenario, h, "naive")
-        out[f"{mode.value}_balanced"] = capacity_for(scenario, h, "balanced")
-    return out
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -91,22 +64,5 @@ class Fig10Experiment:
     name = "fig10"
     description = "Precoding impact on CAS and DAS separately (Fig 10)"
     defaults = {"n_topologies": 60, "environment": "office_b", "n_antennas": 4}
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig10`` spec."""
-    return legacy_run(
-        "fig10",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-    )

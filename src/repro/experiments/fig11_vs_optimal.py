@@ -14,38 +14,12 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..channel.model import ChannelModel
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..core.optimal import optimal_power_allocation
-from ..core.power_balance import power_balanced_precoder
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
-from .common import ExperimentResult, batched_channels, legacy_run
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    n = params["n_antennas"]
-    scenario = single_ap_scenario(
-        env, AntennaMode.DAS, n_antennas=n, n_clients=n, seed=topo_seed
-    )
-    model = ChannelModel(scenario.deployment, scenario.radio, seed=topo_seed)
-    h = model.channel_matrix()
-    p = scenario.radio.per_antenna_power_mw
-    noise = scenario.radio.noise_mw
-    balanced = power_balanced_precoder(h, p, noise)
-    opt = optimal_power_allocation(h, p, noise)
-    # Stale optimum: the channel the solver optimized for has moved on by
-    # the time its solution is applied.
-    model.advance(params["solver_latency_s"])
-    h_later = model.channel_matrix()
-    stale_capacity = sum_capacity_bps_hz(stream_sinrs(h_later, opt.v, noise))
-    return {
-        "midas": sum_capacity_bps_hz(stream_sinrs(h, balanced.v, noise)),
-        "optimal": opt.capacity_bps_hz,
-        "optimal_stale": stale_capacity,
-    }
+from .common import ExperimentResult, batched_channels
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -112,24 +86,5 @@ class Fig11Experiment:
         "n_antennas": 4,
         "solver_latency_s": 2.0,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 20,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-    solver_latency_s: float = 2.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig11`` spec."""
-    return legacy_run(
-        "fig11",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-        solver_latency_s=solver_latency_s,
-    )

@@ -16,11 +16,9 @@ from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..sim.batch import RoundBasedEvaluatorBatch, count_streams_batch
-from ..sim.network import MacMode, aps_mutually_overhear
+from ..sim.network import MacMode
 from ..sim.rounds import RoundBasedEvaluator
-from ..topology.deployment import AntennaMode
-from ..topology.scenarios import three_ap_scenario
-from .common import ExperimentResult, legacy_run, three_ap_overhearing_batch
+from .common import ExperimentResult, three_ap_overhearing_batch
 
 
 def count_streams(
@@ -43,22 +41,6 @@ def count_streams(
             active.extend(int(a) for a in free)
         totals.append(total)
     return float(np.mean(totals))
-
-
-def _build(topo_seed: int, params: dict) -> dict | None:
-    env = resolve_environment(params["environment"])
-    pair = three_ap_scenario(env, seed=topo_seed)
-    cas_eval = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=topo_seed)
-    if not aps_mutually_overhear(cas_eval.carrier_sense, cas_eval.deployment):
-        return None
-    das_eval = RoundBasedEvaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed=topo_seed)
-    rng = rng_mod.make_rng(topo_seed)
-    # CAS reference: one AP active at a time => four streams (paper
-    # §5.3.1: "one AP can be activated at a time to support four
-    # simultaneous transmissions").
-    cas_streams = float(len(cas_eval.deployment.antennas_of(0)))
-    midas_streams = count_streams(das_eval, rng, params["rounds_per_topology"])
-    return {"midas": midas_streams, "cas": cas_streams}
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
@@ -106,22 +88,5 @@ class Fig12Experiment:
         "environment": "office_b",
         "rounds_per_topology": 12,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 30,
-    seed: int = 0,
-    environment=None,
-    rounds_per_topology: int = 12,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig12`` spec."""
-    return legacy_run(
-        "fig12",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        rounds_per_topology=rounds_per_topology,
-    )

@@ -17,17 +17,7 @@ from ..channel.pathloss import coverage_range_m
 from ..topology import geometry
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels, channel_for, legacy_run
-
-
-def deadspot_mask(
-    model, points: np.ndarray, min_snr_db: float, fade_margin_db: float = 6.0
-) -> np.ndarray:
-    """True where the best-antenna SNR (minus a small-scale fade margin)
-    falls below the decode threshold."""
-    snr = model.snr_db_map(points)
-    best = snr.max(axis=1)
-    return best - fade_margin_db < min_snr_db
+from .common import ExperimentResult, batched_channels
 
 
 @lru_cache(maxsize=8)
@@ -39,19 +29,6 @@ def _survey_points(environment_name: str, grid_step_m: float) -> np.ndarray:
         (-coverage, coverage), (-coverage, coverage), grid_step_m
     )
     return grid[geometry.points_within(grid, (0.0, 0.0), coverage)]
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    survey_points = _survey_points(params["environment"], float(params["grid_step_m"]))
-    pair = paired_scenarios(env, [(0.0, 0.0)], seed=topo_seed, name="fig13")
-    masks = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        model = channel_for(pair[mode], topo_seed)
-        masks[mode.value] = deadspot_mask(
-            model, survey_points, pair[mode].mac.decode_snr_db, params["fade_margin_db"]
-        )
-    return masks
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -122,24 +99,5 @@ class Fig13Experiment:
         "grid_step_m": 0.5,
         "fade_margin_db": 6.0,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 10,
-    seed: int = 0,
-    environment=None,
-    grid_step_m: float = 0.5,
-    fade_margin_db: float = 6.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig13`` spec."""
-    return legacy_run(
-        "fig13",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        grid_step_m=grid_step_m,
-        fade_margin_db=fade_margin_db,
-    )

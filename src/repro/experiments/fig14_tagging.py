@@ -13,18 +13,10 @@ import numpy as np
 from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..core.power_balance import power_balanced_precoder
 from ..core.tagging import TagTable
-from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
-from .common import (
-    ExperimentResult,
-    batched_channels,
-    batched_selection_capacities,
-    channel_for,
-    legacy_run,
-)
+from .common import ExperimentResult, batched_channels, batched_selection_capacities
 
 
 def tagged_selection(tags: TagTable, available: np.ndarray, rssi: np.ndarray) -> list[int]:
@@ -38,41 +30,6 @@ def tagged_selection(tags: TagTable, available: np.ndarray, rssi: np.ndarray) ->
         best = max(candidates, key=lambda c: rssi[c, int(antenna)])
         chosen.append(int(best))
     return chosen
-
-
-def capacity_of_selection(
-    scenario, h: np.ndarray, antennas: np.ndarray, clients: list[int]
-) -> float:
-    """Power-balanced MU-MIMO capacity for the chosen clients over the
-    available antennas."""
-    if not clients:
-        return 0.0
-    radio = scenario.radio
-    h_sub = h[np.ix_(np.asarray(clients, dtype=int), antennas)]
-    v = power_balanced_precoder(h_sub, radio.per_antenna_power_mw, radio.noise_mw).v
-    return sum_capacity_bps_hz(stream_sinrs(h_sub, v, radio.noise_mw))
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    n_antennas = params["n_antennas"]
-    n_available = params["n_available"]
-    scenario = single_ap_scenario(
-        env, AntennaMode.DAS, n_antennas=n_antennas, n_clients=n_antennas, seed=topo_seed
-    )
-    model = channel_for(scenario, topo_seed)
-    rng = rng_mod.make_rng(topo_seed)
-    available = rng.choice(n_antennas, size=n_available, replace=False)
-    h = model.channel_matrix()
-    rssi = model.client_rx_power_dbm()
-    tags = TagTable.from_rssi(rssi, tag_width=params["tag_width"])
-
-    with_tags = tagged_selection(tags, available, rssi)
-    random_clients = list(rng.choice(n_antennas, size=n_available, replace=False))
-    return {
-        "tagged": capacity_of_selection(scenario, h, available, with_tags),
-        "random": capacity_of_selection(scenario, h, available, random_clients),
-    }
 
 
 def _subchannel(h: np.ndarray, antennas: np.ndarray, clients: list[int]):
@@ -142,26 +99,5 @@ class Fig14Experiment:
         "n_available": 2,
         "tag_width": 2,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    n_antennas: int = 4,
-    n_available: int = 2,
-    tag_width: int = 2,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig14`` spec."""
-    return legacy_run(
-        "fig14",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        n_antennas=n_antennas,
-        n_available=n_available,
-        tag_width=tag_width,
-    )

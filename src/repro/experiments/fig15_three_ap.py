@@ -17,56 +17,37 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..config import SimConfig
 from ..sim.batch import RoundBasedEvaluatorBatch
-from ..sim.network import MacMode, NetworkSimulation, aps_mutually_overhear
-from ..sim.rounds import RoundBasedEvaluator
-from ..topology.deployment import AntennaMode
-from ..topology.scenarios import three_ap_scenario
-from .common import ExperimentResult, legacy_run, three_ap_overhearing_batch
-
-
-def _build(topo_seed: int, params: dict) -> dict | None:
-    env = resolve_environment(params["environment"])
-    pair = three_ap_scenario(env, seed=topo_seed)
-    cas_eval = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=topo_seed)
-    if not aps_mutually_overhear(cas_eval.carrier_sense, cas_eval.deployment):
-        return None
-    if params["dynamic"]:
-        sim_cfg = SimConfig(duration_s=params["duration_s"])
-        cas_run = NetworkSimulation(
-            pair[AntennaMode.CAS], MacMode.CAS, sim_cfg, seed=topo_seed
-        ).run()
-        midas_run = NetworkSimulation(
-            pair[AntennaMode.DAS], MacMode.MIDAS, sim_cfg, seed=topo_seed
-        ).run()
-        return {
-            "cas": cas_run.network_capacity_bps_hz,
-            "midas": midas_run.network_capacity_bps_hz,
-            "streams": midas_run.mean_concurrent_streams
-            / max(cas_run.mean_concurrent_streams, 1e-9),
-        }
-    cas_res = cas_eval.run(params["rounds_per_topology"])
-    midas_res = RoundBasedEvaluator(
-        pair[AntennaMode.DAS], MacMode.MIDAS, seed=topo_seed
-    ).run(params["rounds_per_topology"])
-    return {
-        "cas": cas_res.mean_capacity_bps_hz,
-        "midas": midas_res.mean_capacity_bps_hz,
-        "streams": midas_res.mean_streams / max(cas_res.mean_streams, 1e-9),
-    }
+from ..sim.network import MacMode, NetworkSimulation
+from .common import ExperimentResult, three_ap_overhearing_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    if params["dynamic"]:
-        # The closed-loop discrete-event MAC is event-serial by nature;
-        # evaluate item by item (trivially identical to the loop path).
-        return [_build(seed, params) for seed in seeds]
     index, accepted_seeds, cas_scenarios, das_scenarios = three_ap_overhearing_batch(
         env, seeds
     )
     outcomes: list[dict | None] = [None] * len(seeds)
     if index.size == 0:
+        return outcomes
+    if params["dynamic"]:
+        # The closed-loop discrete-event MAC is event-serial by nature: the
+        # gate is batched, each survivor then simulates on its own.
+        sim_cfg = SimConfig(duration_s=params["duration_s"])
+        for slot, i in enumerate(index):
+            seed = accepted_seeds[slot]
+            cas_run = NetworkSimulation(
+                cas_scenarios[slot], MacMode.CAS, sim_cfg, seed=seed
+            ).run()
+            midas_run = NetworkSimulation(
+                das_scenarios[slot], MacMode.MIDAS, sim_cfg, seed=seed
+            ).run()
+            outcomes[i] = {
+                "cas": cas_run.network_capacity_bps_hz,
+                "midas": midas_run.network_capacity_bps_hz,
+                "streams": midas_run.mean_concurrent_streams
+                / max(cas_run.mean_concurrent_streams, 1e-9),
+            }
         return outcomes
     cas_results = RoundBasedEvaluatorBatch(
         cas_scenarios, MacMode.CAS, seeds=accepted_seeds
@@ -114,26 +95,5 @@ class Fig15Experiment:
         "dynamic": False,
         "duration_s": 0.1,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 60,
-    seed: int = 0,
-    environment=None,
-    rounds_per_topology: int = 24,
-    dynamic: bool = False,
-    duration_s: float = 0.1,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig15`` spec."""
-    return legacy_run(
-        "fig15",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        rounds_per_topology=rounds_per_topology,
-        dynamic=dynamic,
-        duration_s=duration_s,
-    )

@@ -17,28 +17,9 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..sim.batch import RoundBasedEvaluatorBatch
 from ..sim.network import MacMode
-from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import eight_ap_scenario
-from .common import ExperimentResult, legacy_run
-
-
-def _build(topo_seed: int, params: dict) -> dict | None:
-    env = resolve_environment(params["environment"])
-    try:
-        pair = eight_ap_scenario(env, seed=topo_seed, region_m=params["region_m"])
-    except RuntimeError:
-        return None
-    cas_res = RoundBasedEvaluator(
-        pair[AntennaMode.CAS], MacMode.CAS, seed=topo_seed
-    ).run(params["rounds_per_topology"])
-    das_res = RoundBasedEvaluator(
-        pair[AntennaMode.DAS], MacMode.MIDAS, seed=topo_seed
-    ).run(params["rounds_per_topology"])
-    return {
-        "cas": cas_res.mean_capacity_bps_hz,
-        "das": das_res.mean_capacity_bps_hz,
-    }
+from .common import ExperimentResult
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
@@ -99,24 +80,5 @@ class Fig16Experiment:
         "rounds_per_topology": 16,
         "region_m": 60.0,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 20,
-    seed: int = 0,
-    environment=None,
-    rounds_per_topology: int = 16,
-    region_m: float = 60.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``fig16`` spec."""
-    return legacy_run(
-        "fig16",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        rounds_per_topology=rounds_per_topology,
-        region_m=region_m,
-    )

@@ -17,50 +17,11 @@ from .. import units
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..channel.pathloss import coverage_range_m
-from ..mac.carrier_sense import CarrierSenseModel
 from ..sim.batch import CarrierSenseBatch
 from ..topology import geometry
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import hidden_terminal_scenario
-from .common import ExperimentResult, batched_channels, channel_for, legacy_run
-
-
-def hidden_spot_count(
-    scenario, model, grid_points: np.ndarray, interference_inr_db: float = 3.0
-) -> int:
-    """Count hidden-terminal spots on the grid for one deployment."""
-    deployment = scenario.deployment
-    sense = CarrierSenseModel(model.antenna_cross_power_dbm(), scenario.mac)
-    snr = model.snr_db_map(grid_points)  # (points, antennas)
-    rx_dbm = model.rx_power_dbm(grid_points)
-    noise_dbm = units.mw_to_dbm(scenario.radio.noise_mw)
-
-    count = 0
-    for ap_serving in (0, 1):
-        ap_other = 1 - ap_serving
-        serving_ants = deployment.antennas_of(ap_serving)
-        other_ants = deployment.antennas_of(ap_other)
-
-        best_serving = snr[:, serving_ants].max(axis=1)
-        interference_dbm = units.mw_to_dbm(
-            np.maximum(
-                units.dbm_to_mw(rx_dbm[:, other_ants]).sum(axis=1), 1e-300
-            )
-        )
-        covered = best_serving >= scenario.mac.decode_snr_db
-        interfered = interference_dbm >= noise_dbm + interference_inr_db
-        # A downlink burst radiates from all of the serving AP's antennas
-        # (MU-MIMO); the other AP defers if ANY of its antennas senses ANY
-        # of them.  With co-located antennas this collapses to the single
-        # AP-to-AP link; distributed antennas sense a much larger region.
-        other_senses = any(
-            sense.decodes(int(listener), int(tx)) or sense.is_busy(int(listener), [int(tx)])
-            for listener in other_ants
-            for tx in serving_ants
-        )
-        if not other_senses:
-            count += int(np.count_nonzero(covered & interfered))
-    return count
+from .common import ExperimentResult, batched_channels
 
 
 def hidden_spot_count_batch(
@@ -70,9 +31,12 @@ def hidden_spot_count_batch(
     grid_points: np.ndarray,
     interference_inr_db: float = 3.0,
 ) -> np.ndarray:
-    """Stacked :func:`hidden_spot_count`: per-item spot counts ``(batch,)``.
+    """Count hidden-terminal spots on the grid: per-item counts ``(batch,)``.
 
-    ``scenario`` provides the (shared) ownership structure and constants;
+    A spot is hidden when it decodes its serving AP, the other AP's
+    downlink lands there above ``interference_inr_db``, and no antenna of
+    the other AP senses any antenna of the serving one.  ``scenario``
+    provides the (shared) ownership structure and constants;
     ``channels`` is the matching :class:`~repro.channel.batch.ChannelBatch`.
     """
     deployment = scenario.deployment
@@ -103,37 +67,6 @@ def hidden_spot_count_batch(
         spots = np.count_nonzero(covered & interfered, axis=1)
         counts += np.where(other_senses, 0, spots)
     return counts
-
-
-def _build(topo_seed: int, params: dict) -> dict | None:
-    env = resolve_environment(params["environment"])
-    coverage = coverage_range_m(env.radio)
-    pair = hidden_terminal_scenario(env, seed=topo_seed)
-    deployment = pair[AntennaMode.CAS].deployment
-    span = float(deployment.ap_positions[1, 0])
-    grid = geometry.grid_points(
-        (-coverage, span + coverage), (-coverage, coverage), params["grid_step_m"]
-    )
-    out = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        scenario = pair[mode]
-        model = channel_for(scenario, topo_seed)
-        if mode is AntennaMode.CAS:
-            # Enforce the paper's premise on the CAS deployment: the APs
-            # must NOT overhear each other.
-            sense = CarrierSenseModel(model.antenna_cross_power_dbm(), scenario.mac)
-            a_ants = scenario.deployment.antennas_of(0)
-            b_ants = scenario.deployment.antennas_of(1)
-            if any(
-                sense.decodes(int(x), int(y)) or sense.decodes(int(y), int(x))
-                for x in a_ants
-                for y in b_ants
-            ):
-                return None
-        out[mode.value] = hidden_spot_count(
-            scenario, model, grid, params["interference_inr_db"]
-        )
-    return out
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
@@ -234,24 +167,5 @@ class HiddenTerminalsExperiment:
         "grid_step_m": 1.0,
         "interference_inr_db": 3.0,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
-
-
-def run(
-    n_topologies: int = 10,
-    seed: int = 0,
-    environment=None,
-    grid_step_m: float = 1.0,
-    interference_inr_db: float = 3.0,
-) -> ExperimentResult:
-    """Deprecated shim: run the registered ``hidden_terminals`` spec."""
-    return legacy_run(
-        "hidden_terminals",
-        n_topologies=n_topologies,
-        seed=seed,
-        environment=environment,
-        grid_step_m=grid_step_m,
-        interference_inr_db=interference_inr_db,
-    )

@@ -25,7 +25,6 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..sim.batch import RoundBasedEvaluatorBatch
 from ..sim.network import MacMode
-from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
 from ..traffic import resolve_traffic
@@ -69,28 +68,6 @@ def _metrics(result) -> dict[str, float]:
         "p95_delay_ms": result.delay_quantile(0.95) * 1e3,
         "queue_kbytes": result.mean_queue_bytes / 1e3,
     }
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    pair = _pair(env, params, topo_seed)
-    loads = params["offered_loads_mbps"]
-    out: dict[str, np.ndarray] = {}
-    for label, antenna_mode, mac_mode in _SYSTEMS:
-        rows: dict[str, list[float]] = {}
-        for offered in loads:
-            result = RoundBasedEvaluator(
-                pair[antenna_mode],
-                mac_mode,
-                seed=topo_seed,
-                traffic=params["traffic"],
-                traffic_kwargs=_traffic_kwargs(params, offered),
-            ).run(params["rounds_per_topology"])
-            for metric, value in _metrics(result).items():
-                rows.setdefault(metric, []).append(value)
-        for metric, values in rows.items():
-            out[f"{label}_{metric}"] = np.asarray(values)
-    return out
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -161,6 +138,5 @@ class LatencyVsLoadExperiment:
         "traffic": "poisson",
         "packet_bytes": 1500.0,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

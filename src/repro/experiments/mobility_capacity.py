@@ -36,7 +36,6 @@ from ..api.scenarios import resolve_environment
 from ..mobility import resolve_mobility
 from ..sim.batch import RoundBasedEvaluatorBatch
 from ..sim.network import MacMode
-from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
 from .common import ExperimentResult
@@ -85,31 +84,6 @@ def _metrics(result, txop_us: float) -> dict[str, float]:
         # stretch it, so overhead = sounding / (sounding + TXOP airtime).
         "sounding_fraction": sounding_us / (sounding_us + txop_us),
     }
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    _require_moving(params["mobility"])
-    pair = _pair(env, params, topo_seed)
-    speeds = params["speeds_mps"]
-    out: dict[str, np.ndarray] = {}
-    for label, antenna_mode, mac_mode in _SYSTEMS:
-        rows: dict[str, list[float]] = {}
-        txop_us = pair[antenna_mode].mac.txop_us
-        for speed in speeds:
-            result = RoundBasedEvaluator(
-                pair[antenna_mode],
-                mac_mode,
-                seed=topo_seed,
-                mobility=params["mobility"],
-                mobility_kwargs={"speed_mps": speed},
-                resound_period_rounds=params["resound_period_rounds"],
-            ).run(params["rounds_per_topology"])
-            for metric, value in _metrics(result, txop_us).items():
-                rows.setdefault(metric, []).append(value)
-        for metric, values in rows.items():
-            out[f"{label}_{metric}"] = np.asarray(values)
-    return out
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -183,6 +157,5 @@ class MobilityCapacityExperiment:
         "mobility": "gauss_markov",
         "resound_period_rounds": 4,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

@@ -1,11 +1,9 @@
-"""Name -> experiment registry and the ``python -m repro.experiments`` CLI.
+"""The ``python -m repro.experiments`` CLI over the experiment registry.
 
-The experiment table is no longer hand-maintained: importing this module
-imports every experiment module, each of which self-registers with
-``repro.api``'s experiment registry.  ``EXPERIMENTS`` here is a thin
-legacy view (name -> callable with the classic ``run(...)`` keyword
-interface); new code should build a :class:`repro.api.RunSpec` and execute
-it with :class:`repro.api.Runner`::
+Importing this module imports every experiment module, each of which
+self-registers with ``repro.api``'s experiment registry
+(:func:`repro.api.experiment_names` lists them).  The CLI builds a
+:class:`repro.api.RunSpec` and executes it with :class:`repro.api.Runner`::
 
     python -m repro.experiments fig09 --topologies 60 --seed 0 --jobs 4 \
         --out results/fig09.json
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Callable
 
 from . import (  # noqa: F401  (imports trigger experiment registration)
     ablations,
@@ -41,41 +38,9 @@ from . import (  # noqa: F401  (imports trigger experiment registration)
     mobility_capacity,
     roaming_handoff,
 )
-from ..api.registry import EXPERIMENTS as _API_EXPERIMENTS
-from ..api.registry import UnknownNameError
+from ..api.experiments import experiment_names
 from ..api.runner import Runner
 from ..api.spec import RunSpec
-from .common import ExperimentResult, legacy_run
-
-
-def _legacy_callable(name: str) -> Callable[..., ExperimentResult]:
-    def run(n_topologies=None, seed=0, environment=None, precoder=None, **params):
-        return legacy_run(
-            name,
-            n_topologies=n_topologies,
-            seed=seed,
-            environment=environment,
-            precoder=precoder,
-            **params,
-        )
-
-    run.__name__ = name
-    run.__doc__ = f"Deprecated shim: run the registered {name!r} spec."
-    return run
-
-
-#: Legacy view of the experiment registry (name -> classic run callable).
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    name: _legacy_callable(name) for name in _API_EXPERIMENTS.names()
-}
-
-
-def get_experiment(name: str) -> Callable[..., ExperimentResult]:
-    """Look up an experiment by registry name."""
-    try:
-        return EXPERIMENTS[name]
-    except KeyError:
-        raise UnknownNameError("experiment", name, sorted(EXPERIMENTS)) from None
 
 
 def _parse_axis_token(token: str):
@@ -106,7 +71,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "(spec-hash + seed-range cached shards, JSONL journal, streaming "
         "CDF/mean aggregates)",
     )
-    parser.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment id")
+    parser.add_argument("name", choices=experiment_names(), help="experiment id")
     parser.add_argument(
         "--campaign-dir",
         required=True,
@@ -275,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate a MIDAS paper figure (or run "
         "'campaign <experiment> ...' for a sharded resumable sweep)",
     )
-    parser.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment id")
+    parser.add_argument("name", choices=experiment_names(), help="experiment id")
     parser.add_argument("--topologies", type=int, default=None, help="topology count")
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
@@ -285,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=["loop", "vectorized", "array_api"],
         default="loop",
-        help="evaluation backend ('vectorized' batches all topology draws "
+        help="evaluation backend ('loop' evaluates one topology per call, "
+        "over --jobs processes; 'vectorized' batches all topology draws "
         "through stacked array math, bit-identical to 'loop'; 'array_api' "
         "runs the batched path on a configurable repro.xp namespace)",
     )

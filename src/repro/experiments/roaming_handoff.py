@@ -34,7 +34,6 @@ from ..api.scenarios import resolve_environment
 from ..assoc import association_names
 from ..sim.batch import RoundBasedEvaluatorBatch
 from ..sim.network import MacMode
-from ..sim.rounds import RoundBasedEvaluator
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import campus_scenario
 from .common import ExperimentResult
@@ -83,34 +82,6 @@ def _metrics(result, assoc_state) -> dict[str, float]:
         "handoffs": float(handoffs),
         "outage_fraction": assoc_state.outage_count / max(1, handoffs),
     }
-
-
-def _build(topo_seed: int, params: dict) -> dict:
-    env = resolve_environment(params["environment"])
-    _require_moving(params["mobility"])
-    scenario = _scenario(env, params, topo_seed)
-    speeds = params["speeds_mps"]
-    out: dict[str, np.ndarray] = {}
-    for policy in _policies(params):
-        rows: dict[str, list[float]] = {}
-        for speed in speeds:
-            ev = RoundBasedEvaluator(
-                scenario,
-                MacMode.MIDAS,
-                seed=topo_seed,
-                mobility=params["mobility"],
-                mobility_kwargs={"speed_mps": speed},
-                resound_period_rounds=params["resound_period_rounds"],
-                association=policy,
-                association_kwargs=_policy_kwargs(policy, params),
-                coordination=params["coordination"],
-            )
-            result = ev.run(params["rounds_per_topology"])
-            for metric, value in _metrics(result, ev.association).items():
-                rows.setdefault(metric, []).append(value)
-        for metric, values in rows.items():
-            out[f"{policy}_{metric}"] = np.asarray(values)
-    return out
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
@@ -206,6 +177,5 @@ class RoamingHandoffExperiment:
         "hysteresis_db": 4.0,
         "dwell_soundings": 2,
     }
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

@@ -32,8 +32,8 @@ RPL005    units discipline: no arithmetic mixing dB-scale and
           linear-power suffixed names without a converter
 RPL006    atomic writes: persistence in cache/campaign/result modules
           must use the tmp-sibling + ``os.replace`` pattern
-RPL007    registered experiments must ship ``build_batch`` or carry the
-          documented loop-fallback marker
+RPL007    registered experiments must ship ``build_batch`` (the only
+          evaluation hook; no opt-out)
 ========  ==============================================================
 """
 

@@ -1,22 +1,11 @@
-"""RPL007: registered experiments must vectorize (or say why not).
+"""RPL007: registered experiments must ship a ``build_batch`` hook.
 
-Every experiment registered via ``register_experiment`` is expected to
-ship a ``build_batch`` hook so ``Runner(backend="vectorized")`` and the
-array-API backend cover it; an experiment that silently lacks one falls
-back to the per-topology loop and quietly forfeits the 3-4x batched
-speedup (the Runner warns at runtime, but only when that path runs).
-
-A registration without ``build_batch`` must carry the documented
-loop-fallback marker -- either a class attribute::
-
-    @register_experiment
-    class MyExperiment:
-        loop_fallback = "event-driven engine; no batched formulation yet"
-        ...
-
-or the comment ``# repro-lint: loop-fallback`` on (or directly above) the
-registration line for the ``register_experiment(ExperimentDef(...))``
-call form.  The marker is a declared, greppable opt-out, not a lint mute.
+``build_batch`` is the only evaluation hook the :class:`repro.api.Runner`
+calls: the loop backend passes one seed per call, the vectorized and
+array-API backends pass whole stacks.  A registration without it cannot
+run on any backend, so the rule has no opt-out -- every
+``@register_experiment`` class must define ``build_batch``, and every
+``register_experiment(ExperimentDef(...))`` call must pass it by keyword.
 """
 
 from __future__ import annotations
@@ -53,10 +42,7 @@ def _class_defines(node: ast.ClassDef, attr: str) -> bool:
 class ExperimentBatchRule(Rule):
     code = "RPL007"
     name = "experiment-build-batch"
-    description = (
-        "registered experiments must ship build_batch or carry the "
-        "documented loop-fallback marker"
-    )
+    description = "registered experiments must ship a build_batch hook"
 
     @classmethod
     def applies(cls, ctx: RuleContext) -> bool:
@@ -64,17 +50,12 @@ class ExperimentBatchRule(Rule):
 
     def visit_ClassDef(self, node: ast.ClassDef):
         if any(_is_register_decorator(d) for d in node.decorator_list):
-            if not (
-                _class_defines(node, "build_batch")
-                or _class_defines(node, "loop_fallback")
-                or self.ctx.suppressions.has_loop_fallback_marker(node.lineno)
-            ):
+            if not _class_defines(node, "build_batch"):
                 self.report(
                     node,
                     f"registered experiment `{node.name}` ships no "
-                    "`build_batch`, so the vectorized/array-API backends "
-                    "silently fall back to the per-topology loop; add the "
-                    "batched hook or declare `loop_fallback = \"<reason>\"`",
+                    "`build_batch`, the only hook the Runner evaluates "
+                    "through; add it (a single topology is a batch of one)",
                 )
         self.generic_visit(node)
 
@@ -84,17 +65,11 @@ class ExperimentBatchRule(Rule):
             arg = node.args[0]
             if isinstance(arg, ast.Call):
                 kwargs = {kw.arg for kw in arg.keywords}
-                if (
-                    "build_batch" not in kwargs
-                    and not self.ctx.suppressions.has_loop_fallback_marker(
-                        node.lineno
-                    )
-                ):
+                if "build_batch" not in kwargs:
                     self.report(
                         node,
                         "registered experiment definition ships no "
-                        "`build_batch`; add the batched hook or put "
-                        "`# repro-lint: loop-fallback` (with a reason) on "
-                        "the registration line",
+                        "`build_batch`, the only hook the Runner evaluates "
+                        "through; pass it to ExperimentDef",
                     )
         self.generic_visit(node)

@@ -19,11 +19,6 @@ import re
 _LINE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9,\s]+)")
 _FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Z0-9,\s]+)")
 
-#: Marker accepted by RPL007 as the documented loop-fallback declaration
-#: (distinct from suppression: it is an opt-out the rule defines, not a
-#: mute of the rule).
-LOOP_FALLBACK_RE = re.compile(r"#\s*repro-lint:\s*loop-fallback\b")
-
 
 def _codes(blob: str) -> frozenset:
     return frozenset(code.strip() for code in blob.split(",") if code.strip())
@@ -35,9 +30,7 @@ class Suppressions:
     def __init__(self, source: str):
         self.line_codes: dict[int, frozenset] = {}
         self.file_codes: frozenset = frozenset()
-        self.loop_fallback_lines: frozenset = frozenset()
         file_codes: set = set()
-        fallback_lines: set = set()
         for lineno, text in enumerate(source.splitlines(), start=1):
             if "#" not in text:
                 continue
@@ -47,21 +40,10 @@ class Suppressions:
             match = _FILE_RE.search(text)
             if match:
                 file_codes |= _codes(match.group(1))
-            if LOOP_FALLBACK_RE.search(text):
-                fallback_lines.add(lineno)
         self.file_codes = frozenset(file_codes)
-        self.loop_fallback_lines = frozenset(fallback_lines)
 
     def is_suppressed(self, code: str, line: int) -> bool:
         """Is rule ``code`` suppressed at physical line ``line``?"""
         if code in self.file_codes:
             return True
         return code in self.line_codes.get(line, frozenset())
-
-    def has_loop_fallback_marker(self, line: int) -> bool:
-        """Does ``line`` (or the line above it) carry the loop-fallback
-        marker?  The line above covers decorator/comment-first styles."""
-        return (
-            line in self.loop_fallback_lines
-            or (line - 1) in self.loop_fallback_lines
-        )

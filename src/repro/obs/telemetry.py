@@ -32,7 +32,6 @@ CORE_COUNTERS = (
     "runner.cache.hits",
     "runner.cache.misses",
     "runner.cache.recomputes",
-    "runner.loop_fallbacks",
     "rng.generators_spawned",
     "rng.seeds_derived",
     "engine.rounds",

@@ -54,8 +54,7 @@ class EventQueue:
 
 
 # EventQueue must exist before these imports: network.py pulls it from this
-# partially initialized package (the old repro.sim.engine module is now a
-# deprecated shim over this definition).
+# partially initialized package.
 from .batch import CarrierSenseBatch, RoundBasedEvaluatorBatch  # noqa: E402
 from .network import MacMode, NetworkSimulation, SimulationResult  # noqa: E402
 from .radio_state import ActiveTransmission, TransmissionLog  # noqa: E402

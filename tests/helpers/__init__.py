@@ -40,11 +40,11 @@ def run_experiment(
     precoder: str | None = None,
     **params,
 ):
-    """Run a registered experiment through the modern RunSpec/Runner path.
+    """Run a registered experiment through a default serial :class:`Runner`.
 
-    The keyword surface mirrors the old per-figure ``run(...)`` entry points
-    so migrated tests read the same, without the deprecated shims (which
-    tier-1 now treats as errors outside the explicit shim-warning test).
+    ``environment``/``precoder`` map onto the :class:`RunSpec` fields and
+    every other keyword becomes an experiment parameter, so tests read
+    ``run_experiment("fig15", n_topologies=2, dynamic=True)``.
     """
     from repro.api import Runner, RunSpec
 
@@ -60,7 +60,7 @@ def run_experiment(
 
 
 def experiment_runner(name: str):
-    """A classic ``run(n_topologies=..., seed=...)`` callable for ``name``.
+    """A ``run(n_topologies=..., seed=...)`` callable for ``name``.
 
     Shared by the benchmarks (whose figure files pass a bare callable to
     ``run_once``); one adapter, one place to maintain it.

@@ -1,14 +1,10 @@
-"""RPL007 near-misses: batched hook present, or fallback declared."""
+"""RPL007 near-misses: every registration ships build_batch."""
 
 from repro.api.experiments import ExperimentDef, register_experiment
 
 
-def _build(topo_seed, params):
-    return {"capacity": float(topo_seed)}
-
-
 def _build_batch(topo_seeds, params):
-    return [_build(s, params) for s in topo_seeds]
+    return [{"capacity": float(s)} for s in topo_seeds]
 
 
 def _finalize(outcomes, params):
@@ -20,28 +16,15 @@ class BatchedExperiment:
     name = "fixture_batched"
     description = "fixture"
     defaults = {"n_topologies": 4}
-    build = staticmethod(_build)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)
 
 
-@register_experiment
-class DeclaredFallbackExperiment:
-    # The documented opt-out: a reason, not a silent degradation.
-    loop_fallback = "event-driven engine; no batched formulation yet"
-    name = "fixture_fallback"
-    description = "fixture"
-    defaults = {"n_topologies": 4}
-    build = staticmethod(_build)
-    finalize = staticmethod(_finalize)
-
-
-# repro-lint: loop-fallback (per-topology by construction)
 register_experiment(
     ExperimentDef(
-        name="fixture_def_fallback",
+        name="fixture_def_batched",
         description="fixture",
-        build=_build,
+        build_batch=_build_batch,
         finalize=_finalize,
         defaults={"n_topologies": 4},
     )

@@ -1,6 +1,6 @@
-"""Seeded RPL007 violation: a registered experiment with no batch hook."""
+"""Seeded RPL007 violations: registered experiments with no batch hook."""
 
-from repro.api.experiments import register_experiment
+from repro.api.experiments import ExperimentDef, register_experiment
 
 
 def _build(topo_seed, params):
@@ -11,8 +11,7 @@ def _finalize(outcomes, params):
     return outcomes
 
 
-# VIOLATION: no build_batch and no loop-fallback marker -- the vectorized
-# backend silently degrades to the per-topology loop.
+# VIOLATION: no build_batch -- the Runner has no hook to evaluate through.
 @register_experiment
 class UnbatchedExperiment:
     name = "fixture_unbatched"
@@ -20,3 +19,27 @@ class UnbatchedExperiment:
     defaults = {"n_topologies": 4}
     build = staticmethod(_build)
     finalize = staticmethod(_finalize)
+
+
+# VIOLATION: a loop_fallback attribute is not an opt-out.
+@register_experiment
+class DeclaredFallbackExperiment:
+    loop_fallback = "event-driven engine; no batched formulation yet"
+    name = "fixture_fallback"
+    description = "fixture"
+    defaults = {"n_topologies": 4}
+    build = staticmethod(_build)
+    finalize = staticmethod(_finalize)
+
+
+# VIOLATION: nor is a loop-fallback marker comment.
+# repro-lint: loop-fallback (per-topology by construction)
+register_experiment(
+    ExperimentDef(
+        name="fixture_def_fallback",
+        description="fixture",
+        build=_build,
+        finalize=_finalize,
+        defaults={"n_topologies": 4},
+    )
+)

@@ -97,4 +97,4 @@ class TestBuiltinRegistrations:
         load_builtin_experiments()
         for name, defn in EXPERIMENTS.items():
             assert "n_topologies" in defn.defaults, name
-            assert callable(defn.build) and callable(defn.finalize), name
+            assert callable(defn.build_batch) and callable(defn.finalize), name

@@ -80,16 +80,6 @@ class TestRunnerExecution:
         for key in small.series:
             np.testing.assert_array_equal(small.series[key], large.series[key])
 
-    def test_matches_legacy_entry_point(self):
-        from repro.experiments.fig03_naive_drop import run
-
-        spec_result = Runner().run(RunSpec("fig03", n_topologies=2, seed=4))
-        with pytest.warns(DeprecationWarning):
-            legacy = run(n_topologies=2, seed=4)
-        np.testing.assert_array_equal(
-            spec_result.series["das_drop"], legacy.series["das_drop"]
-        )
-
     def test_bad_runner_config_rejected(self):
         with pytest.raises(ValueError):
             Runner(jobs=0)
@@ -147,70 +137,45 @@ class TestRunnerCache:
         assert len(list(tmp_path.glob("fig03-*.json"))) == 2
 
 
-class TestVectorizedFallback:
-    def test_missing_batch_hook_warns_with_experiment_name(self):
-        from repro.api.experiments import ExperimentDef, register_experiment
-        from repro.api.registry import EXPERIMENTS
-        from repro.api.result import ExperimentResult
+class TestBuildBatchHook:
+    """``build_batch`` is the one evaluation hook; a definition without a
+    callable one is rejected at construction, naming the experiment."""
 
-        name = "_loop_only_probe"
-        register_experiment(
+    @staticmethod
+    def _finalize(outcomes, params):
+        raise AssertionError("never reached")
+
+    def test_non_callable_build_batch_rejected_with_name(self):
+        from repro.api.experiments import ExperimentDef
+
+        with pytest.raises(TypeError, match="_no_hook_probe.*build_batch"):
             ExperimentDef(
-                name=name,
-                description="loop-only probe experiment",
-                build=lambda seed, params: {"x": float(seed % 7)},
-                finalize=lambda outcomes, params: ExperimentResult(
-                    name=name,
-                    description="probe",
-                    series={"x": np.asarray([o["x"] for o in outcomes])},
-                    params={},
-                ),
+                name="_no_hook_probe",
+                description="probe",
+                build_batch=None,
+                finalize=self._finalize,
                 defaults={"n_topologies": 2},
             )
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match=name):
-                Runner(backend="vectorized").run(RunSpec(name, n_topologies=2))
-        finally:
-            EXPERIMENTS._items.pop(name, None)
+
+    def test_registered_class_without_build_batch_rejected(self):
+        from repro.api.experiments import experiment_names, register_experiment
+
+        class ScalarOnlyProbe:
+            name = "_scalar_only_probe"
+            description = "probe"
+            defaults = {"n_topologies": 2}
+            build = staticmethod(lambda seed, params: {"x": 0.0})
+            finalize = staticmethod(self._finalize)
+
+        with pytest.raises(TypeError, match="_scalar_only_probe"):
+            register_experiment(ScalarOnlyProbe)
+        assert "_scalar_only_probe" not in experiment_names()
 
     def test_batched_experiment_does_not_warn(self, recwarn):
         Runner(backend="vectorized").run(RunSpec("fig03", n_topologies=2, seed=1))
         assert not [
             w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
         ]
-
-
-class TestLegacyEnvironments:
-    def test_custom_environment_instance_respected(self):
-        import numpy as np
-
-        from repro.config import RadioConfig
-        from repro.experiments.fig03_naive_drop import run
-        from repro.topology.scenarios import OfficeEnvironment, office_b
-
-        custom = OfficeEnvironment(
-            name="office_b", radio=RadioConfig(pathloss_exponent=2.0)
-        )
-        with pytest.warns(DeprecationWarning):
-            modified = run(n_topologies=2, seed=0, environment=custom)
-            stock = run(n_topologies=2, seed=0, environment=office_b())
-        # The old API honored arbitrary instances; the shim must too.
-        assert not np.array_equal(
-            modified.series["das_drop"], stock.series["das_drop"]
-        )
-
-    def test_unregistered_environment_name_works(self):
-        from repro.config import RadioConfig
-        from repro.experiments.fig03_naive_drop import run
-        from repro.topology.scenarios import OfficeEnvironment
-
-        env = OfficeEnvironment(
-            name="warehouse", radio=RadioConfig(pathloss_exponent=4.5)
-        )
-        with pytest.warns(DeprecationWarning):
-            result = run(n_topologies=1, seed=0, environment=env)
-        assert set(result.series) == {"cas_drop", "das_drop"}
 
 
 class TestCli:

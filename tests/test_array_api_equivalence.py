@@ -73,33 +73,20 @@ def test_missing_torch_fails_eagerly_with_the_extra_named():
     assert result.series
 
 
-def test_array_api_fallback_warning_names_the_experiment():
-    from repro.api.experiments import ExperimentDef, register_experiment
-    from repro.api.registry import EXPERIMENTS
-    from repro.api.result import ExperimentResult
+def test_array_api_rejects_definition_without_build_batch():
+    # There is no loop fallback left to degrade to: every backend evaluates
+    # through build_batch, so a definition without one fails at
+    # construction, naming the experiment.
+    from repro.api.experiments import ExperimentDef
 
-    name = "_loop_only_xp_probe"
-    register_experiment(
+    with pytest.raises(TypeError, match="_loop_only_xp_probe"):
         ExperimentDef(
-            name=name,
+            name="_loop_only_xp_probe",
             description="loop-only probe experiment",
-            build=lambda seed, params: {"x": float(seed % 7)},
-            finalize=lambda outcomes, params: ExperimentResult(
-                name=name,
-                description="probe",
-                series={"x": np.asarray([o["x"] for o in outcomes])},
-                params={},
-            ),
+            build_batch="not callable",
+            finalize=lambda outcomes, params: outcomes,
             defaults={"n_topologies": 2},
         )
-    )
-    try:
-        with pytest.warns(RuntimeWarning, match=name):
-            fallback = Runner(backend="array_api").run(RunSpec(name, n_topologies=2))
-        loop = Runner(backend="loop").run(RunSpec(name, n_topologies=2))
-        assert np.array_equal(fallback.series["x"], loop.series["x"])
-    finally:
-        EXPERIMENTS._items.pop(name, None)
 
 
 # ----------------------------------------------------------------------

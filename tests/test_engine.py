@@ -1,19 +1,8 @@
 """Discrete-event engine tests."""
 
-import importlib
-import sys
-
 import pytest
 
 from repro.sim import EventQueue
-
-
-class TestDeprecatedEngineShim:
-    def test_shim_still_warns_and_reexports(self):
-        sys.modules.pop("repro.sim.engine", None)
-        with pytest.warns(DeprecationWarning, match="repro.sim.engine is deprecated"):
-            shim = importlib.import_module("repro.sim.engine")
-        assert shim.EventQueue is EventQueue
 
 
 class TestEventQueue:

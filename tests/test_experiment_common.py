@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import capacity_for
+from repro.channel.model import ChannelModel
 from repro.experiments.common import (
     ExperimentResult,
-    capacity_for,
-    channel_for,
-    greedy_siso_snrs,
-    sweep_topologies,
+    batched_channels,
+    greedy_siso_snrs_batch,
 )
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
@@ -19,71 +19,47 @@ def scenario():
     return single_ap_scenario(office_b(), AntennaMode.DAS, seed=2)
 
 
+def _channel(scenario, seed):
+    return ChannelModel(scenario.deployment, scenario.radio, seed=seed).channel_matrix()
+
+
+def _snr_batch_of_one(scenario, seed):
+    """``(1, n_clients, n_antennas)`` link SNRs: a batch of one topology."""
+    return batched_channels([scenario], [seed]).snr_db_map()
+
+
 class TestCapacityFor:
     def test_known_precoders(self, scenario):
-        h = channel_for(scenario, 2).channel_matrix()
+        h = _channel(scenario, 2)
         for name in ("naive", "balanced", "total_power"):
             assert capacity_for(scenario, h, name) > 0
 
     def test_total_power_upper_bounds_naive(self, scenario):
-        h = channel_for(scenario, 2).channel_matrix()
+        h = _channel(scenario, 2)
         assert capacity_for(scenario, h, "total_power") >= capacity_for(
             scenario, h, "naive"
         )
 
     def test_unknown_precoder_rejected(self, scenario):
-        h = channel_for(scenario, 2).channel_matrix()
+        h = _channel(scenario, 2)
         with pytest.raises(ValueError):
             capacity_for(scenario, h, "magic")
 
 
-class TestSweep:
-    def test_collects_requested_count(self):
-        results = sweep_topologies(5, seed=0, build=lambda s: {"seed": s})
-        assert len(results) == 5
-
-    def test_seeds_are_stable(self):
-        a = sweep_topologies(3, seed=1, build=lambda s: {"seed": s})
-        b = sweep_topologies(3, seed=1, build=lambda s: {"seed": s})
-        assert [r["seed"] for r in a] == [r["seed"] for r in b]
-
-    def test_rejections_are_skipped(self):
-        counter = {"n": 0}
-
-        def build(seed):
-            counter["n"] += 1
-            return None if counter["n"] % 2 else {"ok": True}
-
-        results = sweep_topologies(4, seed=0, build=build)
-        assert len(results) == 4
-        assert counter["n"] == 8
-
-    def test_always_rejecting_raises(self):
-        with pytest.raises(RuntimeError):
-            sweep_topologies(2, seed=0, build=lambda s: None)
-
-    def test_zero_topologies_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_topologies(0, seed=0, build=lambda s: {})
-
-
 class TestGreedySiso:
     def test_returns_one_snr_per_client(self, scenario):
-        model = channel_for(scenario, 3)
-        snrs = greedy_siso_snrs(model)
-        assert len(snrs) == scenario.deployment.n_clients
+        snrs = greedy_siso_snrs_batch(_snr_batch_of_one(scenario, 3))
+        assert snrs.shape == (1, scenario.deployment.n_clients)
 
     def test_greedy_order_descending(self, scenario):
-        model = channel_for(scenario, 3)
-        snrs = greedy_siso_snrs(model)
+        snrs = greedy_siso_snrs_batch(_snr_batch_of_one(scenario, 3))[0]
         assert np.all(np.diff(snrs) <= 1e-9)
 
     def test_unique_antennas_used(self, scenario):
         # The greedy mapping excludes used antennas: each client's value must
         # come from a distinct antenna, so it cannot exceed the raw best map.
-        model = channel_for(scenario, 3)
-        raw_best = model.snr_db_map(scenario.deployment.client_positions).max()
-        assert greedy_siso_snrs(model)[0] == pytest.approx(raw_best)
+        snr = _snr_batch_of_one(scenario, 3)
+        assert greedy_siso_snrs_batch(snr)[0, 0] == pytest.approx(snr.max())
 
 
 class TestExperimentResult:

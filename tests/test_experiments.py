@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import run_experiment
-from repro.experiments.registry import EXPERIMENTS, get_experiment, main
+from repro.api import experiment_names, get_experiment_def
+from repro.experiments.registry import main
 
 
 class TestRegistry:
@@ -12,11 +13,11 @@ class TestRegistry:
         for figure in ("fig03", "fig07", "fig08", "fig09", "fig10", "fig11",
                        "fig12", "fig13", "fig14", "fig15", "fig16",
                        "hidden_terminals"):
-            assert figure in EXPERIMENTS
+            assert figure in experiment_names()
 
     def test_unknown_name_raises_with_hint(self):
         with pytest.raises(KeyError, match="fig03"):
-            get_experiment("not_a_figure")
+            get_experiment_def("not_a_figure")
 
     def test_cli_runs_smallest_experiment(self, capsys):
         assert main(["fig03", "--topologies", "2", "--seed", "1"]) == 0

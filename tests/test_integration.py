@@ -96,11 +96,3 @@ class TestEndToEndClaims:
         )
         assert np.all(result.series["midas"] > 0)
 
-
-class TestLegacyShims:
-    def test_legacy_run_still_works_and_warns(self):
-        from repro.experiments.fig03_naive_drop import run
-
-        with pytest.warns(DeprecationWarning, match="legacy run"):
-            result = run(n_topologies=2, seed=0)
-        assert set(result.series) == {"cas_drop", "das_drop"}

@@ -253,8 +253,12 @@ class TestRpl007:
         diagnostics = run_fixture(
             "rpl007_violation.py", logical_path=self.SCOPE, select=["RPL007"]
         )
-        assert codes(diagnostics) == ["RPL007"]
+        # A bare class, a loop_fallback attribute, and a loop-fallback
+        # marker comment: RPL007 has no opt-out.
+        assert codes(diagnostics) == ["RPL007"] * 3
         assert "UnbatchedExperiment" in diagnostics[0].message
+        assert "DeclaredFallbackExperiment" in diagnostics[1].message
+        assert "ExperimentDef" in diagnostics[2].message
 
     def test_near_miss_passes(self):
         assert not run_fixture(

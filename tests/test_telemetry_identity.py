@@ -3,10 +3,11 @@
 The contract the whole :mod:`repro.obs` layer rests on: instrumentation
 never draws randomness and never changes engine control flow, so every
 series an engine produces is ``array_equal`` with telemetry on or off --
-on both engine families (the round engines behind ``roaming_handoff``,
-loop and batched, and the event-driven ``NetworkSimulation`` behind
-``fig15``) -- and every RNG the run creates ends in exactly the same
-state.  Plus the acceptance checks of the traced path itself: a traced
+on every engine: the batched round engine behind ``roaming_handoff`` (on
+both Runner backends, which differ only in stack size), the event-driven
+``NetworkSimulation`` behind ``fig15``, and the scalar
+``RoundBasedEvaluator`` driven directly (the Runner no longer reaches it)
+-- and every RNG the run creates ends in exactly the same state.  Plus the acceptance checks of the traced path itself: a traced
 run's JSONL is schema-valid, names every documented counter, and its
 per-phase span totals account for the engine wall-clock.
 """
@@ -24,9 +25,10 @@ from repro.api import Runner, RunSpec
 from repro.obs import CORE_COUNTERS
 
 #: Small-but-real configurations, one per engine family.  roaming_handoff
-#: exercises the round engines (loop + batched) with mobility, association,
-#: and handoff accounting; fig15 additionally drives the event-driven
-#: carrier-sense engine (NetworkSimulation) for CAS.
+#: exercises the batched round engine (a batch of one per call on the loop
+#: backend) with mobility, association, and handoff accounting; fig15
+#: additionally drives the event-driven carrier-sense engine
+#: (NetworkSimulation) for CAS.
 _CASES = [
     ("roaming_handoff", {"rounds_per_topology": 8}),
     ("fig15", {"dynamic": True, "duration_s": 0.02}),
@@ -106,6 +108,68 @@ def test_series_byte_identical_with_telemetry_on_or_off(
         assert counters["engine.txops"] > 0
     else:
         assert counters["engine.rounds"] > 0
+
+
+def _scalar_engine_series(config: str) -> dict[str, np.ndarray]:
+    """Run the scalar ``RoundBasedEvaluator`` directly; per-round series."""
+    from repro.sim import MacMode, RoundBasedEvaluator
+    from repro.topology.deployment import AntennaMode
+    from repro.topology.scenarios import campus_scenario, office_b, paired_scenarios
+
+    env = office_b()
+    if config == "roaming":
+        scenario = campus_scenario(
+            env, n_rows=2, n_cols=2, spacing_m=20.0, antennas_per_ap=4,
+            clients_per_ap=3, seed=7, modes=(AntennaMode.DAS,),
+        )[AntennaMode.DAS]
+        evaluator = RoundBasedEvaluator(
+            scenario, MacMode.MIDAS, seed=7, mobility="gauss_markov",
+            mobility_kwargs={"speed_mps": 2.0}, resound_period_rounds=2,
+            association="hysteresis_handoff",
+        )
+    else:
+        scenario = paired_scenarios(env, [(0.0, 0.0)], seed=7, name="telemetry")[
+            AntennaMode.DAS
+        ]
+        evaluator = RoundBasedEvaluator(
+            scenario, MacMode.MIDAS, seed=7, traffic="poisson",
+            traffic_kwargs={"rate_mbps": 15.0},
+        )
+    rounds = evaluator.run(8).rounds
+    series = {
+        "capacity_bps_hz": np.array([r.capacity_bps_hz for r in rounds]),
+        "n_streams": np.array([r.n_streams for r in rounds]),
+        "active_antennas": np.array([r.active_antennas for r in rounds]),
+        "per_ap_streams": np.stack([r.per_ap_streams for r in rounds]),
+        "sounding_us": np.array([r.sounding_us for r in rounds]),
+    }
+    if rounds[0].traffic is not None:
+        series["served_bytes"] = np.array([r.traffic.served_bytes for r in rounds])
+        series["queue_bytes"] = np.array([r.traffic.queue_bytes for r in rounds])
+        series["delays_s"] = np.concatenate([r.traffic.delays_s for r in rounds])
+    return series
+
+
+@pytest.mark.parametrize("config", ["roaming", "finite_load"])
+def test_scalar_engine_byte_identical_with_telemetry_on_or_off(config, monkeypatch):
+    ledger_off = _RngLedger(monkeypatch)
+    baseline = _scalar_engine_series(config)
+    states_off = ledger_off.final_states()
+
+    monkeypatch.undo()
+    ledger_on = _RngLedger(monkeypatch)
+    telemetry = obs.Telemetry()
+    with obs.use(telemetry):
+        traced = _scalar_engine_series(config)
+    states_on = ledger_on.final_states()
+
+    assert set(baseline) == set(traced)
+    for name in baseline:
+        assert np.array_equal(baseline[name], traced[name]), name
+    assert len(states_off) == len(states_on) > 0
+    for index, (off, on) in enumerate(zip(states_off, states_on)):
+        assert off == on, f"generator {index} consumed differently under telemetry"
+    assert telemetry.counters["engine.rounds"] > 0
 
 
 @pytest.mark.parametrize(

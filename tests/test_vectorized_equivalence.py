@@ -1,11 +1,14 @@
-"""Bit-for-bit equivalence of the vectorized backend against the loop path.
+"""Batch-composition invariance: an item's result never depends on its batch.
 
-The vectorized backend's whole contract is that stacking never changes a
-bit: batched precoders equal their scalar siblings slice for slice, batched
-channel synthesis equals per-topology ``ChannelModel`` construction, and
-``Runner(backend="vectorized")`` reproduces ``backend="loop"`` exactly for
-every registered experiment.  Everything here asserts ``array_equal`` --
-no tolerances.
+Every backend evaluates through an experiment's one ``build_batch`` hook;
+``loop`` and ``vectorized`` differ only in stack size (``loop`` is a batch
+of one per call).  The contract is that a topology's result must not
+depend on the batch it is computed in -- its size, its order, or its
+neighbours: batched precoders equal their scalar siblings slice for slice,
+batched channel synthesis equals per-topology ``ChannelModel``
+construction, and every registered experiment gives the same series under
+``loop``, ``vectorized`` at any ``batch_size``, and ``jobs > 1``.
+Everything here asserts ``array_equal`` -- no tolerances.
 """
 
 from __future__ import annotations
@@ -192,8 +195,7 @@ def test_channel_batch_rejects_mixed_shapes():
 # Runner end-to-end
 # ----------------------------------------------------------------------
 #: Every registered experiment at a tiny size; the slow network-sim
-#: experiments run with reduced rounds.  Experiments without a batch hook
-#: exercise the (identical-by-construction) fallback path.
+#: experiments run with reduced rounds.
 EXPERIMENT_CASES = [
     ("fig03", {"n_topologies": 4}, {}),
     ("fig07", {"n_topologies": 4}, {}),
@@ -241,12 +243,80 @@ def test_vectorized_backend_is_bit_identical(experiment, spec_kwargs, params):
 
 
 def test_every_registered_experiment_defines_the_hook():
-    # Since the batched round engine landed, all 16 experiments (and the
-    # ablations) run under the vectorized backend -- no fallbacks left.
+    # build_batch is the only evaluation hook, on every backend.
     from repro.api import experiment_names
 
     for name in experiment_names():
-        assert get_experiment_def(name).build_batch is not None, name
+        assert callable(get_experiment_def(name).build_batch), name
+
+
+#: Rejection-sampled (fig15, both engines) and finite-load sweeps: the cases
+#: where batch composition has the most room to leak into a result.  The
+#: seed window (stream indices ``start, count`` under root seed 7) holds at
+#: least two accepted topologies, so reordering a batch has neighbours to
+#: swap (fig15's overhearing gate accepts about one draw in twenty).
+COMPOSITION_CASES = [
+    ("fig15", 3, {"rounds_per_topology": 3}, (30, 16)),
+    (
+        "fig15",
+        2,
+        {"rounds_per_topology": 2, "dynamic": True, "duration_s": 0.02},
+        (30, 16),
+    ),
+    (
+        "latency_vs_load",
+        3,
+        {"offered_loads_mbps": [15.0, 60.0], "rounds_per_topology": 6},
+        (0, 3),
+    ),
+]
+COMPOSITION_IDS = ["fig15-quasi_static", "fig15-dynamic", "latency_vs_load"]
+
+
+@pytest.mark.parametrize(
+    "experiment,n_topologies,params,window", COMPOSITION_CASES, ids=COMPOSITION_IDS
+)
+def test_results_are_invariant_to_batch_composition(
+    experiment, n_topologies, params, window
+):
+    spec = RunSpec(experiment, n_topologies=n_topologies, seed=7, params=params)
+    runners = {
+        "batch_size=1": Runner(backend="vectorized", batch_size=1),
+        "batch_size=3": Runner(backend="vectorized", batch_size=3),
+        "batch_size=default": Runner(backend="vectorized"),
+        "jobs=2": Runner(jobs=2),
+    }
+    results = {label: runner.run(spec).series for label, runner in runners.items()}
+    reference = results.pop("batch_size=default")
+    for label, series in results.items():
+        assert set(series) == set(reference), label
+        for key in reference:
+            assert np.array_equal(series[key], reference[key]), (label, key)
+
+
+@pytest.mark.parametrize(
+    "experiment,n_topologies,params,window", COMPOSITION_CASES, ids=COMPOSITION_IDS
+)
+def test_build_batch_outcomes_ignore_order_and_neighbours(
+    experiment, n_topologies, params, window
+):
+    from repro import rng as rng_mod
+    from repro.api import resolve_params
+
+    defn = get_experiment_def(experiment)
+    resolved = resolve_params(defn, RunSpec(experiment, seed=7, params=params))
+    seeds = rng_mod.derived_seeds(7, *window)
+    forward = defn.build_batch(seeds, resolved)
+    backward = defn.build_batch(seeds[::-1], resolved)[::-1]
+    alone = [defn.build_batch([seed], resolved)[0] for seed in seeds]
+    assert sum(outcome is not None for outcome in forward) >= 2
+    for outcome, other, single in zip(forward, backward, alone):
+        assert (outcome is None) == (other is None) == (single is None)
+        if outcome is None:
+            continue
+        for key in outcome:
+            assert np.array_equal(outcome[key], other[key]), key
+            assert np.array_equal(outcome[key], single[key]), key
 
 
 def test_runner_rejects_unknown_backend():
