@@ -178,6 +178,81 @@ class TestBuildBatchHook:
         ]
 
 
+class TestSweep:
+    """Rejection sampling: the runner keeps drawing derived seeds until
+    ``n_topologies`` outcomes are accepted, or gives up at the attempt cap."""
+
+    NAME = "_sweep_probe"
+
+    @pytest.fixture
+    def probe(self):
+        from repro.api.experiments import ExperimentDef, register_experiment
+        from repro.api.registry import EXPERIMENTS
+        from repro.api.result import ExperimentResult
+
+        state = {"build": None, "calls": 0}
+
+        def build_batch(seeds, params):
+            out = []
+            for seed in seeds:
+                state["calls"] += 1
+                out.append(state["build"](seed))
+            return out
+
+        def finalize(outcomes, params):
+            return ExperimentResult(
+                name=self.NAME,
+                description="probe",
+                series={"seed": np.asarray([o["seed"] for o in outcomes])},
+                params={},
+            )
+
+        register_experiment(
+            ExperimentDef(
+                name=self.NAME,
+                description="rejection-sampling probe",
+                build_batch=build_batch,
+                finalize=finalize,
+                defaults={"n_topologies": 2},
+            )
+        )
+        try:
+            yield state
+        finally:
+            EXPERIMENTS._items.pop(self.NAME, None)
+
+    def _run(self, n, seed=0):
+        return Runner().run(RunSpec(self.NAME, n_topologies=n, seed=seed))
+
+    def test_collects_requested_count(self, probe):
+        probe["build"] = lambda s: {"seed": s}
+        assert len(self._run(5).series["seed"]) == 5
+
+    def test_seeds_are_stable(self, probe):
+        probe["build"] = lambda s: {"seed": s}
+        a = self._run(3, seed=1).series["seed"]
+        b = self._run(3, seed=1).series["seed"]
+        np.testing.assert_array_equal(a, b)
+
+    def test_rejections_are_skipped(self, probe):
+        def build(seed):
+            return None if probe["calls"] % 2 else {"seed": seed}
+
+        probe["build"] = build
+        assert len(self._run(4).series["seed"]) == 4
+        assert probe["calls"] == 8
+
+    def test_always_rejecting_raises(self, probe):
+        probe["build"] = lambda s: None
+        with pytest.raises(RuntimeError, match="0/2 topologies"):
+            self._run(2)
+
+    def test_zero_topologies_rejected(self, probe):
+        probe["build"] = lambda s: {"seed": s}
+        with pytest.raises(ValueError):
+            self._run(0)
+
+
 class TestCli:
     def test_jobs_and_out_smoke(self, tmp_path, capsys):
         out = tmp_path / "fig03.json"
