@@ -1,35 +1,40 @@
-"""Vectorized-vs-loop backend benchmarks.
+"""Stacking speed-up benchmarks: whole-sweep stacks vs one seed per call.
 
-Opt-in like every benchmark (``python -m pytest benchmarks/``):
+Each benchmark times the same sweep twice through ``build_batch``: once
+at ``batch_size=1`` (one seed per call, the unstacked reference) and once
+at the default stack size.  Opt-in like every benchmark
+(``python -m pytest benchmarks/``):
 
 * ``test_vectorized_speedup_100_topologies`` -- the capacity-sweep claim:
-  the vectorized backend runs a 100-topology fig10 sweep (naive and
-  power-balanced precoding on paired CAS/DAS deployments) at >= 3x the
-  loop backend, bit-identically.
+  stacking runs a 100-topology fig10 sweep (naive and power-balanced
+  precoding on paired CAS/DAS deployments) at >= 3x one seed per call,
+  bit-identically.
 * ``test_vectorized_fig15_speedup_100_topologies`` -- the round-engine
   claim: the batched quasi-static network evaluator runs a 100-topology
   fig15 sweep (3-AP CAS vs MIDAS, 24 rounds each, overhearing-gated
-  rejection sampling) at >= 3x the loop backend, bit-identically.
+  rejection sampling) stacked at >= 3x one seed per call, bit-identically.
 * ``test_vectorized_latency_smoke`` (``-m benchsmoke``) -- the finite-load
   claim: a 100-topology ``latency_vs_load`` sweep (Poisson arrivals, two
-  offered loads, per-round A-MPDU service and delay accounting on both
-  backends) runs >= 3x faster vectorized, bit-identically.  The queueing
+  offered loads, per-round A-MPDU service and delay accounting at both
+  stack sizes) runs >= 3x faster stacked, bit-identically.  The queueing
   layer itself is deliberately shared scalar code, so this guards against
   it ever growing into the bottleneck that erases the batching win.
 * ``test_vectorized_mobility_smoke`` (``-m benchsmoke``) -- the
   moving-channel claim: a 100-topology ``mobility_capacity`` sweep
   (pedestrian Gauss-Markov trajectories, per-client Doppler, stale-CSI
-  precoding with periodic re-sounding and tag re-derivation on both
-  backends) runs >= 3x faster vectorized, bit-identically.  Mobility adds
+  precoding with periodic re-sounding and tag re-derivation at both
+  stack sizes) runs >= 3x faster stacked, bit-identically.  Mobility adds
   per-item python work (trajectory steps, per-item shadowing resampling)
-  to both backends; this guards the batching win against that overhead.
+  at both stack sizes; this guards the batching win against that overhead.
 * ``test_vectorized_smoke`` / ``test_vectorized_fig15_smoke``
   (``-m benchsmoke``) -- seconds-scale versions for CI: assert
   bit-identity and always write the timing JSON artifact.
 
 Timings go to ``$VECTORIZED_BENCH_JSON`` (default
 ``vectorized_timings.json``, the fig15 run appends ``-fig15``) so CI can
-upload them as artifacts.
+upload them as artifacts.  The JSON keeps its historical keys:
+``loop_seconds`` is the one-seed-per-call time, ``vectorized_seconds`` the
+stacked time.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ def _run_benchmark(
     params: dict | None = None,
 ) -> dict:
     spec = RunSpec(experiment, n_topologies=n_topologies, seed=0, params=params or {})
-    loop_s, loop_series = _best_of(Runner(backend="loop"), spec, repeats)
-    vec_s, vec_series = _best_of(Runner(backend="vectorized"), spec, repeats)
+    loop_s, loop_series = _best_of(Runner(batch_size=1), spec, repeats)
+    vec_s, vec_series = _best_of(Runner(), spec, repeats)
     for key in loop_series:
         assert np.array_equal(loop_series[key], vec_series[key]), (
-            f"backends diverged on series {key!r}"
+            f"stack sizes diverged on series {key!r}"
         )
     timings = {
         "experiment": experiment,
@@ -83,8 +88,8 @@ def _run_benchmark(
         out = out.with_name(out.stem + suffix + out.suffix)
     out.write_text(json.dumps(timings, indent=2) + "\n")
     print(
-        f"\n{experiment} x{n_topologies}: loop {loop_s:.3f}s, "
-        f"vectorized {vec_s:.3f}s, speedup {timings['speedup']:.2f}x -> {out}"
+        f"\n{experiment} x{n_topologies}: one seed per call {loop_s:.3f}s, "
+        f"stacked {vec_s:.3f}s, speedup {timings['speedup']:.2f}x -> {out}"
     )
     return timings
 
@@ -92,14 +97,14 @@ def _run_benchmark(
 def test_vectorized_speedup_100_topologies():
     timings = _run_benchmark("fig10", n_topologies=100, repeats=3)
     assert timings["speedup"] >= 3.0, (
-        f"vectorized backend only {timings['speedup']:.2f}x faster"
+        f"stacked capacity sweep only {timings['speedup']:.2f}x faster"
     )
 
 
 def test_vectorized_fig15_speedup_100_topologies():
     # The round-based network engine: 100 three-AP topologies at the
     # registered default of 24 rounds each, including the CAS overhearing
-    # gate's rejection sampling (which the vectorized scheduler overdraws).
+    # gate's rejection sampling (which the stacked scheduler overdraws).
     timings = _run_benchmark("fig15", n_topologies=100, repeats=1, suffix="-fig15")
     assert timings["speedup"] >= 3.0, (
         f"vectorized round engine only {timings['speedup']:.2f}x faster"

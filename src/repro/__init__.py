@@ -21,11 +21,11 @@ name in pluggable registries:
 >>> result.spec.experiment
 'fig03'
 
-Scale up with the vectorized backend (whole topology batches as stacked
-array math, bit-identical to the loop path) or worker processes, and cache
-results on disk keyed by a hash of the fully resolved parameters::
+Every run evaluates whole topology batches as stacked array math; scale
+out over worker processes with ``jobs`` (bit-identical to ``jobs=1``), and
+cache results on disk keyed by a hash of the fully resolved parameters::
 
-    runner = Runner(backend="vectorized", cache_dir="results/cache")
+    runner = Runner(jobs=4, cache_dir="results/cache")
     result = runner.run(RunSpec("fig09", n_topologies=60, precoder="wmmse"))
     result.save("results/fig09.npz")          # or .json; round-trips losslessly
 
@@ -43,7 +43,7 @@ factories) remains importable directly for custom studies; see
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from .analysis import (
     EmpiricalCdf,

@@ -7,10 +7,10 @@ An experiment is a pair of pure functions over plain parameter dicts:
     batched linear algebra), returning one outcome per seed in order.  A
     ``None`` entry rejects that draw (placement constraints) and the
     runner draws another seed.  This is the only evaluation hook: a
-    single topology is a batch of one, so every backend calls it -- the
-    ``loop`` backend with one seed per call, the ``vectorized`` backend
-    with whole stacks.  Entry ``i`` must not depend on the batch it was
-    computed in (its size, order, or neighbours).  It must be a
+    single topology is a batch of one, and the runner calls it with
+    contiguous seed chunks whose size depends on ``batch_size`` and
+    ``jobs``.  Entry ``i`` must not depend on the batch it was computed
+    in (its size, order, or neighbours).  It must be a
     module-level callable so worker processes can resolve it.
 
 ``finalize(outcomes, params) -> ExperimentResult``

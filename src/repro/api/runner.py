@@ -2,35 +2,31 @@
 
 The runner owns everything the declarative spec deliberately leaves out:
 
-* **backend** -- every backend evaluates through the experiment's one
-  ``build_batch`` hook; they differ only in how many seeds one call
-  stacks.  ``"loop"`` (default) is a batch of one: one seed per
-  ``build_batch`` call, fanned out over worker processes when
-  ``jobs > 1``.  ``"vectorized"`` hands whole seed batches to the hook,
-  which evaluates all draws as stacked arrays (batched channel synthesis
-  + broadcasting linalg precoders); ``"array_api"`` is the vectorized
-  path executed under an explicit :mod:`repro.xp` namespace
-  (``namespace``/``device``/``dtype``), which is how the same code runs
-  on torch/CUDA.  ``"loop"``, ``"vectorized"``, and ``"array_api"`` on
-  the default NumPy/float64 namespace walk the same derived-seed stream
-  and are **bit-identical** (an item's result never depends on the batch
-  it was computed in); other namespace configurations meet documented
+* **backend** -- every sweep evaluates through the experiment's one
+  ``build_batch`` hook, which evaluates a whole seed chunk as stacked
+  arrays (batched channel synthesis + broadcasting linalg precoders).
+  ``"vectorized"`` (default) computes on the default NumPy/float64
+  namespace; ``"array_api"`` runs the same path under an explicit
+  :mod:`repro.xp` namespace (``namespace``/``device``/``dtype``), which is
+  how the same code runs on torch/CUDA.  An item's result never depends
+  on the chunk it was computed in, so every ``batch_size``/``jobs``
+  choice, and ``"array_api"`` on the default namespace, is
+  **bit-identical**; other namespace configurations meet documented
   tolerance contracts instead (see ``docs/api.md``);
-* **parallelism** -- loop-backend evaluations fan out over a
-  ``ProcessPoolExecutor`` when ``jobs > 1``; topology seeds are drawn in
-  vectorized batches from the same derived-seed stream the serial path
-  walks, and outcomes are accepted in stream order, so ``jobs=1`` and
-  ``jobs=N`` produce bit-identical series for a fixed seed (``jobs`` only
-  applies to the loop path -- the vectorized backend is in-process, its
-  parallelism is the array math itself);
+* **parallelism** -- each round's seeds are split into contiguous chunks,
+  one per worker, and fanned out over a ``ProcessPoolExecutor`` when
+  ``jobs > 1`` (workers activate the runner's namespace); outcomes are
+  accepted in stream order, so ``jobs=1`` and ``jobs=N`` produce
+  bit-identical series for a fixed seed;
 * **rejection sampling** -- experiments may reject topologies (placement
   constraints); the runner keeps drawing seed batches until the requested
   count is met (with the classic generous attempt cap);
 * **caching** -- with a ``cache_dir``, results are persisted as JSON keyed
   by a hash of the fully resolved parameters plus the package version, and
-  reloaded on a hit (the backend is deliberately *not* part of the key:
-  backends are bit-equal; the version *is*, because algorithm changes
-  between releases must invalidate stale entries).
+  reloaded on a hit (``batch_size``, ``jobs`` and the backend on the exact
+  default namespace are deliberately *not* part of the key: results are
+  bit-equal; the version *is*, because algorithm changes between releases
+  must invalidate stale entries).
 """
 
 from __future__ import annotations
@@ -42,15 +38,15 @@ import math
 import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 from .. import __version__ as _PACKAGE_VERSION
 from .. import obs as obsmod
 from .. import rng as rng_mod
 from .. import xp as xpmod
-from .experiments import ExperimentDef, get_experiment_def, load_builtin_experiments
+from .experiments import ExperimentDef, get_experiment_def
 from .registry import ASSOCIATION, COORDINATION, ENVIRONMENTS, MOBILITY, PRECODERS, TRAFFIC
 from .result import RunResult
 from .spec import RunSpec, normalize_params
@@ -124,23 +120,26 @@ def resolve_params(defn: ExperimentDef, spec: RunSpec) -> dict:
     return params
 
 
-def _build_one(experiment: str, topo_seed: int, params: dict):
-    """Worker entry point: evaluate one topology of one experiment.
+def _build_chunk(
+    experiment: str, seeds: list[int], params: dict, xp_config: tuple[str, str, str]
+) -> list:
+    """Worker entry point: one seed chunk through ``build_batch``.
 
-    A batch of one through the experiment's ``build_batch`` hook.
-    Module-level (picklable) and self-bootstrapping so it works under both
-    ``fork`` and ``spawn`` start methods.
+    Runs under the runner's :mod:`repro.xp` namespace, given as its
+    ``(namespace, device, dtype)`` config.  Module-level (picklable), and
+    :func:`get_experiment_def` loads the built-in experiments, so it works
+    under both ``fork`` and ``spawn`` start methods.
     """
-    load_builtin_experiments()
     defn = get_experiment_def(experiment)
-    return defn.build_batch([topo_seed], params)[0]
+    with xpmod.use(xpmod.get_namespace(*xp_config)):
+        return defn.build_batch(seeds, params)
 
 
-#: Seeds per round under the vectorized backend (when ``batch_size`` is
-#: unset).  Large enough that a typical sweep runs as one stacked batch.
+#: Seeds per ``build_batch`` call when ``batch_size`` is unset.  Large
+#: enough that a typical sweep runs as one stacked batch.
 _VECTORIZED_BATCH_CAP = 1024
 
-_BACKENDS = ("loop", "vectorized", "array_api")
+_BACKENDS = ("vectorized", "array_api")
 
 _CACHE_FORMATS = ("json", "npz")
 
@@ -164,29 +163,30 @@ class Runner:
     Parameters
     ----------
     jobs:
-        Worker process count; ``1`` (default) runs in-process.  Only the
-        loop backend fans out over processes.
+        Worker process count; ``1`` (default) runs in-process.  With
+        ``jobs > 1`` each round's seeds are split into one contiguous
+        chunk per worker, evaluated over a ``ProcessPoolExecutor``.
     cache_dir:
         Directory for on-disk result caching keyed by spec hash, or
         ``None`` (default) to disable caching.
     batch_size:
-        Upper bound on topology seeds scheduled per round; defaults to
-        ``max(8, 4*jobs)`` for the loop backend and 1024 for the
-        vectorized one.  Affects scheduling only, never results.
+        Upper bound on topology seeds per ``build_batch`` call; defaults
+        to 1024.  A round schedules at most ``jobs * batch_size`` seeds;
+        ``batch_size=1`` is the one-seed-per-call reference.  Affects
+        scheduling only, never results.
     backend:
-        ``"loop"`` (default), ``"vectorized"``, or ``"array_api"``.  All
-        three evaluate through the experiment's ``build_batch`` hook.
-        ``"loop"`` passes one seed per call (process-parallel when
-        ``jobs > 1``); ``"vectorized"`` passes stacked topology batches;
-        ``"array_api"`` runs the vectorized path under the namespace
-        selected by ``namespace``/``device``/``dtype``.  Results are
-        bit-identical across ``loop``/``vectorized``/``array_api``-on-
-        NumPy-float64; other configurations (torch, float32) meet the
-        documented tolerance contracts.
+        ``"vectorized"`` (default) or ``"array_api"``.  Both hand
+        contiguous seed chunks to the experiment's ``build_batch`` hook,
+        which evaluates them as stacked arrays; ``"array_api"`` does so
+        under the namespace selected by ``namespace``/``device``/
+        ``dtype``.  Results are bit-identical across ``vectorized``,
+        ``array_api``-on-NumPy-float64 and every ``jobs``/``batch_size``;
+        other configurations (torch, float32) meet the documented
+        tolerance contracts.
     namespace / device / dtype:
         The :mod:`repro.xp` configuration of the ``"array_api"`` backend
-        (ignored by the other backends, which always compute on the
-        default NumPy/float64 namespace).  ``namespace`` is ``"numpy"``
+        (``"vectorized"`` always computes on the default NumPy/float64
+        namespace).  ``namespace`` is ``"numpy"``
         (always available) or ``"torch"`` (optional dependency; a missing
         install raises :class:`repro.xp.BackendUnavailableError` naming
         the extra).  ``device`` is ``"cpu"`` or a torch device string like
@@ -211,7 +211,7 @@ class Runner:
     jobs: int = 1
     cache_dir: str | Path | None = None
     batch_size: int | None = None
-    backend: str = "loop"
+    backend: str = "vectorized"
     namespace: str = "numpy"
     device: str = "cpu"
     dtype: str = "float64"
@@ -255,14 +255,13 @@ class Runner:
                 f"require backend='array_api'; backend={self.backend!r} always "
                 f"computes on the default NumPy/float64 namespace"
             )
-        if self.backend == "array_api":
-            # Resolve eagerly so a missing optional dependency (torch) or a
-            # bad device/dtype fails at construction with a clean error, not
-            # mid-sweep.
-            self._resolve_namespace()
+        # Resolve eagerly so a missing optional dependency (torch) or a bad
+        # device/dtype fails at construction with a clean error, not
+        # mid-sweep.
+        self._resolve_namespace()
 
     def _resolve_namespace(self):
-        """The :class:`repro.xp.ArrayNamespace` the array_api backend uses.
+        """The :class:`repro.xp.ArrayNamespace` this runner computes on.
 
         Raises :class:`repro.xp.BackendUnavailableError` (naming the extra
         to install) when the namespace's optional dependency is missing.
@@ -294,11 +293,23 @@ class Runner:
                 result = self._execute(spec)
         return self._attach_summary(result)
 
-    def _execute(self, spec: RunSpec) -> RunResult:
+    def _resolve(
+        self, spec: RunSpec, window: tuple[int, int] | None
+    ) -> tuple[ExperimentDef, dict]:
+        """The spec's experiment and resolved parameters; a seed window
+        replaces ``n_topologies`` with its length."""
         defn = get_experiment_def(spec.experiment)
         params = resolve_params(defn, spec)
+        if window is not None:
+            params["n_topologies"] = window[1]
+        return defn, params
 
-        cache_path = self._cache_path(spec, params)
+    def _execute(
+        self, spec: RunSpec, window: tuple[int, int] | None = None
+    ) -> RunResult:
+        defn, params = self._resolve(spec, window)
+
+        cache_path = self._cache_path(spec, params, window=window)
         cached = self._load_cache(cache_path)
         if cached is not None:
             obsmod.active().count("runner.cache.hits")
@@ -306,9 +317,14 @@ class Runner:
         if cache_path is not None:
             obsmod.active().count("runner.cache.misses")
 
-        outcomes = self._sweep(defn, params)
+        outcomes = self._sweep(defn, params, window=window)
         base = defn.finalize(outcomes, params)
         result = RunResult.from_experiment_result(base, spec)
+        if window is not None:
+            notes = dict(
+                result.notes, seed_window=list(window), n_accepted=len(outcomes)
+            )
+            result = replace(result, notes=notes)
 
         if cache_path is not None:
             result.save(cache_path)
@@ -343,43 +359,8 @@ class Runner:
                 seed_start=int(seed_start),
                 seed_count=int(seed_count),
             ):
-                result = self._execute_window(spec, seed_start, seed_count)
+                result = self._execute(spec, (int(seed_start), int(seed_count)))
         return self._attach_summary(result)
-
-    def _execute_window(
-        self, spec: RunSpec, seed_start: int, seed_count: int
-    ) -> RunResult:
-        defn = get_experiment_def(spec.experiment)
-        params = resolve_params(defn, spec)
-        params["n_topologies"] = seed_count
-        window = (int(seed_start), int(seed_count))
-
-        cache_path = self._cache_path(spec, params, window=window)
-        cached = self._load_cache(cache_path)
-        if cached is not None:
-            obsmod.active().count("runner.cache.hits")
-            return cached
-        if cache_path is not None:
-            obsmod.active().count("runner.cache.misses")
-
-        outcomes = self._sweep(defn, params, window=window)
-        base = defn.finalize(outcomes, params)
-        result = RunResult.from_experiment_result(base, spec)
-        notes = dict(result.notes)
-        notes["seed_window"] = [window[0], window[1]]
-        notes["n_accepted"] = len(outcomes)
-        result = RunResult(
-            name=result.name,
-            description=result.description,
-            series=result.series,
-            params=result.params,
-            notes=notes,
-            spec=result.spec,
-        )
-
-        if cache_path is not None:
-            result.save(cache_path)
-        return result
 
     def run_many(self, specs) -> list[RunResult]:
         """Execute several specs in order, sharing one worker pool.
@@ -404,12 +385,9 @@ class Runner:
         self, spec: RunSpec, seed_start: int, seed_count: int
     ) -> Path | None:
         """Cache file a :meth:`run_window` call would use (or ``None``)."""
-        defn = get_experiment_def(spec.experiment)
-        params = resolve_params(defn, spec)
-        params["n_topologies"] = int(seed_count)
-        return self._cache_path(
-            spec, params, window=(int(seed_start), int(seed_count))
-        )
+        window = (int(seed_start), int(seed_count))
+        __, params = self._resolve(spec, window)
+        return self._cache_path(spec, params, window=window)
 
     def _cache_path(
         self,
@@ -439,14 +417,13 @@ class Runner:
         }
         if window is not None:
             body["seed_window"] = [int(window[0]), int(window[1])]
-        if self.backend == "array_api":
-            namespace = self._resolve_namespace()
-            if not namespace.is_exact:
-                # Non-bit-exact configurations (torch, float32) get their own
-                # cache entries; the exact NumPy/float64 namespace keeps
-                # sharing entries with the loop/vectorized backends, because
-                # their results are array_equal by construction.
-                body["xp"] = namespace.config_dict()
+        namespace = self._resolve_namespace()
+        if not namespace.is_exact:
+            # Non-bit-exact configurations (torch, float32) get their own
+            # cache entries; the exact NumPy/float64 namespace keeps sharing
+            # entries with the vectorized backend, because their results
+            # are array_equal by construction.
+            body["xp"] = namespace.config_dict()
         payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
         suffix = "npz" if self.cache_format == "npz" else "json"
@@ -489,19 +466,8 @@ class Runner:
         root_seed = int(params["seed"])
         stream_start = 0 if window is None else int(window[0])
         max_attempts = n if window is not None else max(200, 80 * n)
-        vectorized = self.backend in ("vectorized", "array_api")
-        # The array_api backend is the vectorized sweep executed under an
-        # active repro.xp namespace; build_batch hooks (and the compute
-        # boundaries they call) pick it up via repro.xp.active().
-        xp_namespace = (
-            self._resolve_namespace() if self.backend == "array_api" else None
-        )
-        if self.batch_size is not None:
-            batch_cap = self.batch_size
-        elif vectorized:
-            batch_cap = _VECTORIZED_BATCH_CAP
-        else:
-            batch_cap = max(8, 4 * self.jobs)
+        namespace = self._resolve_namespace()
+        chunk_cap = self.batch_size or _VECTORIZED_BATCH_CAP
 
         accepted: list = []
         attempts = 0
@@ -517,11 +483,9 @@ class Runner:
                     target = max_attempts - attempts
                 else:
                     # Aim for exactly what is still needed (padded to keep
-                    # every worker busy) so a parallel run schedules no more
-                    # builds than a serial one; the cap only bounds a single
-                    # round.
-                    target = max(n - len(accepted), min(self.jobs, batch_cap))
-                    if vectorized and attempts:
+                    # every worker busy); the caps only bound a single round.
+                    target = max(n - len(accepted), self.jobs)
+                    if attempts:
                         # Rejection-heavy sweeps would otherwise shrink to
                         # deficit-sized (eventually single-seed) batches and
                         # forfeit the stacking win.  Overdraw by the observed
@@ -532,26 +496,29 @@ class Runner:
                         # the (rejected) build work.
                         rate = max(len(accepted) / attempts, 1.0 / 64.0)
                         target = max(target, math.ceil((n - len(accepted)) / rate))
-                count = min(target, batch_cap, max_attempts - attempts)
+                count = min(target, self.jobs * chunk_cap, max_attempts - attempts)
                 seeds = rng_mod.derived_seeds(
                     root_seed, stream_start + attempts, count
                 )
                 attempts += count
-                if vectorized:
-                    if xp_namespace is not None:
-                        with xpmod.use(xp_namespace):
-                            outcomes = defn.build_batch(seeds, params)
-                    else:
+                if self.jobs == 1:
+                    with xpmod.use(namespace):
                         outcomes = defn.build_batch(seeds, params)
-                elif self.jobs > 1:
+                else:
                     if executor is None:
                         executor = ProcessPoolExecutor(max_workers=self.jobs)
                         owns_executor = True
-                    outcomes = executor.map(
-                        _build_one, repeat(defn.name), seeds, repeat(params)
+                    size = -(-count // self.jobs)
+                    chunks = [seeds[i : i + size] for i in range(0, count, size)]
+                    outcomes = chain.from_iterable(
+                        executor.map(
+                            _build_chunk,
+                            repeat(defn.name),
+                            chunks,
+                            repeat(params),
+                            repeat((self.namespace, self.device, self.dtype)),
+                        )
                     )
-                else:
-                    outcomes = (defn.build_batch([s], params)[0] for s in seeds)
                 for outcome in outcomes:
                     if outcome is None:
                         continue

@@ -79,7 +79,6 @@ def _shard_worker(payload: dict) -> dict:
     runner = Runner(
         jobs=1,
         cache_dir=payload["cache_dir"],
-        backend=payload["backend"],
         cache_format=payload["cache_format"],
         telemetry=telemetry,
     )
@@ -158,9 +157,6 @@ class CampaignRunner:
     jobs:
         Concurrent shard workers; ``1`` (default) executes shards
         in-process, in canonical order.
-    backend:
-        Per-shard Runner backend (``"vectorized"`` default -- shards are
-        exactly the stacked batches it is fastest at).
     cache_dir:
         Shard cache directory; defaults to ``<campaign_dir>/cache``.
         Point several campaigns at one directory to share shard results.
@@ -186,7 +182,6 @@ class CampaignRunner:
 
     campaign_dir: str | Path
     jobs: int = 1
-    backend: str = "vectorized"
     cache_dir: str | Path | None = None
     cache_format: str = "npz"
     retries: int = 2
@@ -346,7 +341,6 @@ class CampaignRunner:
                 1 for r in records.values() if r.get("source") == "cache"
             ),
             jobs=self.jobs,
-            backend=self.backend,
             version=_PACKAGE_VERSION,
         )
         result = CampaignResult(
@@ -410,7 +404,6 @@ class CampaignRunner:
             "seed_count": shard.seed_count,
             "cache_dir": str(self.cache_dir),
             "cache_format": self.cache_format,
-            "backend": self.backend,
             "timeout_s": self.timeout_s,
             "telemetry": self.telemetry is not None,
             "sketch_resolution": None,  # filled by caller

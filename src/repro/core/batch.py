@@ -55,8 +55,8 @@ def zfbf_directions(h, rcond: float = 1e-12):
     """Stacked unit-norm ZFBF columns (see :func:`repro.core.zfbf.zfbf_directions`).
 
     Raises :class:`numpy.linalg.LinAlgError` if *any* item is numerically
-    rank deficient -- matching the loop backend, where the first offending
-    topology aborts the sweep.
+    rank deficient -- matching the scalar :func:`repro.core.zfbf.zfbf_directions`,
+    where the first offending topology aborts the sweep.
     """
     h = _as_channel_stack(h)
     xp = array_namespace(h)

@@ -115,12 +115,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=1, help="concurrent shard workers"
     )
     parser.add_argument(
-        "--backend",
-        choices=["loop", "vectorized"],
-        default="vectorized",
-        help="per-shard evaluation backend (default: vectorized)",
-    )
-    parser.add_argument(
         "--retries", type=int, default=2, help="extra attempts per failing shard"
     )
     parser.add_argument(
@@ -204,7 +198,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
     runner = CampaignRunner(
         campaign_dir=args.campaign_dir,
         jobs=args.jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         retries=args.retries,
         timeout_s=args.timeout,
@@ -244,16 +237,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--topologies", type=int, default=None, help="topology count")
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; each evaluates a contiguous chunk of every "
+        "round's topology seeds (1 = in-process; bit-identical either way)",
     )
     parser.add_argument(
         "--backend",
-        choices=["loop", "vectorized", "array_api"],
-        default="loop",
-        help="evaluation backend ('loop' evaluates one topology per call, "
-        "over --jobs processes; 'vectorized' batches all topology draws "
-        "through stacked array math, bit-identical to 'loop'; 'array_api' "
-        "runs the batched path on a configurable repro.xp namespace)",
+        choices=["vectorized", "array_api"],
+        default="vectorized",
+        help="evaluation backend ('vectorized' evaluates topology draws "
+        "through stacked array math; 'array_api' runs the same path on a "
+        "configurable repro.xp namespace)",
     )
     parser.add_argument(
         "--namespace",

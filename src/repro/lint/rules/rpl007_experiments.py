@@ -1,9 +1,8 @@
 """RPL007: registered experiments must ship a ``build_batch`` hook.
 
 ``build_batch`` is the only evaluation hook the :class:`repro.api.Runner`
-calls: the loop backend passes one seed per call, the vectorized and
-array-API backends pass whole stacks.  A registration without it cannot
-run on any backend, so the rule has no opt-out -- every
+calls, with contiguous seed chunks on every backend.  A registration
+without it cannot run on any backend, so the rule has no opt-out -- every
 ``@register_experiment`` class must define ``build_batch``, and every
 ``register_experiment(ExperimentDef(...))`` call must pass it by keyword.
 """

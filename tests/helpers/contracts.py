@@ -3,8 +3,8 @@
 The backend equivalence story has two tiers (see ``docs/api.md``):
 
 bit-identical
-    ``loop`` == ``vectorized`` == ``array_api`` on the default
-    NumPy/float64 namespace.  Checked with ``np.array_equal`` (the
+    ``vectorized`` == ``array_api`` on the default NumPy/float64
+    namespace, at every ``batch_size`` and ``jobs``.  Checked with ``np.array_equal`` (the
     :data:`EXACT_CONTRACT` here encodes the same thing for callers that
     want one code path through ``assert_close_result``).
 
@@ -34,7 +34,7 @@ Rationale for the numbers:
   ``quantile_atol`` of the reference (plus one sketch bin of slack).
 
 All tolerances bound *backend* deviation, not reproduction accuracy; the
-figures' accuracy against the paper is the loop backend's business.
+figures' accuracy against the paper is the exact configuration's business.
 """
 
 from __future__ import annotations

@@ -4,13 +4,13 @@ The acceptance bar for the dispatch layer: running the batched engine
 through ``repro.xp`` on the default NumPy/float64 namespace must be
 ``array_equal`` to ``backend="vectorized"`` for *every* experiment with a
 batch hook -- the dispatch indirection itself is not allowed to cost a
-single bit.  (Loop vs vectorized equality is pinned by
-``test_vectorized_equivalence``; chaining through it makes all three
-backends mutually exact.)
+single bit.  (Equality across ``batch_size`` and ``jobs`` is pinned by
+``test_vectorized_equivalence``; chaining through it makes every exact
+configuration mutually exact.)
 
 Also covered here: the runner-level integration seams -- eager
-missing-torch errors, xp-config validation, fallback warnings under
-``array_api``, cache-key sharing between exact backends (and separation
+missing-torch errors, xp-config validation, pool workers computing on
+the runner's namespace, cache-key sharing between exact backends (and separation
 for inexact configs), and the CLI flags.
 """
 
@@ -51,9 +51,24 @@ def test_xp_config_is_rejected_on_non_array_api_backends():
     with pytest.raises(ValueError, match="array_api"):
         Runner(backend="vectorized", dtype="float32")
     with pytest.raises(ValueError, match="array_api"):
-        Runner(backend="loop", namespace="torch")
+        Runner(backend="vectorized", namespace="torch")
     with pytest.raises(ValueError, match="array_api"):
         Runner(backend="vectorized", device="cuda")
+
+
+@pytest.mark.parametrize("experiment", ["fig09", "fig10"])
+def test_pool_workers_compute_on_the_runners_namespace(experiment):
+    # jobs=2 evaluates every chunk in a worker process, which must activate
+    # the runner's namespace itself: a worker left on the default float64
+    # namespace would reproduce the float64 run instead of the float32 one.
+    spec = RunSpec(experiment, n_topologies=4, seed=7)
+    serial = Runner(backend="array_api", dtype="float32").run(spec).series
+    pooled = Runner(backend="array_api", dtype="float32", jobs=2).run(spec).series
+    float64 = Runner(backend="array_api").run(spec).series
+    assert set(pooled) == set(serial)
+    for key in serial:
+        assert np.array_equal(pooled[key], serial[key]), key
+    assert any(not np.array_equal(serial[key], float64[key]) for key in serial)
 
 
 def test_invalid_xp_configs_fail_at_construction():

@@ -3,8 +3,9 @@
 The experiment sweeps association policies against client speed on a
 small campus AP grid (MIDAS stack only).  Key contracts:
 
-* scalar and vectorized backends produce ``array_equal`` series (the
-  batch association layer consumes literally the scalar decisions),
+* one seed per call (``batch_size=1``) and stacked runs produce
+  ``array_equal`` series (the batch association layer consumes literally
+  the scalar decisions),
 * ``nearest_anchor`` never hands off (the paper's implicit baseline),
 * the spec-level ``association`` axis restricts the sweep to one policy
   and ``coordination`` is threaded through to every evaluator.
@@ -26,18 +27,18 @@ class TestRoamingHandoffExperiment:
     SPEC = RunSpec("roaming_handoff", n_topologies=2, seed=3, params=FAST)
 
     def test_backends_bit_identical(self):
-        loop = Runner(backend="loop").run(self.SPEC)
-        vec = Runner(backend="vectorized").run(self.SPEC)
-        assert set(loop.series) == {
+        single = Runner(batch_size=1).run(self.SPEC)
+        vec = Runner().run(self.SPEC)
+        assert set(single.series) == {
             f"{policy}_{metric}"
             for policy in (
                 "nearest_anchor", "strongest_rssi", "hysteresis_handoff"
             )
             for metric in ("capacity_bps_hz", "handoffs", "outage_fraction")
         }
-        for key in loop.series:
-            np.testing.assert_array_equal(loop.series[key], vec.series[key])
-        assert loop.series["nearest_anchor_capacity_bps_hz"].shape == (2, 2)
+        for key in single.series:
+            np.testing.assert_array_equal(single.series[key], vec.series[key])
+        assert single.series["nearest_anchor_capacity_bps_hz"].shape == (2, 2)
 
     def test_nearest_anchor_never_hands_off(self):
         result = Runner().run(self.SPEC)
@@ -78,11 +79,11 @@ class TestRoamingHandoffExperiment:
             association="strongest_rssi",
             coordination="coordinated_scheduling",
         )
-        loop = Runner(backend="loop").run(spec)
-        vec = Runner(backend="vectorized").run(spec)
-        assert loop.params["coordination"] == "coordinated_scheduling"
-        for key in loop.series:
-            np.testing.assert_array_equal(loop.series[key], vec.series[key])
+        single = Runner(batch_size=1).run(spec)
+        vec = Runner().run(spec)
+        assert single.params["coordination"] == "coordinated_scheduling"
+        for key in single.series:
+            np.testing.assert_array_equal(single.series[key], vec.series[key])
 
     def test_coordination_only_removes_double_scheduling(self):
         independent = Runner().run(self.SPEC.replace(association="nearest_anchor"))

@@ -3,8 +3,8 @@
 The contract the whole :mod:`repro.obs` layer rests on: instrumentation
 never draws randomness and never changes engine control flow, so every
 series an engine produces is ``array_equal`` with telemetry on or off --
-on every engine: the batched round engine behind ``roaming_handoff`` (on
-both Runner backends, which differ only in stack size), the event-driven
+on every engine: the batched round engine behind ``roaming_handoff`` (at
+one seed per call and stacked, which differ only in stack size), the event-driven
 ``NetworkSimulation`` behind ``fig15``, and the scalar
 ``RoundBasedEvaluator`` driven directly (the Runner no longer reaches it)
 -- and every RNG the run creates ends in exactly the same state.  Plus the acceptance checks of the traced path itself: a traced
@@ -25,8 +25,8 @@ from repro.api import Runner, RunSpec
 from repro.obs import CORE_COUNTERS
 
 #: Small-but-real configurations, one per engine family.  roaming_handoff
-#: exercises the batched round engine (a batch of one per call on the loop
-#: backend) with mobility, association, and handoff accounting; fig15
+#: exercises the batched round engine (a batch of one per call at
+#: ``batch_size=1``) with mobility, association, and handoff accounting; fig15
 #: additionally drives the event-driven carrier-sense engine
 #: (NetworkSimulation) for CAS.
 _CASES = [
@@ -34,12 +34,14 @@ _CASES = [
     ("fig15", {"dynamic": True, "duration_s": 0.02}),
 ]
 
-_BACKENDS = ("loop", "vectorized")
+#: Stack sizes: one seed per ``build_batch`` call, and the default stack.
+_BATCH_SIZES = {"batch_size=1": 1, "stacked": None}
 
 
-def _run(experiment, params, backend, telemetry=None):
+def _run(experiment, params, stacking, telemetry=None):
     spec = RunSpec(experiment, n_topologies=2, seed=7, params=params)
-    return Runner(backend=backend, telemetry=telemetry).run(spec)
+    runner = Runner(batch_size=_BATCH_SIZES[stacking], telemetry=telemetry)
+    return runner.run(spec)
 
 
 class _RngLedger:
@@ -73,25 +75,25 @@ class _RngLedger:
 
 
 @pytest.mark.parametrize("experiment,params", _CASES)
-@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("stacking", _BATCH_SIZES)
 def test_series_byte_identical_with_telemetry_on_or_off(
-    experiment, params, backend, monkeypatch
+    experiment, params, stacking, monkeypatch
 ):
     ledger_off = _RngLedger(monkeypatch)
-    baseline = _run(experiment, params, backend)
+    baseline = _run(experiment, params, stacking)
     states_off = ledger_off.final_states()
 
     monkeypatch.undo()
     ledger_on = _RngLedger(monkeypatch)
     telemetry = obs.Telemetry()
-    traced = _run(experiment, params, backend, telemetry=telemetry)
+    traced = _run(experiment, params, stacking, telemetry=telemetry)
     states_on = ledger_on.final_states()
 
     assert set(baseline.series) == set(traced.series)
     for name in baseline.series:
         assert np.array_equal(
             np.asarray(baseline.series[name]), np.asarray(traced.series[name])
-        ), f"series {name!r} diverged under telemetry ({backend})"
+        ), f"series {name!r} diverged under telemetry ({stacking})"
 
     # Zero extra RNG draws: the same generators exist and every one ends
     # in exactly the same state.
@@ -178,32 +180,32 @@ def test_scalar_engine_byte_identical_with_telemetry_on_or_off(config, monkeypat
      ("latency_vs_load", {"rounds_per_topology": 20})],
 )
 def test_precoder_counters_agree_across_backends(experiment, params):
-    # precode.rounds / precode.unconverged count the same MIDAS solves on
-    # both backends; the test above covers their output-byte neutrality.
-    # (Rejection-sampled sweeps such as fig15 are left out: the vectorized
-    # Runner also evaluates surplus draws it then drops, so every engine
-    # counter legitimately reads higher there.)
+    # precode.rounds / precode.unconverged count the same MIDAS solves at
+    # every stack size; the test above covers their output-byte neutrality.
+    # (Rejection-sampled sweeps such as fig15 are left out: the overdraw
+    # evaluates surplus draws it then drops, and how many depends on the
+    # round size, so engine counters legitimately differ there.)
     counts = {}
     series = {}
-    for backend in _BACKENDS:
+    for stacking in _BATCH_SIZES:
         telemetry = obs.Telemetry()
-        series[backend] = _run(experiment, params, backend, telemetry=telemetry).series
+        series[stacking] = _run(experiment, params, stacking, telemetry=telemetry).series
         counters = telemetry.counters
-        counts[backend] = (counters["precode.rounds"], counters["precode.unconverged"])
-    assert counts["loop"] == counts["vectorized"]
-    assert counts["loop"][0] > 0
-    for name in series["loop"]:
+        counts[stacking] = (counters["precode.rounds"], counters["precode.unconverged"])
+    assert counts["batch_size=1"] == counts["stacked"]
+    assert counts["stacked"][0] > 0
+    for name in series["stacked"]:
         assert np.array_equal(
-            np.asarray(series["loop"][name]), np.asarray(series["vectorized"][name])
+            np.asarray(series["batch_size=1"][name]), np.asarray(series["stacked"][name])
         )
 
 
 def test_result_telemetry_summary_only_when_enabled():
-    baseline = _run("roaming_handoff", {"rounds_per_topology": 4}, "loop")
+    baseline = _run("roaming_handoff", {"rounds_per_topology": 4}, "stacked")
     assert baseline.telemetry is None
     telemetry = obs.Telemetry()
     traced = _run(
-        "roaming_handoff", {"rounds_per_topology": 4}, "loop", telemetry=telemetry
+        "roaming_handoff", {"rounds_per_topology": 4}, "stacked", telemetry=telemetry
     )
     assert traced.telemetry is not None
     assert traced.telemetry.counter("engine.rounds") > 0

@@ -1,6 +1,6 @@
 """Finite-load engine tests: scalar/batch bit-identity (no tolerances),
 full-buffer no-op guarantees, result accessors, the latency_vs_load
-experiment on both Runner backends, and the event-driven MAC's traffic."""
+experiment one seed per call and stacked, and the event-driven MAC's traffic."""
 
 import numpy as np
 import pytest
@@ -164,22 +164,22 @@ class TestLatencyVsLoadExperiment:
     @pytest.fixture(scope="class")
     def results(self):
         return (
-            Runner(backend="loop").run(self.SPEC),
-            Runner(backend="vectorized").run(self.SPEC),
+            Runner(batch_size=1).run(self.SPEC),
+            Runner().run(self.SPEC),
         )
 
     def test_backends_bit_identical(self, results):
-        loop, vectorized = results
-        assert set(loop.series) == set(vectorized.series)
-        for key in loop.series:
-            assert np.array_equal(loop.series[key], vectorized.series[key]), key
+        single, vectorized = results
+        assert set(single.series) == set(vectorized.series)
+        for key in single.series:
+            assert np.array_equal(single.series[key], vectorized.series[key]), key
 
     def test_series_shapes_and_sanity(self, results):
-        loop, __ = results
+        single, __ = results
         for system in ("cas", "midas"):
             for metric in ("throughput_mbps", "delay_ms", "p95_delay_ms", "queue_kbytes"):
-                assert loop.series[f"{system}_{metric}"].shape == (3, 2)
-            delay = loop.series[f"{system}_delay_ms"]
+                assert single.series[f"{system}_{metric}"].shape == (3, 2)
+            delay = single.series[f"{system}_delay_ms"]
             # Median delay grows with offered load (queueing).
             assert np.median(delay[:, 1]) >= np.median(delay[:, 0])
 
@@ -200,11 +200,11 @@ class TestLatencyVsLoadExperiment:
             throughput_delay_curve,
         )
 
-        loop, __ = results
-        offered, throughput, delay = throughput_delay_curve(loop, "midas")
+        single, __ = results
+        offered, throughput, delay = throughput_delay_curve(single, "midas")
         assert np.array_equal(offered, [10.0, 80.0])
         assert throughput.shape == delay.shape == (2,)
-        assert saturation_load_mbps(loop, "midas", delay_budget_ms=1e9) == 80.0
+        assert saturation_load_mbps(single, "midas", delay_budget_ms=1e9) == 80.0
         samples = np.asarray([0.001, 0.002, 0.004])
         assert len(delay_cdf(samples)) == 3
         assert np.array_equal(

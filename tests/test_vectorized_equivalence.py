@@ -1,13 +1,13 @@
 """Batch-composition invariance: an item's result never depends on its batch.
 
-Every backend evaluates through an experiment's one ``build_batch`` hook;
-``loop`` and ``vectorized`` differ only in stack size (``loop`` is a batch
-of one per call).  The contract is that a topology's result must not
-depend on the batch it is computed in -- its size, its order, or its
-neighbours: batched precoders equal their scalar siblings slice for slice,
-batched channel synthesis equals per-topology ``ChannelModel``
-construction, and every registered experiment gives the same series under
-``loop``, ``vectorized`` at any ``batch_size``, and ``jobs > 1``.
+The Runner evaluates through an experiment's one ``build_batch`` hook,
+handing it contiguous seed chunks whose size depends on ``batch_size`` and
+``jobs`` (``batch_size=1`` is one seed per call).  The contract is that a
+topology's result must not depend on the batch it is computed in -- its
+size, its order, or its neighbours: batched precoders equal their scalar
+siblings slice for slice, batched channel synthesis equals per-topology
+``ChannelModel`` construction, and every registered experiment gives the
+same series at any ``batch_size`` and under ``jobs > 1``.
 Everything here asserts ``array_equal`` -- no tolerances.
 """
 
@@ -235,15 +235,19 @@ EXPERIMENT_CASES = [
 )
 def test_vectorized_backend_is_bit_identical(experiment, spec_kwargs, params):
     spec = RunSpec(experiment, seed=7, params=params, **spec_kwargs)
-    loop = Runner(backend="loop").run(spec)
-    vectorized = Runner(backend="vectorized").run(spec)
-    assert set(loop.series) == set(vectorized.series)
-    for key in loop.series:
-        assert np.array_equal(loop.series[key], vectorized.series[key]), key
+    reference = Runner().run(spec).series
+    for label, runner in {
+        "batch_size=1": Runner(batch_size=1),
+        "jobs=2": Runner(jobs=2),
+    }.items():
+        series = runner.run(spec).series
+        assert set(series) == set(reference), label
+        for key in reference:
+            assert np.array_equal(series[key], reference[key]), (label, key)
 
 
 def test_every_registered_experiment_defines_the_hook():
-    # build_batch is the only evaluation hook, on every backend.
+    # build_batch is the only evaluation hook.
     from repro.api import experiment_names
 
     for name in experiment_names():
@@ -319,17 +323,27 @@ def test_build_batch_outcomes_ignore_order_and_neighbours(
             assert np.array_equal(outcome[key], single[key]), key
 
 
-def test_runner_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend"):
-        Runner(backend="gpu")
+@pytest.mark.parametrize("backend", ["gpu", "loop"])
+def test_runner_rejects_unknown_backend(backend):
+    with pytest.raises(ValueError, match=r"backend.*\('vectorized', 'array_api'\)"):
+        Runner(backend=backend)
+
+
+def test_run_cli_rejects_loop_backend(capsys):
+    from repro.experiments.registry import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig03", "--topologies", "2", "--backend", "loop"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'loop'" in capsys.readouterr().err
 
 
 def test_vectorized_backend_composes_with_caching(tmp_path):
     spec = RunSpec("fig03", n_topologies=3, seed=1)
-    first = Runner(backend="vectorized", cache_dir=tmp_path).run(spec)
-    # A loop-backend runner hits the vectorized runner's cache entry:
-    # backends are bit-equal, so the cache key ignores them.
-    second = Runner(backend="loop", cache_dir=tmp_path).run(spec)
+    first = Runner(cache_dir=tmp_path).run(spec)
+    # A one-seed-per-call runner hits the stacked runner's cache entry:
+    # results are bit-equal, so the cache key ignores batch_size.
+    second = Runner(batch_size=1, cache_dir=tmp_path).run(spec)
     for key in first.series:
         assert np.array_equal(first.series[key], second.series[key])
     assert len(list(tmp_path.iterdir())) == 1
