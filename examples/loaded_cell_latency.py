@@ -17,8 +17,7 @@ import numpy as np
 
 from repro import RunSpec, Runner
 from repro.analysis import saturation_load_mbps, throughput_delay_curve
-from repro.sim.network import MacMode
-from repro.sim.rounds import RoundBasedEvaluator
+from repro.sim import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
 
@@ -53,11 +52,12 @@ def main(n_topologies: int = 8) -> None:
     )
 
     # -- EDCA classes: voice CBR rides VOICE and sees low jitter ----------
+    # One topology is a batch of one for the round engine.
     scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=1)
-    voice = RoundBasedEvaluator(
-        scenario,
+    [voice] = RoundBasedEvaluatorBatch(
+        [scenario],
         MacMode.MIDAS,
-        seed=1,
+        seeds=[1],
         traffic="cbr",
         traffic_kwargs={"rate_mbps": 0.5, "packet_bytes": 200.0, "category": "voice"},
     ).run(50)

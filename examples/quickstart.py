@@ -6,7 +6,8 @@ Three stops:
 2. swap the precoder by registry name (``RunSpec(precoder=...)``) and cache
    results on disk keyed by spec hash,
 3. drop below the session API to inspect a single channel with the
-   low-level library surface, like the paper's §3.1 walkthrough.
+   low-level library surface, like the paper's §3.1 walkthrough (every
+   kernel is batched; one channel is a batch of one).
 
 Run:  python examples/quickstart.py [seed]
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro import (
     AntennaMode,
-    ChannelModel,
+    ChannelBatch,
     Runner,
     RunSpec,
     office_b,
@@ -59,18 +60,17 @@ def main(seed: int = 7) -> None:
 
     # -- 3. the low-level library is still right there ---------------------
     scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=seed)
-    model = ChannelModel(scenario.deployment, scenario.radio, seed=seed)
-    h = model.channel_matrix()
+    channel = ChannelBatch([scenario.deployment], scenario.radio, seeds=[seed])
+    h = channel.channel_matrices()  # (1, n_clients, n_antennas)
     balanced = power_balanced_precoder(
         h, scenario.radio.per_antenna_power_mw, scenario.radio.noise_mw
     )
-    sinrs_db = 10 * np.log10(
-        stream_sinrs(h, balanced.v, scenario.radio.noise_mw)
-    )
+    sinrs = stream_sinrs(h, balanced.v, scenario.radio.noise_mw)[0]
+    sinrs_db = 10 * np.log10(sinrs)
     print(f"one {scenario.name} channel, power-balanced by hand:")
     print(
-        f"  capacity {sum_capacity_bps_hz(stream_sinrs(h, balanced.v, scenario.radio.noise_mw)):.2f} "
-        f"b/s/Hz, converged in {balanced.rounds} round(s)"
+        f"  capacity {sum_capacity_bps_hz(sinrs):.2f} "
+        f"b/s/Hz, converged in {int(balanced.rounds[0])} round(s)"
     )
     print("  per-client SINR (dB):", np.round(sinrs_db, 1))
 

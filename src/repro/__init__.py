@@ -34,16 +34,28 @@ New algorithms plug in by registration, no runner changes needed::
     from repro import register_precoder
 
     @register_precoder("my_precoder")
-    def my_precoder(h, per_antenna_power_mw, noise_mw): ...
+    def my_precoder(h, per_antenna_power_mw, noise_mw): ...  # stacked h -> stacked v
 
 The low-level library surface (channel models, precoders, topology
-factories) remains importable directly for custom studies; see
-``examples/quickstart.py``.
+factories) remains importable directly for custom studies.  Every kernel is
+batched, and a single topology is a batch of one:
+
+>>> from repro import AntennaMode, ChannelBatch, office_b, single_ap_scenario
+>>> from repro import power_balanced_precoder
+>>> scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=7)
+>>> channel = ChannelBatch([scenario.deployment], scenario.radio, seeds=[7])
+>>> h = channel.channel_matrices()  # (1, n_clients, n_antennas)
+>>> radio = scenario.radio
+>>> result = power_balanced_precoder(h, radio.per_antenna_power_mw, radio.noise_mw)
+>>> bool(result.converged[0])
+True
+
+See ``examples/quickstart.py`` for a longer tour.
 """
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 from .analysis import (
     EmpiricalCdf,
@@ -61,7 +73,6 @@ from .api import (
     UnknownNameError,
     experiment_names,
     register_association,
-    register_batch_precoder,
     register_environment,
     register_experiment,
     register_mobility,
@@ -78,13 +89,11 @@ from .assoc import (
     resolve_coordination,
 )
 from .campaign import CampaignResult, CampaignRunner, CampaignSpec
-from .channel import ChannelModel, ChannelTrace, coverage_range_m, cs_range_m, record_trace
-from .channel.batch import ChannelBatch
+from .channel import ChannelBatch, ChannelTrace, coverage_range_m, cs_range_m, record_trace
 from .config import MacConfig, MidasConfig, RadioConfig, SimConfig
 from .mobility import MobilityModel, mobility_names, resolve_mobility
 from .core import (
     DeficitRoundRobin,
-    PrecodingResult,
     TagTable,
     naive_scaled_precoder,
     optimal_power_allocation,
@@ -135,7 +144,6 @@ __all__ = [
     "UnknownNameError",
     "experiment_names",
     "register_association",
-    "register_batch_precoder",
     "register_environment",
     "register_experiment",
     "register_mobility",
@@ -156,7 +164,6 @@ __all__ = [
     "mobility_names",
     "resolve_mobility",
     "ChannelBatch",
-    "ChannelModel",
     "ChannelTrace",
     "coverage_range_m",
     "cs_range_m",
@@ -166,7 +173,6 @@ __all__ = [
     "RadioConfig",
     "SimConfig",
     "DeficitRoundRobin",
-    "PrecodingResult",
     "TagTable",
     "naive_scaled_precoder",
     "optimal_power_allocation",

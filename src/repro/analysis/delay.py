@@ -2,7 +2,7 @@
 
 Companions to :mod:`repro.analysis.cdf` for the finite-load results the
 traffic subsystem produces: per-packet delay samples (from
-:attr:`repro.sim.rounds.RoundBasedResult.delay_samples_s` or a
+:attr:`repro.sim.batch.RoundBasedResult.delay_samples_s` or a
 ``latency_vs_load`` run) and offered-load sweeps.
 """
 

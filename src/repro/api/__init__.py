@@ -28,7 +28,6 @@ from .precoders import (
 )
 from .registry import (
     ASSOCIATION,
-    BATCH_PRECODERS,
     COORDINATION,
     ENVIRONMENTS,
     EXPERIMENTS,
@@ -40,7 +39,6 @@ from .registry import (
     Registry,
     UnknownNameError,
     register_association,
-    register_batch_precoder,
     register_environment,
     register_mobility,
     register_precoder,
@@ -63,7 +61,6 @@ __all__ = [
     "precoder_matrix",
     "precoder_matrix_batch",
     "ASSOCIATION",
-    "BATCH_PRECODERS",
     "COORDINATION",
     "ENVIRONMENTS",
     "EXPERIMENTS",
@@ -75,7 +72,6 @@ __all__ = [
     "Registry",
     "UnknownNameError",
     "register_association",
-    "register_batch_precoder",
     "register_environment",
     "register_mobility",
     "register_precoder",

@@ -94,7 +94,6 @@ class Registry(Generic[T]):
 
 #: The built-in registries backing the public API.
 PRECODERS: Registry = Registry("precoder")
-BATCH_PRECODERS: Registry = Registry("batched precoder")
 SCENARIOS: Registry = Registry("scenario")
 ENVIRONMENTS: Registry = Registry("environment")
 EXPERIMENTS: Registry = Registry("experiment")
@@ -105,18 +104,14 @@ COORDINATION: Registry = Registry("coordination mode")
 
 
 def register_precoder(name: str):
-    """Register ``fn(h, per_antenna_power_mw, noise_mw) -> v`` as a precoder."""
-    return PRECODERS.register(name)
+    """Register ``fn(h, per_antenna_power_mw, noise_mw) -> v`` as a precoder.
 
-
-def register_batch_precoder(name: str):
-    """Register the *batched* implementation of precoder ``name``.
-
-    The callable takes a stacked channel ``(batch, n_clients, n_antennas)``
-    and must return precoders bit-identical, slice for slice, to the scalar
-    registration under the same name (the vectorized backend's contract).
+    ``fn`` solves a stacked channel ``(batch, n_clients, n_antennas)`` and
+    returns stacked precoders ``(batch, n_antennas, n_streams)``; each item
+    must not depend on the rest of the stack (a single channel is a batch
+    of one).
     """
-    return BATCH_PRECODERS.register(name)
+    return PRECODERS.register(name)
 
 
 def register_scenario(name: str):

@@ -2,8 +2,8 @@
 
 :class:`AssociationState` is what the engines actually hold.  It wraps one
 :class:`~repro.assoc.policies.AssociationPolicy` and owns everything that
-used to be computed inline in three places (``sim/rounds.py``,
-``sim/batch.py``, ``sim/network.py``):
+used to be computed inline in each engine (``sim/batch.py``,
+``sim/network.py``):
 
 * the live **client->AP map** (re-evaluated by the policy at every
   sounding),
@@ -154,7 +154,8 @@ class AssociationState:
         re-evaluate the map, log handoffs, rebuild every AP's tags.
 
         ``rssi_dbm`` is the current large-scale RSSI,
-        ``(n_clients, n_antennas)`` (``ChannelModel.client_rx_power_dbm``).
+        ``(n_clients, n_antennas)`` (one item of
+        ``ChannelBatch.client_rx_power_dbm``).
         Returns the handoffs this sounding produced.
         """
         rssi = np.asarray(rssi_dbm, dtype=float)

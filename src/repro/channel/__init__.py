@@ -5,29 +5,25 @@ Replaces the paper's physical offices: log-distance path loss, log-normal
 Gauss-Markov time evolution, and channel-trace record/replay.
 """
 
-from .batch import ChannelBatch, stacked_correlation
+from .batch import ChannelBatch, apply_csi_error, stacked_correlation
 from .fading import (
-    FadingProcess,
     angular_spread_correlation,
     correlation_for,
     jakes_correlation,
     sample_fading,
 )
-from .model import ChannelModel, ChannelSample
 from .pathloss import LogDistancePathLoss, coverage_range_m, cs_range_m
 from .shadowing import ShadowingField, group_antenna_sites
 from .traces import ChannelTrace, record_trace
 
 __all__ = [
     "ChannelBatch",
+    "apply_csi_error",
     "stacked_correlation",
-    "FadingProcess",
     "angular_spread_correlation",
     "correlation_for",
     "jakes_correlation",
     "sample_fading",
-    "ChannelModel",
-    "ChannelSample",
     "LogDistancePathLoss",
     "coverage_range_m",
     "cs_range_m",

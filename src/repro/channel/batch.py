@@ -1,15 +1,26 @@
-"""Batched channel synthesis: N topology draws evaluated as stacked arrays.
+"""The composite channel model: path loss x shadowing x fading, batched.
 
-:class:`ChannelBatch` is the vectorized mirror of N independent
-:class:`~repro.channel.model.ChannelModel` instances.  Deterministic
-propagation terms -- path loss, wall attenuation, cable loss -- are computed
-over the whole ``(batch, n_rx, n_tx)`` stack in single array expressions;
-stochastic terms (shadowing lattice nodes, fading innovations) are drawn
-from exactly the per-topology generator trees the scalar model builds, so
-every per-item result is **bit-identical** to constructing the matching
-``ChannelModel`` one topology at a time.  That equality is the contract the
-``Runner``'s ``backend="vectorized"`` path relies on (and the equivalence
-suite asserts).
+:class:`ChannelBatch` binds N same-shape
+:class:`~repro.topology.deployment.Deployment` draws to one
+:class:`~repro.config.RadioConfig` and produces
+
+* complex downlink channel matrices ``H`` (the paper's ``h_jk``, client
+  ``j`` from antenna ``k``),
+* large-scale received-power maps used for carrier sensing, coverage and
+  antenna-preference (tagging) decisions, and
+* time evolution between coherence blocks.
+
+Large-scale terms (path loss + shadowing) are frozen per topology;
+small-scale fading evolves over time as a Gauss-Markov process.  A single
+topology is a batch of one.
+
+Deterministic propagation terms -- path loss, wall attenuation, cable loss
+-- are computed over the whole ``(batch, n_rx, n_tx)`` stack in single
+array expressions; stochastic terms (shadowing lattice nodes, fading
+innovations) are drawn from a private generator tree per topology, so every
+per-item result is **bit-identical** whatever batch it is computed in.
+That equality is the contract every ``Runner`` path relies on (and the
+equivalence suite asserts).
 
 Shape convention: batch axes lead, matrix axes trail --
 
@@ -67,8 +78,9 @@ class ChannelBatch:
     radio:
         Radio constants shared by the whole batch (one environment).
     seeds:
-        One seed per deployment.  Item ``i`` consumes randomness exactly
-        like ``ChannelModel(deployments[i], radio, seed=seeds[i])``.
+        One seed per deployment (or generator); children are spawned for
+        shadowing and fading so the two streams are independent.  Item
+        ``i`` consumes randomness only from the tree of ``seeds[i]``.
     """
 
     def __init__(self, deployments, radio: RadioConfig, seeds):
@@ -95,7 +107,7 @@ class ChannelBatch:
             reference_loss_db=self._pathloss.reference_loss_db,
         )
 
-        # Per-item generator trees, spawned exactly like ChannelModel's.
+        # Per-item generator trees: a shadowing and a fading child each.
         self._site_fields: list[list[ShadowingField]] = []
         self._site_of_antenna: list[np.ndarray] = []
         fading_rngs = []
@@ -156,9 +168,10 @@ class ChannelBatch:
 
         ``rx_points`` is either one shared ``(n_points, 2)`` set (survey
         grids) or a per-item ``(batch, n_points, 2)`` stack.  Lattice draws
-        happen per item in site order, matching the scalar model.
-        ``items`` restricts evaluation (and the draws) to the given item
-        indices; the leading axis then has ``len(items)`` entries.
+        happen per item in site order (a CAS array shares one field per
+        site, so its antennas share one draw).  ``items`` restricts
+        evaluation (and the draws) to the given item indices; the leading
+        axis then has ``len(items)`` entries.
         """
         idx = self._item_indices(items)
         pts = geometry.as_point_stack(rx_points)
@@ -170,7 +183,7 @@ class ChannelBatch:
             return shadow
         # Lattice-geometry preparation is shared across an item's site
         # fields (and across items for a shared point set); per-item draws
-        # stay in site order, matching the scalar model.
+        # stay in site order.
         correlation = self.radio.shadowing_correlation_m
         prep = prepare_points(pts, correlation) if shared else None
         for row, b in enumerate(idx):
@@ -183,10 +196,11 @@ class ChannelBatch:
         return shadow
 
     def large_scale_gain_db(self, rx_points, items=None) -> np.ndarray:
-        """Median channel gain in dB, ``(batch, n_points, n_antennas)``;
-        the stacked mirror of ``ChannelModel.large_scale_gain_db``.
-        ``items`` restricts the computation to an item subset (per-item
-        ``rx_points`` stacks must then carry ``len(items)`` entries)."""
+        """Median channel gain (``-PL - walls + shadowing - cable``) in dB
+        from every antenna to every receive point,
+        ``(batch, n_points, n_antennas)``.  ``items`` restricts the
+        computation to an item subset (per-item ``rx_points`` stacks must
+        then carry ``len(items)`` entries)."""
         idx = self._item_indices(items)
         antennas = self._antennas[idx]
         pts = geometry.as_point_stack(rx_points)
@@ -205,13 +219,16 @@ class ChannelBatch:
         return gain
 
     def update_client_positions(self, positions, items=None) -> None:
-        """Move clients and re-evaluate their large-scale gains, the
-        stacked mirror of ``ChannelModel.update_client_positions``.
+        """Move clients and re-evaluate their large-scale gains.
 
         ``positions`` is ``(len(items), n_clients, 2)`` (whole batch when
-        ``items`` is ``None``).  Each item's shadowing draws come from its
-        own site fields in site order, bit-identical to the scalar model
-        updating that item alone; skipped items consume nothing.
+        ``items`` is ``None``).  The shadowing fields resample at the new
+        positions from the cached lattice (spatially consistent with
+        everything sampled so far), each item from its own site fields in
+        site order; skipped items consume nothing.  The small-scale fading
+        state is *not* reset -- it keeps evolving under whatever Doppler
+        :meth:`advance` is given: large-scale drift and fading
+        decorrelation are separate axes of the same trajectory.
         """
         idx = self._item_indices(items)
         pts = geometry.as_point_stack(positions)
@@ -225,7 +242,9 @@ class ChannelBatch:
 
     @property
     def cable_loss_db(self) -> np.ndarray:
-        """Per-item, per-antenna feed-cable attenuation ``(batch, n_antennas)``."""
+        """Per-item, per-antenna feed-cable attenuation ``(batch, n_antennas)``;
+        distributed antennas hang off coax as long as the antenna-to-AP
+        distance, CAS antennas have none."""
         return self._cable_loss_db.copy()
 
     def client_gain_db(self) -> np.ndarray:
@@ -233,18 +252,23 @@ class ChannelBatch:
         return self._client_gain_db
 
     def rx_power_dbm(self, rx_points) -> np.ndarray:
-        """Stacked large-scale received power (dBm) at ``rx_points``."""
+        """Stacked large-scale received power (dBm) at ``rx_points``,
+        assuming each antenna transmits at the full per-antenna budget."""
         return self.radio.per_antenna_power_dbm + self.large_scale_gain_db(rx_points)
 
     def antenna_cross_power_dbm(self) -> np.ndarray:
         """Stacked antenna-to-antenna sensing powers
-        ``(batch, n_antennas, n_antennas)``; the vectorized mirror of
-        :meth:`repro.channel.model.ChannelModel.antenna_cross_power_dbm`
-        (elevated-path exponent, cable loss on both feeds, +inf diagonal).
+        ``(batch, n_antennas, n_antennas)``: received power at antenna
+        *row* when antenna *column* transmits, used for inter-antenna
+        carrier sensing.
 
-        Shadowing toward the antenna locations is drawn *after* the client
-        gains cached at construction, matching the scalar model's
-        node-visit order, so per-item values are bit-identical.
+        Sensing links use the cleaner elevated-path exponent (antennas are
+        mounted above desks and bodies).  The cable loss applies twice --
+        once on the transmitter's feed, once on the sensing antenna's way
+        back to its AP's receiver.  The diagonal is +inf dBm: an antenna
+        certainly senses its own transmission.  Shadowing toward the
+        antenna locations is drawn *after* the client gains cached at
+        construction.
         """
         pts = self._antennas
         dists = geometry.stacked_pairwise_distances(pts, pts)
@@ -266,13 +290,17 @@ class ChannelBatch:
         return power
 
     def client_rx_power_dbm(self) -> np.ndarray:
-        """Stacked large-scale client RSSI (dBm), from the cached gains."""
+        """Stacked large-scale client RSSI (dBm), from the cached gains.
+
+        This is the "average received signal strength" the MIDAS AP uses to
+        build antenna preference lists for virtual packet tagging (§3.2.4).
+        """
         return self.radio.per_antenna_power_dbm + self._client_gain_db
 
     def snr_db_map(self, rx_points=None) -> np.ndarray:
         """Stacked large-scale SNR (dB); defaults to the client positions
-        (via the cached gains, like the scalar model's repeated sampling --
-        lattice nodes are cached, so no generator state diverges)."""
+        (via the cached gains; lattice nodes are cached, so resampling the
+        same points would give the same values)."""
         noise_dbm = units.mw_to_dbm(self.radio.noise_mw)
         if rx_points is None:
             return self.client_rx_power_dbm() - noise_dbm
@@ -338,11 +366,15 @@ class ChannelBatch:
 
         ``doppler_hz`` optionally supplies per-item, per-client Doppler
         spreads of shape ``(len(items), n_clients)`` (mobility-derived
-        speeds), replacing the global :attr:`RadioConfig.doppler_hz`.  Like
-        the scalar :meth:`FadingProcess.advance`, the per-client path always
-        draws one innovation per advanced item -- ``rho = 1`` rows keep
-        their state exactly -- so each item's generator stream matches the
-        matching scalar model bit for bit.
+        speeds), replacing the global :attr:`RadioConfig.doppler_hz`.  The
+        per-client path always draws one innovation per advanced item --
+        ``rho = 1`` rows keep their state exactly -- so each generator
+        stream advances identically however the speeds are distributed.
+
+        The update is the Gauss-Markov step
+        ``G <- rho * G + sqrt(1 - rho^2) * (W @ Rsqrt.T)`` with
+        ``rho = J0(2 pi fd dt)`` and ``W`` i.i.d. CN(0, 1), which preserves
+        both the marginal distribution and the tx-side spatial correlation.
         """
         if dt_s < 0:
             raise ValueError("dt_s must be non-negative")
@@ -380,3 +412,17 @@ class ChannelBatch:
         else:
             state[idx] = rho[..., None] * state[idx] + scale[..., None] * innovation
         self._time_s += dt_s
+
+
+def apply_csi_error(h: np.ndarray, error_std: float, rng: np.random.Generator) -> np.ndarray:
+    """Return a noisy CSI estimate ``H + e`` with per-entry complex Gaussian
+    error of standard deviation ``error_std * |H|`` (relative error).
+
+    Models imperfect sounding/feedback; 0 returns ``h`` unchanged.
+    """
+    if error_std < 0:
+        raise ValueError("error_std must be non-negative")
+    if error_std == 0.0:
+        return h
+    noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) / np.sqrt(2.0)
+    return h + error_std * np.abs(h) * noise

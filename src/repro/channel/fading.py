@@ -8,9 +8,10 @@ Two effects the paper leans on are modelled here:
   independently, giving DAS its "potentially higher rank channel matrix"
   (paper §2).
 * **Temporal evolution.**  Block fading evolves between coherence blocks as
-  a first-order Gauss-Markov process with coefficient ``J0(2*pi*fd*dt)``,
-  which is what makes stale CSI (and the slow "optimal" precoder of Fig 11)
-  lose to a fast closed form.
+  a first-order Gauss-Markov process with coefficient ``J0(2*pi*fd*dt)``
+  (:meth:`repro.channel.batch.ChannelBatch.advance`), which is what makes
+  stale CSI (and the slow "optimal" precoder of Fig 11) lose to a fast
+  closed form.
 """
 
 from __future__ import annotations
@@ -103,77 +104,3 @@ def sample_fading(
     los_phase = rng.uniform(0.0, 2.0 * np.pi, (n_rx, n_tx))
     los = np.exp(1j * los_phase)
     return np.sqrt(rician_k / (1.0 + rician_k)) * los + np.sqrt(1.0 / (1.0 + rician_k)) * scatter
-
-
-class FadingProcess:
-    """Time-correlated small-scale fading for ``n_rx`` receivers over a set of
-    transmit antennas with spatial correlation ``R`` (tx side).
-
-    State is a matrix ``G`` of shape ``(n_rx, n_tx)`` of unit-power complex
-    gains.  ``advance(dt)`` applies the Gauss-Markov update
-
-        ``G <- rho * G + sqrt(1 - rho^2) * (W @ Rsqrt.T)``
-
-    with ``rho = J0(2 pi fd dt)`` and ``W`` i.i.d. CN(0, 1), preserving both
-    the marginal distribution and the tx-side spatial correlation.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        n_rx: int,
-        antenna_positions,
-        wavelength_m: float,
-        doppler_hz: float = 0.0,
-        rician_k: float = 0.0,
-        angular_spread_deg: float | None = 20.0,
-    ):
-        self._rng = rng
-        self._n_rx = int(n_rx)
-        pts = geometry.as_points(antenna_positions)
-        self._n_tx = len(pts)
-        self._doppler_hz = float(doppler_hz)
-        self._rician_k = float(rician_k)
-        corr = correlation_for(pts, wavelength_m, angular_spread_deg)
-        self._corr_sqrt = correlation_sqrt(corr)
-        self._state = self._innovation()
-
-    def _innovation(self) -> np.ndarray:
-        white = sample_fading(self._rng, self._n_rx, self._n_tx, self._rician_k)
-        return white @ self._corr_sqrt.T
-
-    @property
-    def current(self) -> np.ndarray:
-        """Current fading matrix, shape ``(n_rx, n_tx)``."""
-        return self._state
-
-    def advance(self, dt_s: float, doppler_hz=None) -> np.ndarray:
-        """Evolve the fading by ``dt_s`` seconds and return the new matrix.
-
-        ``doppler_hz`` optionally overrides the process's scalar Doppler
-        with a per-receiver array of shape ``(n_rx,)`` (mobility: each
-        client decorrelates at its own speed).  The per-receiver path
-        always draws one innovation -- even for receivers at ``rho = 1``,
-        whose rows keep their state exactly -- so the generator stream
-        advances identically however the speeds are distributed (the
-        scalar/batched bit-identity contract).
-        """
-        if dt_s < 0:
-            raise ValueError("dt_s must be non-negative")
-        if doppler_hz is None:
-            if dt_s == 0 or self._doppler_hz == 0:
-                return self._state
-            rho = float(j0(2.0 * np.pi * self._doppler_hz * dt_s))
-            rho = float(np.clip(rho, -1.0, 1.0))
-            self._state = rho * self._state + np.sqrt(max(0.0, 1.0 - rho * rho)) * self._innovation()
-            return self._state
-        fd = np.broadcast_to(np.asarray(doppler_hz, dtype=float), (self._n_rx,))
-        if np.any(fd < 0):
-            raise ValueError("doppler_hz must be non-negative")
-        if dt_s == 0:
-            return self._state
-        rho = np.clip(j0(2.0 * np.pi * fd * dt_s), -1.0, 1.0)
-        scale = np.sqrt(np.maximum(0.0, 1.0 - rho * rho))
-        innovation = self._innovation()
-        self._state = rho[:, None] * self._state + scale[:, None] * innovation
-        return self._state

@@ -2,9 +2,9 @@
 
 The paper's "trace-based simulations" (Fig 3, Fig 11, Fig 16) measure CSI on
 the testbed and feed it back into offline evaluation.  Our substitute records
-sequences of channel matrices from a :class:`~repro.channel.model.ChannelModel`
-into an npz-serializable :class:`ChannelTrace` that experiments replay
-deterministically.
+sequences of channel matrices from a one-topology
+:class:`~repro.channel.batch.ChannelBatch` into an npz-serializable
+:class:`ChannelTrace` that experiments replay deterministically.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from ..io import atomic_write
-from .model import ChannelModel
+from .batch import ChannelBatch
 
 
 @dataclass(frozen=True)
@@ -103,26 +103,29 @@ class ChannelTrace:
 
 
 def record_trace(
-    model: ChannelModel,
+    channel: ChannelBatch,
     n_blocks: int,
     block_duration_s: float,
     metadata: dict | None = None,
 ) -> ChannelTrace:
-    """Record ``n_blocks`` consecutive coherence blocks from ``model``.
+    """Record ``n_blocks`` consecutive coherence blocks from ``channel``, a
+    batch of one topology.
 
-    The model's fading state advances as a side effect (like time passing on
-    the testbed while the trace is captured).
+    The channel's fading state advances as a side effect (like time passing
+    on the testbed while the trace is captured).
     """
     if n_blocks < 1:
         raise ValueError("need at least one block")
+    if channel.n_items != 1:
+        raise ValueError(f"record_trace needs a batch of one, got {channel.n_items}")
     snapshots = []
     for index in range(n_blocks):
-        snapshots.append(model.channel_matrix())
+        snapshots.append(channel.channel_matrices()[0])
         if index < n_blocks - 1:
-            model.advance(block_duration_s)
+            channel.advance(block_duration_s)
     return ChannelTrace(
         h=np.stack(snapshots),
         block_duration_s=block_duration_s,
-        noise_mw=model.radio.noise_mw,
+        noise_mw=channel.radio.noise_mw,
         metadata=metadata or {},
     )

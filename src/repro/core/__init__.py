@@ -2,27 +2,32 @@
 
 PHY side: zero-forcing beamforming plus the power-balanced precoder built on
 reverse water-filling (§3.1), with naive and numerically-optimal comparators.
+The closed-form precoders are the stacked kernels of :mod:`repro.core.batch`:
+they take ``(batch, n_clients, n_antennas)`` channels, and a single channel
+is a batch of one (``h[None]``).
 
 MAC side: virtual packet tagging (§3.2.4) and antenna-specific deficit
 round-robin client selection (§3.2.5); the full MAC machinery lives in
 :mod:`repro.mac`.
 """
 
-from .naive import naive_scaled_precoder
+from .batch import (
+    naive_scaled_precoder,
+    power_balanced_precoder,
+    reverse_waterfill,
+    zfbf_directions,
+    zfbf_equal_power,
+)
 from .optimal import full_optimal_precoder, optimal_power_allocation
-from .power_balance import PrecodingResult, power_balanced_precoder
 from .selection import DeficitRoundRobin, select_clients_for_antennas
 from .svd import su_beamforming_precoder, svd_waterfilling
 from .tagging import TagTable, antenna_preferences
-from .waterfill import reverse_waterfill
 from .wmmse import wmmse_precoder
-from .zfbf import zf_interference_leakage, zfbf_directions, zfbf_equal_power
 
 __all__ = [
     "naive_scaled_precoder",
     "full_optimal_precoder",
     "optimal_power_allocation",
-    "PrecodingResult",
     "power_balanced_precoder",
     "DeficitRoundRobin",
     "select_clients_for_antennas",
@@ -32,7 +37,6 @@ __all__ = [
     "antenna_preferences",
     "reverse_waterfill",
     "wmmse_precoder",
-    "zf_interference_leakage",
     "zfbf_directions",
     "zfbf_equal_power",
 ]

@@ -1,22 +1,20 @@
-"""Batched linear-algebra precoders over stacked channel matrices.
+"""The MIDAS precoders over stacked channel matrices (paper §3.1).
 
-Every function mirrors its scalar sibling in :mod:`repro.core` but operates
-on a *stack* of channels ``(batch, n_clients, n_antennas)`` at once, using
-broadcasting ``linalg`` (stacked ``svd``/``eigh``/matmul loop over
-the trailing two axes inside one call).  The contract -- asserted by the
-equivalence suite -- is **bit-identity** on the NumPy namespace: slice ``i``
-of every output equals the scalar function applied to slice ``i`` of the
-input, including the data-dependent control flow of the power-balancing
-iteration, which runs with per-item masks that freeze an item the same
-round the scalar loop would exit.  Reverse water-filling needs no masks: it
-is solved in closed form, and the scalar
-:func:`repro.core.waterfill.reverse_waterfill` is this kernel on a batch of
-one.
+Every function operates on a *stack* of channels ``(batch, n_clients,
+n_antennas)`` at once, using broadcasting ``linalg`` (stacked
+``svd``/``eigh``/matmul loop over the trailing two axes inside one call); a
+single channel is a batch of one (``h[None]``).  The contract -- asserted by
+the equivalence suite -- is **batch-composition invariance** on the NumPy
+namespace: slice ``i`` of every output is bit-identical whatever else
+shares the stack, including the data-dependent control flow of the
+power-balancing iteration, which runs with per-item masks that freeze each
+item the round its own repair finishes.  Reverse water-filling needs no
+masks: it is solved in closed form.
 
-This is the heart of the ``backend="vectorized"`` Runner path: Monte-Carlo
-sweeps spend their time in many tiny (4x4-ish) matrix problems, where the
-Python dispatch overhead of one-matrix-at-a-time evaluation dwarfs the
-arithmetic; stacking turns the sweep into a handful of LAPACK gufunc calls.
+This is the heart of every Runner path: Monte-Carlo sweeps spend their time
+in many tiny (4x4-ish) matrix problems, where the Python dispatch overhead
+of one-matrix-at-a-time evaluation dwarfs the arithmetic; stacking turns
+the sweep into a handful of LAPACK gufunc calls.
 
 All functions are namespace-generic (:mod:`repro.xp`): the governing ``xp``
 is inferred from the input stack, so NumPy input computes with NumPy's own
@@ -43,7 +41,7 @@ def _as_channel_stack(h):
     if h.ndim < 3:
         raise ValueError(
             f"expected a stacked channel (batch, n_clients, n_antennas); "
-            f"got shape {tuple(h.shape)} (use repro.core for single matrices)"
+            f"got shape {tuple(h.shape)} (pass h[None] for a single matrix)"
         )
     return h
 
@@ -52,11 +50,14 @@ def _as_channel_stack(h):
 # ZFBF and the naive repair
 # ----------------------------------------------------------------------
 def zfbf_directions(h, rcond: float = 1e-12):
-    """Stacked unit-norm ZFBF columns (see :func:`repro.core.zfbf.zfbf_directions`).
+    """Stacked unit-norm ZFBF columns: the pseudo-inverse of each ``H``
+    (``V = H†``, so every stream is nulled at every other client, paper
+    eq. 2b) with each column (stream) normalized to unit transmit power.
 
-    Raises :class:`numpy.linalg.LinAlgError` if *any* item is numerically
-    rank deficient -- matching the scalar :func:`repro.core.zfbf.zfbf_directions`,
-    where the first offending topology aborts the sweep.
+    Each item needs ``n_clients <= n_antennas`` (802.11ac MU-MIMO serves at
+    most as many single-antenna clients as AP antennas).  Raises
+    :class:`numpy.linalg.LinAlgError` if *any* item is numerically rank
+    deficient: the first offending topology aborts the sweep.
     """
     h = _as_channel_stack(h)
     xp = array_namespace(h)
@@ -83,7 +84,10 @@ def zfbf_directions(h, rcond: float = 1e-12):
 
 
 def zfbf_equal_power(h, total_power_mw: float, rcond: float = 1e-12):
-    """Stacked equal-power ZFBF under a total budget (paper eq. 2a)."""
+    """Stacked conventional ZFBF under a *total* power budget (paper eq.
+    2a): pseudo-inverse directions with the budget split equally across
+    streams.  This is the paper's Step 1 + Step 2, the starting point the
+    power-balancing iteration repairs for per-antenna feasibility."""
     if total_power_mw <= 0:
         raise ValueError("total_power_mw must be positive")
     directions = zfbf_directions(h, rcond=rcond)
@@ -97,8 +101,17 @@ def naive_scaled_precoder(
     per_antenna_power_mw: float,
     total_power_mw: float | None = None,
 ):
-    """Stacked naive repair: equal-power ZFBF, then one global scaling per
-    item whose worst row violates the per-antenna budget (paper eq. 5)."""
+    """The naive per-antenna power repair the paper argues against (§3.1.1).
+
+    Equal-power ZFBF, then one global scaling per item whose worst row
+    violates the per-antenna budget ``P`` (paper eq. 5).  This preserves
+    zero-forcing but strands power on every other antenna -- acceptably in
+    a CAS, whose rows of ``V`` are nearly balanced, but disastrously in a
+    DAS, whose topology imbalance makes rows wildly unequal (paper Fig 3).
+    It is the paper's precoding baseline ("a simple extension to
+    conventional ZFBF", §5.1).  ``total_power_mw`` is the budget of the
+    initial equal split; it defaults to ``n_antennas * P``.
+    """
     if per_antenna_power_mw <= 0:
         raise ValueError("per_antenna_power_mw must be positive")
     h = _as_channel_stack(h)
@@ -108,8 +121,7 @@ def naive_scaled_precoder(
         total_power_mw = n_antennas * per_antenna_power_mw
     v = zfbf_equal_power(h, total_power_mw)
     worst_row = xp.max(per_antenna_row_power(v), axis=-1)
-    # Items already feasible multiply by exactly 1.0 (a bit-exact no-op),
-    # mirroring the scalar branch that skips the scaling.
+    # Items already feasible multiply by exactly 1.0 (a bit-exact no-op).
     scale = xp.where(
         worst_row > per_antenna_power_mw,
         xp.sqrt(per_antenna_power_mw / worst_row),
@@ -137,7 +149,21 @@ def reverse_waterfill(
     power_budget_mw: float,
     min_weight: float = 0.1,
 ) -> BatchWaterfillResult:
-    """Stacked :func:`repro.core.waterfill.reverse_waterfill`.
+    """Reverse water-filling of violating antenna rows (paper §3.1.2,
+    eqs. 7-9).
+
+    Given the most-violating antenna (row ``k*`` of the precoder), enough
+    power must be *removed* from the row to restore the per-antenna budget
+    ``P`` while losing as little sum rate as possible.  The paper's
+    Lagrangian solution reduces stream ``j`` by
+    ``P_j = [(1 + 1/rho_j) * |v_kj|^2 - 1/lambda]+``, where ``rho_j`` is the
+    stream's current SINR and ``1/lambda`` is the water level.  Two paper
+    requirements shape the solver: (i) no stream may reach zero power, so
+    reductions are capped at ``(1 - min_weight^2)`` of the element's power;
+    (ii) only reductions are allowed, since increases could re-violate rows
+    already fixed.  The returned ``weights`` multiply the precoder's
+    *columns* (preserving zero-forcing):
+    ``weights[j] = sqrt(1 - P_j / |v_kj|^2)``.
 
     ``row_powers_mw`` and ``sinrs`` are ``(..., n_streams)`` stacks; the
     budget and weight floor are shared scalars (one radio config per batch).
@@ -267,13 +293,25 @@ def power_balanced_precoder(
     min_weight: float = 0.1,
     rtol: float = 1e-9,
 ) -> BatchPrecodingResult:
-    """Stacked MIDAS power-balanced precoding (paper §3.1.2, Steps 1-4).
+    """MIDAS power-balanced precoding (paper §3.1.2, Steps 1-4).
+
+    1. compute equal-power ZFBF (total budget ``n_antennas * P``);
+    2. find the antenna (row) violating the per-antenna constraint the most;
+    3. reverse water-fill that row to obtain per-stream scaling weights;
+    4. apply each weight to the stream's whole *column* -- which preserves
+       the zero-forcing property -- and repeat until all rows are feasible.
+
+    Because weights never exceed 1, repaired rows can only get lighter, so
+    an item finishes in at most ``n_antennas`` rounds whenever the
+    ``min_weight`` floor never binds.  Each round is closed-form: the
+    precoder is fast enough to run inside a channel coherence time, unlike
+    the numerical optimum (Fig 11's discussion).  ``rtol`` is the relative
+    tolerance on the per-antenna constraint.
 
     The repair loop runs over the whole batch with an *active* mask: each
     round, items whose worst row is already feasible stop updating (their
     precoders are multiplied by exact 1.0 weights), so every item traces
-    the identical round sequence -- and bit pattern -- of the scalar
-    :func:`repro.core.power_balance.power_balanced_precoder`.
+    the round sequence -- and bit pattern -- it would trace alone.
     """
     if per_antenna_power_mw <= 0:
         raise ValueError("per_antenna_power_mw must be positive")

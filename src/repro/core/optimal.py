@@ -30,8 +30,7 @@ from ..phy.capacity import (
     stream_sinrs,
     sum_capacity_bps_hz,
 )
-from .naive import naive_scaled_precoder
-from .zfbf import zfbf_directions
+from .batch import naive_scaled_precoder, zfbf_directions
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def optimal_power_allocation(
     if per_antenna_power_mw <= 0 or noise_mw <= 0:
         raise ValueError("powers must be positive")
     h = np.asarray(h, dtype=complex)
-    directions = zfbf_directions(h)
+    directions = zfbf_directions(h[None])[0]
     n_clients = directions.shape[1]
 
     e = h @ directions
@@ -76,7 +75,7 @@ def optimal_power_allocation(
         return -gains / (1.0 + gains * p)
 
     # Feasible start: the naive global-scaling solution's per-stream powers.
-    v_naive = naive_scaled_precoder(h, per_antenna_power_mw)
+    v_naive = naive_scaled_precoder(h[None], per_antenna_power_mw)[0]
     p0 = np.sum(np.abs(v_naive) ** 2, axis=0)
 
     constraints = [
@@ -149,7 +148,7 @@ def full_optimal_precoder(
         v = unpack(x)
         return per_antenna_power_mw - float(np.sum(np.abs(v[k, :]) ** 2))
 
-    v0 = naive_scaled_precoder(h, per_antenna_power_mw)
+    v0 = naive_scaled_precoder(h[None], per_antenna_power_mw)[0]
     constraints = [
         {"type": "ineq", "fun": (lambda x, k=k: row_constraint(x, k))}
         for k in range(n_antennas)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..phy.capacity import per_antenna_row_power, stream_sinrs, sum_capacity_bps_hz
-from .naive import naive_scaled_precoder
+from .batch import naive_scaled_precoder
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def wmmse_precoder(
     n_clients, n_antennas = h.shape
     total_power = n_antennas * per_antenna_power_mw
 
-    v = naive_scaled_precoder(h, per_antenna_power_mw)
+    v = naive_scaled_precoder(h[None], per_antenna_power_mw)[0]
     best_v = v
     best_capacity = sum_capacity_bps_hz(stream_sinrs(h, v, noise_mw))
 

@@ -20,7 +20,7 @@ from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.precoders import precoder_matrix_batch
 from ..api.scenarios import resolve_environment
-from ..channel.model import apply_csi_error
+from ..channel.batch import apply_csi_error
 from ..channel.pathloss import coverage_range_m
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..core.tagging import TagTable

@@ -56,8 +56,7 @@ def batched_channels(scenarios, seeds) -> ChannelBatch:
     """Batched channel state for same-shape scenarios, one per topology seed.
 
     Item ``i`` of every stacked array is the channel of ``scenarios[i]``
-    drawn from ``seeds[i]``, bit-identical to a scalar
-    :class:`~repro.channel.model.ChannelModel` bound to that pair.
+    drawn from ``seeds[i]``, bit-identical to a batch of that one pair.
     """
     scenarios = list(scenarios)
     radio = scenarios[0].radio

@@ -15,32 +15,8 @@ import numpy as np
 from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..sim.batch import RoundBasedEvaluatorBatch, count_streams_batch
-from ..sim.network import MacMode
-from ..sim.rounds import RoundBasedEvaluator
+from ..sim.batch import MacMode, RoundBasedEvaluatorBatch, count_streams_batch
 from .common import ExperimentResult, three_ap_overhearing_batch
-
-
-def count_streams(
-    evaluator: RoundBasedEvaluator, rng: np.random.Generator, rounds: int = 12
-) -> float:
-    """Average total simultaneous streams over rounds of the Fig 12 protocol
-    (random 1-4 streams at the primary AP, greedy fill at the others)."""
-    deployment = evaluator.deployment
-    totals = []
-    for r in range(rounds):
-        order = [(r + i) % deployment.n_aps for i in range(deployment.n_aps)]
-        primary = order[0]
-        n_primary = int(rng.integers(1, 5))
-        primary_antennas = deployment.antennas_of(primary)[:n_primary]
-        active = [int(a) for a in primary_antennas]
-        total = len(active)
-        for ap in order[1:]:
-            free = evaluator._free_antennas(ap, active)
-            total += len(free)
-            active.extend(int(a) for a in free)
-        totals.append(total)
-    return float(np.mean(totals))
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:

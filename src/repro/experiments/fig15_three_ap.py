@@ -16,8 +16,8 @@ import numpy as np
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..config import SimConfig
-from ..sim.batch import RoundBasedEvaluatorBatch
-from ..sim.network import MacMode, NetworkSimulation
+from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
+from ..sim.network import NetworkSimulation
 from .common import ExperimentResult, three_ap_overhearing_batch
 
 

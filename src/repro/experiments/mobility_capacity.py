@@ -34,8 +34,7 @@ from ..api.experiments import register_experiment
 from ..api.registry import MOBILITY
 from ..api.scenarios import resolve_environment
 from ..mobility import resolve_mobility
-from ..sim.batch import RoundBasedEvaluatorBatch
-from ..sim.network import MacMode
+from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
 from .common import ExperimentResult

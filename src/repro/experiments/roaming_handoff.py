@@ -32,8 +32,7 @@ import numpy as np
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..assoc import association_names
-from ..sim.batch import RoundBasedEvaluatorBatch
-from ..sim.network import MacMode
+from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import campus_scenario
 from .common import ExperimentResult

@@ -15,11 +15,10 @@ a configurable re-sounding period charged through
 
 Quick use::
 
-    from repro.sim.rounds import RoundBasedEvaluator
-    from repro.sim.network import MacMode
+    from repro.sim import MacMode, RoundBasedEvaluatorBatch
 
-    result = RoundBasedEvaluator(
-        scenario, MacMode.MIDAS, seed=0, mobility="gauss_markov",
+    [result] = RoundBasedEvaluatorBatch(
+        [scenario], MacMode.MIDAS, seeds=[0], mobility="gauss_markov",
         mobility_kwargs={"speed_mps": 1.2}, resound_period_rounds=4,
     ).run(40)
     result.mean_capacity_bps_hz, result.mean_sounding_us

@@ -4,9 +4,9 @@ A mobility model is a frozen parameter bundle (mirroring
 :mod:`repro.traffic.models`); all mutable state (headings, waypoints,
 playback clocks) lives in an explicit per-run state object so one model
 instance can drive every item of a vectorized batch.  Every draw consumes
-the caller-supplied generator in client-index order -- the same order on
-both execution backends -- so finite-speed results are bit-identical
-between the scalar and batched round engines.
+the caller-supplied generator in client-index order -- the same order in
+every engine -- so an item's finite-speed results never depend on its
+batch.
 
 Registered factories (the ``mobility`` registry, mirroring the traffic
 registry):

@@ -2,11 +2,10 @@
 
 :class:`MobilityState` owns one topology's client trajectory: current
 positions, the per-client speed over the last step, and the model's
-mutable state.  The scalar round engine holds one; the vectorized engine
-holds one *per batch item* and advances it with the same draws in the same
-order, which is the bit-identity argument for finite-speed series --
-every position update is plain per-item arithmetic on the item's own
-spawned generator.
+mutable state.  The event-driven engine holds one; the round engine
+holds one *per batch item*, which is the batch-invariance argument for
+finite-speed series -- every position update is plain per-item arithmetic
+on the item's own spawned generator.
 
 The engines consume two things per round:
 

@@ -1,6 +1,6 @@
-"""Network simulation: the paper's quasi-static round protocol (scalar and
-batched) plus the closed-loop discrete-event CSMA/CA + MU-MIMO extension,
-in CAS (baseline 802.11ac) or MIDAS mode."""
+"""Network simulation: the paper's quasi-static round protocol (batched; a
+single topology is a batch of one) plus the closed-loop discrete-event
+CSMA/CA + MU-MIMO extension, in CAS (baseline 802.11ac) or MIDAS mode."""
 
 from __future__ import annotations
 
@@ -55,17 +55,21 @@ class EventQueue:
 
 # EventQueue must exist before these imports: network.py pulls it from this
 # partially initialized package.
-from .batch import CarrierSenseBatch, RoundBasedEvaluatorBatch  # noqa: E402
-from .network import MacMode, NetworkSimulation, SimulationResult  # noqa: E402
+from .batch import (  # noqa: E402
+    CarrierSenseBatch,
+    MacMode,
+    RoundBasedEvaluatorBatch,
+    RoundBasedResult,
+    RoundResult,
+)
+from .network import NetworkSimulation, SimulationResult  # noqa: E402
 from .radio_state import ActiveTransmission, TransmissionLog  # noqa: E402
-from .rounds import RoundBasedEvaluator, RoundBasedResult, RoundResult  # noqa: E402
 
 __all__ = [
     "CarrierSenseBatch",
     "EventQueue",
     "MacMode",
     "NetworkSimulation",
-    "RoundBasedEvaluator",
     "RoundBasedEvaluatorBatch",
     "RoundBasedResult",
     "RoundResult",

@@ -1,30 +1,48 @@
-"""Batched round-based network evaluation: whole seed batches as array math.
+"""Round-based network evaluation: whole seed batches as array math.
 
-:class:`RoundBasedEvaluatorBatch` is the vectorized mirror of N independent
-:class:`~repro.sim.rounds.RoundBasedEvaluator` instances, evaluating every
-topology draw of a batch simultaneously:
+The paper's WARP implementation could not run a closed-loop MAC (§4): MAC
+decisions were computed and fed into the PHY.  Its multi-AP experiments
+therefore follow a *quasi-static* protocol (§5.3.1): enable transmissions at
+AP A, check how many transmissions AP B's antennas can simultaneously
+support given their NAV and carrier-sense states, enable those too, then
+evaluate AP C -- and measure the resulting concurrent capacity.
+
+:class:`RoundBasedEvaluatorBatch` reproduces exactly that for every
+topology draw of a batch simultaneously (a single topology is a batch of
+one):
 
 * **carrier sense** -- :class:`CarrierSenseBatch` computes busy verdicts and
   NAV/preamble-capture decode checks as masked reductions over the stacked
   ``(batch, n_antennas, n_antennas)`` cross-power maps;
 * **client selection** -- :class:`~repro.core.selection.BatchDeficitRoundRobin`
   plus stacked tag tables pick clients with per-item masks, visiting
-  antennas in the same order as the scalar greedy loop;
+  each AP's antennas in order;
 * **precoding and scoring** -- per-round transmit sets are grouped by
   sub-channel shape and solved through :mod:`repro.core.batch`'s stacked
-  precoders; SINRs include cross-AP interference accumulated in the scalar
-  evaluator's order.
+  precoders; SINRs include the cross-AP interference of every concurrent
+  set.
 
-The contract is the vectorized backend's usual one, asserted by the
-equivalence suite: item ``i`` of every result is **bit-identical** to
-running the scalar evaluator on scenario ``i`` alone.  The carrier-sense
-side of that contract holds because both implementations reduce masked
-*full-length* antenna rows (see :mod:`repro.mac.carrier_sense`); the
-linear-algebra side holds because both reduce the same trailing axes of
-the same stacked operands.
+CAS mode serializes APs within overhearing range (one AP transmits
+``n_antennas`` streams with the naive precoder); MIDAS mode activates every
+antenna not blocked by physical CS or NAV, serving tagged clients with the
+power-balanced precoder.
+
+The contract, asserted by the equivalence suite: item ``i`` of every
+result is **bit-identical** whatever batch it is evaluated in.  Every
+per-item generator tree is private to its item, and every aggregate is a
+reduction over the same trailing axes of the same stacked operands.
+
+The fully dynamic discrete-event MAC lives in
+:class:`repro.sim.network.NetworkSimulation`, which runs these kernels on a
+batch of one; it is the closed-loop extension the paper's methodology could
+not measure.
 """
 
 from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +50,7 @@ from .. import rng as rng_mod
 from .. import units
 from .. import xp as xpmod
 from ..assoc import CoordinationMode, build_batch_association_state
-from ..channel.batch import ChannelBatch
-from ..channel.model import apply_csi_error
+from ..channel.batch import ChannelBatch, apply_csi_error
 from ..config import MacConfig, SimConfig
 from ..core.batch import (
     naive_scaled_precoder as batch_naive_precoder,
@@ -44,12 +61,210 @@ from ..mac.frames import data_fraction
 from ..mobility import build_mobility_state
 from ..obs import active as _obs
 from ..phy.sounding import sounding_overhead_us
-from .network import MacMode
-from .rounds import RoundBasedResult, RoundResult, build_traffic_state
+from ..topology.scenarios import Scenario
+from ..traffic import AmpduConfig, RoundTrafficMetrics, TrafficState, resolve_traffic
+
+
+class MacMode(str, enum.Enum):
+    """Which MAC + precoding stack an AP runs."""
+
+    CAS = "cas"
+    MIDAS = "midas"
+
+
+def build_traffic_state(
+    traffic,
+    traffic_kwargs,
+    n_clients: int,
+    rng,
+    scenario: Scenario,
+    ampdu: AmpduConfig | None,
+) -> TrafficState | None:
+    """Resolve an engine's ``traffic=`` argument into a per-run state.
+
+    ``None`` and ``"full_buffer"`` both yield ``None`` -- the engines then
+    take their historical saturation path untouched (bit-identical to every
+    pre-traffic release).  The round clock is one TXOP (``mac.txop_us``).
+    """
+    if traffic is None:
+        return None
+    model = resolve_traffic(traffic, **dict(traffic_kwargs or {}))
+    if model.is_full_buffer:
+        return None
+    return TrafficState(
+        model,
+        n_clients,
+        rng,
+        round_duration_s=scenario.mac.txop_us * 1e-6,
+        bandwidth_hz=scenario.radio.bandwidth_hz,
+        ampdu=ampdu,
+    )
+
+
+@dataclass(frozen=True)
+class RoundResult:
+    """One concurrent transmission round."""
+
+    capacity_bps_hz: float
+    n_streams: int
+    active_antennas: int
+    per_ap_streams: np.ndarray
+    #: Queueing outcome of the round under finite load; ``None`` when the
+    #: evaluator ran full-buffer (the default).
+    traffic: RoundTrafficMetrics | None = None
+    #: Sounding airtime charged this round (microseconds); non-zero only on
+    #: re-sounding rounds of a mobility run (the historical static path
+    #: folds sounding into every TXOP's data fraction instead).
+    sounding_us: float = 0.0
+
+
+@dataclass(frozen=True)
+class RoundBasedResult:
+    """Aggregate over all evaluated rounds of one topology."""
+
+    rounds: list[RoundResult]
+
+    def _require_rounds(self) -> None:
+        if not self.rounds:
+            raise ValueError(
+                "RoundBasedResult holds no rounds; evaluate at least one "
+                "round before asking for means"
+            )
+
+    @property
+    def mean_capacity_bps_hz(self) -> float:
+        self._require_rounds()
+        return float(np.mean([r.capacity_bps_hz for r in self.rounds]))
+
+    @property
+    def mean_streams(self) -> float:
+        self._require_rounds()
+        return float(np.mean([r.n_streams for r in self.rounds]))
+
+    # ------------------------------------------------------------------
+    # Finite-load (traffic) accessors
+    # ------------------------------------------------------------------
+    @property
+    def has_traffic(self) -> bool:
+        """Whether the evaluator ran with a finite-load traffic model."""
+        return bool(self.rounds) and self.rounds[0].traffic is not None
+
+    def _require_traffic(self) -> None:
+        self._require_rounds()
+        if self.rounds[0].traffic is None:
+            raise ValueError(
+                "no traffic metrics on this result: the evaluator ran "
+                "full-buffer; pass traffic=... to the evaluator to enable "
+                "finite-load queueing"
+            )
+
+    @property
+    def duration_s(self) -> float:
+        """Total MAC time covered (rounds x TXOP window)."""
+        self._require_traffic()
+        return float(sum(r.traffic.duration_s for r in self.rounds))
+
+    @property
+    def offered_bytes(self) -> float:
+        """Bytes that arrived at the queues over the run."""
+        self._require_traffic()
+        return float(sum(r.traffic.arrived_bytes for r in self.rounds))
+
+    @property
+    def served_bytes(self) -> float:
+        """Bytes delivered to clients over the run."""
+        self._require_traffic()
+        return float(sum(r.traffic.served_bytes for r in self.rounds))
+
+    @property
+    def throughput_mbps(self) -> float:
+        """Delivered goodput (Mb/s) over the whole run."""
+        return self.served_bytes * 8.0 / self.duration_s / 1e6
+
+    @property
+    def delay_samples_s(self) -> np.ndarray:
+        """Delays of every departed packet, in departure order."""
+        self._require_traffic()
+        return np.concatenate([r.traffic.delays_s for r in self.rounds])
+
+    @property
+    def delay_category_samples(self) -> np.ndarray:
+        """EDCA access-category value per delay sample."""
+        self._require_traffic()
+        return np.concatenate(
+            [r.traffic.delay_categories for r in self.rounds]
+        ).astype(int)
+
+    @property
+    def mean_delay_s(self) -> float:
+        """Mean packet delay; ``inf`` when nothing departed (overload)."""
+        samples = self.delay_samples_s
+        if samples.size == 0:
+            return math.inf
+        return float(np.mean(samples))
+
+    def delay_quantile(self, q: float) -> float:
+        """Delay quantile (e.g. ``0.95``); ``inf`` when nothing departed."""
+        samples = self.delay_samples_s
+        if samples.size == 0:
+            return math.inf
+        return float(np.quantile(samples, q))
+
+    @property
+    def delay_jitter_s(self) -> float:
+        """Standard deviation of packet delay; ``inf`` when no departures."""
+        samples = self.delay_samples_s
+        if samples.size == 0:
+            return math.inf
+        return float(np.std(samples))
+
+    @property
+    def mean_queue_bytes(self) -> float:
+        """Mean end-of-round backlog across rounds."""
+        self._require_traffic()
+        return float(np.mean([r.traffic.queue_bytes for r in self.rounds]))
+
+    @property
+    def max_queue_bytes(self) -> float:
+        """Peak end-of-round backlog."""
+        self._require_traffic()
+        return float(max(r.traffic.queue_bytes for r in self.rounds))
+
+    def per_client_served_bytes(self) -> np.ndarray:
+        """Total bytes delivered per client over the run."""
+        self._require_traffic()
+        return np.sum([r.traffic.served_per_client for r in self.rounds], axis=0)
+
+    # ------------------------------------------------------------------
+    # Mobility / re-sounding accessors
+    # ------------------------------------------------------------------
+    @property
+    def mean_sounding_us(self) -> float:
+        """Mean per-round sounding airtime (microseconds): the explicit
+        re-sounding charge of a mobility run, zero for static runs."""
+        self._require_rounds()
+        return float(np.mean([r.sounding_us for r in self.rounds]))
+
+    @property
+    def total_sounding_us(self) -> float:
+        """Total sounding airtime charged over the run (microseconds)."""
+        self._require_rounds()
+        return float(sum(r.sounding_us for r in self.rounds))
+
 
 
 class CarrierSenseBatch:
-    """Stacked :class:`~repro.mac.carrier_sense.CarrierSenseModel`.
+    """Physical carrier sensing at antenna granularity (paper §3.2.2), stacked.
+
+    Each antenna senses energy independently: it is *busy* when the
+    aggregate received power from all currently-transmitting antennas
+    exceeds the energy-detect threshold.  A transmission additionally sets
+    the NAV of every antenna that decodes its preamble: the single
+    transmitter is received above the (more sensitive) preamble-decode
+    threshold and, with other transmitters already in the air, captures by
+    ``preamble_capture_db`` over their aggregate.  The model is
+    large-scale only: carrier sense integrates over many OFDM symbols,
+    which averages small-scale fading out.
 
     Parameters
     ----------
@@ -61,15 +276,15 @@ class CarrierSenseBatch:
 
     Active transmitter sets are boolean masks ``(batch, n_antennas)``; all
     verdicts come back stacked.  Every aggregate is a masked reduction over
-    the full trailing antenna axis, bit-identical to the scalar model's
-    masked row sums.
+    the full trailing antenna axis (``where(mask, row, 0).sum()``), never a
+    sum over a compacted index subset, so a listener's verdict does not
+    depend on which other listeners or items share the call.
 
     The reductions run on the :mod:`repro.xp` namespace that is *active at
     construction* (the cross-power map is derived on the host once, then
     transferred); verdicts always come back as host NumPy arrays, because
     the planning logic that consumes them is per-item Python bookkeeping.
-    On the default NumPy/float64 namespace every transfer is the identity,
-    preserving bit-identity with the scalar model.
+    On the default NumPy/float64 namespace every transfer is the identity.
     """
 
     def __init__(self, cross_power_dbm: np.ndarray, mac: MacConfig):
@@ -113,7 +328,8 @@ class CarrierSenseBatch:
 
     def sensed_power_mw(self, tx_mask, listeners=None) -> np.ndarray:
         """Aggregate sensed power per listener, ``(batch, n_listeners)``
-        (each listener's own transmission excluded, as in the scalar model).
+        (each listener's own transmission excluded -- a transmitting antenna
+        is trivially busy, which :meth:`busy_mask` handles).
 
         ``listeners`` restricts the listener axis to the given antenna
         indices (default: all antennas); each listener's reduction is the
@@ -144,9 +360,11 @@ class CarrierSenseBatch:
         """Preamble-decode verdicts ``(batch, listener, transmitter)`` with
         capture against the other transmitters in ``tx_mask``.
 
-        Entry ``[b, l, t]`` equals the scalar
-        ``decodes(l, t, interferers=active_set_b)``; ``listeners`` restricts
-        (and reorders) the listener axis like in :meth:`sensed_power_mw`.
+        Entry ``[b, l, t]`` is True when listener ``l`` decodes transmitter
+        ``t``'s preamble with every *other* antenna of ``tx_mask[b]`` (all
+        but ``l`` and ``t``) interfering; ``t`` itself need not be in the
+        mask.  ``listeners`` restricts (and reorders) the listener axis like
+        in :meth:`sensed_power_mw`.
         """
         xp = self._xp
         tx_np = self._as_tx_mask(tx_mask)
@@ -184,12 +402,12 @@ class CarrierSenseBatch:
 
     def decodable_mask(self) -> np.ndarray:
         """Clean-medium decode verdicts ``(batch, listener, transmitter)``
-        (a copy): the scalar ``decodes(l, t)`` with no interferers."""
+        (a copy): every listener decoding each lone transmitter."""
         return xpmod.to_numpy(self._decodable).copy()
 
     def single_tx_busy(self) -> np.ndarray:
         """Energy-detect verdicts for one lone transmitter,
-        ``(batch, listener, transmitter)``: the scalar ``is_busy(l, [t])``."""
+        ``(batch, listener, transmitter)``."""
         return xpmod.to_numpy(self._cross_mw >= self._mac.cs_threshold_mw)
 
 
@@ -224,15 +442,21 @@ class RoundBasedEvaluatorBatch:
     sim:
         Simulation constants shared by the batch.
     seeds:
-        One seed per scenario; item ``i`` consumes randomness exactly like
-        ``RoundBasedEvaluator(scenarios[i], mode, sim, seed=seeds[i])``.
+        One seed per scenario; item ``i`` consumes randomness only from the
+        generator tree of ``seeds[i]``, so it evaluates identically alone
+        (``RoundBasedEvaluatorBatch([scenarios[i]], mode, sim, seeds=[seeds[i]])``).
     traffic / traffic_kwargs / ampdu:
-        Finite-load arrivals, as in the scalar evaluator.  One
+        Finite-load arrivals (see :func:`build_traffic_state`).  One
         :class:`~repro.traffic.TrafficState` is held per item and driven
-        with the same floats in the same order as a scalar run, so the
-        per-item delay/throughput series are bit-identical.  Backlog enters
-        the engine as masked eligibility arrays over the existing
-        DRR/tag-selection masks.
+        per item in slot and stream order, so the delay/throughput series
+        of an item never depend on its batch.  Backlog enters the engine as
+        masked eligibility arrays over the existing DRR/tag-selection masks.
+    mobility / mobility_kwargs / resound_period_rounds:
+        Client mobility; precoders see the CSI captured at the last
+        sounding round (every ``resound_period_rounds`` rounds) while SINRs
+        are scored against the current channel.
+    association / association_kwargs / coordination:
+        The association layer (see :mod:`repro.assoc`).
     """
 
     def __init__(
@@ -282,9 +506,10 @@ class RoundBasedEvaluatorBatch:
 
         if resound_period_rounds < 1:
             raise ValueError("resound_period_rounds must be >= 1")
-        # Per-item generator trees, spawned exactly like the scalar evaluator
-        # (which always spawns four children; traffic uses the third,
-        # mobility the fourth).
+        # Per-item generator trees.  Four children are always spawned so
+        # enabling traffic/mobility never perturbs the channel/CSI streams
+        # (spawn(4)[:2] == spawn(2)); traffic uses the third, mobility the
+        # fourth.
         channel_rngs, self._csi_rngs, traffic_rngs, mobility_rngs = [], [], [], []
         for seed in seeds:
             root = rng_mod.make_rng(seed)
@@ -310,24 +535,27 @@ class RoundBasedEvaluatorBatch:
         self._mobility = None if mobility_states[0] is None else mobility_states
         self._resound_period = int(resound_period_rounds)
         self._round_index = 0
-        #: Stacked stale-CSI snapshots of a mobility run (see the scalar
-        #: evaluator); ``None`` until the first sounding round.
+        #: Stacked channel snapshots captured at the last sounding round; a
+        #: mobility run precodes from this (possibly stale) CSI while SINRs
+        #: are scored against the current channel.  ``None`` until the
+        #: first sounding round (and always for static runs, which sound
+        #: fresh CSI every round).
         self._h_csi: np.ndarray | None = None
         self.channel = ChannelBatch(deployments, first.radio, channel_rngs)
         self.carrier_sense = CarrierSenseBatch(
             self.channel.antenna_cross_power_dbm(), first.mac
         )
-        # Global-axis DRR counters (see the scalar evaluator): membership
-        # can change at a handoff without resizing scheduler state, and the
-        # default static association selects the same clients bit for bit.
+        # DRR counters live on the *global* client axis so membership can
+        # change at a handoff without resizing any scheduler state; argmax
+        # ties break toward the lowest client id.
         self._drr = {
             ap: BatchDeficitRoundRobin(self.n_items, self._n_clients)
             for ap in range(self.n_aps)
         }
-        #: One scalar :class:`~repro.assoc.AssociationState` per item --
-        #: the batch engine consumes literally the scalar association
-        #: decisions, stacked, so loop/vectorized equivalence of handoff
-        #: series is structural rather than re-derived.
+        #: One :class:`~repro.assoc.AssociationState` per item, stacked:
+        #: the association layer owns the client->AP map, the anchor-antenna
+        #: tags, and the handoff/outage log, re-evaluated at construction
+        #: and at every sounding round.
         self.association = build_batch_association_state(
             association, association_kwargs, deployments, first.mac, coordination,
         )
@@ -371,16 +599,22 @@ class RoundBasedEvaluatorBatch:
         return self._clients_of[ap].copy()
 
     def aps_mutually_overhear(self) -> np.ndarray:
-        """Per-item verdict of :func:`repro.sim.network.aps_mutually_overhear`
-        on the batch's own carrier-sense state, ``(batch,)`` bool."""
+        """Per-item mutual-overhearing verdict, ``(batch,)`` bool.
+
+        The paper's 3-AP experiments (§5.3.1, §5.4) deploy APs "that can
+        overhear each other": every AP pair must decode each other's
+        preambles in both directions.  Evaluated on the batch's own
+        carrier-sense state, so the check sees exactly the shadowing the
+        run will see.
+        """
         return _mutual_overhear_from_decodable(
             self.carrier_sense.decodable_mask(), self._antennas_of
         )
 
     def free_antenna_masks(self, ap: int, active_mask: np.ndarray) -> np.ndarray:
         """Per-item mask over AP ``ap``'s antennas whose physical CS and NAV
-        permit transmission given the active set, ``(batch, n_own)`` --
-        the stacked mirror of the scalar ``_free_antennas``."""
+        permit transmission given the already-active antenna set,
+        ``(batch, n_own)`` (the paper's §5.3.1 check)."""
         own = self._antennas_of[ap]
         sensed = self.carrier_sense.sensed_power_mw(active_mask, listeners=own)
         busy = sensed >= self.scenarios[0].mac.cs_threshold_mw
@@ -391,8 +625,8 @@ class RoundBasedEvaluatorBatch:
     def _eligibility(self, ap: int) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (primary-class, any-class) backlog masks over *all*
         clients restricted to AP ``ap``'s current members, each
-        ``(batch, n_clients)`` -- the scalar ``_eligibility`` evaluated per
-        item.  The membership mask twice under full buffer."""
+        ``(batch, n_clients)``.  The membership mask twice under full
+        buffer."""
         member_mask = self.association.members_mask(ap)
         if self._traffic is None:
             return member_mask, member_mask
@@ -426,12 +660,12 @@ class RoundBasedEvaluatorBatch:
         clients already covered by a committed neighboring transmission.
         Returns the chosen-client mask (global client axis) and the
         per-item pick order (which fixes the stream order of the precoded
-        burst, as in the scalar evaluator).
+        burst).
 
         Finite load gates every pick through the stacked backlog masks:
-        primary-class candidates first, then any-backlog fill-in -- the
-        per-item mirror of the scalar gated pick (``pick`` is pure, so the
-        extra masked call changes nothing when the first pick lands).
+        primary-class candidates first, then any-backlog fill-in (``pick``
+        is pure, so the extra masked call changes nothing when the first
+        pick lands).
         """
         n_own = use_mask.shape[1]
         drr = self._drr[ap]
@@ -453,9 +687,9 @@ class RoundBasedEvaluatorBatch:
                 chosen_lists[b].append(int(picks[b]))
 
         if self.mode is MacMode.CAS:
-            # The scalar loop runs min(n_antennas, n_members) times; here
-            # n_own suffices -- once an item's eligible members are
-            # exhausted every further take() is a no-op for it.
+            # At most min(n_antennas, n_members) picks land; n_own rounds
+            # suffice -- once an item's eligible members are exhausted every
+            # further take() is a no-op for it.
             for __ in range(n_own):
                 take(member_mask & ~chosen_mask & participate[:, None])
             return chosen_mask, chosen_lists
@@ -530,7 +764,7 @@ class RoundBasedEvaluatorBatch:
 
     def _settle_round(self, served_masks: dict, item_active: np.ndarray) -> None:
         """Per-AP DRR settlement; every AP settles every round (blocked APs
-        credit their waiting clients), mirroring the scalar evaluator."""
+        credit their waiting clients)."""
         for ap in range(self.n_aps):
             served = served_masks[ap]
             has_served = served.any(axis=1)
@@ -544,8 +778,8 @@ class RoundBasedEvaluatorBatch:
         """Precode every planned set and score with mutual interference.
 
         Heavy solves and matmuls run grouped by sub-channel shape through
-        the stacked precoders; per-item assembly follows the scalar
-        accumulation order so every float matches bit for bit.
+        the stacked precoders; per-item assembly accumulates in plan
+        order, so an item's floats never depend on its batch.
 
         Slot gathering and CSI-noise draws stay on the host (per-item
         generator streams, the RNG-bridge contract); each grouped stack is
@@ -557,7 +791,7 @@ class RoundBasedEvaluatorBatch:
         with _obs().span("precode"):
             h = self.channel.channel_matrices()
             # Precoders see the stale CSI snapshot of a mobility run; scoring
-            # below always uses the current channel (the scalar contract).
+            # below always uses the current channel.
             if self._mobility is not None and sounding_round:
                 self._h_csi = h  # never mutated; aliasing the snapshot is safe
             h_csi = h if self._h_csi is None else self._h_csi
@@ -565,7 +799,7 @@ class RoundBasedEvaluatorBatch:
             noise_mw = radio.noise_mw
 
             # Collect per-slot sub-channels; CSI noise draws consume each
-            # item's own generator in planned order, like the scalar loop.
+            # item's own generator in planned order.
             slot_true: dict[tuple[int, int], np.ndarray] = {}
             slot_clients: dict[tuple[int, int], np.ndarray] = {}
             slot_estimates: dict[tuple[int, int], np.ndarray] = {}
@@ -646,7 +880,7 @@ class RoundBasedEvaluatorBatch:
                 for index, key in enumerate(keys):
                     cross_terms[key] = summed[index]
 
-            # Per-slot external interference, accumulated in the scalar order.
+            # Per-slot external interference, accumulated in plan order.
             externals: dict[tuple[int, int], np.ndarray] = {}
             for b in np.flatnonzero(item_active):
                 for s in range(len(planned[b])):
@@ -676,7 +910,7 @@ class RoundBasedEvaluatorBatch:
                     slot_capacity[key] = float(sums[index])
                     slot_sinrs[key] = sinr_rows[index]
 
-            # Per-item assembly in the scalar accumulation order.  These
+            # Per-item assembly in plan order.  These
             # are host-side result buffers (everything feeding them has
             # already crossed to_numpy), hence the RPL001 suppressions.
             capacity = np.zeros(self.n_items)  # repro-lint: disable=RPL001
@@ -697,10 +931,9 @@ class RoundBasedEvaluatorBatch:
     ) -> list:
         """Drain each item's queues against its per-stream SINRs.
 
-        Pure per-item scalar arithmetic in the scalar evaluator's slot and
-        stream order; the SINR rows come out of the stacked score step
-        bit-identical to the scalar ones, so the queue trajectories (and
-        hence every delay sample) match exactly.
+        Pure per-item arithmetic in slot and stream order, so an item's
+        queue trajectory (and hence every delay sample) never depends on
+        its batch.
         """
         metrics: list = [None] * self.n_items
         if self._traffic is None:
@@ -724,9 +957,9 @@ class RoundBasedEvaluatorBatch:
     def evaluate_round(
         self, primary_ap: int, item_mask=None
     ) -> list[RoundResult | None]:
-        """One concurrent round for every (selected) item; entry ``i`` is
-        bit-identical to the scalar ``evaluate_round(primary_ap)`` on item
-        ``i``, or ``None`` where ``item_mask`` excludes it."""
+        """One concurrent round for every (selected) item, with AP
+        ``primary_ap`` planning first; entry ``i`` is item ``i``'s round, or
+        ``None`` where ``item_mask`` excludes it."""
         item_active = (
             np.ones(self.n_items, dtype=bool)
             if item_mask is None
@@ -762,7 +995,7 @@ class RoundBasedEvaluatorBatch:
         )
         sounding_us = np.zeros(self.n_items)
         if self._mobility is not None and with_sounding:
-            # Per-item accumulation in the scalar evaluator's slot order.
+            # Per-item accumulation in slot order.
             for b in np.flatnonzero(item_active):
                 for ap, antennas, chosen in planned[b]:
                     sounding_us[b] += sounding_overhead_us(
@@ -798,8 +1031,7 @@ class RoundBasedEvaluatorBatch:
 
     def advance_between_rounds(self, advance_items=None) -> None:
         """Advance fading (and any client mobility) by one coherence block
-        for the selected items -- the stacked mirror of the scalar
-        evaluator's ``advance_between_rounds``."""
+        for the selected items."""
         dt_s = self.sim.coherence_block_s
         if self._mobility is None:
             self.channel.advance(dt_s, items=advance_items)
@@ -858,11 +1090,12 @@ class RoundBasedEvaluatorBatch:
 def count_streams_batch(
     evaluator: RoundBasedEvaluatorBatch, rngs, rounds: int = 12
 ) -> np.ndarray:
-    """Stacked mirror of :func:`repro.experiments.fig12_simultaneous_tx.count_streams`.
+    """Average total simultaneous streams per item over rounds of the
+    Fig 12 protocol: random 1-4 streams at the rotating primary AP, then a
+    greedy fill of every other AP's free antennas.
 
-    ``rngs`` holds one generator per item (the scalar protocol's random
-    1-4 primary streams); draws happen once per round per item, in round
-    order, so each item's stream matches the scalar run.
+    ``rngs`` holds one generator per item (the random primary stream
+    counts); draws happen once per round per item, in round order.
     """
     n_items = evaluator.n_items
     n_aps = evaluator.n_aps

@@ -16,62 +16,35 @@ full-buffer network for a configured duration:
 SINRs are evaluated post-hoc with interference weighted by TXOP overlap
 (see :mod:`repro.sim.radio_state`), then converted to Shannon capacity as
 the paper does (§5.1).
+
+The engine runs the batched kernels on a batch of one: the channel is a
+one-item :class:`~repro.channel.batch.ChannelBatch`, carrier sense a
+one-item :class:`~repro.sim.batch.CarrierSenseBatch`, and every TXOP is
+precoded by the :mod:`repro.core.batch` solvers on ``h[None]``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import rng as rng_mod
 from ..assoc import CoordinationMode, build_association_state
-from ..channel.model import ChannelModel, apply_csi_error
+from ..channel.batch import ChannelBatch, apply_csi_error
 from ..config import MacConfig, SimConfig
-from ..core.naive import naive_scaled_precoder
-from ..core.power_balance import power_balanced_precoder
+from ..core.batch import naive_scaled_precoder, power_balanced_precoder
 from ..core.selection import DeficitRoundRobin
 from ..mac.backoff import BackoffState
-from ..mac.carrier_sense import CarrierSenseModel
 from ..mac.frames import txop_durations
 from ..mac.nav import NavTable
 from ..mobility import build_mobility_state
 from ..obs import active as _obs
 from ..topology.scenarios import Scenario
-from ..traffic import AmpduConfig, TrafficState, TrafficSummary, resolve_traffic
+from ..traffic import AmpduConfig, TrafficState, TrafficSummary
 from . import EventQueue
+from .batch import CarrierSenseBatch, MacMode, build_traffic_state
 from .radio_state import ActiveTransmission, TransmissionLog
-
-
-class MacMode(str, enum.Enum):
-    """Which MAC + precoding stack an AP runs."""
-
-    CAS = "cas"
-    MIDAS = "midas"
-
-
-def aps_mutually_overhear(sense: CarrierSenseModel, deployment) -> bool:
-    """True when every AP pair can set NAVs on each other's transmissions.
-
-    The paper's 3-AP experiments (§5.3.1, §5.4) deploy APs "that can overhear
-    each other"; experiments enforce it by resampling topologies until this
-    predicate holds on the *CAS* simulation's own carrier-sense model (so the
-    check sees exactly the shadowing the run will see).
-    """
-    for ap_a in range(deployment.n_aps):
-        for ap_b in range(ap_a + 1, deployment.n_aps):
-            ants_a = deployment.antennas_of(ap_a)
-            ants_b = deployment.antennas_of(ap_b)
-            a_hears_b = any(
-                sense.decodes(int(a), int(b)) for a in ants_a for b in ants_b
-            )
-            b_hears_a = any(
-                sense.decodes(int(b), int(a)) for a in ants_a for b in ants_b
-            )
-            if not (a_hears_b and b_hears_a):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -139,18 +112,10 @@ class NetworkSimulation:
         # Five children are always spawned so enabling traffic/mobility
         # never perturbs the channel/MAC/CSI streams (spawn(5)[:3] == spawn(3)).
         channel_rng, mac_rng, csi_rng, traffic_rng, mobility_rng = rng_mod.spawn(root, 5)
-        self._traffic: TrafficState | None = None
-        if traffic is not None:
-            model = resolve_traffic(traffic, **dict(traffic_kwargs or {}))
-            if not model.is_full_buffer:
-                self._traffic = TrafficState(
-                    model,
-                    self.deployment.n_clients,
-                    traffic_rng,
-                    round_duration_s=self.mac.txop_us * 1e-6,
-                    bandwidth_hz=scenario.radio.bandwidth_hz,
-                    ampdu=ampdu,
-                )
+        self._traffic: TrafficState | None = build_traffic_state(
+            traffic, traffic_kwargs, self.deployment.n_clients, traffic_rng,
+            scenario, ampdu,
+        )
         self._mobility = build_mobility_state(
             mobility, mobility_kwargs, self.deployment, mobility_rng
         )
@@ -168,9 +133,9 @@ class NetworkSimulation:
         #: not paid for yet; subsequent transmitting TXOPs charge them one
         #: at a time.
         self._sounding_unpaid = 0
-        self.channel = ChannelModel(self.deployment, scenario.radio, seed=channel_rng)
+        self.channel = ChannelBatch([self.deployment], scenario.radio, seeds=[channel_rng])
         self._csi_rng = csi_rng
-        self.carrier_sense = CarrierSenseModel(
+        self.carrier_sense = CarrierSenseBatch(
             self.channel.antenna_cross_power_dbm(), self.mac
         )
         self.nav = NavTable(self.deployment.n_antennas)
@@ -188,7 +153,7 @@ class NetworkSimulation:
             association, association_kwargs, self.deployment,
             self.mac, coordination,
         )
-        self.association.resound(self.channel.client_rx_power_dbm())
+        self.association.resound(self.channel.client_rx_power_dbm()[0])
 
         contender_rngs = rng_mod.spawn(mac_rng, self.deployment.n_aps * 8)
         self._contenders: list[_Contender] = []
@@ -218,15 +183,21 @@ class NetworkSimulation:
     # ------------------------------------------------------------------
     # Medium state queries
     # ------------------------------------------------------------------
+    def _tx_mask(self, antennas) -> np.ndarray:
+        """One-item ``(1, n_antennas)`` transmitter mask for carrier sense."""
+        mask = np.zeros((1, self.deployment.n_antennas), dtype=bool)
+        mask[0, np.asarray(antennas, dtype=int)] = True
+        return mask
+
     def _medium_busy(self, contender: _Contender, now_us: float) -> bool:
         """Physical or virtual carrier sense verdict for the contender."""
-        transmitting = self.log.transmitting_antennas()
-        for antenna in contender.antennas:
-            if not self.nav.is_clear(antenna, now_us):
-                return True
-            if self.carrier_sense.is_busy(int(antenna), transmitting):
-                return True
-        return False
+        if any(not self.nav.is_clear(a, now_us) for a in contender.antennas):
+            return True
+        transmitting = self._tx_mask(self.log.transmitting_antennas())
+        sensed = self.carrier_sense.sensed_power_mw(
+            transmitting, listeners=contender.antennas
+        )
+        return bool(np.any(sensed >= self.mac.cs_threshold_mw))
 
     def _busy_until(self, contender: _Contender, now_us: float) -> float:
         """Best-known time the contender's medium frees (NAV + active TXOPs)."""
@@ -355,9 +326,9 @@ class NetworkSimulation:
                     dt_s,
                     doppler_hz=self._mobility.doppler_hz(
                         self.scenario.radio.wavelength_m
-                    ),
+                    )[None],
                 )
-                self.channel.update_client_positions(self._mobility.positions)
+                self.channel.update_client_positions(self._mobility.positions[None])
             self._last_channel_advance_us = now_us
 
     def _maybe_resound(self, now_us: float) -> None:
@@ -375,7 +346,7 @@ class NetworkSimulation:
             return
         if self._resound_interval_us is None:
             with _obs().span("sounding"):
-                rssi_dbm = self.channel.client_rx_power_dbm()
+                rssi_dbm = self.channel.client_rx_power_dbm()[0]
                 with _obs().span("assoc_update"):
                     self.association.resound(rssi_dbm)
             return
@@ -384,8 +355,8 @@ class NetworkSimulation:
             or now_us - self._last_resound_us >= self._resound_interval_us
         ):
             with _obs().span("sounding"):
-                self._h_csi = self.channel.channel_matrix()
-                rssi_dbm = self.channel.client_rx_power_dbm()
+                self._h_csi = self.channel.channel_matrices()[0]
+                rssi_dbm = self.channel.client_rx_power_dbm()[0]
                 with _obs().span("assoc_update"):
                     self.association.resound(rssi_dbm)
             self._last_resound_us = now_us
@@ -449,7 +420,7 @@ class NetworkSimulation:
         clients_global = np.asarray(chosen, dtype=int)
         self._advance_channel(start_us)
         with _obs().span("precode"):
-            h_full = self.channel.channel_matrix()
+            h_full = self.channel.channel_matrices()[0]
             h_rows = h_full[clients_global, :]
             # CSI staleness: with a re-sounding interval, precoders see the
             # snapshot captured at the last sounding while SINRs (h_rows)
@@ -462,14 +433,14 @@ class NetworkSimulation:
 
             radio = self.scenario.radio
             if self.mode is MacMode.CAS:
-                v = naive_scaled_precoder(h_est, radio.per_antenna_power_mw)
+                v = naive_scaled_precoder(h_est[None], radio.per_antenna_power_mw)[0]
             else:
                 balanced = power_balanced_precoder(
-                    h_est, radio.per_antenna_power_mw, radio.noise_mw
+                    h_est[None], radio.per_antenna_power_mw, radio.noise_mw
                 )
-                v = balanced.v
-                _obs().count("precode.rounds", balanced.rounds)
-                _obs().count("precode.unconverged", int(not balanced.converged))
+                v = balanced.v[0]
+                _obs().count("precode.rounds", int(balanced.rounds[0]))
+                _obs().count("precode.unconverged", int(not balanced.converged[0]))
 
         # A stale run pays sounding airtime only on TXOPs carrying an (as
         # yet unpaid) sounding exchange; fresh runs pay every TXOP.
@@ -500,14 +471,15 @@ class NetworkSimulation:
         # Virtual carrier sense: every antenna that decodes any of our
         # transmitting antennas (subject to capture against transmissions
         # already in the air) reserves the medium until the TXOP ends.
-        already_active = np.asarray(
-            [a for a in self.log.transmitting_antennas() if a not in tx.antennas],
-            dtype=int,
-        )
-        for antenna in tx.antennas:
-            for listener in self.carrier_sense.nav_listeners(int(antenna), already_active):
-                if listener not in tx.antennas:
-                    self.nav.set_nav(int(listener), tx.end_us)
+        # Decode verdicts cover every transmitter column, so one call with
+        # the already-active set as interferers serves all of ours.
+        already_active = self._tx_mask(self.log.transmitting_antennas())
+        already_active[0, tx.antennas] = False
+        decodes = self.carrier_sense.decode_mask(already_active)[0]
+        hears_us = decodes[:, tx.antennas].any(axis=1)
+        hears_us[tx.antennas] = False
+        for listener in np.flatnonzero(hears_us):
+            self.nav.set_nav(int(listener), tx.end_us)
 
         # Contenders of the transmitting antennas hold until the TXOP ends.
         for other in self._contenders:

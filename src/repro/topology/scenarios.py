@@ -240,7 +240,8 @@ def three_ap_scenario(
 
     APs are close enough to overhear each other in CAS mode (experiments
     enforce it per-topology with
-    :func:`repro.sim.network.aps_mutually_overhear`); DAS placements use the
+    :meth:`repro.sim.batch.RoundBasedEvaluatorBatch.mutual_overhear_mask`);
+    DAS placements use the
     paper's §7 guidance of 50-75% of the coverage range and obey the
     60-degree sector rule of §5.3.1 so antennas do not cluster on the far
     side of the other APs.

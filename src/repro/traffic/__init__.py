@@ -11,11 +11,10 @@ alongside the usual capacity series.
 
 Quick use::
 
-    from repro.sim.rounds import RoundBasedEvaluator
-    from repro.sim.network import MacMode
+    from repro.sim import MacMode, RoundBasedEvaluatorBatch
 
-    result = RoundBasedEvaluator(
-        scenario, MacMode.MIDAS, seed=0, traffic="poisson",
+    [result] = RoundBasedEvaluatorBatch(
+        [scenario], MacMode.MIDAS, seeds=[0], traffic="poisson",
         traffic_kwargs={"rate_mbps": 10.0},
     ).run(40)
     result.mean_delay_s, result.throughput_mbps

@@ -4,8 +4,8 @@ A traffic model is a frozen parameter bundle; all mutable state (per-client
 ON/OFF flags, CBR credit) lives in an explicit state object so one model
 instance can drive every item of a vectorized batch.  Arrival draws consume
 the caller-supplied generator client by client in index order -- the same
-order on both execution backends -- so finite-load results are
-bit-identical between the scalar and batched round engines.
+order in every engine -- so an item's finite-load results never depend on
+its batch.
 
 Rates are *per client*, in Mb/s.  Registered factories (the ``traffic``
 registry, mirroring the precoder/scenario registries):

@@ -8,10 +8,10 @@ drain part of a packet (the MPDU continues in the next TXOP), but a packet's
 delay is only recorded once its final byte leaves, so delays are
 last-byte-out minus arrival.
 
-Both execution backends share this class unchanged -- the vectorized round
-engine holds one :class:`ClientQueues` per batch item and feeds it the same
-floats as the scalar engine, which is what makes the finite-load series
-bit-identical across backends.
+Every engine shares this class unchanged -- the round engine holds one
+:class:`ClientQueues` per batch item and feeds it only that item's floats,
+which is what keeps an item's finite-load series independent of its
+batch.
 """
 
 from __future__ import annotations

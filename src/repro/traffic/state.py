@@ -1,11 +1,11 @@
 """The per-run traffic driver shared by every execution engine.
 
 :class:`TrafficState` owns one topology's arrival stream, queues, and
-latency accounting.  The scalar round engine holds one; the vectorized
-engine holds one *per batch item* and feeds it the same floats in the same
-order, which is the whole bit-identity argument for finite-load series:
-every state transition below is plain scalar arithmetic on inputs the
-batched linear algebra already reproduces exactly.
+latency accounting.  The event-driven engine holds one; the round engine
+holds one *per batch item* and feeds it that item's floats in slot order,
+which is the whole batch-invariance argument for finite-load series:
+every state transition below is plain scalar arithmetic on one item's
+inputs.
 
 Clock convention: time is carved into fixed TXOP-sized windows
 (``round_duration_s``).  ``begin_round`` draws one window of arrivals, the

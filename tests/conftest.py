@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel.model import ChannelModel
+from repro.channel.batch import ChannelBatch
 from repro.config import MacConfig, RadioConfig
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
@@ -33,12 +33,13 @@ def cas_scenario():
 
 @pytest.fixture(scope="session")
 def das_channel(das_scenario):
-    return ChannelModel(das_scenario.deployment, das_scenario.radio, seed=11)
+    """A batch of one channel for ``das_scenario``."""
+    return ChannelBatch([das_scenario.deployment], das_scenario.radio, seeds=[11])
 
 
 @pytest.fixture(scope="session")
 def h_das(das_channel) -> np.ndarray:
-    return das_channel.channel_matrix()
+    return das_channel.channel_matrices()[0]
 
 
 # Shared non-fixture helpers live in helpers.py; import them there

@@ -1,0 +1,93 @@
+"""Recorded reference outputs of the retired per-topology engines.
+
+``goldens.json`` holds what the per-topology ``RoundBasedEvaluator``,
+``ChannelModel``, fig12 ``count_streams`` and ``NetworkSimulation`` of
+repro 3.0.0 produced for the cases the tests name, as ``float.hex``
+strings so every value round-trips exactly.  The batched engines were
+bit-identical to those references when they were recorded; the tests
+assert they still are (``array_equal``, no tolerances).
+
+Layout: one top-level key per case family.  A round-engine run is a dict of
+per-round lists (``capacity``, ``n_streams``, ``active_antennas``,
+``per_ap_streams``, ``sounding_us`` and, under finite load, ``traffic``);
+complex arrays are ``{"re": ..., "im": ...}`` pairs.
+"""
+
+from __future__ import annotations
+
+import json
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+
+
+@lru_cache(maxsize=None)
+def goldens() -> dict:
+    """The decoded JSON document (hex strings still encoded)."""
+    return json.loads(Path(__file__).with_name("goldens.json").read_text())
+
+
+def _decode(value):
+    if isinstance(value, list):
+        return [_decode(v) for v in value]
+    return float.fromhex(value)
+
+
+def floats(value) -> np.ndarray:
+    """Decode a (nested) list of ``float.hex`` strings, or a complex pair."""
+    if isinstance(value, dict):
+        real = floats(value["re"])
+        out = np.empty(real.shape, dtype=complex)
+        out.real = real
+        out.imag = floats(value["im"])
+        return out
+    return np.asarray(_decode(value), dtype=float)
+
+
+def _equal(actual, expected) -> bool:
+    return np.array_equal(np.asarray(actual, dtype=float), floats(expected))
+
+
+def assert_rounds_match(result, golden: dict) -> None:
+    """Every recorded per-round field of ``result`` (a ``RoundBasedResult``)
+    equals the golden run exactly."""
+    rounds = result.rounds
+    assert len(rounds) == len(golden["capacity"])
+    assert _equal([r.capacity_bps_hz for r in rounds], golden["capacity"])
+    assert [r.n_streams for r in rounds] == golden["n_streams"]
+    assert [r.active_antennas for r in rounds] == golden["active_antennas"]
+    assert [r.per_ap_streams.tolist() for r in rounds] == golden["per_ap_streams"]
+    assert _equal([r.sounding_us for r in rounds], golden["sounding_us"])
+    if "traffic" not in golden:
+        return
+    traffic = golden["traffic"]
+    metrics = [r.traffic for r in rounds]
+    assert _equal([m.arrived_bytes for m in metrics], traffic["arrived"])
+    assert _equal([m.served_bytes for m in metrics], traffic["served"])
+    assert _equal([m.queue_bytes for m in metrics], traffic["queue"])
+    for m, delays, categories, served in zip(
+        metrics, traffic["delays"], traffic["categories"], traffic["served_per_client"]
+    ):
+        assert _equal(m.delays_s, delays)
+        assert m.delay_categories.astype(int).tolist() == categories
+        assert _equal(m.served_per_client, served)
+
+
+def assert_network_matches(result, golden: dict) -> None:
+    """A ``SimulationResult`` equals the golden event-engine run exactly."""
+    assert _equal(result.per_client_bits_per_hz, golden["per_client"])
+    assert result.txop_count == golden["txop_count"]
+    assert result.stream_count == golden["stream_count"]
+    assert _equal(result.mean_concurrent_streams, golden["mean_concurrent"])
+    assert _equal(result.collision_fraction, golden["collision_fraction"])
+    if "traffic" not in golden:
+        assert result.traffic is None
+        return
+    traffic, summary = golden["traffic"], result.traffic
+    assert _equal(summary.arrived_bytes, traffic["arrived"])
+    assert _equal(summary.served_bytes, traffic["served"])
+    assert _equal(summary.queue_bytes, traffic["queue"])
+    assert _equal(summary.delays_s, traffic["delays"])
+    assert summary.delay_categories.astype(int).tolist() == traffic["categories"]
+    assert _equal(summary.served_per_client, traffic["served_per_client"])

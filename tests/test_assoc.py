@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers.goldens import assert_rounds_match, goldens
 from repro.api import RunSpec, UnknownNameError
 from repro.assoc import (
     AssociationPolicy,
@@ -13,9 +14,8 @@ from repro.assoc import (
     resolve_association,
     resolve_coordination,
 )
-from repro.sim.batch import RoundBasedEvaluatorBatch
-from repro.sim.network import MacMode, NetworkSimulation
-from repro.sim.rounds import RoundBasedEvaluator
+from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
+from repro.sim.network import NetworkSimulation
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import campus_scenario, office_b
 
@@ -217,8 +217,8 @@ class TestAssociationState:
 
 class TestHandoffTagRederivation:
     """The roaming contract: a client crossing a cell boundary gets its
-    tags rebuilt exactly once per sounding, identically on the loop and
-    vectorized engines."""
+    tags rebuilt exactly once per sounding, whatever batch the topology is
+    evaluated in."""
 
     MOBILITY = dict(
         mobility="gauss_markov",
@@ -226,46 +226,49 @@ class TestHandoffTagRederivation:
         resound_period_rounds=2,
     )
 
-    def test_loop_engine_rederives_once_per_sounding(self, campus_das):
-        ev = RoundBasedEvaluator(
-            campus_das,
+    def _evaluator(self, scenarios, seeds):
+        return RoundBasedEvaluatorBatch(
+            scenarios,
             MacMode.MIDAS,
-            seed=4,
+            seeds=seeds,
             association="strongest_rssi",
             **self.MOBILITY,
         )
-        ev.run(12)
-        assert ev.association.handoff_count > 0
-        assert ev.association.tag_builds == ev.association.sounding_count == 7
 
-    def test_loop_and_batch_handoffs_identical(self, campus_das):
-        loop = RoundBasedEvaluator(
-            campus_das,
-            MacMode.MIDAS,
-            seed=4,
-            association="strongest_rssi",
-            **self.MOBILITY,
-        )
-        loop_result = loop.run(12)
-        batch = RoundBasedEvaluatorBatch(
-            [campus_das],
-            MacMode.MIDAS,
-            seeds=[4],
-            association="strongest_rssi",
-            **self.MOBILITY,
-        )
-        batch_result = batch.run(12)[0]
-        item = batch.association.items[0]
-        assert item.handoff_events == loop.association.handoff_events
-        assert item.tag_builds == loop.association.tag_builds
-        assert item.outage_count == loop.association.outage_count
-        np.testing.assert_array_equal(item.client_ap, loop.association.client_ap)
+    def test_round_engine_rederives_once_per_sounding(self, campus_das):
+        ev = self._evaluator([campus_das], [4])
+        ev.run(12)
+        item = ev.association.items[0]
+        assert item.handoff_count > 0
+        assert item.tag_builds == item.sounding_count == 7
+
+    def test_handoffs_match_goldens(self, campus_das):
+        golden = goldens()["campus_handoffs"]
+        ev = self._evaluator([campus_das], [4])
+        [result] = ev.run(12)
+        item = ev.association.items[0]
+        events = [
+            [e.sounding_index, e.client, e.from_ap, e.to_ap]
+            for e in item.handoff_events
+        ]
+        assert events == golden["events"]
+        assert item.tag_builds == golden["tag_builds"]
+        assert_rounds_match(result, golden["rounds"])
+
+    def test_handoffs_independent_of_batch(self, campus_das):
+        alone = self._evaluator([campus_das], [4])
+        alone_result = alone.run(12)[0]
+        paired = self._evaluator([campus_das, campus_das], [4, 5])
+        paired_result = paired.run(12)[0]
+        item, reference = paired.association.items[0], alone.association.items[0]
+        assert item.handoff_events == reference.handoff_events
+        assert item.tag_builds == reference.tag_builds
+        assert item.outage_count == reference.outage_count
+        np.testing.assert_array_equal(item.client_ap, reference.client_ap)
         for ap in range(campus_das.deployment.n_aps):
-            np.testing.assert_array_equal(
-                item.tag_mask(ap), loop.association.tag_mask(ap)
-            )
+            np.testing.assert_array_equal(item.tag_mask(ap), reference.tag_mask(ap))
         assert (
-            batch_result.mean_capacity_bps_hz == loop_result.mean_capacity_bps_hz
+            paired_result.mean_capacity_bps_hz == alone_result.mean_capacity_bps_hz
         )
 
     def test_network_engine_rederives_once_per_sounding(self, campus_das):

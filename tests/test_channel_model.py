@@ -1,11 +1,17 @@
-"""Composite channel model tests."""
+"""Composite channel model tests, on a batch of one topology."""
 
 import numpy as np
 import pytest
 
-from repro.channel.model import ChannelModel, apply_csi_error
+from helpers.goldens import floats, goldens
+from repro.channel.batch import ChannelBatch, apply_csi_error
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
+
+
+def one_channel(deployment, radio, seed):
+    """One topology's channel: a batch of one."""
+    return ChannelBatch([deployment], radio, seeds=[seed])
 
 
 @pytest.fixture(scope="module")
@@ -15,36 +21,36 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def model(scenario):
-    return ChannelModel(scenario.deployment, scenario.radio, seed=5)
+    return one_channel(scenario.deployment, scenario.radio, seed=5)
 
 
 class TestChannelMatrix:
     def test_shape(self, scenario, model):
-        h = model.channel_matrix()
-        assert h.shape == (scenario.deployment.n_clients, scenario.deployment.n_antennas)
+        h = model.channel_matrices()
+        assert h.shape == (1, scenario.deployment.n_clients, scenario.deployment.n_antennas)
 
     def test_complex_dtype(self, model):
-        assert np.iscomplexobj(model.channel_matrix())
+        assert np.iscomplexobj(model.channel_matrices())
 
     def test_deterministic_by_seed(self, scenario):
-        a = ChannelModel(scenario.deployment, scenario.radio, seed=9).channel_matrix()
-        b = ChannelModel(scenario.deployment, scenario.radio, seed=9).channel_matrix()
+        a = one_channel(scenario.deployment, scenario.radio, seed=9).channel_matrices()
+        b = one_channel(scenario.deployment, scenario.radio, seed=9).channel_matrices()
         np.testing.assert_array_equal(a, b)
 
     def test_advance_changes_matrix(self, scenario):
-        m = ChannelModel(scenario.deployment, scenario.radio, seed=9)
-        before = m.channel_matrix().copy()
+        m = one_channel(scenario.deployment, scenario.radio, seed=9)
+        before = m.channel_matrices().copy()
         m.advance(0.5)
-        assert not np.allclose(before, m.channel_matrix())
+        assert not np.allclose(before, m.channel_matrices())
 
     def test_advance_tracks_time(self, scenario):
-        m = ChannelModel(scenario.deployment, scenario.radio, seed=9)
+        m = one_channel(scenario.deployment, scenario.radio, seed=9)
         m.advance(0.25)
         assert m.time_s == pytest.approx(0.25)
 
     def test_magnitude_matches_large_scale_gain(self, scenario):
-        m = ChannelModel(scenario.deployment, scenario.radio, seed=9)
-        h = m.channel_matrix()
+        m = one_channel(scenario.deployment, scenario.radio, seed=9)
+        h = m.channel_matrices()
         gain_linear = 10 ** (m.client_gain_db() / 10.0)
         # Fading is unit power, so |h|^2 should be the right order of magnitude.
         ratio = np.abs(h) ** 2 / gain_linear
@@ -54,11 +60,11 @@ class TestChannelMatrix:
 class TestLargeScaleMaps:
     def test_gain_decreases_with_distance(self, scenario):
         radio = scenario.radio.with_(shadowing_sigma_db=0.0, cable_loss_db_per_m=0.0)
-        m = ChannelModel(scenario.deployment, radio, seed=1)
+        m = one_channel(scenario.deployment, radio, seed=1)
         antenna = scenario.deployment.antenna_positions[0]
         near = antenna + np.array([1.0, 0.0])
         far = antenna + np.array([12.0, 0.0])
-        gain = m.large_scale_gain_db([near, far])
+        gain = m.large_scale_gain_db([near, far])[0]
         assert gain[0, 0] > gain[1, 0]
 
     def test_rx_power_offsets_gain_by_tx_power(self, model, scenario):
@@ -79,7 +85,7 @@ class TestLargeScaleMaps:
 
     def test_cable_loss_zero_for_cas(self):
         cas = single_ap_scenario(office_b(), AntennaMode.CAS, seed=5)
-        m = ChannelModel(cas.deployment, cas.radio, seed=5)
+        m = one_channel(cas.deployment, cas.radio, seed=5)
         assert np.all(m.cable_loss_db < 0.1)
 
     def test_cable_loss_positive_for_das(self, model, scenario):
@@ -87,12 +93,12 @@ class TestLargeScaleMaps:
         assert np.all(model.cable_loss_db >= expected_min - 1e-9)
 
     def test_antenna_cross_power_diagonal_infinite(self, model):
-        cross = model.antenna_cross_power_dbm()
+        cross = model.antenna_cross_power_dbm()[0]
         assert np.all(np.isinf(np.diag(cross)))
 
     def test_antenna_cross_power_shape(self, model, scenario):
         n = scenario.deployment.n_antennas
-        assert model.antenna_cross_power_dbm().shape == (n, n)
+        assert model.antenna_cross_power_dbm().shape == (1, n, n)
 
     def test_client_rx_power_uses_cached_gains(self, model, scenario):
         rssi = model.client_rx_power_dbm()
@@ -130,7 +136,7 @@ class TestVectorizedGainLoops:
         from repro.channel.pathloss import LogDistancePathLoss
         from repro.topology import geometry
 
-        model = ChannelModel(scenario.deployment, scenario.radio, seed=seed)
+        model = one_channel(scenario.deployment, scenario.radio, seed=seed)
         radio = scenario.radio
         pts = geometry.as_points(rx_points)
         pathloss = LogDistancePathLoss.from_radio(radio)
@@ -145,16 +151,16 @@ class TestVectorizedGainLoops:
                 max_walls=radio.max_wall_count,
             )
         for k in range(scenario.deployment.n_antennas):
-            field = model._site_fields[model._site_of_antenna[k]]
+            field = model._site_fields[0][model._site_of_antenna[0][k]]
             gain[:, k] += field.sample(pts)
-        gain -= model._cable_loss_db[None, :]
+        gain -= model._cable_loss_db[0][None, :]
         return gain
 
     def test_large_scale_gain_matches_per_antenna_reference(self, scenario):
         points = np.random.default_rng(2).uniform(-10, 10, (30, 2))
-        vectorized = ChannelModel(
+        vectorized = one_channel(
             scenario.deployment, scenario.radio, seed=11
-        ).large_scale_gain_db(points)
+        ).large_scale_gain_db(points)[0]
         reference = self._reference_gain_db(scenario, 11, points)
         np.testing.assert_array_equal(vectorized, reference)
 
@@ -165,24 +171,61 @@ class TestVectorizedGainLoops:
         for mode in (AntennaMode.CAS, AntennaMode.DAS):
             scenario = single_ap_scenario(env, mode, seed=21)
             points = scenario.deployment.client_positions
-            vectorized = ChannelModel(
+            vectorized = one_channel(
                 scenario.deployment, scenario.radio, seed=21
-            ).large_scale_gain_db(points)
+            ).large_scale_gain_db(points)[0]
             reference = self._reference_gain_db(scenario, 21, points)
             np.testing.assert_array_equal(vectorized, reference)
 
     def test_antenna_cross_power_matches_per_antenna_reference(self, scenario):
-        model = ChannelModel(scenario.deployment, scenario.radio, seed=13)
-        reference_model = ChannelModel(scenario.deployment, scenario.radio, seed=13)
+        model = one_channel(scenario.deployment, scenario.radio, seed=13)
+        reference_model = one_channel(scenario.deployment, scenario.radio, seed=13)
         pts = scenario.deployment.antenna_positions
         # Reference: recompute the shadowing sum with an explicit antenna loop
         # on an identically-seeded model.
         expected_shadow = np.zeros((len(pts), scenario.deployment.n_antennas))
         for k in range(scenario.deployment.n_antennas):
-            field = reference_model._site_fields[reference_model._site_of_antenna[k]]
+            field = reference_model._site_fields[0][reference_model._site_of_antenna[0][k]]
             expected_shadow[:, k] = field.sample(pts)
-        np.testing.assert_array_equal(model.shadowing_db(pts), expected_shadow)
+        np.testing.assert_array_equal(model.shadowing_db(pts)[0], expected_shadow)
         np.testing.assert_array_equal(
             model.antenna_cross_power_dbm(),
             reference_model.antenna_cross_power_dbm(),
         )
+
+
+class TestGoldens:
+    """A batch of one reproduces the retired per-topology model exactly."""
+
+    GOLDEN = goldens()["channel_model"]
+
+    def test_snapshot_maps(self, scenario):
+        m = one_channel(scenario.deployment, scenario.radio, seed=5)
+        assert np.array_equal(m.channel_matrices()[0], floats(self.GOLDEN["h"]))
+        assert np.array_equal(
+            m.client_rx_power_dbm()[0], floats(self.GOLDEN["client_rx_power_dbm"])
+        )
+        assert np.array_equal(
+            m.antenna_cross_power_dbm()[0], floats(self.GOLDEN["cross_power_dbm"])
+        )
+        assert np.array_equal(m.cable_loss_db[0], floats(self.GOLDEN["cable_loss_db"]))
+        m.advance(0.05)
+        assert np.array_equal(
+            m.channel_matrices()[0], floats(self.GOLDEN["h_after_advance"])
+        )
+
+    def test_gain_maps(self, scenario):
+        points = np.random.default_rng(2).uniform(-10, 10, (30, 2))
+        gain = one_channel(scenario.deployment, scenario.radio, seed=11).large_scale_gain_db(
+            points
+        )
+        assert np.array_equal(gain[0], floats(self.GOLDEN["gain_db_seed11"]))
+        for mode, key in (
+            (AntennaMode.CAS, "cas21_client_gain_db"),
+            (AntennaMode.DAS, "das21_client_gain_db"),
+        ):
+            other = single_ap_scenario(office_b(), mode, seed=21)
+            gain = one_channel(other.deployment, other.radio, seed=21).large_scale_gain_db(
+                other.deployment.client_positions
+            )
+            assert np.array_equal(gain[0], floats(self.GOLDEN[key]))

@@ -5,16 +5,15 @@ Until the traffic subsystem, only the single best-effort default was
 exercised by network simulations; these tests drive the prioritization
 logic end to end -- through :class:`repro.mac.edca.EdcaQueueSet`, through
 :func:`repro.core.selection.select_clients_for_antennas`, and through both
-round engines with a scripted multi-class arrival model."""
+round engine with a scripted multi-class arrival model."""
 
 import numpy as np
 
+from helpers.goldens import assert_rounds_match, goldens
 from repro.core.selection import DeficitRoundRobin, select_clients_for_antennas
 from repro.core.tagging import TagTable
 from repro.mac.edca import AccessCategory, EdcaQueueSet, QueuedPacket
-from repro.sim.batch import RoundBasedEvaluatorBatch
-from repro.sim.network import MacMode
-from repro.sim.rounds import RoundBasedEvaluator
+from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
 from repro.traffic import Packet, TrafficModel
@@ -99,9 +98,9 @@ class TestRoundEngineMultiClass:
 
     def _run(self, rounds=1, seed=3):
         scenario = single_ap_scenario(ENV, AntennaMode.CAS, seed=seed)
-        return RoundBasedEvaluator(
-            scenario, MacMode.CAS, seed=seed, traffic=ScriptedTraffic(self.SCRIPT)
-        ).run(rounds)
+        return RoundBasedEvaluatorBatch(
+            [scenario], MacMode.CAS, seeds=[seed], traffic=ScriptedTraffic(self.SCRIPT)
+        ).run(rounds)[0]
 
     def test_only_backlogged_clients_selected(self):
         result = self._run()
@@ -127,8 +126,8 @@ class TestRoundEngineMultiClass:
         # credited in round 0 hold larger deficit counters.
         script = self.SCRIPT + [(1, 1, 200.0, AccessCategory.VOICE)]
         scenario = single_ap_scenario(ENV, AntennaMode.CAS, seed=3)
-        result = RoundBasedEvaluator(
-            scenario, MacMode.CAS, seed=3, traffic=ScriptedTraffic(script)
+        [result] = RoundBasedEvaluatorBatch(
+            [scenario], MacMode.CAS, seeds=[3], traffic=ScriptedTraffic(script)
         ).run(2)
         round1 = result.rounds[1]
         served = round1.traffic.served_per_client
@@ -138,7 +137,7 @@ class TestRoundEngineMultiClass:
         # clients 2 and 3 (no backlog) must stay silent.
         assert served[2] == 0.0 and served[3] == 0.0
 
-    def test_batch_engine_bit_identical_on_multiclass_script(self):
+    def test_batch_engine_matches_goldens_on_multiclass_script(self):
         seeds = [5, 6]
         scenarios = [
             single_ap_scenario(ENV, AntennaMode.CAS, seed=s) for s in seeds
@@ -147,24 +146,13 @@ class TestRoundEngineMultiClass:
         batch = RoundBasedEvaluatorBatch(
             scenarios, MacMode.CAS, seeds=seeds, traffic=model
         ).run(3)
-        for i, seed in enumerate(seeds):
-            scalar = RoundBasedEvaluator(
-                scenarios[i], MacMode.CAS, seed=seed, traffic=model
-            ).run(3)
-            for br, sr in zip(batch[i].rounds, scalar.rounds):
-                assert br.capacity_bps_hz == sr.capacity_bps_hz
-                assert np.array_equal(br.traffic.delays_s, sr.traffic.delays_s)
-                assert np.array_equal(
-                    br.traffic.delay_categories, sr.traffic.delay_categories
-                )
-                assert np.array_equal(
-                    br.traffic.served_per_client, sr.traffic.served_per_client
-                )
+        for result, golden in zip(batch, goldens()["edca_multiclass"]):
+            assert_rounds_match(result, golden)
 
     def test_cbr_voice_rides_voice_class_in_midas(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=2)
-        result = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=2,
+        [result] = RoundBasedEvaluatorBatch(
+            [scenario], MacMode.MIDAS, seeds=[2],
             traffic="cbr", traffic_kwargs={"rate_mbps": 0.5, "category": "voice"},
         ).run(20)
         categories = result.delay_category_samples

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import capacity_for
-from repro.channel.model import ChannelModel
 from repro.experiments.common import (
     ExperimentResult,
     batched_channels,
@@ -20,7 +19,7 @@ def scenario():
 
 
 def _channel(scenario, seed):
-    return ChannelModel(scenario.deployment, scenario.radio, seed=seed).channel_matrix()
+    return batched_channels([scenario], [seed]).channel_matrices()[0]
 
 
 def _snr_batch_of_one(scenario, seed):

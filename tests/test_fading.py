@@ -4,16 +4,51 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+from repro import units
+from repro.channel.batch import ChannelBatch
 from repro.channel.fading import (
-    FadingProcess,
     angular_spread_correlation,
     correlation_for,
     correlation_sqrt,
     jakes_correlation,
     sample_fading,
 )
+from repro.config import RadioConfig
+from repro.topology.deployment import AntennaMode, Deployment
 
 WAVELENGTH = 0.057
+
+
+def fading_channel(
+    n_rx, antenna_positions, seed=0, doppler=10.0, rician_k=0.0, angular_spread_deg=20.0
+):
+    """A batch of one channel with ``n_rx`` co-located receivers and no
+    shadowing or cable loss, so its small-scale state is easy to read back
+    (:func:`unit_fading`)."""
+    radio = RadioConfig(
+        doppler_hz=doppler,
+        rician_k=rician_k,
+        angular_spread_deg=angular_spread_deg,
+        shadowing_sigma_db=0.0,
+        cable_loss_db_per_m=0.0,
+    )
+    antennas = np.asarray(antenna_positions, dtype=float)
+    deployment = Deployment(
+        ap_positions=[(0.0, 0.0)],
+        antenna_positions=antennas,
+        antenna_ap=np.zeros(len(antennas), dtype=int),
+        client_positions=np.tile([[3.0, 4.0]], (n_rx, 1)),
+        client_ap=np.zeros(n_rx, dtype=int),
+        mode=AntennaMode.DAS,
+    )
+    return ChannelBatch([deployment], radio, seeds=[seed])
+
+
+def unit_fading(channel) -> np.ndarray:
+    """The unit-power fading matrix ``(n_rx, n_tx)`` of a batch of one: the
+    channel with its large-scale amplitude divided out."""
+    amplitude = np.sqrt(units.db_to_linear(channel.client_gain_db()))
+    return (channel.channel_matrices() / amplitude)[0]
 
 
 class TestSampleFading:
@@ -91,65 +126,61 @@ class TestCorrelationModels:
             angular_spread_correlation([(0, 0)], WAVELENGTH, 0.0)
 
 
-class TestFadingProcess:
-    def _process(self, doppler=10.0):
-        return FadingProcess(
-            np.random.default_rng(0),
-            n_rx=3,
-            antenna_positions=[(0, 0), (6, 0), (0, 7)],
-            wavelength_m=WAVELENGTH,
-            doppler_hz=doppler,
-        )
+class TestFadingEvolution:
+    ANTENNAS = [(0, 0), (6, 0), (0, 7)]
+
+    def _channel(self, doppler=10.0, n_rx=3):
+        return fading_channel(n_rx, self.ANTENNAS, doppler=doppler)
 
     def test_current_shape(self):
-        assert self._process().current.shape == (3, 3)
+        assert unit_fading(self._channel()).shape == (3, 3)
 
     def test_zero_dt_is_identity(self):
-        proc = self._process()
-        before = proc.current.copy()
-        proc.advance(0.0)
-        np.testing.assert_array_equal(proc.current, before)
+        channel = self._channel()
+        before = channel.channel_matrices().copy()
+        channel.advance(0.0)
+        np.testing.assert_array_equal(channel.channel_matrices(), before)
 
     def test_zero_doppler_freezes(self):
-        proc = self._process(doppler=0.0)
-        before = proc.current.copy()
-        proc.advance(10.0)
-        np.testing.assert_array_equal(proc.current, before)
+        channel = self._channel(doppler=0.0)
+        before = channel.channel_matrices().copy()
+        channel.advance(10.0)
+        np.testing.assert_array_equal(channel.channel_matrices(), before)
 
     def test_small_dt_high_correlation(self):
-        proc = self._process(doppler=5.0)
-        before = proc.current.copy()
-        proc.advance(1e-4)
-        corr = np.abs(np.vdot(before, proc.current)) / (
-            np.linalg.norm(before) * np.linalg.norm(proc.current)
+        channel = self._channel(doppler=5.0)
+        before = unit_fading(channel)
+        channel.advance(1e-4)
+        after = unit_fading(channel)
+        corr = np.abs(np.vdot(before, after)) / (
+            np.linalg.norm(before) * np.linalg.norm(after)
         )
         assert corr > 0.99
 
     def test_long_dt_decorrelates(self):
-        proc = self._process(doppler=10.0)
-        before = proc.current.copy()
+        # 64 receivers: independent 192-entry draws correlate ~0.07, far
+        # from the 0.5 bound whatever the seed.
+        channel = self._channel(doppler=10.0, n_rx=64)
+        before = unit_fading(channel)
         for __ in range(20):
-            proc.advance(1.0)
-        corr = np.abs(np.vdot(before, proc.current)) / (
-            np.linalg.norm(before) * np.linalg.norm(proc.current)
+            channel.advance(1.0)
+        after = unit_fading(channel)
+        corr = np.abs(np.vdot(before, after)) / (
+            np.linalg.norm(before) * np.linalg.norm(after)
         )
         assert corr < 0.5
 
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
-            self._process().advance(-1.0)
+            self._channel().advance(-1.0)
 
     def test_correlated_cas_array(self):
         # Antennas half a wavelength apart must produce correlated columns.
-        spacing = WAVELENGTH / 2
-        proc = FadingProcess(
-            np.random.default_rng(1),
-            n_rx=4000,
-            antenna_positions=[(0, 0), (spacing, 0)],
-            wavelength_m=WAVELENGTH,
-            angular_spread_deg=10.0,
+        spacing = RadioConfig().wavelength_m / 2
+        channel = fading_channel(
+            4000, [(0, 0), (spacing, 0)], seed=1, angular_spread_deg=10.0
         )
-        g = proc.current
+        g = unit_fading(channel)
         sample_corr = np.abs(np.mean(g[:, 0] * np.conj(g[:, 1])))
         assert sample_corr > 0.5
 
@@ -160,77 +191,54 @@ class TestTemporalEvolution:
     cool (or heat) every channel they touch."""
 
     def _ensemble(self, advance):
-        proc = FadingProcess(
-            np.random.default_rng(3),
-            n_rx=1500,
-            antenna_positions=[(0, 0), (6, 0), (0, 7)],
-            wavelength_m=WAVELENGTH,
-            doppler_hz=12.0,
-        )
+        channel = fading_channel(1500, [(0, 0), (6, 0), (0, 7)], seed=3, doppler=12.0)
         for __ in range(60):
-            advance(proc)
-        return proc.current
+            advance(channel)
+        return unit_fading(channel)
 
     def test_rayleigh_variance_preserved_global_doppler(self):
-        g = self._ensemble(lambda proc: proc.advance(0.02))
+        g = self._ensemble(lambda channel: channel.advance(0.02))
         assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, rel=0.05)
         # Real/imag parts stay zero-mean circular Gaussian halves.
         assert np.mean(g.real) == pytest.approx(0.0, abs=0.02)
         assert np.var(g.real) == pytest.approx(0.5, rel=0.1)
 
     def test_rayleigh_variance_preserved_per_client_doppler(self):
-        fd = np.linspace(0.0, 40.0, 1500)  # parked through vehicular
-        g = self._ensemble(lambda proc: proc.advance(0.02, doppler_hz=fd))
+        fd = np.linspace(0.0, 40.0, 1500)[None]  # parked through vehicular
+        g = self._ensemble(lambda channel: channel.advance(0.02, doppler_hz=fd))
         assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, rel=0.05)
         # The fast rows must not have drifted away from unit power either.
         fast = g[1000:]
         assert np.mean(np.abs(fast) ** 2) == pytest.approx(1.0, rel=0.1)
 
     def test_rician_variance_preserved(self):
-        proc = FadingProcess(
-            np.random.default_rng(4),
-            n_rx=1500,
-            antenna_positions=[(0, 0), (6, 0)],
-            wavelength_m=WAVELENGTH,
-            doppler_hz=12.0,
-            rician_k=4.0,
+        channel = fading_channel(
+            1500, [(0, 0), (6, 0)], seed=4, doppler=12.0, rician_k=4.0
         )
         for __ in range(40):
-            proc.advance(0.02, doppler_hz=np.full(1500, 15.0))
-        assert np.mean(np.abs(proc.current) ** 2) == pytest.approx(1.0, rel=0.05)
+            channel.advance(0.02, doppler_hz=np.full((1, 1500), 15.0))
+        assert np.mean(np.abs(unit_fading(channel)) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_zero_doppler_rows_frozen_under_per_client_advance(self):
-        proc = FadingProcess(
-            np.random.default_rng(5),
-            n_rx=4,
-            antenna_positions=[(0, 0), (6, 0)],
-            wavelength_m=WAVELENGTH,
-            doppler_hz=8.0,
-        )
-        before = proc.current.copy()
-        proc.advance(0.02, doppler_hz=np.array([0.0, 0.0, 25.0, 25.0]))
-        np.testing.assert_array_equal(proc.current[:2], before[:2])
-        assert not np.array_equal(proc.current[2:], before[2:])
+        channel = fading_channel(4, [(0, 0), (6, 0)], seed=5, doppler=8.0)
+        before = channel.channel_matrices()[0].copy()
+        channel.advance(0.02, doppler_hz=np.array([[0.0, 0.0, 25.0, 25.0]]))
+        after = channel.channel_matrices()[0]
+        np.testing.assert_array_equal(after[:2], before[:2])
+        assert not np.array_equal(after[2:], before[2:])
 
     def test_negative_doppler_rejected(self):
-        proc = FadingProcess(
-            np.random.default_rng(6),
-            n_rx=2,
-            antenna_positions=[(0, 0)],
-            wavelength_m=WAVELENGTH,
-        )
+        channel = fading_channel(2, [(0, 0)], seed=6)
         with pytest.raises(ValueError):
-            proc.advance(0.02, doppler_hz=np.array([-1.0, 3.0]))
+            channel.advance(0.02, doppler_hz=np.array([[-1.0, 3.0]]))
 
 
-class TestScalarBatchAdvanceBitIdentity:
-    """``ChannelModel.advance`` and ``ChannelBatch.advance(items=...)`` must
-    agree bit for bit under per-item, per-client Doppler."""
+class TestBatchAdvanceComposition:
+    """``ChannelBatch.advance`` under per-item, per-client Doppler must give
+    every item exactly what a batch of that one item gives, including under
+    an ``items`` mask."""
 
     def _build(self):
-        from repro.channel.batch import ChannelBatch
-        from repro.channel.model import ChannelModel
-        from repro.topology.deployment import AntennaMode
         from repro.topology.scenarios import office_a, single_ap_scenario
 
         env = office_a()
@@ -238,32 +246,32 @@ class TestScalarBatchAdvanceBitIdentity:
         scens = [
             single_ap_scenario(env, AntennaMode.DAS, seed=s) for s in seeds
         ]
-        models = [
-            ChannelModel(s.deployment, s.radio, seed=seed)
+        singles = [
+            ChannelBatch([s.deployment], s.radio, seeds=[seed])
             for s, seed in zip(scens, seeds)
         ]
         batch = ChannelBatch([s.deployment for s in scens], scens[0].radio, seeds)
-        return models, batch
+        return singles, batch
 
     def test_full_batch_per_item_doppler(self):
-        models, batch = self._build()
+        singles, batch = self._build()
         fd = np.random.default_rng(9).uniform(0.0, 50.0, (3, 4))
         for __ in range(3):
-            for i, model in enumerate(models):
-                model.advance(0.02, doppler_hz=fd[i])
+            for i, single in enumerate(singles):
+                single.advance(0.02, doppler_hz=fd[i][None])
             batch.advance(0.02, doppler_hz=fd)
             stacked = batch.channel_matrices()
-            for i, model in enumerate(models):
-                np.testing.assert_array_equal(model.channel_matrix(), stacked[i])
+            for i, single in enumerate(singles):
+                np.testing.assert_array_equal(single.channel_matrices()[0], stacked[i])
 
     def test_masked_items_subset(self):
-        models, batch = self._build()
+        singles, batch = self._build()
         fd = np.random.default_rng(10).uniform(0.0, 50.0, (3, 4))
         batch.advance(0.02, items=[0, 2], doppler_hz=fd[[0, 2]])
         for i in (0, 2):
-            models[i].advance(0.02, doppler_hz=fd[i])
+            singles[i].advance(0.02, doppler_hz=fd[i][None])
         stacked = batch.channel_matrices()
         for i in (0, 2):
-            np.testing.assert_array_equal(models[i].channel_matrix(), stacked[i])
+            np.testing.assert_array_equal(singles[i].channel_matrices()[0], stacked[i])
         # The skipped item's state (and generator) must be untouched.
-        np.testing.assert_array_equal(models[1].channel_matrix(), stacked[1])
+        np.testing.assert_array_equal(singles[1].channel_matrices()[0], stacked[1])

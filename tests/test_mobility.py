@@ -24,9 +24,9 @@ from repro.mobility import (
     mobility_names,
     resolve_mobility,
 )
-from repro.sim.batch import RoundBasedEvaluatorBatch
-from repro.sim.network import MacMode, NetworkSimulation
-from repro.sim.rounds import RoundBasedEvaluator
+from helpers.goldens import assert_network_matches, assert_rounds_match, goldens
+from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
+from repro.sim.network import NetworkSimulation
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario, three_ap_scenario
 
@@ -39,8 +39,16 @@ MOVING_CASES = [
 ]
 
 
+GOLDEN = goldens()
+
+
 def _deployment(seed=0):
     return single_ap_scenario(ENV, AntennaMode.DAS, seed=seed).deployment
+
+
+def one_topology(scenario, mode, seed, **kwargs):
+    """The round engine on one topology: a batch of one."""
+    return RoundBasedEvaluatorBatch([scenario], mode, seeds=[seed], **kwargs)
 
 
 class TestRegistry:
@@ -187,10 +195,8 @@ class TestStaticBitIdentity:
 
     def test_round_engine_static_sentinel(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=3)
-        a = RoundBasedEvaluator(scenario, MacMode.MIDAS, seed=3).run(6)
-        b = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=3, mobility="static"
-        ).run(6)
+        [a] = one_topology(scenario, MacMode.MIDAS, 3).run(6)
+        [b] = one_topology(scenario, MacMode.MIDAS, 3, mobility="static").run(6)
         for ra, rb in zip(a.rounds, b.rounds):
             assert ra.capacity_bps_hz == rb.capacity_bps_hz
             assert ra.n_streams == rb.n_streams
@@ -223,42 +229,36 @@ class TestStaticBitIdentity:
         # moved yet, so its plan/precoders/SINRs must equal the static
         # run's round 0 exactly (tags re-derive to the same tables).
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=5)
-        static = RoundBasedEvaluator(scenario, MacMode.MIDAS, seed=5)
-        moving = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=5,
+        static = one_topology(scenario, MacMode.MIDAS, 5)
+        moving = one_topology(
+            scenario, MacMode.MIDAS, 5,
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 2.0},
             resound_period_rounds=3,
         )
-        a = static.evaluate_round(0)
-        b = moving.evaluate_round(0)
+        [a] = static.evaluate_round(0)
+        [b] = moving.evaluate_round(0)
         assert a.capacity_bps_hz == b.capacity_bps_hz
         assert a.n_streams == b.n_streams
 
 
-class TestFiniteSpeedBackendBitIdentity:
+class TestFiniteSpeedGoldens:
+    """Moving-client runs reproduce the retired per-topology engine."""
+
     @pytest.mark.parametrize("name,kwargs", MOVING_CASES)
     @pytest.mark.parametrize("mode,antenna_mode", [
         (MacMode.MIDAS, AntennaMode.DAS),
         (MacMode.CAS, AntennaMode.CAS),
     ])
-    def test_three_ap_batch_matches_scalar(self, name, kwargs, mode, antenna_mode):
+    def test_three_ap_batch_matches_goldens(self, name, kwargs, mode, antenna_mode):
         scenarios = [three_ap_scenario(ENV, seed=s)[antenna_mode] for s in SEEDS]
         batch = RoundBasedEvaluatorBatch(
             scenarios, mode, seeds=SEEDS, mobility=name, mobility_kwargs=kwargs,
             resound_period_rounds=3,
         ).run(8)
-        for i, seed in enumerate(SEEDS):
-            scalar = RoundBasedEvaluator(
-                scenarios[i], mode, seed=seed, mobility=name,
-                mobility_kwargs=kwargs, resound_period_rounds=3,
-            ).run(8)
-            for br, sr in zip(batch[i].rounds, scalar.rounds):
-                assert br.capacity_bps_hz == sr.capacity_bps_hz
-                assert br.n_streams == sr.n_streams
-                assert br.sounding_us == sr.sounding_us
-                np.testing.assert_array_equal(br.per_ap_streams, sr.per_ap_streams)
+        for result, golden in zip(batch, GOLDEN["mobility"][f"{name}-{mode.value}"]):
+            assert_rounds_match(result, golden)
 
-    def test_mobility_with_traffic_matches_scalar(self):
+    def test_mobility_with_traffic_matches_goldens(self):
         scenarios = [
             single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
         ]
@@ -270,17 +270,10 @@ class TestFiniteSpeedBackendBitIdentity:
         batch = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS, **common
         ).run(8)
-        for i, seed in enumerate(SEEDS):
-            scalar = RoundBasedEvaluator(
-                scenarios[i], MacMode.MIDAS, seed=seed, **common
-            ).run(8)
-            np.testing.assert_array_equal(
-                batch[i].delay_samples_s, scalar.delay_samples_s
-            )
-            assert batch[i].throughput_mbps == scalar.throughput_mbps
-            assert batch[i].mean_sounding_us == scalar.mean_sounding_us
+        for result, golden in zip(batch, GOLDEN["mobility_traffic"]):
+            assert_rounds_match(result, golden)
 
-    def test_item_mask_matches_scalar(self):
+    def test_item_mask_matches_goldens(self):
         scenarios = [
             single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
         ]
@@ -292,20 +285,14 @@ class TestFiniteSpeedBackendBitIdentity:
         ).run(6, item_mask=mask)
         assert results[1] is None
         for i in (0, 2):
-            scalar = RoundBasedEvaluator(
-                scenarios[i], MacMode.MIDAS, seed=SEEDS[i],
-                mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.5},
-                resound_period_rounds=2,
-            ).run(6)
-            for br, sr in zip(results[i].rounds, scalar.rounds):
-                assert br.capacity_bps_hz == sr.capacity_bps_hz
+            assert_rounds_match(results[i], GOLDEN["mobility_item_mask"][i])
 
 
 class TestStaleness:
     def test_resound_period_charges_sounding_only_on_sounding_rounds(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=1)
-        result = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=1,
+        [result] = one_topology(
+            scenario, MacMode.MIDAS, 1,
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.0},
             resound_period_rounds=3,
         ).run(9)
@@ -324,20 +311,18 @@ class TestStaleness:
         kwargs = dict(
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.5},
         )
-        fresh = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=2, resound_period_rounds=1, **kwargs
+        [fresh] = one_topology(
+            scenario, MacMode.MIDAS, 2, resound_period_rounds=1, **kwargs
         ).run(24)
-        stale = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=2, resound_period_rounds=8, **kwargs
+        [stale] = one_topology(
+            scenario, MacMode.MIDAS, 2, resound_period_rounds=8, **kwargs
         ).run(24)
         assert stale.mean_capacity_bps_hz < fresh.mean_capacity_bps_hz
 
     def test_invalid_resound_period(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=0)
         with pytest.raises(ValueError):
-            RoundBasedEvaluator(
-                scenario, MacMode.MIDAS, seed=0, resound_period_rounds=0
-            )
+            one_topology(scenario, MacMode.MIDAS, 0, resound_period_rounds=0)
 
     def test_network_sim_mobility_runs(self):
         scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
@@ -348,6 +333,7 @@ class TestStaleness:
         ).run()
         assert result.txop_count > 0
         assert result.network_capacity_bps_hz > 0
+        assert_network_matches(result, GOLDEN["network"]["three_ap_mobility_interval"])
 
     def test_network_sim_mobility_without_interval_runs(self):
         # No re-sounding interval: every TXOP sounds fresh CSI and the
@@ -359,6 +345,7 @@ class TestStaleness:
         ).run()
         assert result.txop_count > 0
         assert result.network_capacity_bps_hz > 0
+        assert_network_matches(result, GOLDEN["network"]["three_ap_mobility_fresh"])
 
 
 class TestRunSpecMobility:

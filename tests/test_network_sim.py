@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from helpers.goldens import assert_network_matches, floats, goldens
+from repro.api import RunSpec, Runner
 from repro.config import SimConfig
-from repro.sim.network import MacMode, NetworkSimulation, aps_mutually_overhear
+from repro.sim.batch import (
+    MacMode,
+    RoundBasedEvaluatorBatch,
+    _mutual_overhear_from_decodable,
+)
+from repro.sim.network import NetworkSimulation
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario, three_ap_scenario
 
@@ -79,18 +86,69 @@ class TestThreeAp:
         assert served.mean() > 0.7
 
 
+def _sim_overhears(scenario) -> bool:
+    """The mutual-overhearing rule on the event engine's own carrier sense,
+    cross-checked against the experiments' batched gate."""
+    sim = NetworkSimulation(scenario, MacMode.CAS, SIM, seed=0)
+    deployment = sim.deployment
+    verdict = _mutual_overhear_from_decodable(
+        sim.carrier_sense.decodable_mask(),
+        [deployment.antennas_of(ap) for ap in range(deployment.n_aps)],
+    )
+    gate = RoundBasedEvaluatorBatch.mutual_overhear_mask([scenario], seeds=[0])
+    assert np.array_equal(verdict, gate)
+    return bool(verdict[0])
+
+
 class TestOverhearPredicate:
     def test_colocated_aps_overhear(self):
         pair = three_ap_scenario(office_b(), seed=0, inter_ap_m=2.0)
-        sim = NetworkSimulation(pair[AntennaMode.CAS], MacMode.CAS, SIM, seed=0)
-        assert aps_mutually_overhear(sim.carrier_sense, sim.deployment)
+        assert _sim_overhears(pair[AntennaMode.CAS])
 
     def test_distant_aps_do_not_overhear(self):
         pair = three_ap_scenario(office_b(), seed=0, inter_ap_m=500.0)
-        sim = NetworkSimulation(pair[AntennaMode.CAS], MacMode.CAS, SIM, seed=0)
-        assert not aps_mutually_overhear(sim.carrier_sense, sim.deployment)
+        assert not _sim_overhears(pair[AntennaMode.CAS])
 
     def test_single_ap_trivially_true(self):
         scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=0)
-        sim = NetworkSimulation(scenario, MacMode.CAS, SIM, seed=0)
-        assert aps_mutually_overhear(sim.carrier_sense, sim.deployment)
+        assert _sim_overhears(scenario)
+
+
+class TestGoldens:
+    """The event engine on the batched kernels reproduces the retired
+    scalar-kernel engine exactly."""
+
+    GOLDEN = goldens()["network"]
+
+    @pytest.mark.parametrize("case", [
+        ("single_ap_cas", AntennaMode.CAS, MacMode.CAS),
+        ("single_ap_midas", AntennaMode.DAS, MacMode.MIDAS),
+    ], ids=lambda case: case[0])
+    def test_single_ap(self, case):
+        key, antenna_mode, mac_mode = case
+        scenario = single_ap_scenario(office_b(), antenna_mode, seed=1)
+        result = NetworkSimulation(scenario, mac_mode, SIM, seed=1).run()
+        assert_network_matches(result, self.GOLDEN[key])
+
+    def test_three_ap_both_modes(self, three_ap_pair):
+        cas = NetworkSimulation(
+            three_ap_pair[AntennaMode.CAS], MacMode.CAS, SIM, seed=3
+        ).run()
+        midas = NetworkSimulation(
+            three_ap_pair[AntennaMode.DAS], MacMode.MIDAS, SIM, seed=3
+        ).run()
+        assert_network_matches(cas, self.GOLDEN["three_ap_cas"])
+        assert_network_matches(midas, self.GOLDEN["three_ap_midas"])
+
+    def test_fig15_dynamic_series(self):
+        spec = RunSpec(
+            "fig15",
+            n_topologies=2,
+            seed=7,
+            params={"rounds_per_topology": 2, "dynamic": True, "duration_s": 0.02},
+        )
+        series = Runner().run(spec).series
+        expected = goldens()["fig15_dynamic"]
+        assert sorted(series) == sorted(expected)
+        for key, values in expected.items():
+            assert np.array_equal(np.ravel(series[key]), floats(values)), key

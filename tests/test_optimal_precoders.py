@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from helpers import random_channel
-from repro.core.naive import naive_scaled_precoder
+from repro.core import batch as core_batch
 from repro.core.optimal import full_optimal_precoder, optimal_power_allocation
-from repro.core.power_balance import power_balanced_precoder
 from repro.core.wmmse import wmmse_precoder
 from repro.phy.capacity import per_antenna_row_power, stream_sinrs, sum_capacity_bps_hz
 
 P = 6.3
 NOISE = 1e-9
+
+
+def naive_scaled_precoder(h, p):
+    """The stacked naive repair on one channel (a batch of one)."""
+    return core_batch.naive_scaled_precoder(h[None], p)[0]
+
+
+def balanced_precoder(h, p, noise):
+    """The stacked power-balanced solver on one channel (a batch of one)."""
+    return core_batch.power_balanced_precoder(h[None], p, noise).v[0]
 
 
 def capacity(h, v):
@@ -53,8 +62,8 @@ class TestOptimalZf:
         for seed in range(8):
             h = random_channel(seed)
             opt = optimal_power_allocation(h, P, NOISE)
-            balanced = power_balanced_precoder(h, P, NOISE)
-            assert opt.capacity_bps_hz >= capacity(h, balanced.v) * (1 - 5e-3)
+            balanced = balanced_precoder(h, P, NOISE)
+            assert opt.capacity_bps_hz >= capacity(h, balanced) * (1 - 5e-3)
 
     def test_balanced_is_near_optimal(self):
         # The paper's Fig 11 claim: within ~99% of the numerical optimum.
@@ -62,8 +71,8 @@ class TestOptimalZf:
         for seed in range(12):
             h = random_channel(seed)
             opt = optimal_power_allocation(h, P, NOISE)
-            balanced = power_balanced_precoder(h, P, NOISE)
-            effs.append(capacity(h, balanced.v) / max(opt.capacity_bps_hz, 1e-12))
+            balanced = balanced_precoder(h, P, NOISE)
+            effs.append(capacity(h, balanced) / max(opt.capacity_bps_hz, 1e-12))
         assert np.median(effs) > 0.97
 
 

@@ -1,4 +1,6 @@
-"""MIDAS power-balanced precoder tests (paper §3.1.2)."""
+"""MIDAS power-balanced precoder tests (paper §3.1.2), on batches of one."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_channel
-from repro.core.naive import naive_scaled_precoder
-from repro.core.power_balance import power_balanced_precoder
-from repro.core.zfbf import zf_interference_leakage
-from repro.phy.capacity import per_antenna_row_power, stream_sinrs, sum_capacity_bps_hz
+from helpers.precoding_oracle import row_powers, zf_interference_leakage
+from repro.core import batch as core_batch
+from repro.phy.capacity import stream_sinrs, sum_capacity_bps_hz
 
 P = 6.3  # per-antenna budget, mW
 NOISE = 1e-9
+
+
+def power_balanced_precoder(h, p, noise):
+    """The stacked solver on one channel: item 0 of a batch of one."""
+    result = core_batch.power_balanced_precoder(h[None], p, noise)
+    return SimpleNamespace(
+        v=result.v[0],
+        rounds=int(result.rounds[0]),
+        converged=bool(result.converged[0]),
+        row_powers_mw=result.row_powers_mw[0],
+        cumulative_weights=result.cumulative_weights[0],
+    )
+
+
+def naive_scaled_precoder(h, p):
+    return core_batch.naive_scaled_precoder(h[None], p)[0]
 
 
 class TestFeasibility:
@@ -21,7 +38,7 @@ class TestFeasibility:
             h = random_channel(seed)
             result = power_balanced_precoder(h, P, NOISE)
             assert result.converged
-            assert per_antenna_row_power(result.v).max() <= P * (1 + 1e-6)
+            assert row_powers(result.v).max() <= P * (1 + 1e-6)
 
     def test_rounds_bounded_by_antennas(self):
         for seed in range(10):
@@ -92,7 +109,7 @@ class TestProperties:
         h = random_channel(seed)
         result = power_balanced_precoder(h, P, NOISE)
         assert result.converged
-        assert per_antenna_row_power(result.v).max() <= P * (1 + 1e-6)
+        assert row_powers(result.v).max() <= P * (1 + 1e-6)
         assert zf_interference_leakage(h, result.v) < 1e-6
 
     @given(
@@ -108,3 +125,21 @@ class TestProperties:
         result = power_balanced_precoder(h, P, NOISE)
         assert result.converged
         assert result.v.shape == (n_antennas, n_clients)
+
+
+class TestStackedContract:
+    def test_reported_row_powers_are_eq3(self):
+        h = random_channel(4)
+        result = power_balanced_precoder(h, P, NOISE)
+        np.testing.assert_allclose(result.row_powers_mw, row_powers(result.v), rtol=1e-12)
+
+    def test_naive_meets_the_cap_exactly_on_its_worst_row(self):
+        # Eq. 5: one global scaling brings the worst row down to P.
+        for seed in range(5):
+            v = naive_scaled_precoder(random_channel(seed), P)
+            assert row_powers(v).max() == pytest.approx(P, rel=1e-12)
+            assert zf_interference_leakage(random_channel(seed), v) < 1e-8
+
+    def test_rejects_single_matrices(self):
+        with pytest.raises(ValueError, match="h\\[None\\]"):
+            core_batch.power_balanced_precoder(random_channel(0), P, NOISE)

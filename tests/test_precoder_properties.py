@@ -200,7 +200,7 @@ def test_growing_the_power_budget_never_hurts(backend):
 def test_real_das_channels_also_satisfy_the_properties(backend, das_channel):
     # Synthetic stacks above; one spot check on a genuine office-B DAS
     # channel so the properties hold on the paper's own distribution.
-    h = das_channel.channel_matrix()[None]
+    h = das_channel.channel_matrices()
     v = _solve(backend, "balanced", h)
     row_powers = np.sum(np.abs(v) ** 2, axis=-1)
     assert np.all(row_powers <= P_MW * (1.0 + BACKENDS[backend] + 1e-8))

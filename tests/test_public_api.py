@@ -1,6 +1,7 @@
 """Public API surface tests: the README quickstart must keep working."""
 
 import numpy as np
+import pytest
 
 import repro
 
@@ -19,8 +20,8 @@ class TestReadmeQuickstart:
         scenario = repro.single_ap_scenario(
             repro.office_b(), repro.AntennaMode.DAS, seed=7
         )
-        model = repro.ChannelModel(scenario.deployment, scenario.radio, seed=7)
-        h = model.channel_matrix()
+        channel = repro.ChannelBatch([scenario.deployment], scenario.radio, seeds=[7])
+        h = channel.channel_matrices()  # a batch of one
         p = scenario.radio.per_antenna_power_mw
         noise = scenario.radio.noise_mw
 
@@ -33,21 +34,42 @@ class TestReadmeQuickstart:
         naive_capacity = repro.sum_capacity_bps_hz(
             repro.stream_sinrs(h, baseline, noise)
         )
-        assert result.converged
-        assert balanced_capacity > 0 and naive_capacity > 0
+        assert result.converged.all()
+        assert np.all(balanced_capacity > 0) and np.all(naive_capacity > 0)
 
     def test_docstring_example_values(self):
         # The module docstring promises converged=True for seed 7.
         scenario = repro.single_ap_scenario(
             repro.office_b(), repro.AntennaMode.DAS, seed=7
         )
-        model = repro.ChannelModel(scenario.deployment, scenario.radio, seed=7)
+        channel = repro.ChannelBatch([scenario.deployment], scenario.radio, seeds=[7])
         result = repro.power_balanced_precoder(
-            model.channel_matrix(),
+            channel.channel_matrices(),
             scenario.radio.per_antenna_power_mw,
             scenario.radio.noise_mw,
         )
-        assert result.converged
+        assert bool(result.converged[0]) is True
+
+    def test_docstring_doctests_pass(self):
+        import doctest
+
+        failures, attempted = doctest.testmod(repro, verbose=False)
+        assert attempted > 0 and failures == 0
+
+    def test_precoder_names_bind_the_stacked_kernels(self):
+        from repro.core import batch as core_batch
+
+        assert repro.power_balanced_precoder is core_batch.power_balanced_precoder
+        assert repro.naive_scaled_precoder is core_batch.naive_scaled_precoder
+        with pytest.raises(ValueError, match="stacked"):
+            repro.naive_scaled_precoder(np.eye(2, dtype=complex), 1.0)
+
+    def test_scalar_mirrors_are_gone(self):
+        for name in (
+            "ChannelModel", "CarrierSenseModel", "RoundBasedEvaluator",
+            "PrecodingResult", "WaterfillResult", "FadingProcess",
+        ):
+            assert not hasattr(repro, name), name
 
     def test_cdf_helpers_exported(self):
         cdf = repro.EmpiricalCdf(np.array([1.0, 2.0, 3.0]))

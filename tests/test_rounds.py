@@ -1,12 +1,20 @@
-"""Round-based (quasi-static) evaluator tests."""
+"""Round-based (quasi-static) evaluator tests, on a batch of one topology."""
 
 import numpy as np
 import pytest
 
-from repro.sim.network import MacMode, aps_mutually_overhear
-from repro.sim.rounds import RoundBasedEvaluator, RoundBasedResult
+from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch, RoundBasedResult
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, three_ap_scenario
+
+
+def evaluator(scenario, mode, seed):
+    """The round engine on one topology: a batch of one."""
+    return RoundBasedEvaluatorBatch([scenario], mode, seeds=[seed])
+
+
+def run(scenario, mode, seed, n_rounds):
+    return evaluator(scenario, mode, seed).run(n_rounds)[0]
 
 
 @pytest.fixture(scope="module")
@@ -14,8 +22,7 @@ def overhearing_pair():
     # Find a topology where the CAS APs mutually overhear (the paper's rule).
     for seed in range(200):
         pair = three_ap_scenario(office_b(), seed=seed)
-        ev = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=seed)
-        if aps_mutually_overhear(ev.carrier_sense, ev.deployment):
+        if RoundBasedEvaluatorBatch.mutual_overhear_mask([pair[AntennaMode.CAS]], [seed])[0]:
             return pair, seed
     pytest.skip("no overhearing topology found in 200 seeds")
 
@@ -23,8 +30,7 @@ def overhearing_pair():
 class TestCasRounds:
     def test_serialization_under_full_overhearing(self, overhearing_pair):
         pair, seed = overhearing_pair
-        ev = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=seed)
-        result = ev.run(6)
+        result = run(pair[AntennaMode.CAS], MacMode.CAS, seed, 6)
         for rnd in result.rounds:
             # Exactly one AP transmits its four streams per round.
             assert rnd.n_streams == 4
@@ -32,45 +38,45 @@ class TestCasRounds:
 
     def test_primary_rotates(self, overhearing_pair):
         pair, seed = overhearing_pair
-        ev = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=seed)
-        result = ev.run(6)
+        result = run(pair[AntennaMode.CAS], MacMode.CAS, seed, 6)
         actives = [int(np.argmax(r.per_ap_streams)) for r in result.rounds]
         assert set(actives) == {0, 1, 2}
+
+    def test_evaluator_sees_the_gate_verdict(self, overhearing_pair):
+        pair, seed = overhearing_pair
+        assert evaluator(pair[AntennaMode.CAS], MacMode.CAS, seed).aps_mutually_overhear()[0]
 
 
 class TestMidasRounds:
     def test_primary_always_full(self, overhearing_pair):
         pair, seed = overhearing_pair
-        ev = RoundBasedEvaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed=seed)
-        result = ev.run(6)
+        result = run(pair[AntennaMode.DAS], MacMode.MIDAS, seed, 6)
         for index, rnd in enumerate(result.rounds):
             primary = index % 3
             assert rnd.per_ap_streams[primary] >= 1
 
     def test_streams_at_least_cas(self, overhearing_pair):
         pair, seed = overhearing_pair
-        cas = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=seed).run(12)
-        midas = RoundBasedEvaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed=seed).run(12)
+        cas = run(pair[AntennaMode.CAS], MacMode.CAS, seed, 12)
+        midas = run(pair[AntennaMode.DAS], MacMode.MIDAS, seed, 12)
         assert midas.mean_streams >= cas.mean_streams * 0.9
 
     def test_capacity_positive(self, overhearing_pair):
         pair, seed = overhearing_pair
-        result = RoundBasedEvaluator(
-            pair[AntennaMode.DAS], MacMode.MIDAS, seed=seed
-        ).run(4)
+        result = run(pair[AntennaMode.DAS], MacMode.MIDAS, seed, 4)
         assert result.mean_capacity_bps_hz > 0
 
     def test_rejects_zero_rounds(self, overhearing_pair):
         pair, seed = overhearing_pair
-        ev = RoundBasedEvaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed=seed)
+        ev = evaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed)
         with pytest.raises(ValueError):
             ev.run(0)
 
     def test_deterministic(self, overhearing_pair):
         pair, seed = overhearing_pair
-        a = RoundBasedEvaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed=seed).run(5)
-        b = RoundBasedEvaluator(pair[AntennaMode.DAS], MacMode.MIDAS, seed=seed).run(5)
-        assert a.mean_capacity_bps_hz == pytest.approx(b.mean_capacity_bps_hz)
+        a = run(pair[AntennaMode.DAS], MacMode.MIDAS, seed, 5)
+        b = run(pair[AntennaMode.DAS], MacMode.MIDAS, seed, 5)
+        assert a.mean_capacity_bps_hz == b.mean_capacity_bps_hz
 
 
 class TestEmptyResult:
@@ -88,24 +94,24 @@ class TestDrrSettlement:
         # overhearing only the primary transmits; the other two APs send
         # nothing, and before the fix their DRR counters never moved.
         pair, seed = overhearing_pair
-        ev = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=seed)
-        result = ev.evaluate_round(primary_ap=0)
+        scenario = pair[AntennaMode.CAS]
+        ev = evaluator(scenario, MacMode.CAS, seed)
+        [result] = ev.evaluate_round(primary_ap=0)
         np.testing.assert_array_equal(np.flatnonzero(result.per_ap_streams), [0])
         # Counters are global-axis: only the blocked AP's own members move.
         for blocked_ap in (1, 2):
-            members = ev.association.members(blocked_ap)
-            expected = np.zeros(ev.deployment.n_clients)
+            members = ev.association.items[0].members(blocked_ap)
+            expected = np.zeros(scenario.deployment.n_clients)
             expected[members] = 1.0
-            np.testing.assert_array_equal(
-                ev._drr[blocked_ap].counters, expected
-            )
+            np.testing.assert_array_equal(ev._drr[blocked_ap].counters[0], expected)
 
     def test_transmitting_ap_settles_paper_rule(self, overhearing_pair):
         pair, seed = overhearing_pair
-        ev = RoundBasedEvaluator(pair[AntennaMode.CAS], MacMode.CAS, seed=seed)
-        result = ev.evaluate_round(primary_ap=0)
+        scenario = pair[AntennaMode.CAS]
+        ev = evaluator(scenario, MacMode.CAS, seed)
+        [result] = ev.evaluate_round(primary_ap=0)
         # Four streams, four clients: everyone served, counters at -1 each.
         assert result.per_ap_streams[0] == 4
-        expected = np.zeros(ev.deployment.n_clients)
-        expected[ev.association.members(0)] = -1.0
-        np.testing.assert_array_equal(ev._drr[0].counters, expected)
+        expected = np.zeros(scenario.deployment.n_clients)
+        expected[ev.association.items[0].members(0)] = -1.0
+        np.testing.assert_array_equal(ev._drr[0].counters[0], expected)

@@ -1,23 +1,25 @@
-"""Batched round-based engine tests: bit-identity against the scalar path.
+"""Batched round-based engine tests: bit-identity against recorded goldens.
 
-Everything here asserts exact equality (``array_equal`` / ``==``) -- the
-batched sim layer inherits the vectorized backend's no-tolerances contract.
+Round results are compared exactly (``array_equal`` / ``==``) with the
+outputs the retired per-topology engine recorded (:mod:`helpers.goldens`);
+the batched sim layer inherits the no-tolerances contract.
 """
 
 import numpy as np
 import pytest
 
+from helpers.carrier_sense_table import reference_decodes, reference_sensed_mw
+from helpers.goldens import assert_rounds_match, floats, goldens
 from repro import rng as rng_mod
 from repro.config import MacConfig
 from repro.core.selection import BatchDeficitRoundRobin, DeficitRoundRobin
-from repro.mac.carrier_sense import CarrierSenseModel
 from repro.sim.batch import (
     CarrierSenseBatch,
+    MacMode,
     RoundBasedEvaluatorBatch,
+    _mutual_overhear_from_decodable,
     count_streams_batch,
 )
-from repro.sim.network import MacMode, aps_mutually_overhear
-from repro.sim.rounds import RoundBasedEvaluator
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import (
     dense_office_scenario,
@@ -34,15 +36,7 @@ def _three_ap(mode, seeds=SEEDS):
     return [three_ap_scenario(ENV, seed=s)[mode] for s in seeds]
 
 
-def _assert_rounds_equal(batch_result, scalar_result):
-    assert len(batch_result.rounds) == len(scalar_result.rounds)
-    for batch_round, scalar_round in zip(batch_result.rounds, scalar_result.rounds):
-        assert batch_round.capacity_bps_hz == scalar_round.capacity_bps_hz
-        assert batch_round.n_streams == scalar_round.n_streams
-        assert batch_round.active_antennas == scalar_round.active_antennas
-        assert np.array_equal(
-            batch_round.per_ap_streams, scalar_round.per_ap_streams
-        )
+GOLDEN = goldens()
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +51,7 @@ class TestCarrierSenseBatch:
         cross[:, eye] = np.inf
         return cross
 
-    def test_matches_scalar_model(self, stacked):
+    def test_matches_reference_rules(self, stacked):
         mac = MacConfig()
         batch = CarrierSenseBatch(stacked, mac)
         rng = np.random.default_rng(9)
@@ -68,18 +62,20 @@ class TestCarrierSenseBatch:
             decode = batch.decode_mask(tx_mask)
             nav = batch.nav_blocked_mask(tx_mask)
             for b in range(3):
-                scalar = CarrierSenseModel(stacked[b], mac)
-                tx = np.flatnonzero(tx_mask[b])
+                cross = stacked[b].tolist()
+                tx = np.flatnonzero(tx_mask[b]).tolist()
                 for listener in range(6):
-                    assert sensed[b, listener] == scalar.sensed_power_mw(listener, tx)
-                assert np.array_equal(busy[b], scalar.busy_mask(tx))
-                for listener in range(6):
+                    expected = reference_sensed_mw(cross, listener, tx)
+                    assert sensed[b, listener] == pytest.approx(expected, rel=1e-12)
+                    assert busy[b, listener] == (
+                        listener in tx or expected >= mac.cs_threshold_mw
+                    )
                     for transmitter in range(6):
-                        assert bool(decode[b, listener, transmitter]) == scalar.decodes(
-                            listener, transmitter, tx
+                        assert bool(decode[b, listener, transmitter]) == reference_decodes(
+                            cross, listener, transmitter, tx, mac
                         ), (b, listener, transmitter)
                     expected_nav = any(
-                        scalar.decodes(listener, int(t), tx) for t in tx
+                        reference_decodes(cross, listener, t, tx, mac) for t in tx
                     )
                     assert bool(nav[b, listener]) == expected_nav
 
@@ -157,46 +153,48 @@ class TestRoundBasedEvaluatorBatch:
         "antenna_mode,mac_mode",
         [(AntennaMode.CAS, MacMode.CAS), (AntennaMode.DAS, MacMode.MIDAS)],
     )
-    def test_three_ap_bit_identical(self, antenna_mode, mac_mode):
+    def test_three_ap_matches_goldens(self, antenna_mode, mac_mode):
         scenarios = _three_ap(antenna_mode)
         batch = RoundBasedEvaluatorBatch(scenarios, mac_mode, seeds=SEEDS)
         results = batch.run(5)
-        for i, (scenario, seed) in enumerate(zip(scenarios, SEEDS)):
-            scalar = RoundBasedEvaluator(scenario, mac_mode, seed=seed).run(5)
-            _assert_rounds_equal(results[i], scalar)
+        for result, golden in zip(results, GOLDEN["three_ap"][mac_mode.value]):
+            assert_rounds_match(result, golden)
 
     def test_item_mask_skips_items(self):
         scenarios = _three_ap(AntennaMode.DAS)
         batch = RoundBasedEvaluatorBatch(scenarios, MacMode.MIDAS, seeds=SEEDS)
         mask = np.array([True, False, True, False])
-        results = batch.run(3, item_mask=mask)
+        results = batch.run(5, item_mask=mask)
         assert results[1] is None and results[3] is None
-        scalar = RoundBasedEvaluator(
-            scenarios[2], MacMode.MIDAS, seed=SEEDS[2]
-        ).run(3)
-        _assert_rounds_equal(results[2], scalar)
+        assert_rounds_match(results[2], GOLDEN["three_ap"]["midas"][2])
 
-    def test_mutual_overhear_mask_matches_scalar(self):
+    def test_mutual_overhear_mask_matches_goldens(self):
         seeds = list(range(8))
         scenarios = _three_ap(AntennaMode.CAS, seeds)
         mask = RoundBasedEvaluatorBatch.mutual_overhear_mask(scenarios, seeds)
-        for i, (scenario, seed) in enumerate(zip(scenarios, seeds)):
-            scalar = RoundBasedEvaluator(scenario, MacMode.CAS, seed=seed)
-            assert bool(mask[i]) == aps_mutually_overhear(
-                scalar.carrier_sense, scalar.deployment
-            )
+        assert mask.tolist() == GOLDEN["mutual_overhear"]
+        # The gate is the full evaluator's own verdict, item for item.
+        evaluator = RoundBasedEvaluatorBatch(scenarios, MacMode.CAS, seeds=seeds)
+        assert np.array_equal(evaluator.aps_mutually_overhear(), mask)
 
-    def test_count_streams_matches_scalar(self):
-        from repro.experiments.fig12_simultaneous_tx import count_streams
+    def test_mutual_overhear_rule(self):
+        # Two APs with two antennas each: AP 0 decodes AP 1 through one
+        # antenna pair, but AP 1 decodes nothing of AP 0.
+        decodable = np.zeros((2, 4, 4), dtype=bool)
+        decodable[:, 0, 3] = True  # antenna 0 (AP 0) hears antenna 3 (AP 1)
+        decodable[1, 2, 1] = True  # item 1 only: antenna 2 (AP 1) hears 1
+        verdict = _mutual_overhear_from_decodable(
+            decodable, [np.array([0, 1]), np.array([2, 3])]
+        )
+        assert verdict.tolist() == [False, True]
 
+    def test_count_streams_matches_goldens(self):
         scenarios = _three_ap(AntennaMode.DAS)
         batch = RoundBasedEvaluatorBatch(scenarios, MacMode.MIDAS, seeds=SEEDS)
         counted = count_streams_batch(
             batch, [rng_mod.make_rng(s) for s in SEEDS], rounds=4
         )
-        for i, (scenario, seed) in enumerate(zip(scenarios, SEEDS)):
-            scalar = RoundBasedEvaluator(scenario, MacMode.MIDAS, seed=seed)
-            assert counted[i] == count_streams(scalar, rng_mod.make_rng(seed), 4)
+        assert np.array_equal(counted, floats(GOLDEN["count_streams"]))
 
     def test_rejects_mixed_structure(self):
         three = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
@@ -221,16 +219,16 @@ class TestNewScenarioFamilies:
             (dense_office_scenario, {"n_aps": 2, "clients_per_ap": 10}),
         ],
     )
-    def test_batch_matches_loop_on_family(self, factory, kwargs):
+    def test_batch_matches_goldens_on_family(self, factory, kwargs):
         seeds = [0, 1]
         scenarios = [
             factory(ENV, seed=s, **kwargs)[AntennaMode.DAS] for s in seeds
         ]
         batch = RoundBasedEvaluatorBatch(scenarios, MacMode.MIDAS, seeds=seeds)
         results = batch.run(3)
-        for i, (scenario, seed) in enumerate(zip(scenarios, seeds)):
-            scalar = RoundBasedEvaluator(scenario, MacMode.MIDAS, seed=seed).run(3)
-            _assert_rounds_equal(results[i], scalar)
+        family = factory.__name__.removesuffix("_scenario")
+        for result, golden in zip(results, GOLDEN["families"][family]):
+            assert_rounds_match(result, golden)
 
     def test_families_are_registered(self):
         from repro.api.scenarios import scenario_factory

@@ -4,10 +4,11 @@ The contract the whole :mod:`repro.obs` layer rests on: instrumentation
 never draws randomness and never changes engine control flow, so every
 series an engine produces is ``array_equal`` with telemetry on or off --
 on every engine: the batched round engine behind ``roaming_handoff`` (at
-one seed per call and stacked, which differ only in stack size), the event-driven
-``NetworkSimulation`` behind ``fig15``, and the scalar
-``RoundBasedEvaluator`` driven directly (the Runner no longer reaches it)
--- and every RNG the run creates ends in exactly the same state.  Plus the acceptance checks of the traced path itself: a traced
+one seed per call and stacked, which differ only in stack size), and the
+event-driven ``NetworkSimulation`` -- the one per-topology engine, run on
+batches of one -- both behind ``fig15`` and driven directly with mobility,
+association and finite load -- and every RNG the run creates ends in
+exactly the same state.  Plus the acceptance checks of the traced path itself: a traced
 run's JSONL is schema-valid, names every documented counter, and its
 per-phase span totals account for the engine wall-clock.
 """
@@ -113,42 +114,43 @@ def test_series_byte_identical_with_telemetry_on_or_off(
 
 
 def _scalar_engine_series(config: str) -> dict[str, np.ndarray]:
-    """Run the scalar ``RoundBasedEvaluator`` directly; per-round series."""
-    from repro.sim import MacMode, RoundBasedEvaluator
+    """Run the per-topology ``NetworkSimulation`` directly; its outputs."""
+    from repro.config import SimConfig
+    from repro.sim import MacMode, NetworkSimulation
     from repro.topology.deployment import AntennaMode
     from repro.topology.scenarios import campus_scenario, office_b, paired_scenarios
 
     env = office_b()
+    sim = SimConfig(duration_s=0.03)
     if config == "roaming":
         scenario = campus_scenario(
             env, n_rows=2, n_cols=2, spacing_m=20.0, antennas_per_ap=4,
             clients_per_ap=3, seed=7, modes=(AntennaMode.DAS,),
         )[AntennaMode.DAS]
-        evaluator = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=7, mobility="gauss_markov",
-            mobility_kwargs={"speed_mps": 2.0}, resound_period_rounds=2,
+        engine = NetworkSimulation(
+            scenario, MacMode.MIDAS, sim, seed=7, mobility="gauss_markov",
+            mobility_kwargs={"speed_mps": 2.0}, resound_interval_s=0.01,
             association="hysteresis_handoff",
         )
     else:
         scenario = paired_scenarios(env, [(0.0, 0.0)], seed=7, name="telemetry")[
             AntennaMode.DAS
         ]
-        evaluator = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=7, traffic="poisson",
+        engine = NetworkSimulation(
+            scenario, MacMode.MIDAS, sim, seed=7, traffic="poisson",
             traffic_kwargs={"rate_mbps": 15.0},
         )
-    rounds = evaluator.run(8).rounds
+    result = engine.run()
     series = {
-        "capacity_bps_hz": np.array([r.capacity_bps_hz for r in rounds]),
-        "n_streams": np.array([r.n_streams for r in rounds]),
-        "active_antennas": np.array([r.active_antennas for r in rounds]),
-        "per_ap_streams": np.stack([r.per_ap_streams for r in rounds]),
-        "sounding_us": np.array([r.sounding_us for r in rounds]),
+        "per_client_bits_per_hz": result.per_client_bits_per_hz,
+        "counts": np.array([result.txop_count, result.stream_count]),
+        "mean_concurrent_streams": np.array([result.mean_concurrent_streams]),
+        "collision_fraction": np.array([result.collision_fraction]),
     }
-    if rounds[0].traffic is not None:
-        series["served_bytes"] = np.array([r.traffic.served_bytes for r in rounds])
-        series["queue_bytes"] = np.array([r.traffic.queue_bytes for r in rounds])
-        series["delays_s"] = np.concatenate([r.traffic.delays_s for r in rounds])
+    if result.traffic is not None:
+        series["served_per_client"] = result.traffic.served_per_client
+        series["queue_bytes"] = np.array([result.traffic.queue_bytes])
+        series["delays_s"] = result.traffic.delays_s
     return series
 
 
@@ -171,7 +173,7 @@ def test_scalar_engine_byte_identical_with_telemetry_on_or_off(config, monkeypat
     assert len(states_off) == len(states_on) > 0
     for index, (off, on) in enumerate(zip(states_off, states_on)):
         assert off == on, f"generator {index} consumed differently under telemetry"
-    assert telemetry.counters["engine.rounds"] > 0
+    assert telemetry.counters["engine.txops"] > 0
 
 
 @pytest.mark.parametrize(

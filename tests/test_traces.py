@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.model import ChannelModel
+from repro.channel.batch import ChannelBatch
 from repro.channel.traces import ChannelTrace, record_trace
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
@@ -12,7 +12,7 @@ from repro.topology.scenarios import office_b, single_ap_scenario
 @pytest.fixture()
 def model():
     scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=3)
-    return ChannelModel(scenario.deployment, scenario.radio, seed=3)
+    return ChannelBatch([scenario.deployment], scenario.radio, seeds=[3])
 
 
 class TestRecord:
@@ -34,6 +34,22 @@ class TestRecord:
     def test_rejects_zero_blocks(self, model):
         with pytest.raises(ValueError):
             record_trace(model, n_blocks=0, block_duration_s=0.02)
+
+    def test_first_block_is_the_current_channel(self, model):
+        expected = model.channel_matrices()[0].copy()
+        trace = record_trace(model, n_blocks=2, block_duration_s=0.02)
+        np.testing.assert_array_equal(trace.block(0), expected)
+        np.testing.assert_array_equal(trace.block(1), model.channel_matrices()[0])
+
+    def test_rejects_multi_item_batches(self):
+        scenarios = [
+            single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in (1, 2)
+        ]
+        batch = ChannelBatch(
+            [s.deployment for s in scenarios], scenarios[0].radio, seeds=[1, 2]
+        )
+        with pytest.raises(ValueError, match="batch of one"):
+            record_trace(batch, n_blocks=2, block_duration_s=0.02)
 
     def test_iteration(self, model):
         trace = record_trace(model, n_blocks=3, block_duration_s=0.02)

@@ -1,20 +1,22 @@
-"""Finite-load engine tests: scalar/batch bit-identity (no tolerances),
-full-buffer no-op guarantees, result accessors, the latency_vs_load
-experiment one seed per call and stacked, and the event-driven MAC's traffic."""
+"""Finite-load engine tests: bit-identity with recorded goldens (no
+tolerances), full-buffer no-op guarantees, result accessors, the
+latency_vs_load experiment one seed per call and stacked, and the
+event-driven MAC's traffic."""
 
 import numpy as np
 import pytest
 
+from helpers.goldens import assert_network_matches, assert_rounds_match, goldens
 from repro.api import RunSpec, Runner
 from repro.config import SimConfig
-from repro.sim.batch import RoundBasedEvaluatorBatch
-from repro.sim.network import MacMode, NetworkSimulation
-from repro.sim.rounds import RoundBasedEvaluator
+from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
+from repro.sim.network import NetworkSimulation
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario, three_ap_scenario
 
 ENV = office_b()
 SEEDS = [0, 1, 2]
+GOLDEN = goldens()
 
 TRAFFIC_CASES = [
     ("poisson", {"rate_mbps": 6.0}),
@@ -23,39 +25,26 @@ TRAFFIC_CASES = [
 ]
 
 
-def _assert_traffic_equal(batch_result, scalar_result):
-    assert len(batch_result.rounds) == len(scalar_result.rounds)
-    for br, sr in zip(batch_result.rounds, scalar_result.rounds):
-        assert br.capacity_bps_hz == sr.capacity_bps_hz
-        assert br.n_streams == sr.n_streams
-        assert br.traffic.arrived_bytes == sr.traffic.arrived_bytes
-        assert br.traffic.served_bytes == sr.traffic.served_bytes
-        assert br.traffic.queue_bytes == sr.traffic.queue_bytes
-        assert np.array_equal(br.traffic.delays_s, sr.traffic.delays_s)
-        assert np.array_equal(br.traffic.delay_categories, sr.traffic.delay_categories)
-        assert np.array_equal(
-            br.traffic.served_per_client, sr.traffic.served_per_client
-        )
+def one_topology(scenario, mode, seed, **kwargs):
+    """The round engine on one topology: a batch of one."""
+    return RoundBasedEvaluatorBatch([scenario], mode, seeds=[seed], **kwargs)
 
 
-class TestRoundEngineBitIdentity:
+class TestRoundEngineGoldens:
     @pytest.mark.parametrize("traffic,kwargs", TRAFFIC_CASES)
     @pytest.mark.parametrize("mode,antenna_mode", [
         (MacMode.MIDAS, AntennaMode.DAS),
         (MacMode.CAS, AntennaMode.CAS),
     ])
-    def test_three_ap_batch_matches_scalar(self, traffic, kwargs, mode, antenna_mode):
+    def test_three_ap_batch_matches_goldens(self, traffic, kwargs, mode, antenna_mode):
         scenarios = [three_ap_scenario(ENV, seed=s)[antenna_mode] for s in SEEDS]
         batch = RoundBasedEvaluatorBatch(
             scenarios, mode, seeds=SEEDS, traffic=traffic, traffic_kwargs=kwargs
         ).run(8)
-        for i, seed in enumerate(SEEDS):
-            scalar = RoundBasedEvaluator(
-                scenarios[i], mode, seed=seed, traffic=traffic, traffic_kwargs=kwargs
-            ).run(8)
-            _assert_traffic_equal(batch[i], scalar)
+        for result, golden in zip(batch, GOLDEN["traffic"][f"{traffic}-{mode.value}"]):
+            assert_rounds_match(result, golden)
 
-    def test_single_ap_batch_matches_scalar(self):
+    def test_single_ap_batch_matches_goldens(self):
         scenarios = [
             single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
         ]
@@ -63,14 +52,8 @@ class TestRoundEngineBitIdentity:
             scenarios, MacMode.MIDAS, seeds=SEEDS,
             traffic="poisson", traffic_kwargs={"rate_mbps": 10.0},
         ).run(12)
-        for i, seed in enumerate(SEEDS):
-            scalar = RoundBasedEvaluator(
-                scenarios[i], MacMode.MIDAS, seed=seed,
-                traffic="poisson", traffic_kwargs={"rate_mbps": 10.0},
-            ).run(12)
-            _assert_traffic_equal(batch[i], scalar)
-            assert batch[i].throughput_mbps == scalar.throughput_mbps
-            assert np.array_equal(batch[i].delay_samples_s, scalar.delay_samples_s)
+        for result, golden in zip(batch, GOLDEN["traffic_single_ap"]):
+            assert_rounds_match(result, golden)
 
     def test_item_mask_skips_inactive_items(self):
         scenarios = [
@@ -80,21 +63,17 @@ class TestRoundEngineBitIdentity:
         results = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS,
             traffic="poisson", traffic_kwargs={"rate_mbps": 10.0},
-        ).run(6, item_mask=mask)
+        ).run(12, item_mask=mask)
         assert results[1] is None
-        scalar = RoundBasedEvaluator(
-            scenarios[2], MacMode.MIDAS, seed=SEEDS[2],
-            traffic="poisson", traffic_kwargs={"rate_mbps": 10.0},
-        ).run(6)
-        _assert_traffic_equal(results[2], scalar)
+        assert_rounds_match(results[2], GOLDEN["traffic_single_ap"][2])
 
 
 class TestFullBufferNoOp:
-    def test_full_buffer_equals_no_traffic_scalar(self):
+    def test_full_buffer_equals_no_traffic_single_item(self):
         scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
-        plain = RoundBasedEvaluator(scenario, MacMode.MIDAS, seed=0).run(6)
-        full = RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=0, traffic="full_buffer"
+        [plain] = one_topology(scenario, MacMode.MIDAS, 0).run(6)
+        [full] = one_topology(
+            scenario, MacMode.MIDAS, 0, traffic="full_buffer"
         ).run(6)
         assert [r.capacity_bps_hz for r in plain.rounds] == [
             r.capacity_bps_hz for r in full.rounds
@@ -114,7 +93,7 @@ class TestFullBufferNoOp:
 
     def test_accessors_raise_without_traffic(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=0)
-        result = RoundBasedEvaluator(scenario, MacMode.MIDAS, seed=0).run(2)
+        [result] = one_topology(scenario, MacMode.MIDAS, 0).run(2)
         assert not result.has_traffic
         with pytest.raises(ValueError, match="full-buffer"):
             result.mean_delay_s
@@ -126,10 +105,11 @@ class TestResultAccessors:
     @pytest.fixture(scope="class")
     def loaded(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=1)
-        return RoundBasedEvaluator(
-            scenario, MacMode.MIDAS, seed=1,
+        [result] = one_topology(
+            scenario, MacMode.MIDAS, 1,
             traffic="poisson", traffic_kwargs={"rate_mbps": 8.0},
         ).run(30)
+        return result
 
     def test_conservation_and_positivity(self, loaded):
         assert loaded.has_traffic
@@ -235,6 +215,7 @@ class TestDynamicMacTraffic:
             scenario, MacMode.MIDAS, SimConfig(duration_s=0.04), seed=0,
             traffic="poisson", traffic_kwargs={"rate_mbps": 5.0},
         ).run()
+        assert_network_matches(result, GOLDEN["network"]["three_ap_poisson"])
         summary = result.traffic
         assert summary is not None
         assert 0 < summary.served_bytes <= summary.arrived_bytes

@@ -4,10 +4,10 @@ The Runner evaluates through an experiment's one ``build_batch`` hook,
 handing it contiguous seed chunks whose size depends on ``batch_size`` and
 ``jobs`` (``batch_size=1`` is one seed per call).  The contract is that a
 topology's result must not depend on the batch it is computed in -- its
-size, its order, or its neighbours: batched precoders equal their scalar
-siblings slice for slice, batched channel synthesis equals per-topology
-``ChannelModel`` construction, and every registered experiment gives the
-same series at any ``batch_size`` and under ``jobs > 1``.
+size, its order, or its neighbours: every registered precoder solves each
+item of a stack exactly as it solves that item alone, batched channel
+synthesis equals batches of one topology, and every registered experiment
+gives the same series at any ``batch_size`` and under ``jobs > 1``.
 Everything here asserts ``array_equal`` -- no tolerances.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    BATCH_PRECODERS,
     PRECODERS,
     RunSpec,
     Runner,
@@ -26,11 +25,9 @@ from repro.api import (
     precoder_matrix_batch,
 )
 from repro.channel.batch import ChannelBatch
-from repro.channel.model import ChannelModel
 from repro.config import RadioConfig
 from repro.core import batch as core_batch
 from repro.core.svd import svd_waterfilling
-from repro.core.waterfill import reverse_waterfill
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, paired_scenarios
 
@@ -75,25 +72,26 @@ def test_every_registered_precoder_matches_bit_for_bit(name, das_channels):
         assert np.array_equal(stacked[index], precoder_matrix(name, item, p, noise))
 
 
-def test_batched_registry_covers_the_closed_form_precoders():
-    assert {"naive", "balanced", "total_power"} <= set(BATCH_PRECODERS.names())
+def test_one_registry_holds_every_precoder():
+    assert set(PRECODERS.names()) == {
+        "naive", "balanced", "total_power", "optimal_zf", "wmmse", "full_optimal",
+    }
 
 
 def test_batched_power_balance_metadata_matches():
     h = _channel_stack(32, 4, 4, seed=5)
     p, noise = RADIO.per_antenna_power_mw, RADIO.noise_mw
-    from repro.core.power_balance import power_balanced_precoder as scalar_pb
-
     stacked = core_batch.power_balanced_precoder(h, p, noise)
     assert stacked.rounds.max() >= 1  # the sweep actually exercised repairs
+    assert stacked.rounds.min() < stacked.rounds.max()  # items finish apart
     for index, item in enumerate(h):
-        scalar = scalar_pb(item, p, noise)
-        assert np.array_equal(stacked.v[index], scalar.v)
-        assert stacked.rounds[index] == scalar.rounds
-        assert bool(stacked.converged[index]) == scalar.converged
-        assert np.array_equal(stacked.row_powers_mw[index], scalar.row_powers_mw)
+        alone = core_batch.power_balanced_precoder(item[None], p, noise)
+        assert np.array_equal(stacked.v[index], alone.v[0])
+        assert stacked.rounds[index] == alone.rounds[0]
+        assert stacked.converged[index] == alone.converged[0]
+        assert np.array_equal(stacked.row_powers_mw[index], alone.row_powers_mw[0])
         assert np.array_equal(
-            stacked.cumulative_weights[index], scalar.cumulative_weights
+            stacked.cumulative_weights[index], alone.cumulative_weights[0]
         )
 
 
@@ -105,11 +103,11 @@ def test_batched_reverse_waterfill_matches_all_branches(budget):
     rho = rng.uniform(0.0, 30.0, (40, 4))
     stacked = core_batch.reverse_waterfill(q, rho, budget)
     for i in range(len(q)):
-        scalar = reverse_waterfill(q[i], rho[i], budget)
-        assert np.array_equal(stacked.weights[i], scalar.weights)
-        assert np.array_equal(stacked.reductions_mw[i], scalar.reductions_mw)
-        assert stacked.water_level[i] == scalar.water_level
-        assert bool(stacked.capped[i]) == scalar.capped
+        alone = core_batch.reverse_waterfill(q[i][None], rho[i][None], budget)
+        assert np.array_equal(stacked.weights[i], alone.weights[0])
+        assert np.array_equal(stacked.reductions_mw[i], alone.reductions_mw[0])
+        assert stacked.water_level[i] == alone.water_level[0]
+        assert stacked.capped[i] == alone.capped[0]
 
 
 def test_batched_svd_waterfilling_matches():
@@ -151,7 +149,7 @@ def test_batch_precoders_reject_single_matrices():
 # Channel batch
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", [AntennaMode.CAS, AntennaMode.DAS])
-def test_channel_batch_matches_scalar_models(mode):
+def test_channel_batch_matches_batches_of_one(mode):
     env = office_b()
     seeds = [11, 22, 33, 44]
     deployments = [
@@ -159,8 +157,8 @@ def test_channel_batch_matches_scalar_models(mode):
         for seed in seeds
     ]
     batch = ChannelBatch(deployments, env.radio, seeds)
-    models = [
-        ChannelModel(dep, env.radio, seed=seed)
+    singles = [
+        ChannelBatch([dep], env.radio, seeds=[seed])
         for dep, seed in zip(deployments, seeds)
     ]
     grid = np.random.default_rng(1).uniform(-12.0, 12.0, (40, 2))
@@ -168,15 +166,17 @@ def test_channel_batch_matches_scalar_models(mode):
     stacked_h = batch.channel_matrices()
     stacked_rssi = batch.client_rx_power_dbm()
     stacked_snr = batch.snr_db_map(grid)
-    for i, model in enumerate(models):
-        assert np.array_equal(stacked_h[i], model.channel_matrix())
-        assert np.array_equal(stacked_rssi[i], model.client_rx_power_dbm())
-        assert np.array_equal(stacked_snr[i], model.snr_db_map(grid))
+    stacked_cross = batch.antenna_cross_power_dbm()
+    for i, single in enumerate(singles):
+        assert np.array_equal(stacked_h[i], single.channel_matrices()[0])
+        assert np.array_equal(stacked_rssi[i], single.client_rx_power_dbm()[0])
+        assert np.array_equal(stacked_snr[i], single.snr_db_map(grid)[0])
+        assert np.array_equal(stacked_cross[i], single.antenna_cross_power_dbm()[0])
 
     batch.advance(0.05)
-    for i, model in enumerate(models):
-        model.advance(0.05)
-        assert np.array_equal(batch.channel_matrices()[i], model.channel_matrix())
+    for i, single in enumerate(singles):
+        single.advance(0.05)
+        assert np.array_equal(batch.channel_matrices()[i], single.channel_matrices()[0])
 
 
 def test_channel_batch_rejects_mixed_shapes():

@@ -1,6 +1,7 @@
-"""Reverse water-filling tests (paper eqs. 7-9)."""
+"""Reverse water-filling tests (paper eqs. 7-9), on one row at a time."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,21 @@ from hypothesis import strategies as st
 
 from helpers.waterfill_oracle import exact_reductions
 from repro.core import batch as core_batch
-from repro.core.waterfill import reverse_waterfill
+
+
+def reverse_waterfill(row_powers_mw, sinrs, power_budget_mw, min_weight=0.1):
+    """The stacked kernel on one row: item 0 of a batch of one."""
+    q = np.asarray(row_powers_mw, dtype=float)
+    rho = np.asarray(sinrs, dtype=float)
+    result = core_batch.reverse_waterfill(q[None], rho[None], power_budget_mw, min_weight)
+    capped = bool(result.capped[0])
+    return SimpleNamespace(
+        weights=result.weights[0],
+        reductions_mw=result.reductions_mw[0],
+        water_level=float(result.water_level[0]),
+        capped=capped,
+        feasible=not capped,
+    )
 
 positive_arrays = st.lists(
     st.floats(min_value=1e-6, max_value=10.0), min_size=2, max_size=8

@@ -1,4 +1,4 @@
-"""ZFBF primitive tests."""
+"""ZFBF primitive tests (paper eqs. 2a-2b), on batches of one."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_channel
-from repro.core.zfbf import zf_interference_leakage, zfbf_directions, zfbf_equal_power
+from helpers.precoding_oracle import equal_power_zfbf, zf_interference_leakage
+from repro.core import batch as core_batch
 from repro.phy.capacity import per_stream_column_power
+
+
+def zfbf_directions(h):
+    return core_batch.zfbf_directions(np.asarray(h)[None])[0]
+
+
+def zfbf_equal_power(h, total_power_mw):
+    return core_batch.zfbf_equal_power(np.asarray(h)[None], total_power_mw)[0]
 
 
 class TestDirections:
@@ -81,3 +90,22 @@ class TestLeakageMetric:
         v = zfbf_directions(h)
         scaled = v * np.array([0.3, 0.7, 1.0, 0.1])[None, :]
         assert zf_interference_leakage(h, scaled) < 1e-8
+
+
+class TestAgainstPseudoInverse:
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4), (3, 5), (1, 3)])
+    def test_equal_power_matches_pinv_oracle(self, shape):
+        h = random_channel(11, n_clients=shape[0], n_antennas=shape[1])
+        np.testing.assert_allclose(
+            zfbf_equal_power(h, 8.0), equal_power_zfbf(h, 8.0), rtol=1e-9, atol=0.0
+        )
+
+    def test_stack_items_match_oracle(self):
+        h = np.stack([random_channel(seed) for seed in range(6)])
+        v = core_batch.zfbf_equal_power(h, 8.0)
+        for item, vi in zip(h, v):
+            np.testing.assert_allclose(vi, equal_power_zfbf(item, 8.0), rtol=1e-9)
+
+    def test_rejects_single_matrices(self):
+        with pytest.raises(ValueError, match="stacked"):
+            core_batch.zfbf_directions(random_channel(0))
