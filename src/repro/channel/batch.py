@@ -17,8 +17,13 @@ topology is a batch of one.
 Deterministic propagation terms -- path loss, wall attenuation, cable loss
 -- are computed over the whole ``(batch, n_rx, n_tx)`` stack in single
 array expressions; stochastic terms (shadowing lattice nodes, fading
-innovations) are drawn from a private generator tree per topology, so every
+innovations) are drawn from a private seed tree per topology, so every
 per-item result is **bit-identical** whatever batch it is computed in.
+Only the tree's leaves ever hold a generator: one per antenna site (built
+on the site's first lattice draw) and one for fading (built on first
+small-scale access, so batches used only for large-scale maps never build
+it).  Site grouping and the shadowing lattice pass run over the whole
+stack at once; only each field's own node draws stay per item.
 That equality is the contract every ``Runner`` path relies on (and the
 equivalence suite asserts).
 
@@ -40,7 +45,7 @@ from ..topology import geometry
 from . import walls
 from .fading import _project_psd, correlation_sqrt, sample_fading
 from .pathloss import LogDistancePathLoss
-from .shadowing import ShadowingField, group_antenna_sites, prepare_points
+from .shadowing import ShadowingField, group_antenna_sites_batch, sample_site_fields
 
 
 def stacked_correlation(
@@ -78,9 +83,12 @@ class ChannelBatch:
     radio:
         Radio constants shared by the whole batch (one environment).
     seeds:
-        One seed per deployment (or generator); children are spawned for
-        shadowing and fading so the two streams are independent.  Item
-        ``i`` consumes randomness only from the tree of ``seeds[i]``.
+        One seed per deployment: an int, a generator, or a seed-tree node
+        (:class:`numpy.random.SeedSequence`).  Two children are spawned from
+        it -- shadowing (one leaf per antenna site under it) and fading --
+        so the two streams are independent; a caller-held generator or
+        node advances its spawn counter by two.  Item ``i`` consumes
+        randomness only from the tree of ``seeds[i]``.
     """
 
     def __init__(self, deployments, radio: RadioConfig, seeds):
@@ -107,30 +115,6 @@ class ChannelBatch:
             reference_loss_db=self._pathloss.reference_loss_db,
         )
 
-        # Per-item generator trees: a shadowing and a fading child each.
-        self._site_fields: list[list[ShadowingField]] = []
-        self._site_of_antenna: list[np.ndarray] = []
-        fading_rngs = []
-        for deployment, seed in zip(deployments, seeds):
-            root = rng_mod.make_rng(seed)
-            shadow_rng, fading_rng = rng_mod.spawn(root, 2)
-            site_of = group_antenna_sites(deployment.antenna_positions)
-            n_sites = int(site_of.max()) + 1 if deployment.n_antennas else 0
-            site_rngs = rng_mod.spawn(shadow_rng, max(n_sites, 1))
-            self._site_of_antenna.append(site_of)
-            self._site_fields.append(
-                [
-                    ShadowingField(
-                        site_rngs[s],
-                        radio.shadowing_sigma_db,
-                        radio.shadowing_correlation_m,
-                    )
-                    for s in range(n_sites)
-                ]
-            )
-            fading_rngs.append(fading_rng)
-        self._fading_rngs = fading_rngs
-
         # Stacked geometry and deterministic propagation terms.
         self._antennas = np.stack([d.antenna_positions for d in deployments])
         self._clients = np.stack([d.client_positions for d in deployments])
@@ -140,16 +124,32 @@ class ChannelBatch:
         cable_lengths = np.linalg.norm(self._antennas - ap_of_antenna, axis=-1)
         self._cable_loss_db = radio.cable_loss_db_per_m * cable_lengths
 
-        # Stacked tx-side fading correlation.  The initial fading state is
-        # materialized lazily on first small-scale access: every item draws
-        # from its own independent fading generator, so deferring the draw
-        # cannot change any value -- and batches used only for large-scale
-        # maps (e.g. carrier-sense gating) never pay for it.
-        self._corr_sqrt = correlation_sqrt(
-            stacked_correlation(
-                self._antennas, radio.wavelength_m, radio.angular_spread_deg
+        # Per-item seed trees: a shadowing and a fading child each, and one
+        # leaf per antenna site under shadowing.
+        self._site_of_antenna = group_antenna_sites_batch(self._antennas)
+        site_counts = self._site_of_antenna.max(axis=1, initial=-1) + 1
+        self._site_fields: list[list[ShadowingField]] = []
+        self._fading_seeds = []
+        for seed, n_sites in zip(seeds, site_counts.tolist()):
+            shadow_seed, fading_seed = rng_mod.spawn_seeds(seed, 2)
+            self._site_fields.append(
+                [
+                    ShadowingField(
+                        leaf, radio.shadowing_sigma_db, radio.shadowing_correlation_m
+                    )
+                    for leaf in rng_mod.spawn_seeds(shadow_seed, n_sites)
+                ]
             )
-        )
+            self._fading_seeds.append(fading_seed)
+
+        # The small-scale side -- fading generators, tx-side correlation
+        # square roots and the initial fading state -- is materialized
+        # lazily on first small-scale access: every item draws from its own
+        # independent fading leaf, so deferring the draw cannot change any
+        # value, and batches used only for large-scale maps (e.g.
+        # carrier-sense gating) never pay for it.
+        self._lazy_fading_rngs: list[np.random.Generator] | None = None
+        self._lazy_corr_sqrt: np.ndarray | None = None
         self._lazy_state: np.ndarray | None = None
         self._time_s = 0.0
 
@@ -167,33 +167,21 @@ class ChannelBatch:
         """Stacked shadowing ``(batch, n_points, n_antennas)``.
 
         ``rx_points`` is either one shared ``(n_points, 2)`` set (survey
-        grids) or a per-item ``(batch, n_points, 2)`` stack.  Lattice draws
-        happen per item in site order (a CAS array shares one field per
-        site, so its antennas share one draw).  ``items`` restricts
-        evaluation (and the draws) to the given item indices; the leading
-        axis then has ``len(items)`` entries.
+        grids) or a per-item ``(batch, n_points, 2)`` stack.  One stacked
+        lattice pass samples every site field of the selected items (see
+        :func:`~repro.channel.shadowing.sample_site_fields`); each field
+        draws only its own missing nodes, so the values match sampling the
+        items one by one.  A CAS array shares one field per site, so its
+        antennas share one draw.  ``items`` restricts evaluation (and the
+        draws) to the given item indices; the leading axis then has
+        ``len(items)`` entries.
         """
         idx = self._item_indices(items)
         pts = geometry.as_point_stack(rx_points)
-        shared = pts.ndim == 2
-        n_points = pts.shape[-2]
-        n_antennas = self._antennas.shape[1]
-        shadow = np.zeros((len(idx), n_points, n_antennas))
-        if self.radio.shadowing_sigma_db == 0.0:
-            return shadow
-        # Lattice-geometry preparation is shared across an item's site
-        # fields (and across items for a shared point set); per-item draws
-        # stay in site order.
-        correlation = self.radio.shadowing_correlation_m
-        prep = prepare_points(pts, correlation) if shared else None
-        for row, b in enumerate(idx):
-            item_prep = prep if shared else prepare_points(pts[row], correlation)
-            site_of = self._site_of_antenna[b]
-            for site, field in enumerate(self._site_fields[b]):
-                columns = np.flatnonzero(site_of == site)
-                if columns.size:
-                    shadow[row][:, columns] = field.sample_prepared(item_prep)[:, None]
-        return shadow
+        site_values = sample_site_fields([self._site_fields[b] for b in idx], pts)
+        # Scatter sites to antennas: (items, n_antennas, n_points).
+        per_antenna = site_values[np.arange(len(idx))[:, None], self._site_of_antenna[idx]]
+        return np.ascontiguousarray(np.swapaxes(per_antenna, 1, 2))
 
     def large_scale_gain_db(self, rx_points, items=None) -> np.ndarray:
         """Median channel gain (``-PL - walls + shadowing - cable``) in dB
@@ -224,8 +212,8 @@ class ChannelBatch:
         ``positions`` is ``(len(items), n_clients, 2)`` (whole batch when
         ``items`` is ``None``).  The shadowing fields resample at the new
         positions from the cached lattice (spatially consistent with
-        everything sampled so far), each item from its own site fields in
-        site order; skipped items consume nothing.  The small-scale fading
+        everything sampled so far), each item from its own site fields;
+        skipped items consume nothing.  The small-scale fading
         state is *not* reset -- it keeps evolving under whatever Doppler
         :meth:`advance` is given: large-scale drift and fading
         decorrelation are separate axes of the same trajectory.
@@ -313,6 +301,22 @@ class ChannelBatch:
     def time_s(self) -> float:
         """Current simulation time of the batch's fading processes."""
         return self._time_s
+
+    @property
+    def _fading_rngs(self) -> list[np.random.Generator]:
+        if self._lazy_fading_rngs is None:
+            self._lazy_fading_rngs = [rng_mod.make_rng(s) for s in self._fading_seeds]
+        return self._lazy_fading_rngs
+
+    @property
+    def _corr_sqrt(self) -> np.ndarray:
+        if self._lazy_corr_sqrt is None:
+            self._lazy_corr_sqrt = correlation_sqrt(
+                stacked_correlation(
+                    self._antennas, self.radio.wavelength_m, self.radio.angular_spread_deg
+                )
+            )
+        return self._lazy_corr_sqrt
 
     def _innovation(self, items=None) -> np.ndarray:
         n_clients = self._clients.shape[1]
@@ -414,11 +418,14 @@ class ChannelBatch:
         self._time_s += dt_s
 
 
-def apply_csi_error(h: np.ndarray, error_std: float, rng: np.random.Generator) -> np.ndarray:
+def apply_csi_error(
+    h: np.ndarray, error_std: float, rng: np.random.Generator | None
+) -> np.ndarray:
     """Return a noisy CSI estimate ``H + e`` with per-entry complex Gaussian
     error of standard deviation ``error_std * |H|`` (relative error).
 
-    Models imperfect sounding/feedback; 0 returns ``h`` unchanged.
+    Models imperfect sounding/feedback; 0 returns ``h`` unchanged without
+    touching ``rng`` (which may then be ``None``).
     """
     if error_std < 0:
         raise ValueError("error_std must be non-negative")

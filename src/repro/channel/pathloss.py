@@ -98,11 +98,14 @@ def _range_for_budget(radio: RadioConfig, budget_db: float, sensing: bool = Fals
     return 0.5 * (low + high)
 
 
+@lru_cache(maxsize=256)
 def coverage_range_m(radio: RadioConfig, min_snr_db: float = 5.0) -> float:
     """Distance at which the *median* SNR falls to ``min_snr_db``.
 
     This is the paper's "CAS AP transmission range": DAS antennas are placed
     at 50-75% of it (§7), and the deadzone survey covers this disk (§5.3.3).
+    Memoized like :func:`_range_for_budget`: scenario factories ask for it
+    once or twice per topology draw, always for the same environment.
     """
     noise_dbm = units.mw_to_dbm(radio.noise_mw)
     budget = radio.per_antenna_power_dbm - noise_dbm - min_snr_db

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import rng as rng_mod
 from .models import MobilityModel, resolve_mobility
 
 
@@ -81,11 +82,12 @@ def build_mobility_state(
 
     ``None`` and ``"static"`` both yield ``None`` -- the engines then take
     their historical frozen-topology path untouched (bit-identical to every
-    pre-mobility release).
+    pre-mobility release).  ``rng`` is a generator or a seed-tree node; a
+    node's generator is built only for a moving model.
     """
     if mobility is None:
         return None
     model = resolve_mobility(mobility, **dict(mobility_kwargs or {}))
     if model.is_static:
         return None
-    return MobilityState(model, deployment, rng)
+    return MobilityState(model, deployment, rng_mod.make_rng(rng))

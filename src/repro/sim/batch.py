@@ -85,6 +85,8 @@ def build_traffic_state(
     ``None`` and ``"full_buffer"`` both yield ``None`` -- the engines then
     take their historical saturation path untouched (bit-identical to every
     pre-traffic release).  The round clock is one TXOP (``mac.txop_us``).
+    ``rng`` is a generator or a seed-tree node; a node's generator is built
+    only when the model has arrivals to draw.
     """
     if traffic is None:
         return None
@@ -94,7 +96,7 @@ def build_traffic_state(
     return TrafficState(
         model,
         n_clients,
-        rng,
+        rng_mod.make_rng(rng),
         round_duration_s=scenario.mac.txop_us * 1e-6,
         bandwidth_hz=scenario.radio.bandwidth_hz,
         ampdu=ampdu,
@@ -506,21 +508,23 @@ class RoundBasedEvaluatorBatch:
 
         if resound_period_rounds < 1:
             raise ValueError("resound_period_rounds must be >= 1")
-        # Per-item generator trees.  Four children are always spawned so
+        # Per-item seed trees.  Four children are always spawned so
         # enabling traffic/mobility never perturbs the channel/CSI streams
         # (spawn(4)[:2] == spawn(2)); traffic uses the third, mobility the
-        # fourth.
-        channel_rngs, self._csi_rngs, traffic_rngs, mobility_rngs = [], [], [], []
-        for seed in seeds:
-            root = rng_mod.make_rng(seed)
-            channel_rng, csi_rng, traffic_rng, mobility_rng = rng_mod.spawn(root, 4)
-            channel_rngs.append(channel_rng)
-            self._csi_rngs.append(csi_rng)
-            traffic_rngs.append(traffic_rng)
-            mobility_rngs.append(mobility_rng)
+        # fourth.  Children stay seed-tree nodes until a consumer draws:
+        # ChannelBatch builds generators only at its leaves, the traffic and
+        # mobility builders only for finite load / moving clients, and the
+        # CSI leaf only when CSI noise is on.
+        channel_seeds, csi_seeds, traffic_seeds, mobility_seeds = zip(
+            *(rng_mod.spawn_seeds(seed, 4) for seed in seeds)
+        )
+        self._csi_rngs = [
+            rng_mod.make_rng(s) if self.sim.csi_error_std > 0 else None
+            for s in csi_seeds
+        ]
         states = [
             build_traffic_state(
-                traffic, traffic_kwargs, structure.n_clients, traffic_rngs[b],
+                traffic, traffic_kwargs, structure.n_clients, traffic_seeds[b],
                 first, ampdu,
             )
             for b in range(self.n_items)
@@ -528,7 +532,7 @@ class RoundBasedEvaluatorBatch:
         self._traffic = None if states[0] is None else states
         mobility_states = [
             build_mobility_state(
-                mobility, mobility_kwargs, deployments[b], mobility_rngs[b]
+                mobility, mobility_kwargs, deployments[b], mobility_seeds[b]
             )
             for b in range(self.n_items)
         ]
@@ -541,7 +545,7 @@ class RoundBasedEvaluatorBatch:
         #: first sounding round (and always for static runs, which sound
         #: fresh CSI every round).
         self._h_csi: np.ndarray | None = None
-        self.channel = ChannelBatch(deployments, first.radio, channel_rngs)
+        self.channel = ChannelBatch(deployments, first.radio, list(channel_seeds))
         self.carrier_sense = CarrierSenseBatch(
             self.channel.antenna_cross_power_dbm(), first.mac
         )
@@ -574,14 +578,10 @@ class RoundBasedEvaluatorBatch:
         """
         scenarios = list(scenarios)
         seeds = [0] * len(scenarios) if seeds is None else list(seeds)
-        channel_rngs = []
-        for seed in seeds:
-            root = rng_mod.make_rng(seed)
-            channel_rng, __ = rng_mod.spawn(root, 2)
-            channel_rngs.append(channel_rng)
+        channel_seeds = [rng_mod.spawn_seeds(seed, 2)[0] for seed in seeds]
         first = scenarios[0]
         channel = ChannelBatch(
-            [s.deployment for s in scenarios], first.radio, channel_rngs
+            [s.deployment for s in scenarios], first.radio, channel_seeds
         )
         sense = CarrierSenseBatch(channel.antenna_cross_power_dbm(), first.mac)
         structure = first.deployment

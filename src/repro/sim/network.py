@@ -108,16 +108,20 @@ class NetworkSimulation:
         if resound_interval_s is not None and resound_interval_s <= 0:
             raise ValueError("resound_interval_s must be positive (or None)")
 
-        root = rng_mod.make_rng(seed)
         # Five children are always spawned so enabling traffic/mobility
         # never perturbs the channel/MAC/CSI streams (spawn(5)[:3] == spawn(3)).
-        channel_rng, mac_rng, csi_rng, traffic_rng, mobility_rng = rng_mod.spawn(root, 5)
+        # Only leaves that draw build a generator: the children stay
+        # seed-tree nodes until their consumer needs one (the CSI leaf only
+        # when CSI noise is on).
+        channel_seed, mac_seed, csi_seed, traffic_seed, mobility_seed = (
+            rng_mod.spawn_seeds(seed, 5)
+        )
         self._traffic: TrafficState | None = build_traffic_state(
-            traffic, traffic_kwargs, self.deployment.n_clients, traffic_rng,
+            traffic, traffic_kwargs, self.deployment.n_clients, traffic_seed,
             scenario, ampdu,
         )
         self._mobility = build_mobility_state(
-            mobility, mobility_kwargs, self.deployment, mobility_rng
+            mobility, mobility_kwargs, self.deployment, mobility_seed
         )
         #: Mobility CSI staleness: with an interval, TXOPs between
         #: re-soundings precode from the snapshot captured at the last
@@ -133,8 +137,10 @@ class NetworkSimulation:
         #: not paid for yet; subsequent transmitting TXOPs charge them one
         #: at a time.
         self._sounding_unpaid = 0
-        self.channel = ChannelBatch([self.deployment], scenario.radio, seeds=[channel_rng])
-        self._csi_rng = csi_rng
+        self.channel = ChannelBatch([self.deployment], scenario.radio, seeds=[channel_seed])
+        self._csi_rng = (
+            rng_mod.make_rng(csi_seed) if self.sim.csi_error_std > 0 else None
+        )
         self.carrier_sense = CarrierSenseBatch(
             self.channel.antenna_cross_power_dbm(), self.mac
         )
@@ -155,7 +161,7 @@ class NetworkSimulation:
         )
         self.association.resound(self.channel.client_rx_power_dbm()[0])
 
-        contender_rngs = rng_mod.spawn(mac_rng, self.deployment.n_aps * 8)
+        contender_rngs = rng_mod.spawn(mac_seed, self.deployment.n_aps * 8)
         self._contenders: list[_Contender] = []
         rng_idx = 0
         for ap in range(self.deployment.n_aps):

@@ -98,7 +98,7 @@ def _client_positions(
 
 
 def _antennas_for_mode(
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     ap_positions: np.ndarray,
     mode: AntennaMode,
     antennas_per_ap: int,
@@ -161,8 +161,11 @@ def paired_scenarios(
     bit -- batch evaluators use this to defer the (expensive, rejection
     sampled) DAS layout until a topology passes its acceptance gate.
     """
-    rng = rng_mod.make_rng(seed)
-    client_rng, das_rng = rng_mod.spawn(rng, 2)
+    # Only the leaves draw: CAS layouts are deterministic, so the root never
+    # builds a generator, and a CAS-only call never builds the DAS one.
+    client_seed, das_seed = rng_mod.spawn_seeds(seed, 2)
+    client_rng = rng_mod.make_rng(client_seed)
+    das_rng = rng_mod.make_rng(das_seed) if AntennaMode.DAS in modes else None
     aps = geometry.as_points(ap_positions)
     coverage = coverage_range_m(environment.radio, mac.decode_snr_db)
     clients, client_ap = _client_positions(
@@ -175,7 +178,7 @@ def paired_scenarios(
     scenarios: dict[AntennaMode, Scenario] = {}
     for mode in modes:
         antennas, antenna_ap = _antennas_for_mode(
-            das_rng if mode is AntennaMode.DAS else rng,
+            das_rng,
             aps,
             mode,
             antennas_per_ap,
@@ -287,9 +290,8 @@ def eight_ap_scenario(
     stay inside the original AP coverage area, and no two antennas of an AP
     are within 5 m of each other.
     """
-    rng = rng_mod.make_rng(seed)
     sense_range = cs_range_m(environment.radio, mac)
-    placement_rng, scenario_rng = rng_mod.spawn(rng, 2)
+    placement_rng, scenario_rng = rng_mod.spawn(seed, 2)
     aps = None
     for _ in range(max_attempts):
         candidate = geometry.random_point_in_rect(

@@ -1,9 +1,22 @@
 """Shadowing field tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.channel.shadowing import ShadowingField, group_antenna_sites
+from repro.channel.batch import ChannelBatch
+from repro.channel.shadowing import (
+    ShadowingField,
+    group_antenna_sites,
+    group_antenna_sites_batch,
+    sample_site_fields,
+)
+from repro.topology import geometry
+from repro.topology.deployment import AntennaMode, Deployment
+from repro.topology.scenarios import office_b, single_ap_scenario
 
 
 class TestShadowingField:
@@ -126,3 +139,163 @@ class TestVectorizedSampling:
         np.testing.assert_array_equal(
             fast.sample(more), self._reference_sample(reference, more)
         )
+
+
+def _components_oracle(points, tolerance_m=1.0):
+    """Brute-force single-linkage sites: flood-fill from each unvisited
+    antenna in index order, so site ids follow first antennas."""
+    n = len(points)
+    site = [-1] * n
+    next_site = 0
+    for start in range(n):
+        if site[start] >= 0:
+            continue
+        site[start] = next_site
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                dx = points[i][0] - points[j][0]
+                dy = points[i][1] - points[j][1]
+                if site[j] < 0 and math.sqrt(dx * dx + dy * dy) <= tolerance_m:
+                    site[j] = next_site
+                    frontier.append(j)
+        next_site += 1
+    return site
+
+
+#: A half-metre lattice: duplicates and pairs exactly 1.0 m apart are common.
+_COORD = st.integers(-6, 6).map(lambda v: v / 2.0)
+
+
+@st.composite
+def _layout_stacks(draw):
+    """A stack of same-size layouts mixing DAS-like lattice layouts (chains,
+    duplicates, exact-tolerance pairs) and CAS half-wavelength arrays."""
+    n = draw(st.integers(1, 6))
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            items.append(draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)))
+        else:
+            x, y = draw(st.tuples(_COORD, _COORD))
+            items.append([(x + 0.0286 * k, y) for k in range(n)])
+    return np.array(items, dtype=float)
+
+
+class TestStackedSiteGrouping:
+    @settings(max_examples=200, deadline=None)
+    @given(_layout_stacks())
+    @example(np.array([[(0.0, 0.0)]]))
+    @example(np.array([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.5, 0.0)]]))
+    @example(np.array([[(0.0, 0.0), (0.0, 0.0), (5.0, 5.0)], [(0.0, 0.0), (0.0286, 0.0), (0.0572, 0.0)]]))
+    def test_matches_connected_components_oracle(self, stack):
+        sites = group_antenna_sites_batch(stack)
+        assert sites.shape == stack.shape[:2]
+        for b, layout in enumerate(stack):
+            expected = _components_oracle(layout.tolist())
+            np.testing.assert_array_equal(sites[b], expected)
+            np.testing.assert_array_equal(group_antenna_sites(layout), expected)
+
+    def test_exact_tolerance_pair_links(self):
+        # The rule is `dist <= tolerance`: 1.0 m apart is one site.
+        np.testing.assert_array_equal(
+            group_antenna_sites([(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]), [0, 0, 1]
+        )
+
+    def test_empty_layout_stack(self):
+        assert group_antenna_sites_batch(np.zeros((3, 0, 2))).shape == (3, 0)
+
+
+def _old_spawn(rng, count):
+    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(count)]
+
+
+def _chained_deployments():
+    """Mixed site counts in one stack: a chain plus a far antenna (2 sites),
+    four distributed antennas (4 sites) and a co-located array (1 site)."""
+    layouts = [
+        [(0.0, 0.0), (0.8, 0.0), (1.6, 0.0), (12.0, 0.0)],
+        [(0.0, 0.0), (6.0, 0.0), (0.0, 7.0), (-8.0, 0.0)],
+        [(0.0, 0.0), (0.0286, 0.0), (0.0572, 0.0), (0.0858, 0.0)],
+    ]
+    clients = np.random.default_rng(5).uniform(-15, 15, (len(layouts), 3, 2))
+    return [
+        Deployment(
+            ap_positions=[(0.0, 0.0)],
+            antenna_positions=layout,
+            antenna_ap=[0] * 4,
+            client_positions=clients[b],
+            client_ap=[0] * 3,
+            mode=AntennaMode.DAS,
+        )
+        for b, layout in enumerate(layouts)
+    ]
+
+
+class TestStackedNodeCache:
+    """One stacked lattice pass leaves every site field's node cache (keys,
+    insertion order, values) and generator state exactly where the
+    historical per-item, per-site walk left them."""
+
+    SEEDS = [3, 41, 2**33 + 1]
+
+    @staticmethod
+    def _reference_fields(deployment, radio, seed):
+        shadow, _fading = _old_spawn(np.random.default_rng(seed), 2)
+        site_of = group_antenna_sites(deployment.antenna_positions)
+        site_rngs = _old_spawn(shadow, int(site_of.max()) + 1)
+        fields = [
+            ShadowingField(rng, radio.shadowing_sigma_db, radio.shadowing_correlation_m)
+            for rng in site_rngs
+        ]
+        return site_of, fields
+
+    def _check(self, deployments, radio, survey=None):
+        moved = np.stack([d.client_positions for d in deployments]) + 3.7
+        channel = ChannelBatch(deployments, radio, self.SEEDS[: len(deployments)])
+        channel.antenna_cross_power_dbm()
+        channel.update_client_positions(moved)
+        survey_db = None if survey is None else channel.shadowing_db(survey)
+        for b, deployment in enumerate(deployments):
+            site_of, fields = self._reference_fields(deployment, radio, self.SEEDS[b])
+            for field in fields:
+                field.sample(deployment.client_positions)
+            for field in fields:
+                field.sample(deployment.antenna_positions)
+            for field in fields:
+                field.sample(moved[b])
+            if survey is not None:
+                expected = np.stack([fields[s].sample(survey) for s in site_of], axis=1)
+                np.testing.assert_array_equal(survey_db[b], expected)
+            assert len(channel._site_fields[b]) == len(fields)
+            for stacked, reference in zip(channel._site_fields[b], fields):
+                assert list(stacked._nodes.items()) == list(reference._nodes.items())
+                assert stacked.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_cas_one_site(self):
+        scenarios = [single_ap_scenario(office_b(), AntennaMode.CAS, seed=s) for s in range(3)]
+        self._check([s.deployment for s in scenarios], scenarios[0].radio)
+
+    def test_das_one_site_per_antenna(self):
+        scenarios = [single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in range(3)]
+        self._check([s.deployment for s in scenarios], scenarios[0].radio)
+
+    def test_chained_and_mixed_site_counts(self):
+        self._check(_chained_deployments(), office_b().radio)
+
+    def test_rows_past_an_items_sites_are_zero(self):
+        fields = [
+            [ShadowingField(np.random.default_rng(s), 6.0, 8.0) for s in range(3)],
+            [ShadowingField(np.random.default_rng(9), 6.0, 8.0)],
+        ]
+        values = sample_site_fields(fields, [(1.0, 2.0), (30.0, -4.0)])
+        assert values.shape == (2, 3, 2)
+        np.testing.assert_array_equal(values[1, 1:], 0.0)
+        assert np.all(values[0] != 0.0)
+
+    def test_survey_grid_over_64_keys(self):
+        scenarios = [single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in range(2)]
+        grid = geometry.grid_points((-12.0, 12.0), (-12.0, 12.0), 1.0)
+        assert grid.size * 2 > 64
+        self._check([s.deployment for s in scenarios], scenarios[0].radio, survey=grid)
