@@ -55,7 +55,7 @@ See ``examples/quickstart.py`` for a longer tour.
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 from .analysis import (
     EmpiricalCdf,
@@ -93,13 +93,11 @@ from .channel import ChannelBatch, ChannelTrace, coverage_range_m, cs_range_m, r
 from .config import MacConfig, MidasConfig, RadioConfig, SimConfig
 from .mobility import MobilityModel, mobility_names, resolve_mobility
 from .core import (
-    DeficitRoundRobin,
     TagTable,
     naive_scaled_precoder,
     optimal_power_allocation,
     power_balanced_precoder,
     reverse_waterfill,
-    select_clients_for_antennas,
     zfbf_directions,
     zfbf_equal_power,
 )
@@ -172,13 +170,11 @@ __all__ = [
     "MidasConfig",
     "RadioConfig",
     "SimConfig",
-    "DeficitRoundRobin",
     "TagTable",
     "naive_scaled_precoder",
     "optimal_power_allocation",
     "power_balanced_precoder",
     "reverse_waterfill",
-    "select_clients_for_antennas",
     "zfbf_directions",
     "zfbf_equal_power",
     "stream_sinrs",

@@ -307,12 +307,6 @@ class BatchAssociationState:
             ]
         )
 
-    def handoff_counts(self) -> np.ndarray:
-        return np.asarray([state.handoff_count for state in self.items])
-
-    def outage_counts(self) -> np.ndarray:
-        return np.asarray([state.outage_count for state in self.items])
-
 
 def build_association_state(
     association, association_kwargs, deployment, mac, coordination=None

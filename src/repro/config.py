@@ -136,11 +136,6 @@ class MacConfig:
         """Energy-detect threshold in milliwatts."""
         return units.dbm_to_mw(self.cs_threshold_dbm)
 
-    @property
-    def nav_decode_mw(self) -> float:
-        """Preamble-decode threshold in milliwatts."""
-        return units.dbm_to_mw(self.nav_decode_dbm)
-
     def with_(self, **changes) -> "MacConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

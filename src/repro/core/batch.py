@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..phy.capacity import per_antenna_row_power, stream_sinrs
-from ..xp import array_namespace, to_numpy
+from ..xp import array_namespace
 
 
 def _as_channel_stack(h):
@@ -397,13 +397,16 @@ class BatchSvdAllocation:
 def svd_waterfilling(
     h, total_power_mw: float, noise_mw: float
 ) -> BatchSvdAllocation:
-    """Stacked :func:`repro.core.svd.svd_waterfilling`: batched SVD plus the
-    classic water-filling allocation, solved for all items at once.
+    """SVD precoding + water-filling power allocation (total power
+    constraint, paper §7 comparator), solved for all items at once.
 
-    The vectorized fast path assumes every singular mode is usable
-    (positive gain), which holds for the random indoor channels the sweeps
-    draw; a batch containing a rank-deficient item falls back to the scalar
-    solver item by item, so results stay bit-identical either way.
+    ``h`` stacks single-client MIMO channels ``(batch, n_rx, n_tx)``.
+    Streams ride the right singular vectors; powers solve the classic
+    water-filling problem ``p_i = max(0, mu - 1/g_i)``, ``sum p_i = P``,
+    over the singular-value channels.  A mode with zero gain is unusable:
+    its floor ``1/g`` is ``inf``, so it sorts last, no water level clears
+    it, and it gets no power.  Raises :class:`ValueError` if an item has
+    no usable mode at all.
     """
     if total_power_mw <= 0 or noise_mw <= 0:
         raise ValueError("powers must be positive")
@@ -411,36 +414,19 @@ def svd_waterfilling(
     xp = array_namespace(h)
     __, singular_values, vh = xp.linalg.svd(h, full_matrices=False)
     gains = singular_values**2 / noise_mw  # per-stream SNR per unit power
-    if not xp.all(gains > 0):
-        # Some item has an unusable mode: defer to the scalar solver's
-        # usable-mode masking (and its error for fully degenerate items).
-        from .svd import svd_waterfilling as scalar_svd_waterfilling
+    usable = gains > 0
+    if not xp.all(xp.any(usable, axis=-1)):
+        raise ValueError("channel has no usable singular modes")
 
-        solutions = [
-            scalar_svd_waterfilling(item, total_power_mw, noise_mw)
-            for item in to_numpy(h)
-        ]
-        return BatchSvdAllocation(
-            v=xp.asarray(
-                np.stack([s.v for s in solutions]), dtype=xp.complex_dtype
-            ),
-            stream_powers_mw=xp.asarray(
-                np.stack([s.stream_powers_mw for s in solutions]),
-                dtype=xp.float_dtype,
-            ),
-            singular_values=xp.asarray(
-                np.stack([s.singular_values for s in solutions]),
-                dtype=xp.float_dtype,
-            ),
-        )
-
-    inv_gains = 1.0 / gains
+    with xp.errstate(divide="ignore"):
+        inv_gains = xp.where(usable, 1.0 / gains, xp.inf)
     order = xp.argsort(inv_gains, axis=-1)
     sorted_inv = xp.take_along_axis(inv_gains, order, axis=-1)
     n = sorted_inv.shape[-1]
 
-    # Walk k = n..1 exactly like the scalar solver, taking each item's
-    # first (largest-k) water level that clears the k-th channel.
+    # Walk k = n..1, taking each item's first (largest-k) water level that
+    # clears the k-th channel; a prefix holding an unusable mode sums to
+    # inf and never clears it.
     item_shape = tuple(sorted_inv.shape[:-1])
     mu = xp.zeros(item_shape, dtype=xp.float_dtype)
     n_active = xp.full(item_shape, n)

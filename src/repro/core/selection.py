@@ -8,83 +8,23 @@ the transmission, DRR counters are settled: every served client pays one
 TXOP ``T``, and the aggregate service ``n*T`` is credited equally to the
 backlogged clients that were left out, steering the long-run schedule toward
 fairness.
+
+Both engines schedule through :func:`pick_in_visit_order` on stacked
+``(batch, n_clients)`` masks; the event-driven MAC is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .tagging import TagTable
-
-
-class DeficitRoundRobin:
-    """Deficit counters in TXOP units (paper §3.2.5's scheduling policy)."""
-
-    def __init__(self, n_clients: int):
-        if n_clients < 1:
-            raise ValueError("need at least one client")
-        self._counters = np.zeros(n_clients, dtype=float)
-
-    @property
-    def counters(self) -> np.ndarray:
-        """Current per-client deficit counters (a copy)."""
-        return self._counters.copy()
-
-    def pick(self, candidates) -> int | None:
-        """Client with the largest deficit among ``candidates``.
-
-        Ties break toward the lowest client index (deterministic).  Returns
-        ``None`` when no candidates are offered.
-        """
-        cand = np.unique(np.asarray(list(candidates), dtype=int))
-        if cand.size == 0:
-            return None
-        # np.unique sorts, so argmax's first-match rule breaks ties toward
-        # the lowest client index deterministically.
-        best = cand[np.argmax(self._counters[cand])]
-        return int(best)
-
-    def settle(self, served, backlogged_unserved, txop_units: float = 1.0) -> None:
-        """Apply the paper's counter update after one MU-MIMO round.
-
-        ``served`` clients are decremented by ``T``; each backlogged client
-        that was not chosen is incremented by ``n*T/m`` where ``n`` is the
-        number of streams just transmitted and ``m`` the number of losers.
-        The aggregate counter change is zero whenever ``m > 0``.
-        """
-        served = np.asarray(list(served), dtype=int)
-        losers = np.asarray(list(backlogged_unserved), dtype=int)
-        if np.intersect1d(served, losers).size:
-            raise ValueError("a client cannot be both served and unserved")
-        if served.size == 0:
-            return
-        self._counters[served] -= txop_units
-        if losers.size:
-            self._counters[losers] += len(served) * txop_units / losers.size
-
-    def credit(self, clients, txop_units: float = 1.0) -> None:
-        """Credit ``clients`` for ``txop_units`` of airtime they waited out.
-
-        The paper's update rule (:meth:`settle`) only moves counters when the
-        AP itself transmitted.  When the AP is blocked for a whole round, its
-        backlogged clients still watched that round's TXOP go by; crediting
-        the waiting time keeps their deficits growing so a long-blocked AP's
-        clients win access as soon as their AP next transmits.
-        """
-        clients = np.asarray(list(clients), dtype=int)
-        if clients.size:
-            self._counters[clients] += txop_units
 
 
 class BatchDeficitRoundRobin:
-    """Stacked :class:`DeficitRoundRobin`: one counter row per batch item.
+    """Deficit counters in TXOP units (paper §3.2.5), one row per batch item.
 
     Every operation takes boolean ``(n_items, n_clients)`` masks and applies
-    the scalar arithmetic per item under ``np.where`` -- the masked
+    the paper's arithmetic per item under ``np.where`` -- the masked
     control-flow idiom of :mod:`repro.core.batch` -- so item ``i``'s counters
-    are bit-identical to a scalar instance fed item ``i``'s rounds.
+    never depend on the other items.
     """
 
     def __init__(self, n_items: int, n_clients: int):
@@ -101,7 +41,7 @@ class BatchDeficitRoundRobin:
         """Largest-deficit candidate per item, ``-1`` where none offered.
 
         Ties break toward the lowest client index (``argmax`` returns the
-        first maximum), matching the scalar :meth:`DeficitRoundRobin.pick`.
+        first maximum), so the schedule is deterministic.
         """
         candidate_mask = np.asarray(candidate_mask, dtype=bool)
         masked = np.where(candidate_mask, self._counters, -np.inf)
@@ -116,8 +56,10 @@ class BatchDeficitRoundRobin:
     ) -> None:
         """Per-item paper update: served pay ``T``, losers split ``n*T``.
 
-        Items whose ``served_mask`` row is empty are untouched (the scalar
-        early return); items with no losers only debit the served.
+        ``n`` is the number of streams just transmitted and ``m`` the number
+        of backlogged losers, each credited ``n*T/m``; the aggregate change
+        is zero whenever ``m > 0``.  Items whose ``served_mask`` row is
+        empty are untouched; items with no losers only debit the served.
         """
         served_mask = np.asarray(served_mask, dtype=bool)
         loser_mask = np.asarray(loser_mask, dtype=bool)
@@ -135,67 +77,51 @@ class BatchDeficitRoundRobin:
         )
 
     def credit(self, client_mask: np.ndarray, txop_units: float = 1.0) -> None:
-        """Masked mirror of :meth:`DeficitRoundRobin.credit`."""
+        """Credit the masked clients for ``txop_units`` of waited airtime.
+
+        The paper's update rule (:meth:`settle`) only moves counters when
+        the AP itself transmitted.  When the AP is blocked for a whole
+        round, its backlogged clients still watched that round's TXOP go
+        by; crediting the waiting time keeps their deficits growing so a
+        long-blocked AP's clients win access as soon as their AP next
+        transmits.
+        """
         client_mask = np.asarray(client_mask, dtype=bool)
         self._counters = np.where(
             client_mask, self._counters + txop_units, self._counters
         )
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Result of one antenna-specific selection round."""
+def pick_in_visit_order(
+    drr: BatchDeficitRoundRobin,
+    visits,
+    primary_mask: np.ndarray,
+    any_mask: np.ndarray,
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Pick at most one client per visit, per item (paper §3.2.1 Step 3).
 
-    antenna_client_pairs: list[tuple[int, int]]
+    ``visits`` is a sequence of ``(batch, n_clients)`` candidate masks: the
+    tag columns of the available antennas in visit order (MIDAS), or the
+    AP's membership mask once per stream (CAS).  Each visit offers its
+    candidates not yet chosen to ``drr``: a primary-EDCA-class candidate
+    (``primary_mask``) wins first, otherwise any backlogged one
+    (``any_mask``) fills in -- 802.11ac's primary/secondary access-category
+    rule.  ``pick`` is pure, so the fill-in call changes nothing when the
+    primary pick lands.  A visit with no eligible candidate anchors no
+    client (its antenna still radiates the precoded streams).
 
-    @property
-    def clients(self) -> list[int]:
-        return [client for __, client in self.antenna_client_pairs]
-
-    @property
-    def antennas(self) -> list[int]:
-        return [antenna for antenna, __ in self.antenna_client_pairs]
-
-
-def select_clients_for_antennas(
-    antennas_in_order,
-    tag_table: TagTable,
-    drr: DeficitRoundRobin,
-    backlogged,
-) -> SelectionOutcome:
-    """Pick one client per available antenna (paper §3.2.1 Step 3).
-
-    Parameters
-    ----------
-    antennas_in_order:
-        Available antenna indices, ordered by NAV expiry (primary first).
-    tag_table:
-        Virtual packet tags (a client is considered at an antenna only if
-        tagged to it).
-    drr:
-        Fairness counters; the largest-deficit tagged client wins.
-    backlogged:
-        Boolean mask or index list of clients with queued packets.
-
-    Returns
-    -------
-    SelectionOutcome
-        ``antenna_client_pairs`` in antenna visit order.  An antenna with no
-        eligible client is left unpaired (it still radiates precoded energy
-        for the chosen streams -- paper §3.2.5's closing note -- but anchors
-        no client of its own).
+    Returns the ``(batch, n_clients)`` chosen mask and each item's pick
+    order, which fixes the stream order of the precoded burst.
     """
-    backlog_mask = np.zeros(tag_table.n_clients, dtype=bool)
-    backlog_mask[np.asarray(list(backlogged), dtype=int)] = True
-
-    chosen: list[tuple[int, int]] = []
-    taken = np.zeros(tag_table.n_clients, dtype=bool)
-    for antenna in antennas_in_order:
-        tagged = tag_table.clients_tagged_to(int(antenna))
-        candidates = [c for c in tagged if backlog_mask[c] and not taken[c]]
-        client = drr.pick(candidates)
-        if client is None:
-            continue
-        taken[client] = True
-        chosen.append((int(antenna), client))
-    return SelectionOutcome(antenna_client_pairs=chosen)
+    chosen_mask = np.zeros(primary_mask.shape, dtype=bool)
+    chosen_lists: list[list[int]] = [[] for _ in range(primary_mask.shape[0])]
+    for visit in visits:
+        candidates = visit & ~chosen_mask
+        first = drr.pick(candidates & primary_mask)
+        fallback = drr.pick(candidates & any_mask)
+        picks = np.where(first >= 0, first, fallback)
+        taken = np.flatnonzero(picks >= 0)
+        chosen_mask[taken, picks[taken]] = True
+        for b in taken:
+            chosen_lists[b].append(int(picks[b]))
+    return chosen_mask, chosen_lists

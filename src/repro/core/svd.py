@@ -5,15 +5,14 @@
   *equal-gain*: every antenna transmits at full power with the phase that
   aligns its contribution at the client.  §7 argues its logarithmic SNR gain
   (and network-wide silencing) make it the wrong default for MIDAS.
-* :func:`svd_waterfilling` -- classic SVD precoding with water-filling for a
-  multi-antenna client under a *total* power constraint.  §7 explains why
-  SVD's power allocation does not fit DAS's per-antenna constraint; the
-  returned allocation lets benches quantify that misfit.
+* :func:`repro.core.batch.svd_waterfilling` -- classic SVD precoding with
+  water-filling for a multi-antenna client under a *total* power
+  constraint.  §7 explains why SVD's power allocation does not fit DAS's
+  per-antenna constraint; the returned allocation lets benches quantify
+  that misfit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,58 +31,3 @@ def su_beamforming_precoder(h_row: np.ndarray, per_antenna_power_mw: float) -> n
         raise ValueError("need at least one antenna")
     phases = np.exp(-1j * np.angle(h_row))
     return (np.sqrt(per_antenna_power_mw) * phases)[:, None]
-
-
-@dataclass(frozen=True)
-class SvdAllocation:
-    """SVD precoding solution for one multi-antenna client."""
-
-    v: np.ndarray  # (n_tx, n_streams) precoder, columns carry stream powers
-    stream_powers_mw: np.ndarray
-    singular_values: np.ndarray
-
-    def capacity_bps_hz(self, noise_mw: float) -> float:
-        """Shannon capacity of the parallel streams."""
-        snrs = self.stream_powers_mw * self.singular_values**2 / noise_mw
-        return float(np.sum(np.log2(1.0 + snrs)))
-
-
-def svd_waterfilling(
-    h: np.ndarray, total_power_mw: float, noise_mw: float
-) -> SvdAllocation:
-    """SVD precoding + water-filling power allocation (total power constraint).
-
-    ``h`` is the single client's MIMO channel ``(n_rx, n_tx)``.  Streams ride
-    the right singular vectors; powers solve the classic water-filling
-    problem over the singular-value channels.
-    """
-    if total_power_mw <= 0 or noise_mw <= 0:
-        raise ValueError("powers must be positive")
-    h = np.asarray(h, dtype=complex)
-    __, singular_values, vh = np.linalg.svd(h, full_matrices=False)
-    gains = singular_values**2 / noise_mw  # per-stream SNR per unit power
-    usable = gains > 0
-    if not np.any(usable):
-        raise ValueError("channel has no usable singular modes")
-
-    # Water-filling: p_i = max(0, mu - 1/g_i) with sum p_i = total power.
-    inv_gains = 1.0 / gains[usable]
-    order = np.argsort(inv_gains)
-    sorted_inv = inv_gains[order]
-    n = len(sorted_inv)
-    mu = 0.0
-    active = n
-    for k in range(n, 0, -1):
-        candidate_mu = (total_power_mw + np.sum(sorted_inv[:k])) / k
-        if candidate_mu > sorted_inv[k - 1]:
-            mu = candidate_mu
-            active = k
-            break
-    powers_sorted = np.clip(mu - sorted_inv, 0.0, None)
-    powers_sorted[active:] = 0.0
-    powers = np.zeros(gains.shape)
-    usable_idx = np.flatnonzero(usable)
-    powers[usable_idx[order]] = powers_sorted
-
-    v = vh.conj().T * np.sqrt(powers)[None, :]
-    return SvdAllocation(v=v, stream_powers_mw=powers, singular_values=singular_values)

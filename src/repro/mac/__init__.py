@@ -9,15 +9,13 @@ that is the point of the design.  Per-antenna physical carrier sensing is
 """
 
 from .backoff import BackoffState
-from .edca import AccessCategory, EDCA_PARAMETERS, EdcaQueueSet
+from .edca import AccessCategory
 from .frames import FrameDurations
 from .nav import NavTable
 
 __all__ = [
     "BackoffState",
     "AccessCategory",
-    "EDCA_PARAMETERS",
-    "EdcaQueueSet",
     "FrameDurations",
     "NavTable",
 ]

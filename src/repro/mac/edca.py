@@ -2,21 +2,16 @@
 
 802.11ac re-purposes 802.11e's four traffic-class queues to drive MU-MIMO:
 the class that wins internal contention becomes the *primary* access class,
-and secondary classes fill remaining streams.  MIDAS's client selection runs
-within whichever class won, so this module provides the queue set and the
-per-class contention parameters; the network simulations default to a single
-best-effort class, and the EDCA tests exercise the prioritization logic.
+and secondary classes fill remaining streams.  Packets carry their class
+through :class:`repro.traffic.queues.ClientQueues`; both engines select
+primary-class candidates first and fill in from the other classes
+(:func:`repro.core.selection.pick_in_visit_order`).  Full-buffer runs have
+no queues and treat every member as backlogged.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass
-
-import numpy as np
-
-from ..config import MacConfig
 
 
 class AccessCategory(enum.IntEnum):
@@ -26,85 +21,3 @@ class AccessCategory(enum.IntEnum):
     VIDEO = 1
     BEST_EFFORT = 2
     BACKGROUND = 3
-
-
-@dataclass(frozen=True)
-class EdcaParameters:
-    """Per-class contention parameters (relative to :class:`MacConfig`)."""
-
-    aifsn: int  # AIFS = SIFS + aifsn * slot
-    cw_min_factor: float  # CWmin multiplier on the base CWmin
-    cw_max_factor: float
-
-    def aifs_us(self, mac: MacConfig) -> float:
-        return mac.sifs_us + self.aifsn * mac.slot_us
-
-    def cw_min(self, mac: MacConfig) -> int:
-        return max(1, int((mac.cw_min + 1) * self.cw_min_factor) - 1)
-
-    def cw_max(self, mac: MacConfig) -> int:
-        return max(1, int((mac.cw_max + 1) * self.cw_max_factor) - 1)
-
-
-#: Standard-flavoured EDCA parameter set.
-EDCA_PARAMETERS: dict[AccessCategory, EdcaParameters] = {
-    AccessCategory.VOICE: EdcaParameters(aifsn=2, cw_min_factor=0.25, cw_max_factor=0.0625),
-    AccessCategory.VIDEO: EdcaParameters(aifsn=2, cw_min_factor=0.5, cw_max_factor=0.125),
-    AccessCategory.BEST_EFFORT: EdcaParameters(aifsn=3, cw_min_factor=1.0, cw_max_factor=1.0),
-    AccessCategory.BACKGROUND: EdcaParameters(aifsn=7, cw_min_factor=1.0, cw_max_factor=1.0),
-}
-
-
-@dataclass
-class QueuedPacket:
-    """A downlink packet waiting in an AP queue."""
-
-    client: int
-    category: AccessCategory = AccessCategory.BEST_EFFORT
-    enqueued_us: float = 0.0
-
-
-class EdcaQueueSet:
-    """Four per-class FIFO queues with primary-class arbitration."""
-
-    def __init__(self):
-        self._queues: dict[AccessCategory, deque[QueuedPacket]] = {
-            ac: deque() for ac in AccessCategory
-        }
-
-    def enqueue(self, packet: QueuedPacket) -> None:
-        """Append a packet to its class queue."""
-        self._queues[packet.category].append(packet)
-
-    def backlog(self, category: AccessCategory | None = None) -> int:
-        """Queued packet count for one class (or all classes)."""
-        if category is not None:
-            return len(self._queues[category])
-        return sum(len(q) for q in self._queues.values())
-
-    def backlogged_clients(self, category: AccessCategory | None = None) -> np.ndarray:
-        """Distinct clients with at least one queued packet."""
-        cats = [category] if category is not None else list(AccessCategory)
-        clients = {pkt.client for c in cats for pkt in self._queues[c]}
-        return np.asarray(sorted(clients), dtype=int)
-
-    def primary_class(self) -> AccessCategory | None:
-        """Highest-priority non-empty class (the class that would win the
-        AP's internal EDCA contention, all else equal)."""
-        for ac in AccessCategory:
-            if self._queues[ac]:
-                return ac
-        return None
-
-    def pop_for_client(self, client: int, category: AccessCategory | None = None) -> QueuedPacket | None:
-        """Remove and return the oldest packet for ``client``, searching the
-        primary class first then lower classes (802.11ac's secondary-class
-        fill-in rule)."""
-        cats = [category] if category is not None else list(AccessCategory)
-        for ac in cats:
-            queue = self._queues[ac]
-            for index, pkt in enumerate(queue):
-                if pkt.client == client:
-                    del queue[index]
-                    return pkt
-        return None

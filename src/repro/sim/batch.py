@@ -14,9 +14,9 @@ one):
 * **carrier sense** -- :class:`CarrierSenseBatch` computes busy verdicts and
   NAV/preamble-capture decode checks as masked reductions over the stacked
   ``(batch, n_antennas, n_antennas)`` cross-power maps;
-* **client selection** -- :class:`~repro.core.selection.BatchDeficitRoundRobin`
-  plus stacked tag tables pick clients with per-item masks, visiting
-  each AP's antennas in order;
+* **client selection** -- :func:`~repro.core.selection.pick_in_visit_order`
+  walks each AP's stacked tag columns (or membership mask) with per-item
+  :class:`~repro.core.selection.BatchDeficitRoundRobin` counters;
 * **precoding and scoring** -- per-round transmit sets are grouped by
   sub-channel shape and solved through :mod:`repro.core.batch`'s stacked
   precoders; SINRs include the cross-AP interference of every concurrent
@@ -56,7 +56,7 @@ from ..core.batch import (
     naive_scaled_precoder as batch_naive_precoder,
     power_balanced_precoder as batch_power_balanced_precoder,
 )
-from ..core.selection import BatchDeficitRoundRobin
+from ..core.selection import BatchDeficitRoundRobin, pick_in_visit_order
 from ..mac.frames import data_fraction
 from ..mobility import build_mobility_state
 from ..obs import active as _obs
@@ -627,82 +627,46 @@ class RoundBasedEvaluatorBatch:
         clients restricted to AP ``ap``'s current members, each
         ``(batch, n_clients)``.  The membership mask twice under full
         buffer."""
-        member_mask = self.association.members_mask(ap)
         if self._traffic is None:
+            member_mask = self.association.members_mask(ap)
             return member_mask, member_mask
-        primary_mask = np.zeros((self.n_items, self._n_clients), dtype=bool)
-        any_mask = np.zeros((self.n_items, self._n_clients), dtype=bool)
-        for b, state in enumerate(self._traffic):
-            members = self.association.items[b].members(ap)
-            if members.size == 0:
-                continue
-            any_mask[b, members] = state.backlog_mask(members)
-            primary = state.primary_class(members)
-            primary_mask[b, members] = (
-                any_mask[b, members]
-                if primary is None
-                else state.backlog_mask(members, primary)
-            )
-        return primary_mask, any_mask
+        primary, eligible = zip(*(
+            state.eligibility(self.association.items[b].members(ap))
+            for b, state in enumerate(self._traffic)
+        ))
+        return np.stack(primary), np.stack(eligible)
 
     def _select_clients(
         self,
         ap: int,
         use_mask: np.ndarray,
-        participate: np.ndarray,
         allowed: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[list[int]]]:
         """Masked client selection for AP ``ap`` this round.
 
         ``use_mask`` flags, per item, which of the AP's antennas transmit
-        (own-antenna order); ``participate`` gates whole items; ``allowed``
+        (own-antenna order; all or none in CAS, and none for items that do
+        not participate); ``allowed``
         (optional, ``(batch, n_clients)``) is the coordination veto over
         clients already covered by a committed neighboring transmission.
-        Returns the chosen-client mask (global client axis) and the
-        per-item pick order (which fixes the stream order of the precoded
-        burst).
-
-        Finite load gates every pick through the stacked backlog masks:
-        primary-class candidates first, then any-backlog fill-in (``pick``
-        is pure, so the extra masked call changes nothing when the first
-        pick lands).
+        Returns :func:`~repro.core.selection.pick_in_visit_order`'s
+        chosen-client mask (global client axis) and per-item pick order.
         """
         n_own = use_mask.shape[1]
-        drr = self._drr[ap]
         primary_mask, any_mask = self._eligibility(ap)
         if allowed is not None:
             primary_mask = primary_mask & allowed
             any_mask = any_mask & allowed
-        member_mask = self.association.members_mask(ap)
-        chosen_mask = np.zeros((self.n_items, self._n_clients), dtype=bool)
-        chosen_lists: list[list[int]] = [[] for _ in range(self.n_items)]
-
-        def take(candidates: np.ndarray) -> None:
-            first = drr.pick(candidates & primary_mask)
-            fallback = drr.pick(candidates & any_mask)
-            picks = np.where(first >= 0, first, fallback)
-            taken = np.flatnonzero(picks >= 0)
-            chosen_mask[taken, picks[taken]] = True
-            for b in taken:
-                chosen_lists[b].append(int(picks[b]))
-
         if self.mode is MacMode.CAS:
-            # At most min(n_antennas, n_members) picks land; n_own rounds
+            # At most min(n_antennas, n_members) picks land; n_own visits
             # suffice -- once an item's eligible members are exhausted every
-            # further take() is a no-op for it.
-            for __ in range(n_own):
-                take(member_mask & ~chosen_mask & participate[:, None])
-            return chosen_mask, chosen_lists
-        tags = self.association.tag_stack(ap)
-        for local in range(n_own):
-            candidates = (
-                tags[:, :, local]
-                & ~chosen_mask
-                & use_mask[:, local][:, None]
-                & participate[:, None]
-            )
-            take(candidates)
-        return chosen_mask, chosen_lists
+            # further visit is a no-op for it.
+            member = self.association.members_mask(ap) & use_mask.any(axis=1)[:, None]
+            visits = [member] * n_own
+        else:
+            tags = self.association.tag_stack(ap) & use_mask[:, None, :]
+            visits = [tags[:, :, local] for local in range(n_own)]
+        return pick_in_visit_order(self._drr[ap], visits, primary_mask, any_mask)
 
     def _plan_round(
         self, primary_ap: int, item_active: np.ndarray
@@ -748,9 +712,7 @@ class RoundBasedEvaluatorBatch:
                 )
                 participate = item_active & use.any(axis=1)
                 use = use & participate[:, None]
-            chosen_mask, chosen_lists = self._select_clients(
-                ap, use, participate, allowed
-            )
+            chosen_mask, chosen_lists = self._select_clients(ap, use, allowed)
             committed = participate & chosen_mask.any(axis=1)
             served_masks[ap] = chosen_mask & committed[:, None]
             active_mask[:, own] |= use & committed[:, None]

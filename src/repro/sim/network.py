@@ -19,8 +19,10 @@ the paper does (§5.1).
 
 The engine runs the batched kernels on a batch of one: the channel is a
 one-item :class:`~repro.channel.batch.ChannelBatch`, carrier sense a
-one-item :class:`~repro.sim.batch.CarrierSenseBatch`, and every TXOP is
-precoded by the :mod:`repro.core.batch` solvers on ``h[None]``.
+one-item :class:`~repro.sim.batch.CarrierSenseBatch`, clients are picked
+by :func:`~repro.core.selection.pick_in_visit_order` on ``(1, n_clients)``
+masks, and every TXOP is precoded by the :mod:`repro.core.batch` solvers
+on ``h[None]``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..assoc import CoordinationMode, build_association_state
 from ..channel.batch import ChannelBatch, apply_csi_error
 from ..config import MacConfig, SimConfig
 from ..core.batch import naive_scaled_precoder, power_balanced_precoder
-from ..core.selection import DeficitRoundRobin
+from ..core.selection import BatchDeficitRoundRobin, pick_in_visit_order
 from ..mac.backoff import BackoffState
 from ..mac.frames import txop_durations
 from ..mac.nav import NavTable
@@ -64,10 +66,6 @@ class SimulationResult:
     def network_capacity_bps_hz(self) -> float:
         """Time-averaged network spectral efficiency (the paper's metric)."""
         return float(self.per_client_bits_per_hz.sum() / self.duration_s)
-
-    def client_throughput_bps_hz(self) -> np.ndarray:
-        """Per-client time-averaged spectral efficiency."""
-        return self.per_client_bits_per_hz / self.duration_s
 
 
 @dataclass
@@ -152,7 +150,7 @@ class NetworkSimulation:
         # round engine) plus the association layer, which owns the
         # client->AP map, the (MIDAS) packet tags, and the handoff log.
         self._drr = {
-            ap: DeficitRoundRobin(self.deployment.n_clients)
+            ap: BatchDeficitRoundRobin(1, self.deployment.n_clients)
             for ap in range(self.deployment.n_aps)
         }
         self.association = build_association_state(
@@ -241,8 +239,9 @@ class NetworkSimulation:
 
     def _eligibility(self, ap: int, now_us: float) -> tuple[np.ndarray, np.ndarray]:
         """(primary-class, any-class) backlog masks over *all* clients,
-        restricted to ``ap``'s current members; the membership mask twice
-        under full buffer (see the round engine's twin).
+        restricted to ``ap``'s current members, each ``(1, n_clients)``;
+        the membership mask twice under full buffer (see the round
+        engine's twin).
 
         Eligibility is cut off at ``now_us``: the arrival generator works
         in whole TXOP windows that can extend past the present, and a
@@ -250,51 +249,13 @@ class NetworkSimulation:
         win the medium nor be DRR-settled as served -- the service step
         applies the same cutoff at the TXOP start.
         """
-        member_mask = self.association.member_mask(ap)
         if self._traffic is None:
+            member_mask = self.association.member_mask(ap)[None]
             return member_mask, member_mask
-        members = self.association.members(ap)
-        any_mask = np.zeros(self.deployment.n_clients, dtype=bool)
-        primary_mask = np.zeros(self.deployment.n_clients, dtype=bool)
-        if members.size == 0:
-            return primary_mask, any_mask
-        cutoff_s = now_us * 1e-6
-        any_mask[members] = self._traffic.backlog_mask(
-            members, arrival_cutoff_s=cutoff_s
+        primary_mask, any_mask = self._traffic.eligibility(
+            self.association.members(ap), arrival_cutoff_s=now_us * 1e-6
         )
-        primary = self._traffic.primary_class(members, arrival_cutoff_s=cutoff_s)
-        primary_mask[members] = (
-            any_mask[members]
-            if primary is None
-            else self._traffic.backlog_mask(members, primary, arrival_cutoff_s=cutoff_s)
-        )
-        return primary_mask, any_mask
-
-    def _gated_pick(self, ap: int, candidates: list[int], masks) -> int | None:
-        """DRR pick among primary-class backlogged candidates, falling back
-        to any-backlog fill-in (a no-op restriction under full buffer)."""
-        primary_mask, any_mask = masks
-        pick = self._drr[ap].pick([c for c in candidates if primary_mask[c]])
-        if pick is None:
-            pick = self._drr[ap].pick([c for c in candidates if any_mask[c]])
-        return pick
-
-    def _select_clients_midas(
-        self, ap: int, antennas_in_order: np.ndarray, masks
-    ) -> list[int]:
-        """Per-antenna tagged DRR selection (§3.2.4-5), in global client ids."""
-        local_antennas = self._local_antenna_ids(ap, antennas_in_order)
-        chosen: list[int] = []
-        for antenna in local_antennas:
-            candidates = [
-                int(c)
-                for c in self.association.tagged_clients(ap, int(antenna))
-                if c not in chosen
-            ]
-            pick = self._gated_pick(ap, candidates, masks)
-            if pick is not None:
-                chosen.append(pick)
-        return chosen
+        return primary_mask[None], any_mask[None]
 
     def _coordination_allowed(self, ap: int) -> np.ndarray | None:
         """Coordinated-scheduling veto for ``ap``: clients able to overhear
@@ -310,11 +271,6 @@ class NetworkSimulation:
         if not foreign:
             return None
         return ~self.association.overheard_mask(foreign)
-
-    def _local_antenna_ids(self, ap: int, global_ids: np.ndarray) -> np.ndarray:
-        own = self.deployment.antennas_of(ap)
-        index_of = {int(g): i for i, g in enumerate(own)}
-        return np.asarray([index_of[int(g)] for g in global_ids], dtype=int)
 
     # ------------------------------------------------------------------
     # TXOP execution
@@ -380,44 +336,37 @@ class NetworkSimulation:
             # everything queued by the time this TXOP wins the medium.
             self._traffic.advance_arrivals_to(now_us * 1e-6)
         with _obs().span("schedule"):
-            members = self.association.members(ap)
-            masks = self._eligibility(ap, now_us)
+            member = self.association.member_mask(ap)[None]
+            primary_mask, any_mask = self._eligibility(ap, now_us)
             allowed = self._coordination_allowed(ap)
             if allowed is not None:
-                masks = (masks[0] & allowed, masks[1] & allowed)
+                primary_mask = primary_mask & allowed
+                any_mask = any_mask & allowed
             if self.mode is MacMode.CAS:
                 antennas = self.deployment.antennas_of(ap)
-                n_streams = min(len(antennas), len(members))
-                chosen: list[int] = []
-                for __ in range(n_streams):
-                    pick = self._gated_pick(
-                        ap,
-                        [int(c) for c in members if c not in chosen],
-                        masks,
-                    )
-                    if pick is None:
-                        break
-                    chosen.append(pick)
+                visits = [member] * len(antennas)
                 start_us = now_us
             else:
                 antennas, start_us = self._gather_antennas(contender, now_us)
                 if len(antennas) == 0:
                     self._schedule_attempt(contender, now_us + self.mac.difs_us)
                     return
-                chosen = self._select_clients_midas(ap, antennas, masks)
-                if not chosen:
-                    # No tagged backlog for any available antenna: skip this
-                    # opportunity and recontend.
-                    self._schedule_attempt(
-                        contender, now_us + self.mac.difs_us + contender.backoff.draw_delay_us()
-                    )
-                    return
-                # All gathered antennas precode the selected streams (§3.2.5:
-                # "the data streams are transmitted from all the antennas to all
-                # the clients with precoding"), even when fewer clients than
-                # antennas were tagged -- the spare antennas contribute array gain.
+                # Tag columns of the gathered antennas in NAV-expiry order
+                # (antennas_of is sorted, so searchsorted gives local ids).
+                # All gathered antennas precode the selected streams
+                # (§3.2.5: "the data streams are transmitted from all the
+                # antennas to all the clients with precoding"), even when
+                # fewer clients than antennas were tagged -- the spare
+                # antennas contribute array gain.
+                local = np.searchsorted(self.deployment.antennas_of(ap), antennas)
+                visits = self.association.tag_mask(ap).T[local, None, :]
+            chosen_mask, [chosen] = pick_in_visit_order(
+                self._drr[ap], visits, primary_mask, any_mask
+            )
 
         if not chosen:
+            # No eligible (MIDAS: tagged) backlog: skip this opportunity
+            # and recontend.
             self._schedule_attempt(
                 contender, now_us + self.mac.difs_us + contender.backoff.draw_delay_us()
             )
@@ -493,8 +442,7 @@ class NetworkSimulation:
                 other.in_txop_until_us = tx.end_us
 
         # DRR settlement: losers are members that were not served.
-        losers = [int(c) for c in members if c not in chosen]
-        self._drr[ap].settle(chosen, losers, txop_units=1.0)
+        self._drr[ap].settle(chosen_mask, member & ~chosen_mask)
         self.association.note_served(clients_global)
 
         self.queue.schedule(tx.end_us, lambda t, tx=tx: self._end_txop(tx, t))

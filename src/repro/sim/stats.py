@@ -17,14 +17,6 @@ class RunSummary:
     mean_concurrent_streams: np.ndarray
     collision_fractions: np.ndarray
 
-    @property
-    def median_capacity(self) -> float:
-        return float(np.median(self.network_capacities_bps_hz))
-
-    @property
-    def median_concurrency(self) -> float:
-        return float(np.median(self.mean_concurrent_streams))
-
 
 def summarize(results: list[SimulationResult]) -> RunSummary:
     """Collect the headline series from a batch of runs.

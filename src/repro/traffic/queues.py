@@ -88,19 +88,8 @@ class ClientQueues:
         self._bytes[packet.client, packet.category] += packet.bytes_left
 
     # ------------------------------------------------------------------
-    # Backlog queries (the eligibility surface of the round engines)
+    # Backlog queries (the eligibility surface of both engines)
     # ------------------------------------------------------------------
-    def backlog_bytes(self, clients=None, category: AccessCategory | None = None):
-        """Queued bytes per client, optionally restricted to one class.
-
-        ``clients`` selects (and orders) the client axis; the result is a
-        float array over the selected clients.
-        """
-        rows = self._bytes if clients is None else self._bytes[np.asarray(clients, dtype=int)]
-        if category is None:
-            return rows.sum(axis=1)
-        return rows[:, category].copy()
-
     def _client_indices(self, clients) -> np.ndarray:
         if clients is None:
             return np.arange(self.n_clients)

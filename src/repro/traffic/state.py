@@ -173,6 +173,30 @@ class TrafficState:
         """The EDCA class that wins internal contention for these clients."""
         return self.queues.primary_class(clients, arrival_cutoff_s)
 
+    def eligibility(
+        self, members, arrival_cutoff_s=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(primary-class, any-class) backlog masks of ``members`` on the
+        global client axis, each ``(n_clients,)`` bool -- the two candidate
+        filters of :func:`repro.core.selection.pick_in_visit_order`.
+
+        The primary class is the one that wins the AP's internal EDCA
+        contention among ``members``; non-members are never eligible.
+        ``arrival_cutoff_s`` as in :meth:`backlog_mask`.
+        """
+        members = np.asarray(members, dtype=int)
+        primary_mask = np.zeros(self.n_clients, dtype=bool)
+        any_mask = np.zeros(self.n_clients, dtype=bool)
+        any_mask[members] = self.backlog_mask(
+            members, arrival_cutoff_s=arrival_cutoff_s
+        )
+        primary = self.primary_class(members, arrival_cutoff_s)
+        if primary is not None:
+            primary_mask[members] = self.backlog_mask(
+                members, primary, arrival_cutoff_s
+            )
+        return primary_mask, any_mask
+
     def serve_burst(
         self,
         clients: np.ndarray,

@@ -5,13 +5,9 @@ import pytest
 
 from repro.config import MacConfig
 from repro.mac.backoff import BackoffState
-from repro.mac.edca import (
-    EDCA_PARAMETERS,
-    AccessCategory,
-    EdcaQueueSet,
-    QueuedPacket,
-)
+from repro.mac.edca import AccessCategory
 from repro.mac.frames import txop_durations
+from repro.traffic import ClientQueues, Packet
 
 
 class TestBackoff:
@@ -44,54 +40,49 @@ class TestBackoff:
 
 
 class TestEdca:
-    def test_priority_order(self):
-        mac = MacConfig()
-        voice = EDCA_PARAMETERS[AccessCategory.VOICE]
-        background = EDCA_PARAMETERS[AccessCategory.BACKGROUND]
-        assert voice.aifs_us(mac) < background.aifs_us(mac)
-        assert voice.cw_min(mac) < background.cw_min(mac)
+    """Per-class queueing on :class:`ClientQueues`, the one EDCA queue."""
 
     def test_primary_class_highest_priority_nonempty(self):
-        queues = EdcaQueueSet()
-        queues.enqueue(QueuedPacket(client=0, category=AccessCategory.BACKGROUND))
-        queues.enqueue(QueuedPacket(client=1, category=AccessCategory.VIDEO))
+        queues = ClientQueues(2)
+        queues.enqueue(Packet(0, 100.0, 0.0, AccessCategory.BACKGROUND))
+        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VIDEO))
         assert queues.primary_class() is AccessCategory.VIDEO
 
     def test_primary_class_empty(self):
-        assert EdcaQueueSet().primary_class() is None
+        assert ClientQueues(2).primary_class() is None
 
     def test_backlog_counts(self):
-        queues = EdcaQueueSet()
-        queues.enqueue(QueuedPacket(client=0))
-        queues.enqueue(QueuedPacket(client=0))
-        queues.enqueue(QueuedPacket(client=1, category=AccessCategory.VOICE))
-        assert queues.backlog() == 3
-        assert queues.backlog(AccessCategory.VOICE) == 1
+        queues = ClientQueues(2)
+        queues.enqueue(Packet(0, 100.0, 0.0))
+        queues.enqueue(Packet(0, 100.0, 0.0))
+        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VOICE))
+        assert queues.total_bytes() == 300.0
+        assert queues.backlog_mask(category=AccessCategory.VOICE).tolist() == [
+            False, True,
+        ]
 
     def test_backlogged_clients_distinct(self):
-        queues = EdcaQueueSet()
-        queues.enqueue(QueuedPacket(client=2))
-        queues.enqueue(QueuedPacket(client=2))
-        queues.enqueue(QueuedPacket(client=0))
-        np.testing.assert_array_equal(queues.backlogged_clients(), [0, 2])
+        queues = ClientQueues(3)
+        queues.enqueue(Packet(2, 100.0, 0.0))
+        queues.enqueue(Packet(2, 100.0, 0.0))
+        queues.enqueue(Packet(0, 100.0, 0.0))
+        np.testing.assert_array_equal(np.flatnonzero(queues.backlog_mask()), [0, 2])
 
     def test_pop_for_client_fifo(self):
-        queues = EdcaQueueSet()
-        first = QueuedPacket(client=1, enqueued_us=1.0)
-        second = QueuedPacket(client=1, enqueued_us=2.0)
-        queues.enqueue(first)
-        queues.enqueue(second)
-        assert queues.pop_for_client(1) is first
-        assert queues.pop_for_client(1) is second
-        assert queues.pop_for_client(1) is None
+        queues = ClientQueues(2)
+        queues.enqueue(Packet(1, 100.0, 1.0))
+        queues.enqueue(Packet(1, 100.0, 2.0))
+        # One packet's worth of budget per burst: the older packet leaves first.
+        assert queues.serve(1, 100.0, 3.0)[1] == [(2.0, AccessCategory.BEST_EFFORT)]
+        assert queues.serve(1, 100.0, 3.0)[1] == [(1.0, AccessCategory.BEST_EFFORT)]
+        assert queues.serve(1, 100.0, 3.0) == (0.0, [])
 
     def test_pop_searches_higher_class_first(self):
-        queues = EdcaQueueSet()
-        low = QueuedPacket(client=1, category=AccessCategory.BACKGROUND)
-        high = QueuedPacket(client=1, category=AccessCategory.VOICE)
-        queues.enqueue(low)
-        queues.enqueue(high)
-        assert queues.pop_for_client(1) is high
+        queues = ClientQueues(2)
+        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.BACKGROUND))
+        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VOICE))
+        __, departures = queues.serve(1, 100.0, 1.0)
+        assert departures == [(1.0, AccessCategory.VOICE)]
 
 
 class TestFrameDurations:

@@ -3,20 +3,21 @@ with backlogged VOICE/VIDEO/BEST_EFFORT queues driving client selection.
 
 Until the traffic subsystem, only the single best-effort default was
 exercised by network simulations; these tests drive the prioritization
-logic end to end -- through :class:`repro.mac.edca.EdcaQueueSet`, through
-:func:`repro.core.selection.select_clients_for_antennas`, and through both
+logic end to end -- through :class:`repro.traffic.ClientQueues` and
+:meth:`repro.traffic.TrafficState.eligibility`, through the shared
+scheduler :func:`repro.core.selection.pick_in_visit_order`, and through the
 round engine with a scripted multi-class arrival model."""
 
 import numpy as np
 
 from helpers.goldens import assert_rounds_match, goldens
-from repro.core.selection import DeficitRoundRobin, select_clients_for_antennas
+from repro.core.selection import BatchDeficitRoundRobin, pick_in_visit_order
 from repro.core.tagging import TagTable
-from repro.mac.edca import AccessCategory, EdcaQueueSet, QueuedPacket
+from repro.mac.edca import AccessCategory
 from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
-from repro.traffic import Packet, TrafficModel
+from repro.traffic import Packet, TrafficModel, TrafficState
 
 ENV = office_b()
 
@@ -41,49 +42,74 @@ class ScriptedTraffic(TrafficModel):
         ]
 
 
-class TestEdcaQueueSetMultiClass:
-    def _loaded(self) -> EdcaQueueSet:
-        queues = EdcaQueueSet()
-        queues.enqueue(QueuedPacket(client=0, category=AccessCategory.BEST_EFFORT))
-        queues.enqueue(QueuedPacket(client=1, category=AccessCategory.VOICE))
-        queues.enqueue(QueuedPacket(client=2, category=AccessCategory.VIDEO))
-        queues.enqueue(QueuedPacket(client=1, category=AccessCategory.BEST_EFFORT))
-        return queues
+class TestPrimaryClassSelection:
+    """Queued VOICE/VIDEO/BEST_EFFORT packets drive the shared scheduler
+    through :meth:`TrafficState.eligibility`."""
+
+    SCRIPT = [
+        (0, 0, 100.0, AccessCategory.BEST_EFFORT),
+        (0, 1, 100.0, AccessCategory.VOICE),
+        (0, 2, 100.0, AccessCategory.VIDEO),
+        (0, 1, 100.0, AccessCategory.BEST_EFFORT),
+    ]
+
+    def _loaded(self) -> TrafficState:
+        state = TrafficState(
+            ScriptedTraffic(self.SCRIPT), 3, np.random.default_rng(0),
+            round_duration_s=1e-3, bandwidth_hz=20e6,
+        )
+        state.begin_round()
+        return state
 
     def test_primary_class_is_highest_backlogged(self):
-        assert self._loaded().primary_class() is AccessCategory.VOICE
+        queues = self._loaded().queues
+        assert queues.primary_class([0, 1, 2]) is AccessCategory.VOICE
+        assert queues.primary_class([0, 2]) is AccessCategory.VIDEO
 
     def test_backlogged_clients_filter_by_class(self):
-        queues = self._loaded()
-        assert np.array_equal(
-            queues.backlogged_clients(AccessCategory.VOICE), [1]
-        )
-        assert np.array_equal(queues.backlogged_clients(), [0, 1, 2])
+        queues = self._loaded().queues
+        assert queues.backlog_mask(category=AccessCategory.VOICE).tolist() == [
+            False, True, False,
+        ]
+        assert queues.backlog_mask().tolist() == [True, True, True]
 
-    def test_pop_searches_primary_then_lower_classes(self):
-        queues = self._loaded()
-        popped = queues.pop_for_client(1)
-        assert popped.category is AccessCategory.VOICE  # primary first
-        popped = queues.pop_for_client(1)
-        assert popped.category is AccessCategory.BEST_EFFORT  # fill-in
-        assert queues.pop_for_client(1) is None
+    def test_eligibility_masks_on_global_axis(self):
+        state = self._loaded()
+        primary, eligible = state.eligibility([0, 1, 2])
+        assert primary.tolist() == [False, True, False]
+        assert eligible.tolist() == [True, True, True]
+        # Among members 0 and 2 VIDEO wins; non-members are never eligible.
+        primary, eligible = state.eligibility([0, 2])
+        assert primary.tolist() == [False, False, True]
+        assert eligible.tolist() == [True, False, True]
+        primary, eligible = state.eligibility([])
+        assert not primary.any() and not eligible.any()
+
+    def test_eligibility_respects_arrival_cutoff(self):
+        state = self._loaded()  # every scripted packet arrives at t = 0
+        primary, eligible = state.eligibility([0, 1, 2], arrival_cutoff_s=0.0)
+        assert not primary.any() and not eligible.any()
+
+    def test_serve_searches_primary_then_lower_classes(self):
+        queues = self._loaded().queues
+        __, departures = queues.serve(1, 100.0, 1.0)
+        assert [c for __, c in departures] == [AccessCategory.VOICE]
+        __, departures = queues.serve(1, 100.0, 1.0)
+        assert [c for __, c in departures] == [AccessCategory.BEST_EFFORT]
+        assert queues.serve(1, 100.0, 1.0) == (0.0, [])
 
     def test_selection_from_primary_class_backlog(self):
-        queues = self._loaded()
+        primary, eligible = self._loaded().eligibility([0, 1, 2])
         # Flat RSSI, width 2 of 2: every client tagged to both antennas.
-        tags = TagTable.from_rssi(np.zeros((3, 2)), 2)
-        drr = DeficitRoundRobin(3)
-        primary = queues.primary_class()
-        outcome = select_clients_for_antennas(
-            [0, 1], tags, drr, queues.backlogged_clients(primary)
+        tags = TagTable.from_rssi(np.zeros((3, 2)), 2).tags
+        visits = [tags[:, antenna][None] for antenna in range(2)]
+        __, [chosen] = pick_in_visit_order(
+            BatchDeficitRoundRobin(1, 3), visits, primary[None], eligible[None]
         )
-        # Only client 1 has VOICE backlog: one stream, anchored at antenna 0.
-        assert outcome.antenna_client_pairs == [(0, 1)]
-        # Secondary fill-in across all classes offers every backlogged client.
-        outcome = select_clients_for_antennas(
-            [0, 1], tags, drr, queues.backlogged_clients()
-        )
-        assert outcome.clients == [0, 1]
+        # Only client 1 has VOICE backlog: antenna 0 anchors it; antenna 1
+        # falls back to secondary fill-in across all classes (client 0
+        # wins the deficit tie).
+        assert chosen == [1, 0]
 
 
 class TestRoundEngineMultiClass:

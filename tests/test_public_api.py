@@ -1,5 +1,8 @@
 """Public API surface tests: the README quickstart must keep working."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,17 @@ class TestImportSurface:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+    def test_pyproject_reads_the_one_version_string(self):
+        # A text check: tier-1 also runs on Python 3.10, which has no tomllib.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert not re.search(r"^version\s*=", project, re.MULTILINE), (
+            "pyproject.toml carries a static version; repro.__version__ is "
+            "the only version string"
+        )
+        assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', project, re.MULTILINE)
+        assert 'version = {attr = "repro.__version__"}' in text
 
 
 class TestReadmeQuickstart:
@@ -65,11 +79,23 @@ class TestReadmeQuickstart:
             repro.naive_scaled_precoder(np.eye(2, dtype=complex), 1.0)
 
     def test_scalar_mirrors_are_gone(self):
+        import repro.core
+        import repro.mac
+
         for name in (
             "ChannelModel", "CarrierSenseModel", "RoundBasedEvaluator",
             "PrecodingResult", "WaterfillResult", "FadingProcess",
+            "DeficitRoundRobin", "SelectionOutcome", "select_clients_for_antennas",
+            "EdcaQueueSet", "QueuedPacket", "EdcaParameters", "EDCA_PARAMETERS",
+            "SvdAllocation",
         ):
-            assert not hasattr(repro, name), name
+            for module in (repro, repro.core, repro.mac):
+                assert not hasattr(module, name), (module.__name__, name)
+
+    def test_svd_waterfilling_binds_the_stacked_kernel(self):
+        from repro.core import batch as core_batch
+
+        assert repro.core.svd_waterfilling is core_batch.svd_waterfilling
 
     def test_cdf_helpers_exported(self):
         cdf = repro.EmpiricalCdf(np.array([1.0, 2.0, 3.0]))

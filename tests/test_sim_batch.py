@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from helpers.carrier_sense_table import reference_decodes, reference_sensed_mw
+from helpers.drr_oracle import PaperDrr
 from helpers.goldens import assert_rounds_match, floats, goldens
 from repro import rng as rng_mod
 from repro.config import MacConfig
-from repro.core.selection import BatchDeficitRoundRobin, DeficitRoundRobin
+from repro.core.selection import BatchDeficitRoundRobin
 from repro.sim.batch import (
     CarrierSenseBatch,
     MacMode,
@@ -110,7 +111,7 @@ class TestBatchDeficitRoundRobin:
     def test_mirrors_scalar_sequences(self):
         n_items, n_clients = 5, 4
         batch = BatchDeficitRoundRobin(n_items, n_clients)
-        scalars = [DeficitRoundRobin(n_clients) for _ in range(n_items)]
+        scalars = [PaperDrr(n_clients) for _ in range(n_items)]
         rng = np.random.default_rng(3)
         for __ in range(30):
             candidates = rng.random((n_items, n_clients)) < 0.6
@@ -128,7 +129,7 @@ class TestBatchDeficitRoundRobin:
             for b, scalar in enumerate(scalars):
                 if has[b]:
                     scalar.settle(
-                        np.flatnonzero(served[b]), np.flatnonzero(losers[b])
+                        list(np.flatnonzero(served[b])), list(np.flatnonzero(losers[b]))
                     )
                 else:
                     scalar.credit(range(n_clients))

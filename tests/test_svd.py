@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.svd import su_beamforming_precoder, svd_waterfilling
+from repro.core import svd_waterfilling
+from repro.core.svd import su_beamforming_precoder
 
 NOISE = 1e-9
 
@@ -39,26 +40,29 @@ class TestSuBeamforming:
 
 
 class TestSvdWaterfilling:
+    """The stacked kernel on a batch of one."""
+
     def _channel(self, seed=0, n_rx=2, n_tx=4):
         rng = np.random.default_rng(seed)
-        return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) * 1e-4
+        h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+        return h[None] * 1e-4
 
     def test_power_budget_met(self):
         alloc = svd_waterfilling(self._channel(), 8.0, NOISE)
-        assert alloc.stream_powers_mw.sum() == pytest.approx(8.0, rel=1e-6)
+        assert alloc.stream_powers_mw[0].sum() == pytest.approx(8.0, rel=1e-6)
 
     def test_stronger_modes_get_more_power(self):
         alloc = svd_waterfilling(self._channel(1), 8.0, NOISE)
-        powers = alloc.stream_powers_mw
-        order = np.argsort(-alloc.singular_values)
+        powers = alloc.stream_powers_mw[0]
+        order = np.argsort(-alloc.singular_values[0])
         assert powers[order[0]] >= powers[order[-1]] - 1e-12
 
     def test_capacity_beats_equal_split(self):
         h = self._channel(2)
         alloc = svd_waterfilling(h, 8.0, NOISE)
-        gains = alloc.singular_values**2 / NOISE
+        gains = alloc.singular_values[0] ** 2 / NOISE
         equal = np.sum(np.log2(1 + gains * (8.0 / len(gains))))
-        assert alloc.capacity_bps_hz(NOISE) >= equal - 1e-9
+        assert alloc.capacity_bps_hz(NOISE)[0] >= equal - 1e-9
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):

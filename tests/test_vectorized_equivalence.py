@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.svd_oracle import svd_waterfilling
 from repro.api import (
     PRECODERS,
     RunSpec,
@@ -27,7 +28,6 @@ from repro.api import (
 from repro.channel.batch import ChannelBatch
 from repro.config import RadioConfig
 from repro.core import batch as core_batch
-from repro.core.svd import svd_waterfilling
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, paired_scenarios
 
@@ -110,31 +110,39 @@ def test_batched_reverse_waterfill_matches_all_branches(budget):
         assert stacked.capped[i] == alone.capped[0]
 
 
-def test_batched_svd_waterfilling_matches():
-    h = _channel_stack(16, 3, 5, seed=2)
-    total, noise = 4 * RADIO.per_antenna_power_mw, RADIO.noise_mw
+def _assert_matches_svd_oracle(h, total, noise):
     stacked = core_batch.svd_waterfilling(h, total, noise)
     capacities = stacked.capacity_bps_hz(noise)
     for i, item in enumerate(h):
-        scalar = svd_waterfilling(item, total, noise)
-        assert np.array_equal(stacked.v[i], scalar.v)
-        assert np.array_equal(stacked.stream_powers_mw[i], scalar.stream_powers_mw)
-        assert capacities[i] == scalar.capacity_bps_hz(noise)
+        v, powers, singular_values = svd_waterfilling(item, total, noise)
+        assert np.array_equal(stacked.v[i], v)
+        assert np.array_equal(stacked.stream_powers_mw[i], powers)
+        snrs = powers * singular_values**2 / noise
+        assert capacities[i] == np.sum(np.log2(1.0 + snrs))
+
+
+def test_batched_svd_waterfilling_matches():
+    h = _channel_stack(16, 3, 5, seed=2)
+    _assert_matches_svd_oracle(h, 4 * RADIO.per_antenna_power_mw, RADIO.noise_mw)
 
 
 def test_batched_svd_waterfilling_matches_on_rank_deficient_items():
-    # An item with a zero singular mode (duplicated rows) must take the
-    # scalar solver's usable-mode masking, not error out.
-    degenerate = np.array([[1, 2, 0], [1, 2, 0], [0, 0, 3]], dtype=complex)
-    healthy = _channel_stack(1, 3, 3, seed=8)[0]
-    h = np.stack([degenerate, healthy])
-    stacked = core_batch.svd_waterfilling(h, 10.0, 1.0)
-    for i, item in enumerate(h):
-        scalar = svd_waterfilling(item, 10.0, 1.0)
-        assert np.array_equal(stacked.v[i], scalar.v)
-        assert np.array_equal(stacked.stream_powers_mw[i], scalar.stream_powers_mw)
+    # Unusable (zero-gain) modes take an infinite water-filling floor in
+    # the same stack as healthy items: duplicated rows, zero rows and zero
+    # columns, plus random ones.
+    rng = np.random.default_rng(11)
+    h = _channel_stack(300, 3, 3, seed=8)
+    kind = rng.integers(0, 4, len(h))
+    h[kind == 1, 1] = h[kind == 1, 0]  # duplicated row
+    h[kind == 2, 2] = 0.0  # zero row
+    h[kind == 3, :, 0] = 0.0  # zero column
+    h[0] = [[1, 2, 0], [1, 2, 0], [0, 0, 3]]
+    _assert_matches_svd_oracle(h, 10.0, 1.0)
+    assert (core_batch.svd_waterfilling(h, 10.0, 1.0).stream_powers_mw == 0).any()
+    # One item with no usable mode fails the stack, as it fails alone.
+    h[5] = 0.0
     with pytest.raises(ValueError, match="usable singular"):
-        core_batch.svd_waterfilling(np.zeros((1, 2, 2), dtype=complex), 1.0, 1.0)
+        core_batch.svd_waterfilling(h, 10.0, 1.0)
 
 
 def test_batch_precoders_reject_single_matrices():
@@ -143,6 +151,8 @@ def test_batch_precoders_reject_single_matrices():
         core_batch.naive_scaled_precoder(h, 1.0)
     with pytest.raises(ValueError):
         precoder_matrix_batch("naive", h, 1.0, 1e-9)
+    with pytest.raises(ValueError, match="stacked"):
+        core_batch.svd_waterfilling(h, 1.0, 1e-9)
 
 
 # ----------------------------------------------------------------------
