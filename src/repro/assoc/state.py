@@ -21,9 +21,8 @@ Bit-identity contract: with the default ``nearest_anchor`` policy the
 membership equals ``deployment.clients_of(ap)`` forever and the tag masks
 are the historical ``TagTable.from_rssi`` rows scattered to global indices
 -- every engine consuming this state is bit-identical (``array_equal``) to
-v1.6.0.  :class:`BatchAssociationState` holds one scalar state per batch
-item, so the vectorized engine's association decisions are the scalar
-code's decisions by construction.
+v1.6.0.  :class:`BatchAssociationState` holds one state per batch item,
+each with its own policy, so a batch may mix policies item by item.
 """
 
 from __future__ import annotations
@@ -259,9 +258,10 @@ class AssociationState:
 class BatchAssociationState:
     """One :class:`AssociationState` per batch item, plus stacked views.
 
-    Keeping real scalar states per item (rather than re-deriving the policy
-    math in stacked form) makes the loop/vectorized equivalence structural:
-    the batch engine consumes literally the scalar decisions, stacked.
+    Each item keeps its own policy instance and history, so items may run
+    different policies (or policy arguments) side by side, and an item's
+    decisions never depend on which other items share the batch.  Only the
+    coordination mode is shared.
     """
 
     def __init__(self, items: list[AssociationState]):
@@ -333,22 +333,44 @@ def build_association_state(
     return AssociationState(policy, deployment, mac, coordination)
 
 
+def one_per_item(name: str, value, n_items: int) -> list:
+    """``value`` as one entry per batch item.
+
+    A list or tuple is taken as per-item values and must hold exactly
+    ``n_items`` entries; anything else (a mapping, a name, ``None``) is
+    shared by every item.
+    """
+    if not isinstance(value, (list, tuple)):
+        return [value] * n_items
+    if len(value) != n_items:
+        raise ValueError(
+            f"{name} must be one value for the whole batch or one entry per "
+            f"item ({n_items}); got {len(value)} entries"
+        )
+    return list(value)
+
+
 def build_batch_association_state(
     association, association_kwargs, deployments, mac, coordination=None
 ) -> BatchAssociationState:
     """One fresh policy + state per batch item (policies hold per-client
     history, so sharing an instance across items would corrupt it).
-    Passing a policy *instance* is therefore rejected here -- give a name."""
-    if association is not None and not isinstance(association, str):
+
+    ``association`` and ``association_kwargs`` are each one value for the
+    whole batch or a list with one entry per deployment (see
+    :func:`one_per_item`).  Passing a policy *instance* is rejected here --
+    give a name."""
+    deployments = list(deployments)
+    associations = one_per_item("association", association, len(deployments))
+    kwargs = one_per_item("association_kwargs", association_kwargs, len(deployments))
+    if any(a is not None and not isinstance(a, str) for a in associations):
         raise ValueError(
             "the batched evaluator needs a registered association name (one "
             "fresh policy is built per item); got a policy instance"
         )
     return BatchAssociationState(
         [
-            build_association_state(
-                association, association_kwargs, deployment, mac, coordination
-            )
-            for deployment in deployments
+            build_association_state(name, item_kwargs, deployment, mac, coordination)
+            for name, item_kwargs, deployment in zip(associations, kwargs, deployments)
         ]
     )

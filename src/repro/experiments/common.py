@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: batched channels, gates, and capacities.
+"""Shared experiment plumbing: batched channels, gates, capacities, sweeps.
 
 Every helper here works on a batch of topology draws; a single topology is
 a batch of one.  The result type and precoder dispatch live in
@@ -9,13 +9,17 @@ registry) and are re-exported for the experiment modules.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .. import xp as xpmod
 from ..api.precoders import capacity_for_batch  # noqa: F401  (re-export)
+from ..api.registry import MOBILITY
 from ..api.result import ExperimentResult  # noqa: F401  (re-export)
 from ..channel.batch import ChannelBatch
 from ..core.batch import power_balanced_precoder as batch_power_balanced
+from ..mobility import resolve_mobility
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 
@@ -123,3 +127,53 @@ def batched_selection_capacities(subchannels, radio) -> list[float]:
 
 
 MODE_LABEL = {AntennaMode.CAS: "cas", AntennaMode.DAS: "das"}
+
+
+def require_moving(experiment: str, mobility: str) -> None:
+    """Fail early on mobility models a speed sweep cannot use: the static
+    sentinel, and models not constructible from a bare speed."""
+    factory = MOBILITY.get(mobility)  # unknown names list what is registered
+    if getattr(factory, "is_static", False):
+        raise ValueError(
+            f"{experiment} sweeps client speed; pick a moving mobility "
+            "model (e.g. 'gauss_markov'), not 'static'"
+        )
+    try:
+        resolve_mobility(mobility, speed_mps=1.0)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{experiment} sweeps client speed, so its mobility model "
+            f"must accept a speed_mps argument (e.g. 'gauss_markov', "
+            f"'random_waypoint'); {mobility!r} does not: {exc}"
+        ) from None
+
+
+def sweep_on_batch_axis(seeds, evaluate, **axes) -> list[dict[str, np.ndarray]]:
+    """Evaluate a parameter sweep with its points on the batch axis.
+
+    ``axes`` names each swept parameter with its values.  Items are the
+    product of ``seeds`` with every axis (seed-major, last axis fastest),
+    so each seed repeats once per sweep point.  ``evaluate(item_seeds,
+    item_points)`` gets the per-item seeds and point tuples and returns one
+    ``{series_key: value}`` dict per item.  Returns one outcome per seed:
+    each key maps to its values in item order, ``(n_points,)`` for a key
+    every point reports.
+    """
+    for name, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty; give at least one value to sweep")
+    seeds = list(seeds)
+    points = list(itertools.product(*axes.values()))
+    metrics = evaluate(
+        [seed for seed in seeds for _ in points], points * len(seeds)
+    )
+    outcomes = []
+    for i in range(len(seeds)):
+        rows: dict[str, list] = {}
+        for item in metrics[i * len(points) : (i + 1) * len(points)]:
+            for key, value in item.items():
+                rows.setdefault(key, []).append(value)
+        outcomes.append(
+            {key: np.asarray(values, dtype=float) for key, values in rows.items()}
+        )
+    return outcomes

@@ -27,7 +27,7 @@ from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
 from ..traffic import resolve_traffic
-from .common import ExperimentResult
+from .common import ExperimentResult, sweep_on_batch_axis
 
 _SYSTEMS = (
     ("cas", AntennaMode.CAS, MacMode.CAS),
@@ -71,30 +71,27 @@ def _metrics(result) -> dict[str, float]:
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
-    seeds = list(topo_seeds)
-    pairs = [_pair(env, params, seed) for seed in seeds]
-    loads = params["offered_loads_mbps"]
-    series: dict[str, np.ndarray] = {}
-    for label, antenna_mode, mac_mode in _SYSTEMS:
-        scenarios = [pair[antenna_mode] for pair in pairs]
-        for j, offered in enumerate(loads):
+
+    def evaluate(item_seeds, item_points):
+        pairs = {seed: _pair(env, params, seed) for seed in dict.fromkeys(item_seeds)}
+        traffic_kwargs = [_traffic_kwargs(params, load) for (load,) in item_points]
+        metrics: list[dict] = [{} for _ in item_seeds]
+        for label, antenna_mode, mac_mode in _SYSTEMS:
             results = RoundBasedEvaluatorBatch(
-                scenarios,
+                [pairs[seed][antenna_mode] for seed in item_seeds],
                 mac_mode,
-                seeds=seeds,
+                seeds=item_seeds,
                 traffic=params["traffic"],
-                traffic_kwargs=_traffic_kwargs(params, offered),
+                traffic_kwargs=traffic_kwargs,
             ).run(params["rounds_per_topology"])
-            for i, result in enumerate(results):
+            for item, result in zip(metrics, results):
                 for metric, value in _metrics(result).items():
-                    key = f"{label}_{metric}"
-                    series.setdefault(
-                        key, np.empty((len(seeds), len(loads)))
-                    )[i, j] = value
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(seeds))
-    ]
+                    item[f"{label}_{metric}"] = value
+        return metrics
+
+    return sweep_on_batch_axis(
+        topo_seeds, evaluate, offered_loads_mbps=params["offered_loads_mbps"]
+    )
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:

@@ -31,37 +31,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..api.experiments import register_experiment
-from ..api.registry import MOBILITY
 from ..api.scenarios import resolve_environment
-from ..mobility import resolve_mobility
 from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult
+from .common import ExperimentResult, require_moving, sweep_on_batch_axis
 
 _SYSTEMS = (
     ("cas", AntennaMode.CAS, MacMode.CAS),
     ("midas", AntennaMode.DAS, MacMode.MIDAS),
 )
-
-
-def _require_moving(name: str) -> None:
-    """Fail early (once per build) on models this experiment cannot sweep:
-    the static sentinel, and models not constructible from a bare speed."""
-    factory = MOBILITY.get(name)  # unknown names list what is registered
-    if getattr(factory, "is_static", False):
-        raise ValueError(
-            "mobility_capacity sweeps client speed; pick a moving mobility "
-            "model (e.g. 'gauss_markov'), not 'static'"
-        )
-    try:
-        resolve_mobility(name, speed_mps=1.0)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"mobility_capacity sweeps client speed, so its mobility model "
-            f"must accept a speed_mps argument (e.g. 'gauss_markov', "
-            f"'random_waypoint'); {name!r} does not: {exc}"
-        ) from None
 
 
 def _pair(env, params: dict, seed: int):
@@ -87,33 +66,28 @@ def _metrics(result, txop_us: float) -> dict[str, float]:
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
-    _require_moving(params["mobility"])
-    seeds = list(topo_seeds)
-    pairs = [_pair(env, params, seed) for seed in seeds]
-    speeds = params["speeds_mps"]
-    series: dict[str, np.ndarray] = {}
-    for label, antenna_mode, mac_mode in _SYSTEMS:
-        scenarios = [pair[antenna_mode] for pair in pairs]
-        txop_us = scenarios[0].mac.txop_us
-        for j, speed in enumerate(speeds):
+    require_moving("mobility_capacity", params["mobility"])
+
+    def evaluate(item_seeds, item_points):
+        pairs = {seed: _pair(env, params, seed) for seed in dict.fromkeys(item_seeds)}
+        metrics: list[dict] = [{} for _ in item_seeds]
+        for label, antenna_mode, mac_mode in _SYSTEMS:
+            scenarios = [pairs[seed][antenna_mode] for seed in item_seeds]
             results = RoundBasedEvaluatorBatch(
                 scenarios,
                 mac_mode,
-                seeds=seeds,
+                seeds=item_seeds,
                 mobility=params["mobility"],
-                mobility_kwargs={"speed_mps": speed},
+                mobility_kwargs=[{"speed_mps": speed} for (speed,) in item_points],
                 resound_period_rounds=params["resound_period_rounds"],
             ).run(params["rounds_per_topology"])
-            for i, result in enumerate(results):
+            txop_us = scenarios[0].mac.txop_us
+            for item, result in zip(metrics, results):
                 for metric, value in _metrics(result, txop_us).items():
-                    key = f"{label}_{metric}"
-                    series.setdefault(
-                        key, np.empty((len(seeds), len(speeds)))
-                    )[i, j] = value
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(seeds))
-    ]
+                    item[f"{label}_{metric}"] = value
+        return metrics
+
+    return sweep_on_batch_axis(topo_seeds, evaluate, speeds_mps=params["speeds_mps"])
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:

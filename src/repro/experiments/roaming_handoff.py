@@ -35,8 +35,7 @@ from ..assoc import association_names
 from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import campus_scenario
-from .common import ExperimentResult
-from .mobility_capacity import _require_moving
+from .common import ExperimentResult, require_moving, sweep_on_batch_axis
 
 
 def _policies(params: dict) -> list[str]:
@@ -85,36 +84,42 @@ def _metrics(result, assoc_state) -> dict[str, float]:
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
-    _require_moving(params["mobility"])
-    seeds = list(topo_seeds)
-    scenarios = [_scenario(env, params, seed) for seed in seeds]
-    speeds = params["speeds_mps"]
-    series: dict[str, np.ndarray] = {}
-    for policy in _policies(params):
-        for j, speed in enumerate(speeds):
-            batch = RoundBasedEvaluatorBatch(
-                scenarios,
-                MacMode.MIDAS,
-                seeds=seeds,
-                mobility=params["mobility"],
-                mobility_kwargs={"speed_mps": speed},
-                resound_period_rounds=params["resound_period_rounds"],
-                association=policy,
-                association_kwargs=_policy_kwargs(policy, params),
-                coordination=params["coordination"],
+    require_moving("roaming_handoff", params["mobility"])
+
+    def evaluate(item_seeds, item_points):
+        scenarios = {
+            seed: _scenario(env, params, seed) for seed in dict.fromkeys(item_seeds)
+        }
+        batch = RoundBasedEvaluatorBatch(
+            [scenarios[seed] for seed in item_seeds],
+            MacMode.MIDAS,
+            seeds=item_seeds,
+            mobility=params["mobility"],
+            mobility_kwargs=[{"speed_mps": speed} for __, speed in item_points],
+            resound_period_rounds=params["resound_period_rounds"],
+            association=[policy for policy, __ in item_points],
+            association_kwargs=[
+                _policy_kwargs(policy, params) for policy, __ in item_points
+            ],
+            coordination=params["coordination"],
+        )
+        results = batch.run(params["rounds_per_topology"])
+        return [
+            {
+                f"{policy}_{metric}": value
+                for metric, value in _metrics(result, item_state).items()
+            }
+            for (policy, __), result, item_state in zip(
+                item_points, results, batch.association.items
             )
-            results = batch.run(params["rounds_per_topology"])
-            for i, result in enumerate(results):
-                item_state = batch.association.items[i]
-                for metric, value in _metrics(result, item_state).items():
-                    key = f"{policy}_{metric}"
-                    series.setdefault(
-                        key, np.empty((len(seeds), len(speeds)))
-                    )[i, j] = value
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(seeds))
-    ]
+        ]
+
+    return sweep_on_batch_axis(
+        topo_seeds,
+        evaluate,
+        policies=_policies(params),
+        speeds_mps=params["speeds_mps"],
+    )
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:

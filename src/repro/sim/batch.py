@@ -50,6 +50,7 @@ from .. import rng as rng_mod
 from .. import units
 from .. import xp as xpmod
 from ..assoc import CoordinationMode, build_batch_association_state
+from ..assoc.state import one_per_item
 from ..channel.batch import ChannelBatch, apply_csi_error
 from ..config import MacConfig, SimConfig
 from ..core.batch import (
@@ -413,6 +414,16 @@ class CarrierSenseBatch:
         return xpmod.to_numpy(self._cross_mw >= self._mac.cs_threshold_mw)
 
 
+def _all_or_none(states: list, what: str) -> list | None:
+    """Per-item states when every item built one, ``None`` when none did."""
+    built = [state is not None for state in states]
+    if any(built) and not all(built):
+        raise ValueError(
+            f"a batch cannot mix {what}; run them as separate evaluators"
+        )
+    return states if built[0] else None
+
+
 def _mutual_overhear_from_decodable(
     decodable: np.ndarray, antennas_of: list[np.ndarray]
 ) -> np.ndarray:
@@ -459,6 +470,15 @@ class RoundBasedEvaluatorBatch:
         are scored against the current channel.
     association / association_kwargs / coordination:
         The association layer (see :mod:`repro.assoc`).
+
+    ``traffic_kwargs``, ``mobility_kwargs``, ``association`` and
+    ``association_kwargs`` each take one value for the whole batch (a
+    mapping, a name or ``None``) or a list/tuple with one entry per item,
+    so a sweep can put its points (offered load, speed, policy) on the
+    batch axis.  Sequences of the wrong length raise ``ValueError``.  The
+    traffic and mobility model names, ``coordination`` and
+    ``resound_period_rounds`` stay shared, and a batch may not mix
+    full-buffer with finite-load items or static with moving clients.
     """
 
     def __init__(
@@ -522,21 +542,31 @@ class RoundBasedEvaluatorBatch:
             rng_mod.make_rng(s) if self.sim.csi_error_std > 0 else None
             for s in csi_seeds
         ]
-        states = [
-            build_traffic_state(
-                traffic, traffic_kwargs, structure.n_clients, traffic_seeds[b],
-                first, ampdu,
-            )
-            for b in range(self.n_items)
-        ]
-        self._traffic = None if states[0] is None else states
-        mobility_states = [
-            build_mobility_state(
-                mobility, mobility_kwargs, deployments[b], mobility_seeds[b]
-            )
-            for b in range(self.n_items)
-        ]
-        self._mobility = None if mobility_states[0] is None else mobility_states
+        traffic_kwargs = one_per_item("traffic_kwargs", traffic_kwargs, self.n_items)
+        mobility_kwargs = one_per_item("mobility_kwargs", mobility_kwargs, self.n_items)
+        association = one_per_item("association", association, self.n_items)
+        association_kwargs = one_per_item(
+            "association_kwargs", association_kwargs, self.n_items
+        )
+        self._traffic = _all_or_none(
+            [
+                build_traffic_state(
+                    traffic, traffic_kwargs[b], structure.n_clients,
+                    traffic_seeds[b], first, ampdu,
+                )
+                for b in range(self.n_items)
+            ],
+            "full-buffer and finite-load items",
+        )
+        self._mobility = _all_or_none(
+            [
+                build_mobility_state(
+                    mobility, mobility_kwargs[b], deployments[b], mobility_seeds[b]
+                )
+                for b in range(self.n_items)
+            ],
+            "static and moving clients",
+        )
         self._resound_period = int(resound_period_rounds)
         self._round_index = 0
         #: Stacked channel snapshots captured at the last sounding round; a

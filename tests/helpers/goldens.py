@@ -7,6 +7,12 @@ strings so every value round-trips exactly.  The batched engines were
 bit-identical to those references when they were recorded; the tests
 assert they still are (``array_equal``, no tolerances).
 
+The ``*_series`` keys hold the ``float.hex`` series of the
+``latency_vs_load``, ``mobility_capacity`` and ``roaming_handoff``
+experiments as repro 5.0.0 produced them, when every sweep point still ran
+as its own engine (``tests/test_vectorized_equivalence.py`` names the
+specs).
+
 Layout: one top-level key per case family.  A round-engine run is a dict of
 per-round lists (``capacity``, ``n_streams``, ``active_antennas``,
 ``per_ap_streams``, ``sounding_us`` and, under finite load, ``traffic``);

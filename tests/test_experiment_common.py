@@ -8,6 +8,8 @@ from repro.experiments.common import (
     ExperimentResult,
     batched_channels,
     greedy_siso_snrs_batch,
+    require_moving,
+    sweep_on_batch_axis,
 )
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
@@ -69,3 +71,51 @@ class TestExperimentResult:
         assert result.median("a") == 1.5
         with pytest.raises(KeyError):
             result.median("missing")
+
+
+class TestSweepOnBatchAxis:
+    def test_items_are_seed_major_product(self):
+        seen = {}
+
+        def evaluate(item_seeds, item_points):
+            seen["seeds"], seen["points"] = item_seeds, item_points
+            return [
+                {f"{policy}_x": seed * 10.0 + speed}
+                for seed, (policy, speed) in zip(item_seeds, item_points)
+            ]
+
+        outcomes = sweep_on_batch_axis(
+            [7, 9], evaluate, policies=["a", "b"], speeds=[1.0, 2.0, 3.0]
+        )
+        assert seen["seeds"] == [7] * 6 + [9] * 6
+        assert seen["points"][:6] == [
+            ("a", 1.0), ("a", 2.0), ("a", 3.0), ("b", 1.0), ("b", 2.0), ("b", 3.0)
+        ]
+        assert seen["points"][6:] == seen["points"][:6]
+        assert len(outcomes) == 2
+        np.testing.assert_array_equal(outcomes[1]["a_x"], [91.0, 92.0, 93.0])
+        np.testing.assert_array_equal(outcomes[0]["b_x"], [71.0, 72.0, 73.0])
+        assert outcomes[0]["a_x"].dtype == float
+
+    @pytest.mark.parametrize("empty", ["loads", "speeds"])
+    def test_empty_axis_named(self, empty):
+        axes = {"loads": [1.0], "speeds": [2.0], empty: []}
+
+        def evaluate(item_seeds, item_points):
+            raise AssertionError("an empty sweep must not reach the engine")
+
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            sweep_on_batch_axis([1], evaluate, **axes)
+
+
+class TestRequireMoving:
+    def test_static_names_the_calling_experiment(self):
+        with pytest.raises(ValueError, match="my_sweep sweeps client speed"):
+            require_moving("my_sweep", "static")
+
+    def test_speedless_model_names_the_calling_experiment(self):
+        with pytest.raises(ValueError, match="my_sweep sweeps client speed.*speed_mps"):
+            require_moving("my_sweep", "trace")
+
+    def test_moving_model_accepted(self):
+        require_moving("my_sweep", "gauss_markov")

@@ -380,7 +380,7 @@ class TestRunSpecMobility:
                                  mobility="warp_drive"))
 
     def test_static_rejected_by_mobility_capacity(self):
-        with pytest.raises(ValueError, match="moving mobility"):
+        with pytest.raises(ValueError, match="mobility_capacity sweeps client speed"):
             Runner().run(
                 RunSpec("mobility_capacity", n_topologies=1,
                         mobility="static",
@@ -418,6 +418,11 @@ class TestMobilityCapacityExperiment:
         for key in single.series:
             np.testing.assert_array_equal(single.series[key], vec.series[key])
         assert single.series["midas_capacity_bps_hz"].shape == (2, 2)
+
+    def test_empty_speed_axis_rejected(self):
+        spec = self.SPEC.replace(params={"rounds_per_topology": 6, "speeds_mps": []})
+        with pytest.raises(ValueError, match="speeds_mps is empty"):
+            Runner().run(spec)
 
     def test_sounding_fraction_in_unit_interval(self):
         result = Runner().run(self.SPEC)

@@ -71,8 +71,16 @@ class TestRoamingHandoffExperiment:
             Runner().run(self.SPEC.replace(association="tarot_cards"))
 
     def test_static_mobility_rejected(self):
-        with pytest.raises(ValueError, match="moving mobility"):
+        with pytest.raises(
+            ValueError, match="roaming_handoff sweeps client speed; pick a moving"
+        ):
             Runner().run(self.SPEC.replace(mobility="static"))
+
+    @pytest.mark.parametrize("axis", ["speeds_mps", "policies"])
+    def test_empty_sweep_axis_rejected(self, axis):
+        spec = self.SPEC.replace(params={**FAST, axis: []})
+        with pytest.raises(ValueError, match=f"{axis} is empty"):
+            Runner().run(spec)
 
     def test_coordination_threaded_through(self):
         spec = self.SPEC.replace(

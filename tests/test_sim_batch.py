@@ -5,15 +5,21 @@ outputs the retired per-topology engine recorded (:mod:`helpers.goldens`);
 the batched sim layer inherits the no-tolerances contract.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers.carrier_sense_table import reference_decodes, reference_sensed_mw
 from helpers.drr_oracle import PaperDrr
 from helpers.goldens import assert_rounds_match, floats, goldens
 from repro import rng as rng_mod
+from repro.api.registry import MOBILITY, TRAFFIC
 from repro.config import MacConfig
 from repro.core.selection import BatchDeficitRoundRobin
+from repro.mobility.models import GaussMarkovMobility, StaticMobility
 from repro.sim.batch import (
     CarrierSenseBatch,
     MacMode,
@@ -23,11 +29,13 @@ from repro.sim.batch import (
 )
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import (
+    campus_scenario,
     dense_office_scenario,
     grid_region_scenario,
     office_b,
     three_ap_scenario,
 )
+from repro.traffic.models import FullBufferTraffic, PoissonTraffic
 
 ENV = office_b()
 SEEDS = [0, 1, 2, 3]
@@ -248,3 +256,161 @@ class TestNewScenarioFamilies:
         deployment = pair[AntennaMode.DAS].deployment
         assert deployment.n_clients == 24
         assert deployment.n_clients > deployment.n_antennas
+
+
+# ----------------------------------------------------------------------
+# Per-item engine arguments (sweep points on the batch axis)
+# ----------------------------------------------------------------------
+ITEM_SEEDS = (3, 8)
+
+
+@lru_cache(maxsize=None)
+def _campus(seed: int):
+    """A two-AP campus strip, small enough for many hypothesis examples."""
+    return campus_scenario(
+        ENV, n_rows=1, n_cols=2, spacing_m=18.0, antennas_per_ap=2,
+        clients_per_ap=2, seed=seed, modes=(AntennaMode.DAS,),
+    )[AntennaMode.DAS]
+
+
+#: Per-item argument draws for each sweep kind: the engine keyword that
+#: varies by item, the values it takes, and the shared keywords.
+_HYSTERESIS = st.fixed_dictionaries(
+    {"hysteresis_db": st.sampled_from([2.0, 6.0]),
+     "dwell_soundings": st.sampled_from([1, 2])}
+)
+_ITEM_ARGS = {
+    "traffic": st.fixed_dictionaries(
+        {"traffic_kwargs": st.fixed_dictionaries(
+            {"rate_mbps": st.sampled_from([2.0, 30.0, 120.0]),
+             "packet_bytes": st.sampled_from([500.0, 1500.0])}
+        )}
+    ),
+    "mobility": st.fixed_dictionaries(
+        {"mobility_kwargs": st.fixed_dictionaries(
+            {"speed_mps": st.sampled_from([0.0, 1.0, 6.0])}
+        )}
+    ),
+    "association": st.one_of(
+        st.fixed_dictionaries(
+            {"association": st.sampled_from(["nearest_anchor", "strongest_rssi"]),
+             "association_kwargs": st.none()}
+        ),
+        st.fixed_dictionaries(
+            {"association": st.just("hysteresis_handoff"),
+             "association_kwargs": _HYSTERESIS}
+        ),
+    ),
+}
+_SHARED = {
+    "traffic": {"traffic": "poisson"},
+    "mobility": {"mobility": "gauss_markov", "resound_period_rounds": 2},
+    "association": {
+        "mobility": "gauss_markov",
+        "mobility_kwargs": {"speed_mps": 4.0},
+        "resound_period_rounds": 2,
+    },
+}
+
+
+@st.composite
+def _mixed_batches(draw):
+    kind = draw(st.sampled_from(sorted(_ITEM_ARGS)))
+    mode = draw(st.sampled_from([MacMode.CAS, MacMode.MIDAS]))
+    items = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ITEM_SEEDS), _ITEM_ARGS[kind]),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    return kind, mode, items
+
+
+def _assert_same_rounds(actual, expected) -> None:
+    assert len(actual.rounds) == len(expected.rounds)
+    for a, e in zip(actual.rounds, expected.rounds):
+        assert a.capacity_bps_hz == e.capacity_bps_hz
+        assert a.n_streams == e.n_streams
+        assert a.active_antennas == e.active_antennas
+        assert np.array_equal(a.per_ap_streams, e.per_ap_streams)
+        assert a.sounding_us == e.sounding_us
+        assert (a.traffic is None) == (e.traffic is None)
+        if a.traffic is not None:
+            assert a.traffic.served_bytes == e.traffic.served_bytes
+            assert a.traffic.queue_bytes == e.traffic.queue_bytes
+            assert np.array_equal(a.traffic.delays_s, e.traffic.delays_s)
+
+
+class TestPerItemArguments:
+    @settings(max_examples=12, deadline=None)
+    @given(_mixed_batches())
+    def test_mixed_item_matches_its_batch_of_one(self, case):
+        kind, mode, items = case
+        shared = _SHARED[kind]
+        per_item = {
+            key: [args[key] for __, args in items] for key in items[0][1]
+        }
+        seeds = [seed for seed, __ in items]
+        mixed = RoundBasedEvaluatorBatch(
+            [_campus(seed) for seed in seeds], mode, seeds=seeds,
+            **shared, **per_item,
+        )
+        results = mixed.run(4)
+        for index, (seed, args) in enumerate(items):
+            alone = RoundBasedEvaluatorBatch(
+                [_campus(seed)], mode, seeds=[seed], **shared, **args
+            )
+            [expected] = alone.run(4)
+            _assert_same_rounds(results[index], expected)
+            item, single = mixed.association.items[index], alone.association.items[0]
+            assert np.array_equal(item.client_ap, single.client_ap)
+            assert item.handoff_count == single.handoff_count
+            assert item.outage_count == single.outage_count
+
+    @pytest.mark.parametrize(
+        "keyword,value",
+        [
+            ("traffic_kwargs", [{"rate_mbps": 5.0}]),
+            ("mobility_kwargs", ({"speed_mps": 1.0},) * 3),
+            ("association", ["strongest_rssi"]),
+            ("association_kwargs", [None, None, None]),
+        ],
+    )
+    def test_wrong_length_sequence_rejected(self, keyword, value):
+        with pytest.raises(ValueError, match=f"{keyword} must be one value"):
+            RoundBasedEvaluatorBatch(
+                [_campus(s) for s in ITEM_SEEDS], MacMode.MIDAS,
+                seeds=list(ITEM_SEEDS), traffic="poisson",
+                mobility="gauss_markov", **{keyword: value},
+            )
+
+    def test_full_buffer_and_finite_load_mix_rejected(self, monkeypatch):
+        # A factory that falls back to full buffer at zero rate is the only
+        # way one traffic name yields both kinds of item.
+        def saturating(rate_mbps=0.0, **kwargs):
+            if rate_mbps == 0:
+                return FullBufferTraffic()
+            return PoissonTraffic(rate_mbps=rate_mbps, **kwargs)
+
+        monkeypatch.setitem(TRAFFIC._items, "saturating", saturating)
+        with pytest.raises(ValueError, match="full-buffer and finite-load"):
+            RoundBasedEvaluatorBatch(
+                [_campus(s) for s in ITEM_SEEDS], MacMode.MIDAS,
+                seeds=list(ITEM_SEEDS), traffic="saturating",
+                traffic_kwargs=[{"rate_mbps": 0.0}, {"rate_mbps": 10.0}],
+            )
+
+    def test_static_and_moving_mix_rejected(self, monkeypatch):
+        def parking(speed_mps=0.0):
+            if speed_mps == 0:
+                return StaticMobility()
+            return GaussMarkovMobility(speed_mps=speed_mps)
+
+        monkeypatch.setitem(MOBILITY._items, "parking", parking)
+        with pytest.raises(ValueError, match="static and moving"):
+            RoundBasedEvaluatorBatch(
+                [_campus(s) for s in ITEM_SEEDS], MacMode.MIDAS,
+                seeds=list(ITEM_SEEDS), mobility="parking",
+                mobility_kwargs=[{"speed_mps": 1.0}, {"speed_mps": 0.0}],
+            )

@@ -172,6 +172,13 @@ class TestLatencyVsLoadExperiment:
         with pytest.raises(ValueError, match="finite-load"):
             Runner().run(self.SPEC.replace(traffic="full_buffer", n_topologies=1))
 
+    def test_empty_load_axis_rejected(self):
+        spec = self.SPEC.replace(
+            params={"offered_loads_mbps": [], "rounds_per_topology": 10}
+        )
+        with pytest.raises(ValueError, match="offered_loads_mbps is empty"):
+            Runner().run(spec)
+
     def test_analysis_helpers(self, results):
         from repro.analysis import (
             delay_cdf,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers.goldens import floats, goldens
 from helpers.svd_oracle import svd_waterfilling
 from repro.api import (
     PRECODERS,
@@ -235,6 +236,16 @@ EXPERIMENT_CASES = [
         {"n_topologies": 2, "traffic": "on_off"},
         {"offered_loads_mbps": [30.0], "rounds_per_topology": 6},
     ),
+    (
+        "mobility_capacity",
+        {"n_topologies": 2},
+        {"speeds_mps": [0.0, 2.0], "rounds_per_topology": 6},
+    ),
+    (
+        "roaming_handoff",
+        {"n_topologies": 2},
+        {"speeds_mps": [2.0, 6.0], "rounds_per_topology": 6, "clients_per_ap": 2},
+    ),
 ]
 
 
@@ -283,8 +294,26 @@ COMPOSITION_CASES = [
         {"offered_loads_mbps": [15.0, 60.0], "rounds_per_topology": 6},
         (0, 3),
     ),
+    (
+        "mobility_capacity",
+        3,
+        {"speeds_mps": [0.0, 2.0], "rounds_per_topology": 6},
+        (0, 3),
+    ),
+    (
+        "roaming_handoff",
+        3,
+        {"speeds_mps": [2.0, 6.0], "rounds_per_topology": 6, "clients_per_ap": 2},
+        (0, 3),
+    ),
 ]
-COMPOSITION_IDS = ["fig15-quasi_static", "fig15-dynamic", "latency_vs_load"]
+COMPOSITION_IDS = [
+    "fig15-quasi_static",
+    "fig15-dynamic",
+    "latency_vs_load",
+    "mobility_capacity",
+    "roaming_handoff",
+]
 
 
 @pytest.mark.parametrize(
@@ -331,6 +360,35 @@ def test_build_batch_outcomes_ignore_order_and_neighbours(
         for key in outcome:
             assert np.array_equal(outcome[key], other[key]), key
             assert np.array_equal(outcome[key], single[key]), key
+
+
+#: The sweep experiments put their points on the batch axis.  The series of
+#: these specs were recorded (``float.hex``) when each sweep point still ran
+#: as its own engine, and must not move by one ulp.
+SWEEP_GOLDEN_SPECS = {
+    "latency_vs_load_series": RunSpec(
+        "latency_vs_load", n_topologies=2, seed=5,
+        params={"offered_loads_mbps": [15.0, 60.0, 120.0], "rounds_per_topology": 6},
+    ),
+    "mobility_capacity_series": RunSpec(
+        "mobility_capacity", n_topologies=2, seed=5,
+        params={"speeds_mps": [0.0, 2.0], "rounds_per_topology": 6},
+    ),
+    "roaming_handoff_series": RunSpec(
+        "roaming_handoff", n_topologies=2, seed=5,
+        params={"speeds_mps": [2.0, 6.0], "rounds_per_topology": 6, "clients_per_ap": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_GOLDEN_SPECS))
+def test_sweep_experiments_match_goldens(key):
+    expected = goldens()[key]
+    for runner in (Runner(), Runner(batch_size=1)):
+        series = runner.run(SWEEP_GOLDEN_SPECS[key]).series
+        assert set(series) == set(expected)
+        for name, values in expected.items():
+            assert np.array_equal(series[name], floats(values)), name
 
 
 @pytest.mark.parametrize("backend", ["gpu", "loop"])
