@@ -3,9 +3,9 @@
 802.11ac re-purposes 802.11e's four traffic-class queues to drive MU-MIMO:
 the class that wins internal contention becomes the *primary* access class,
 and secondary classes fill remaining streams.  Packets carry their class
-through :class:`repro.traffic.queues.ClientQueues`; both engines select
-primary-class candidates first and fill in from the other classes
-(:func:`repro.core.selection.pick_in_visit_order`).  Full-buffer runs have
+into the per-(client, class) queues of :class:`repro.traffic.TrafficState`;
+both engines select primary-class candidates first and fill in from the
+other classes (:func:`repro.core.selection.pick_in_visit_order`).  Full-buffer runs have
 no queues and treat every member as backlogged.
 """
 

@@ -77,27 +77,34 @@ def build_traffic_state(
     traffic,
     traffic_kwargs,
     n_clients: int,
-    rng,
+    rngs,
     scenario: Scenario,
     ampdu: AmpduConfig | None,
 ) -> TrafficState | None:
-    """Resolve an engine's ``traffic=`` argument into a per-run state.
+    """Resolve an engine's ``traffic=`` argument into one stacked state.
 
-    ``None`` and ``"full_buffer"`` both yield ``None`` -- the engines then
-    take their historical saturation path untouched (bit-identical to every
+    ``traffic_kwargs`` and ``rngs`` hold one entry per batch item; each
+    ``rngs`` entry is a generator or a seed-tree node, and a node's
+    generator is built only when the model has arrivals to draw.  ``None``
+    and ``"full_buffer"`` both yield ``None`` -- the engines then take their
+    historical saturation path untouched (bit-identical to every
     pre-traffic release).  The round clock is one TXOP (``mac.txop_us``).
-    ``rng`` is a generator or a seed-tree node; a node's generator is built
-    only when the model has arrivals to draw.
     """
     if traffic is None:
         return None
-    model = resolve_traffic(traffic, **dict(traffic_kwargs or {}))
-    if model.is_full_buffer:
+    models = [resolve_traffic(traffic, **dict(kwargs or {})) for kwargs in traffic_kwargs]
+    finite = [not model.is_full_buffer for model in models]
+    if not any(finite):
         return None
+    if not all(finite):
+        raise ValueError(
+            "a batch cannot mix full-buffer and finite-load items; run them "
+            "as separate evaluators"
+        )
     return TrafficState(
-        model,
+        models,
         n_clients,
-        rng_mod.make_rng(rng),
+        [rng_mod.make_rng(rng) for rng in rngs],
         round_duration_s=scenario.mac.txop_us * 1e-6,
         bandwidth_hz=scenario.radio.bandwidth_hz,
         ampdu=ampdu,
@@ -459,11 +466,13 @@ class RoundBasedEvaluatorBatch:
         generator tree of ``seeds[i]``, so it evaluates identically alone
         (``RoundBasedEvaluatorBatch([scenarios[i]], mode, sim, seeds=[seeds[i]])``).
     traffic / traffic_kwargs / ampdu:
-        Finite-load arrivals (see :func:`build_traffic_state`).  One
-        :class:`~repro.traffic.TrafficState` is held per item and driven
-        per item in slot and stream order, so the delay/throughput series
-        of an item never depend on its batch.  Backlog enters the engine as
-        masked eligibility arrays over the existing DRR/tag-selection masks.
+        Finite-load arrivals (see :func:`build_traffic_state`).  One stacked
+        :class:`~repro.traffic.TrafficState` holds every item's queues; each
+        round serves all streams in one call, in item, slot and stream
+        order, with every running total a per-item left fold, so the
+        delay/throughput series of an item never depend on its batch.
+        Backlog enters the engine as ``(batch, n_clients)`` eligibility
+        masks over the existing DRR/tag-selection masks.
     mobility / mobility_kwargs / resound_period_rounds:
         Client mobility; precoders see the CSI captured at the last
         sounding round (every ``resound_period_rounds`` rounds) while SINRs
@@ -548,15 +557,9 @@ class RoundBasedEvaluatorBatch:
         association_kwargs = one_per_item(
             "association_kwargs", association_kwargs, self.n_items
         )
-        self._traffic = _all_or_none(
-            [
-                build_traffic_state(
-                    traffic, traffic_kwargs[b], structure.n_clients,
-                    traffic_seeds[b], first, ampdu,
-                )
-                for b in range(self.n_items)
-            ],
-            "full-buffer and finite-load items",
+        self._traffic = build_traffic_state(
+            traffic, traffic_kwargs, structure.n_clients, traffic_seeds, first,
+            ampdu,
         )
         self._mobility = _all_or_none(
             [
@@ -657,14 +660,10 @@ class RoundBasedEvaluatorBatch:
         clients restricted to AP ``ap``'s current members, each
         ``(batch, n_clients)``.  The membership mask twice under full
         buffer."""
+        member_mask = self.association.members_mask(ap)
         if self._traffic is None:
-            member_mask = self.association.members_mask(ap)
             return member_mask, member_mask
-        primary, eligible = zip(*(
-            state.eligibility(self.association.items[b].members(ap))
-            for b, state in enumerate(self._traffic)
-        ))
-        return np.stack(primary), np.stack(eligible)
+        return self._traffic.eligibility(member_mask)
 
     def _select_clients(
         self,
@@ -921,29 +920,24 @@ class RoundBasedEvaluatorBatch:
         self, planned: list, slot_sinrs: dict, item_active: np.ndarray,
         with_sounding: bool,
     ) -> list:
-        """Drain each item's queues against its per-stream SINRs.
-
-        Pure per-item arithmetic in slot and stream order, so an item's
-        queue trajectory (and hence every delay sample) never depends on
-        its batch.
-        """
-        metrics: list = [None] * self.n_items
+        """Drain every active item's queues against its per-stream SINRs in
+        one :meth:`~repro.traffic.TrafficState.serve_burst` call, streams in
+        item, slot and stream order (each item's queue trajectory is that of
+        serving its own streams one after another)."""
         if self._traffic is None:
-            return metrics
+            return [None] * self.n_items
         mac = self.scenarios[0].mac
-        for b in np.flatnonzero(item_active):
-            state = self._traffic[b]
+        items, clients, sinrs, payload_s = [], [], [], []
+        for b in np.flatnonzero(item_active).tolist():
             for s, (ap, antennas, chosen) in enumerate(planned[b]):
-                clients_global = np.asarray(chosen, dtype=int)
-                fraction = data_fraction(
-                    mac, len(clients_global), len(antennas), with_sounding,
-                )
-                state.serve_burst(
-                    clients_global, slot_sinrs[(b, s)],
-                    state.round_duration_s * fraction,
-                )
-            metrics[b] = state.end_round()
-        return metrics
+                fraction = data_fraction(mac, len(chosen), len(antennas), with_sounding)
+                items += [b] * len(chosen)
+                clients += chosen
+                sinrs.append(slot_sinrs[(b, s)])
+                payload_s += [self._traffic.round_duration_s * fraction] * len(chosen)
+        if items:
+            self._traffic.serve_burst(items, clients, np.concatenate(sinrs), payload_s)
+        return self._traffic.end_round(item_active)
 
     # ------------------------------------------------------------------
     def evaluate_round(
@@ -959,8 +953,7 @@ class RoundBasedEvaluatorBatch:
         )
         if self._traffic is not None:
             with _obs().span("traffic"):
-                for b in np.flatnonzero(item_active):
-                    self._traffic[b].begin_round()
+                self._traffic.begin_round(item_active)
         # CSI staleness: sounding rounds re-evaluate every item's
         # association (handoffs + tag re-derivation) here and refresh the
         # stacked snapshot inside the score step (no generator draws either

@@ -114,8 +114,9 @@ class NetworkSimulation:
         channel_seed, mac_seed, csi_seed, traffic_seed, mobility_seed = (
             rng_mod.spawn_seeds(seed, 5)
         )
+        #: A batch of one: item 0 is this run.
         self._traffic: TrafficState | None = build_traffic_state(
-            traffic, traffic_kwargs, self.deployment.n_clients, traffic_seed,
+            traffic, [traffic_kwargs], self.deployment.n_clients, [traffic_seed],
             scenario, ampdu,
         )
         self._mobility = build_mobility_state(
@@ -249,13 +250,10 @@ class NetworkSimulation:
         win the medium nor be DRR-settled as served -- the service step
         applies the same cutoff at the TXOP start.
         """
+        member_mask = self.association.member_mask(ap)[None]
         if self._traffic is None:
-            member_mask = self.association.member_mask(ap)[None]
             return member_mask, member_mask
-        primary_mask, any_mask = self._traffic.eligibility(
-            self.association.members(ap), arrival_cutoff_s=now_us * 1e-6
-        )
-        return primary_mask[None], any_mask[None]
+        return self._traffic.eligibility(member_mask, arrival_cutoff_s=now_us * 1e-6)
 
     def _coordination_allowed(self, ap: int) -> np.ndarray | None:
         """Coordinated-scheduling veto for ``ap``: clients able to overhear
@@ -479,6 +477,7 @@ class NetworkSimulation:
                 sinr, __ = self._tx_sinrs(tx, self.log.all_transmissions())
                 payload_s = tx.data_fraction * tx.duration_us * 1e-6
                 self._traffic.serve_burst(
+                    np.zeros(len(tx.clients), dtype=int),
                     tx.clients,
                     sinr,
                     payload_s,
@@ -544,7 +543,9 @@ class NetworkSimulation:
             mean_concurrent_streams=float(mean_concurrent),
             collision_fraction=degraded / max(1, len(transmissions)),
             traffic=(
-                self._traffic.summary(duration_s) if self._traffic is not None else None
+                self._traffic.summary(duration_s)[0]
+                if self._traffic is not None
+                else None
             ),
         )
 

@@ -3,11 +3,13 @@
 The round engines and the discrete-event MAC are full-buffer by default;
 this package opens the finite-load axis.  A registered arrival process
 (``full_buffer``, ``poisson``, ``on_off``, ``cbr`` -- see
-:func:`register_traffic <repro.api.registry.register_traffic>`) feeds
-per-client byte queues carved into 802.11e access categories, an 802.11ac
-A-MPDU model converts each stream's post-precoding SINR into served bytes,
-and the engines report per-packet delay, jitter, and queue occupancy
-alongside the usual capacity series.
+:func:`register_traffic <repro.api.registry.register_traffic>`) returns
+each window's arrivals as arrays, one :class:`TrafficState` per engine
+keeps every batch item's per-client byte queues (carved into 802.11e
+access categories) as stacked FIFO rings, an 802.11ac A-MPDU model
+converts each stream's post-precoding SINR into served bytes, and the
+engines report per-packet delay, jitter, and queue occupancy alongside the
+usual capacity series.
 
 Quick use::
 
@@ -24,6 +26,7 @@ or declaratively, ``RunSpec("latency_vs_load", traffic="poisson")``.
 
 from .ampdu import VHT_MAX_AMPDU_BYTES, AmpduConfig
 from .models import (
+    Arrivals,
     CbrTraffic,
     FullBufferTraffic,
     OnOffTraffic,
@@ -33,12 +36,12 @@ from .models import (
     resolve_traffic,
     traffic_names,
 )
-from .queues import ClientQueues, Packet
 from .state import RoundTrafficMetrics, TrafficState, TrafficSummary
 
 __all__ = [
     "AmpduConfig",
     "VHT_MAX_AMPDU_BYTES",
+    "Arrivals",
     "CbrTraffic",
     "FullBufferTraffic",
     "OnOffTraffic",
@@ -47,8 +50,6 @@ __all__ = [
     "access_category",
     "resolve_traffic",
     "traffic_names",
-    "ClientQueues",
-    "Packet",
     "RoundTrafficMetrics",
     "TrafficState",
     "TrafficSummary",

@@ -3,9 +3,13 @@
 A traffic model is a frozen parameter bundle; all mutable state (per-client
 ON/OFF flags, CBR credit) lives in an explicit state object so one model
 instance can drive every item of a vectorized batch.  Arrival draws consume
-the caller-supplied generator client by client in index order -- the same
-order in every engine -- so an item's finite-load results never depend on
-its batch.
+the caller-supplied generator in a fixed per-model order -- the same in
+every engine -- so an item's finite-load results never depend on its batch.
+
+One window of arrivals is four equal-length arrays (see
+:meth:`TrafficModel.arrivals`): client ids, packet bytes, arrival times and
+:class:`~repro.mac.edca.AccessCategory` values, client-major and
+time-sorted within each client.
 
 Rates are *per client*, in Mb/s.  Registered factories (the ``traffic``
 registry, mirroring the precoder/scenario registries):
@@ -31,7 +35,6 @@ import numpy as np
 
 from ..api.registry import TRAFFIC, register_traffic
 from ..mac.edca import AccessCategory
-from .queues import Packet
 
 
 def access_category(value) -> AccessCategory:
@@ -47,6 +50,10 @@ def access_category(value) -> AccessCategory:
         raise ValueError(
             f"unknown access category {value!r}; expected one of: {names}"
         ) from None
+
+
+#: ``(clients, bytes, t_arrival_s, categories)`` of one arrival window.
+Arrivals = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class TrafficModel:
@@ -67,9 +74,51 @@ class TrafficModel:
         n_clients: int,
         t0_s: float,
         dt_s: float,
-    ) -> list[Packet]:
-        """Packets arriving in ``[t0_s, t0_s + dt_s)``, client-major order."""
+    ) -> Arrivals:
+        """Packets arriving in ``[t0_s, t0_s + dt_s)``.
+
+        Returns ``(clients, bytes, t_arrival_s, categories)``: equal-length
+        arrays of client ids (``0 <= client < n_clients``), positive packet
+        sizes, arrival times and access-category values, client-major with
+        nondecreasing times per (client, category) queue.
+        :class:`~repro.traffic.TrafficState` rejects anything else with a
+        ``ValueError`` naming the model.
+        """
         raise NotImplementedError
+
+    @classmethod
+    def batch_arrivals(cls, models, states, rngs, n_clients: int, t0_s, dt_s: float):
+        """One arrival window for each of several items of this model class
+        (entry ``i`` of ``models``/``states``/``rngs``/``t0_s`` is one item):
+        ``(lengths, clients, bytes, t_arrival_s, categories)``, each item's
+        :meth:`arrivals` concatenated in item order, ``lengths`` counting
+        each item's packets.  Every item draws from its own generator only,
+        so a subclass may regroup the array work across items.
+        """
+        windows = [
+            model.arrivals(state, rng, n_clients, float(t0), dt_s)
+            for model, state, rng, t0 in zip(models, states, rngs, t0_s)
+        ]
+        lengths = np.array(
+            [[len(part) for part in window] for window in windows], dtype=int
+        ).reshape(-1, 4)
+        uneven = (lengths != lengths[:, :1]).any(axis=1)
+        if uneven.any():
+            name = type(models[np.argmax(uneven)]).__name__
+            raise ValueError(f"{name} arrivals must be four equal-length arrays")
+        return (lengths[:, 0], *(np.concatenate(parts) for parts in zip(*windows)))
+
+
+def _fixed_size(model, clients: np.ndarray, t_arrival_s: np.ndarray) -> Arrivals:
+    """Arrival arrays of ``model.packet_bytes``-sized ``model.category``
+    packets."""
+    n = len(clients)
+    return (
+        clients,
+        np.full(n, float(model.packet_bytes)),
+        t_arrival_s,
+        np.full(n, int(model.category)),
+    )
 
 
 @dataclass(frozen=True)
@@ -78,7 +127,7 @@ class FullBufferTraffic(TrafficModel):
 
     is_full_buffer = True
 
-    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> list[Packet]:
+    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> Arrivals:
         raise RuntimeError("full-buffer traffic generates no discrete arrivals")
 
 
@@ -97,17 +146,42 @@ class PoissonTraffic(TrafficModel):
             raise ValueError("packet_bytes must be positive")
         object.__setattr__(self, "category", access_category(self.category))
 
-    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> list[Packet]:
-        lam = self.rate_mbps * 1e6 * dt_s / (8.0 * self.packet_bytes)
-        counts = rng.poisson(lam, n_clients)
-        packets: list[Packet] = []
-        for client in np.flatnonzero(counts):
-            offsets = np.sort(rng.uniform(0.0, dt_s, counts[client]))
-            packets.extend(
-                Packet(int(client), self.packet_bytes, t0_s + float(off), self.category)
-                for off in offsets
-            )
-        return packets
+    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> Arrivals:
+        return _poisson_windows([self], [rng], n_clients, [t0_s], dt_s)[1:]
+
+    @classmethod
+    def batch_arrivals(cls, models, states, rngs, n_clients, t0_s, dt_s):
+        if cls.arrivals is not PoissonTraffic.arrivals:  # a subclass redraws
+            return super().batch_arrivals(models, states, rngs, n_clients, t0_s, dt_s)
+        return _poisson_windows(models, rngs, n_clients, t0_s, dt_s)
+
+
+def _poisson_windows(models, rngs, n_clients, t0_s, dt_s):
+    """:meth:`PoissonTraffic.batch_arrivals` for ``PoissonTraffic`` items.
+
+    Per item, one count draw for every client, then one offset draw for the
+    whole window -- the same numbers as per-client draws in client order.
+    ``random(n) * dt`` is ``uniform(0, dt, n)`` bit for bit (both scale the
+    same doubles).  The lexsort then sorts each (item, client)'s offsets in
+    one pass over the batch.
+    """
+    counts = np.concatenate([
+        rng.poisson(m.rate_mbps * 1e6 * dt_s / (8.0 * m.packet_bytes), n_clients)
+        for m, rng in zip(models, rngs)
+    ])
+    lengths = counts.reshape(-1, n_clients).sum(axis=1)
+    offsets = dt_s * np.concatenate([np.zeros(0)] + [
+        rng.random(n) for rng, n in zip(rngs, lengths.tolist()) if n
+    ])
+    queue = np.repeat(np.arange(counts.size), counts)  # item * n_clients + client
+    offsets = offsets[np.lexsort((offsets, queue))]
+    return (
+        lengths,
+        queue % n_clients,
+        np.repeat(np.array([m.packet_bytes for m in models], dtype=float), lengths),
+        np.repeat(np.asarray(t0_s, dtype=float), lengths) + offsets,
+        np.repeat(np.array([m.category for m in models], dtype=int), lengths),
+    )
 
 
 @dataclass(frozen=True)
@@ -139,28 +213,28 @@ class OnOffTraffic(TrafficModel):
     def init_state(self, rng, n_clients) -> np.ndarray:
         return rng.uniform(size=n_clients) < self.duty_cycle
 
-    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> list[Packet]:
+    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> Arrivals:
         peak_mbps = self.rate_mbps / self.duty_cycle
         lam = peak_mbps * 1e6 * dt_s / (8.0 * self.packet_bytes)
         mean_off_s = self.mean_burst_s * (1.0 - self.duty_cycle) / self.duty_cycle
         p_on_off = min(1.0, dt_s / self.mean_burst_s)
         p_off_on = 1.0 if mean_off_s <= 0 else min(1.0, dt_s / mean_off_s)
-        packets: list[Packet] = []
+        counts = np.zeros(n_clients, dtype=int)
+        offsets = []
+        # The flip, count and offset draws interleave per client, so this
+        # loop fixes the generator's draw order.
         for client in range(n_clients):
             flip = rng.uniform()
             if state[client]:
-                count = int(rng.poisson(lam))
-                if count:
-                    offsets = np.sort(rng.uniform(0.0, dt_s, count))
-                    packets.extend(
-                        Packet(client, self.packet_bytes, t0_s + float(off), self.category)
-                        for off in offsets
-                    )
+                counts[client] = rng.poisson(lam)
+                if counts[client]:
+                    offsets.append(np.sort(rng.uniform(0.0, dt_s, counts[client])))
                 if flip < p_on_off:
                     state[client] = False
             elif flip < p_off_on:
                 state[client] = True
-        return packets
+        clients = np.repeat(np.arange(n_clients), counts)
+        return _fixed_size(self, clients, t0_s + np.concatenate([np.zeros(0), *offsets]))
 
 
 @dataclass(frozen=True)
@@ -186,26 +260,16 @@ class CbrTraffic(TrafficModel):
     def init_state(self, rng, n_clients) -> np.ndarray:
         return np.zeros(n_clients)
 
-    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> list[Packet]:
-        packets: list[Packet] = []
-        new_bytes = self.rate_mbps * 1e6 * dt_s / 8.0
-        for client in range(n_clients):
-            state[client] += new_bytes
-            count = int(state[client] // self.packet_bytes)
-            if count == 0:
-                continue
-            state[client] -= count * self.packet_bytes
-            spacing = dt_s / count
-            packets.extend(
-                Packet(
-                    client,
-                    self.packet_bytes,
-                    t0_s + (i + 0.5) * spacing,
-                    self.category,
-                )
-                for i in range(count)
-            )
-        return packets
+    def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> Arrivals:
+        state += self.rate_mbps * 1e6 * dt_s / 8.0
+        counts = (state // self.packet_bytes).astype(int)
+        state -= counts * self.packet_bytes
+        clients = np.repeat(np.arange(n_clients), counts)
+        # Packet i of a client's window sits at the centre of slot i.
+        first = np.cumsum(counts) - counts
+        index = np.arange(clients.size) - first[clients]
+        spacing = dt_s / counts[clients]
+        return _fixed_size(self, clients, t0_s + (index + 0.5) * spacing)
 
 
 # ----------------------------------------------------------------------

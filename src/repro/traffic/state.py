@@ -1,19 +1,33 @@
-"""The per-run traffic driver shared by every execution engine.
+"""The stacked traffic driver shared by every execution engine.
 
-:class:`TrafficState` owns one topology's arrival stream, queues, and
-latency accounting.  The event-driven engine holds one; the round engine
-holds one *per batch item* and feeds it that item's floats in slot order,
-which is the whole batch-invariance argument for finite-load series:
-every state transition below is plain scalar arithmetic on one item's
-inputs.
+:class:`TrafficState` owns a batch of topologies' arrival streams, EDCA
+queues and latency accounting as arrays.  The round engine holds one for
+its whole batch; the event-driven engine holds a batch of one.
+
+Each (item, client, access category) queue is a FIFO ring of packets --
+arrival time and bytes left -- stored as one row of a ``(rows, capacity)``
+pair of arrays.  A queue gets its row when it first holds a packet, and the
+capacity doubles on demand.  Integer packet counts drive eligibility
+(exact by construction); float byte totals back the occupancy metrics
+only, so incremental float error can never strand a packet.
+
+Service is *fluid at packet boundaries*: a burst may drain part of a
+packet (the MPDU continues in the next TXOP), but a packet's delay is only
+recorded once its final byte leaves, so delays are last-byte-out minus
+arrival.  Classes drain in EDCA priority order (VOICE first), FIFO within
+a class.  Every running total -- bytes left in a stream's budget, bytes
+served, queue byte totals -- is a sequential left fold in stream, class and
+packet order (``np.subtract.accumulate``, ``ufunc.at``), never a pairwise
+sum, so an item's floats do not depend on its batch.
 
 Clock convention: time is carved into fixed TXOP-sized windows
-(``round_duration_s``).  ``begin_round`` draws one window of arrivals, the
-engines serve streams against their post-precoding SINRs, and
-``end_round`` stamps departures at the window's end and emits a
-:class:`RoundTrafficMetrics`.  The discrete-event MAC instead calls
-``advance_arrivals_to`` with its own clock and passes explicit departure
-times (plus an arrival cutoff at the TXOP start) to ``serve_burst``.
+(``round_duration_s``).  ``begin_round`` draws one window of arrivals per
+selected item, the engines serve streams against their post-precoding
+SINRs, and ``end_round`` stamps departures at the window's end and emits
+one :class:`RoundTrafficMetrics` per item.  The discrete-event MAC instead
+calls ``advance_arrivals_to`` with its own clock and passes explicit
+departure times (plus an arrival cutoff at the TXOP start) to
+``serve_burst``.
 """
 
 from __future__ import annotations
@@ -23,9 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..mac.edca import AccessCategory
 from .ampdu import AmpduConfig
 from .models import TrafficModel
-from .queues import ClientQueues, Packet
+
+_N_CLASSES = len(AccessCategory)
+#: Packets each ring holds before its first doubling.
+_INITIAL_CAPACITY = 32
 
 
 @dataclass(frozen=True)
@@ -68,196 +86,508 @@ class TrafficSummary:
         return float(np.mean(self.delays_s))
 
 
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal sorted keys."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _rank_in_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal sorted keys."""
+    return np.arange(sorted_keys.size) - np.searchsorted(sorted_keys, sorted_keys)
+
+
+def _occurrence_rank(keys: np.ndarray) -> np.ndarray:
+    """How many earlier entries share each entry's key."""
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty(keys.size, dtype=int)
+    rank[order] = _rank_in_runs(keys[order])
+    return rank
+
+
+def _primary_class(has: np.ndarray) -> np.ndarray:
+    """Highest-priority class with backlog per item, -1 where none, from
+    ``(batch, n_clients, 4)`` backlog verdicts."""
+    present = has.any(axis=1)
+    return np.where(present.any(axis=1), present.argmax(axis=1), -1)
+
+
 class TrafficState:
-    """Arrivals + queues + latency accounting for one topology run."""
+    """Arrivals + queues + latency accounting for a batch of topology runs.
+
+    ``models`` and ``rngs`` hold one traffic model and one generator per
+    batch item; item ``b`` draws its arrivals from ``rngs[b]`` only.
+    """
 
     def __init__(
         self,
-        model: TrafficModel,
+        models,
         n_clients: int,
-        rng: np.random.Generator,
+        rngs,
         *,
         round_duration_s: float,
         bandwidth_hz: float,
         ampdu: AmpduConfig | None = None,
     ):
-        if model.is_full_buffer:
+        self.models: list[TrafficModel] = list(models)
+        self._rngs = list(rngs)
+        if not self.models or len(self._rngs) != len(self.models):
+            raise ValueError("need one traffic model and one generator per item")
+        if any(model.is_full_buffer for model in self.models):
             raise ValueError(
                 "full-buffer traffic needs no TrafficState; run the engine "
                 "without a traffic model instead"
             )
+        if n_clients < 1:
+            raise ValueError("need at least one client")
         if round_duration_s <= 0:
             raise ValueError("round_duration_s must be positive")
-        self.model = model
-        self.queues = ClientQueues(n_clients)
-        self.ampdu = ampdu or AmpduConfig()
+        self.n_items = len(self.models)
         self.n_clients = n_clients
+        self.ampdu = ampdu or AmpduConfig()
         self.round_duration_s = float(round_duration_s)
         self.bandwidth_hz = float(bandwidth_hz)
-        self._rng = rng
-        self._model_state = model.init_state(rng, n_clients)
-        self._t_s = 0.0  # end of the last generated arrival window
-        self._total_arrived = 0.0
-        self._total_served = 0.0
-        self._delays: list[float] = []
-        self._delay_categories: list[int] = []
-        self._served_per_client = np.zeros(n_clients)
-        self._round_open = False
-        self._reset_round()
+        self._model_states = [
+            model.init_state(rng, n_clients)
+            for model, rng in zip(self.models, self._rngs)
+        ]
+        # One model class draws every item's window in one call; a mix
+        # falls back to each model's own ``arrivals``.
+        classes = {type(model) for model in self.models}
+        self._batch_arrivals = (
+            classes.pop() if len(classes) == 1 else TrafficModel
+        ).batch_arrivals
+        n_queues = self.n_items * n_clients * _N_CLASSES
+        # Flat queue index: (item * n_clients + client) * 4 + category.
+        self._counts = np.zeros(n_queues, dtype=int)
+        self._bytes = np.zeros(n_queues)
+        self._min_bytes = np.full(n_queues, np.inf)  # smallest packet queued
+        self._head = np.zeros(n_queues, dtype=int)  # ring slot of each head
+        # Ring storage: one row per queue that ever held a packet.
+        self._row = np.full(n_queues, -1)
+        self._n_rows = 0
+        self._t_arrival = np.zeros((0, _INITIAL_CAPACITY))
+        self._left = np.zeros((0, _INITIAL_CAPACITY))
+        self._t_s = np.zeros(self.n_items)  # end of the last arrival window
+        # This round's and the whole run's totals, stacked so that one
+        # ufunc.at call folds a window or a burst into both.
+        self._arrived = np.zeros((2, self.n_items))
+        self._served = np.zeros((2, self.n_items))
+        self._served_per_client = np.zeros((2, self.n_items, n_clients))
+        self._round_open = np.zeros(self.n_items, dtype=bool)
+        #: ``(items, delays_s, categories)`` chunks in departure order: the
+        #: whole run, and the part no ``end_round`` has claimed yet.
+        self._departures: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._round_departures: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
-    def _reset_round(self) -> None:
-        self._round_arrived = 0.0
-        self._round_served = 0.0
-        self._round_delays: list[float] = []
-        self._round_categories: list[int] = []
-        self._round_served_per_client = np.zeros(self.n_clients)
+    def _items(self, item_mask) -> np.ndarray:
+        if item_mask is None:
+            return np.arange(self.n_items)
+        return np.flatnonzero(np.asarray(item_mask, dtype=bool))
 
-    def _generate_window(self) -> None:
-        packets = self.model.arrivals(
-            self._model_state, self._rng, self.n_clients, self._t_s,
-            self.round_duration_s,
+    def _reject(self, item: int, what: str):
+        """Raise for a bad arrival window of ``item``, naming its model."""
+        raise ValueError(f"{type(self.models[item]).__name__} arrivals {what}")
+
+    def _generate_window(self, items: np.ndarray) -> None:
+        """Draw one window of arrivals per item of ``items`` (each from its
+        own generator) and enqueue them in one scatter."""
+        if not items.size:
+            return
+        lengths, clients, sizes, t_arrival, categories = self._batch_arrivals(
+            [self.models[b] for b in items.tolist()],
+            [self._model_states[b] for b in items.tolist()],
+            [self._rngs[b] for b in items.tolist()],
+            self.n_clients, self._t_s[items], self.round_duration_s,
         )
-        for packet in packets:
-            self.queues.enqueue(packet)
-            self._round_arrived += packet.bytes_total
-            self._total_arrived += packet.bytes_total
-        self._t_s += self.round_duration_s
+        self._t_s[items] += self.round_duration_s
+        item_of = np.repeat(items, lengths)
+        if not item_of.size:
+            return
+        clients = clients.astype(int, copy=False)
+        sizes = sizes.astype(float, copy=False)
+        t_arrival = t_arrival.astype(float, copy=False)
+        categories = categories.astype(int, copy=False)
+        bad = (clients < 0) | (clients >= self.n_clients)
+        if bad.any():
+            self._reject(
+                item_of[np.argmax(bad)],
+                f"name a client outside 0..{self.n_clients - 1}",
+            )
+        if not (sizes > 0).all():
+            self._reject(
+                item_of[np.argmin(sizes > 0)], "must carry at least one byte each"
+            )
+        bad = (categories < 0) | (categories >= _N_CLASSES)
+        if bad.any():
+            self._reject(item_of[np.argmax(bad)], "carry an unknown access category")
+        queue = (item_of * self.n_clients + clients) * _N_CLASSES + categories
+        order = np.argsort(queue, kind="stable")
+        queue_sorted = queue[order]
+        t_sorted = t_arrival[order]
+        starts = _group_starts(queue_sorted)
+        per_queue = np.diff(starts, append=queue.size)
+        touched = queue_sorted[starts]
+        fresh = touched[self._row[touched] < 0]
+        if fresh.size:
+            self._add_rows(fresh)
+        rows = self._row[touched]
+        queued = self._counts[touched]
+        cap = self._t_arrival.shape[1]
+
+        # FIFO order needs nondecreasing times within every queue, queued
+        # packets included.
+        previous = np.empty(queue.size)
+        previous[1:] = t_sorted[:-1]
+        previous[starts] = np.where(
+            queued > 0,
+            self._t_arrival[rows, (self._head[touched] + queued - 1) % cap],
+            -np.inf,
+        )
+        bad = ~(t_sorted >= previous)
+        if bad.any():
+            first = order[np.argmax(bad)]
+            self._reject(
+                item_of[first],
+                f"decrease in time within client {clients[first]}'s "
+                f"{AccessCategory(categories[first]).name} queue",
+            )
+
+        needed = int((queued + per_queue).max())
+        if needed > cap:
+            self._grow(needed)
+            cap = self._t_arrival.shape[1]
+        slot = (
+            np.repeat(self._head[touched] + queued - starts, per_queue)
+            + np.arange(queue.size)
+        ) % cap
+        row = np.repeat(rows, per_queue)
+        self._t_arrival[row, slot] = t_sorted
+        self._left[row, slot] = sizes[order]
+        self._counts[touched] += per_queue
+        # Byte totals fold in arrival order, as packets were enqueued.
+        np.add.at(self._bytes, queue, sizes)
+        np.minimum.at(self._min_bytes, queue, sizes)
+        np.add.at(self._arrived, (slice(None), item_of), sizes)
+
+    def _add_rows(self, fresh: np.ndarray) -> None:
+        """Give each queue of ``fresh`` its own ring row (row storage
+        doubles on demand)."""
+        first = self._n_rows
+        self._n_rows += fresh.size
+        self._row[fresh] = np.arange(first, self._n_rows)
+        spare = self._t_arrival.shape[0]
+        if self._n_rows > spare:
+            extra = np.zeros((max(self._n_rows, 2 * spare) - spare, self._t_arrival.shape[1]))
+            self._t_arrival = np.concatenate([self._t_arrival, extra])
+            self._left = np.concatenate([self._left, extra])
+
+    def _grow(self, needed: int) -> None:
+        """Double every ring until it holds ``needed`` packets.  Tiling the
+        old slots keeps each ring valid in place: a ring never holds more
+        than the old capacity, so slot ``head + k`` of the doubled ring reads
+        old slot ``(head + k) % capacity``."""
+        cap = self._t_arrival.shape[1]
+        factor = 1 << math.ceil(math.log2(needed / cap))
+        self._t_arrival = np.tile(self._t_arrival, (1, factor))
+        self._left = np.tile(self._left, (1, factor))
 
     # ------------------------------------------------------------------
     # Round-engine protocol
     # ------------------------------------------------------------------
-    def begin_round(self) -> None:
-        """Draw one TXOP window of arrivals; eligibility masks queried after
-        this call include the round's own arrivals (a packet can be served
-        in the window it arrived)."""
-        if self._round_open:
+    def begin_round(self, item_mask=None) -> None:
+        """Draw one TXOP window of arrivals for every selected item;
+        eligibility masks queried after this call include the round's own
+        arrivals (a packet can be served in the window it arrived)."""
+        items = self._items(item_mask)
+        if self._round_open[items].any():
             raise RuntimeError("begin_round called twice without end_round")
-        self._reset_round()
-        self._generate_window()
-        self._round_open = True
+        self._arrived[0, items] = 0.0
+        self._served[0, items] = 0.0
+        self._served_per_client[0, items] = 0.0
+        self._claim_round_departures(items)
+        self._generate_window(items)
+        self._round_open[items] = True
 
-    def end_round(self) -> RoundTrafficMetrics:
-        """Close the round and return its queueing metrics."""
-        if not self._round_open:
+    def end_round(self, item_mask=None) -> list[RoundTrafficMetrics | None]:
+        """Close the selected items' rounds; entry ``b`` is item ``b``'s
+        queueing metrics, ``None`` where ``item_mask`` excludes it."""
+        items = self._items(item_mask)
+        if not self._round_open[items].all():
             raise RuntimeError("end_round called without begin_round")
-        self._round_open = False
-        return RoundTrafficMetrics(
-            duration_s=self.round_duration_s,
-            arrived_bytes=self._round_arrived,
-            served_bytes=self._round_served,
-            queue_bytes=self.queues.total_bytes(),
-            delays_s=np.asarray(self._round_delays),
-            delay_categories=np.asarray(self._round_categories, dtype=int),
-            served_per_client=self._round_served_per_client.copy(),
-        )
+        self._round_open[items] = False
+        metrics: list[RoundTrafficMetrics | None] = [None] * self.n_items
+        for b, (delays_s, categories), arrived, served, queued, per_client in zip(
+            items.tolist(), self._claim_round_departures(items),
+            self._arrived[0, items].tolist(), self._served[0, items].tolist(),
+            self._queue_bytes(items), self._served_per_client[0, items],
+        ):
+            metrics[b] = RoundTrafficMetrics(
+                self.round_duration_s, arrived, served, queued, delays_s,
+                categories, per_client,
+            )
+        return metrics
+
+    def _claim_round_departures(self, items: np.ndarray) -> list:
+        """Remove the selected items' unclaimed departures from the round
+        log; ``(delays_s, categories)`` per entry of ``items``."""
+        if not self._round_departures:
+            return [(np.zeros(0), np.zeros(0, dtype=int))] * items.size
+        item_of, delays_s, categories = _concatenated(self._round_departures)
+        selected = np.zeros(self.n_items, dtype=bool)
+        selected[items] = True
+        keep = ~selected[item_of]
+        self._round_departures = [
+            (item_of[keep], delays_s[keep], categories[keep])
+        ] if keep.any() else []
+        return _split_by_item(item_of, delays_s, categories, items)
+
+    def _queue_bytes(self, items: np.ndarray) -> list[float]:
+        """Aggregate backlog of each item over every client and class (one
+        contiguous ``n_clients * 4`` row sum per item)."""
+        totals = self._bytes.reshape(self.n_items, -1)[items].sum(axis=1)
+        return [max(0.0, total) for total in totals.tolist()]
 
     # ------------------------------------------------------------------
     # Event-driven protocol
     # ------------------------------------------------------------------
     def advance_arrivals_to(self, t_s: float) -> None:
-        """Generate arrival windows until the arrival clock covers ``t_s``."""
-        while self._t_s < t_s:
-            self._generate_window()
+        """Generate arrival windows until every item's arrival clock covers
+        ``t_s``."""
+        behind = np.flatnonzero(self._t_s < t_s)
+        while behind.size:
+            self._generate_window(behind)
+            behind = np.flatnonzero(self._t_s < t_s)
+
+    def summary(self, duration_s: float | None = None) -> list[TrafficSummary]:
+        """Whole-run aggregate per item (the event-driven MAC attaches
+        item 0's to its :class:`~repro.sim.network.SimulationResult`)."""
+        items = np.arange(self.n_items)
+        return [
+            TrafficSummary(
+                duration_s=float(self._t_s[b]) if duration_s is None else duration_s,
+                arrived_bytes=float(self._arrived[1, b]),
+                served_bytes=float(self._served[1, b]),
+                queue_bytes=queued,
+                delays_s=delays_s,
+                delay_categories=categories,
+                served_per_client=self._served_per_client[1, b].copy(),
+            )
+            for b, (delays_s, categories), queued in zip(
+                items,
+                _split_by_item(*_concatenated(self._departures), items),
+                self._queue_bytes(items),
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Shared service + query surface
     # ------------------------------------------------------------------
-    def backlog_mask(self, clients, category=None, arrival_cutoff_s=None) -> np.ndarray:
-        """Per-client eligibility verdicts over ``clients``; the optional
-        cutoff restricts to packets that have arrived by it (the
-        event-driven MAC's decision time)."""
-        return self.queues.backlog_mask(clients, category, arrival_cutoff_s)
+    def backlog_mask(self, arrival_cutoff_s: float | None = None) -> np.ndarray:
+        """Per-(item, client, class) backlog verdicts, ``(batch, n_clients,
+        4)`` bool.
 
-    def primary_class(self, clients, arrival_cutoff_s=None):
-        """The EDCA class that wins internal contention for these clients."""
-        return self.queues.primary_class(clients, arrival_cutoff_s)
+        ``arrival_cutoff_s`` restricts the verdicts to packets that arrived
+        before it -- the event-driven MAC passes its decision time so a
+        burst is only planned around packets that exist *now*, matching the
+        arrival cutoff its service step applies later.  FIFO queues carry
+        nondecreasing timestamps, so each queue's head decides.
+        """
+        has = self._counts > 0
+        if arrival_cutoff_s is not None:
+            queued = np.flatnonzero(has)
+            head_t = self._t_arrival[self._row[queued], self._head[queued]]
+            has[queued] = head_t < arrival_cutoff_s
+        return has.reshape(self.n_items, self.n_clients, _N_CLASSES)
+
+    def primary_class(self, members_mask=None, arrival_cutoff_s=None) -> np.ndarray:
+        """Per item, the EDCA class that wins internal contention among the
+        ``(batch, n_clients)`` members (all clients by default): the
+        highest-priority class with backlog, ``-1`` where none has any.
+        ``arrival_cutoff_s`` as in :meth:`backlog_mask`."""
+        has = self.backlog_mask(arrival_cutoff_s)
+        if members_mask is not None:
+            has = has & np.asarray(members_mask, dtype=bool)[:, :, None]
+        return _primary_class(has)
 
     def eligibility(
-        self, members, arrival_cutoff_s=None
+        self, members_mask, arrival_cutoff_s=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(primary-class, any-class) backlog masks of ``members`` on the
-        global client axis, each ``(n_clients,)`` bool -- the two candidate
-        filters of :func:`repro.core.selection.pick_in_visit_order`.
+        """(primary-class, any-class) backlog masks of the members in the
+        ``(batch, n_clients)`` bool ``members_mask``, each ``(batch,
+        n_clients)`` -- the two candidate filters of
+        :func:`repro.core.selection.pick_in_visit_order`.
 
         The primary class is the one that wins the AP's internal EDCA
-        contention among ``members``; non-members are never eligible.
+        contention among an item's members; non-members are never eligible.
         ``arrival_cutoff_s`` as in :meth:`backlog_mask`.
         """
-        members = np.asarray(members, dtype=int)
-        primary_mask = np.zeros(self.n_clients, dtype=bool)
-        any_mask = np.zeros(self.n_clients, dtype=bool)
-        any_mask[members] = self.backlog_mask(
-            members, arrival_cutoff_s=arrival_cutoff_s
-        )
-        primary = self.primary_class(members, arrival_cutoff_s)
-        if primary is not None:
-            primary_mask[members] = self.backlog_mask(
-                members, primary, arrival_cutoff_s
-            )
-        return primary_mask, any_mask
+        has = self.backlog_mask(arrival_cutoff_s) & np.asarray(
+            members_mask, dtype=bool
+        )[:, :, None]
+        primary = _primary_class(has)
+        primary_mask = has[np.arange(self.n_items), :, primary] & (primary >= 0)[:, None]
+        return primary_mask, has.any(axis=2)
 
     def serve_burst(
         self,
-        clients: np.ndarray,
-        sinrs: np.ndarray,
-        payload_s: float,
+        items,
+        clients,
+        sinrs,
+        payload_s,
         t_depart_s: float | None = None,
         arrival_cutoff_s: float | None = None,
-    ) -> float:
-        """Serve one MU-MIMO burst: per-stream SINR -> MCS -> A-MPDU byte
-        budget -> queue drain, one stream per entry of ``clients``/``sinrs``
-        (linear SINRs).  Returns the bytes actually delivered.
-
-        The SINR-to-budget arithmetic runs once, vectorized over the burst;
-        both execution backends call this with the same float arrays in the
-        same stream order, which keeps their queue trajectories
-        bit-identical.
+    ) -> np.ndarray:
+        """Serve MU-MIMO streams: per-stream SINR -> MCS -> A-MPDU byte
+        budget -> :meth:`drain`, one stream per entry of ``items``/
+        ``clients``/``sinrs`` (linear SINRs) with ``payload_s`` seconds of
+        data airtime each (scalar or per stream).  Returns the bytes each
+        stream delivered.
         """
         sinrs = np.asarray(sinrs, dtype=float)
         with np.errstate(divide="ignore"):  # sinr == 0 -> -inf dB -> 0 bytes
             sinr_db = 10.0 * np.log10(sinrs)
         budgets = self.ampdu.served_byte_budget(
-            sinr_db, self.bandwidth_hz, payload_s
+            sinr_db, self.bandwidth_hz, np.asarray(payload_s, dtype=float)
         )
-        if t_depart_s is None:
-            t_depart_s = self._t_s  # end of the current round's window
-        total = 0.0
-        for client, budget in zip(clients, budgets):
-            client = int(client)
-            served, departures = self.queues.serve(
-                client, float(budget), t_depart_s, arrival_cutoff_s
-            )
-            total += served
-            self._round_served += served
-            self._total_served += served
-            self._round_served_per_client[client] += served
-            self._served_per_client[client] += served
-            for delay, category in departures:
-                self._round_delays.append(delay)
-                self._round_categories.append(int(category))
-                self._delays.append(delay)
-                self._delay_categories.append(int(category))
-        return total
+        return self.drain(items, clients, budgets, t_depart_s, arrival_cutoff_s)
 
-    def summary(self, duration_s: float | None = None) -> TrafficSummary:
-        """Whole-run aggregate (the event-driven MAC attaches this to its
-        :class:`~repro.sim.network.SimulationResult`)."""
-        return TrafficSummary(
-            duration_s=self._t_s if duration_s is None else duration_s,
-            arrived_bytes=self._total_arrived,
-            served_bytes=self._total_served,
-            queue_bytes=self.queues.total_bytes(),
-            delays_s=np.asarray(self._delays),
-            delay_categories=np.asarray(self._delay_categories, dtype=int),
-            served_per_client=self._served_per_client.copy(),
+    def drain(
+        self,
+        items,
+        clients,
+        budget_bytes,
+        t_depart_s: float | None = None,
+        arrival_cutoff_s: float | None = None,
+    ) -> np.ndarray:
+        """Drain up to ``budget_bytes`` from each (item, client) stream's
+        queues; returns the bytes each stream delivered.
+
+        Streams drain in the order given, so an item's queue trajectory is
+        that of serving its streams one after another.  Departures are
+        stamped at ``t_depart_s`` (default: the end of the item's current
+        arrival window); ``arrival_cutoff_s`` excludes packets that arrived
+        at or after it -- a burst can only aggregate what was queued when it
+        was assembled (the event-driven MAC passes its TXOP start; the
+        round engine serves the whole window).
+        """
+        items = np.asarray(items, dtype=int)
+        clients = np.asarray(clients, dtype=int)
+        budgets = np.broadcast_to(np.asarray(budget_bytes, dtype=float), items.shape)
+        depart_s = (
+            self._t_s[items]
+            if t_depart_s is None
+            else np.full(items.size, float(t_depart_s))
         )
+        streams = items * self.n_clients + clients
+        served = np.zeros(items.size)
+        # A client served twice in one call drains in a later wave, so each
+        # queue sees its streams one after another.
+        repeated = np.bincount(streams).max(initial=0) > 1
+        wave = _occurrence_rank(streams) if repeated else np.zeros(items.size, dtype=int)
+        departures = [
+            self._drain_streams(live, streams, budgets, served, depart_s, arrival_cutoff_s)
+            for w in range(wave.max(initial=-1) + 1)
+            if (live := np.flatnonzero((wave == w) & (budgets > 0))).size
+        ]
+        np.add.at(self._served, (slice(None), items), served)
+        np.add.at(self._served_per_client, (slice(None), items, clients), served)
+        if departures:
+            stream_of, delays_s, categories = _concatenated(departures)
+            if repeated:
+                order = np.argsort(stream_of, kind="stable")
+                stream_of, delays_s, categories = (
+                    stream_of[order], delays_s[order], categories[order]
+                )
+            chunk = (items[stream_of], delays_s, categories)
+            self._departures.append(chunk)
+            self._round_departures.append(chunk)
+        return served
+
+    def _drain_streams(self, live, streams, budgets, served, depart_s, cutoff_s):
+        """Drain the ``live`` streams (distinct queues each) and fill their
+        ``served`` entries; returns ``(stream, delay_s, category)`` of every
+        departure, in stream and drain order."""
+        n_live = live.size
+        queues = (streams[live, None] * _N_CLASSES + np.arange(_N_CLASSES)).ravel()
+        budget = budgets[live]
+        # A class can touch at most its head, one partly drained packet and
+        # budget / (its smallest packet) packets in between (plus one for
+        # rounding), so gathering that many per class covers every take.
+        bound = 3 + np.floor(np.repeat(budget, _N_CLASSES) / self._min_bytes[queues])
+        gathered = np.minimum(self._counts[queues], bound).astype(int)
+        segment = np.repeat(np.arange(queues.size), gathered)
+        cap = self._t_arrival.shape[1]
+        queue = queues[segment]
+        ring = np.repeat(self._row[queues], gathered)
+        slot = (self._head[queue] + _rank_in_runs(segment)) % cap
+        t_arrival = self._t_arrival[ring, slot]
+        left = self._left[ring, slot]
+        if cutoff_s is not None:
+            # FIFO order: everything behind a late packet arrived later still.
+            arrived = t_arrival < cutoff_s
+            segment, queue, ring, slot = (
+                segment[arrived], queue[arrived], ring[arrived], slot[arrived]
+            )
+            t_arrival, left = t_arrival[arrived], left[arrived]
+
+        # One row per stream: its budget, then its packets' bytes left in
+        # class-priority and FIFO order.  A left fold along the rows replays
+        # the packet-by-packet loop exactly; the budget left never grows
+        # along a row, so a packet is reached while the one before left
+        # budget.
+        row = segment // _N_CLASSES
+        col = _rank_in_runs(row) + 1
+        fold = np.zeros((n_live, col.max(initial=0) + 1))
+        fold[:, 0] = budget
+        fold[row, col] = left
+        budget_left = np.subtract.accumulate(fold, axis=1)
+        before = budget_left[row, col - 1]
+        reached = before > 0
+        full = reached & (budget_left[row, col] >= 0)
+        partial = reached & ~full
+        take = np.where(full, left, before)[reached]
+        np.add.at(served, live[row[reached]], take)
+
+        np.subtract.at(self._bytes, queue[reached], take)
+        self._left[ring[partial], slot[partial]] = left[partial] - before[partial]
+        popped = np.bincount(segment[full], minlength=queues.size)
+        self._counts[queues] -= popped
+        self._head[queues] = (self._head[queues] + popped) % cap
+        # Snap a queue's float total to the truth when it empties so
+        # ulp-scale drift never accumulates across rounds.
+        self._bytes[queues[(popped > 0) & (self._counts[queues] == 0)]] = 0.0
+        stream = live[row[full]]
+        return stream, depart_s[stream] - t_arrival[full], segment[full] % _N_CLASSES
+
+
+def _concatenated(chunks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, delays_s, categories)`` of a departure log, concatenated."""
+    if not chunks:
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
+    if len(chunks) == 1:
+        return chunks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _split_by_item(item_of, delays_s, categories, items) -> list:
+    """``(delays_s, categories)`` per entry of ``items``, in log order."""
+    order = np.argsort(item_of, kind="stable")
+    item_of, delays_s, categories = item_of[order], delays_s[order], categories[order]
+    return [
+        (delays_s[start:stop], categories[start:stop])
+        for start, stop in zip(
+            np.searchsorted(item_of, items).tolist(),
+            np.searchsorted(item_of, items, side="right").tolist(),
+        )
+    ]
 
 
 __all__ = [
     "AmpduConfig",
-    "ClientQueues",
-    "Packet",
     "RoundTrafficMetrics",
     "TrafficState",
     "TrafficSummary",

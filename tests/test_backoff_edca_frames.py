@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from helpers.queue_oracle import serve_one, stacked
 from repro.config import MacConfig
 from repro.mac.backoff import BackoffState
 from repro.mac.edca import AccessCategory
 from repro.mac.frames import txop_durations
-from repro.traffic import ClientQueues, Packet
 
 
 class TestBackoff:
@@ -40,48 +40,45 @@ class TestBackoff:
 
 
 class TestEdca:
-    """Per-class queueing on :class:`ClientQueues`, the one EDCA queue."""
+    """Per-class queueing on the stacked :class:`repro.traffic.TrafficState`,
+    the one EDCA queue (a batch of one here)."""
 
     def test_primary_class_highest_priority_nonempty(self):
-        queues = ClientQueues(2)
-        queues.enqueue(Packet(0, 100.0, 0.0, AccessCategory.BACKGROUND))
-        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VIDEO))
-        assert queues.primary_class() is AccessCategory.VIDEO
+        state = stacked(
+            2, (0, 100.0, 0.0, AccessCategory.BACKGROUND), (1, 100.0, 0.0, AccessCategory.VIDEO)
+        )
+        assert state.primary_class()[0] == AccessCategory.VIDEO
 
     def test_primary_class_empty(self):
-        assert ClientQueues(2).primary_class() is None
+        assert stacked(2).primary_class().tolist() == [-1]
 
     def test_backlog_counts(self):
-        queues = ClientQueues(2)
-        queues.enqueue(Packet(0, 100.0, 0.0))
-        queues.enqueue(Packet(0, 100.0, 0.0))
-        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VOICE))
-        assert queues.total_bytes() == 300.0
-        assert queues.backlog_mask(category=AccessCategory.VOICE).tolist() == [
+        state = stacked(
+            2, (0, 100.0, 0.0), (0, 100.0, 0.0), (1, 100.0, 0.0, AccessCategory.VOICE)
+        )
+        assert state.summary()[0].queue_bytes == 300.0
+        assert state.backlog_mask()[0, :, AccessCategory.VOICE].tolist() == [
             False, True,
         ]
 
     def test_backlogged_clients_distinct(self):
-        queues = ClientQueues(3)
-        queues.enqueue(Packet(2, 100.0, 0.0))
-        queues.enqueue(Packet(2, 100.0, 0.0))
-        queues.enqueue(Packet(0, 100.0, 0.0))
-        np.testing.assert_array_equal(np.flatnonzero(queues.backlog_mask()), [0, 2])
+        state = stacked(3, (2, 100.0, 0.0), (2, 100.0, 0.0), (0, 100.0, 0.0))
+        np.testing.assert_array_equal(
+            np.flatnonzero(state.backlog_mask()[0].any(axis=1)), [0, 2]
+        )
 
     def test_pop_for_client_fifo(self):
-        queues = ClientQueues(2)
-        queues.enqueue(Packet(1, 100.0, 1.0))
-        queues.enqueue(Packet(1, 100.0, 2.0))
+        state = stacked(2, (1, 100.0, 1.0), (1, 100.0, 2.0))
         # One packet's worth of budget per burst: the older packet leaves first.
-        assert queues.serve(1, 100.0, 3.0)[1] == [(2.0, AccessCategory.BEST_EFFORT)]
-        assert queues.serve(1, 100.0, 3.0)[1] == [(1.0, AccessCategory.BEST_EFFORT)]
-        assert queues.serve(1, 100.0, 3.0) == (0.0, [])
+        assert serve_one(state, 1, 100.0, 3.0)[1] == [(2.0, AccessCategory.BEST_EFFORT)]
+        assert serve_one(state, 1, 100.0, 3.0)[1] == [(1.0, AccessCategory.BEST_EFFORT)]
+        assert serve_one(state, 1, 100.0, 3.0) == (0.0, [])
 
     def test_pop_searches_higher_class_first(self):
-        queues = ClientQueues(2)
-        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.BACKGROUND))
-        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VOICE))
-        __, departures = queues.serve(1, 100.0, 1.0)
+        state = stacked(
+            2, (1, 100.0, 0.0, AccessCategory.BACKGROUND), (1, 100.0, 0.0, AccessCategory.VOICE)
+        )
+        __, departures = serve_one(state, 1, 100.0, 1.0)
         assert departures == [(1.0, AccessCategory.VOICE)]
 
 

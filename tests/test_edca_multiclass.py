@@ -3,8 +3,8 @@ with backlogged VOICE/VIDEO/BEST_EFFORT queues driving client selection.
 
 Until the traffic subsystem, only the single best-effort default was
 exercised by network simulations; these tests drive the prioritization
-logic end to end -- through :class:`repro.traffic.ClientQueues` and
-:meth:`repro.traffic.TrafficState.eligibility`, through the shared
+logic end to end -- through the stacked :class:`repro.traffic.TrafficState`
+and its :meth:`~repro.traffic.TrafficState.eligibility`, through the shared
 scheduler :func:`repro.core.selection.pick_in_visit_order`, and through the
 round engine with a scripted multi-class arrival model."""
 
@@ -17,7 +17,8 @@ from repro.mac.edca import AccessCategory
 from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
-from repro.traffic import Packet, TrafficModel, TrafficState
+from helpers.queue_oracle import members, serve_one
+from repro.traffic import TrafficModel, TrafficState
 
 ENV = office_b()
 
@@ -35,11 +36,13 @@ class ScriptedTraffic(TrafficModel):
     def arrivals(self, state, rng, n_clients, t0_s, dt_s):
         current = state["round"]
         state["round"] += 1
-        return [
-            Packet(client, float(size), t0_s, category)
-            for round_index, client, size, category in self.script
-            if round_index == current
-        ]
+        rows = [row[1:] for row in self.script if row[0] == current]
+        return (
+            np.array([client for client, __, __ in rows], dtype=int),
+            np.array([size for __, size, __ in rows], dtype=float),
+            np.full(len(rows), t0_s),
+            np.array([int(category) for __, __, category in rows], dtype=int),
+        )
 
 
 class TestPrimaryClassSelection:
@@ -55,51 +58,49 @@ class TestPrimaryClassSelection:
 
     def _loaded(self) -> TrafficState:
         state = TrafficState(
-            ScriptedTraffic(self.SCRIPT), 3, np.random.default_rng(0),
+            [ScriptedTraffic(self.SCRIPT)], 3, [np.random.default_rng(0)],
             round_duration_s=1e-3, bandwidth_hz=20e6,
         )
         state.begin_round()
         return state
 
     def test_primary_class_is_highest_backlogged(self):
-        queues = self._loaded().queues
-        assert queues.primary_class([0, 1, 2]) is AccessCategory.VOICE
-        assert queues.primary_class([0, 2]) is AccessCategory.VIDEO
+        state = self._loaded()
+        assert state.primary_class(members(3, 0, 1, 2))[0] == AccessCategory.VOICE
+        assert state.primary_class(members(3, 0, 2))[0] == AccessCategory.VIDEO
 
     def test_backlogged_clients_filter_by_class(self):
-        queues = self._loaded().queues
-        assert queues.backlog_mask(category=AccessCategory.VOICE).tolist() == [
-            False, True, False,
-        ]
-        assert queues.backlog_mask().tolist() == [True, True, True]
+        backlog = self._loaded().backlog_mask()[0]
+        assert backlog[:, AccessCategory.VOICE].tolist() == [False, True, False]
+        assert backlog.any(axis=1).tolist() == [True, True, True]
 
     def test_eligibility_masks_on_global_axis(self):
         state = self._loaded()
-        primary, eligible = state.eligibility([0, 1, 2])
-        assert primary.tolist() == [False, True, False]
-        assert eligible.tolist() == [True, True, True]
+        primary, eligible = state.eligibility(members(3, 0, 1, 2))
+        assert primary.tolist() == [[False, True, False]]
+        assert eligible.tolist() == [[True, True, True]]
         # Among members 0 and 2 VIDEO wins; non-members are never eligible.
-        primary, eligible = state.eligibility([0, 2])
-        assert primary.tolist() == [False, False, True]
-        assert eligible.tolist() == [True, False, True]
-        primary, eligible = state.eligibility([])
+        primary, eligible = state.eligibility(members(3, 0, 2))
+        assert primary.tolist() == [[False, False, True]]
+        assert eligible.tolist() == [[True, False, True]]
+        primary, eligible = state.eligibility(members(3))
         assert not primary.any() and not eligible.any()
 
     def test_eligibility_respects_arrival_cutoff(self):
         state = self._loaded()  # every scripted packet arrives at t = 0
-        primary, eligible = state.eligibility([0, 1, 2], arrival_cutoff_s=0.0)
+        primary, eligible = state.eligibility(members(3, 0, 1, 2), arrival_cutoff_s=0.0)
         assert not primary.any() and not eligible.any()
 
     def test_serve_searches_primary_then_lower_classes(self):
-        queues = self._loaded().queues
-        __, departures = queues.serve(1, 100.0, 1.0)
+        state = self._loaded()
+        __, departures = serve_one(state, 1, 100.0, 1.0)
         assert [c for __, c in departures] == [AccessCategory.VOICE]
-        __, departures = queues.serve(1, 100.0, 1.0)
+        __, departures = serve_one(state, 1, 100.0, 1.0)
         assert [c for __, c in departures] == [AccessCategory.BEST_EFFORT]
-        assert queues.serve(1, 100.0, 1.0) == (0.0, [])
+        assert serve_one(state, 1, 100.0, 1.0) == (0.0, [])
 
     def test_selection_from_primary_class_backlog(self):
-        primary, eligible = self._loaded().eligibility([0, 1, 2])
+        [primary], [eligible] = self._loaded().eligibility(members(3, 0, 1, 2))
         # Flat RSSI, width 2 of 2: every client tagged to both antennas.
         tags = TagTable.from_rssi(np.zeros((3, 2)), 2).tags
         visits = [tags[:, antenna][None] for antenna in range(2)]

@@ -8,14 +8,13 @@ from repro.api import TRAFFIC, RunSpec, UnknownNameError, resolve_params
 from repro.api.experiments import get_experiment_def
 from repro.mac.edca import AccessCategory
 from repro.phy.mcs import MCS_TABLE
+from helpers.queue_oracle import ScriptedTraffic, members, serve_one, stacked
 from repro.traffic import (
     AmpduConfig,
     VHT_MAX_AMPDU_BYTES,
     CbrTraffic,
-    ClientQueues,
     FullBufferTraffic,
     OnOffTraffic,
-    Packet,
     PoissonTraffic,
     TrafficState,
     access_category,
@@ -24,89 +23,86 @@ from repro.traffic import (
 )
 
 
-class TestClientQueues:
+BE, VI, VO = AccessCategory.BEST_EFFORT, AccessCategory.VIDEO, AccessCategory.VOICE
+
+
+class TestStackedQueues:
+    """Single-item queue behaviour of the stacked :class:`TrafficState`:
+    backlog, primary class, FIFO service, arrival cutoff."""
+
     def test_enqueue_and_backlog(self):
-        queues = ClientQueues(3)
-        queues.enqueue(Packet(0, 1000.0, 0.0))
-        queues.enqueue(Packet(2, 500.0, 0.1, AccessCategory.VOICE))
-        assert np.array_equal(queues.backlog_mask(), [True, False, True])
-        assert np.array_equal(
-            queues.backlog_mask(category=AccessCategory.VOICE),
-            [False, False, True],
-        )
-        assert queues.total_bytes() == 1500.0
+        state = stacked(3, (0, 1000.0, 0.0), (2, 500.0, 0.1, VO))
+        assert np.array_equal(state.backlog_mask()[0].any(axis=1), [True, False, True])
+        assert np.array_equal(state.backlog_mask()[0, :, VO], [False, False, True])
+        assert state.summary()[0].queue_bytes == 1500.0
 
     def test_backlog_mask_respects_client_order(self):
-        queues = ClientQueues(3)
-        queues.enqueue(Packet(2, 100.0, 0.0))
-        assert np.array_equal(queues.backlog_mask([2, 0]), [True, False])
+        state = stacked(3, (2, 100.0, 0.0))
+        assert np.array_equal(state.backlog_mask()[0, [2, 0]].any(axis=1), [True, False])
 
     def test_primary_class_priority_order(self):
-        queues = ClientQueues(2)
-        queues.enqueue(Packet(0, 100.0, 0.0, AccessCategory.BEST_EFFORT))
-        assert queues.primary_class() is AccessCategory.BEST_EFFORT
-        queues.enqueue(Packet(1, 100.0, 0.0, AccessCategory.VIDEO))
-        assert queues.primary_class() is AccessCategory.VIDEO
-        queues.enqueue(Packet(0, 100.0, 0.0, AccessCategory.VOICE))
-        assert queues.primary_class() is AccessCategory.VOICE
-        assert queues.primary_class([1]) is AccessCategory.VIDEO
+        state = TrafficState(
+            [ScriptedTraffic([[(0, 100.0, 0.0, BE)], [(1, 100.0, 0.0, VI)],
+                              [(0, 100.0, 0.0, VO)]])],
+            2, [None], round_duration_s=1.0, bandwidth_hz=20e6,
+        )
+        state.advance_arrivals_to(1.0)
+        assert state.primary_class()[0] == BE
+        state.advance_arrivals_to(2.0)
+        assert state.primary_class()[0] == VI
+        state.advance_arrivals_to(3.0)
+        assert state.primary_class()[0] == VO
+        assert state.primary_class(members(2, 1))[0] == VI
 
     def test_serve_fifo_and_delay(self):
-        queues = ClientQueues(1)
-        queues.enqueue(Packet(0, 1000.0, 1.0))
-        queues.enqueue(Packet(0, 1000.0, 2.0))
-        served, departures = queues.serve(0, 1500.0, 5.0)
+        state = stacked(1, (0, 1000.0, 1.0), (0, 1000.0, 2.0))
+        served, departures = serve_one(state, 0, 1500.0, 5.0)
         assert served == 1500.0
         # Only the first packet fully departed; delay = 5 - 1 arrival.
-        assert departures == [(4.0, AccessCategory.BEST_EFFORT)]
-        served, departures = queues.serve(0, 1e9, 6.0)
+        assert departures == [(4.0, BE)]
+        served, departures = serve_one(state, 0, 1e9, 6.0)
         assert served == 500.0
-        assert departures == [(4.0, AccessCategory.BEST_EFFORT)]
-        assert queues.total_bytes() == 0.0
+        assert departures == [(4.0, BE)]
+        assert state.summary()[0].queue_bytes == 0.0
 
     def test_serve_drains_voice_before_best_effort(self):
-        queues = ClientQueues(1)
-        queues.enqueue(Packet(0, 1000.0, 0.0, AccessCategory.BEST_EFFORT))
-        queues.enqueue(Packet(0, 1000.0, 0.0, AccessCategory.VOICE))
-        __, departures = queues.serve(0, 1000.0, 1.0)
-        assert [c for (_, c) in departures] == [AccessCategory.VOICE]
+        state = stacked(1, (0, 1000.0, 0.0, BE), (0, 1000.0, 0.0, VO))
+        __, departures = serve_one(state, 0, 1000.0, 1.0)
+        assert [c for (_, c) in departures] == [VO]
 
     def test_arrival_cutoff_masks_future_packets(self):
-        queues = ClientQueues(2)
-        queues.enqueue(Packet(0, 100.0, 1.0))
-        queues.enqueue(Packet(1, 100.0, 5.0, AccessCategory.VOICE))
+        state = stacked(2, (0, 100.0, 1.0), (1, 100.0, 5.0, VO))
         # At t=2 only client 0's packet has arrived.
         assert np.array_equal(
-            queues.backlog_mask(arrival_cutoff_s=2.0), [True, False]
+            state.backlog_mask(arrival_cutoff_s=2.0)[0].any(axis=1), [True, False]
         )
-        assert queues.primary_class(arrival_cutoff_s=2.0) is AccessCategory.BEST_EFFORT
+        assert state.primary_class(arrival_cutoff_s=2.0)[0] == BE
         # At t=6 both exist and VOICE wins the primary class.
         assert np.array_equal(
-            queues.backlog_mask(arrival_cutoff_s=6.0), [True, True]
+            state.backlog_mask(arrival_cutoff_s=6.0)[0].any(axis=1), [True, True]
         )
-        assert queues.primary_class(arrival_cutoff_s=6.0) is AccessCategory.VOICE
+        assert state.primary_class(arrival_cutoff_s=6.0)[0] == VO
         # Cutoff-free queries see everything (the round engines' path).
-        assert np.array_equal(queues.backlog_mask(), [True, True])
+        assert np.array_equal(state.backlog_mask()[0].any(axis=1), [True, True])
 
     def test_arrival_cutoff_respects_client_selection(self):
-        queues = ClientQueues(3)
-        queues.enqueue(Packet(2, 100.0, 0.5))
+        state = stacked(3, (2, 100.0, 0.5))
         assert np.array_equal(
-            queues.backlog_mask([2, 0], arrival_cutoff_s=1.0), [True, False]
+            state.backlog_mask(arrival_cutoff_s=1.0)[0, [2, 0]].any(axis=1),
+            [True, False],
         )
 
     def test_zero_budget_serves_nothing(self):
-        queues = ClientQueues(1)
-        queues.enqueue(Packet(0, 100.0, 0.0))
-        assert queues.serve(0, 0.0, 1.0) == (0.0, [])
+        state = stacked(1, (0, 100.0, 0.0))
+        assert serve_one(state, 0, 0.0, 1.0) == (0.0, [])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            ClientQueues(0)
-        with pytest.raises(ValueError):
-            Packet(0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            ClientQueues(1).enqueue(Packet(5, 10.0, 0.0))
+            stacked(0)
+        with pytest.raises(ValueError, match="ScriptedTraffic"):
+            stacked(1, (0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="ScriptedTraffic"):
+            stacked(1, (5, 10.0, 0.0))
 
 
 class TestAmpdu:
@@ -145,18 +141,19 @@ class TestArrivalModels:
         model = PoissonTraffic(rate_mbps=20.0)
         a = model.arrivals(None, np.random.default_rng(3), 4, 0.0, 0.003)
         b = model.arrivals(None, np.random.default_rng(3), 4, 0.0, 0.003)
-        assert [(p.client, p.t_arrival_s) for p in a] == [
-            (p.client, p.t_arrival_s) for p in b
-        ]
-        assert all(0.0 <= p.t_arrival_s < 0.003 for p in a)
+        for part_a, part_b in zip(a, b):
+            assert np.array_equal(part_a, part_b)
+        clients, __, t_arrival_s, __ = a
+        assert np.all((0.0 <= t_arrival_s) & (t_arrival_s < 0.003))
+        # Client-major, time-sorted within each client.
+        assert np.all(np.diff(clients) >= 0)
+        assert np.all(np.diff(t_arrival_s)[np.diff(clients) == 0] >= 0)
 
     def test_poisson_mean_rate(self):
         model = PoissonTraffic(rate_mbps=16.0, packet_bytes=1000.0)
         rng = np.random.default_rng(0)
         total = sum(
-            p.bytes_total
-            for _ in range(2000)
-            for p in model.arrivals(None, rng, 2, 0.0, 0.003)
+            model.arrivals(None, rng, 2, 0.0, 0.003)[1].sum() for _ in range(2000)
         )
         # 2 clients x 16 Mb/s x 6 s of simulated windows.
         assert total * 8 / (2 * 2000 * 0.003) / 1e6 == pytest.approx(16.0, rel=0.05)
@@ -166,9 +163,9 @@ class TestArrivalModels:
         state = model.init_state(None, 1)
         total = 0.0
         for r in range(100):
-            for p in model.arrivals(state, None, 1, r * 0.003, 0.003):
-                total += p.bytes_total
-                assert p.category is AccessCategory.VOICE
+            __, sizes, __, categories = model.arrivals(state, None, 1, r * 0.003, 0.003)
+            total += sizes.sum()
+            assert np.all(categories == AccessCategory.VOICE)
         assert total == pytest.approx(0.8e6 * 0.3 / 8.0, abs=100.0)
 
     def test_on_off_respects_duty_cycle(self):
@@ -177,8 +174,7 @@ class TestArrivalModels:
         state = model.init_state(rng, 8)
         total = 0.0
         for r in range(3000):
-            for p in model.arrivals(state, rng, 8, r * 0.003, 0.003):
-                total += p.bytes_total
+            total += model.arrivals(state, rng, 8, r * 0.003, 0.003)[1].sum()
         rate = total * 8 / (8 * 3000 * 0.003) / 1e6
         assert rate == pytest.approx(10.0, rel=0.15)
 
@@ -201,9 +197,9 @@ class TestArrivalModels:
 class TestTrafficState:
     def _state(self, model, n_clients=2, seed=0):
         return TrafficState(
-            model,
+            [model],
             n_clients,
-            np.random.default_rng(seed),
+            [np.random.default_rng(seed)],
             round_duration_s=0.003,
             bandwidth_hz=20e6,
         )
@@ -213,8 +209,8 @@ class TestTrafficState:
         arrived = served = 0.0
         for __ in range(50):
             state.begin_round()
-            state.serve_burst(np.array([0, 1]), np.array([100.0, 100.0]), 0.002)
-            metrics = state.end_round()
+            state.serve_burst([0, 0], np.array([0, 1]), np.array([100.0, 100.0]), 0.002)
+            [metrics] = state.end_round()
             arrived += metrics.arrived_bytes
             served += metrics.served_bytes
         assert served <= arrived
@@ -224,8 +220,8 @@ class TestTrafficState:
         state = self._state(PoissonTraffic(rate_mbps=30.0))
         for r in range(20):
             state.begin_round()
-            state.serve_burst(np.array([0]), np.array([1e4]), 0.002)
-            metrics = state.end_round()
+            state.serve_burst([0], np.array([0]), np.array([1e4]), 0.002)
+            [metrics] = state.end_round()
             assert np.all(metrics.delays_s > 0)
             assert np.all(metrics.delays_s <= (r + 1) * 0.003)
 
@@ -240,6 +236,29 @@ class TestTrafficState:
         state.begin_round()
         with pytest.raises(RuntimeError):
             state.begin_round()
+
+    def test_item_mask_selects_rounds(self):
+        models = [PoissonTraffic(rate_mbps=30.0)] * 3
+        state = TrafficState(
+            models, 2, [np.random.default_rng(s) for s in range(3)],
+            round_duration_s=0.003, bandwidth_hz=20e6,
+        )
+        state.begin_round([True, False, True])
+        with pytest.raises(RuntimeError):
+            state.end_round([False, True, False])
+        metrics = state.end_round([True, False, True])
+        assert metrics[1] is None and metrics[0] is not None and metrics[2] is not None
+        alone = self._state(PoissonTraffic(rate_mbps=30.0), seed=2)
+        alone.begin_round()
+        [want] = alone.end_round()
+        assert metrics[2].arrived_bytes == want.arrived_bytes
+
+    def test_one_model_and_generator_per_item(self):
+        with pytest.raises(ValueError, match="one generator per item"):
+            TrafficState(
+                [PoissonTraffic(rate_mbps=1.0)] * 2, 2, [np.random.default_rng(0)],
+                round_duration_s=0.003, bandwidth_hz=20e6,
+            )
 
 
 class TestTrafficRegistry:

@@ -258,11 +258,11 @@ class TestDynamicMacTraffic:
         calls = []
         original = TrafficState.serve_burst
 
-        def recording(self, clients, sinrs, payload_s, t_depart_s=None,
+        def recording(self, items, clients, sinrs, payload_s, t_depart_s=None,
                       arrival_cutoff_s=None):
-            served = original(self, clients, sinrs, payload_s, t_depart_s,
-                              arrival_cutoff_s)
-            calls.append((served, np.max(np.asarray(sinrs, dtype=float))))
+            served = original(self, items, clients, sinrs, payload_s,
+                              t_depart_s, arrival_cutoff_s)
+            calls.append((served.sum(), np.max(np.asarray(sinrs, dtype=float))))
             return served
 
         monkeypatch.setattr(TrafficState, "serve_burst", recording)
