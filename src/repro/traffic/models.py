@@ -86,28 +86,6 @@ class TrafficModel:
         """
         raise NotImplementedError
 
-    @classmethod
-    def batch_arrivals(cls, models, states, rngs, n_clients: int, t0_s, dt_s: float):
-        """One arrival window for each of several items of this model class
-        (entry ``i`` of ``models``/``states``/``rngs``/``t0_s`` is one item):
-        ``(lengths, clients, bytes, t_arrival_s, categories)``, each item's
-        :meth:`arrivals` concatenated in item order, ``lengths`` counting
-        each item's packets.  Every item draws from its own generator only,
-        so a subclass may regroup the array work across items.
-        """
-        windows = [
-            model.arrivals(state, rng, n_clients, float(t0), dt_s)
-            for model, state, rng, t0 in zip(models, states, rngs, t0_s)
-        ]
-        lengths = np.array(
-            [[len(part) for part in window] for window in windows], dtype=int
-        ).reshape(-1, 4)
-        uneven = (lengths != lengths[:, :1]).any(axis=1)
-        if uneven.any():
-            name = type(models[np.argmax(uneven)]).__name__
-            raise ValueError(f"{name} arrivals must be four equal-length arrays")
-        return (lengths[:, 0], *(np.concatenate(parts) for parts in zip(*windows)))
-
 
 def _fixed_size(model, clients: np.ndarray, t_arrival_s: np.ndarray) -> Arrivals:
     """Arrival arrays of ``model.packet_bytes``-sized ``model.category``
@@ -147,41 +125,12 @@ class PoissonTraffic(TrafficModel):
         object.__setattr__(self, "category", access_category(self.category))
 
     def arrivals(self, state, rng, n_clients, t0_s, dt_s) -> Arrivals:
-        return _poisson_windows([self], [rng], n_clients, [t0_s], dt_s)[1:]
-
-    @classmethod
-    def batch_arrivals(cls, models, states, rngs, n_clients, t0_s, dt_s):
-        if cls.arrivals is not PoissonTraffic.arrivals:  # a subclass redraws
-            return super().batch_arrivals(models, states, rngs, n_clients, t0_s, dt_s)
-        return _poisson_windows(models, rngs, n_clients, t0_s, dt_s)
-
-
-def _poisson_windows(models, rngs, n_clients, t0_s, dt_s):
-    """:meth:`PoissonTraffic.batch_arrivals` for ``PoissonTraffic`` items.
-
-    Per item, one count draw for every client, then one offset draw for the
-    whole window -- the same numbers as per-client draws in client order.
-    ``random(n) * dt`` is ``uniform(0, dt, n)`` bit for bit (both scale the
-    same doubles).  The lexsort then sorts each (item, client)'s offsets in
-    one pass over the batch.
-    """
-    counts = np.concatenate([
-        rng.poisson(m.rate_mbps * 1e6 * dt_s / (8.0 * m.packet_bytes), n_clients)
-        for m, rng in zip(models, rngs)
-    ])
-    lengths = counts.reshape(-1, n_clients).sum(axis=1)
-    offsets = dt_s * np.concatenate([np.zeros(0)] + [
-        rng.random(n) for rng, n in zip(rngs, lengths.tolist()) if n
-    ])
-    queue = np.repeat(np.arange(counts.size), counts)  # item * n_clients + client
-    offsets = offsets[np.lexsort((offsets, queue))]
-    return (
-        lengths,
-        queue % n_clients,
-        np.repeat(np.array([m.packet_bytes for m in models], dtype=float), lengths),
-        np.repeat(np.asarray(t0_s, dtype=float), lengths) + offsets,
-        np.repeat(np.array([m.category for m in models], dtype=int), lengths),
-    )
+        lam = self.rate_mbps * 1e6 * dt_s / (8.0 * self.packet_bytes)
+        clients = np.repeat(np.arange(n_clients), rng.poisson(lam, n_clients))
+        # One offset draw for the whole window is the same numbers as one
+        # draw per client in client order; sort each client's share.
+        offsets = rng.uniform(0.0, dt_s, clients.size)
+        return _fixed_size(self, clients, t0_s + offsets[np.lexsort((offsets, clients))])
 
 
 @dataclass(frozen=True)

@@ -99,14 +99,6 @@ def _rank_in_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return np.arange(sorted_keys.size) - np.searchsorted(sorted_keys, sorted_keys)
 
 
-def _occurrence_rank(keys: np.ndarray) -> np.ndarray:
-    """How many earlier entries share each entry's key."""
-    order = np.argsort(keys, kind="stable")
-    rank = np.empty(keys.size, dtype=int)
-    rank[order] = _rank_in_runs(keys[order])
-    return rank
-
-
 def _primary_class(has: np.ndarray) -> np.ndarray:
     """Highest-priority class with backlog per item, -1 where none, from
     ``(batch, n_clients, 4)`` backlog verdicts."""
@@ -153,12 +145,6 @@ class TrafficState:
             model.init_state(rng, n_clients)
             for model, rng in zip(self.models, self._rngs)
         ]
-        # One model class draws every item's window in one call; a mix
-        # falls back to each model's own ``arrivals``.
-        classes = {type(model) for model in self.models}
-        self._batch_arrivals = (
-            classes.pop() if len(classes) == 1 else TrafficModel
-        ).batch_arrivals
         n_queues = self.n_items * n_clients * _N_CLASSES
         # Flat queue index: (item * n_clients + client) * 4 + category.
         self._counts = np.zeros(n_queues, dtype=int)
@@ -197,16 +183,23 @@ class TrafficState:
         own generator) and enqueue them in one scatter."""
         if not items.size:
             return
-        lengths, clients, sizes, t_arrival, categories = self._batch_arrivals(
-            [self.models[b] for b in items.tolist()],
-            [self._model_states[b] for b in items.tolist()],
-            [self._rngs[b] for b in items.tolist()],
-            self.n_clients, self._t_s[items], self.round_duration_s,
-        )
+        windows = [
+            self.models[b].arrivals(
+                self._model_states[b], self._rngs[b], self.n_clients, t0_s,
+                self.round_duration_s,
+            )
+            for b, t0_s in zip(items.tolist(), self._t_s[items].tolist())
+        ]
         self._t_s[items] += self.round_duration_s
-        item_of = np.repeat(items, lengths)
+        for b, window in zip(items.tolist(), windows):
+            if len(window) != 4 or len({len(part) for part in window}) != 1:
+                self._reject(b, "must be four equal-length arrays")
+        item_of = np.repeat(items, [len(window[0]) for window in windows])
         if not item_of.size:
             return
+        clients, sizes, t_arrival, categories = (
+            np.concatenate(parts) for parts in zip(*windows)
+        )
         clients = clients.astype(int, copy=False)
         sizes = sizes.astype(float, copy=False)
         t_arrival = t_arrival.astype(float, copy=False)
@@ -403,16 +396,6 @@ class TrafficState:
             has[queued] = head_t < arrival_cutoff_s
         return has.reshape(self.n_items, self.n_clients, _N_CLASSES)
 
-    def primary_class(self, members_mask=None, arrival_cutoff_s=None) -> np.ndarray:
-        """Per item, the EDCA class that wins internal contention among the
-        ``(batch, n_clients)`` members (all clients by default): the
-        highest-priority class with backlog, ``-1`` where none has any.
-        ``arrival_cutoff_s`` as in :meth:`backlog_mask`."""
-        has = self.backlog_mask(arrival_cutoff_s)
-        if members_mask is not None:
-            has = has & np.asarray(members_mask, dtype=bool)[:, :, None]
-        return _primary_class(has)
-
     def eligibility(
         self, members_mask, arrival_cutoff_s=None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -466,13 +449,14 @@ class TrafficState:
         """Drain up to ``budget_bytes`` from each (item, client) stream's
         queues; returns the bytes each stream delivered.
 
-        Streams drain in the order given, so an item's queue trajectory is
-        that of serving its streams one after another.  Departures are
-        stamped at ``t_depart_s`` (default: the end of the item's current
-        arrival window); ``arrival_cutoff_s`` excludes packets that arrived
-        at or after it -- a burst can only aggregate what was queued when it
-        was assembled (the event-driven MAC passes its TXOP start; the
-        round engine serves the whole window).
+        Each (item, client) stream may appear once per call (the engines
+        serve a client at most once per TXOP or round); departures are
+        logged in stream order.  They are stamped at ``t_depart_s``
+        (default: the end of the item's current arrival window);
+        ``arrival_cutoff_s`` excludes packets that arrived at or after it --
+        a burst can only aggregate what was queued when it was assembled
+        (the event-driven MAC passes its TXOP start; the round engine serves
+        the whole window).
         """
         items = np.asarray(items, dtype=int)
         clients = np.asarray(clients, dtype=int)
@@ -483,34 +467,25 @@ class TrafficState:
             else np.full(items.size, float(t_depart_s))
         )
         streams = items * self.n_clients + clients
+        if np.bincount(streams).max(initial=0) > 1:
+            raise ValueError("drain serves each (item, client) stream at most once per call")
         served = np.zeros(items.size)
-        # A client served twice in one call drains in a later wave, so each
-        # queue sees its streams one after another.
-        repeated = np.bincount(streams).max(initial=0) > 1
-        wave = _occurrence_rank(streams) if repeated else np.zeros(items.size, dtype=int)
-        departures = [
-            self._drain_streams(live, streams, budgets, served, depart_s, arrival_cutoff_s)
-            for w in range(wave.max(initial=-1) + 1)
-            if (live := np.flatnonzero((wave == w) & (budgets > 0))).size
-        ]
-        np.add.at(self._served, (slice(None), items), served)
-        np.add.at(self._served_per_client, (slice(None), items, clients), served)
-        if departures:
-            stream_of, delays_s, categories = _concatenated(departures)
-            if repeated:
-                order = np.argsort(stream_of, kind="stable")
-                stream_of, delays_s, categories = (
-                    stream_of[order], delays_s[order], categories[order]
-                )
+        live = np.flatnonzero(budgets > 0)
+        if live.size:
+            stream_of, delays_s, categories = self._drain_streams(
+                live, streams, budgets, served, depart_s, arrival_cutoff_s
+            )
             chunk = (items[stream_of], delays_s, categories)
             self._departures.append(chunk)
             self._round_departures.append(chunk)
+        np.add.at(self._served, (slice(None), items), served)
+        self._served_per_client[:, items, clients] += served  # distinct streams
         return served
 
     def _drain_streams(self, live, streams, budgets, served, depart_s, cutoff_s):
-        """Drain the ``live`` streams (distinct queues each) and fill their
-        ``served`` entries; returns ``(stream, delay_s, category)`` of every
-        departure, in stream and drain order."""
+        """Drain the ``live`` streams and fill their ``served`` entries;
+        returns ``(stream, delay_s, category)`` of every departure, in
+        stream and drain order."""
         n_live = live.size
         queues = (streams[live, None] * _N_CLASSES + np.arange(_N_CLASSES)).ravel()
         budget = budgets[live]

@@ -8,7 +8,8 @@ is the per-client ``Packet`` generation of the built-in arrival models.
 Tests drive the stacked state and one :class:`ItemTraffic` per item with the
 same arrivals and budgets and compare exactly; :func:`stacked` and
 :func:`serve_one` read single-queue checks on the stacked state the way
-they read on :class:`ClientQueues`.
+they read on :class:`ClientQueues`, and :func:`primary_class` reads the
+class that wins internal contention through ``eligibility``.
 """
 
 from __future__ import annotations
@@ -309,6 +310,25 @@ def members(n_clients: int, *clients) -> np.ndarray:
     mask = np.zeros((1, n_clients), dtype=bool)
     mask[0, list(clients)] = True
     return mask
+
+
+def primary_class(state, members_mask=None, arrival_cutoff_s=None) -> np.ndarray:
+    """Per item, the highest-priority EDCA class with backlog among the
+    ``(batch, n_clients)`` members (all clients by default), ``-1`` where
+    none has any -- read off ``backlog_mask``, after checking that
+    ``eligibility``'s primary mask is exactly that class's backlog."""
+    if members_mask is None:
+        members_mask = np.ones((state.n_items, state.n_clients), dtype=bool)
+    has = state.backlog_mask(arrival_cutoff_s) & np.asarray(members_mask, dtype=bool)[:, :, None]
+    present = has.any(axis=1)
+    primary = np.array([
+        next((int(ac) for ac in AccessCategory if row[ac]), -1) for row in present
+    ])
+    primary_mask, __ = state.eligibility(members_mask, arrival_cutoff_s)
+    for b, ac in enumerate(primary.tolist()):
+        want = has[b, :, ac] if ac >= 0 else np.zeros(state.n_clients, dtype=bool)
+        assert np.array_equal(primary_mask[b], want)
+    return primary
 
 
 def serve_one(state, client, budget_bytes, t_depart_s, arrival_cutoff_s=None, item=0):

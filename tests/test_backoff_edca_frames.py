@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers.queue_oracle import serve_one, stacked
+from helpers.queue_oracle import primary_class, serve_one, stacked
 from repro.config import MacConfig
 from repro.mac.backoff import BackoffState
 from repro.mac.edca import AccessCategory
@@ -47,10 +47,10 @@ class TestEdca:
         state = stacked(
             2, (0, 100.0, 0.0, AccessCategory.BACKGROUND), (1, 100.0, 0.0, AccessCategory.VIDEO)
         )
-        assert state.primary_class()[0] == AccessCategory.VIDEO
+        assert primary_class(state)[0] == AccessCategory.VIDEO
 
     def test_primary_class_empty(self):
-        assert stacked(2).primary_class().tolist() == [-1]
+        assert primary_class(stacked(2)).tolist() == [-1]
 
     def test_backlog_counts(self):
         state = stacked(

@@ -17,7 +17,7 @@ from repro.mac.edca import AccessCategory
 from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
-from helpers.queue_oracle import members, serve_one
+from helpers.queue_oracle import members, primary_class, serve_one
 from repro.traffic import TrafficModel, TrafficState
 
 ENV = office_b()
@@ -66,8 +66,8 @@ class TestPrimaryClassSelection:
 
     def test_primary_class_is_highest_backlogged(self):
         state = self._loaded()
-        assert state.primary_class(members(3, 0, 1, 2))[0] == AccessCategory.VOICE
-        assert state.primary_class(members(3, 0, 2))[0] == AccessCategory.VIDEO
+        assert primary_class(state, members(3, 0, 1, 2))[0] == AccessCategory.VOICE
+        assert primary_class(state, members(3, 0, 2))[0] == AccessCategory.VIDEO
 
     def test_backlogged_clients_filter_by_class(self):
         backlog = self._loaded().backlog_mask()[0]

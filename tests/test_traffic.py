@@ -8,7 +8,7 @@ from repro.api import TRAFFIC, RunSpec, UnknownNameError, resolve_params
 from repro.api.experiments import get_experiment_def
 from repro.mac.edca import AccessCategory
 from repro.phy.mcs import MCS_TABLE
-from helpers.queue_oracle import ScriptedTraffic, members, serve_one, stacked
+from helpers.queue_oracle import ScriptedTraffic, members, primary_class, serve_one, stacked
 from repro.traffic import (
     AmpduConfig,
     VHT_MAX_AMPDU_BYTES,
@@ -47,12 +47,12 @@ class TestStackedQueues:
             2, [None], round_duration_s=1.0, bandwidth_hz=20e6,
         )
         state.advance_arrivals_to(1.0)
-        assert state.primary_class()[0] == BE
+        assert primary_class(state)[0] == BE
         state.advance_arrivals_to(2.0)
-        assert state.primary_class()[0] == VI
+        assert primary_class(state)[0] == VI
         state.advance_arrivals_to(3.0)
-        assert state.primary_class()[0] == VO
-        assert state.primary_class(members(2, 1))[0] == VI
+        assert primary_class(state)[0] == VO
+        assert primary_class(state, members(2, 1))[0] == VI
 
     def test_serve_fifo_and_delay(self):
         state = stacked(1, (0, 1000.0, 1.0), (0, 1000.0, 2.0))
@@ -76,12 +76,12 @@ class TestStackedQueues:
         assert np.array_equal(
             state.backlog_mask(arrival_cutoff_s=2.0)[0].any(axis=1), [True, False]
         )
-        assert state.primary_class(arrival_cutoff_s=2.0)[0] == BE
+        assert primary_class(state, arrival_cutoff_s=2.0)[0] == BE
         # At t=6 both exist and VOICE wins the primary class.
         assert np.array_equal(
             state.backlog_mask(arrival_cutoff_s=6.0)[0].any(axis=1), [True, True]
         )
-        assert state.primary_class(arrival_cutoff_s=6.0)[0] == VO
+        assert primary_class(state, arrival_cutoff_s=6.0)[0] == VO
         # Cutoff-free queries see everything (the round engines' path).
         assert np.array_equal(state.backlog_mask()[0].any(axis=1), [True, True])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers.queue_oracle import ItemTraffic, ScriptedTraffic, packet_arrivals
+from helpers.queue_oracle import ItemTraffic, ScriptedTraffic, packet_arrivals, primary_class
 from repro.traffic import (
     CbrTraffic,
     OnOffTraffic,
@@ -39,8 +39,10 @@ def batches(draw):
         min_size=n_items, max_size=n_items,
     ))
     stream = st.tuples(st.integers(0, n_items - 1), st.integers(0, n_clients - 1), budgets)
+    # A call serves each (item, client) at most once.
+    call = st.lists(stream, max_size=6, unique_by=lambda s: s[:2])
     calls = draw(st.lists(
-        st.lists(st.lists(stream, max_size=6), max_size=2),
+        st.lists(call, max_size=2),
         min_size=n_rounds, max_size=n_rounds,
     ))
     members = draw(st.lists(
@@ -59,7 +61,7 @@ def _compare_queues(state, oracles, members, cutoff):
     totals = state._bytes.reshape(n_items, n_clients, 4)
     backlog = state.backlog_mask(cutoff)
     primary_mask, any_mask = state.eligibility(members, cutoff)
-    primary = state.primary_class(members, cutoff)
+    primary = primary_class(state, members, cutoff)
     for b, oracle in enumerate(oracles):
         assert np.array_equal(counts[b], oracle.queues._counts)
         assert np.array_equal(totals[b], oracle.queues._bytes)
@@ -191,60 +193,6 @@ def test_model_arrival_arrays_match_per_client_packets(model, n_clients, seed, n
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
-def test_batch_arrivals_equal_per_item_arrivals(rates, seed):
-    """``batch_arrivals`` concatenates each item's ``arrivals``."""
-    models = [PoissonTraffic(rate_mbps=r) for r in rates]
-    t0 = np.arange(len(rates)) * 0.25
-    lengths, *batched = PoissonTraffic.batch_arrivals(
-        models, [None] * len(models),
-        [np.random.default_rng([seed, b]) for b in range(len(models))], 3, t0, 3e-3,
-    )
-    singles = [
-        m.arrivals(None, np.random.default_rng([seed, b]), 3, t0[b], 3e-3)
-        for b, m in enumerate(models)
-    ]
-    assert lengths.tolist() == [len(s[0]) for s in singles]
-    for got, parts in zip(batched, zip(*singles)):
-        assert np.array_equal(got, np.concatenate(parts))
-
-
-def test_subclass_arrivals_override_is_honoured():
-    class Fixed(PoissonTraffic):
-        def arrivals(self, state, rng, n_clients, t0_s, dt_s):
-            return ScriptedTraffic([[(1, 700.0, 0.0, 2)]]).arrivals(
-                {"window": 0}, rng, n_clients, t0_s, dt_s
-            )
-
-    state = TrafficState(
-        [Fixed(rate_mbps=50.0)], 2, [np.random.default_rng(0)],
-        round_duration_s=DT, bandwidth_hz=BANDWIDTH_HZ,
-    )
-    state.begin_round()
-    [metrics] = state.end_round()
-    assert metrics.arrived_bytes == 700.0
-    assert state.backlog_mask()[0].any(axis=1).tolist() == [False, True]
-
-
-def test_subclass_may_build_on_poisson_arrivals():
-    class Doubled(PoissonTraffic):
-        def arrivals(self, state, rng, n_clients, t0_s, dt_s):
-            clients, sizes, times, categories = super().arrivals(
-                state, rng, n_clients, t0_s, dt_s
-            )
-            return clients, 2.0 * sizes, times, categories
-
-    kwargs = {"round_duration_s": 3e-3, "bandwidth_hz": BANDWIDTH_HZ}
-    doubled = TrafficState([Doubled(rate_mbps=40.0)], 2, [np.random.default_rng(4)], **kwargs)
-    plain = TrafficState([PoissonTraffic(rate_mbps=40.0)], 2, [np.random.default_rng(4)], **kwargs)
-    for state in (doubled, plain):
-        state.begin_round()
-    [got], [want] = doubled.end_round(), plain.end_round()
-    assert want.arrived_bytes > 0
-    assert got.arrived_bytes == 2.0 * want.arrived_bytes
-
-
 class _Arrays(TrafficModel):
     """One window of fixed arrival arrays, then nothing."""
 
@@ -309,6 +257,14 @@ class TestArrivalChecks:
         with pytest.raises(ValueError, match="_Arrays arrivals must be four equal-length"):
             _begin(_Arrays([0, 1], [10.0], [0.0], [2]))
 
+    @pytest.mark.parametrize("arrays", [
+        ([0], [10.0], [0.0]),
+        ([0], [10.0], [0.0], [2], [0]),
+    ])
+    def test_rejects_other_than_four_arrays(self, arrays):
+        with pytest.raises(ValueError, match="_Arrays arrivals must be four equal-length"):
+            _begin(_Arrays(*arrays))
+
     def test_names_the_offending_item_model(self):
         class Other(_Arrays):
             pass
@@ -325,10 +281,19 @@ def test_rings_grow_on_demand_and_keep_fifo_order():
     n = 300  # many doublings past the initial ring capacity
     rows = [(0, 1.0 + k, k * DT / n, 2) for k in range(n)]
     state = _begin(ScriptedTraffic([rows]), n_clients=1)
-    state.drain([0, 0], [0, 0], [3.0, 1e9], t_depart_s=1.0)
+    state.drain([0], [0], [3.0], t_depart_s=1.0)
+    state.drain([0], [0], [1e9], t_depart_s=1.0)
     [metrics] = state.end_round()
     assert np.array_equal(metrics.delays_s, [1.0 - k * DT / n for k in range(n)])
     assert metrics.served_bytes == sum(1.0 + k for k in range(n))
+
+
+def test_drain_rejects_a_stream_served_twice_in_one_call():
+    state = _begin(ScriptedTraffic([[(0, 10.0, 0.0, 2), (1, 10.0, 0.0, 2)]]))
+    with pytest.raises(ValueError, match="at most once per call"):
+        state.drain([0, 0, 0], [0, 1, 0], [5.0, 5.0, 5.0])
+    # The rejected call drained nothing.
+    assert state.summary()[0].queue_bytes == 20.0
 
 
 def test_perfbench_wraps_these_methods():
