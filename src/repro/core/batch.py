@@ -47,9 +47,42 @@ def _as_channel_stack(h):
 
 
 # ----------------------------------------------------------------------
+# Padding masks
+# ----------------------------------------------------------------------
+def _mask_or_none(xp, mask):
+    return None if mask is None else xp.asarray(mask, dtype=xp.bool_dtype)
+
+
+def _masked(xp, x, mask, fill=0.0):
+    """``x`` where ``mask`` holds, ``fill`` elsewhere; no mask is all-true."""
+    return x if mask is None else xp.where(mask, x, fill)
+
+
+def _real_count(xp, mask, batch_shape: tuple, size: int):
+    """Real entries per item, ``batch_shape``: ``size`` everywhere when
+    there is no mask."""
+    if mask is None:
+        return xp.full(batch_shape, size, dtype=xp.int_dtype)
+    return xp.sum(xp.asarray(mask, dtype=xp.int_dtype), axis=-1)
+
+
+def _entry_mask(row_mask, column_mask):
+    """``(..., n_rows, n_columns)`` mask of a matrix stack's real entries."""
+    if row_mask is None and column_mask is None:
+        return None
+    if row_mask is None:
+        return column_mask[..., None, :]
+    if column_mask is None:
+        return row_mask[..., :, None]
+    return row_mask[..., :, None] & column_mask[..., None, :]
+
+
+# ----------------------------------------------------------------------
 # ZFBF and the naive repair
 # ----------------------------------------------------------------------
-def zfbf_directions(h, rcond: float = 1e-12):
+def zfbf_directions(
+    h, rcond: float = 1e-12, *, client_mask=None, antenna_mask=None
+):
     """Stacked unit-norm ZFBF columns: the pseudo-inverse of each ``H``
     (``V = H†``, so every stream is nulled at every other client, paper
     eq. 2b) with each column (stream) normalized to unit transmit power.
@@ -58,6 +91,13 @@ def zfbf_directions(h, rcond: float = 1e-12):
     most as many single-antenna clients as AP antennas).  Raises
     :class:`numpy.linalg.LinAlgError` if *any* item is numerically rank
     deficient: the first offending topology aborts the sweep.
+
+    ``client_mask`` ``(..., n_clients)`` and ``antenna_mask``
+    ``(..., n_antennas)`` mark each item's real rows and columns in a
+    zero-padded stack (no mask means all real).  Item ``b`` with ``K_b``
+    real clients is solved on its padded matrix: its rank is judged on its
+    own ``K_b``-th singular value, modes past ``K_b`` get no inverse, and
+    its padded antenna rows and stream columns come back exactly zero.
     """
     h = _as_channel_stack(h)
     xp = array_namespace(h)
@@ -68,38 +108,81 @@ def zfbf_directions(h, rcond: float = 1e-12):
         )
     if n_clients == 0:
         raise ValueError("need at least one client")
+    client_mask = _mask_or_none(xp, client_mask)
+    antenna_mask = _mask_or_none(xp, antenna_mask)
+    entries = _entry_mask(client_mask, antenna_mask)
+    h = _masked(xp, h, entries)
     # One SVD serves the rank check and the pseudo-inverse, which is
     # numpy.linalg.pinv's own formula: conjugate, SVD, then V S^-1 U^T.
     u, singular_values, vh = xp.linalg.svd(xp.conj(h), full_matrices=False)
-    if xp.any(singular_values[..., -1] <= rcond * singular_values[..., 0]):
+    n_streams = _real_count(xp, client_mask, tuple(h.shape[:-2]), n_clients)
+    last = xp.take_along_axis(
+        singular_values, xp.maximum(n_streams - 1, 0)[..., None], axis=-1
+    )[..., 0]
+    if xp.any((n_streams > 0) & (last <= rcond * singular_values[..., 0])):
         raise np.linalg.LinAlgError(
             "a channel matrix in the batch is (numerically) rank deficient; "
             "zero-forcing cannot separate these clients"
         )
-    v = xp.swapaxes(vh, -1, -2) @ (
-        (1.0 / singular_values)[..., None] * xp.swapaxes(u, -1, -2)
-    )
-    norms = xp.linalg.norm(v, axis=-2)
+    modes = None
+    if client_mask is not None:
+        modes = xp.arange(n_clients) < n_streams[..., None]
+    inverse = _masked(xp, 1.0 / _masked(xp, singular_values, modes, 1.0), modes)
+    v = xp.swapaxes(vh, -1, -2) @ (inverse[..., None] * xp.swapaxes(u, -1, -2))
+    v = _masked(xp, v, _entry_mask(antenna_mask, client_mask))
+    norms = _masked(xp, xp.linalg.norm(v, axis=-2), client_mask, 1.0)
     return v / norms[..., None, :]
 
 
-def zfbf_equal_power(h, total_power_mw: float, rcond: float = 1e-12):
+def zfbf_equal_power(
+    h,
+    total_power_mw,
+    rcond: float = 1e-12,
+    *,
+    client_mask=None,
+    antenna_mask=None,
+):
     """Stacked conventional ZFBF under a *total* power budget (paper eq.
     2a): pseudo-inverse directions with the budget split equally across
     streams.  This is the paper's Step 1 + Step 2, the starting point the
-    power-balancing iteration repairs for per-antenna feasibility."""
-    if total_power_mw <= 0:
+    power-balancing iteration repairs for per-antenna feasibility.
+
+    ``total_power_mw`` is one budget for every item or one per item; each
+    item splits it over its own real streams (masks as in
+    :func:`zfbf_directions`)."""
+    h = _as_channel_stack(h)
+    xp = array_namespace(h)
+    total = xp.asarray(total_power_mw, dtype=xp.float_dtype)
+    if xp.any(total <= 0):
         raise ValueError("total_power_mw must be positive")
-    directions = zfbf_directions(h, rcond=rcond)
-    n_streams = directions.shape[-1]
-    per_stream = total_power_mw / n_streams
-    return directions * math.sqrt(per_stream)
+    directions = zfbf_directions(
+        h, rcond=rcond, client_mask=client_mask, antenna_mask=antenna_mask
+    )
+    batch_shape = tuple(h.shape[:-2])
+    n_streams = _real_count(
+        xp, _mask_or_none(xp, client_mask), batch_shape, directions.shape[-1]
+    )
+    per_stream = total / xp.maximum(n_streams, 1)
+    return directions * xp.sqrt(per_stream)[..., None, None]
+
+
+def _antenna_budget(xp, h, per_antenna_power_mw, total_power_mw, antenna_mask):
+    """Each item's total budget: ``total_power_mw`` if given, else its real
+    antennas times ``P`` (at least one antenna's worth, so a fully padded
+    item stays finite)."""
+    if total_power_mw is not None:
+        return total_power_mw
+    n_real = _real_count(xp, antenna_mask, tuple(h.shape[:-2]), h.shape[-1])
+    return xp.asarray(xp.maximum(n_real, 1), dtype=xp.float_dtype) * per_antenna_power_mw
 
 
 def naive_scaled_precoder(
     h,
     per_antenna_power_mw: float,
     total_power_mw: float | None = None,
+    *,
+    client_mask=None,
+    antenna_mask=None,
 ):
     """The naive per-antenna power repair the paper argues against (§3.1.1).
 
@@ -110,17 +193,22 @@ def naive_scaled_precoder(
     DAS, whose topology imbalance makes rows wildly unequal (paper Fig 3).
     It is the paper's precoding baseline ("a simple extension to
     conventional ZFBF", §5.1).  ``total_power_mw`` is the budget of the
-    initial equal split; it defaults to ``n_antennas * P``.
+    initial equal split; it defaults to each item's real antennas times
+    ``P`` (masks as in :func:`zfbf_directions`).
     """
     if per_antenna_power_mw <= 0:
         raise ValueError("per_antenna_power_mw must be positive")
     h = _as_channel_stack(h)
     xp = array_namespace(h)
-    n_antennas = h.shape[-1]
-    if total_power_mw is None:
-        total_power_mw = n_antennas * per_antenna_power_mw
-    v = zfbf_equal_power(h, total_power_mw)
-    worst_row = xp.max(per_antenna_row_power(v), axis=-1)
+    antenna_mask = _mask_or_none(xp, antenna_mask)
+    total_power_mw = _antenna_budget(
+        xp, h, per_antenna_power_mw, total_power_mw, antenna_mask
+    )
+    v = zfbf_equal_power(
+        h, total_power_mw, client_mask=client_mask, antenna_mask=antenna_mask
+    )
+    row_powers = _masked(xp, per_antenna_row_power(v), antenna_mask, -xp.inf)
+    worst_row = xp.max(row_powers, axis=-1)
     # Items already feasible multiply by exactly 1.0 (a bit-exact no-op).
     scale = xp.where(
         worst_row > per_antenna_power_mw,
@@ -292,6 +380,8 @@ def power_balanced_precoder(
     total_power_mw: float | None = None,
     min_weight: float = 0.1,
     rtol: float = 1e-9,
+    client_mask=None,
+    antenna_mask=None,
 ) -> BatchPrecodingResult:
     """MIDAS power-balanced precoding (paper §3.1.2, Steps 1-4).
 
@@ -312,6 +402,12 @@ def power_balanced_precoder(
     round, items whose worst row is already feasible stop updating (their
     precoders are multiplied by exact 1.0 weights), so every item traces
     the round sequence -- and bit pattern -- it would trace alone.
+
+    ``client_mask`` / ``antenna_mask`` mark each item's real clients and
+    antennas in a zero-padded stack (see :func:`zfbf_directions`).  An item
+    is then budgeted, repaired and round-capped on its real antennas only;
+    its padded streams carry zero row power, which reverse water-filling
+    leaves untouched (weight 1).
     """
     if per_antenna_power_mw <= 0:
         raise ValueError("per_antenna_power_mw must be positive")
@@ -320,10 +416,16 @@ def power_balanced_precoder(
     h = _as_channel_stack(h)
     xp = array_namespace(h)
     n_clients, n_antennas = h.shape[-2:]
-    if total_power_mw is None:
-        total_power_mw = n_antennas * per_antenna_power_mw
+    client_mask = _mask_or_none(xp, client_mask)
+    antenna_mask = _mask_or_none(xp, antenna_mask)
+    h = _masked(xp, h, _entry_mask(client_mask, antenna_mask))
+    total_power_mw = _antenna_budget(
+        xp, h, per_antenna_power_mw, total_power_mw, antenna_mask
+    )
 
-    v = zfbf_equal_power(h, total_power_mw)
+    v = zfbf_equal_power(
+        h, total_power_mw, client_mask=client_mask, antenna_mask=antenna_mask
+    )
     batch_shape = tuple(h.shape[:-2])
     cumulative = xp.ones(batch_shape + (n_clients,), dtype=xp.float_dtype)
     budget = per_antenna_power_mw * (1.0 + rtol)
@@ -331,13 +433,15 @@ def power_balanced_precoder(
     rounds = xp.zeros(batch_shape, dtype=xp.int_dtype)
     active = xp.ones(batch_shape, dtype=xp.bool_dtype)
     # The paper's bound is n_antennas rounds; allow a few extra for the rare
-    # case the min-weight cap binds and a row needs a second visit.
+    # case the min-weight cap binds and a row needs a second visit.  Each
+    # item is capped on its own real antennas.
     max_rounds = 3 * n_antennas + 5
+    round_cap = 3 * _real_count(xp, antenna_mask, batch_shape, n_antennas) + 5
     for _ in range(max_rounds):
         row_powers = per_antenna_row_power(v)
-        worst = xp.argmax(row_powers, axis=-1)
+        worst = xp.argmax(_masked(xp, row_powers, antenna_mask, -xp.inf), axis=-1)
         worst_power = xp.take_along_axis(row_powers, worst[..., None], axis=-1)[..., 0]
-        active = active & (worst_power > budget)
+        active = active & (worst_power > budget) & (rounds < round_cap)
         if not xp.any(active):
             break
         rounds = rounds + xp.where(active, 1, 0)

@@ -97,7 +97,7 @@ def pick_in_visit_order(
     visits,
     primary_mask: np.ndarray,
     any_mask: np.ndarray,
-) -> tuple[np.ndarray, list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pick at most one client per visit, per item (paper §3.2.1 Step 3).
 
     ``visits`` is a sequence of ``(batch, n_clients)`` candidate masks: the
@@ -110,18 +110,19 @@ def pick_in_visit_order(
     primary pick lands.  A visit with no eligible candidate anchors no
     client (its antenna still radiates the precoded streams).
 
-    Returns the ``(batch, n_clients)`` chosen mask and each item's pick
-    order, which fixes the stream order of the precoded burst.
+    Returns the ``(batch, n_clients)`` chosen mask and the ``(batch,
+    n_visits)`` picks: column ``v`` is the client visit ``v`` chose, or
+    ``-1`` where it chose none.  Read along a row, skipping the ``-1``
+    entries, the picks are the item's pick order, which fixes the stream
+    order of the precoded burst.
     """
     chosen_mask = np.zeros(primary_mask.shape, dtype=bool)
-    chosen_lists: list[list[int]] = [[] for _ in range(primary_mask.shape[0])]
-    for visit in visits:
+    picks = np.full((primary_mask.shape[0], len(visits)), -1, dtype=int)
+    for index, visit in enumerate(visits):
         candidates = visit & ~chosen_mask
         first = drr.pick(candidates & primary_mask)
         fallback = drr.pick(candidates & any_mask)
-        picks = np.where(first >= 0, first, fallback)
-        taken = np.flatnonzero(picks >= 0)
-        chosen_mask[taken, picks[taken]] = True
-        for b in taken:
-            chosen_lists[b].append(int(picks[b]))
-    return chosen_mask, chosen_lists
+        picks[:, index] = np.where(first >= 0, first, fallback)
+        taken = np.flatnonzero(picks[:, index] >= 0)
+        chosen_mask[taken, picks[taken, index]] = True
+    return chosen_mask, picks

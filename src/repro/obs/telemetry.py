@@ -427,9 +427,12 @@ def register_probe(site: str = "round", name: str | None = None):
     records gauges::
 
         @register_probe("round")
-        def queue_depth(obs, evaluator=None, **ctx):
-            if getattr(evaluator, "_traffic", None) is not None:
-                obs.gauge("queue_bytes", evaluator._traffic.queued_bytes())
+        def queue_depth(obs, results=(), **ctx):
+            obs.gauge("queue_bytes", sum(
+                r.traffic.queue_bytes
+                for r in results
+                if r is not None and r.traffic is not None
+            ))
 
     Samplers must not mutate engine state or draw randomness -- the
     bit-identity contract extends to them.

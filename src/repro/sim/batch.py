@@ -17,9 +17,11 @@ one):
 * **client selection** -- :func:`~repro.core.selection.pick_in_visit_order`
   walks each AP's stacked tag columns (or membership mask) with per-item
   :class:`~repro.core.selection.BatchDeficitRoundRobin` counters;
-* **precoding and scoring** -- per-round transmit sets are grouped by
-  sub-channel shape and solved through :mod:`repro.core.batch`'s stacked
-  precoders; SINRs include the cross-AP interference of every concurrent
+* **precoding and scoring** -- each round's plan is a set of padded
+  ``(batch, slot, stream)`` arrays; every committed transmit set is solved
+  in one masked call of :mod:`repro.core.batch`'s stacked precoders, and
+  one batched matmul over ``(batch, slot, other slot)`` scores every
+  stream's SINR against the cross-AP interference of every concurrent
   set.
 
 CAS mode serializes APs within overhearing range (one AP transmits
@@ -261,6 +263,52 @@ class RoundBasedResult:
         self._require_rounds()
         return float(sum(r.sounding_us for r in self.rounds))
 
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """One round's §5.3.1 channel-access plan for the whole batch.
+
+    Slot ``p`` is the ``p``-th AP to plan (``aps[p]``); every array is
+    padded to ``A`` streams and antennas per slot, the deployment's
+    antennas per AP, so its shape never depends on the batch.
+    """
+
+    #: ``(n_slots,)`` AP of each slot, in plan order.
+    aps: np.ndarray
+    #: ``(batch, n_slots)`` slots that committed a transmission.
+    slot_on: np.ndarray
+    #: ``(batch, n_slots, A)`` global ids of the transmitting antennas at
+    #: their own-antenna positions, ``-1`` where the antenna stays silent.
+    slot_antennas: np.ndarray
+    #: ``(batch, n_slots, A)`` picked client of each visit, in pick order,
+    #: ``-1`` where the visit picked none; stream ``k`` serves client ``k``.
+    slot_clients: np.ndarray
+    #: ``(batch, n_antennas)`` every transmitting antenna.
+    active_mask: np.ndarray
+    #: ``(batch, n_slots, n_clients)`` clients served by each slot.
+    served: np.ndarray
+    #: Per AP, the ``(batch, n_clients)`` membership read for this round.
+    members: tuple
+
+    @property
+    def streams_per_slot(self) -> np.ndarray:
+        """``(batch, n_slots)`` stream count of each slot."""
+        return np.count_nonzero(self.slot_clients >= 0, axis=-1)
+
+    @property
+    def antennas_per_slot(self) -> np.ndarray:
+        """``(batch, n_slots)`` transmitting antennas of each slot."""
+        return np.count_nonzero(self.slot_antennas >= 0, axis=-1)
+
+
+def _shape_table(fn, width: int) -> np.ndarray:
+    """``fn(n_streams, n_antennas)`` for every slot shape up to ``width``,
+    as a ``(width + 1, width + 1)`` lookup; 0 for an empty slot."""
+    table = np.zeros((width + 1, width + 1))
+    for k in range(1, width + 1):
+        for n in range(1, width + 1):
+            table[k, n] = fn(k, n)
+    return table
 
 
 class CarrierSenseBatch:
@@ -534,6 +582,17 @@ class RoundBasedEvaluatorBatch:
         self._n_clients = structure.n_clients
         self._antennas_of = [structure.antennas_of(ap) for ap in range(self.n_aps)]
         self._clients_of = [structure.clients_of(ap) for ap in range(self.n_aps)]
+        #: Streams and antennas per padded slot: the deployment's antennas
+        #: per AP (never a property of the batch).
+        self._slot_width = max(len(own) for own in self._antennas_of)
+        self._sounding_us = _shape_table(sounding_overhead_us, self._slot_width)
+        self._data_fraction = {
+            with_sounding: _shape_table(
+                lambda k, n, flag=with_sounding: data_fraction(first.mac, k, n, flag),
+                self._slot_width,
+            )
+            for with_sounding in (False, True)
+        }
 
         if resound_period_rounds < 1:
             raise ValueError("resound_period_rounds must be >= 1")
@@ -655,34 +714,37 @@ class RoundBasedEvaluatorBatch:
         return ~busy & ~nav
 
     # ------------------------------------------------------------------
-    def _eligibility(self, ap: int) -> tuple[np.ndarray, np.ndarray]:
+    def _eligibility(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (primary-class, any-class) backlog masks over *all*
-        clients restricted to AP ``ap``'s current members, each
+        clients restricted to an AP's current members ``member``, each
         ``(batch, n_clients)``.  The membership mask twice under full
         buffer."""
-        member_mask = self.association.members_mask(ap)
         if self._traffic is None:
-            return member_mask, member_mask
-        return self._traffic.eligibility(member_mask)
+            return member, member
+        return self._traffic.eligibility(member)
 
     def _select_clients(
         self,
         ap: int,
         use_mask: np.ndarray,
+        member: np.ndarray,
         allowed: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[list[int]]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Masked client selection for AP ``ap`` this round.
 
         ``use_mask`` flags, per item, which of the AP's antennas transmit
         (own-antenna order; all or none in CAS, and none for items that do
-        not participate); ``allowed``
-        (optional, ``(batch, n_clients)``) is the coordination veto over
-        clients already covered by a committed neighboring transmission.
-        Returns :func:`~repro.core.selection.pick_in_visit_order`'s
-        chosen-client mask (global client axis) and per-item pick order.
+        not participate); ``member`` is the AP's ``(batch, n_clients)``
+        membership; ``allowed`` (optional, ``(batch, n_clients)``) is the
+        coordination veto over clients already covered by a committed
+        neighboring transmission.  Returns
+        :func:`~repro.core.selection.pick_in_visit_order`'s chosen-client
+        mask (global client axis) and ``(batch, n_own)`` picks: MIDAS
+        visits each own antenna in order, CAS visits the membership once
+        per antenna.
         """
         n_own = use_mask.shape[1]
-        primary_mask, any_mask = self._eligibility(ap)
+        primary_mask, any_mask = self._eligibility(member)
         if allowed is not None:
             primary_mask = primary_mask & allowed
             any_mask = any_mask & allowed
@@ -690,29 +752,31 @@ class RoundBasedEvaluatorBatch:
             # At most min(n_antennas, n_members) picks land; n_own visits
             # suffice -- once an item's eligible members are exhausted every
             # further visit is a no-op for it.
-            member = self.association.members_mask(ap) & use_mask.any(axis=1)[:, None]
-            visits = [member] * n_own
+            visits = [member & use_mask.any(axis=1)[:, None]] * n_own
         else:
             tags = self.association.tag_stack(ap) & use_mask[:, None, :]
             visits = [tags[:, :, local] for local in range(n_own)]
         return pick_in_visit_order(self._drr[ap], visits, primary_mask, any_mask)
 
-    def _plan_round(
-        self, primary_ap: int, item_active: np.ndarray
-    ) -> tuple[list[list[tuple[int, np.ndarray, list[int]]]], np.ndarray, dict]:
-        """Greedy §5.3.1 channel-access planning over the whole batch."""
-        order = [(primary_ap + i) % self.n_aps for i in range(self.n_aps)]
+    def _plan_round(self, primary_ap: int, item_active: np.ndarray) -> RoundPlan:
+        """Greedy §5.3.1 channel-access planning over the whole batch.
+
+        Reads each AP's membership once; selection, coordination and the
+        DRR settlement of this round all use that read."""
+        aps = (primary_ap + np.arange(self.n_aps)) % self.n_aps
+        n_slots, width = self.n_aps, self._slot_width
+        members = tuple(self.association.members_mask(ap) for ap in range(self.n_aps))
         active_mask = np.zeros(
             (self.n_items, self.carrier_sense.n_antennas), dtype=bool
         )
-        planned: list[list[tuple[int, np.ndarray, list[int]]]] = [
-            [] for _ in range(self.n_items)
-        ]
-        served_masks: dict[int, np.ndarray] = {}
+        slot_on = np.zeros((self.n_items, n_slots), dtype=bool)
+        slot_antennas = np.full((self.n_items, n_slots, width), -1, dtype=int)
+        slot_clients = np.full((self.n_items, n_slots, width), -1, dtype=int)
+        served = np.zeros((self.n_items, n_slots, self._n_clients), dtype=bool)
         coordinated = (
             self.association.coordination is CoordinationMode.COORDINATED_SCHEDULING
         )
-        for position, ap in enumerate(order):
+        for position, ap in enumerate(aps.tolist()):
             own = self._antennas_of[ap]
             n_own = len(own)
             # Coordinated scheduling: APs planning after others skip clients
@@ -734,51 +798,70 @@ class RoundBasedEvaluatorBatch:
                 )
                 use = np.repeat(participate[:, None], n_own, axis=1)
             else:
-                use = (
-                    np.ones((self.n_items, n_own), dtype=bool)
-                    if position == 0
-                    else free
-                )
+                use = free
                 participate = item_active & use.any(axis=1)
                 use = use & participate[:, None]
-            chosen_mask, chosen_lists = self._select_clients(ap, use, allowed)
+            chosen_mask, picks = self._select_clients(ap, use, members[ap], allowed)
+            # Items that do not participate are offered no candidates, so
+            # their picks are all -1 already.
             committed = participate & chosen_mask.any(axis=1)
-            served_masks[ap] = chosen_mask & committed[:, None]
-            active_mask[:, own] |= use & committed[:, None]
-            for b in np.flatnonzero(committed):
-                planned[b].append((ap, own[use[b]], chosen_lists[b]))
-        for b in range(self.n_items):
-            self.association.note_served(
-                b, [c for __, __, chosen in planned[b] for c in chosen]
-            )
-        return planned, active_mask, served_masks
+            transmit = use & committed[:, None]
+            served[:, position] = chosen_mask
+            active_mask[:, own] |= transmit
+            slot_on[:, position] = committed
+            slot_antennas[:, position, :n_own] = np.where(transmit, own, -1)
+            slot_clients[:, position, :n_own] = picks
+        for b in np.flatnonzero(slot_on.any(axis=1)):
+            self.association.note_served(b, slot_clients[b][slot_clients[b] >= 0])
+        return RoundPlan(
+            aps=aps,
+            slot_on=slot_on,
+            slot_antennas=slot_antennas,
+            slot_clients=slot_clients,
+            active_mask=active_mask,
+            served=served,
+            members=members,
+        )
 
-    def _settle_round(self, served_masks: dict, item_active: np.ndarray) -> None:
+    def _settle_round(self, plan: RoundPlan, item_active: np.ndarray) -> None:
         """Per-AP DRR settlement; every AP settles every round (blocked APs
         credit their waiting clients)."""
-        for ap in range(self.n_aps):
-            served = served_masks[ap]
+        for position, ap in enumerate(plan.aps.tolist()):
+            served = plan.served[:, position]
             has_served = served.any(axis=1)
-            member = self.association.members_mask(ap)
+            member = plan.members[ap]
             self._drr[ap].settle(served, member & ~served & has_served[:, None])
             self._drr[ap].credit(member & (item_active & ~has_served)[:, None])
 
     def _score_round(
-        self, planned: list, item_active: np.ndarray, sounding_round: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Precode every planned set and score with mutual interference.
+        self, plan: RoundPlan, sounding_round: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Precode every committed slot and score with mutual interference.
 
-        Heavy solves and matmuls run grouped by sub-channel shape through
-        the stacked precoders; per-item assembly accumulates in plan
-        order, so an item's floats never depend on its batch.
+        One masked precoder call solves every committed slot of the round,
+        stacked ``(n_committed, A, A)`` in item-then-slot order; one
+        batched matmul over ``(batch, slot, other slot, A, A)`` then gives
+        every stream's desired, intra-slot and cross-slot powers.  Padded
+        streams and antennas are exact zeros throughout, so each slot's
+        capacity is a masked sum and each item's a left fold over its slots
+        in plan order; an item's floats never depend on its batch.
 
-        Slot gathering and CSI-noise draws stay on the host (per-item
-        generator streams, the RNG-bridge contract); each grouped stack is
-        then transferred once to the active :mod:`repro.xp` namespace for
-        the precoder solves and interference matmuls, and the per-slot
-        SINR rows come back to NumPy for the traffic/assembly bookkeeping.
+        Gathers and CSI-noise draws stay on the host (per-item generator
+        streams, the RNG-bridge contract); the two stacks are transferred
+        once to the active :mod:`repro.xp` namespace, and the SINRs come
+        back to NumPy for the traffic bookkeeping.  Returns per-item
+        capacity, streams and per-AP streams, and the ``(batch, n_slots,
+        A)`` per-stream SINRs (0 on padding).
         """
         xp = xpmod.active()
+        n_slots, width = self.n_aps, self._slot_width
+        clients = plan.slot_clients
+        antennas = plan.slot_antennas
+        stream_on = clients >= 0
+        antenna_on = antennas >= 0
+        # Host gather indices (padding reads entry 0, then is zeroed).
+        rows = np.maximum(clients, 0)  # repro-lint: disable=RPL001
+        cols = np.maximum(antennas, 0)  # repro-lint: disable=RPL001
         with _obs().span("precode"):
             h = self.channel.channel_matrices()
             # Precoders see the stale CSI snapshot of a mobility run; scoring
@@ -787,156 +870,109 @@ class RoundBasedEvaluatorBatch:
                 self._h_csi = h  # never mutated; aliasing the snapshot is safe
             h_csi = h if self._h_csi is None else self._h_csi
             radio = self.scenarios[0].radio
-            noise_mw = radio.noise_mw
 
-            # Collect per-slot sub-channels; CSI noise draws consume each
-            # item's own generator in planned order.
-            slot_true: dict[tuple[int, int], np.ndarray] = {}
-            slot_clients: dict[tuple[int, int], np.ndarray] = {}
-            slot_estimates: dict[tuple[int, int], np.ndarray] = {}
-            for b in np.flatnonzero(item_active):
-                for s, (ap, antennas, chosen) in enumerate(planned[b]):
-                    clients_global = np.asarray(chosen, dtype=int)
-                    slot_true[(b, s)] = h[b][np.ix_(clients_global, antennas)]
-                    slot_clients[(b, s)] = clients_global
-                    slot_estimates[(b, s)] = apply_csi_error(
-                        h_csi[b][np.ix_(clients_global, antennas)],
+            # Committed slots in item-then-slot (plan) order.  CSI noise
+            # draws consume each item's own generator in that order, on the
+            # slot's unpadded (streams, antennas) block.
+            item, slot = np.nonzero(plan.slot_on)  # repro-lint: disable=RPL001
+            est_np = h_csi[
+                item[:, None, None], rows[item, slot][:, :, None], cols[item, slot][:, None, :]
+            ]
+            est_mask = stream_on[item, slot][:, :, None] & antenna_on[item, slot][:, None, :]
+            est_np = np.where(est_mask, est_np, 0.0)  # repro-lint: disable=RPL001
+            if self.sim.csi_error_std > 0:
+                for index, (b, p) in enumerate(zip(item.tolist(), slot.tolist())):
+                    k, a = stream_on[b, p], antenna_on[b, p]
+                    block = np.ix_(k, a)
+                    est_np[index][block] = apply_csi_error(
+                        h_csi[b][np.ix_(clients[b, p, k], antennas[b, p, a])],
                         self.sim.csi_error_std,
                         self._csi_rngs[b],
                     )
-
-            # Stacked precoding, grouped by (n_streams, n_antennas).
-            precoders: dict[tuple[int, int], np.ndarray] = {}
-            groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            for key, h_est in slot_estimates.items():
-                groups.setdefault(h_est.shape, []).append(key)
-            for keys in groups.values():
-                est_stack_np = np.stack([slot_estimates[k] for k in keys])
-                _obs().count("xp.to_device.calls")
-                _obs().count("xp.to_device.bytes", est_stack_np.nbytes)
-                stack = xp.asarray(est_stack_np, dtype=xp.complex_dtype)
+            v = xp.zeros((self.n_items, n_slots, width, width), dtype=xp.complex_dtype)
+            if item.size:
+                _obs().count("xp.to_device.calls", 3)
+                _obs().count(
+                    "xp.to_device.bytes",
+                    est_np.nbytes + 2 * stream_on[item, slot].nbytes,
+                )
+                stack = xp.asarray(est_np, dtype=xp.complex_dtype)
+                masks = {
+                    "client_mask": xp.asarray(stream_on[item, slot], dtype=xp.bool_dtype),
+                    "antenna_mask": xp.asarray(antenna_on[item, slot], dtype=xp.bool_dtype),
+                }
                 if self.mode is MacMode.CAS:
-                    v = batch_naive_precoder(stack, radio.per_antenna_power_mw)
+                    v[item, slot] = batch_naive_precoder(
+                        stack, radio.per_antenna_power_mw, **masks
+                    )
                 else:
                     balanced = batch_power_balanced_precoder(
-                        stack, radio.per_antenna_power_mw, radio.noise_mw
+                        stack, radio.per_antenna_power_mw, radio.noise_mw, **masks
                     )
-                    v = balanced.v
+                    v[item, slot] = balanced.v
                     _obs().count("precode.rounds", int(xp.sum(balanced.rounds)))
                     _obs().count("precode.unconverged", int(xp.sum(~balanced.converged)))
-                for index, key in enumerate(keys):
-                    precoders[key] = v[index]
 
         with _obs().span("score"):
-            # Desired/intra-cell terms, grouped by the same shapes.
-            desired: dict[tuple[int, int], np.ndarray] = {}
-            intra: dict[tuple[int, int], np.ndarray] = {}
-            for keys in groups.values():
-                true_stack_np = np.stack([slot_true[k] for k in keys])
-                _obs().count("xp.to_device.calls")
-                _obs().count("xp.to_device.bytes", true_stack_np.nbytes)
-                true_stack = xp.asarray(true_stack_np, dtype=xp.complex_dtype)
-                own = xp.abs(true_stack @ xp.stack([precoders[k] for k in keys])) ** 2
-                diag = xp.diagonal(own, axis1=-2, axis2=-1)
-                row_sums = xp.sum(own, axis=-1)
-                for index, key in enumerate(keys):
-                    desired[key] = diag[index]
-                    intra[key] = row_sums[index] - diag[index]
+            # true_np[b, s, o]: slot s's clients x slot o's antennas.
+            true_np = h[
+                np.arange(self.n_items)[:, None, None, None, None],
+                rows[:, :, None, :, None],
+                cols[:, None, :, None, :],
+            ]
+            true_mask = stream_on[:, :, None, :, None] & antenna_on[:, None, :, None, :]
+            true_np = np.where(true_mask, true_np, 0.0)  # repro-lint: disable=RPL001
+            _obs().count("xp.to_device.calls")
+            _obs().count("xp.to_device.bytes", true_np.nbytes)
+            true = xp.asarray(true_np, dtype=xp.complex_dtype)
+            # power[b, s, o, k, j]: slot o's stream j received by slot s's
+            # client k.
+            power = xp.abs(true @ v[:, None]) ** 2
+            diagonal = xp.arange(n_slots)
+            own = power[:, diagonal, diagonal]
+            desired = xp.diagonal(own, axis1=-2, axis2=-1)
+            intra = xp.sum(own, axis=-1) - desired
+            others = xp.asarray(~np.eye(n_slots, dtype=bool), dtype=xp.bool_dtype)
+            external = xp.sum(
+                xp.where(others[None, :, :, None], xp.sum(power, axis=-1), 0.0), axis=2
+            )
+            sinr = desired / (radio.noise_mw + intra + external)
+            slot_capacity = xpmod.to_numpy(xp.sum(xp.log2(1.0 + sinr), axis=-1))
+            sinr_np = xpmod.to_numpy(sinr)
 
-            # Cross-AP interference, grouped by (n_rx, n_tx_other, n_streams_other).
-            pair_groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-            for b in np.flatnonzero(item_active):
-                for s in range(len(planned[b])):
-                    for other in range(len(planned[b])):
-                        if other == s:
-                            continue
-                        k_rx = len(slot_clients[(b, s)])
-                        __, other_ants, other_chosen = planned[b][other]
-                        pair_groups.setdefault(
-                            (k_rx, len(other_ants), len(other_chosen)), []
-                        ).append((b, s, other))
-            cross_terms: dict[tuple[int, int, int], np.ndarray] = {}
-            for keys in pair_groups.values():
-                h_cross_np = np.stack(
-                    [
-                        h[b][np.ix_(slot_clients[(b, s)], planned[b][other][1])]
-                        for b, s, other in keys
-                    ]
-                )
-                _obs().count("xp.to_device.calls")
-                _obs().count("xp.to_device.bytes", h_cross_np.nbytes)
-                h_cross = xp.asarray(h_cross_np, dtype=xp.complex_dtype)
-                v_other = xp.stack([precoders[(b, other)] for b, s, other in keys])
-                summed = xp.sum(xp.abs(h_cross @ v_other) ** 2, axis=-1)
-                for index, key in enumerate(keys):
-                    cross_terms[key] = summed[index]
-
-            # Per-slot external interference, accumulated in plan order.
-            externals: dict[tuple[int, int], np.ndarray] = {}
-            for b in np.flatnonzero(item_active):
-                for s in range(len(planned[b])):
-                    external = xp.zeros(len(slot_clients[(b, s)]), dtype=xp.float_dtype)
-                    for other in range(len(planned[b])):
-                        if other != s:
-                            external = external + cross_terms[(b, s, other)]
-                    externals[(b, s)] = external
-
-            # SINR -> per-slot capacity, grouped by stream count (stacked
-            # elementwise ops plus the same trailing-axis log2 reduction).  The
-            # per-slot SINR rows are kept for the finite-load service step.
-            slot_capacity: dict[tuple[int, int], float] = {}
-            slot_sinrs: dict[tuple[int, int], np.ndarray] = {}
-            k_groups: dict[int, list[tuple[int, int]]] = {}
-            for key, external in externals.items():
-                k_groups.setdefault(len(external), []).append(key)
-            for keys in k_groups.values():
-                sinr = xp.stack([desired[k] for k in keys]) / (
-                    noise_mw
-                    + xp.stack([intra[k] for k in keys])
-                    + xp.stack([externals[k] for k in keys])
-                )
-                sums = xpmod.to_numpy(xp.sum(xp.log2(1.0 + sinr), axis=-1))
-                sinr_rows = xpmod.to_numpy(sinr)
-                for index, key in enumerate(keys):
-                    slot_capacity[key] = float(sums[index])
-                    slot_sinrs[key] = sinr_rows[index]
-
-            # Per-item assembly in plan order.  These
-            # are host-side result buffers (everything feeding them has
-            # already crossed to_numpy), hence the RPL001 suppressions.
+            # Per-item folds over slots in plan order.  These are host-side
+            # result buffers (everything feeding them has already crossed
+            # to_numpy), hence the RPL001 suppressions.
             capacity = np.zeros(self.n_items)  # repro-lint: disable=RPL001
-            n_streams = np.zeros(self.n_items, dtype=int)  # repro-lint: disable=RPL001
+            for position in range(n_slots):
+                capacity = capacity + slot_capacity[:, position]
+            streams = plan.streams_per_slot
             per_ap_streams = np.zeros((self.n_items, self.n_aps), dtype=int)  # repro-lint: disable=RPL001
-            for b in np.flatnonzero(item_active):
-                total = 0.0
-                for s, (ap, __, chosen) in enumerate(planned[b]):
-                    total += slot_capacity[(b, s)]
-                    n_streams[b] += len(chosen)
-                    per_ap_streams[b, ap] = len(chosen)
-                capacity[b] = total
-        return capacity, n_streams, per_ap_streams, slot_sinrs
+            per_ap_streams[:, plan.aps] = streams
+        return capacity, streams.sum(axis=1), per_ap_streams, sinr_np
 
     def _serve_round(
-        self, planned: list, slot_sinrs: dict, item_active: np.ndarray,
+        self, plan: RoundPlan, sinrs: np.ndarray, item_active: np.ndarray,
         with_sounding: bool,
     ) -> list:
         """Drain every active item's queues against its per-stream SINRs in
         one :meth:`~repro.traffic.TrafficState.serve_burst` call, streams in
-        item, slot and stream order (each item's queue trajectory is that of
+        item, slot and pick order (each item's queue trajectory is that of
         serving its own streams one after another)."""
         if self._traffic is None:
             return [None] * self.n_items
-        mac = self.scenarios[0].mac
-        items, clients, sinrs, payload_s = [], [], [], []
-        for b in np.flatnonzero(item_active).tolist():
-            for s, (ap, antennas, chosen) in enumerate(planned[b]):
-                fraction = data_fraction(mac, len(chosen), len(antennas), with_sounding)
-                items += [b] * len(chosen)
-                clients += chosen
-                sinrs.append(slot_sinrs[(b, s)])
-                payload_s += [self._traffic.round_duration_s * fraction] * len(chosen)
-        if items:
-            self._traffic.serve_burst(items, clients, np.concatenate(sinrs), payload_s)
+        item, slot, stream = np.nonzero(plan.slot_clients >= 0)
+        if item.size:
+            fraction = self._data_fraction[with_sounding][
+                plan.streams_per_slot, plan.antennas_per_slot
+            ]
+            payload_s = self._traffic.round_duration_s * fraction
+            self._traffic.serve_burst(
+                item,
+                plan.slot_clients[item, slot, stream],
+                sinrs[item, slot, stream],
+                payload_s[item, slot],
+            )
         return self._traffic.end_round(item_active)
 
     # ------------------------------------------------------------------
@@ -972,31 +1008,25 @@ class RoundBasedEvaluatorBatch:
             self._mobility is None or sounding_round
         )
         with _obs().span("schedule"):
-            planned, active_mask, served_masks = self._plan_round(
-                primary_ap, item_active
-            )
-        capacity, n_streams, per_ap_streams, slot_sinrs = self._score_round(
-            planned, item_active, sounding_round
+            plan = self._plan_round(primary_ap, item_active)
+        capacity, n_streams, per_ap_streams, sinrs = self._score_round(
+            plan, sounding_round
         )
         sounding_us = np.zeros(self.n_items)
         if self._mobility is not None and with_sounding:
             # Per-item accumulation in slot order.
-            for b in np.flatnonzero(item_active):
-                for ap, antennas, chosen in planned[b]:
-                    sounding_us[b] += sounding_overhead_us(
-                        len(chosen), len(antennas)
-                    )
+            charge = self._sounding_us[plan.streams_per_slot, plan.antennas_per_slot]
+            for position in range(self.n_aps):
+                sounding_us = sounding_us + charge[:, position]
         if self._traffic is not None:
             with _obs().span("traffic"):
                 traffic_metrics = self._serve_round(
-                    planned, slot_sinrs, item_active, with_sounding
+                    plan, sinrs, item_active, with_sounding
                 )
         else:
-            traffic_metrics = self._serve_round(
-                planned, slot_sinrs, item_active, with_sounding
-            )
+            traffic_metrics = self._serve_round(plan, sinrs, item_active, with_sounding)
         with _obs().span("schedule"):
-            self._settle_round(served_masks, item_active)
+            self._settle_round(plan, item_active)
         results: list[RoundResult | None] = []
         for b in range(self.n_items):
             if not item_active[b]:
@@ -1006,7 +1036,7 @@ class RoundBasedEvaluatorBatch:
                 RoundResult(
                     capacity_bps_hz=float(capacity[b]),
                     n_streams=int(n_streams[b]),
-                    active_antennas=int(active_mask[b].sum()),
+                    active_antennas=int(plan.active_mask[b].sum()),
                     per_ap_streams=per_ap_streams[b],
                     traffic=traffic_metrics[b],
                     sounding_us=float(sounding_us[b]),

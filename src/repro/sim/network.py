@@ -238,11 +238,13 @@ class NetworkSimulation:
         ordered = self.nav.order_by_expiry(available) if available else np.empty(0, dtype=int)
         return ordered, start_us
 
-    def _eligibility(self, ap: int, now_us: float) -> tuple[np.ndarray, np.ndarray]:
+    def _eligibility(
+        self, member: np.ndarray, now_us: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(primary-class, any-class) backlog masks over *all* clients,
-        restricted to ``ap``'s current members, each ``(1, n_clients)``;
-        the membership mask twice under full buffer (see the round
-        engine's twin).
+        restricted to the AP's current members ``member``, each ``(1,
+        n_clients)``; the membership mask twice under full buffer (see the
+        round engine's twin).
 
         Eligibility is cut off at ``now_us``: the arrival generator works
         in whole TXOP windows that can extend past the present, and a
@@ -250,10 +252,9 @@ class NetworkSimulation:
         win the medium nor be DRR-settled as served -- the service step
         applies the same cutoff at the TXOP start.
         """
-        member_mask = self.association.member_mask(ap)[None]
         if self._traffic is None:
-            return member_mask, member_mask
-        return self._traffic.eligibility(member_mask, arrival_cutoff_s=now_us * 1e-6)
+            return member, member
+        return self._traffic.eligibility(member, arrival_cutoff_s=now_us * 1e-6)
 
     def _coordination_allowed(self, ap: int) -> np.ndarray | None:
         """Coordinated-scheduling veto for ``ap``: clients able to overhear
@@ -335,7 +336,7 @@ class NetworkSimulation:
             self._traffic.advance_arrivals_to(now_us * 1e-6)
         with _obs().span("schedule"):
             member = self.association.member_mask(ap)[None]
-            primary_mask, any_mask = self._eligibility(ap, now_us)
+            primary_mask, any_mask = self._eligibility(member, now_us)
             allowed = self._coordination_allowed(ap)
             if allowed is not None:
                 primary_mask = primary_mask & allowed
@@ -358,11 +359,12 @@ class NetworkSimulation:
                 # antennas contribute array gain.
                 local = np.searchsorted(self.deployment.antennas_of(ap), antennas)
                 visits = self.association.tag_mask(ap).T[local, None, :]
-            chosen_mask, [chosen] = pick_in_visit_order(
+            chosen_mask, [picks] = pick_in_visit_order(
                 self._drr[ap], visits, primary_mask, any_mask
             )
 
-        if not chosen:
+        clients_global = picks[picks >= 0]
+        if clients_global.size == 0:
             # No eligible (MIDAS: tagged) backlog: skip this opportunity
             # and recontend.
             self._schedule_attempt(
@@ -370,7 +372,6 @@ class NetworkSimulation:
             )
             return
 
-        clients_global = np.asarray(chosen, dtype=int)
         self._advance_channel(start_us)
         with _obs().span("precode"):
             h_full = self.channel.channel_matrices()[0]

@@ -104,13 +104,13 @@ class TestPrimaryClassSelection:
         # Flat RSSI, width 2 of 2: every client tagged to both antennas.
         tags = TagTable.from_rssi(np.zeros((3, 2)), 2).tags
         visits = [tags[:, antenna][None] for antenna in range(2)]
-        __, [chosen] = pick_in_visit_order(
+        __, [picks] = pick_in_visit_order(
             BatchDeficitRoundRobin(1, 3), visits, primary[None], eligible[None]
         )
         # Only client 1 has VOICE backlog: antenna 0 anchors it; antenna 1
         # falls back to secondary fill-in across all classes (client 0
         # wins the deficit tie).
-        assert chosen == [1, 0]
+        assert picks.tolist() == [1, 0]
 
 
 class TestRoundEngineMultiClass:

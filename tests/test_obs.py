@@ -215,6 +215,39 @@ class TestProbes:
             unregister_probe(sampler)
         assert "collect" not in registered_probes("round")
 
+    def test_documented_queue_depth_sampler_runs_on_a_round_engine(self):
+        """The :func:`register_probe` docstring's example, verbatim, on a
+        one-item Poisson round engine: it records one gauge per round."""
+        from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
+        from repro.topology.deployment import AntennaMode
+        from repro.topology.scenarios import office_b, single_ap_scenario
+
+        @register_probe("round")
+        def queue_depth(obs, results=(), **ctx):
+            obs.gauge("queue_bytes", sum(
+                r.traffic.queue_bytes
+                for r in results
+                if r is not None and r.traffic is not None
+            ))
+
+        telemetry = Telemetry()
+        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=3)
+        try:
+            with obs.use(telemetry):
+                [result] = RoundBasedEvaluatorBatch(
+                    [scenario], MacMode.CAS, seeds=[3],
+                    traffic="poisson", traffic_kwargs={"rate_mbps": 40.0},
+                ).run(4)
+        finally:
+            unregister_probe(queue_depth)
+        samples = [
+            event[3]
+            for event in telemetry._events
+            if event[0] == "gauge" and event[1] == "queue_bytes"
+        ]
+        assert samples == [r.traffic.queue_bytes for r in result.rounds]
+        assert "queue_depth" not in registered_probes("round")
+
     def test_probe_sites_documented(self):
         assert PROBE_SITES == ("round", "txop", "shard")
 

@@ -25,6 +25,11 @@ def _drr(n_clients: int) -> BatchDeficitRoundRobin:
     return BatchDeficitRoundRobin(1, n_clients)
 
 
+def _order(picks: np.ndarray) -> list[int]:
+    """One item's pick order: its row of picks without the ``-1`` holes."""
+    return [int(c) for c in picks[picks >= 0]]
+
+
 class TestDrrPick:
     def test_largest_deficit_wins(self):
         drr = _drr(3)
@@ -114,8 +119,8 @@ class TestAntennaSpecificSelection:
         tags = TagTable.from_rssi(self.RSSI, tag_width=2)
         visits = [tags.tags[:, antenna][None] for antenna in antennas]
         backlog = _mask(4, backlogged)
-        __, [chosen] = pick_in_visit_order(drr or _drr(4), visits, backlog, backlog)
-        return chosen
+        __, [picks] = pick_in_visit_order(drr or _drr(4), visits, backlog, backlog)
+        return _order(picks)
 
     def test_one_client_per_antenna(self):
         chosen = self._select([0, 1, 2, 3], range(4))
@@ -147,15 +152,16 @@ class TestPrimaryThenFillIn:
         drr = _drr(3)
         drr.settle(_mask(3, [1]), _mask(3, [0, 2]))  # 0 and 2 out-deficit 1
         everyone = _mask(3, range(3))
-        __, [chosen] = pick_in_visit_order(drr, [everyone], _mask(3, [1]), everyone)
-        assert chosen == [1]
+        __, [picks] = pick_in_visit_order(drr, [everyone], _mask(3, [1]), everyone)
+        assert _order(picks) == [1]
 
     def test_fill_in_when_primary_is_taken(self):
         everyone = _mask(3, range(3))
-        __, [chosen] = pick_in_visit_order(
+        __, [picks] = pick_in_visit_order(
             _drr(3), [everyone] * 3, _mask(3, [2]), _mask(3, [0, 2])
         )
-        assert chosen == [2, 0]  # primary first, then fill-in; 1 has no backlog
+        # Primary first, then fill-in; 1 has no backlog, so visit 3 is a hole.
+        assert picks.tolist() == [2, 0, -1]
 
 
 @st.composite
@@ -181,7 +187,9 @@ def test_kernel_matches_per_item_oracle(schedule):
         visits = [rng.random((n_items, n_clients)) < 0.5 for _ in range(n_visits)]
         primary = rng.random((n_items, n_clients)) < 0.3
         eligible = rng.random((n_items, n_clients)) < 0.7
-        chosen_mask, chosen_lists = pick_in_visit_order(drr, visits, primary, eligible)
+        chosen_mask, picks = pick_in_visit_order(drr, visits, primary, eligible)
+        assert picks.shape == (n_items, n_visits)
+        chosen_lists = [_order(row) for row in picks]
         for b, oracle in enumerate(oracles):
             expected = select_in_visit_order(
                 oracle,

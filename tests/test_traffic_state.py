@@ -1,6 +1,6 @@
 """The stacked :class:`repro.traffic.TrafficState` against one per-item
 deque oracle (``helpers.queue_oracle``) per batch item, plus the arrival
-protocol's checks and the method surface perfbench wraps."""
+protocol's checks."""
 
 import numpy as np
 import pytest
@@ -294,11 +294,3 @@ def test_drain_rejects_a_stream_served_twice_in_one_call():
         state.drain([0, 0, 0], [0, 1, 0], [5.0, 5.0, 5.0])
     # The rejected call drained nothing.
     assert state.summary()[0].queue_bytes == 20.0
-
-
-def test_perfbench_wraps_these_methods():
-    """``perfbench/layers.py`` wraps ``TrafficState`` methods through
-    ``cls.__dict__[method]`` for its ``traffic`` layer; a rename that drops
-    one must fail here rather than crash the traced benchmark run."""
-    for method in ("begin_round", "serve_burst", "end_round", "backlog_mask"):
-        assert callable(TrafficState.__dict__.get(method)), method
