@@ -11,7 +11,10 @@ The ``*_series`` keys hold the ``float.hex`` series of the
 ``latency_vs_load``, ``mobility_capacity`` and ``roaming_handoff``
 experiments as repro 5.0.0 produced them, when every sweep point still ran
 as its own engine (``tests/test_vectorized_equivalence.py`` names the
-specs).
+specs).  ``roaming_handoff_coordinated_series``, ``fig14_series``,
+``ablation_tag_width_series`` and ``network_handoffs`` (the event engine's
+roaming handoff log, tag builds and result) were recorded from repro 7.0.0,
+the last release with one association state object per batch item.
 
 Layout: one top-level key per case family.  A round-engine run is a dict of
 per-round lists (``capacity``, ``n_streams``, ``active_antennas``,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers.goldens import assert_rounds_match, goldens
+from helpers.goldens import assert_network_matches, assert_rounds_match, goldens
 from repro.api import RunSpec, UnknownNameError
 from repro.assoc import (
     AssociationPolicy,
@@ -284,6 +284,28 @@ class TestHandoffTagRederivation:
         sim.run(0.1)
         assert sim.association.tag_builds == sim.association.sounding_count
         assert sim.association.sounding_count > 1
+
+    def test_network_handoffs_match_goldens(self, campus_das):
+        golden = goldens()["network_handoffs"]
+        sim = NetworkSimulation(
+            campus_das,
+            MacMode.MIDAS,
+            seed=4,
+            association="strongest_rssi",
+            mobility="gauss_markov",
+            mobility_kwargs={"speed_mps": 4.0},
+            resound_interval_s=0.02,
+        )
+        result = sim.run(0.1)
+        state = sim.association
+        events = [
+            [e.sounding_index, e.client, e.from_ap, e.to_ap]
+            for e in state.handoff_events
+        ]
+        assert events == golden["events"]
+        assert state.tag_builds == golden["tag_builds"]
+        assert state.outage_count == golden["outages"]
+        assert_network_matches(result, golden["result"])
 
 
 class TestSpecHashStability:

@@ -364,7 +364,10 @@ def test_build_batch_outcomes_ignore_order_and_neighbours(
 
 #: The sweep experiments put their points on the batch axis.  The series of
 #: these specs were recorded (``float.hex``) when each sweep point still ran
-#: as its own engine, and must not move by one ulp.
+#: as its own engine, and must not move by one ulp.  The coordinated roaming
+#: sweep, fig14 and the tag-width ablation were recorded from repro 7.0.0,
+#: while association still kept one state object per item and tags came
+#: from a per-item table.
 SWEEP_GOLDEN_SPECS = {
     "latency_vs_load_series": RunSpec(
         "latency_vs_load", n_topologies=2, seed=5,
@@ -377,6 +380,17 @@ SWEEP_GOLDEN_SPECS = {
     "roaming_handoff_series": RunSpec(
         "roaming_handoff", n_topologies=2, seed=5,
         params={"speeds_mps": [2.0, 6.0], "rounds_per_topology": 6, "clients_per_ap": 2},
+    ),
+    "roaming_handoff_coordinated_series": RunSpec(
+        "roaming_handoff", n_topologies=2, seed=5,
+        params={
+            "speeds_mps": [2.0, 6.0], "rounds_per_topology": 6, "clients_per_ap": 2,
+            "coordination": "coordinated_scheduling",
+        },
+    ),
+    "fig14_series": RunSpec("fig14", n_topologies=6, seed=5),
+    "ablation_tag_width_series": RunSpec(
+        "ablation_tag_width", n_topologies=4, seed=5, params={"widths": [1, 2]}
     ),
 }
 
