@@ -55,7 +55,7 @@ See ``examples/quickstart.py`` for a longer tour.
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 from .analysis import (
     EmpiricalCdf,
@@ -83,7 +83,6 @@ from .api import (
 from .assoc import (
     AssociationPolicy,
     CoordinationMode,
-    HandoffEvent,
     association_names,
     resolve_association,
     resolve_coordination,
@@ -93,11 +92,11 @@ from .channel import ChannelBatch, ChannelTrace, coverage_range_m, cs_range_m, r
 from .config import MacConfig, MidasConfig, RadioConfig, SimConfig
 from .mobility import MobilityModel, mobility_names, resolve_mobility
 from .core import (
-    TagTable,
     naive_scaled_precoder,
     optimal_power_allocation,
     power_balanced_precoder,
     reverse_waterfill,
+    tag_mask,
     zfbf_directions,
     zfbf_equal_power,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "register_traffic",
     "AssociationPolicy",
     "CoordinationMode",
-    "HandoffEvent",
     "association_names",
     "resolve_association",
     "resolve_coordination",
@@ -170,11 +168,11 @@ __all__ = [
     "MidasConfig",
     "RadioConfig",
     "SimConfig",
-    "TagTable",
     "naive_scaled_precoder",
     "optimal_power_allocation",
     "power_balanced_precoder",
     "reverse_waterfill",
+    "tag_mask",
     "zfbf_directions",
     "zfbf_equal_power",
     "stream_sinrs",

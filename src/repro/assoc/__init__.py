@@ -1,7 +1,7 @@
 """Client<->AP association & multi-AP coordination layer.
 
 See :mod:`repro.assoc.policies` for the policy registry and
-:mod:`repro.assoc.state` for the state object the engines consume.
+:mod:`repro.assoc.state` for the stacked state the engines consume.
 """
 
 from .policies import (
@@ -11,12 +11,9 @@ from .policies import (
     StrongestRssiPolicy,
 )
 from .state import (
-    AssociationState,
     BatchAssociationState,
     CoordinationMode,
-    HandoffEvent,
     association_names,
-    build_association_state,
     build_batch_association_state,
     resolve_association,
     resolve_coordination,
@@ -24,15 +21,12 @@ from .state import (
 
 __all__ = [
     "AssociationPolicy",
-    "AssociationState",
     "BatchAssociationState",
     "CoordinationMode",
-    "HandoffEvent",
     "HysteresisHandoffPolicy",
     "NearestAnchorPolicy",
     "StrongestRssiPolicy",
     "association_names",
-    "build_association_state",
     "build_batch_association_state",
     "resolve_association",
     "resolve_coordination",

@@ -9,9 +9,11 @@ the 6D movable-antenna coordination paper) assume the association layer is
 explicit and swappable.
 
 A policy is a small stateful object with one hook: ``reevaluate`` maps the
-current client->AP assignment plus the freshly sounded per-AP RSSI to a new
-assignment.  :class:`repro.assoc.AssociationState` calls it at every
-sounding, diffs the result into handoff events, and rebuilds the per-AP
+current client->AP assignments of a group of batch items plus their freshly
+sounded per-AP RSSI to new assignments, one row per item.
+:class:`repro.assoc.BatchAssociationState` groups the batch's items by
+policy name and arguments, calls each group's one policy instance at every
+sounding, diffs the result into its handoff log, and rebuilds the
 anchor-antenna tags -- the engines never see the policy itself.
 
 Built-in policies (registered with :func:`repro.api.register_association`):
@@ -37,8 +39,10 @@ from ..api.registry import register_association
 class AssociationPolicy:
     """One client->AP mapping rule, re-evaluated at every sounding.
 
-    Instances are per-run (never shared between runs or batch items), so
-    implementations may keep per-client history across calls.
+    One instance serves one group of batch items for one run, so
+    implementations may keep per-(item, client) history across calls.  Every
+    row must be decided from its own row alone: an item's map then never
+    depends on which other items share its group.
     """
 
     def reevaluate(
@@ -52,11 +56,11 @@ class AssociationPolicy:
         Parameters
         ----------
         current_ap:
-            Current assignment, ``(n_clients,)`` int (a private copy; safe
-            to mutate or return as-is).
+            Current assignments, ``(n_items, n_clients)`` int (a private
+            copy; safe to mutate or return as-is).
         per_ap_rssi_dbm:
-            ``(n_clients, n_aps)`` best-antenna RSSI per client per AP,
-            measured at this sounding.
+            ``(n_items, n_clients, n_aps)`` best-antenna RSSI per client per
+            AP, measured at this sounding.
         sounding_index:
             0-based index of this sounding (construction time is 0).
         """
@@ -82,7 +86,7 @@ class StrongestRssiPolicy(AssociationPolicy):
     """
 
     def reevaluate(self, current_ap, per_ap_rssi_dbm, sounding_index):
-        return np.argmax(np.asarray(per_ap_rssi_dbm, dtype=float), axis=1)
+        return np.argmax(np.asarray(per_ap_rssi_dbm, dtype=float), axis=-1)
 
 
 @register_association("hysteresis_handoff")
@@ -128,14 +132,17 @@ class HysteresisHandoffPolicy(AssociationPolicy):
             # Association "changed" at sounding 0 (initial attach), so the
             # dwell clock starts there for every client.
             self._smoothed = rssi.copy()
-            self._last_change = np.zeros(len(current_ap), dtype=int)
+            self._last_change = np.zeros(current_ap.shape, dtype=int)
         else:
             self._smoothed = (
                 self.smoothing * rssi + (1.0 - self.smoothing) * self._smoothed
             )
-        clients = np.arange(len(current_ap))
-        best = np.argmax(self._smoothed, axis=1)
-        margin = self._smoothed[clients, best] - self._smoothed[clients, current_ap]
+        best = np.argmax(self._smoothed, axis=-1)
+
+        def smoothed_at(ap):
+            return np.take_along_axis(self._smoothed, ap[..., None], axis=-1)[..., 0]
+
+        margin = smoothed_at(best) - smoothed_at(current_ap)
         dwelt = sounding_index - self._last_change >= self.dwell_soundings
         move = (best != current_ap) & dwelt & (margin >= self.hysteresis_db)
         self._last_change[move] = sounding_index

@@ -23,7 +23,7 @@ from .batch import (
 from .optimal import full_optimal_precoder, optimal_power_allocation
 from .selection import BatchDeficitRoundRobin, pick_in_visit_order
 from .svd import su_beamforming_precoder
-from .tagging import TagTable, antenna_preferences
+from .tagging import antenna_preferences, tag_mask
 from .wmmse import wmmse_precoder
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "pick_in_visit_order",
     "su_beamforming_precoder",
     "svd_waterfilling",
-    "TagTable",
+    "tag_mask",
     "antenna_preferences",
     "reverse_waterfill",
     "wmmse_precoder",

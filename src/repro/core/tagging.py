@@ -11,64 +11,35 @@ proxies the client's).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 def antenna_preferences(rssi_dbm: np.ndarray) -> np.ndarray:
     """Per-client antenna ranking, strongest first.
 
-    ``rssi_dbm`` has shape ``(n_clients, n_antennas)``; the result row ``j``
-    lists antenna indices in decreasing order of client ``j``'s RSSI.
+    ``rssi_dbm`` has shape ``(..., n_clients, n_antennas)``; row ``j`` of
+    the result lists antenna indices in decreasing order of client ``j``'s
+    RSSI, ties toward the lower index.
     """
     rssi = np.asarray(rssi_dbm, dtype=float)
-    if rssi.ndim != 2:
-        raise ValueError("rssi_dbm must be (n_clients, n_antennas)")
-    # argsort is ascending; negate for descending.  mergesort keeps ties stable.
-    return np.argsort(-rssi, axis=1, kind="stable")
+    if rssi.ndim < 2:
+        raise ValueError("rssi_dbm must be (..., n_clients, n_antennas)")
+    # argsort is ascending; negate for descending.  A stable sort keeps ties
+    # in index order.
+    return np.argsort(-rssi, axis=-1, kind="stable")
 
 
-@dataclass(frozen=True)
-class TagTable:
-    """Per-client antenna tags plus the underlying full preference order."""
+def tag_mask(rssi_dbm: np.ndarray, tag_width: int = 2) -> np.ndarray:
+    """Anchor-antenna tags, ``(..., n_clients, n_antennas)`` bool: each
+    client's ``tag_width`` strongest antennas (paper default: two).
 
-    tags: np.ndarray  # bool (n_clients, n_antennas)
-    preferences: np.ndarray  # int (n_clients, n_antennas), strongest first
-    tag_width: int
-
-    @classmethod
-    def from_rssi(cls, rssi_dbm: np.ndarray, tag_width: int = 2) -> "TagTable":
-        """Build tags from an RSSI table (paper default: two antennas/client)."""
-        prefs = antenna_preferences(rssi_dbm)
-        n_clients, n_antennas = prefs.shape
-        if not 1 <= tag_width <= n_antennas:
-            raise ValueError(f"tag_width must be in [1, {n_antennas}]")
-        tags = np.zeros((n_clients, n_antennas), dtype=bool)
-        rows = np.repeat(np.arange(n_clients), tag_width)
-        cols = prefs[:, :tag_width].ravel()
-        tags[rows, cols] = True
-        return cls(tags=tags, preferences=prefs, tag_width=tag_width)
-
-    @property
-    def n_clients(self) -> int:
-        return self.tags.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.tags.shape[1]
-
-    def clients_tagged_to(self, antenna: int) -> np.ndarray:
-        """Client indices whose packets carry antenna ``antenna``'s tag."""
-        return np.flatnonzero(self.tags[:, antenna])
-
-    def eligible_clients(self, available_antennas) -> np.ndarray:
-        """Clients with at least one tagged antenna in ``available_antennas``
-        (the paper's filtering rule)."""
-        available = np.zeros(self.n_antennas, dtype=bool)
-        available[np.asarray(available_antennas, dtype=int)] = True
-        return np.flatnonzero((self.tags & available[None, :]).any(axis=1))
-
-    def best_antenna(self, client: int) -> int:
-        """The client's single strongest antenna."""
-        return int(self.preferences[client, 0])
+    One stable argsort over the last axis tags a whole batch; every row is
+    ranked on its own, so a row's tags never depend on the rows beside it.
+    """
+    prefs = antenna_preferences(rssi_dbm)
+    n_antennas = prefs.shape[-1]
+    if not 1 <= tag_width <= n_antennas:
+        raise ValueError(f"tag_width must be in [1, {n_antennas}]")
+    tags = np.zeros(prefs.shape, dtype=bool)
+    np.put_along_axis(tags, prefs[..., :tag_width], True, axis=-1)
+    return tags

@@ -23,7 +23,7 @@ from ..api.scenarios import resolve_environment
 from ..channel.batch import apply_csi_error
 from ..channel.pathloss import coverage_range_m
 from ..core.batch import power_balanced_precoder as batch_power_balanced
-from ..core.tagging import TagTable
+from ..core.tagging import tag_mask
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios, single_ap_scenario
@@ -47,13 +47,13 @@ def _tag_width_build_batch(topo_seeds, params: dict) -> list[dict]:
     h = batch.channel_matrices()
     rssi = batch.client_rx_power_dbm()
     widths = list(params["widths"])
+    tags = [tag_mask(rssi, width) for width in widths]
     subchannels = []
     for index, seed in enumerate(topo_seeds):
         rng = rng_mod.make_rng(seed)
         available = rng.choice(4, size=params["n_available"], replace=False)
-        for width in widths:
-            tags = TagTable.from_rssi(rssi[index], tag_width=width)
-            clients = tagged_selection(tags, available, rssi[index])
+        for width_tags in tags:
+            clients = tagged_selection(width_tags[index], available, rssi[index])
             subchannels.append(_subchannel(h[index], available, clients))
     capacities = batched_selection_capacities(subchannels, scenarios[0].radio)
     stride = len(widths)

@@ -13,18 +13,19 @@ import numpy as np
 from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..core.tagging import TagTable
+from ..core.tagging import tag_mask
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
 from .common import ExperimentResult, batched_channels, batched_selection_capacities
 
 
-def tagged_selection(tags: TagTable, available: np.ndarray, rssi: np.ndarray) -> list[int]:
-    """One client per available antenna, among clients tagged to it; ties on
-    the (all-equal) fairness counters resolve toward the stronger link."""
+def tagged_selection(tags: np.ndarray, available: np.ndarray, rssi: np.ndarray) -> list[int]:
+    """One client per available antenna, among clients tagged to it (``tags``
+    is one item's ``(n_clients, n_antennas)`` :func:`tag_mask`); ties on the
+    (all-equal) fairness counters resolve toward the stronger link."""
     chosen: list[int] = []
     for antenna in available:
-        candidates = [c for c in tags.clients_tagged_to(int(antenna)) if c not in chosen]
+        candidates = [c for c in np.flatnonzero(tags[:, antenna]) if c not in chosen]
         if not candidates:
             continue
         best = max(candidates, key=lambda c: rssi[c, int(antenna)])
@@ -53,14 +54,14 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     batch = batched_channels(scenarios, topo_seeds)
     h = batch.channel_matrices()
     rssi = batch.client_rx_power_dbm()
+    tags = tag_mask(rssi, params["tag_width"])
     # Selections stay per item (tiny integer logic over each item's own
     # generator stream); the power-balanced capacities batch by shape.
     subchannels = []
     for index, seed in enumerate(topo_seeds):
         rng = rng_mod.make_rng(seed)
         available = rng.choice(n_antennas, size=n_available, replace=False)
-        tags = TagTable.from_rssi(rssi[index], tag_width=params["tag_width"])
-        with_tags = tagged_selection(tags, available, rssi[index])
+        with_tags = tagged_selection(tags[index], available, rssi[index])
         random_clients = list(rng.choice(n_antennas, size=n_available, replace=False))
         subchannels.append(_subchannel(h[index], available, with_tags))
         subchannels.append(_subchannel(h[index], available, random_clients))

@@ -73,12 +73,11 @@ def _scenario(env, params: dict, seed: int):
     )[AntennaMode.DAS]
 
 
-def _metrics(result, assoc_state) -> dict[str, float]:
-    handoffs = assoc_state.handoff_count
+def _metrics(result, handoffs: int, outages: int) -> dict[str, float]:
     return {
         "capacity_bps_hz": result.mean_capacity_bps_hz,
         "handoffs": float(handoffs),
-        "outage_fraction": assoc_state.outage_count / max(1, handoffs),
+        "outage_fraction": outages / max(1, handoffs),
     }
 
 
@@ -104,13 +103,15 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
             coordination=params["coordination"],
         )
         results = batch.run(params["rounds_per_topology"])
+        handoffs = batch.association.handoff_count.tolist()
+        outages = batch.association.outage_count.tolist()
         return [
             {
                 f"{policy}_{metric}": value
-                for metric, value in _metrics(result, item_state).items()
+                for metric, value in _metrics(result, *counts).items()
             }
-            for (policy, __), result, item_state in zip(
-                item_points, results, batch.association.items
+            for (policy, __), result, counts in zip(
+                item_points, results, zip(handoffs, outages)
             )
         ]
 

@@ -612,10 +612,6 @@ class RoundBasedEvaluatorBatch:
         ]
         traffic_kwargs = one_per_item("traffic_kwargs", traffic_kwargs, self.n_items)
         mobility_kwargs = one_per_item("mobility_kwargs", mobility_kwargs, self.n_items)
-        association = one_per_item("association", association, self.n_items)
-        association_kwargs = one_per_item(
-            "association_kwargs", association_kwargs, self.n_items
-        )
         self._traffic = build_traffic_state(
             traffic, traffic_kwargs, structure.n_clients, traffic_seeds, first,
             ampdu,
@@ -648,12 +644,12 @@ class RoundBasedEvaluatorBatch:
             ap: BatchDeficitRoundRobin(self.n_items, self._n_clients)
             for ap in range(self.n_aps)
         }
-        #: One :class:`~repro.assoc.AssociationState` per item, stacked:
-        #: the association layer owns the client->AP map, the anchor-antenna
-        #: tags, and the handoff/outage log, re-evaluated at construction
-        #: and at every sounding round.
+        #: The association layer: the stacked client->AP map, anchor-antenna
+        #: tags and handoff/outage log, re-evaluated at construction and at
+        #: every sounding round.
         self.association = build_batch_association_state(
-            association, association_kwargs, deployments, first.mac, coordination,
+            association, association_kwargs, self.n_items, structure, first.mac,
+            coordination,
         )
         self.association.resound(self.channel.client_rx_power_dbm())
 
@@ -811,8 +807,7 @@ class RoundBasedEvaluatorBatch:
             slot_on[:, position] = committed
             slot_antennas[:, position, :n_own] = np.where(transmit, own, -1)
             slot_clients[:, position, :n_own] = picks
-        for b in np.flatnonzero(slot_on.any(axis=1)):
-            self.association.note_served(b, slot_clients[b][slot_clients[b] >= 0])
+        self.association.note_served(served.any(axis=1))
         return RoundPlan(
             aps=aps,
             slot_on=slot_on,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import rng as rng_mod
-from ..assoc import CoordinationMode, build_association_state
+from ..assoc import CoordinationMode, build_batch_association_state
 from ..channel.batch import ChannelBatch, apply_csi_error
 from ..config import MacConfig, SimConfig
 from ..core.batch import naive_scaled_precoder, power_balanced_precoder
@@ -154,11 +154,12 @@ class NetworkSimulation:
             ap: BatchDeficitRoundRobin(1, self.deployment.n_clients)
             for ap in range(self.deployment.n_aps)
         }
-        self.association = build_association_state(
-            association, association_kwargs, self.deployment,
-            self.mac, coordination,
+        #: A one-item association state: row 0 is this run.
+        self.association = build_batch_association_state(
+            association, association_kwargs, 1, self.deployment, self.mac,
+            coordination,
         )
-        self.association.resound(self.channel.client_rx_power_dbm()[0])
+        self.association.resound(self.channel.client_rx_power_dbm())
 
         contender_rngs = rng_mod.spawn(mac_seed, self.deployment.n_aps * 8)
         self._contenders: list[_Contender] = []
@@ -269,7 +270,7 @@ class NetworkSimulation:
         ]
         if not foreign:
             return None
-        return ~self.association.overheard_mask(foreign)
+        return ~self.association.overheard_masks(self._tx_mask(foreign))
 
     # ------------------------------------------------------------------
     # TXOP execution
@@ -307,7 +308,7 @@ class NetworkSimulation:
             return
         if self._resound_interval_us is None:
             with _obs().span("sounding"):
-                rssi_dbm = self.channel.client_rx_power_dbm()[0]
+                rssi_dbm = self.channel.client_rx_power_dbm()
                 with _obs().span("assoc_update"):
                     self.association.resound(rssi_dbm)
             return
@@ -317,7 +318,7 @@ class NetworkSimulation:
         ):
             with _obs().span("sounding"):
                 self._h_csi = self.channel.channel_matrices()[0]
-                rssi_dbm = self.channel.client_rx_power_dbm()[0]
+                rssi_dbm = self.channel.client_rx_power_dbm()
                 with _obs().span("assoc_update"):
                     self.association.resound(rssi_dbm)
             self._last_resound_us = now_us
@@ -335,7 +336,7 @@ class NetworkSimulation:
             # everything queued by the time this TXOP wins the medium.
             self._traffic.advance_arrivals_to(now_us * 1e-6)
         with _obs().span("schedule"):
-            member = self.association.member_mask(ap)[None]
+            member = self.association.members_mask(ap)
             primary_mask, any_mask = self._eligibility(member, now_us)
             allowed = self._coordination_allowed(ap)
             if allowed is not None:
@@ -350,15 +351,13 @@ class NetworkSimulation:
                 if len(antennas) == 0:
                     self._schedule_attempt(contender, now_us + self.mac.difs_us)
                     return
-                # Tag columns of the gathered antennas in NAV-expiry order
-                # (antennas_of is sorted, so searchsorted gives local ids).
+                # Tag columns of the gathered antennas in NAV-expiry order.
                 # All gathered antennas precode the selected streams
                 # (§3.2.5: "the data streams are transmitted from all the
                 # antennas to all the clients with precoding"), even when
                 # fewer clients than antennas were tagged -- the spare
                 # antennas contribute array gain.
-                local = np.searchsorted(self.deployment.antennas_of(ap), antennas)
-                visits = self.association.tag_mask(ap).T[local, None, :]
+                visits = self.association.tags[:, :, antennas].transpose(2, 0, 1)
             chosen_mask, [picks] = pick_in_visit_order(
                 self._drr[ap], visits, primary_mask, any_mask
             )
@@ -442,7 +441,7 @@ class NetworkSimulation:
 
         # DRR settlement: losers are members that were not served.
         self._drr[ap].settle(chosen_mask, member & ~chosen_mask)
-        self.association.note_served(clients_global)
+        self.association.note_served(chosen_mask)
 
         self.queue.schedule(tx.end_us, lambda t, tx=tx: self._end_txop(tx, t))
 

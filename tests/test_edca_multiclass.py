@@ -12,7 +12,7 @@ import numpy as np
 
 from helpers.goldens import assert_rounds_match, goldens
 from repro.core.selection import BatchDeficitRoundRobin, pick_in_visit_order
-from repro.core.tagging import TagTable
+from repro.core.tagging import tag_mask
 from repro.mac.edca import AccessCategory
 from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
@@ -102,7 +102,7 @@ class TestPrimaryClassSelection:
     def test_selection_from_primary_class_backlog(self):
         [primary], [eligible] = self._loaded().eligibility(members(3, 0, 1, 2))
         # Flat RSSI, width 2 of 2: every client tagged to both antennas.
-        tags = TagTable.from_rssi(np.zeros((3, 2)), 2).tags
+        tags = tag_mask(np.zeros((3, 2)), 2)
         visits = [tags[:, antenna][None] for antenna in range(2)]
         __, [picks] = pick_in_visit_order(
             BatchDeficitRoundRobin(1, 3), visits, primary[None], eligible[None]

@@ -100,7 +100,7 @@ class TestDrrSettlement:
         np.testing.assert_array_equal(np.flatnonzero(result.per_ap_streams), [0])
         # Counters are global-axis: only the blocked AP's own members move.
         for blocked_ap in (1, 2):
-            members = ev.association.items[0].members(blocked_ap)
+            members = ev.association.members_mask(blocked_ap)[0]
             expected = np.zeros(scenario.deployment.n_clients)
             expected[members] = 1.0
             np.testing.assert_array_equal(ev._drr[blocked_ap].counters[0], expected)
@@ -113,5 +113,5 @@ class TestDrrSettlement:
         # Four streams, four clients: everyone served, counters at -1 each.
         assert result.per_ap_streams[0] == 4
         expected = np.zeros(scenario.deployment.n_clients)
-        expected[ev.association.items[0].members(0)] = -1.0
+        expected[ev.association.members_mask(0)[0]] = -1.0
         np.testing.assert_array_equal(ev._drr[0].counters[0], expected)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers.drr_oracle import PaperDrr, select_in_visit_order
 from repro.core.selection import BatchDeficitRoundRobin, pick_in_visit_order
-from repro.core.tagging import TagTable
+from repro.core.tagging import tag_mask
 
 
 def _mask(n_clients: int, clients) -> np.ndarray:
@@ -116,8 +116,8 @@ class TestAntennaSpecificSelection:
     )
 
     def _select(self, antennas, backlogged, drr=None):
-        tags = TagTable.from_rssi(self.RSSI, tag_width=2)
-        visits = [tags.tags[:, antenna][None] for antenna in antennas]
+        tags = tag_mask(self.RSSI, tag_width=2)
+        visits = [tags[:, antenna][None] for antenna in antennas]
         backlog = _mask(4, backlogged)
         __, [picks] = pick_in_visit_order(drr or _drr(4), visits, backlog, backlog)
         return _order(picks)

@@ -363,10 +363,11 @@ class TestPerItemArguments:
             )
             [expected] = alone.run(4)
             _assert_same_rounds(results[index], expected)
-            item, single = mixed.association.items[index], alone.association.items[0]
-            assert np.array_equal(item.client_ap, single.client_ap)
-            assert item.handoff_count == single.handoff_count
-            assert item.outage_count == single.outage_count
+            item, single = mixed.association, alone.association
+            assert np.array_equal(item.client_ap[index], single.client_ap[0])
+            assert np.array_equal(item.tags[index], single.tags[0])
+            assert item.handoff_count[index] == single.handoff_count[0]
+            assert item.outage_count[index] == single.outage_count[0]
 
     @pytest.mark.parametrize(
         "keyword,value",
