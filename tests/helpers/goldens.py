@@ -15,6 +15,9 @@ specs).  ``roaming_handoff_coordinated_series``, ``fig14_series``,
 ``ablation_tag_width_series`` and ``network_handoffs`` (the event engine's
 roaming handoff log, tag builds and result) were recorded from repro 7.0.0,
 the last release with one association state object per batch item.
+``mobility_capacity_random_waypoint_series`` was recorded from repro 8.0.0,
+the last release with one mobility state object per item and one lattice
+node dict per shadowing field.
 
 Layout: one top-level key per case family.  A round-engine run is a dict of
 per-round lists (``capacity``, ``n_streams``, ``active_antennas``,

@@ -367,7 +367,9 @@ def test_build_batch_outcomes_ignore_order_and_neighbours(
 #: as its own engine, and must not move by one ulp.  The coordinated roaming
 #: sweep, fig14 and the tag-width ablation were recorded from repro 7.0.0,
 #: while association still kept one state object per item and tags came
-#: from a per-item table.
+#: from a per-item table.  The random-waypoint capacity sweep (with its
+#: zero-speed point) was recorded from repro 8.0.0, the last release with
+#: one mobility state object per item and one node dict per shadowing field.
 SWEEP_GOLDEN_SPECS = {
     "latency_vs_load_series": RunSpec(
         "latency_vs_load", n_topologies=2, seed=5,
@@ -375,6 +377,10 @@ SWEEP_GOLDEN_SPECS = {
     ),
     "mobility_capacity_series": RunSpec(
         "mobility_capacity", n_topologies=2, seed=5,
+        params={"speeds_mps": [0.0, 2.0], "rounds_per_topology": 6},
+    ),
+    "mobility_capacity_random_waypoint_series": RunSpec(
+        "mobility_capacity", n_topologies=2, seed=5, mobility="random_waypoint",
         params={"speeds_mps": [0.0, 2.0], "rounds_per_topology": 6},
     ),
     "roaming_handoff_series": RunSpec(
