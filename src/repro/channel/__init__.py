@@ -1,8 +1,9 @@
 """Indoor RF channel substrate.
 
 Replaces the paper's physical offices: log-distance path loss, log-normal
-(spatially smooth) shadowing, correlated Rayleigh/Rician block fading with
-Gauss-Markov time evolution, and channel-trace record/replay.
+(spatially smooth) shadowing whose lattice nodes live in one store per
+batch, correlated Rayleigh/Rician block fading with Gauss-Markov time
+evolution, and channel-trace record/replay.
 """
 
 from .batch import ChannelBatch, apply_csi_error, stacked_correlation
@@ -13,7 +14,7 @@ from .fading import (
     sample_fading,
 )
 from .pathloss import LogDistancePathLoss, coverage_range_m, cs_range_m
-from .shadowing import ShadowingField, group_antenna_sites
+from .shadowing import LatticeNodeStore, ShadowingField, group_antenna_sites
 from .traces import ChannelTrace, record_trace
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "LogDistancePathLoss",
     "coverage_range_m",
     "cs_range_m",
+    "LatticeNodeStore",
     "ShadowingField",
     "group_antenna_sites",
     "ChannelTrace",

@@ -23,7 +23,8 @@ Only the tree's leaves ever hold a generator: one per antenna site (built
 on the site's first lattice draw) and one for fading (built on first
 small-scale access, so batches used only for large-scale maps never build
 it).  Site grouping and the shadowing lattice pass run over the whole
-stack at once; only each field's own node draws stay per item.
+stack at once, against one lattice node store per batch; only the draws
+of fields with missing nodes stay per field.
 That equality is the contract every ``Runner`` path relies on (and the
 equivalence suite asserts).
 
@@ -45,7 +46,7 @@ from ..topology import geometry
 from . import walls
 from .fading import _project_psd, correlation_sqrt, sample_fading
 from .pathloss import LogDistancePathLoss
-from .shadowing import ShadowingField, group_antenna_sites_batch, sample_site_fields
+from .shadowing import LatticeNodeStore, group_antenna_sites_batch, sample_site_fields
 
 
 def stacked_correlation(
@@ -125,22 +126,19 @@ class ChannelBatch:
         self._cable_loss_db = radio.cable_loss_db_per_m * cable_lengths
 
         # Per-item seed trees: a shadowing and a fading child each, and one
-        # leaf per antenna site under shadowing.
+        # leaf per antenna site under shadowing.  One store holds every
+        # site field's lattice nodes.
         self._site_of_antenna = group_antenna_sites_batch(self._antennas)
         site_counts = self._site_of_antenna.max(axis=1, initial=-1) + 1
-        self._site_fields: list[list[ShadowingField]] = []
+        site_seeds = []
         self._fading_seeds = []
         for seed, n_sites in zip(seeds, site_counts.tolist()):
             shadow_seed, fading_seed = rng_mod.spawn_seeds(seed, 2)
-            self._site_fields.append(
-                [
-                    ShadowingField(
-                        leaf, radio.shadowing_sigma_db, radio.shadowing_correlation_m
-                    )
-                    for leaf in rng_mod.spawn_seeds(shadow_seed, n_sites)
-                ]
-            )
+            site_seeds.append(rng_mod.spawn_seeds(shadow_seed, n_sites))
             self._fading_seeds.append(fading_seed)
+        self._shadowing = LatticeNodeStore(
+            site_seeds, radio.shadowing_sigma_db, radio.shadowing_correlation_m
+        )
 
         # The small-scale side -- fading generators, tx-side correlation
         # square roots and the initial fading state -- is materialized
@@ -178,7 +176,7 @@ class ChannelBatch:
         """
         idx = self._item_indices(items)
         pts = geometry.as_point_stack(rx_points)
-        site_values = sample_site_fields([self._site_fields[b] for b in idx], pts)
+        site_values = sample_site_fields(self._shadowing, pts, items=items)
         # Scatter sites to antennas: (items, n_antennas, n_points).
         per_antenna = site_values[np.arange(len(idx))[:, None], self._site_of_antenna[idx]]
         return np.ascontiguousarray(np.swapaxes(per_antenna, 1, 2))
@@ -211,7 +209,7 @@ class ChannelBatch:
 
         ``positions`` is ``(len(items), n_clients, 2)`` (whole batch when
         ``items`` is ``None``).  The shadowing fields resample at the new
-        positions from the cached lattice (spatially consistent with
+        positions from the lattice node store (spatially consistent with
         everything sampled so far), each item from its own site fields;
         skipped items consume nothing.  The small-scale fading
         state is *not* reset -- it keeps evolving under whatever Doppler

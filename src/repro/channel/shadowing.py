@@ -12,15 +12,18 @@ to preserve the marginal standard deviation.  This is O(points) instead of
 the O(points^3) Cholesky construction, which matters for the 0.5 m deadzone
 survey grids.
 
-Sampling is one stacked pass over every field of a batch
-(:func:`sample_site_fields`).  Lattice keys, bilinear weights and norms are
-prepared once over the ``(batch, points)`` stack, and each item's unique
-lattice nodes are found once, in first-visit order, and shared by all of
-its site fields.  Nodes are still drawn lazily -- each field draws its
-missing nodes in the order a point-by-point walk would first touch them, as
-one ``standard_normal(k)`` call -- so the generator stream (and therefore
-every result) is bit-identical to the historical scalar implementation.
-Interpolation and re-normalisation run as stacked array math.
+Every drawn node of every field of a batch lives in one
+:class:`LatticeNodeStore`: sorted packed ``(field, ix, iy)`` int64 keys and
+their float64 values.  Sampling (:func:`sample_site_fields`) is one stacked
+pass: lattice keys, bilinear weights and norms are prepared once over the
+``(batch, points)`` stack, each item's unique lattice nodes are found once
+(with their first-visit positions) and shared by all of its site fields,
+and every field's nodes are looked up with one ``searchsorted``.  Nodes are still drawn lazily -- each field with missing
+nodes draws them in the order a point-by-point walk would first touch
+them, as one ``standard_normal(k)`` call -- so the generator stream (and
+therefore every result) is bit-identical to the historical scalar
+implementation.  Interpolation and re-normalisation run as stacked array
+math.
 """
 
 from __future__ import annotations
@@ -30,19 +33,102 @@ import numpy as np
 from .. import rng as rng_mod
 from ..topology import geometry
 
-#: Lattice indices are packed into a single int64 key, ``ix * 2**31 + iy``;
-#: collision-free for |iy| < 2**30, far beyond any indoor survey extent.
-_KEY_STRIDE = 2**31
+#: A node key packs ``(field, ix, iy)`` as
+#: ``field << 2 * _INDEX_BITS | (ix + _INDEX_OFFSET) << _INDEX_BITS | (iy + _INDEX_OFFSET)``.
+#: Every part is range-checked, so keys cannot collide, and their order is
+#: the lexicographic ``(field, ix, iy)`` order.
+_INDEX_BITS = 21
+_FIELD_BITS = 20
+_INDEX_OFFSET = 1 << (_INDEX_BITS - 1)
+_FIELD_SHIFT = 2 * _INDEX_BITS
 
 #: Corner offsets in the order the scalar implementation visited them:
 #: (ix, iy), (ix+1, iy), (ix, iy+1), (ix+1, iy+1).
 _CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
 
 
-class ShadowingField:
-    """A smooth 2-D Gaussian field with st.dev. ``sigma_db``.
+class LatticeNodeStore:
+    """Every drawn lattice node of a batch of shadowing fields.
 
-    Values at lattice nodes are drawn lazily and cached, so the field is
+    ``site_seeds`` holds one list of seeds per item, one seed per site
+    field (a generator, or a seed-tree leaf whose generator is built on the
+    field's first draw -- a field that never draws never builds one).
+    Fields are numbered item by item, site by site.  All fields share one
+    ``sigma_db`` and decorrelation length ``correlation_m``.
+
+    :attr:`keys` are the sorted packed ``(field, ix, iy)`` keys of every
+    node drawn so far and :attr:`values` their standard-normal values, so
+    querying a point twice returns the same value and nearby points are
+    correlated.
+    """
+
+    def __init__(self, site_seeds, sigma_db: float, correlation_m: float):
+        if sigma_db < 0:
+            raise ValueError("sigma_db must be non-negative")
+        if correlation_m <= 0:
+            raise ValueError("correlation_m must be positive")
+        self.sigma_db = float(sigma_db)
+        self.correlation_m = float(correlation_m)
+        self.site_counts = np.array([len(item) for item in site_seeds], dtype=np.int64)
+        self.field_offsets = np.cumsum(self.site_counts) - self.site_counts
+        self._seeds = [seed for item in site_seeds for seed in item]
+        if len(self._seeds) > 1 << _FIELD_BITS:
+            raise ValueError(
+                f"a lattice node store holds at most 2**{_FIELD_BITS} fields; "
+                f"got {len(self._seeds)}"
+            )
+        self._generators: list[np.random.Generator | None] = [None] * len(self._seeds)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0)
+
+    @property
+    def n_items(self) -> int:
+        return len(self.site_counts)
+
+    def generator(self, field: int) -> np.random.Generator:
+        """Field ``field``'s generator (built from its seed on first use)."""
+        generator = self._generators[field]
+        if generator is None:
+            generator = self._generators[field] = rng_mod.make_rng(self._seeds[field])
+        return generator
+
+    def fetch(self, keys, pair_fields, pair_lengths, first_visit) -> np.ndarray:
+        """Node values of sorted packed ``keys``: one run of
+        ``pair_lengths[i]`` unique keys of field ``pair_fields[i]`` per
+        pair, no field twice, and each key's ``first_visit`` position.
+        Each field with missing nodes draws them in first-visit order with
+        one ``standard_normal(k)`` call, and the new nodes merge into the
+        store in one step."""
+        pos = np.searchsorted(self.keys, keys)
+        found = pos < len(self.keys)
+        found[found] = self.keys[pos[found]] == keys[found]
+        values = np.empty(len(keys))
+        values[found] = self.values[pos[found]]
+        missing = np.flatnonzero(~found)
+        if missing.size == 0:
+            return values
+        missing_pair = np.searchsorted(np.cumsum(pair_lengths), missing, side="right")
+        draw_order = missing[np.lexsort((first_visit[missing], missing_pair))]
+        draws = np.bincount(missing_pair, minlength=len(pair_fields))
+        drawing = np.flatnonzero(draws)
+        values[draw_order] = np.concatenate(
+            [
+                self.generator(field).standard_normal(count)
+                for field, count in zip(
+                    pair_fields[drawing].tolist(), draws[drawing].tolist()
+                )
+            ]
+        )
+        self.keys = np.insert(self.keys, pos[missing], keys[missing])
+        self.values = np.insert(self.values, pos[missing], values[missing])
+        return values
+
+
+class ShadowingField:
+    """A smooth 2-D Gaussian field with st.dev. ``sigma_db``: a lattice
+    node store of one field.
+
+    Values at lattice nodes are drawn lazily and kept, so the field is
     consistent: querying the same point twice returns the same value, and
     nearby points are correlated with decorrelation length ``correlation_m``.
 
@@ -52,54 +138,46 @@ class ShadowingField:
     """
 
     def __init__(self, rng, sigma_db: float, correlation_m: float):
-        if sigma_db < 0:
-            raise ValueError("sigma_db must be non-negative")
-        if correlation_m <= 0:
-            raise ValueError("correlation_m must be positive")
-        self._seed = rng
-        self._generator: np.random.Generator | None = None
-        self.sigma_db = float(sigma_db)
-        self.correlation_m = float(correlation_m)
-        self._nodes: dict[int, float] = {}
+        self._store = LatticeNodeStore([[rng]], sigma_db, correlation_m)
+
+    @property
+    def sigma_db(self) -> float:
+        return self._store.sigma_db
+
+    @property
+    def correlation_m(self) -> float:
+        return self._store.correlation_m
 
     @property
     def rng(self) -> np.random.Generator:
         """The field's generator (built from its seed leaf on first use)."""
-        if self._generator is None:
-            self._generator = rng_mod.make_rng(self._seed)
-        return self._generator
-
-    def _node(self, ix: int, iy: int) -> float:
-        key = int(ix) * _KEY_STRIDE + int(iy)
-        value = self._nodes.get(key)
-        if value is None:
-            value = float(self.rng.standard_normal())
-            self._nodes[key] = value
-        return value
-
-    def _node_values(self, keys: list[int]) -> np.ndarray:
-        """Node values for unique ``keys`` given in first-visit order,
-        drawing the missing ones in that order; ``standard_normal(k)``
-        consumes the stream exactly like ``k`` scalar draws."""
-        nodes = self._nodes
-        missing = [key for key in keys if key not in nodes]
-        if missing:
-            nodes.update(zip(missing, self.rng.standard_normal(len(missing)).tolist()))
-        return np.array([nodes[key] for key in keys], dtype=float)
+        return self._store.generator(0)
 
     def sample(self, points) -> np.ndarray:
         """Shadowing in dB at each point, shape ``(n_points,)``."""
-        return sample_site_fields([[self]], geometry.as_points(points))[0, 0]
+        return sample_site_fields(self._store, geometry.as_points(points))[0, 0]
 
 
 def _lattice(pts: np.ndarray, correlation_m: float):
-    """Corner keys ``(..., n, 4)``, bilinear weights ``(..., n, 4)`` and
-    weight norms ``(..., n)`` of a point stack."""
+    """Packed corner lattice keys ``(..., n, 4)`` (field bits zero),
+    bilinear weights ``(..., n, 4)`` and weight norms ``(..., n)`` of a
+    point stack.  Non-finite points and lattice indices outside
+    ``[-2**20, 2**20)`` raise ``ValueError``."""
+    if not np.isfinite(pts).all():
+        raise ValueError("shadowing points must be finite")
     scaled = pts / correlation_m
-    base = np.floor(scaled).astype(np.int64)
+    floor = np.floor(scaled)
+    if floor.size and not (
+        floor.min() >= -_INDEX_OFFSET and floor.max() < _INDEX_OFFSET - 1
+    ):
+        raise ValueError(
+            f"shadowing points must lie within {(_INDEX_OFFSET - 1) * correlation_m:g} m "
+            f"of the origin on each axis"
+        )
+    base = floor.astype(np.int64)
     frac = scaled - base
-    corners = base[..., :, None, :] + _CORNERS  # (..., n, 4, 2)
-    keys = corners[..., 0] * _KEY_STRIDE + corners[..., 1]
+    corners = base[..., :, None, :] + (_CORNERS + _INDEX_OFFSET)  # (..., n, 4, 2)
+    keys = (corners[..., 0] << _INDEX_BITS) | corners[..., 1]
     fx = frac[..., 0]
     fy = frac[..., 1]
     weights = np.stack(
@@ -109,73 +187,77 @@ def _lattice(pts: np.ndarray, correlation_m: float):
     return keys, weights, norm
 
 
-def _first_visit_unique(keys: np.ndarray):
-    """Per-row unique keys of ``(rows, m)`` ``keys`` in first-visit order.
+def _row_unique(keys: np.ndarray):
+    """Per-row unique keys of ``(rows, m)`` ``keys``, each row sorted.
 
-    Returns the concatenated unique keys of every row (row-major, each row
-    in first-visit order), the per-row unique counts, and the ``(rows, m)``
-    inverse: each key's rank within its row's unique list.
+    Returns the concatenated unique keys of every row (row-major), the
+    per-row unique counts, each unique key's first-visit position within
+    its row, and the ``(rows, m)`` inverse: each key's index within its
+    row's unique list.
     """
-    n_rows, m = keys.shape
     order = np.argsort(keys, axis=1, kind="stable")
     ordered = np.take_along_axis(keys, order, axis=1)
-    run_start = np.ones((n_rows, m), dtype=bool)
+    run_start = np.ones(keys.shape, dtype=bool)
     run_start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    # A stable sort leads each run of equal keys with the key's first visit.
-    first_visit = np.zeros((n_rows, m), dtype=bool)
-    np.put_along_axis(first_visit, order, run_start, axis=1)
-    rank = np.cumsum(first_visit, axis=1) - 1
-    starts = np.maximum.accumulate(np.where(run_start, np.arange(m), 0), axis=1)
-    run_rank = np.take_along_axis(
-        rank, np.take_along_axis(order, starts, axis=1), axis=1
-    )
     inverse = np.empty_like(order)
-    np.put_along_axis(inverse, order, run_rank, axis=1)
-    return keys[first_visit], run_start.sum(axis=1), inverse
+    np.put_along_axis(inverse, order, np.cumsum(run_start, axis=1) - 1, axis=1)
+    # A stable sort leads each run of equal keys with the key's first visit.
+    return ordered[run_start], run_start.sum(axis=1), order[run_start], inverse
 
 
-def sample_site_fields(fields, points) -> np.ndarray:
-    """Stacked shadowing of per-item site fields, ``(batch, n_sites, n_points)``.
+def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(n) for n in lengths])``."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
-    ``fields`` holds one list of :class:`ShadowingField` per item (sites in
-    order; all fields share one sigma and correlation length); rows beyond
-    an item's own site count are zero.  ``points`` is one shared
-    ``(n_points, 2)`` set (survey grids) or a per-item
-    ``(batch, n_points, 2)`` stack.  Every field draws only its own missing
-    lattice nodes, in first-visit order, so each item's values and
-    generator states match sampling its fields one by one.
+
+def sample_site_fields(store: LatticeNodeStore, points, items=None) -> np.ndarray:
+    """Stacked shadowing of every site field of the selected items,
+    ``(len(items), n_sites, n_points)``.
+
+    ``items`` (default: every item, no repeats) picks items of ``store``;
+    rows beyond an item's own site count are zero.  ``points`` is one
+    shared ``(n_points, 2)`` set (survey grids) or a per-item
+    ``(len(items), n_points, 2)`` stack.  Every field draws only its own
+    missing lattice nodes, in first-visit order, so each item's values and
+    generator states match sampling its fields one by one; unselected
+    items draw nothing.
     """
+    idx = np.arange(store.n_items) if items is None else np.asarray(items, dtype=np.int64)
+    if items is not None and len(np.unique(idx)) != len(idx):
+        raise ValueError("items must not repeat")
     pts = geometry.as_point_stack(points)
     shared = pts.ndim == 2
-    n_sites = max((len(item) for item in fields), default=0)
+    if not shared and len(pts) != len(idx):
+        raise ValueError(f"expected {len(idx)} point sets, got {len(pts)}")
+    site_counts = store.site_counts[idx]
+    n_sites = int(site_counts.max(initial=0))
     n_points = pts.shape[-2]
-    out = np.zeros((len(fields), n_sites, n_points))
-    first = next((field for item in fields for field in item), None)
-    if first is None or first.sigma_db == 0.0 or n_points == 0:
-        return out
-    keys, weights, norm = _lattice(pts[None] if shared else pts, first.correlation_m)
-    unique, counts, inverse = _first_visit_unique(keys.reshape(len(keys), -1))
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    unique = unique.tolist()
-    chunks = []
-    offsets = np.zeros((len(fields), n_sites), dtype=np.int64)
-    position = 0
-    for b, item in enumerate(fields):
-        row = 0 if shared else b
-        item_keys = unique[bounds[row] : bounds[row + 1]]
-        for s, field in enumerate(item):
-            chunks.append(field._node_values(item_keys))
-            offsets[b, s] = position
-            position += len(item_keys)
-    values = np.concatenate(chunks)
-    for s in range(n_sites):
-        node_values = values[offsets[:, s, None] + inverse].reshape(
-            len(fields), n_points, 4
-        )
-        raw = np.sum(weights * node_values, axis=-1)
-        # Bilinear mixing shrinks the variance; restore the marginal sigma.
-        out[:, s] = raw / norm * first.sigma_db
-    site_counts = np.array([len(item) for item in fields])
+    shape = (len(idx), n_sites, n_points)
+    if n_sites == 0 or store.sigma_db == 0.0 or n_points == 0:
+        return np.zeros(shape)
+    keys, weights, norm = _lattice(pts[None] if shared else pts, store.correlation_m)
+    unique, counts, first_visit, inverse = _row_unique(keys.reshape(len(keys), -1))
+    # One (item, site) pair per field, in field order, so the packed query
+    # keys come out sorted.
+    by_field = np.argsort(idx, kind="stable")
+    pair_item = np.repeat(by_field, site_counts[by_field])
+    pair_site = _ragged_arange(site_counts[by_field])
+    pair_row = np.zeros_like(pair_item) if shared else pair_item
+    pair_fields = store.field_offsets[idx][pair_item] + pair_site
+    pair_lengths = counts[pair_row]
+    row_starts = np.cumsum(counts) - counts
+    gather = np.repeat(row_starts[pair_row], pair_lengths) + _ragged_arange(pair_lengths)
+    query = unique[gather] | np.repeat(pair_fields << _FIELD_SHIFT, pair_lengths)
+    values = store.fetch(query, pair_fields, pair_lengths, first_visit[gather])
+    # Interpolate on an (item, site) grid; slots past an item's own sites
+    # read clipped junk and are zeroed.
+    starts = np.zeros((len(idx), n_sites), dtype=np.int64)
+    starts[pair_item, pair_site] = np.cumsum(pair_lengths) - pair_lengths
+    node_values = values.take(starts[..., None] + inverse[:, None], mode="clip")
+    raw = np.sum(weights[:, None] * node_values.reshape(shape + (4,)), axis=-1)
+    # Bilinear mixing shrinks the variance; restore the marginal sigma.
+    out = raw / norm[:, None] * store.sigma_db
     out[np.arange(n_sites) >= site_counts[:, None]] = 0.0
     return out
 

@@ -1,12 +1,13 @@
 """Client mobility models: per-round position updates along a trajectory.
 
 A mobility model is a frozen parameter bundle (mirroring
-:mod:`repro.traffic.models`); all mutable state (headings, waypoints,
-playback clocks) lives in an explicit per-run state object so one model
-instance can drive every item of a vectorized batch.  Every draw consumes
-the caller-supplied generator in client-index order -- the same order in
-every engine -- so an item's finite-speed results never depend on its
-batch.
+:mod:`repro.traffic.models`); all mutable state (headings, waypoints)
+lives in an explicit state dict of ``(g, n_clients, ...)`` arrays, so one
+model instance drives a whole group of batch items at once.  ``init_state``
+and ``step`` take the group's ``(g, n_clients, 2)`` positions and one
+generator per item; every item draws from its own generator, in
+client-index order -- the same order in every engine -- so an item's
+finite-speed results never depend on its batch or group.
 
 Registered factories (the ``mobility`` registry, mirroring the traffic
 registry):
@@ -68,36 +69,43 @@ class MobilityModel:
         hi = pts.max(axis=0) + self.margin_m
         return lo, hi
 
-    def init_state(self, rng: np.random.Generator, positions: np.ndarray, bounds):
-        """Fresh mutable state for one run (``None`` when the model has none)."""
+    def init_state(self, rngs, positions: np.ndarray, bounds):
+        """Fresh mutable state for a group of ``g`` items: ``None`` when
+        the model has none, else a dict of arrays with a leading ``g``
+        axis.  ``rngs`` holds one generator per item, ``positions`` is
+        ``(g, n_clients, 2)`` and ``bounds`` is ``(lo, hi)``, each
+        ``(g, 2)``."""
         return None
 
     def step(
         self,
         state,
-        rng: np.random.Generator,
+        rngs,
         positions: np.ndarray,
         dt_s: float,
         bounds,
-        t_s: float,
+        t_s: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every client by ``dt_s`` seconds from time ``t_s``.
+        """Advance every client of a group by ``dt_s > 0`` seconds from the
+        per-item times ``t_s`` ``(g,)``, updating ``state`` in place or by
+        key.  ``positions`` may be a view of the batch state: never modify
+        it.
 
-        Returns ``(new_positions, speeds_mps)`` -- positions ``(n, 2)`` and
-        the per-client speed actually moved at over the interval ``(n,)``.
+        Returns ``(new_positions, speeds_mps)`` -- positions
+        ``(g, n_clients, 2)`` and the per-client speed actually moved at
+        over the interval ``(g, n_clients)``.
         """
         raise NotImplementedError
 
 
-def _reflect(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mirror positions back into the ``[lo, hi]`` box (billiard reflection).
+def _reflect(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray, out_of_box) -> np.ndarray:
+    """Mirror the ``out_of_box`` coordinates of ``(g, n, 2)`` positions
+    back into each item's ``[lo, hi]`` box, ``(g, 1, 2)`` corners (billiard
+    reflection).
 
     Coordinates already inside the box pass through bit-exactly (no float
     round-trip), so a parked client's position never drifts.
     """
-    out_of_box = (positions < lo) | (positions > hi)
-    if not np.any(out_of_box):
-        return positions
     span = hi - lo
     # Fold into a [0, 2*span) sawtooth, then mirror the upper half.
     folded = np.mod(positions - lo, 2.0 * span)
@@ -146,44 +154,66 @@ class RandomWaypointMobility(MobilityModel):
         speeds = rng.uniform(self.speed_min_mps, self.speed_max_mps, n)
         return waypoints, speeds
 
-    def init_state(self, rng, positions, bounds):
+    def init_state(self, rngs, positions, bounds):
         lo, hi = bounds
-        waypoints, speeds = self._draw_leg(rng, len(positions), lo, hi)
-        return {"waypoint": waypoints, "speed": speeds}
+        legs = [
+            self._draw_leg(rng, positions.shape[1], lo[i], hi[i])
+            for i, rng in enumerate(rngs)
+        ]
+        return {
+            "waypoint": np.stack([waypoints for waypoints, __ in legs]),
+            "speed": np.stack([speeds for __, speeds in legs]),
+        }
 
-    def step(self, state, rng, positions, dt_s, bounds, t_s):
+    def _walk(self, state, rng, item: int, client: int, pos, dt_s, lo, hi):
+        """One client's leg-by-leg walk over ``dt_s``; a fast client can
+        finish several legs within one step.  Draws one leg per arrival.
+        Returns ``(position, distance travelled)``."""
+        remaining = dt_s
+        travelled = 0.0
+        while remaining > 0:
+            target = state["waypoint"][item, client]
+            speed = float(state["speed"][item, client])
+            if speed <= 0:
+                break
+            to_target = target - pos
+            dist = float(np.hypot(*to_target))
+            if dist <= speed * remaining:
+                pos = target.copy()
+                travelled += dist
+                remaining -= dist / speed
+                waypoint, leg_speed = self._draw_leg(rng, 1, lo, hi)
+                state["waypoint"][item, client] = waypoint[0]
+                state["speed"][item, client] = leg_speed[0]
+            else:
+                pos = pos + to_target / dist * speed * remaining
+                travelled += speed * remaining
+                remaining = 0.0
+        return pos, travelled
+
+    def step(self, state, rngs, positions, dt_s, bounds, t_s):
         lo, hi = bounds
+        speed = state["speed"]
+        to_target = state["waypoint"] - positions
+        dist = np.hypot(to_target[..., 0], to_target[..., 1])
+        moving = speed > 0
+        arrive = moving & (dist <= speed * dt_s)
+        # Clients that stay on their leg all step move in one array pass.
+        cruise = moving & ~arrive
         new_positions = positions.copy()
-        moved = np.zeros(len(positions))
-        for client in range(len(positions)):
-            remaining = dt_s
-            pos = new_positions[client]
-            travelled = 0.0
-            # Walk leg by leg; a fast client can finish several within one
-            # round.  Draws happen per arrival in client order, identically
-            # on both backends.
-            while remaining > 0:
-                target = state["waypoint"][client]
-                speed = float(state["speed"][client])
-                if speed <= 0:
-                    break
-                to_target = target - pos
-                dist = float(np.hypot(*to_target))
-                if dist <= speed * remaining:
-                    pos = target.copy()
-                    travelled += dist
-                    remaining -= dist / speed
-                    waypoint, leg_speed = self._draw_leg(rng, 1, lo, hi)
-                    state["waypoint"][client] = waypoint[0]
-                    state["speed"][client] = leg_speed[0]
-                else:
-                    pos = pos + to_target / dist * speed * remaining
-                    travelled += speed * remaining
-                    remaining = 0.0
-            new_positions[client] = pos
-            moved[client] = travelled
-        speeds = moved / dt_s if dt_s > 0 else np.zeros(len(positions))
-        return new_positions, speeds
+        new_positions[cruise] = (
+            positions[cruise]
+            + to_target[cruise] / dist[cruise, None] * speed[cruise, None] * dt_s
+        )
+        moved = np.where(cruise, speed * dt_s, 0.0)
+        # Clients that reach a waypoint walk leg by leg, in client order
+        # within each item (each item draws from its own generator).
+        for item, client in zip(*np.nonzero(arrive)):
+            new_positions[item, client], moved[item, client] = self._walk(
+                state, rngs[item], item, client, positions[item, client], dt_s,
+                lo[item], hi[item],
+            )
+        return new_positions, moved / dt_s
 
 
 @register_mobility("gauss_markov")
@@ -220,55 +250,62 @@ class GaussMarkovMobility(MobilityModel):
         if self.speed_std_mps < 0 or self.heading_std_rad < 0:
             raise ValueError("standard deviations must be non-negative")
 
-    def init_state(self, rng, positions, bounds):
-        n = len(positions)
-        mean_heading = rng.uniform(0.0, 2.0 * np.pi, n)
+    def init_state(self, rngs, positions, bounds):
+        n = positions.shape[1]
+        mean_heading = np.stack([rng.uniform(0.0, 2.0 * np.pi, n) for rng in rngs])
         return {
-            "speed": np.full(n, float(self.speed_mps)),
+            "speed": np.full(mean_heading.shape, float(self.speed_mps)),
             "heading": mean_heading.copy(),
             "mean_heading": mean_heading,
         }
 
-    def step(self, state, rng, positions, dt_s, bounds, t_s):
-        n = len(positions)
+    def step(self, state, rngs, positions, dt_s, bounds, t_s):
+        g, n = positions.shape[:2]
+        # Each item draws its speed normals, then its heading normals.
+        noise = np.empty((g, 2, n))
+        for rng, rows in zip(rngs, noise):
+            rng.standard_normal(out=rows)
         # Memory decays per unit time (alpha is defined over step_ref_s),
         # so irregular step sizes leave the process statistics unchanged.
         ratio = dt_s / self.step_ref_s
         alpha = self.alpha if ratio == 1.0 else self.alpha**ratio
         noise_scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
-        speed = (
-            alpha * state["speed"]
-            + (1.0 - alpha) * self.speed_mps
-            + noise_scale * self.speed_std_mps * rng.standard_normal(n)
-        )
-        speed = np.maximum(speed, 0.0)
-        heading = (
-            alpha * state["heading"]
-            + (1.0 - alpha) * state["mean_heading"]
-            + noise_scale * self.heading_std_rad * rng.standard_normal(n)
-        )
+        speed = alpha * state["speed"]
+        speed += (1.0 - alpha) * self.speed_mps
+        speed += noise_scale * self.speed_std_mps * noise[:, 0]
+        np.maximum(speed, 0.0, out=speed)
+        heading = alpha * state["heading"]
+        heading += (1.0 - alpha) * state["mean_heading"]
+        heading += noise_scale * self.heading_std_rad * noise[:, 1]
         state["speed"] = speed
-        stride = (speed * dt_s)[:, None] * np.column_stack(
-            (np.cos(heading), np.sin(heading))
-        )
-        lo, hi = bounds
-        tentative = positions + stride
+        state["heading"] = heading
+        # tentative = positions + speed * dt * (cos, sin) heading
+        tentative = np.empty((g, n, 2))
+        np.cos(heading, out=tentative[..., 0])
+        np.sin(heading, out=tentative[..., 1])
+        tentative *= (speed * dt_s)[..., None]
+        tentative += positions
+        lo = bounds[0][:, None]
+        hi = bounds[1][:, None]
+        outside = (tentative < lo) | (tentative > hi)
+        if not outside.any():
+            return tentative, speed
         # Mirror the heading *state* (current and mean) along with the
         # position, otherwise a client whose mean heading points at a wall
         # mean-reverts into it forever and stays pinned to the boundary.
-        out_x = (tentative[:, 0] < lo[0]) | (tentative[:, 0] > hi[0])
-        out_y = (tentative[:, 1] < lo[1]) | (tentative[:, 1] > hi[1])
+        out_x = outside[..., 0]
+        out_y = outside[..., 1]
         heading = np.where(out_x, np.pi - heading, heading)
         mean_heading = np.where(out_x, np.pi - state["mean_heading"], state["mean_heading"])
         heading = np.where(out_y, -heading, heading)
         mean_heading = np.where(out_y, -mean_heading, mean_heading)
         state["heading"] = heading
         state["mean_heading"] = mean_heading
-        return _reflect(tentative, lo, hi), speed
+        return _reflect(tentative, lo, hi, outside), speed
 
 
 @register_mobility("trace")
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceMobility(MobilityModel):
     """Playback of recorded per-client trajectories.
 
@@ -277,7 +314,8 @@ class TraceMobility(MobilityModel):
     ride inside a :class:`~repro.api.spec.RunSpec`).  Positions are
     interpolated piecewise-linearly and clamped to the first/last waypoint
     outside the recorded span.  The trace *overrides* the topology's drawn
-    client positions from the first step onward.
+    client positions from the first step onward.  Two traces are equal when
+    their logs are.
     """
 
     points: tuple = field(default=())
@@ -293,33 +331,42 @@ class TraceMobility(MobilityModel):
                     f"client {client}: trace rows must be [t_s, x, y] "
                     f"(got shape {log.shape})"
                 )
+            if not np.isfinite(log).all():
+                raise ValueError(f"client {client}: trace rows must be finite")
             if np.any(np.diff(log[:, 0]) <= 0):
                 raise ValueError(f"client {client}: timestamps must increase")
             normalized.append(log)
         object.__setattr__(self, "points", tuple(normalized))
 
-    def _positions_at(self, t_s: float) -> np.ndarray:
-        out = np.empty((len(self.points), 2))
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and len(other.points) == len(self.points)
+            and all(np.array_equal(a, b) for a, b in zip(self.points, other.points))
+        )
+
+    def _positions_at(self, t_s) -> np.ndarray:
+        """Client positions at times ``t_s`` (any shape), ``t_s.shape +
+        (n_clients, 2)``."""
+        t = np.asarray(t_s, dtype=float)
+        out = np.empty(t.shape + (len(self.points), 2))
         for client, log in enumerate(self.points):
-            out[client, 0] = np.interp(t_s, log[:, 0], log[:, 1])
-            out[client, 1] = np.interp(t_s, log[:, 0], log[:, 2])
+            out[..., client, 0] = np.interp(t, log[:, 0], log[:, 1])
+            out[..., client, 1] = np.interp(t, log[:, 0], log[:, 2])
         return out
 
-    def init_state(self, rng, positions, bounds):
-        if len(self.points) != len(positions):
+    def init_state(self, rngs, positions, bounds):
+        if len(self.points) != positions.shape[1]:
             raise ValueError(
                 f"trace holds {len(self.points)} clients but the deployment "
-                f"has {len(positions)}"
+                f"has {positions.shape[1]}"
             )
         return None
 
-    def step(self, state, rng, positions, dt_s, bounds, t_s):
+    def step(self, state, rngs, positions, dt_s, bounds, t_s):
         new_positions = self._positions_at(t_s + dt_s)
-        if dt_s > 0:
-            speeds = np.linalg.norm(new_positions - self._positions_at(t_s), axis=1) / dt_s
-        else:
-            speeds = np.zeros(len(new_positions))
-        return new_positions, speeds
+        moved = np.linalg.norm(new_positions - self._positions_at(t_s), axis=-1)
+        return new_positions, moved / dt_s
 
 
 def resolve_mobility(model, **kwargs) -> MobilityModel:

@@ -1,20 +1,25 @@
-"""The per-run mobility driver shared by every execution engine.
+"""The mobility driver shared by every execution engine.
 
-:class:`MobilityState` owns one topology's client trajectory: current
-positions, the per-client speed over the last step, and the model's
-mutable state.  The event-driven engine holds one; the round engine
-holds one *per batch item*, which is the batch-invariance argument for
-finite-speed series -- every position update is plain per-item arithmetic
-on the item's own spawned generator.
+:class:`MobilityState` owns the client trajectories of a whole batch as
+arrays: positions ``(batch, n_clients, 2)``, the per-client speed over the
+last step ``(batch, n_clients)``, a per-item clock and per-item roaming
+boxes.  Items are grouped by model (class and parameters, by equality),
+and each group's model state is one dict of stacked arrays, so one round
+moves every client of the batch in one ``step`` per group.  The round
+engine holds one for its batch; the event-driven engine holds a batch of
+one.  Every item draws from its own generator in its historical order, so
+finite-speed series never depend on the batch an item runs in.
 
 The engines consume two things per round:
 
-* :attr:`positions` -- drives re-evaluation of the large-scale channel
-  (pathloss / walls / shadowing along the trajectory; the shadowing
-  lattice cache makes spatially consistent resampling cheap), and
-* :meth:`doppler_hz` -- the per-client Doppler ``v / wavelength`` that
-  replaces the global :attr:`RadioConfig.doppler_hz` in the fading
-  evolution, so fast clients decorrelate faster than parked ones.
+* :attr:`MobilityState.positions` -- drives re-evaluation of the
+  large-scale channel (pathloss / walls / shadowing along the trajectory;
+  the shadowing lattice node store makes spatially consistent resampling
+  cheap), and
+* :meth:`MobilityState.doppler_hz` -- the per-client Doppler
+  ``v / wavelength`` that replaces the global
+  :attr:`RadioConfig.doppler_hz` in the fading evolution, so fast clients
+  decorrelate faster than parked ones.
 """
 
 from __future__ import annotations
@@ -25,69 +30,148 @@ from .. import rng as rng_mod
 from .models import MobilityModel, resolve_mobility
 
 
-class MobilityState:
-    """Trajectory state for one topology run."""
+def _rows(items: np.ndarray):
+    """An index selecting ``items``: a slice (a view) when they are evenly
+    spaced, as the item groups of a sweep on the batch axis are."""
+    step = items[1] - items[0] if len(items) > 1 else 1
+    if step > 0 and np.all(np.diff(items) == step):
+        return slice(int(items[0]), int(items[-1]) + 1, int(step))
+    return items
 
-    def __init__(self, model: MobilityModel, deployment, rng: np.random.Generator):
-        if model.is_static:
+
+def _group_by_model(models) -> list[tuple[MobilityModel, np.ndarray]]:
+    """``(model, item indices)`` per distinct model, in first-item order."""
+    groups: list[tuple[MobilityModel, list[int]]] = []
+    for item, model in enumerate(models):
+        for shared, items in groups:
+            if type(shared) is type(model) and shared == model:
+                items.append(item)
+                break
+        else:
+            groups.append((model, [item]))
+    return [(model, np.asarray(items)) for model, items in groups]
+
+
+class _Group:
+    """The items of one model: their batch rows, generators, roaming boxes
+    and stacked model state."""
+
+    __slots__ = ("model", "items", "rows", "rngs", "bounds", "state")
+
+    def __init__(self, model, items, rngs, bounds, positions):
+        self.model = model
+        self.items = items
+        self.rows = _rows(items)
+        self.rngs = [rngs[i] for i in items]
+        self.bounds = (bounds[0][items], bounds[1][items])
+        self.state = model.init_state(self.rngs, positions[items], self.bounds)
+
+
+class MobilityState:
+    """Trajectory state of a batch: one model per item (equal models share
+    a group), one deployment per item (all with the same client count) and
+    one generator or seed-tree node per item."""
+
+    def __init__(self, models, deployments, rngs):
+        models = list(models)
+        deployments = list(deployments)
+        if not models or not len(models) == len(deployments) == len(rngs):
+            raise ValueError("need one model, deployment and generator per item")
+        if any(model.is_static for model in models):
             raise ValueError(
                 "static mobility needs no MobilityState; run the engine "
                 "without a mobility model instead"
             )
-        self.model = model
-        self._rng = rng
-        self._bounds = model.roaming_bounds(deployment)
-        self.positions = np.array(deployment.client_positions, dtype=float, copy=True)
-        self.speeds_mps = np.zeros(len(self.positions))
-        self._model_state = model.init_state(rng, self.positions, self._bounds)
-        self._time_s = 0.0
+        self._rngs = [rng_mod.make_rng(rng) for rng in rngs]
+        self.positions = np.stack(
+            [np.array(d.client_positions, dtype=float) for d in deployments]
+        )
+        self.speeds_mps = np.zeros(self.positions.shape[:2])
+        #: Per-item trajectory clock (seconds since the topology draw).
+        self.time_s = np.zeros(len(models))
+        corners = [model.roaming_bounds(d) for model, d in zip(models, deployments)]
+        #: Per-item roaming boxes: ``(lo, hi)`` corners, each ``(batch, 2)``.
+        self.bounds = (
+            np.stack([lo for lo, __ in corners]),
+            np.stack([hi for __, hi in corners]),
+        )
+        self._groups = [
+            _Group(model, items, self._rngs, self.bounds, self.positions)
+            for model, items in _group_by_model(models)
+        ]
 
     @property
-    def n_clients(self) -> int:
+    def n_items(self) -> int:
         return len(self.positions)
 
     @property
-    def time_s(self) -> float:
-        """Trajectory clock (seconds since the topology draw)."""
-        return self._time_s
+    def n_clients(self) -> int:
+        return self.positions.shape[1]
 
-    def advance(self, dt_s: float) -> np.ndarray:
-        """Move every client by ``dt_s`` seconds; returns the new positions."""
+    def advance(self, dt_s: float, items=None) -> np.ndarray:
+        """Move the clients of the selected items (default: all) by
+        ``dt_s`` seconds; returns their positions ``(len(items),
+        n_clients, 2)``.  Unselected items neither move nor draw."""
         if dt_s < 0:
             raise ValueError("dt_s must be non-negative")
-        if dt_s == 0:
-            return self.positions
-        self.positions, self.speeds_mps = self.model.step(
-            self._model_state,
-            self._rng,
-            self.positions,
-            dt_s,
-            self._bounds,
-            self._time_s,
-        )
-        self._time_s += dt_s
-        return self.positions
+        if dt_s > 0:
+            selected = None
+            if items is not None:
+                selected = np.zeros(self.n_items, dtype=bool)
+                selected[items] = True
+            for group in self._groups:
+                rows, rngs, bounds, state = group.rows, group.rngs, group.bounds, group.state
+                local = None
+                if selected is not None:
+                    local = np.flatnonzero(selected[group.items])
+                    if local.size == 0:
+                        continue
+                    if local.size == len(group.items):
+                        local = None
+                    else:
+                        rows = group.items[local]
+                        rngs = [rngs[i] for i in local]
+                        bounds = (bounds[0][local], bounds[1][local])
+                        if state is not None:
+                            state = {key: value[local] for key, value in state.items()}
+                self.positions[rows], self.speeds_mps[rows] = group.model.step(
+                    state, rngs, self.positions[rows], dt_s, bounds, self.time_s[rows]
+                )
+                if local is not None and state is not None:
+                    for key, value in state.items():
+                        group.state[key][local] = value
+            self.time_s[slice(None) if items is None else items] += dt_s
+        return self.positions if items is None else self.positions[items]
 
     def doppler_hz(self, wavelength_m: float) -> np.ndarray:
-        """Per-client Doppler spread ``v / wavelength`` over the last step."""
+        """Per-client Doppler spread ``v / wavelength`` over the last step,
+        ``(batch, n_clients)``."""
         if wavelength_m <= 0:
             raise ValueError("wavelength_m must be positive")
         return self.speeds_mps / wavelength_m
 
 
 def build_mobility_state(
-    mobility, mobility_kwargs, deployment, rng
+    mobility, mobility_kwargs, deployments, seeds
 ) -> MobilityState | None:
-    """Resolve an engine's ``mobility=`` argument into a per-run state.
+    """Resolve an engine's ``mobility=`` argument into a batch state.
 
-    ``None`` and ``"static"`` both yield ``None`` -- the engines then take
-    their historical frozen-topology path untouched (bit-identical to every
-    pre-mobility release).  ``rng`` is a generator or a seed-tree node; a
-    node's generator is built only for a moving model.
+    ``mobility_kwargs``, ``deployments`` and ``seeds`` hold one entry per
+    item.  ``None`` and ``"static"`` both yield ``None`` -- the engines
+    then take their historical frozen-topology path untouched
+    (bit-identical to every pre-mobility release).  Each seed is a
+    generator or a seed-tree node; a node's generator is built only for a
+    moving model.
     """
     if mobility is None:
         return None
-    model = resolve_mobility(mobility, **dict(mobility_kwargs or {}))
-    if model.is_static:
+    models = [resolve_mobility(mobility, **dict(kwargs or {})) for kwargs in mobility_kwargs]
+    static = [model.is_static for model in models]
+    if all(static):
         return None
-    return MobilityState(model, deployment, rng_mod.make_rng(rng))
+    if any(static):
+        raise ValueError(
+            "a batch cannot mix static and moving clients; run them as "
+            "separate evaluators"
+        )
+    return MobilityState(models, deployments, seeds)

@@ -469,16 +469,6 @@ class CarrierSenseBatch:
         return xpmod.to_numpy(self._cross_mw >= self._mac.cs_threshold_mw)
 
 
-def _all_or_none(states: list, what: str) -> list | None:
-    """Per-item states when every item built one, ``None`` when none did."""
-    built = [state is not None for state in states]
-    if any(built) and not all(built):
-        raise ValueError(
-            f"a batch cannot mix {what}; run them as separate evaluators"
-        )
-    return states if built[0] else None
-
-
 def _mutual_overhear_from_decodable(
     decodable: np.ndarray, antennas_of: list[np.ndarray]
 ) -> np.ndarray:
@@ -616,14 +606,10 @@ class RoundBasedEvaluatorBatch:
             traffic, traffic_kwargs, structure.n_clients, traffic_seeds, first,
             ampdu,
         )
-        self._mobility = _all_or_none(
-            [
-                build_mobility_state(
-                    mobility, mobility_kwargs[b], deployments[b], mobility_seeds[b]
-                )
-                for b in range(self.n_items)
-            ],
-            "static and moving clients",
+        #: One stacked trajectory state for the whole batch (``None`` for
+        #: static clients).
+        self._mobility = build_mobility_state(
+            mobility, mobility_kwargs, deployments, mobility_seeds
         )
         self._resound_period = int(resound_period_rounds)
         self._round_index = 0
@@ -1046,19 +1032,12 @@ class RoundBasedEvaluatorBatch:
         if self._mobility is None:
             self.channel.advance(dt_s, items=advance_items)
             return
-        idx = (
-            np.arange(self.n_items)
-            if advance_items is None
-            else np.asarray(advance_items, dtype=int)
-        )
-        wavelength = self.scenarios[0].radio.wavelength_m
-        for b in idx:
-            self._mobility[b].advance(dt_s)
-        doppler = np.stack([self._mobility[b].doppler_hz(wavelength) for b in idx])
+        positions = self._mobility.advance(dt_s, items=advance_items)
+        doppler = self._mobility.doppler_hz(self.scenarios[0].radio.wavelength_m)
+        if advance_items is not None:
+            doppler = doppler[advance_items]
         self.channel.advance(dt_s, items=advance_items, doppler_hz=doppler)
-        self.channel.update_client_positions(
-            np.stack([self._mobility[b].positions for b in idx]), items=idx
-        )
+        self.channel.update_client_positions(positions, items=advance_items)
 
     def run(self, n_rounds: int = 30, item_mask=None) -> list[RoundBasedResult | None]:
         """Evaluate ``n_rounds`` rounds for every (selected) item, rotating

@@ -120,7 +120,7 @@ class NetworkSimulation:
             scenario, ampdu,
         )
         self._mobility = build_mobility_state(
-            mobility, mobility_kwargs, self.deployment, mobility_seed
+            mobility, [mobility_kwargs], [self.deployment], [mobility_seed]
         )
         #: Mobility CSI staleness: with an interval, TXOPs between
         #: re-soundings precode from the snapshot captured at the last
@@ -283,14 +283,12 @@ class NetworkSimulation:
             if self._mobility is None:
                 self.channel.advance(dt_s)
             else:
-                self._mobility.advance(dt_s)
+                positions = self._mobility.advance(dt_s)
                 self.channel.advance(
                     dt_s,
-                    doppler_hz=self._mobility.doppler_hz(
-                        self.scenario.radio.wavelength_m
-                    )[None],
+                    doppler_hz=self._mobility.doppler_hz(self.scenario.radio.wavelength_m),
                 )
-                self.channel.update_client_positions(self._mobility.positions[None])
+                self.channel.update_client_positions(positions)
             self._last_channel_advance_us = now_us
 
     def _maybe_resound(self, now_us: float) -> None:

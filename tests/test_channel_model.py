@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers.goldens import floats, goldens
+from helpers.shadowing_oracle import channel_site_fields
 from repro.channel.batch import ChannelBatch, apply_csi_error
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
@@ -131,7 +132,7 @@ class TestVectorizedGainLoops:
     @staticmethod
     def _reference_gain_db(scenario, seed, rx_points):
         """The historical per-antenna implementation of large_scale_gain_db,
-        replayed on a fresh model with the same seed."""
+        replayed on identically-seeded oracle fields."""
         from repro.channel import walls
         from repro.channel.pathloss import LogDistancePathLoss
         from repro.topology import geometry
@@ -150,9 +151,12 @@ class TestVectorizedGainLoops:
                 radio.wall_loss_db,
                 max_walls=radio.max_wall_count,
             )
+        site_of = model._site_of_antenna[0]
+        fields = channel_site_fields(seed, int(site_of.max()) + 1, radio)
+        for field in fields:  # the model sampled its clients at construction
+            field.sample(scenario.deployment.client_positions)
         for k in range(scenario.deployment.n_antennas):
-            field = model._site_fields[0][model._site_of_antenna[0][k]]
-            gain[:, k] += field.sample(pts)
+            gain[:, k] += fields[site_of[k]].sample(pts)
         gain -= model._cable_loss_db[0][None, :]
         return gain
 
@@ -182,11 +186,15 @@ class TestVectorizedGainLoops:
         reference_model = one_channel(scenario.deployment, scenario.radio, seed=13)
         pts = scenario.deployment.antenna_positions
         # Reference: recompute the shadowing sum with an explicit antenna loop
-        # on an identically-seeded model.
+        # over identically-seeded oracle fields that first sampled the
+        # clients, as the model did at construction.
+        site_of = model._site_of_antenna[0]
+        fields = channel_site_fields(13, int(site_of.max()) + 1, scenario.radio)
         expected_shadow = np.zeros((len(pts), scenario.deployment.n_antennas))
+        for field in fields:
+            field.sample(scenario.deployment.client_positions)
         for k in range(scenario.deployment.n_antennas):
-            field = reference_model._site_fields[0][reference_model._site_of_antenna[0][k]]
-            expected_shadow[:, k] = field.sample(pts)
+            expected_shadow[:, k] = fields[site_of[k]].sample(pts)
         np.testing.assert_array_equal(model.shadowing_db(pts)[0], expected_shadow)
         np.testing.assert_array_equal(
             model.antenna_cross_power_dbm(),

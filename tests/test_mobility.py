@@ -11,6 +11,8 @@ The two contracts every test here circles around:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import MOBILITY, RunSpec, Runner
 from repro.config import SimConfig
@@ -24,6 +26,7 @@ from repro.mobility import (
     mobility_names,
     resolve_mobility,
 )
+from helpers import mobility_oracle
 from helpers.goldens import assert_network_matches, assert_rounds_match, goldens
 from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.sim.network import NetworkSimulation
@@ -44,6 +47,11 @@ GOLDEN = goldens()
 
 def _deployment(seed=0):
     return single_ap_scenario(ENV, AntennaMode.DAS, seed=seed).deployment
+
+
+def one_state(model, deployment, rng):
+    """The stacked mobility state of one topology: a batch of one."""
+    return MobilityState([model], [deployment], [rng])
 
 
 def one_topology(scenario, mode, seed, **kwargs):
@@ -103,36 +111,36 @@ class TestModels:
     def test_clients_move_and_stay_in_roaming_box(self, name, kwargs):
         deployment = _deployment()
         model = resolve_mobility(name, **kwargs)
-        state = MobilityState(model, deployment, np.random.default_rng(0))
-        start = state.positions.copy()
+        state = one_state(model, deployment, np.random.default_rng(0))
+        start = state.positions[0].copy()
         lo, hi = model.roaming_bounds(deployment)
         for __ in range(200):
             state.advance(0.02)
-            assert np.all(state.positions >= lo - 1e-9)
-            assert np.all(state.positions <= hi + 1e-9)
-        assert not np.allclose(state.positions, start)
+            assert np.all(state.positions[0] >= lo - 1e-9)
+            assert np.all(state.positions[0] <= hi + 1e-9)
+        assert not np.allclose(state.positions[0], start)
         assert np.all(state.speeds_mps >= 0)
 
     def test_gauss_markov_mean_speed_tracks_parameter(self):
         deployment = _deployment()
         model = GaussMarkovMobility(speed_mps=1.2)
-        state = MobilityState(model, deployment, np.random.default_rng(1))
+        state = one_state(model, deployment, np.random.default_rng(1))
         speeds = []
         for __ in range(500):
             state.advance(0.02)
-            speeds.append(state.speeds_mps.copy())
+            speeds.append(state.speeds_mps[0].copy())
         assert np.mean(speeds) == pytest.approx(1.2, rel=0.2)
 
     def test_zero_speed_gauss_markov_parks_clients(self):
         deployment = _deployment()
-        state = MobilityState(
+        state = one_state(
             GaussMarkovMobility(speed_mps=0.0), deployment, np.random.default_rng(2)
         )
-        start = state.positions.copy()
+        start = state.positions[0].copy()
         for __ in range(20):
             state.advance(0.02)
-        np.testing.assert_array_equal(state.positions, start)
-        np.testing.assert_array_equal(state.speeds_mps, np.zeros(len(start)))
+        np.testing.assert_array_equal(state.positions[0], start)
+        np.testing.assert_array_equal(state.speeds_mps[0], np.zeros(len(start)))
 
     def test_trace_playback_interpolates(self):
         deployment = _deployment()
@@ -140,15 +148,15 @@ class TestModels:
         points = [
             [[0.0, float(i), 0.0], [1.0, float(i), 10.0]] for i in range(n)
         ]
-        state = MobilityState(
+        state = one_state(
             TraceMobility(points=points), deployment, np.random.default_rng(0)
         )
         state.advance(0.5)
-        np.testing.assert_allclose(state.positions[:, 1], 5.0)
-        np.testing.assert_allclose(state.speeds_mps, 10.0)
+        np.testing.assert_allclose(state.positions[0, :, 1], 5.0)
+        np.testing.assert_allclose(state.speeds_mps[0], 10.0)
         # Clamped past the recorded span.
         state.advance(2.0)
-        np.testing.assert_allclose(state.positions[:, 1], 10.0)
+        np.testing.assert_allclose(state.positions[0, :, 1], 10.0)
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
@@ -158,16 +166,31 @@ class TestModels:
         deployment = _deployment()
         one_client = TraceMobility(points=[[[0.0, 0.0, 0.0]]])
         with pytest.raises(ValueError, match="clients"):
-            MobilityState(one_client, deployment, np.random.default_rng(0))
+            one_state(one_client, deployment, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_trace_rejects_non_finite_rows(self, bad, column):
+        row = [0.5, 1.0, 2.0]
+        row[column] = bad
+        with pytest.raises(ValueError, match="client 1: .*finite"):
+            TraceMobility(points=[[[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], row]])
+
+    def test_trace_equality_compares_logs(self):
+        log = [[[0.0, 1.0, 2.0], [1.0, 3.0, 4.0]]]
+        assert TraceMobility(points=log) == TraceMobility(points=log)
+        assert TraceMobility(points=log) != TraceMobility(points=[[[0.0, 1.0, 2.0]]])
+        assert TraceMobility(points=log) != GaussMarkovMobility()
 
 
 class TestMobilityState:
     def test_doppler_from_speed(self):
         deployment = _deployment()
-        state = MobilityState(
+        state = one_state(
             GaussMarkovMobility(speed_mps=1.5), deployment, np.random.default_rng(0)
         )
         state.advance(0.02)
+        assert state.doppler_hz(0.05).shape == (1, deployment.n_clients)
         np.testing.assert_array_equal(
             state.doppler_hz(0.05), state.speeds_mps / 0.05
         )
@@ -176,17 +199,99 @@ class TestMobilityState:
 
     def test_static_model_rejected(self):
         with pytest.raises(ValueError, match="static"):
-            MobilityState(StaticMobility(), _deployment(), np.random.default_rng(0))
+            one_state(StaticMobility(), _deployment(), np.random.default_rng(0))
 
     def test_build_helper_sentinels(self):
         deployment = _deployment()
         rng = np.random.default_rng(0)
-        assert build_mobility_state(None, None, deployment, rng) is None
-        assert build_mobility_state("static", None, deployment, rng) is None
+        assert build_mobility_state(None, [None], [deployment], [rng]) is None
+        assert build_mobility_state("static", [None], [deployment], [rng]) is None
         state = build_mobility_state(
-            "gauss_markov", {"speed_mps": 1.0}, deployment, rng
+            "gauss_markov", [{"speed_mps": 1.0}], [deployment], [rng]
         )
         assert isinstance(state, MobilityState)
+        assert state.positions.shape == (1, deployment.n_clients, 2)
+
+    def test_equal_models_share_one_group(self):
+        deployments = [_deployment(s) for s in range(4)]
+        state = build_mobility_state(
+            "gauss_markov",
+            [{"speed_mps": 1.0}, {"speed_mps": 2.0}, {"speed_mps": 1.0}, {}],
+            deployments,
+            [np.random.default_rng(s) for s in range(4)],
+        )
+        groups = [group.items.tolist() for group in state._groups]
+        assert groups == [[0, 2], [1], [3]]
+
+    def test_negative_step_rejected(self):
+        state = one_state(GaussMarkovMobility(), _deployment(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            state.advance(-0.01)
+
+
+def _trace_for(n_clients: int) -> TraceMobility:
+    rng = np.random.default_rng(99)
+    return TraceMobility(
+        points=[
+            np.column_stack(([0.0, 0.05, 0.4], rng.uniform(-10, 10, (3, 2)))).tolist()
+            for __ in range(n_clients)
+        ]
+    )
+
+
+#: A pool of item models: gauss_markov under two kwargs sets, random
+#: waypoint parked and fast enough to reach several waypoints in one step,
+#: and trace playback.
+_MODEL_POOL = [
+    GaussMarkovMobility(speed_mps=1.5),
+    GaussMarkovMobility(speed_mps=0.7, alpha=0.4, heading_std_rad=1.5),
+    RandomWaypointMobility(speed_mps=0.0),
+    RandomWaypointMobility(speed_mps=40.0),
+    RandomWaypointMobility(),
+    _trace_for(_deployment().n_clients),
+]
+
+
+class TestStackedMatchesPerItemOracle:
+    """One stacked state over a mixed batch moves every item exactly as the
+    per-item state of repro 8.0.0 moved it alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, len(_MODEL_POOL) - 1), min_size=1, max_size=6),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.003, 0.02, 0.02, 0.25, 1.7]),
+                st.none() | st.lists(st.booleans(), min_size=6, max_size=6),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_positions_speeds_clocks_and_draws(self, picks, advances):
+        models = [_MODEL_POOL[p] for p in picks]
+        deployments = [_deployment(b % 2) for b in range(len(models))]
+        stacked = MobilityState(
+            models, deployments, [np.random.default_rng(100 + b) for b in range(len(models))]
+        )
+        oracles = [
+            mobility_oracle.MobilityState(model, dep, np.random.default_rng(100 + b))
+            for b, (model, dep) in enumerate(zip(models, deployments))
+        ]
+        for dt_s, mask in advances:
+            items = None if mask is None else np.flatnonzero(mask[: len(models)])
+            moved = stacked.advance(dt_s, items=items)
+            chosen = range(len(models)) if items is None else items
+            for b in chosen:
+                oracles[b].advance(dt_s)
+            np.testing.assert_array_equal(moved, stacked.positions[list(chosen)])
+            for b, oracle in enumerate(oracles):
+                np.testing.assert_array_equal(stacked.positions[b], oracle.positions)
+                np.testing.assert_array_equal(stacked.speeds_mps[b], oracle.speeds_mps)
+                assert stacked.time_s[b] == oracle.time_s
+                assert (
+                    stacked._rngs[b].bit_generator.state == oracle.rng.bit_generator.state
+                )
 
 
 class TestStaticBitIdentity:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import shadowing_oracle as oracle
 from repro.channel.batch import ChannelBatch
 from repro.channel.shadowing import (
+    LatticeNodeStore,
     ShadowingField,
     group_antenna_sites,
     group_antenna_sites_batch,
@@ -98,47 +100,22 @@ class TestVectorizedSampling:
     """The vectorized sampler must match the historical point-by-point walk
     exactly -- same lattice draws (first-visit order), same interpolation."""
 
-    @staticmethod
-    def _reference_sample(field, points):
-        """The historical scalar implementation, driven through the public
-        node cache so generator draws interleave exactly as they used to."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if field.sigma_db == 0.0:
-            return np.zeros(len(pts))
-        scaled = pts / field.correlation_m
-        base = np.floor(scaled).astype(int)
-        frac = scaled - base
-        values = np.empty(len(pts))
-        for i, ((ix, iy), (fx, fy)) in enumerate(zip(map(tuple, base), frac)):
-            w00 = (1 - fx) * (1 - fy)
-            w10 = fx * (1 - fy)
-            w01 = (1 - fx) * fy
-            w11 = fx * fy
-            raw = (
-                w00 * field._node(ix, iy)
-                + w10 * field._node(ix + 1, iy)
-                + w01 * field._node(ix, iy + 1)
-                + w11 * field._node(ix + 1, iy + 1)
-            )
-            norm = np.sqrt(w00**2 + w10**2 + w01**2 + w11**2)
-            values[i] = raw / norm
-        return values * field.sigma_db
-
     @pytest.mark.parametrize("n_points", [3, 500])
     def test_matches_scalar_reference(self, n_points):
-        # 3 points exercises the small-query fast path, 500 the unique path.
         rng = np.random.default_rng(4)
         points = rng.uniform(-25, 25, (n_points, 2))
         fast = ShadowingField(np.random.default_rng(77), 9.0, 8.0)
-        reference = ShadowingField(np.random.default_rng(77), 9.0, 8.0)
+        reference = oracle.ShadowingField(np.random.default_rng(77), 9.0, 8.0)
         np.testing.assert_array_equal(
-            fast.sample(points), self._reference_sample(reference, points)
+            fast.sample(points), oracle.walk_sample(reference, points)
         )
-        # A second overlapping query reuses cached nodes identically.
+        # A second overlapping query reuses stored nodes identically.
         more = rng.uniform(-25, 25, (n_points, 2))
         np.testing.assert_array_equal(
-            fast.sample(more), self._reference_sample(reference, more)
+            fast.sample(more), oracle.walk_sample(reference, more)
         )
+        assert oracle.store_nodes(fast._store, 0) == reference.nodes
+        assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def _components_oracle(points, tolerance_m=1.0):
@@ -234,9 +211,9 @@ def _chained_deployments():
 
 
 class TestStackedNodeCache:
-    """One stacked lattice pass leaves every site field's node cache (keys,
-    insertion order, values) and generator state exactly where the
-    historical per-item, per-site walk left them."""
+    """One stacked lattice pass leaves every site field's nodes (keys and
+    values) and generator state exactly where the historical per-item,
+    per-site walk left them."""
 
     SEEDS = [3, 41, 2**33 + 1]
 
@@ -246,7 +223,9 @@ class TestStackedNodeCache:
         site_of = group_antenna_sites(deployment.antenna_positions)
         site_rngs = _old_spawn(shadow, int(site_of.max()) + 1)
         fields = [
-            ShadowingField(rng, radio.shadowing_sigma_db, radio.shadowing_correlation_m)
+            oracle.ShadowingField(
+                rng, radio.shadowing_sigma_db, radio.shadowing_correlation_m
+            )
             for rng in site_rngs
         ]
         return site_of, fields
@@ -268,10 +247,15 @@ class TestStackedNodeCache:
             if survey is not None:
                 expected = np.stack([fields[s].sample(survey) for s in site_of], axis=1)
                 np.testing.assert_array_equal(survey_db[b], expected)
-            assert len(channel._site_fields[b]) == len(fields)
-            for stacked, reference in zip(channel._site_fields[b], fields):
-                assert list(stacked._nodes.items()) == list(reference._nodes.items())
-                assert stacked.rng.bit_generator.state == reference.rng.bit_generator.state
+            store = channel._shadowing
+            assert store.site_counts[b] == len(fields)
+            for s, reference in enumerate(fields):
+                field = int(store.field_offsets[b]) + s
+                assert oracle.store_nodes(store, field) == reference.nodes
+                assert (
+                    store.generator(field).bit_generator.state
+                    == reference.rng.bit_generator.state
+                )
 
     def test_cas_one_site(self):
         scenarios = [single_ap_scenario(office_b(), AntennaMode.CAS, seed=s) for s in range(3)]
@@ -285,11 +269,12 @@ class TestStackedNodeCache:
         self._check(_chained_deployments(), office_b().radio)
 
     def test_rows_past_an_items_sites_are_zero(self):
-        fields = [
-            [ShadowingField(np.random.default_rng(s), 6.0, 8.0) for s in range(3)],
-            [ShadowingField(np.random.default_rng(9), 6.0, 8.0)],
-        ]
-        values = sample_site_fields(fields, [(1.0, 2.0), (30.0, -4.0)])
+        store = LatticeNodeStore(
+            [[np.random.default_rng(s) for s in range(3)], [np.random.default_rng(9)]],
+            6.0,
+            8.0,
+        )
+        values = sample_site_fields(store, [(1.0, 2.0), (30.0, -4.0)])
         assert values.shape == (2, 3, 2)
         np.testing.assert_array_equal(values[1, 1:], 0.0)
         assert np.all(values[0] != 0.0)
@@ -299,3 +284,104 @@ class TestStackedNodeCache:
         grid = geometry.grid_points((-12.0, 12.0), (-12.0, 12.0), 1.0)
         assert grid.size * 2 > 64
         self._check([s.deployment for s in scenarios], scenarios[0].radio, survey=grid)
+
+
+#: Lattice-scale coordinates on both sides of the origin: with 2.5 m cells,
+#: draws revisit cells often and also reach new terrain.
+_SPOT = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _store_sessions(draw):
+    """Site counts per item and a sequence of sampling calls: each one
+    shared survey points or a per-item stack, over every item or a subset."""
+    n_items = draw(st.integers(1, 4))
+    site_counts = draw(st.lists(st.integers(1, 3), min_size=n_items, max_size=n_items))
+    calls = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_points = draw(st.integers(0, 5))
+        items = draw(
+            st.none()
+            | st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items, unique=True)
+        )
+        rows = n_items if items is None else len(items)
+        shape = (n_points, 2) if draw(st.booleans()) else (rows, n_points, 2)
+        flat = draw(st.lists(_SPOT, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        calls.append((items, np.array(flat, dtype=float).reshape(shape)))
+    return site_counts, calls
+
+
+class TestLatticeNodeStore:
+    """The stacked store draws, stores and returns exactly what one dict
+    per field did (repro 8.0.0), for every field of the batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_store_sessions())
+    def test_matches_dict_oracle(self, session):
+        site_counts, calls = session
+        seeds = [[7 * b + s for s in range(n)] for b, n in enumerate(site_counts)]
+        store = LatticeNodeStore(seeds, 6.0, 2.5)
+        fields = [[oracle.ShadowingField(seed, 6.0, 2.5) for seed in item] for item in seeds]
+        for items, points in calls:
+            chosen = range(len(seeds)) if items is None else items
+            expected = oracle.sample_site_fields([fields[b] for b in chosen], points)
+            np.testing.assert_array_equal(
+                sample_site_fields(store, points, items=items), expected
+            )
+        for b, item in enumerate(fields):
+            for s, reference in enumerate(item):
+                field = int(store.field_offsets[b]) + s
+                assert oracle.store_nodes(store, field) == reference.nodes
+                assert (
+                    store.generator(field).bit_generator.state
+                    == reference.rng.bit_generator.state
+                )
+        assert np.all(np.diff(store.keys) > 0)
+
+    def test_item_without_sites_draws_nothing(self):
+        store = LatticeNodeStore([[], [5]], 6.0, 8.0)
+        reference = oracle.ShadowingField(5, 6.0, 8.0)
+        points = np.array([[(1.0, 2.0), (-9.0, 3.0)], [(4.0, -7.0), (30.0, 1.0)]])
+        values = sample_site_fields(store, points)
+        assert values.shape == (2, 1, 2)
+        np.testing.assert_array_equal(values[0], 0.0)
+        np.testing.assert_array_equal(values[1, 0], reference.sample(points[1]))
+
+    def test_only_fields_with_missing_nodes_draw(self):
+        store = LatticeNodeStore([[0, 1], [2]], 6.0, 8.0)
+        sample_site_fields(store, [[(1.0, 1.0)], [(1.0, 1.0)]])
+        states = [store.generator(f).bit_generator.state for f in range(3)]
+        sample_site_fields(store, [[(2.0, 3.0)], [(40.0, 1.0)]])
+        assert [store.generator(f).bit_generator.state for f in range(2)] == states[:2]
+        assert store.generator(2).bit_generator.state != states[2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected_without_drawing(self, bad):
+        field = ShadowingField(np.random.default_rng(0), 6.0, 8.0)
+        with pytest.raises(ValueError, match="finite"):
+            field.sample([(1.0, 2.0), (bad, 0.0)])
+        assert field._store.keys.size == 0
+        assert field._store._generators == [None]
+
+    def test_lattice_index_range_checked(self):
+        field = ShadowingField(np.random.default_rng(0), 6.0, 8.0)
+        lo = -8.0 * 2**20  # lowest cell index, -2**20
+        hi = 8.0 * (2**20 - 2) + 4.0  # highest cell whose +1 corner still packs
+        values = field.sample([(lo, hi), (hi, lo), (0.0, 0.0)])
+        assert np.all(np.isfinite(values))
+        assert field._store.keys.size == 12  # no two corners collide
+        nodes = oracle.store_nodes(field._store, 0)
+        assert min(k // 2**31 for k in nodes) == -(2**20)
+        for point in [(lo - 4.0, 0.0), (0.0, lo - 4.0), (hi + 4.0, 0.0), (0.0, hi + 4.0)]:
+            with pytest.raises(ValueError, match="within"):
+                field.sample([point])
+        assert field._store.keys.size == 12
+
+    def test_field_count_checked(self):
+        with pytest.raises(ValueError, match="2\\*\\*20 fields"):
+            LatticeNodeStore([[0] * (2**20 + 1)], 6.0, 8.0)
+
+    def test_repeated_items_rejected(self):
+        store = LatticeNodeStore([[0], [1]], 6.0, 8.0)
+        with pytest.raises(ValueError, match="repeat"):
+            sample_site_fields(store, [(1.0, 1.0)], items=[1, 1])
