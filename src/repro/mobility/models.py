@@ -36,6 +36,7 @@ moving clients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,8 +89,7 @@ class MobilityModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance every client of a group by ``dt_s > 0`` seconds from the
         per-item times ``t_s`` ``(g,)``, updating ``state`` in place or by
-        key.  ``positions`` may be a view of the batch state: never modify
-        it.
+        key; ``positions`` is read-only.
 
         Returns ``(new_positions, speeds_mps)`` -- positions
         ``(g, n_clients, 2)`` and the per-client speed actually moved at
@@ -269,7 +269,7 @@ class GaussMarkovMobility(MobilityModel):
         # so irregular step sizes leave the process statistics unchanged.
         ratio = dt_s / self.step_ref_s
         alpha = self.alpha if ratio == 1.0 else self.alpha**ratio
-        noise_scale = np.sqrt(max(0.0, 1.0 - alpha * alpha))
+        noise_scale = math.sqrt(max(0.0, 1.0 - alpha * alpha))
         speed = alpha * state["speed"]
         speed += (1.0 - alpha) * self.speed_mps
         speed += noise_scale * self.speed_std_mps * noise[:, 0]

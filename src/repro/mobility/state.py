@@ -30,15 +30,6 @@ from .. import rng as rng_mod
 from .models import MobilityModel, resolve_mobility
 
 
-def _rows(items: np.ndarray):
-    """An index selecting ``items``: a slice (a view) when they are evenly
-    spaced, as the item groups of a sweep on the batch axis are."""
-    step = items[1] - items[0] if len(items) > 1 else 1
-    if step > 0 and np.all(np.diff(items) == step):
-        return slice(int(items[0]), int(items[-1]) + 1, int(step))
-    return items
-
-
 def _group_by_model(models) -> list[tuple[MobilityModel, np.ndarray]]:
     """``(model, item indices)`` per distinct model, in first-item order."""
     groups: list[tuple[MobilityModel, list[int]]] = []
@@ -50,21 +41,6 @@ def _group_by_model(models) -> list[tuple[MobilityModel, np.ndarray]]:
         else:
             groups.append((model, [item]))
     return [(model, np.asarray(items)) for model, items in groups]
-
-
-class _Group:
-    """The items of one model: their batch rows, generators, roaming boxes
-    and stacked model state."""
-
-    __slots__ = ("model", "items", "rows", "rngs", "bounds", "state")
-
-    def __init__(self, model, items, rngs, bounds, positions):
-        self.model = model
-        self.items = items
-        self.rows = _rows(items)
-        self.rngs = [rngs[i] for i in items]
-        self.bounds = (bounds[0][items], bounds[1][items])
-        self.state = model.init_state(self.rngs, positions[items], self.bounds)
 
 
 class MobilityState:
@@ -95,10 +71,13 @@ class MobilityState:
             np.stack([lo for lo, __ in corners]),
             np.stack([hi for __, hi in corners]),
         )
-        self._groups = [
-            _Group(model, items, self._rngs, self.bounds, self.positions)
-            for model, items in _group_by_model(models)
-        ]
+        #: ``(model, items, generators, bounds, state)`` per model group.
+        self._groups = []
+        for model, items in _group_by_model(models):
+            rngs = [self._rngs[i] for i in items]
+            bounds = (self.bounds[0][items], self.bounds[1][items])
+            state = model.init_state(rngs, self.positions[items], bounds)
+            self._groups.append((model, items, rngs, bounds, state))
 
     @property
     def n_items(self) -> int:
@@ -119,27 +98,27 @@ class MobilityState:
             if items is not None:
                 selected = np.zeros(self.n_items, dtype=bool)
                 selected[items] = True
-            for group in self._groups:
-                rows, rngs, bounds, state = group.rows, group.rngs, group.bounds, group.state
+            for model, rows, rngs, bounds, group_state in self._groups:
+                state = group_state
                 local = None
                 if selected is not None:
-                    local = np.flatnonzero(selected[group.items])
+                    local = np.flatnonzero(selected[rows])
                     if local.size == 0:
                         continue
-                    if local.size == len(group.items):
+                    if local.size == len(rows):
                         local = None
                     else:
-                        rows = group.items[local]
+                        rows = rows[local]
                         rngs = [rngs[i] for i in local]
                         bounds = (bounds[0][local], bounds[1][local])
                         if state is not None:
                             state = {key: value[local] for key, value in state.items()}
-                self.positions[rows], self.speeds_mps[rows] = group.model.step(
+                self.positions[rows], self.speeds_mps[rows] = model.step(
                     state, rngs, self.positions[rows], dt_s, bounds, self.time_s[rows]
                 )
                 if local is not None and state is not None:
                     for key, value in state.items():
-                        group.state[key][local] = value
+                        group_state[key][local] = value
             self.time_s[slice(None) if items is None else items] += dt_s
         return self.positions if items is None else self.positions[items]
 

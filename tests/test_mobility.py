@@ -220,7 +220,7 @@ class TestMobilityState:
             deployments,
             [np.random.default_rng(s) for s in range(4)],
         )
-        groups = [group.items.tolist() for group in state._groups]
+        groups = [items.tolist() for __, items, *__ in state._groups]
         assert groups == [[0, 2], [1], [3]]
 
     def test_negative_step_rejected(self):
