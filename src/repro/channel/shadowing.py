@@ -111,14 +111,12 @@ class LatticeNodeStore:
         draw_order = missing[np.lexsort((first_visit[missing], missing_pair))]
         draws = np.bincount(missing_pair, minlength=len(pair_fields))
         drawing = np.flatnonzero(draws)
-        values[draw_order] = np.concatenate(
-            [
-                self.generator(field).standard_normal(count)
-                for field, count in zip(
-                    pair_fields[drawing].tolist(), draws[drawing].tolist()
-                )
-            ]
-        )
+        fresh = np.empty(missing.size)
+        end = 0
+        for field, count in zip(pair_fields[drawing].tolist(), draws[drawing].tolist()):
+            self.generator(field).standard_normal(out=fresh[end : end + count])
+            end += count
+        values[draw_order] = fresh
         self.keys = np.insert(self.keys, pos[missing], keys[missing])
         self.values = np.insert(self.values, pos[missing], values[missing])
         return values

@@ -11,7 +11,7 @@ The two contracts every test here circles around:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import MOBILITY, RunSpec, Runner
@@ -267,6 +267,16 @@ class TestStackedMatchesPerItemOracle:
             min_size=1,
             max_size=8,
         ),
+    )
+    @example(
+        picks=[0, 3, 1, 2, 5, 4],
+        advances=[
+            (0.02, None),
+            (0.0, None),
+            (1.7, [True, False, True, True, False, True]),
+            (0.003, None),
+            (0.25, [False, True, False, True, True, False]),
+        ],
     )
     def test_positions_speeds_clocks_and_draws(self, picks, advances):
         models = [_MODEL_POOL[p] for p in picks]

@@ -317,6 +317,17 @@ class TestLatticeNodeStore:
 
     @settings(max_examples=150, deadline=None)
     @given(_store_sessions())
+    @example(
+        (
+            [2, 1, 3],
+            [
+                (None, np.array([[-11.5, -3.0], [-0.5, 0.5], [4.0, -9.0]])),
+                ([2, 0], np.array([[[-11.0, -2.5], [12.0, 12.0]], [[3.0, 3.0], [-0.5, 0.4]]])),
+                (None, np.array([[[-11.5, -3.0]], [[7.0, -7.0]], [[-0.5, 0.5]]])),
+                ([1], np.array([[-11.5, -3.0], [9.0, 1.0]])),
+            ],
+        )
+    )
     def test_matches_dict_oracle(self, session):
         site_counts, calls = session
         seeds = [[7 * b + s for s in range(n)] for b, n in enumerate(site_counts)]
