@@ -14,7 +14,7 @@ from .fading import (
     sample_fading,
 )
 from .pathloss import LogDistancePathLoss, coverage_range_m, cs_range_m
-from .shadowing import LatticeNodeStore, ShadowingField, group_antenna_sites
+from .shadowing import ShadowingField, group_antenna_sites
 from .traces import ChannelTrace, record_trace
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "LogDistancePathLoss",
     "coverage_range_m",
     "cs_range_m",
-    "LatticeNodeStore",
     "ShadowingField",
     "group_antenna_sites",
     "ChannelTrace",

@@ -96,17 +96,29 @@ class LatticeNodeStore:
         """Node values of sorted packed ``keys``: one run of
         ``pair_lengths[i]`` unique keys of field ``pair_fields[i]`` per
         pair, no field twice, and each key's ``first_visit`` position.
-        Each field with missing nodes draws them in first-visit order with
-        one ``standard_normal(k)`` call, and the new nodes merge into the
-        store in one step."""
+        Fields with missing nodes draw them (:meth:`_draw`), and the new
+        nodes merge into the store in one step."""
         pos = np.searchsorted(self.keys, keys)
         found = pos < len(self.keys)
         found[found] = self.keys[pos[found]] == keys[found]
         values = np.empty(len(keys))
         values[found] = self.values[pos[found]]
         missing = np.flatnonzero(~found)
-        if missing.size == 0:
-            return values
+        if missing.size:
+            # The draw's index arrays are freed before the merge (the peak
+            # of a first, all-missing lookup); ``pos`` is sorted, so the new
+            # nodes' places in the merged arrays need no sort.
+            self._draw(values, missing, pair_fields, pair_lengths, first_visit)
+            at = pos[missing] + np.arange(missing.size)
+            kept = np.ones(len(self.keys) + missing.size, dtype=bool)
+            kept[at] = False
+            self.keys = _merge(self.keys, kept, keys[missing], at)
+            self.values = _merge(self.values, kept, values[missing], at)
+        return values
+
+    def _draw(self, values, missing, pair_fields, pair_lengths, first_visit) -> None:
+        """Fill ``values[missing]``: each field with missing nodes draws
+        them in first-visit order with one ``standard_normal(k)`` call."""
         missing_pair = np.searchsorted(np.cumsum(pair_lengths), missing, side="right")
         draw_order = missing[np.lexsort((first_visit[missing], missing_pair))]
         draws = np.bincount(missing_pair, minlength=len(pair_fields))
@@ -117,9 +129,14 @@ class LatticeNodeStore:
             self.generator(field).standard_normal(out=fresh[end : end + count])
             end += count
         values[draw_order] = fresh
-        self.keys = np.insert(self.keys, pos[missing], keys[missing])
-        self.values = np.insert(self.values, pos[missing], values[missing])
-        return values
+
+
+def _merge(old: np.ndarray, kept: np.ndarray, new: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``old`` at the ``kept`` places and ``new`` at ``at``."""
+    merged = np.empty(len(kept), dtype=old.dtype)
+    merged[kept] = old
+    merged[at] = new
+    return merged
 
 
 class ShadowingField:
@@ -221,8 +238,12 @@ def sample_site_fields(store: LatticeNodeStore, points, items=None) -> np.ndarra
     generator states match sampling its fields one by one; unselected
     items draw nothing.
     """
-    idx = np.arange(store.n_items) if items is None else np.asarray(items, dtype=np.int64)
-    if items is not None and len(np.unique(idx)) != len(idx):
+    # Indexing an arange range-checks ``items`` and turns negative item
+    # numbers into real ones, so the by-field order and repeat check hold.
+    idx = np.arange(store.n_items)
+    if items is not None:
+        idx = idx[np.asarray(items, dtype=np.int64)]
+    if len(np.unique(idx)) != len(idx):
         raise ValueError("items must not repeat")
     pts = geometry.as_point_stack(points)
     shared = pts.ndim == 2

@@ -193,22 +193,11 @@ class RandomWaypointMobility(MobilityModel):
 
     def step(self, state, rngs, positions, dt_s, bounds, t_s):
         lo, hi = bounds
-        speed = state["speed"]
-        to_target = state["waypoint"] - positions
-        dist = np.hypot(to_target[..., 0], to_target[..., 1])
-        moving = speed > 0
-        arrive = moving & (dist <= speed * dt_s)
-        # Clients that stay on their leg all step move in one array pass.
-        cruise = moving & ~arrive
         new_positions = positions.copy()
-        new_positions[cruise] = (
-            positions[cruise]
-            + to_target[cruise] / dist[cruise, None] * speed[cruise, None] * dt_s
-        )
-        moved = np.where(cruise, speed * dt_s, 0.0)
-        # Clients that reach a waypoint walk leg by leg, in client order
-        # within each item (each item draws from its own generator).
-        for item, client in zip(*np.nonzero(arrive)):
+        moved = np.zeros(positions.shape[:2])
+        # Moving clients walk leg by leg, in client order within each item
+        # (each item draws from its own generator).
+        for item, client in zip(*np.nonzero(state["speed"] > 0)):
             new_positions[item, client], moved[item, client] = self._walk(
                 state, rngs[item], item, client, positions[item, client], dt_s,
                 lo[item], hi[item],

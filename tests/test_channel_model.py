@@ -201,6 +201,23 @@ class TestVectorizedGainLoops:
             reference_model.antenna_cross_power_dbm(),
         )
 
+    def test_negative_items_match_their_positive_numbers(self):
+        scenarios = [single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in range(3)]
+        deployments = [s.deployment for s in scenarios]
+        by_sign = ChannelBatch(deployments, scenarios[0].radio, seeds=[1, 2, 3])
+        by_number = ChannelBatch(deployments, scenarios[0].radio, seeds=[1, 2, 3])
+        rng = np.random.default_rng(4)
+        for points in (rng.uniform(-10, 10, (6, 2)), rng.uniform(-10, 10, (6, 2))):
+            for _ in range(2):  # a revisit reads the stored nodes back
+                np.testing.assert_array_equal(
+                    by_sign.shadowing_db(points, items=[-1, 0]),
+                    by_number.shadowing_db(points, items=[2, 0]),
+                )
+        np.testing.assert_array_equal(by_sign._shadowing.keys, by_number._shadowing.keys)
+        assert np.all(np.diff(by_sign._shadowing.keys) > 0)
+        with pytest.raises(ValueError, match="repeat"):
+            by_sign.shadowing_db(points, items=[-1, 2])
+
 
 class TestGoldens:
     """A batch of one reproduces the retired per-topology model exactly."""

@@ -294,7 +294,8 @@ _SPOT = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)
 @st.composite
 def _store_sessions(draw):
     """Site counts per item and a sequence of sampling calls: each one
-    shared survey points or a per-item stack, over every item or a subset."""
+    shared survey points or a per-item stack, over every item or a subset
+    (some of it by negative index)."""
     n_items = draw(st.integers(1, 4))
     site_counts = draw(st.lists(st.integers(1, 3), min_size=n_items, max_size=n_items))
     calls = []
@@ -304,6 +305,10 @@ def _store_sessions(draw):
             st.none()
             | st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items, unique=True)
         )
+        if items is not None:
+            # Some items by their negative index, counted from the end.
+            negate = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+            items = [b - n_items if neg else b for b, neg in zip(items, negate)]
         rows = n_items if items is None else len(items)
         shape = (n_points, 2) if draw(st.booleans()) else (rows, n_points, 2)
         flat = draw(st.lists(_SPOT, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
@@ -325,6 +330,7 @@ class TestLatticeNodeStore:
                 ([2, 0], np.array([[[-11.0, -2.5], [12.0, 12.0]], [[3.0, 3.0], [-0.5, 0.4]]])),
                 (None, np.array([[[-11.5, -3.0]], [[7.0, -7.0]], [[-0.5, 0.5]]])),
                 ([1], np.array([[-11.5, -3.0], [9.0, 1.0]])),
+                ([-1, 0], np.array([[-11.0, -2.5], [5.0, 5.0], [-7.0, 11.0]])),
             ],
         )
     )
@@ -396,3 +402,13 @@ class TestLatticeNodeStore:
         store = LatticeNodeStore([[0], [1]], 6.0, 8.0)
         with pytest.raises(ValueError, match="repeat"):
             sample_site_fields(store, [(1.0, 1.0)], items=[1, 1])
+        with pytest.raises(ValueError, match="repeat"):
+            sample_site_fields(store, [(1.0, 1.0)], items=[-1, 1])
+        assert store.keys.size == 0
+
+    def test_out_of_range_items_rejected(self):
+        store = LatticeNodeStore([[0], [1]], 6.0, 8.0)
+        for items in ([2], [-3]):
+            with pytest.raises(IndexError):
+                sample_site_fields(store, [(1.0, 1.0)], items=items)
+        assert store.keys.size == 0
