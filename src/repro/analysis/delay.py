@@ -2,7 +2,8 @@
 
 Companions to :mod:`repro.analysis.cdf` for the finite-load results the
 traffic subsystem produces: per-packet delay samples (from
-:attr:`repro.sim.batch.RoundBasedResult.delay_samples_s` or a
+:attr:`repro.sim.batch.RoundBasedResult.delay_samples_s`, one item's slice
+of its run's packed :class:`~repro.sim.batch.RoundLog` delays, or a
 ``latency_vs_load`` run) and offered-load sweeps.
 """
 
@@ -43,7 +44,7 @@ def delay_percentiles(delays, qs=(0.5, 0.9, 0.95, 0.99)) -> np.ndarray:
     """Delay quantiles at ``qs``.
 
     Raises :class:`ValueError` when no packet ever departed, exactly like
-    :func:`delay_cdf` (use :attr:`RoundBasedResult.delay_quantile` if an
+    :func:`delay_cdf` (use :meth:`RoundBasedResult.delay_quantile` if an
     ``inf`` sentinel is preferred over an exception).
     """
     samples = _require_samples(_as_delay_samples(delays))

@@ -427,12 +427,12 @@ def register_probe(site: str = "round", name: str | None = None):
     records gauges::
 
         @register_probe("round")
-        def queue_depth(obs, results=(), **ctx):
-            obs.gauge("queue_bytes", sum(
-                r.traffic.queue_bytes
-                for r in results
-                if r is not None and r.traffic is not None
-            ))
+        def queue_depth(obs, log=None, round_index=0, **ctx):
+            if log.queue_bytes is not None:  # finite-load runs only
+                obs.gauge("queue_bytes", float(log.queue_bytes[round_index].sum()))
+
+    The round engine's site passes its run's :class:`~repro.sim.RoundLog`
+    as ``log`` (rows up to ``round_index`` filled).
 
     Samplers must not mutate engine state or draw randomness -- the
     bit-identity contract extends to them.

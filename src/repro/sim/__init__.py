@@ -60,7 +60,7 @@ from .batch import (  # noqa: E402
     MacMode,
     RoundBasedEvaluatorBatch,
     RoundBasedResult,
-    RoundResult,
+    RoundLog,
 )
 from .network import NetworkSimulation, SimulationResult  # noqa: E402
 from .radio_state import ActiveTransmission, TransmissionLog  # noqa: E402
@@ -72,7 +72,7 @@ __all__ = [
     "NetworkSimulation",
     "RoundBasedEvaluatorBatch",
     "RoundBasedResult",
-    "RoundResult",
+    "RoundLog",
     "SimulationResult",
     "ActiveTransmission",
     "TransmissionLog",

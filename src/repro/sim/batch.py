@@ -65,7 +65,7 @@ from ..mobility import build_mobility_state
 from ..obs import active as _obs
 from ..phy.sounding import sounding_overhead_us
 from ..topology.scenarios import Scenario
-from ..traffic import AmpduConfig, RoundTrafficMetrics, TrafficState, resolve_traffic
+from ..traffic import AmpduConfig, TrafficState, resolve_traffic
 
 
 class MacMode(str, enum.Enum):
@@ -113,45 +113,87 @@ def build_traffic_state(
     )
 
 
-@dataclass(frozen=True)
-class RoundResult:
-    """One concurrent transmission round."""
+class RoundLog:
+    """Every round of one :meth:`RoundBasedEvaluatorBatch.run` as named
+    arrays; row ``r`` of each column is round ``r``, column ``b`` is item
+    ``b``.  Rows of items the run excludes read 0.
 
-    capacity_bps_hz: float
-    n_streams: int
-    active_antennas: int
-    per_ap_streams: np.ndarray
-    #: Queueing outcome of the round under finite load; ``None`` when the
-    #: evaluator ran full-buffer (the default).
-    traffic: RoundTrafficMetrics | None = None
-    #: Sounding airtime charged this round (microseconds); non-zero only on
-    #: re-sounding rounds of a mobility run (the historical static path
-    #: folds sounding into every TXOP's data fraction instead).
-    sounding_us: float = 0.0
+    ``sounding_us`` is non-zero only on re-sounding rounds of a mobility run
+    (the static path folds sounding into every TXOP's data fraction), and
+    ``queue_bytes`` is the backlog left after each round's service.  The
+    finite-load columns and ``round_duration_s`` (the TXOP window of a
+    round) are ``None`` under full buffer.  Delay samples and their EDCA
+    categories are packed CSR-style by (item, round) when the run returns:
+    item ``b``'s round-``r`` delays are ``delays_s[delay_span(b, r)]``, in
+    departure order.
+    """
+
+    def __init__(self, n_rounds, n_items, n_aps, n_clients, round_duration_s):
+        shape = (n_rounds, n_items)
+        self.n_rounds = n_rounds
+        self.capacity_bps_hz = np.zeros(shape)
+        self.n_streams = np.zeros(shape, dtype=int)
+        self.active_antennas = np.zeros(shape, dtype=int)
+        self.sounding_us = np.zeros(shape)
+        self.per_ap_streams = np.zeros(shape + (n_aps,), dtype=int)
+        self.round_duration_s = round_duration_s
+        finite = round_duration_s is not None
+        self.arrived_bytes = np.zeros(shape) if finite else None
+        self.served_bytes = np.zeros(shape) if finite else None
+        self.queue_bytes = np.zeros(shape) if finite else None
+        self.served_per_client = np.zeros(shape + (n_clients,)) if finite else None
+        self.delays_s = self.delay_categories = self.delay_offsets = None
+
+    def record(self, round_index: int, row: dict) -> None:
+        """Store one round's ``(batch, ...)`` columns, keyed by name."""
+        for name, values in row.items():
+            getattr(self, name)[round_index] = values
+
+    def pack_delays(self, departures, first_round: np.ndarray) -> None:
+        """Pack a traffic state's departure log (``(item, round, delay_s,
+        category)``) by (item, round).  ``first_round`` holds each item's
+        traffic round index when the run began; earlier departures are
+        not this run's."""
+        item_of, round_of, delays_s, categories = departures
+        round_of = round_of - first_round[item_of]
+        mine = round_of >= 0
+        key = (item_of * self.n_rounds + round_of)[mine]
+        order = np.argsort(key, kind="stable")
+        self.delays_s = delays_s[mine][order]
+        self.delay_categories = categories[mine][order]
+        self.delay_offsets = np.searchsorted(
+            key[order], np.arange(self.capacity_bps_hz.size + 1)
+        )
+
+    def delay_span(self, item: int, round_index: int | None = None) -> slice:
+        """Where ``item``'s delay samples sit in :attr:`delays_s`: round
+        ``round_index``'s, or every round's when ``None``."""
+        first = item * self.n_rounds + (round_index or 0)
+        last = first + (self.n_rounds if round_index is None else 1)
+        return slice(*self.delay_offsets[[first, last]].tolist())
 
 
 @dataclass(frozen=True)
 class RoundBasedResult:
-    """Aggregate over all evaluated rounds of one topology."""
+    """Aggregate over all evaluated rounds of one topology: a view over
+    item ``item``'s columns of a run's :class:`RoundLog`."""
 
-    rounds: list[RoundResult]
+    log: RoundLog
+    item: int
 
-    def _require_rounds(self) -> None:
-        if not self.rounds:
-            raise ValueError(
-                "RoundBasedResult holds no rounds; evaluate at least one "
-                "round before asking for means"
-            )
+    def column(self, name: str) -> np.ndarray:
+        """A contiguous copy of this item's ``(n_rounds, ...)`` values of log
+        column ``name`` (contiguous, so numpy reduces them exactly as it
+        reduced the per-round lists of earlier releases)."""
+        return np.array(getattr(self.log, name)[:, self.item])
 
     @property
     def mean_capacity_bps_hz(self) -> float:
-        self._require_rounds()
-        return float(np.mean([r.capacity_bps_hz for r in self.rounds]))
+        return float(np.mean(self.column("capacity_bps_hz")))
 
     @property
     def mean_streams(self) -> float:
-        self._require_rounds()
-        return float(np.mean([r.n_streams for r in self.rounds]))
+        return float(np.mean(self.column("n_streams")))
 
     # ------------------------------------------------------------------
     # Finite-load (traffic) accessors
@@ -159,34 +201,36 @@ class RoundBasedResult:
     @property
     def has_traffic(self) -> bool:
         """Whether the evaluator ran with a finite-load traffic model."""
-        return bool(self.rounds) and self.rounds[0].traffic is not None
+        return self.log.round_duration_s is not None
 
     def _require_traffic(self) -> None:
-        self._require_rounds()
-        if self.rounds[0].traffic is None:
+        if not self.has_traffic:
             raise ValueError(
                 "no traffic metrics on this result: the evaluator ran "
                 "full-buffer; pass traffic=... to the evaluator to enable "
                 "finite-load queueing"
             )
 
+    def _sum(self, name: str) -> float:
+        """Left fold of a column in round order."""
+        self._require_traffic()
+        return float(sum(self.column(name).tolist()))
+
     @property
     def duration_s(self) -> float:
         """Total MAC time covered (rounds x TXOP window)."""
         self._require_traffic()
-        return float(sum(r.traffic.duration_s for r in self.rounds))
+        return float(sum([self.log.round_duration_s] * self.log.n_rounds))
 
     @property
     def offered_bytes(self) -> float:
         """Bytes that arrived at the queues over the run."""
-        self._require_traffic()
-        return float(sum(r.traffic.arrived_bytes for r in self.rounds))
+        return self._sum("arrived_bytes")
 
     @property
     def served_bytes(self) -> float:
         """Bytes delivered to clients over the run."""
-        self._require_traffic()
-        return float(sum(r.traffic.served_bytes for r in self.rounds))
+        return self._sum("served_bytes")
 
     @property
     def throughput_mbps(self) -> float:
@@ -195,17 +239,15 @@ class RoundBasedResult:
 
     @property
     def delay_samples_s(self) -> np.ndarray:
-        """Delays of every departed packet, in departure order."""
+        """Delays of every departed packet, in round and departure order."""
         self._require_traffic()
-        return np.concatenate([r.traffic.delays_s for r in self.rounds])
+        return self.log.delays_s[self.log.delay_span(self.item)].copy()
 
     @property
     def delay_category_samples(self) -> np.ndarray:
         """EDCA access-category value per delay sample."""
         self._require_traffic()
-        return np.concatenate(
-            [r.traffic.delay_categories for r in self.rounds]
-        ).astype(int)
+        return self.log.delay_categories[self.log.delay_span(self.item)].astype(int)
 
     @property
     def mean_delay_s(self) -> float:
@@ -234,18 +276,18 @@ class RoundBasedResult:
     def mean_queue_bytes(self) -> float:
         """Mean end-of-round backlog across rounds."""
         self._require_traffic()
-        return float(np.mean([r.traffic.queue_bytes for r in self.rounds]))
+        return float(np.mean(self.column("queue_bytes")))
 
     @property
     def max_queue_bytes(self) -> float:
         """Peak end-of-round backlog."""
         self._require_traffic()
-        return float(max(r.traffic.queue_bytes for r in self.rounds))
+        return float(self.column("queue_bytes").max())
 
     def per_client_served_bytes(self) -> np.ndarray:
         """Total bytes delivered per client over the run."""
         self._require_traffic()
-        return np.sum([r.traffic.served_per_client for r in self.rounds], axis=0)
+        return np.sum(self.column("served_per_client"), axis=0)
 
     # ------------------------------------------------------------------
     # Mobility / re-sounding accessors
@@ -254,14 +296,12 @@ class RoundBasedResult:
     def mean_sounding_us(self) -> float:
         """Mean per-round sounding airtime (microseconds): the explicit
         re-sounding charge of a mobility run, zero for static runs."""
-        self._require_rounds()
-        return float(np.mean([r.sounding_us for r in self.rounds]))
+        return float(np.mean(self.column("sounding_us")))
 
     @property
     def total_sounding_us(self) -> float:
         """Total sounding airtime charged over the run (microseconds)."""
-        self._require_rounds()
-        return float(sum(r.sounding_us for r in self.rounds))
+        return float(sum(self.column("sounding_us").tolist()))
 
 
 @dataclass(frozen=True)
@@ -299,6 +339,10 @@ class RoundPlan:
     def antennas_per_slot(self) -> np.ndarray:
         """``(batch, n_slots)`` transmitting antennas of each slot."""
         return np.count_nonzero(self.slot_antennas >= 0, axis=-1)
+
+
+#: The finite-load :class:`RoundLog` columns, in ``end_round`` order.
+_TRAFFIC_COLUMNS = ("arrived_bytes", "served_bytes", "queue_bytes", "served_per_client")
 
 
 def _shape_table(fn, width: int) -> np.ndarray:
@@ -935,13 +979,12 @@ class RoundBasedEvaluatorBatch:
     def _serve_round(
         self, plan: RoundPlan, sinrs: np.ndarray, item_active: np.ndarray,
         with_sounding: bool,
-    ) -> list:
+    ) -> dict:
         """Drain every active item's queues against its per-stream SINRs in
         one :meth:`~repro.traffic.TrafficState.serve_burst` call, streams in
         item, slot and pick order (each item's queue trajectory is that of
-        serving its own streams one after another)."""
-        if self._traffic is None:
-            return [None] * self.n_items
+        serving its own streams one after another); returns the round's
+        traffic columns."""
         item, slot, stream = np.nonzero(plan.slot_clients >= 0)
         if item.size:
             fraction = self._data_fraction[with_sounding][
@@ -954,15 +997,14 @@ class RoundBasedEvaluatorBatch:
                 sinrs[item, slot, stream],
                 payload_s[item, slot],
             )
-        return self._traffic.end_round(item_active)
+        return dict(zip(_TRAFFIC_COLUMNS, self._traffic.end_round(item_active)))
 
     # ------------------------------------------------------------------
-    def evaluate_round(
-        self, primary_ap: int, item_mask=None
-    ) -> list[RoundResult | None]:
+    def evaluate_round(self, primary_ap: int, item_mask=None) -> dict:
         """One concurrent round for every (selected) item, with AP
-        ``primary_ap`` planning first; entry ``i`` is item ``i``'s round, or
-        ``None`` where ``item_mask`` excludes it."""
+        ``primary_ap`` planning first.  Returns the round's :class:`RoundLog`
+        columns by name, each ``(batch, ...)``; rows of items ``item_mask``
+        excludes read 0."""
         item_active = (
             np.ones(self.n_items, dtype=bool)
             if item_mask is None
@@ -999,31 +1041,19 @@ class RoundBasedEvaluatorBatch:
             charge = self._sounding_us[plan.streams_per_slot, plan.antennas_per_slot]
             for position in range(self.n_aps):
                 sounding_us = sounding_us + charge[:, position]
+        row = {
+            "capacity_bps_hz": capacity,
+            "n_streams": n_streams,
+            "active_antennas": plan.active_mask.sum(axis=1),
+            "per_ap_streams": per_ap_streams,
+            "sounding_us": sounding_us,
+        }
         if self._traffic is not None:
             with _obs().span("traffic"):
-                traffic_metrics = self._serve_round(
-                    plan, sinrs, item_active, with_sounding
-                )
-        else:
-            traffic_metrics = self._serve_round(plan, sinrs, item_active, with_sounding)
+                row.update(self._serve_round(plan, sinrs, item_active, with_sounding))
         with _obs().span("schedule"):
             self._settle_round(plan, item_active)
-        results: list[RoundResult | None] = []
-        for b in range(self.n_items):
-            if not item_active[b]:
-                results.append(None)
-                continue
-            results.append(
-                RoundResult(
-                    capacity_bps_hz=float(capacity[b]),
-                    n_streams=int(n_streams[b]),
-                    active_antennas=int(plan.active_mask[b].sum()),
-                    per_ap_streams=per_ap_streams[b],
-                    traffic=traffic_metrics[b],
-                    sounding_us=float(sounding_us[b]),
-                )
-            )
-        return results
+        return row
 
     def advance_between_rounds(self, advance_items=None) -> None:
         """Advance fading (and any client mobility) by one coherence block
@@ -1050,28 +1080,28 @@ class RoundBasedEvaluatorBatch:
             if item_mask is None
             else np.asarray(item_mask, dtype=bool)
         )
-        per_item: list[list[RoundResult]] = [[] for _ in range(self.n_items)]
+        traffic = self._traffic
+        log = RoundLog(
+            n_rounds, self.n_items, self.n_aps, self._n_clients,
+            None if traffic is None else traffic.round_duration_s,
+        )
+        first_round = None if traffic is None else traffic.round_index.copy()
         advance_items = None if item_active.all() else np.flatnonzero(item_active)
         with _obs().span(
             "engine.run", engine="batch", n_items=self.n_items, n_rounds=n_rounds
         ):
             for r in range(n_rounds):
-                round_results = self.evaluate_round(r % self.n_aps, item_active)
-                for b, result in enumerate(round_results):
-                    if result is not None:
-                        per_item[b].append(result)
+                log.record(r, self.evaluate_round(r % self.n_aps, item_active))
                 with _obs().span("channel_advance"):
                     self.advance_between_rounds(advance_items)
                 _obs().count("engine.rounds", int(item_active.sum()))
                 _obs().probe(
-                    "round",
-                    engine="batch",
-                    evaluator=self,
-                    round_index=r,
-                    results=round_results,
+                    "round", engine="batch", evaluator=self, round_index=r, log=log
                 )
+        if traffic is not None:
+            log.pack_delays(traffic.departures(), first_round)
         return [
-            RoundBasedResult(rounds=per_item[b]) if item_active[b] else None
+            RoundBasedResult(log, b) if item_active[b] else None
             for b in range(self.n_items)
         ]
 

@@ -36,7 +36,7 @@ from .models import (
     resolve_traffic,
     traffic_names,
 )
-from .state import RoundTrafficMetrics, TrafficState, TrafficSummary
+from .state import TrafficState, TrafficSummary
 
 __all__ = [
     "AmpduConfig",
@@ -50,7 +50,6 @@ __all__ = [
     "access_category",
     "resolve_traffic",
     "traffic_names",
-    "RoundTrafficMetrics",
     "TrafficState",
     "TrafficSummary",
 ]

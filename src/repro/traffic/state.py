@@ -23,11 +23,12 @@ sum, so an item's floats do not depend on its batch.
 Clock convention: time is carved into fixed TXOP-sized windows
 (``round_duration_s``).  ``begin_round`` draws one window of arrivals per
 selected item, the engines serve streams against their post-precoding
-SINRs, and ``end_round`` stamps departures at the window's end and emits
-one :class:`RoundTrafficMetrics` per item.  The discrete-event MAC instead
-calls ``advance_arrivals_to`` with its own clock and passes explicit
-departure times (plus an arrival cutoff at the TXOP start) to
-``serve_burst``.
+SINRs, and ``end_round`` closes the window and returns the round's
+``(batch,)`` byte totals.  Departures are stamped at the window's end and
+kept in one log with each item's round index (:meth:`departures`).  The
+discrete-event MAC instead calls ``advance_arrivals_to`` with its own clock
+and passes explicit departure times (plus an arrival cutoff at the TXOP
+start) to ``serve_burst``; its departures all carry round 0.
 """
 
 from __future__ import annotations
@@ -44,19 +45,6 @@ from .models import TrafficModel
 _N_CLASSES = len(AccessCategory)
 #: Packets each ring holds before its first doubling.
 _INITIAL_CAPACITY = 32
-
-
-@dataclass(frozen=True)
-class RoundTrafficMetrics:
-    """Queueing outcome of one evaluation round (whole network)."""
-
-    duration_s: float
-    arrived_bytes: float
-    served_bytes: float
-    queue_bytes: float  # backlog left after this round's service
-    delays_s: np.ndarray  # departed-packet delays, seconds
-    delay_categories: np.ndarray  # AccessCategory value per delay sample
-    served_per_client: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,10 +151,12 @@ class TrafficState:
         self._served = np.zeros((2, self.n_items))
         self._served_per_client = np.zeros((2, self.n_items, n_clients))
         self._round_open = np.zeros(self.n_items, dtype=bool)
-        #: ``(items, delays_s, categories)`` chunks in departure order: the
-        #: whole run, and the part no ``end_round`` has claimed yet.
-        self._departures: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._round_departures: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: ``(batch,)`` index of each item's current round: the rounds it
+        #: has closed.  Every departure is stamped with it.
+        self.round_index = np.zeros(self.n_items, dtype=int)
+        #: ``(items, rounds, delays_s, categories)`` chunks in departure order.
+        none = np.zeros(0, dtype=int)
+        self._departures = [(none, none, np.zeros(0), none)]
 
     # ------------------------------------------------------------------
     def _items(self, item_mask) -> np.ndarray:
@@ -301,48 +291,40 @@ class TrafficState:
         self._arrived[0, items] = 0.0
         self._served[0, items] = 0.0
         self._served_per_client[0, items] = 0.0
-        self._claim_round_departures(items)
         self._generate_window(items)
         self._round_open[items] = True
 
-    def end_round(self, item_mask=None) -> list[RoundTrafficMetrics | None]:
-        """Close the selected items' rounds; entry ``b`` is item ``b``'s
-        queueing metrics, ``None`` where ``item_mask`` excludes it."""
+    def end_round(self, item_mask=None) -> tuple[np.ndarray, ...]:
+        """Close the selected items' rounds.  Returns the round's arrived,
+        served and left-queued bytes, each ``(batch,)``, and the bytes
+        served per client, ``(batch, n_clients)``; rows of items
+        ``item_mask`` excludes read 0.  The round's delays stay in
+        :meth:`departures`, stamped with its round index."""
         items = self._items(item_mask)
         if not self._round_open[items].all():
             raise RuntimeError("end_round called without begin_round")
         self._round_open[items] = False
-        metrics: list[RoundTrafficMetrics | None] = [None] * self.n_items
-        for b, (delays_s, categories), arrived, served, queued, per_client in zip(
-            items.tolist(), self._claim_round_departures(items),
-            self._arrived[0, items].tolist(), self._served[0, items].tolist(),
-            self._queue_bytes(items), self._served_per_client[0, items],
-        ):
-            metrics[b] = RoundTrafficMetrics(
-                self.round_duration_s, arrived, served, queued, delays_s,
-                categories, per_client,
-            )
-        return metrics
-
-    def _claim_round_departures(self, items: np.ndarray) -> list:
-        """Remove the selected items' unclaimed departures from the round
-        log; ``(delays_s, categories)`` per entry of ``items``."""
-        if not self._round_departures:
-            return [(np.zeros(0), np.zeros(0, dtype=int))] * items.size
-        item_of, delays_s, categories = _concatenated(self._round_departures)
+        self.round_index[items] += 1
         selected = np.zeros(self.n_items, dtype=bool)
         selected[items] = True
-        keep = ~selected[item_of]
-        self._round_departures = [
-            (item_of[keep], delays_s[keep], categories[keep])
-        ] if keep.any() else []
-        return _split_by_item(item_of, delays_s, categories, items)
+        return (
+            np.where(selected, self._arrived[0], 0.0),
+            np.where(selected, self._served[0], 0.0),
+            np.where(selected, self._queue_bytes(), 0.0),
+            np.where(selected[:, None], self._served_per_client[0], 0.0),
+        )
 
-    def _queue_bytes(self, items: np.ndarray) -> list[float]:
+    def _queue_bytes(self) -> np.ndarray:
         """Aggregate backlog of each item over every client and class (one
         contiguous ``n_clients * 4`` row sum per item)."""
-        totals = self._bytes.reshape(self.n_items, -1)[items].sum(axis=1)
-        return [max(0.0, total) for total in totals.tolist()]
+        return np.maximum(self._bytes.reshape(self.n_items, -1).sum(axis=1), 0.0)
+
+    def departures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(item, round, delay_s, category)`` of every packet departed so
+        far, in departure order; ``round`` is the item's
+        :attr:`round_index` when the packet left."""
+        self._departures = [tuple(np.concatenate(parts) for parts in zip(*self._departures))]
+        return self._departures[0]
 
     # ------------------------------------------------------------------
     # Event-driven protocol
@@ -358,22 +340,18 @@ class TrafficState:
     def summary(self, duration_s: float | None = None) -> list[TrafficSummary]:
         """Whole-run aggregate per item (the event-driven MAC attaches
         item 0's to its :class:`~repro.sim.network.SimulationResult`)."""
-        items = np.arange(self.n_items)
+        item_of, __, delays_s, categories = self.departures()
         return [
             TrafficSummary(
                 duration_s=float(self._t_s[b]) if duration_s is None else duration_s,
                 arrived_bytes=float(self._arrived[1, b]),
                 served_bytes=float(self._served[1, b]),
                 queue_bytes=queued,
-                delays_s=delays_s,
-                delay_categories=categories,
+                delays_s=delays_s[item_of == b],
+                delay_categories=categories[item_of == b],
                 served_per_client=self._served_per_client[1, b].copy(),
             )
-            for b, (delays_s, categories), queued in zip(
-                items,
-                _split_by_item(*_concatenated(self._departures), items),
-                self._queue_bytes(items),
-            )
+            for b, queued in enumerate(self._queue_bytes().tolist())
         ]
 
     # ------------------------------------------------------------------
@@ -475,9 +453,10 @@ class TrafficState:
             stream_of, delays_s, categories = self._drain_streams(
                 live, streams, budgets, served, depart_s, arrival_cutoff_s
             )
-            chunk = (items[stream_of], delays_s, categories)
-            self._departures.append(chunk)
-            self._round_departures.append(chunk)
+            item_of = items[stream_of]
+            self._departures.append(
+                (item_of, self.round_index[item_of], delays_s, categories)
+            )
         np.add.at(self._served, (slice(None), items), served)
         self._served_per_client[:, items, clients] += served  # distinct streams
         return served
@@ -539,31 +518,8 @@ class TrafficState:
         return stream, depart_s[stream] - t_arrival[full], segment[full] % _N_CLASSES
 
 
-def _concatenated(chunks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(keys, delays_s, categories)`` of a departure log, concatenated."""
-    if not chunks:
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
-    if len(chunks) == 1:
-        return chunks[0]
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
-
-
-def _split_by_item(item_of, delays_s, categories, items) -> list:
-    """``(delays_s, categories)`` per entry of ``items``, in log order."""
-    order = np.argsort(item_of, kind="stable")
-    item_of, delays_s, categories = item_of[order], delays_s[order], categories[order]
-    return [
-        (delays_s[start:stop], categories[start:stop])
-        for start, stop in zip(
-            np.searchsorted(item_of, items).tolist(),
-            np.searchsorted(item_of, items, side="right").tolist(),
-        )
-    ]
-
-
 __all__ = [
     "AmpduConfig",
-    "RoundTrafficMetrics",
     "TrafficState",
     "TrafficSummary",
 ]

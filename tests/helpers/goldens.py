@@ -62,28 +62,29 @@ def _equal(actual, expected) -> bool:
 
 
 def assert_rounds_match(result, golden: dict) -> None:
-    """Every recorded per-round field of ``result`` (a ``RoundBasedResult``)
+    """Every recorded per-round column of ``result`` (a ``RoundBasedResult``)
     equals the golden run exactly."""
-    rounds = result.rounds
-    assert len(rounds) == len(golden["capacity"])
-    assert _equal([r.capacity_bps_hz for r in rounds], golden["capacity"])
-    assert [r.n_streams for r in rounds] == golden["n_streams"]
-    assert [r.active_antennas for r in rounds] == golden["active_antennas"]
-    assert [r.per_ap_streams.tolist() for r in rounds] == golden["per_ap_streams"]
-    assert _equal([r.sounding_us for r in rounds], golden["sounding_us"])
+    log, item = result.log, result.item
+    assert log.n_rounds == len(golden["capacity"])
+    assert _equal(result.column("capacity_bps_hz"), golden["capacity"])
+    assert result.column("n_streams").tolist() == golden["n_streams"]
+    assert result.column("active_antennas").tolist() == golden["active_antennas"]
+    assert result.column("per_ap_streams").tolist() == golden["per_ap_streams"]
+    assert _equal(result.column("sounding_us"), golden["sounding_us"])
     if "traffic" not in golden:
         return
     traffic = golden["traffic"]
-    metrics = [r.traffic for r in rounds]
-    assert _equal([m.arrived_bytes for m in metrics], traffic["arrived"])
-    assert _equal([m.served_bytes for m in metrics], traffic["served"])
-    assert _equal([m.queue_bytes for m in metrics], traffic["queue"])
-    for m, delays, categories, served in zip(
-        metrics, traffic["delays"], traffic["categories"], traffic["served_per_client"]
-    ):
-        assert _equal(m.delays_s, delays)
-        assert m.delay_categories.astype(int).tolist() == categories
-        assert _equal(m.served_per_client, served)
+    assert _equal(result.column("arrived_bytes"), traffic["arrived"])
+    assert _equal(result.column("served_bytes"), traffic["served"])
+    assert _equal(result.column("queue_bytes"), traffic["queue"])
+    assert len(traffic["delays"]) == log.n_rounds
+    for r, (delays, categories, served) in enumerate(zip(
+        traffic["delays"], traffic["categories"], traffic["served_per_client"]
+    )):
+        span = log.delay_span(item, r)
+        assert _equal(log.delays_s[span], delays)
+        assert log.delay_categories[span].astype(int).tolist() == categories
+        assert _equal(result.column("served_per_client")[r], served)
 
 
 def assert_network_matches(result, golden: dict) -> None:

@@ -15,6 +15,7 @@ class that wins internal contention through ``eligibility``.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,22 @@ from repro.traffic import (
     CbrTraffic,
     OnOffTraffic,
     PoissonTraffic,
-    RoundTrafficMetrics,
     TrafficModel,
     TrafficState,
 )
+
+
+@dataclass(frozen=True)
+class OracleRound:
+    """One item's queueing outcome of one round."""
+
+    duration_s: float
+    arrived_bytes: float
+    served_bytes: float
+    queue_bytes: float  # backlog left after this round's service
+    delays_s: np.ndarray  # departed-packet delays, seconds
+    delay_categories: np.ndarray  # AccessCategory value per delay sample
+    served_per_client: np.ndarray
 
 
 class Packet:
@@ -238,8 +251,8 @@ class ItemTraffic:
         self._reset_round()
         self.generate_window()
 
-    def end_round(self) -> RoundTrafficMetrics:
-        return RoundTrafficMetrics(
+    def end_round(self) -> OracleRound:
+        return OracleRound(
             duration_s=self.round_duration_s,
             arrived_bytes=self.round_arrived,
             served_bytes=self.round_served,

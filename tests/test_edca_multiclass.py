@@ -131,15 +131,14 @@ class TestRoundEngineMultiClass:
 
     def test_only_backlogged_clients_selected(self):
         result = self._run()
-        round0 = result.rounds[0]
-        assert round0.n_streams == 3  # clients 0, 1, 2
-        served = round0.traffic.served_per_client
+        assert result.column("n_streams")[0] == 3  # clients 0, 1, 2
+        served = result.column("served_per_client")[0]
         assert served[3] == 0.0
         assert np.all(served[:3] > 0)
 
     def test_voice_departs_first(self):
         result = self._run()
-        categories = result.rounds[0].traffic.delay_categories
+        categories = result.log.delay_categories[result.log.delay_span(result.item, 0)]
         # The VOICE client wins the primary-class pick, so its packet is the
         # first departure recorded; the VIDEO packet departs the same round
         # via the any-backlog fill-in.
@@ -156,8 +155,7 @@ class TestRoundEngineMultiClass:
         [result] = RoundBasedEvaluatorBatch(
             [scenario], MacMode.CAS, seeds=[3], traffic=ScriptedTraffic(script)
         ).run(2)
-        round1 = result.rounds[1]
-        served = round1.traffic.served_per_client
+        served = result.column("served_per_client")[1]
         assert served[1] > 0  # the VOICE client transmitted
         # Round 1's only *new* backlog is client 1's VOICE packet; client 0's
         # leftover BEST_EFFORT bytes may ride along as secondary fill-in, but

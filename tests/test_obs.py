@@ -223,12 +223,8 @@ class TestProbes:
         from repro.topology.scenarios import office_b, single_ap_scenario
 
         @register_probe("round")
-        def queue_depth(obs, results=(), **ctx):
-            obs.gauge("queue_bytes", sum(
-                r.traffic.queue_bytes
-                for r in results
-                if r is not None and r.traffic is not None
-            ))
+        def queue_depth(obs, log=None, round_index=0, **ctx):
+            obs.gauge("queue_bytes", float(log.queue_bytes[round_index].sum()))
 
         telemetry = Telemetry()
         scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=3)
@@ -245,7 +241,7 @@ class TestProbes:
             for event in telemetry._events
             if event[0] == "gauge" and event[1] == "queue_bytes"
         ]
-        assert samples == [r.traffic.queue_bytes for r in result.rounds]
+        assert samples == result.column("queue_bytes").tolist()
         assert "queue_depth" not in registered_probes("round")
 
     def test_probe_sites_documented(self):

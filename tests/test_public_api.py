@@ -92,6 +92,16 @@ class TestReadmeQuickstart:
             for module in (repro, repro.core, repro.mac):
                 assert not hasattr(module, name), (module.__name__, name)
 
+    def test_round_records_are_one_columnar_log(self):
+        import repro.sim
+        import repro.traffic
+
+        assert "RoundLog" in repro.sim.__all__ and hasattr(repro.sim, "RoundLog")
+        for module, name in (
+            (repro.sim, "RoundResult"), (repro.traffic, "RoundTrafficMetrics"),
+        ):
+            assert name not in module.__all__ and not hasattr(module, name)
+
     def test_svd_waterfilling_binds_the_stacked_kernel(self):
         from repro.core import batch as core_batch
 

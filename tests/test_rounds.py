@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch, RoundBasedResult
+from repro.sim.batch import MacMode, RoundBasedEvaluatorBatch
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, three_ap_scenario
 
@@ -31,16 +31,15 @@ class TestCasRounds:
     def test_serialization_under_full_overhearing(self, overhearing_pair):
         pair, seed = overhearing_pair
         result = run(pair[AntennaMode.CAS], MacMode.CAS, seed, 6)
-        for rnd in result.rounds:
-            # Exactly one AP transmits its four streams per round.
-            assert rnd.n_streams == 4
-            assert (rnd.per_ap_streams > 0).sum() == 1
+        # Exactly one AP transmits its four streams per round.
+        assert np.all(result.column("n_streams") == 4)
+        assert np.all((result.column("per_ap_streams") > 0).sum(axis=1) == 1)
 
     def test_primary_rotates(self, overhearing_pair):
         pair, seed = overhearing_pair
         result = run(pair[AntennaMode.CAS], MacMode.CAS, seed, 6)
-        actives = [int(np.argmax(r.per_ap_streams)) for r in result.rounds]
-        assert set(actives) == {0, 1, 2}
+        actives = np.argmax(result.column("per_ap_streams"), axis=1)
+        assert set(actives.tolist()) == {0, 1, 2}
 
     def test_evaluator_sees_the_gate_verdict(self, overhearing_pair):
         pair, seed = overhearing_pair
@@ -51,9 +50,9 @@ class TestMidasRounds:
     def test_primary_always_full(self, overhearing_pair):
         pair, seed = overhearing_pair
         result = run(pair[AntennaMode.DAS], MacMode.MIDAS, seed, 6)
-        for index, rnd in enumerate(result.rounds):
+        for index, per_ap_streams in enumerate(result.column("per_ap_streams")):
             primary = index % 3
-            assert rnd.per_ap_streams[primary] >= 1
+            assert per_ap_streams[primary] >= 1
 
     def test_streams_at_least_cas(self, overhearing_pair):
         pair, seed = overhearing_pair
@@ -79,15 +78,6 @@ class TestMidasRounds:
         assert a.mean_capacity_bps_hz == b.mean_capacity_bps_hz
 
 
-class TestEmptyResult:
-    def test_means_raise_on_empty_rounds(self):
-        empty = RoundBasedResult(rounds=[])
-        with pytest.raises(ValueError, match="no rounds"):
-            empty.mean_capacity_bps_hz
-        with pytest.raises(ValueError, match="no rounds"):
-            empty.mean_streams
-
-
 class TestDrrSettlement:
     def test_blocked_aps_accrue_waiting_credit(self, overhearing_pair):
         # Regression: every AP settles every round.  Under full CAS
@@ -96,8 +86,8 @@ class TestDrrSettlement:
         pair, seed = overhearing_pair
         scenario = pair[AntennaMode.CAS]
         ev = evaluator(scenario, MacMode.CAS, seed)
-        [result] = ev.evaluate_round(primary_ap=0)
-        np.testing.assert_array_equal(np.flatnonzero(result.per_ap_streams), [0])
+        [per_ap_streams] = ev.evaluate_round(primary_ap=0)["per_ap_streams"]
+        np.testing.assert_array_equal(np.flatnonzero(per_ap_streams), [0])
         # Counters are global-axis: only the blocked AP's own members move.
         for blocked_ap in (1, 2):
             members = ev.association.members_mask(blocked_ap)[0]
@@ -109,9 +99,9 @@ class TestDrrSettlement:
         pair, seed = overhearing_pair
         scenario = pair[AntennaMode.CAS]
         ev = evaluator(scenario, MacMode.CAS, seed)
-        [result] = ev.evaluate_round(primary_ap=0)
+        [per_ap_streams] = ev.evaluate_round(primary_ap=0)["per_ap_streams"]
         # Four streams, four clients: everyone served, counters at -1 each.
-        assert result.per_ap_streams[0] == 4
+        assert per_ap_streams[0] == 4
         expected = np.zeros(scenario.deployment.n_clients)
         expected[ev.association.members_mask(0)[0]] = -1.0
         np.testing.assert_array_equal(ev._drr[0].counters[0], expected)

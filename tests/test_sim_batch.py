@@ -328,18 +328,21 @@ def _mixed_batches(draw):
 
 
 def _assert_same_rounds(actual, expected) -> None:
-    assert len(actual.rounds) == len(expected.rounds)
-    for a, e in zip(actual.rounds, expected.rounds):
-        assert a.capacity_bps_hz == e.capacity_bps_hz
-        assert a.n_streams == e.n_streams
-        assert a.active_antennas == e.active_antennas
-        assert np.array_equal(a.per_ap_streams, e.per_ap_streams)
-        assert a.sounding_us == e.sounding_us
-        assert (a.traffic is None) == (e.traffic is None)
-        if a.traffic is not None:
-            assert a.traffic.served_bytes == e.traffic.served_bytes
-            assert a.traffic.queue_bytes == e.traffic.queue_bytes
-            assert np.array_equal(a.traffic.delays_s, e.traffic.delays_s)
+    assert actual.log.n_rounds == expected.log.n_rounds
+    for name in (
+        "capacity_bps_hz", "n_streams", "active_antennas", "per_ap_streams",
+        "sounding_us",
+    ):
+        assert np.array_equal(actual.column(name), expected.column(name))
+    assert actual.has_traffic == expected.has_traffic
+    if actual.has_traffic:
+        for name in ("served_bytes", "queue_bytes"):
+            assert np.array_equal(actual.column(name), expected.column(name))
+        for r in range(actual.log.n_rounds):
+            assert np.array_equal(
+                actual.log.delays_s[actual.log.delay_span(actual.item, r)],
+                expected.log.delays_s[expected.log.delay_span(expected.item, r)],
+            )
 
 
 class TestPerItemArguments:

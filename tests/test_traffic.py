@@ -210,20 +210,21 @@ class TestTrafficState:
         for __ in range(50):
             state.begin_round()
             state.serve_burst([0, 0], np.array([0, 1]), np.array([100.0, 100.0]), 0.002)
-            [metrics] = state.end_round()
-            arrived += metrics.arrived_bytes
-            served += metrics.served_bytes
+            [round_arrived], [round_served], [queued], __ = state.end_round()
+            arrived += round_arrived
+            served += round_served
         assert served <= arrived
-        assert metrics.queue_bytes == pytest.approx(arrived - served)
+        assert queued == pytest.approx(arrived - served)
 
     def test_delays_are_positive_and_bounded_by_clock(self):
         state = self._state(PoissonTraffic(rate_mbps=30.0))
         for r in range(20):
             state.begin_round()
             state.serve_burst([0], np.array([0]), np.array([1e4]), 0.002)
-            [metrics] = state.end_round()
-            assert np.all(metrics.delays_s > 0)
-            assert np.all(metrics.delays_s <= (r + 1) * 0.003)
+            state.end_round()
+            __, round_of, delays_s, __ = state.departures()
+            assert np.all(delays_s[round_of == r] > 0)
+            assert np.all(delays_s[round_of == r] <= (r + 1) * 0.003)
 
     def test_full_buffer_state_rejected(self):
         with pytest.raises(ValueError):
@@ -246,12 +247,29 @@ class TestTrafficState:
         state.begin_round([True, False, True])
         with pytest.raises(RuntimeError):
             state.end_round([False, True, False])
-        metrics = state.end_round([True, False, True])
-        assert metrics[1] is None and metrics[0] is not None and metrics[2] is not None
+        arrived, __, __, __ = state.end_round([True, False, True])
+        assert arrived[1] == 0.0 and arrived[0] > 0.0 and arrived[2] > 0.0
+        np.testing.assert_array_equal(state.round_index, [1, 0, 1])
         alone = self._state(PoissonTraffic(rate_mbps=30.0), seed=2)
         alone.begin_round()
-        [want] = alone.end_round()
-        assert metrics[2].arrived_bytes == want.arrived_bytes
+        [want], __, __, __ = alone.end_round()
+        assert arrived[2] == want
+
+    def test_excluded_items_read_zero_after_earlier_rounds(self):
+        # Item 0 closes one round with arrivals and a backlog, then sits
+        # out the next: its row must not repeat the earlier round's totals.
+        state = TrafficState(
+            [PoissonTraffic(rate_mbps=30.0)] * 2, 2,
+            [np.random.default_rng(s) for s in range(2)],
+            round_duration_s=0.003, bandwidth_hz=20e6,
+        )
+        state.begin_round()
+        arrived, __, queued, __ = state.end_round()
+        assert arrived[0] > 0.0 and queued[0] > 0.0
+        state.begin_round([False, True])
+        for column in state.end_round([False, True]):
+            assert not np.any(column[0])
+        np.testing.assert_array_equal(state.round_index, [1, 2])
 
     def test_one_model_and_generator_per_item(self):
         with pytest.raises(ValueError, match="one generator per item"):

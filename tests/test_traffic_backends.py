@@ -75,10 +75,10 @@ class TestFullBufferNoOp:
         [full] = one_topology(
             scenario, MacMode.MIDAS, 0, traffic="full_buffer"
         ).run(6)
-        assert [r.capacity_bps_hz for r in plain.rounds] == [
-            r.capacity_bps_hz for r in full.rounds
-        ]
-        assert all(r.traffic is None for r in full.rounds)
+        assert np.array_equal(
+            plain.column("capacity_bps_hz"), full.column("capacity_bps_hz")
+        )
+        assert not full.has_traffic and full.log.arrived_bytes is None
 
     def test_full_buffer_equals_no_traffic_batch(self):
         scenarios = [three_ap_scenario(ENV, seed=s)[AntennaMode.DAS] for s in SEEDS]
@@ -87,9 +87,9 @@ class TestFullBufferNoOp:
             scenarios, MacMode.MIDAS, seeds=SEEDS, traffic="full_buffer"
         ).run(6)
         for p, f in zip(plain, full):
-            assert [r.capacity_bps_hz for r in p.rounds] == [
-                r.capacity_bps_hz for r in f.rounds
-            ]
+            assert np.array_equal(
+                p.column("capacity_bps_hz"), f.column("capacity_bps_hz")
+            )
 
     def test_accessors_raise_without_traffic(self):
         scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=0)

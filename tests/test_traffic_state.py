@@ -73,15 +73,23 @@ def _compare_queues(state, oracles, members, cutoff):
         assert primary[b] == oracle.queues.primary_class(member_ids, cutoff)
 
 
-def _compare_metrics(got, want):
-    assert got.duration_s == want.duration_s
-    assert got.arrived_bytes == want.arrived_bytes
-    assert got.served_bytes == want.served_bytes
-    assert got.queue_bytes == want.queue_bytes
-    assert np.array_equal(got.delays_s, want.delays_s)
-    assert np.array_equal(got.delay_categories, want.delay_categories)
-    assert got.delay_categories.dtype == want.delay_categories.dtype
-    assert np.array_equal(got.served_per_client, want.served_per_client)
+def _compare_round(state, round_index, oracles):
+    """Close the round on the state and every oracle; ``end_round``'s
+    arrays, read column by column, and the round's slice of the departure
+    log must equal each oracle's round."""
+    arrived, served, queued, per_client = state.end_round()
+    item_of, round_of, delays_s, categories = state.departures()
+    for b, oracle in enumerate(oracles):
+        want = oracle.end_round()
+        assert state.round_duration_s == want.duration_s
+        assert arrived[b] == want.arrived_bytes
+        assert served[b] == want.served_bytes
+        assert queued[b] == want.queue_bytes
+        mine = (item_of == b) & (round_of == round_index)
+        assert np.array_equal(delays_s[mine], want.delays_s)
+        assert np.array_equal(categories[mine], want.delay_categories)
+        assert categories.dtype == want.delay_categories.dtype
+        assert np.array_equal(per_client[b], want.served_per_client)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,8 +124,7 @@ def test_stacked_state_matches_one_oracle_per_item(batch):
             assert np.array_equal(served, want)
             _compare_queues(state, oracles, members, cutoff)
         if not event:
-            for got, oracle in zip(state.end_round(), oracles):
-                _compare_metrics(got, oracle.end_round())
+            _compare_round(state, r, oracles)
     for got, oracle in zip(state.summary(), oracles):
         assert got.duration_s == oracle.t_s
         assert got.arrived_bytes == oracle.total_arrived
@@ -145,7 +152,7 @@ def test_serve_burst_budgets_match_per_burst_oracle(n_clients, sinrs_db, seed):
         ItemTraffic(m, n_clients, np.random.default_rng([seed, b]), **kwargs)
         for b, m in enumerate(models)
     ]
-    for sinr_db in sinrs_db:
+    for r, sinr_db in enumerate(sinrs_db):
         state.begin_round()
         for oracle in oracles:
             oracle.begin_round()
@@ -158,8 +165,7 @@ def test_serve_burst_budgets_match_per_burst_oracle(n_clients, sinrs_db, seed):
             [o.drain(clients, o.budgets(sinrs, 1e-3)) for o in oracles]
         )
         assert np.array_equal(served, want)
-        for got, oracle in zip(state.end_round(), oracles):
-            _compare_metrics(got, oracle.end_round())
+        _compare_round(state, r, oracles)
 
 
 def _arrival_models():
@@ -283,9 +289,9 @@ def test_rings_grow_on_demand_and_keep_fifo_order():
     state = _begin(ScriptedTraffic([rows]), n_clients=1)
     state.drain([0], [0], [3.0], t_depart_s=1.0)
     state.drain([0], [0], [1e9], t_depart_s=1.0)
-    [metrics] = state.end_round()
-    assert np.array_equal(metrics.delays_s, [1.0 - k * DT / n for k in range(n)])
-    assert metrics.served_bytes == sum(1.0 + k for k in range(n))
+    __, [served], __, __ = state.end_round()
+    assert np.array_equal(state.departures()[2], [1.0 - k * DT / n for k in range(n)])
+    assert served == sum(1.0 + k for k in range(n))
 
 
 def test_drain_rejects_a_stream_served_twice_in_one_call():
