@@ -11,7 +11,7 @@ substrates (indoor channel model, topology generators, discrete-event
 Quickstart
 ----------
 Every workload is a declarative :class:`RunSpec` executed by a
-:class:`Runner` -- scenarios, precoders, and experiments are looked up by
+:class:`Runner` -- environments, precoders, and experiments are looked up by
 name in pluggable registries:
 
 >>> from repro import RunSpec, Runner
@@ -55,7 +55,7 @@ See ``examples/quickstart.py`` for a longer tour.
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 from .analysis import (
     EmpiricalCdf,
@@ -77,7 +77,6 @@ from .api import (
     register_experiment,
     register_mobility,
     register_precoder,
-    register_scenario,
     register_traffic,
 )
 from .assoc import (
@@ -88,7 +87,7 @@ from .assoc import (
     resolve_coordination,
 )
 from .campaign import CampaignResult, CampaignRunner, CampaignSpec
-from .channel import ChannelBatch, ChannelTrace, coverage_range_m, cs_range_m, record_trace
+from .channel import ChannelBatch, coverage_range_m, cs_range_m
 from .config import MacConfig, MidasConfig, RadioConfig, SimConfig
 from .mobility import MobilityModel, mobility_names, resolve_mobility
 from .core import (
@@ -104,7 +103,6 @@ from .phy import stream_sinrs, sum_capacity_bps_hz
 from .xp import (
     ArrayNamespace,
     BackendUnavailableError,
-    RngBridge,
     array_namespace,
     get_namespace,
     namespace_names,
@@ -145,7 +143,6 @@ __all__ = [
     "register_experiment",
     "register_mobility",
     "register_precoder",
-    "register_scenario",
     "register_traffic",
     "AssociationPolicy",
     "CoordinationMode",
@@ -160,10 +157,8 @@ __all__ = [
     "mobility_names",
     "resolve_mobility",
     "ChannelBatch",
-    "ChannelTrace",
     "coverage_range_m",
     "cs_range_m",
-    "record_trace",
     "MacConfig",
     "MidasConfig",
     "RadioConfig",
@@ -179,7 +174,6 @@ __all__ = [
     "sum_capacity_bps_hz",
     "ArrayNamespace",
     "BackendUnavailableError",
-    "RngBridge",
     "array_namespace",
     "get_namespace",
     "namespace_names",

@@ -52,14 +52,14 @@ def delay_percentiles(delays, qs=(0.5, 0.9, 0.95, 0.99)) -> np.ndarray:
 
 
 def throughput_delay_curve(
-    result, system: str, reduce=np.median
+    result, system: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(offered, throughput, delay) curve for one system of a
     ``latency_vs_load`` result.
 
     ``result`` is the experiment's :class:`~repro.api.result.RunResult`;
     ``system`` is ``"cas"`` or ``"midas"``.  Per-topology series are
-    reduced across the topology axis with ``reduce`` (default median).
+    reduced across the topology axis by their median.
     Returns offered load (Mb/s), delivered throughput (Mb/s), and mean
     delay (ms) -- the arrays a throughput-delay plot needs.
     """
@@ -71,7 +71,7 @@ def throughput_delay_curve(
             "expected (n_topologies, n_loads) series matching the offered "
             f"loads; got {throughput.shape} vs {offered.size} loads"
         )
-    return offered, reduce(throughput, axis=0), reduce(delay, axis=0)
+    return offered, np.median(throughput, axis=0), np.median(delay, axis=0)
 
 
 def saturation_load_mbps(

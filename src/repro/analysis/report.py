@@ -29,9 +29,7 @@ def format_cdf_summary(series: Mapping[str, Sequence[float]], unit: str = "") ->
     return "\n".join(lines)
 
 
-def format_series_table(
-    columns: Mapping[str, Sequence[float]], float_format: str = "{:>10.3f}"
-) -> str:
+def format_series_table(columns: Mapping[str, Sequence[float]]) -> str:
     """Render equal-length named columns as an aligned text table."""
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
@@ -41,7 +39,7 @@ def format_series_table(
     header = "".join(f"{name:>12}" for name in names)
     lines = [header, "-" * len(header)]
     for i in range(length):
-        lines.append("".join(float_format.format(a[i]) for a in arrays))
+        lines.append("".join(f"{a[i]:>10.3f}" for a in arrays))
     return "\n".join(lines)
 
 

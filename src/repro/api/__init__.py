@@ -8,9 +8,9 @@ One declarative spec replaces one bespoke experiment module::
     print(result.summary())
 
 Pluggability comes from three decorator-driven registries --
-:func:`register_precoder`, :func:`register_scenario` (plus
-:func:`register_environment`), and :func:`register_experiment` -- so new
-algorithms and workloads drop in by name without touching the runner.
+:func:`register_precoder`, :func:`register_environment` and
+:func:`register_experiment` -- so new algorithms and workloads drop in by
+name without touching the runner.
 """
 
 from .experiments import (
@@ -33,7 +33,6 @@ from .registry import (
     EXPERIMENTS,
     MOBILITY,
     PRECODERS,
-    SCENARIOS,
     TRAFFIC,
     DuplicateNameError,
     Registry,
@@ -42,12 +41,11 @@ from .registry import (
     register_environment,
     register_mobility,
     register_precoder,
-    register_scenario,
     register_traffic,
 )
 from .result import ExperimentResult, RunResult
 from .runner import Runner, resolve_params
-from .scenarios import environment_named, resolve_environment, scenario_factory
+from .scenarios import environment_named, resolve_environment
 from .spec import RunSpec
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "EXPERIMENTS",
     "MOBILITY",
     "PRECODERS",
-    "SCENARIOS",
     "TRAFFIC",
     "DuplicateNameError",
     "Registry",
@@ -75,7 +72,6 @@ __all__ = [
     "register_environment",
     "register_mobility",
     "register_precoder",
-    "register_scenario",
     "register_traffic",
     "ExperimentResult",
     "RunResult",
@@ -83,6 +79,5 @@ __all__ = [
     "resolve_params",
     "environment_named",
     "resolve_environment",
-    "scenario_factory",
     "RunSpec",
 ]

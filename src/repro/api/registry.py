@@ -1,4 +1,4 @@
-"""Named-plugin registries for precoders, scenarios, and experiments.
+"""Named-plugin registries for precoders, environments, and experiments.
 
 A :class:`Registry` maps string keys to callables (or richer definition
 objects) and replaces the ad-hoc if/elif dispatch and hand-maintained dicts
@@ -94,7 +94,6 @@ class Registry(Generic[T]):
 
 #: The built-in registries backing the public API.
 PRECODERS: Registry = Registry("precoder")
-SCENARIOS: Registry = Registry("scenario")
 ENVIRONMENTS: Registry = Registry("environment")
 EXPERIMENTS: Registry = Registry("experiment")
 TRAFFIC: Registry = Registry("traffic model")
@@ -112,11 +111,6 @@ def register_precoder(name: str):
     of one).
     """
     return PRECODERS.register(name)
-
-
-def register_scenario(name: str):
-    """Register a scenario factory (``repro.topology.scenarios`` signature)."""
-    return SCENARIOS.register(name)
 
 
 def register_environment(name: str):

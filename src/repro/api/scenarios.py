@@ -1,9 +1,10 @@
-"""Environment and scenario factories as registries.
+"""The office environments as a registry.
 
-The paper's two office environments and five deployment generators are
-registered by name so specs, CLIs, and user code can select them with a
-string instead of importing factory functions.  Third-party environments
-and scenario generators plug in with the same decorators::
+The paper's two office environments are registered by name so specs, CLIs,
+and user code can select them with a string instead of importing factory
+functions.  Experiments import the scenario factories from
+:mod:`repro.topology.scenarios` directly.  Third-party environments plug in
+with the same decorator::
 
     @register_environment("warehouse")
     def warehouse() -> OfficeEnvironment: ...
@@ -11,32 +12,11 @@ and scenario generators plug in with the same decorators::
 
 from __future__ import annotations
 
-from ..topology.scenarios import (
-    OfficeEnvironment,
-    campus_scenario,
-    dense_office_scenario,
-    eight_ap_scenario,
-    grid_region_scenario,
-    hidden_terminal_scenario,
-    office_a,
-    office_b,
-    paired_scenarios,
-    single_ap_scenario,
-    three_ap_scenario,
-)
-from .registry import ENVIRONMENTS, SCENARIOS, register_environment, register_scenario
+from ..topology.scenarios import OfficeEnvironment, office_a, office_b
+from .registry import ENVIRONMENTS, register_environment
 
 register_environment("office_a")(office_a)
 register_environment("office_b")(office_b)
-
-register_scenario("single_ap")(single_ap_scenario)
-register_scenario("paired")(paired_scenarios)
-register_scenario("three_ap")(three_ap_scenario)
-register_scenario("eight_ap")(eight_ap_scenario)
-register_scenario("grid_region")(grid_region_scenario)
-register_scenario("campus")(campus_scenario)
-register_scenario("dense_office")(dense_office_scenario)
-register_scenario("hidden_terminal")(hidden_terminal_scenario)
 
 
 def environment_named(name: str) -> OfficeEnvironment:
@@ -55,8 +35,3 @@ def resolve_environment(value, default: str = "office_b") -> OfficeEnvironment:
     if isinstance(value, OfficeEnvironment):
         return value
     return environment_named(value)
-
-
-def scenario_factory(name: str):
-    """Look up the registered scenario factory ``name``."""
-    return SCENARIOS.get(name)

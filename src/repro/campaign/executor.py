@@ -323,12 +323,11 @@ class CampaignRunner:
             )
 
         records = dict(completed)
-        self._build_payloads(campaign, plan)
         if todo:
             if self.jobs == 1:
-                self._run_inline(todo, records, journal)
+                self._run_inline(campaign, todo, records, journal)
             else:
-                self._run_pool(todo, records, journal)
+                self._run_pool(campaign, todo, records, journal)
 
         merge_started = time.perf_counter()
         result = self._fold(campaign, plan, records)
@@ -395,7 +394,9 @@ class CampaignRunner:
         write_manifest(self.campaign_dir / METRICS_NAME, metrics)
 
     # ------------------------------------------------------------------
-    def _payload(self, shard: ShardPlan) -> dict:
+    def _payload(self, shard: ShardPlan, campaign: CampaignSpec) -> dict:
+        """The pickled description of ``shard`` that :func:`_shard_worker`
+        runs (identical on every retry)."""
         return {
             "key": shard.key,
             "index": shard.index,
@@ -406,45 +407,51 @@ class CampaignRunner:
             "cache_format": self.cache_format,
             "timeout_s": self.timeout_s,
             "telemetry": self.telemetry is not None,
-            "sketch_resolution": None,  # filled by caller
+            "sketch_resolution": campaign.sketch_resolution,
         }
 
-    def _run_inline(self, todo, records, journal) -> None:
+    def _shard_failed(self, shard: ShardPlan, attempt: int, exc, journal) -> None:
+        """Count and journal failed ``attempt`` of ``shard``; raise
+        :class:`CampaignError` once the shard has used up its retries."""
+        telemetry = obsmod.active()
+        telemetry.count("campaign.shards.retried")
+        if isinstance(exc, ShardTimeout):
+            telemetry.count("campaign.shards.timeouts")
+        journal.append(
+            {
+                "event": "shard_retry",
+                "shard": shard.key,
+                "attempt": attempt,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        )
+        if attempt > self.retries:
+            raise CampaignError(
+                f"shard {shard.key} failed after {attempt} attempt(s): {exc}"
+            ) from exc
+
+    def _run_inline(self, campaign, todo, records, journal) -> None:
         for shard in todo:
+            payload = self._payload(shard, campaign)
             attempts = 0
             while True:
                 try:
-                    record = _shard_worker(self._payloads[shard.key])
+                    record = _shard_worker(payload)
                     break
                 except Exception as exc:  # noqa: BLE001 -- retried, then raised
                     attempts += 1
-                    obsmod.active().count("campaign.shards.retried")
-                    if isinstance(exc, ShardTimeout):
-                        obsmod.active().count("campaign.shards.timeouts")
-                    journal.append(
-                        {
-                            "event": "shard_retry",
-                            "shard": shard.key,
-                            "attempt": attempts,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                    if attempts > self.retries:
-                        raise CampaignError(
-                            f"shard {shard.key} failed after {attempts} "
-                            f"attempt(s): {exc}"
-                        ) from exc
+                    self._shard_failed(shard, attempts, exc, journal)
             self._complete(shard, record, records, journal)
 
-    def _run_pool(self, todo, records, journal) -> None:
+    def _run_pool(self, campaign, todo, records, journal) -> None:
+        payloads = {shard.key: self._payload(shard, campaign) for shard in todo}
         attempts: dict[str, int] = defaultdict(int)
         pool_restarts = 0
         pending = list(todo)
         while pending:
             executor = ProcessPoolExecutor(max_workers=self.jobs)
             active = {
-                executor.submit(_shard_worker, self._payloads[s.key]): s
-                for s in pending
+                executor.submit(_shard_worker, payloads[s.key]): s for s in pending
             }
             pending = []
             current = None
@@ -459,26 +466,9 @@ class CampaignRunner:
                             raise
                         except Exception as exc:  # noqa: BLE001 -- retried, then raised
                             attempts[shard.key] += 1
-                            obsmod.active().count("campaign.shards.retried")
-                            if isinstance(exc, ShardTimeout):
-                                obsmod.active().count("campaign.shards.timeouts")
-                            journal.append(
-                                {
-                                    "event": "shard_retry",
-                                    "shard": shard.key,
-                                    "attempt": attempts[shard.key],
-                                    "error": f"{type(exc).__name__}: {exc}",
-                                }
-                            )
-                            if attempts[shard.key] > self.retries:
-                                raise CampaignError(
-                                    f"shard {shard.key} failed after "
-                                    f"{attempts[shard.key]} attempt(s): {exc}"
-                                ) from exc
+                            self._shard_failed(shard, attempts[shard.key], exc, journal)
                             active[
-                                executor.submit(
-                                    _shard_worker, self._payloads[shard.key]
-                                )
+                                executor.submit(_shard_worker, payloads[shard.key])
                             ] = shard
                             continue
                         self._complete(shard, record, records, journal)
@@ -592,19 +582,3 @@ class CampaignRunner:
                 )
             )
         return CampaignResult(campaign=campaign, cells=aggregates, notes={})
-
-    # Payloads are derived once per run so every retry reuses the same
-    # pickled description (and the sketch resolution rides along).
-    @property
-    def _payloads(self) -> dict[str, dict]:
-        return self._payload_cache
-
-    def _build_payloads(self, campaign: CampaignSpec, plan) -> None:
-        cache: dict[str, dict] = {}
-        for shard in plan:
-            if shard.key in cache:
-                continue
-            payload = self._payload(shard)
-            payload["sketch_resolution"] = campaign.sketch_resolution
-            cache[shard.key] = payload
-        self._payload_cache = cache

@@ -3,7 +3,7 @@
 Replaces the paper's physical offices: log-distance path loss, log-normal
 (spatially smooth) shadowing whose lattice nodes live in one store per
 batch, correlated Rayleigh/Rician block fading with Gauss-Markov time
-evolution, and channel-trace record/replay.
+evolution.
 """
 
 from .batch import ChannelBatch, apply_csi_error, stacked_correlation
@@ -15,7 +15,6 @@ from .fading import (
 )
 from .pathloss import LogDistancePathLoss, coverage_range_m, cs_range_m
 from .shadowing import ShadowingField, group_antenna_sites
-from .traces import ChannelTrace, record_trace
 
 __all__ = [
     "ChannelBatch",
@@ -30,6 +29,4 @@ __all__ = [
     "cs_range_m",
     "ShadowingField",
     "group_antenna_sites",
-    "ChannelTrace",
-    "record_trace",
 ]

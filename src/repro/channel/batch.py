@@ -339,22 +339,16 @@ class ChannelBatch:
             self._lazy_state = self._innovation()
         return self._lazy_state
 
-    def channel_matrices(self, namespace=None):
-        """Instantaneous stacked ``H`` of shape
+    def channel_matrices(self):
+        """Instantaneous stacked host ``H`` of shape
         ``(batch, n_clients, n_antennas)``.
 
         Assembly always happens in NumPy -- the stochastic stacks are drawn
-        from the per-item generator trees (the :mod:`repro.xp` RNG-bridge
+        from the per-item generator trees (the :mod:`repro.xp` RNG
         contract), so the seed streams are identical on every backend.
-        ``namespace`` optionally transfers the snapshot onto an
-        :class:`repro.xp.ArrayNamespace` (e.g. torch/CUDA) at this compute
-        boundary; the default returns the host array unchanged.
         """
         amplitude = np.sqrt(units.db_to_linear(np.asarray(self._client_gain_db)))
-        h = amplitude * self._state
-        if namespace is None:
-            return h
-        return namespace.asarray(h, dtype=namespace.complex_dtype)
+        return amplitude * self._state
 
     def advance(self, dt_s: float, items=None, doppler_hz=None) -> None:
         """Advance fading by ``dt_s`` seconds.

@@ -118,10 +118,3 @@ def cs_range_m(radio: RadioConfig, mac: MacConfig) -> float:
     Figs 12, 15, 16 (elevated sensing paths)."""
     budget = radio.per_antenna_power_dbm - mac.cs_threshold_dbm
     return _range_for_budget(radio, budget, sensing=True)
-
-
-def nav_range_m(radio: RadioConfig, mac: MacConfig) -> float:
-    """Distance at which the median antenna-to-antenna received power falls
-    to the preamble-decode (NAV) threshold."""
-    budget = radio.per_antenna_power_dbm - mac.nav_decode_dbm
-    return _range_for_budget(radio, budget, sensing=True)

@@ -26,13 +26,16 @@ exception type.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..phy.capacity import per_antenna_row_power, stream_sinrs
 from ..xp import array_namespace
+
+#: An item is rank deficient when its K-th singular value is at most this
+#: fraction of its largest.
+_RCOND = 1e-12
 
 
 def _as_channel_stack(h):
@@ -80,9 +83,7 @@ def _entry_mask(row_mask, column_mask):
 # ----------------------------------------------------------------------
 # ZFBF and the naive repair
 # ----------------------------------------------------------------------
-def zfbf_directions(
-    h, rcond: float = 1e-12, *, client_mask=None, antenna_mask=None
-):
+def zfbf_directions(h, *, client_mask=None, antenna_mask=None):
     """Stacked unit-norm ZFBF columns: the pseudo-inverse of each ``H``
     (``V = H†``, so every stream is nulled at every other client, paper
     eq. 2b) with each column (stream) normalized to unit transmit power.
@@ -119,7 +120,7 @@ def zfbf_directions(
     last = xp.take_along_axis(
         singular_values, xp.maximum(n_streams - 1, 0)[..., None], axis=-1
     )[..., 0]
-    if xp.any((n_streams > 0) & (last <= rcond * singular_values[..., 0])):
+    if xp.any((n_streams > 0) & (last <= _RCOND * singular_values[..., 0])):
         raise np.linalg.LinAlgError(
             "a channel matrix in the batch is (numerically) rank deficient; "
             "zero-forcing cannot separate these clients"
@@ -137,7 +138,6 @@ def zfbf_directions(
 def zfbf_equal_power(
     h,
     total_power_mw,
-    rcond: float = 1e-12,
     *,
     client_mask=None,
     antenna_mask=None,
@@ -156,7 +156,7 @@ def zfbf_equal_power(
     if xp.any(total <= 0):
         raise ValueError("total_power_mw must be positive")
     directions = zfbf_directions(
-        h, rcond=rcond, client_mask=client_mask, antenna_mask=antenna_mask
+        h, client_mask=client_mask, antenna_mask=antenna_mask
     )
     batch_shape = tuple(h.shape[:-2])
     n_streams = _real_count(

@@ -21,6 +21,10 @@ import numpy as np
 from ..phy.capacity import per_antenna_row_power, stream_sinrs, sum_capacity_bps_hz
 from .batch import naive_scaled_precoder
 
+#: Bisection steps when solving for the total-power multiplier inside each
+#: precoder update.
+_MU_BISECTIONS = 30
+
 
 @dataclass(frozen=True)
 class WmmseResult:
@@ -47,7 +51,6 @@ def wmmse_precoder(
     noise_mw: float,
     *,
     iterations: int = 60,
-    mu_grid: int = 30,
 ) -> WmmseResult:
     """Run projected WMMSE and return the best feasible precoder found.
 
@@ -58,10 +61,8 @@ def wmmse_precoder(
     per_antenna_power_mw, noise_mw:
         Constraint and noise floor.
     iterations:
-        Outer WMMSE rounds.
-    mu_grid:
-        Bisection steps when solving for the total-power multiplier inside
-        each precoder update.
+        Outer WMMSE rounds.  Each precoder update solves for its
+        total-power multiplier in ``_MU_BISECTIONS`` bisection steps.
     """
     if per_antenna_power_mw <= 0 or noise_mw <= 0:
         raise ValueError("powers must be positive")
@@ -103,7 +104,7 @@ def wmmse_precoder(
         if float(np.sum(np.abs(v_of_mu(lo + 1e-15)) ** 2)) <= total_power:
             v_new = v_of_mu(lo + 1e-15)
         else:
-            for _ in range(mu_grid):
+            for _ in range(_MU_BISECTIONS):
                 mid = 0.5 * (lo + hi)
                 if float(np.sum(np.abs(v_of_mu(mid)) ** 2)) > total_power:
                     lo = mid

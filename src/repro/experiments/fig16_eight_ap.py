@@ -5,8 +5,9 @@ three others; DAS antennas stay inside the original coverage area with >= 5 m
 separation; CSI is measured and fed back into the simulation.  DAS
 outperforms CAS by more than 150%.
 
-We record a channel trace per topology (the paper's measured CSI) and replay
-it through the round-based evaluator for both stacks.
+The indoor channel model stands in for the paper's measured CSI: each
+topology's channel is synthesized from its seed, and both stacks run through
+the round-based evaluator on the same per-topology seeds.
 """
 
 from __future__ import annotations

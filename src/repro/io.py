@@ -1,9 +1,9 @@
 """Atomic filesystem primitives shared by every persistence layer.
 
-Cache entries, campaign manifests, run results, channel traces, and
-telemetry exports are all read back by resume logic or other processes;
-a crash (including ``kill -9``) mid-write must leave either the old file
-or nothing -- never a torn file.  The one sanctioned pattern is a
+Cache entries, campaign manifests, run results, and telemetry exports are
+all read back by resume logic or other processes; a crash (including
+``kill -9``) mid-write must leave either the old file or nothing -- never
+a torn file.  The one sanctioned pattern is a
 same-directory temp sibling renamed into place with ``os.replace``
 (same-filesystem rename, hence atomic).  ``repro.lint`` rule RPL006
 statically enforces that persistence writes in the owning modules go

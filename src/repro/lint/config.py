@@ -118,7 +118,6 @@ class LintConfig:
         "repro/api/runner.py",
         "repro/campaign/*",
         "repro/obs/*",
-        "repro/channel/traces.py",
     )
     experiment_modules: tuple = ("repro/experiments/*",)
     exclude_parts: tuple = ("__pycache__", ".git", "lint_fixtures", ".pytest_cache")

@@ -119,11 +119,17 @@ class _Span:
         t = self._telemetry
         t._depth = self._depth
         t.spans_exited += 1
+        dur_us = (end_ns - self._start_ns) / 1000.0
+        entry = t._span_totals.get(self._name)
+        if entry is None:
+            entry = t._span_totals[self._name] = {"count": 0, "total_us": 0.0}
+        entry["count"] += 1
+        entry["total_us"] += dur_us
         t._record(
             "span",
             self._name,
             (self._start_ns - t._t0_ns) / 1000.0,
-            (end_ns - self._start_ns) / 1000.0,
+            dur_us,
             self._depth,
             self._tags,
         )
@@ -136,10 +142,10 @@ class Telemetry:
     Parameters
     ----------
     max_events:
-        Bound on the in-memory span/gauge buffer.  Once full, *new* events
-        are dropped (the earlier ones -- the run's structure -- are kept)
-        and ``dropped_events`` counts the loss; counters keep counting
-        regardless.
+        Bound on the in-memory span/gauge buffer that feeds the trace
+        exports.  Once full, *new* events are dropped (the earlier ones --
+        the run's structure -- are kept) and ``dropped_events`` counts the
+        loss; counters and span totals keep counting regardless.
 
     Install with :func:`repro.obs.use` (or ``Runner(telemetry=...)``, which
     does it for you); instrumented library code finds the active instance
@@ -164,6 +170,8 @@ class Telemetry:
         self._t0_ns = time.perf_counter_ns()
         #: (kind, name, ts_us, dur_us_or_value, depth, tags) tuples.
         self._events: list[tuple] = []
+        #: name -> {count, total_us} over every span, buffered or dropped.
+        self._span_totals: dict[str, dict[str, float]] = {}
         self._counters: dict[str, float] = {name: 0 for name in CORE_COUNTERS}
         self._depth = 0
         self.dropped_events = 0
@@ -227,17 +235,12 @@ class Telemetry:
     def span_totals(self) -> dict[str, dict[str, float]]:
         """Per-span-name aggregate: ``{name: {count, total_us}}``.
 
-        Nested spans each contribute their own inclusive duration; use the
-        recorded depths to de-overlap if you need exclusive times.
+        Folded as each span exits, so spans the bounded buffer dropped
+        still count.  Nested spans each contribute their own inclusive
+        duration; use the recorded depths to de-overlap if you need
+        exclusive times.
         """
-        totals: dict[str, dict[str, float]] = {}
-        for kind, name, __, value, ___, ____ in self._events:
-            if kind != "span":
-                continue
-            entry = totals.setdefault(name, {"count": 0, "total_us": 0.0})
-            entry["count"] += 1
-            entry["total_us"] += value
-        return totals
+        return {name: dict(entry) for name, entry in self._span_totals.items()}
 
     def summary(self) -> "TelemetrySummary":
         """Compact snapshot suitable for ``RunResult.telemetry``."""

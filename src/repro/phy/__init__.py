@@ -16,7 +16,6 @@ from .mcs import (
     rate_bps_hz_for_snr,
     rate_bps_hz_for_snr_array,
 )
-from .ofdm import OfdmNumerology, VHT20
 from .sounding import sounding_overhead_us
 
 __all__ = [
@@ -31,7 +30,5 @@ __all__ = [
     "mcs_index_for_snr",
     "rate_bps_hz_for_snr",
     "rate_bps_hz_for_snr_array",
-    "OfdmNumerology",
-    "VHT20",
     "sounding_overhead_us",
 ]

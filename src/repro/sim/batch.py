@@ -65,7 +65,7 @@ from ..mobility import build_mobility_state
 from ..obs import active as _obs
 from ..phy.sounding import sounding_overhead_us
 from ..topology.scenarios import Scenario
-from ..traffic import AmpduConfig, TrafficState, resolve_traffic
+from ..traffic import TrafficState, resolve_traffic
 
 
 class MacMode(str, enum.Enum):
@@ -81,7 +81,6 @@ def build_traffic_state(
     n_clients: int,
     rngs,
     scenario: Scenario,
-    ampdu: AmpduConfig | None,
 ) -> TrafficState | None:
     """Resolve an engine's ``traffic=`` argument into one stacked state.
 
@@ -109,7 +108,6 @@ def build_traffic_state(
         [rng_mod.make_rng(rng) for rng in rngs],
         round_duration_s=scenario.mac.txop_us * 1e-6,
         bandwidth_hz=scenario.radio.bandwidth_hz,
-        ampdu=ampdu,
     )
 
 
@@ -547,7 +545,7 @@ class RoundBasedEvaluatorBatch:
         One seed per scenario; item ``i`` consumes randomness only from the
         generator tree of ``seeds[i]``, so it evaluates identically alone
         (``RoundBasedEvaluatorBatch([scenarios[i]], mode, sim, seeds=[seeds[i]])``).
-    traffic / traffic_kwargs / ampdu:
+    traffic / traffic_kwargs:
         Finite-load arrivals (see :func:`build_traffic_state`).  One stacked
         :class:`~repro.traffic.TrafficState` holds every item's queues; each
         round serves all streams in one call, in item, slot and stream
@@ -580,7 +578,6 @@ class RoundBasedEvaluatorBatch:
         seeds=None,
         traffic=None,
         traffic_kwargs=None,
-        ampdu=None,
         mobility=None,
         mobility_kwargs=None,
         resound_period_rounds: int = 1,
@@ -647,8 +644,7 @@ class RoundBasedEvaluatorBatch:
         traffic_kwargs = one_per_item("traffic_kwargs", traffic_kwargs, self.n_items)
         mobility_kwargs = one_per_item("mobility_kwargs", mobility_kwargs, self.n_items)
         self._traffic = build_traffic_state(
-            traffic, traffic_kwargs, structure.n_clients, traffic_seeds, first,
-            ampdu,
+            traffic, traffic_kwargs, structure.n_clients, traffic_seeds, first
         )
         #: One stacked trajectory state for the whole batch (``None`` for
         #: static clients).
@@ -872,7 +868,7 @@ class RoundBasedEvaluatorBatch:
         in plan order; an item's floats never depend on its batch.
 
         Gathers and CSI-noise draws stay on the host (per-item generator
-        streams, the RNG-bridge contract); the two stacks are transferred
+        streams, the RNG contract); the two stacks are transferred
         once to the active :mod:`repro.xp` namespace, and the SINRs come
         back to NumPy for the traffic bookkeeping.  Returns per-item
         capacity, streams and per-AP streams, and the ``(batch, n_slots,

@@ -43,7 +43,7 @@ from ..mac.nav import NavTable
 from ..mobility import build_mobility_state
 from ..obs import active as _obs
 from ..topology.scenarios import Scenario
-from ..traffic import AmpduConfig, TrafficState, TrafficSummary
+from ..traffic import TrafficState, TrafficSummary
 from . import EventQueue
 from .batch import CarrierSenseBatch, MacMode, build_traffic_state
 from .radio_state import ActiveTransmission, TransmissionLog
@@ -90,7 +90,6 @@ class NetworkSimulation:
         seed: int | None = 0,
         traffic=None,
         traffic_kwargs=None,
-        ampdu: AmpduConfig | None = None,
         mobility=None,
         mobility_kwargs=None,
         resound_interval_s: float | None = None,
@@ -117,7 +116,7 @@ class NetworkSimulation:
         #: A batch of one: item 0 is this run.
         self._traffic: TrafficState | None = build_traffic_state(
             traffic, [traffic_kwargs], self.deployment.n_clients, [traffic_seed],
-            scenario, ampdu,
+            scenario,
         )
         self._mobility = build_mobility_state(
             mobility, [mobility_kwargs], [self.deployment], [mobility_seed]

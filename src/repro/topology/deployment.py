@@ -101,28 +101,6 @@ class Deployment:
         """Client indices served by AP ``ap``."""
         return np.flatnonzero(self.client_ap == ap)
 
-    def antenna_client_distances(self) -> np.ndarray:
-        """Distance matrix of shape ``(n_clients, n_antennas)``."""
-        return geometry.pairwise_distances(self.client_positions, self.antenna_positions)
-
-    def antenna_antenna_distances(self) -> np.ndarray:
-        """Distance matrix of shape ``(n_antennas, n_antennas)``."""
-        return geometry.pairwise_distances(self.antenna_positions, self.antenna_positions)
-
-    def subset_for_ap(self, ap: int) -> "Deployment":
-        """Single-AP view of this deployment (its antennas and clients only)."""
-        ant_idx = self.antennas_of(ap)
-        cli_idx = self.clients_of(ap)
-        return Deployment(
-            ap_positions=self.ap_positions[ap : ap + 1],
-            antenna_positions=self.antenna_positions[ant_idx],
-            antenna_ap=np.zeros(len(ant_idx), dtype=int),
-            client_positions=self.client_positions[cli_idx],
-            client_ap=np.zeros(len(cli_idx), dtype=int),
-            mode=self.mode,
-            extras=dict(self.extras),
-        )
-
 
 def cas_antenna_layout(
     ap_position, n_antennas: int, wavelength_m: float
@@ -178,100 +156,4 @@ def das_antenna_layout(
         "could not satisfy DAS placement constraints after "
         f"{max_attempts} attempts (radius {radius_min_m}-{radius_max_m} m, "
         f"sector {min_sector_deg} deg, separation {min_separation_m} m)"
-    )
-
-
-def build_single_ap(
-    rng: np.random.Generator,
-    *,
-    mode: AntennaMode,
-    n_antennas: int,
-    n_clients: int,
-    wavelength_m: float,
-    ap_position=(0.0, 0.0),
-    client_radius_m: float = 25.0,
-    client_radius_min_m: float = 2.0,
-    das_radius_min_m: float = 5.0,
-    das_radius_max_m: float = 10.0,
-    min_sector_deg: float = 0.0,
-    min_separation_m: float = 0.0,
-) -> Deployment:
-    """One AP with ``n_antennas`` (CAS or DAS) and clients in its coverage disk."""
-    ap = np.asarray(ap_position, dtype=float)
-    if mode is AntennaMode.CAS:
-        antennas = cas_antenna_layout(ap, n_antennas, wavelength_m)
-    else:
-        antennas = das_antenna_layout(
-            rng,
-            ap,
-            n_antennas,
-            radius_min_m=das_radius_min_m,
-            radius_max_m=das_radius_max_m,
-            min_sector_deg=min_sector_deg,
-            min_separation_m=min_separation_m,
-        )
-    clients = geometry.random_point_in_annulus(
-        rng, ap, client_radius_min_m, client_radius_m, n_clients
-    )
-    return Deployment(
-        ap_positions=ap[None, :],
-        antenna_positions=antennas,
-        antenna_ap=np.zeros(n_antennas, dtype=int),
-        client_positions=clients,
-        client_ap=np.zeros(n_clients, dtype=int),
-        mode=mode,
-    )
-
-
-def build_multi_ap(
-    rng: np.random.Generator,
-    ap_positions,
-    *,
-    mode: AntennaMode,
-    antennas_per_ap: int,
-    clients_per_ap: int,
-    wavelength_m: float,
-    client_radius_m: float = 20.0,
-    client_radius_min_m: float = 2.0,
-    das_radius_min_m: float = 5.0,
-    das_radius_max_m: float = 10.0,
-    min_sector_deg: float = 0.0,
-    min_separation_m: float = 0.0,
-    coverage_radius_m: float = np.inf,
-) -> Deployment:
-    """Multiple APs, each with its own antenna cluster and client population."""
-    aps = geometry.as_points(ap_positions)
-    antenna_chunks = []
-    antenna_ap = []
-    client_chunks = []
-    client_ap = []
-    for ap_index, ap in enumerate(aps):
-        if mode is AntennaMode.CAS:
-            ants = cas_antenna_layout(ap, antennas_per_ap, wavelength_m)
-        else:
-            ants = das_antenna_layout(
-                rng,
-                ap,
-                antennas_per_ap,
-                radius_min_m=das_radius_min_m,
-                radius_max_m=das_radius_max_m,
-                min_sector_deg=min_sector_deg,
-                min_separation_m=min_separation_m,
-                within_center=ap,
-                within_radius_m=coverage_radius_m,
-            )
-        antenna_chunks.append(ants)
-        antenna_ap.extend([ap_index] * antennas_per_ap)
-        clients = geometry.random_point_in_annulus(
-            rng, ap, client_radius_min_m, client_radius_m, clients_per_ap
-        )
-        client_chunks.append(clients)
-        client_ap.extend([ap_index] * clients_per_ap)
-    return Deployment(
-        ap_positions=aps,
-        antenna_positions=np.vstack(antenna_chunks),
-        antenna_ap=np.asarray(antenna_ap, dtype=int),
-        client_positions=np.vstack(client_chunks),
-        client_ap=np.asarray(client_ap, dtype=int),
-        mode=mode,
     )

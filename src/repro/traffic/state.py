@@ -45,6 +45,8 @@ from .models import TrafficModel
 _N_CLASSES = len(AccessCategory)
 #: Packets each ring holds before its first doubling.
 _INITIAL_CAPACITY = 32
+#: The 802.11ac aggregation constants every stream is served under.
+_AMPDU = AmpduConfig()
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,6 @@ class TrafficState:
         *,
         round_duration_s: float,
         bandwidth_hz: float,
-        ampdu: AmpduConfig | None = None,
     ):
         self.models: list[TrafficModel] = list(models)
         self._rngs = list(rngs)
@@ -126,7 +127,6 @@ class TrafficState:
             raise ValueError("round_duration_s must be positive")
         self.n_items = len(self.models)
         self.n_clients = n_clients
-        self.ampdu = ampdu or AmpduConfig()
         self.round_duration_s = float(round_duration_s)
         self.bandwidth_hz = float(bandwidth_hz)
         self._model_states = [
@@ -411,7 +411,7 @@ class TrafficState:
         sinrs = np.asarray(sinrs, dtype=float)
         with np.errstate(divide="ignore"):  # sinr == 0 -> -inf dB -> 0 bytes
             sinr_db = 10.0 * np.log10(sinrs)
-        budgets = self.ampdu.served_byte_budget(
+        budgets = _AMPDU.served_byte_budget(
             sinr_db, self.bandwidth_hz, np.asarray(payload_s, dtype=float)
         )
         return self.drain(items, clients, budgets, t_depart_s, arrival_cutoff_s)

@@ -31,11 +31,11 @@ Three pieces glue the namespaces into the runner:
   ``Runner`` installs around ``build_batch`` calls so experiments pick the
   backend up without signature changes.
 
-**The RNG bridge.**  Randomness never moves off NumPy: every stochastic
+**The RNG contract.**  Randomness never moves off NumPy: every stochastic
 term (topology placement, shadowing lattice nodes, fading innovations, CSI
 noise) is drawn from the existing per-topology ``numpy.random.Generator``
-trees and *transferred* to the target namespace afterwards
-(:class:`RngBridge`, or a plain ``xp.asarray`` at the assembly boundary).
+trees and *transferred* to the target namespace afterwards (a plain
+``xp.asarray`` at the assembly boundary).
 The seed-derivation contract is therefore untouched: every backend consumes
 the same generator streams in the same order, and differences between
 namespaces come from float arithmetic only.
@@ -55,7 +55,6 @@ __all__ = [
     "ArrayNamespace",
     "BackendUnavailableError",
     "NumpyNamespace",
-    "RngBridge",
     "active",
     "array_namespace",
     "get_namespace",
@@ -271,58 +270,3 @@ def use(namespace: ArrayNamespace) -> Iterator[ArrayNamespace]:
         yield namespace
     finally:
         _ACTIVE.reset(token)
-
-
-# ----------------------------------------------------------------------
-# RNG bridge
-# ----------------------------------------------------------------------
-class RngBridge:
-    """Draws from a NumPy generator, hands back namespace arrays.
-
-    The explicit form of the backend RNG contract: randomness always comes
-    from the existing NumPy seed tree (so seed derivation, stream order,
-    and bit-level draw values are untouched by the namespace choice) and is
-    *transferred* to the compute namespace afterwards.  ``ChannelBatch``
-    applies the same rule implicitly by assembling its stochastic stacks in
-    NumPy and transferring snapshots at the compute boundary.
-    """
-
-    def __init__(self, rng: np.random.Generator, namespace: ArrayNamespace):
-        self.rng = rng
-        self.xp = namespace
-
-    @staticmethod
-    def _count_transfer(array: np.ndarray) -> None:
-        telemetry = _obs_active()
-        telemetry.count("xp.to_device.calls")
-        telemetry.count("xp.to_device.bytes", array.nbytes)
-
-    def standard_normal(self, shape):
-        """A float draw, transferred to the namespace's float dtype."""
-        draw = self.rng.standard_normal(shape)
-        self._count_transfer(np.asarray(draw))
-        return self.xp.asarray(draw, dtype=self.xp.float_dtype)
-
-    def standard_complex(self, shape):
-        """A unit-variance circular complex draw (real/imag pairs drawn in
-        NumPy order), transferred to the namespace's complex dtype."""
-        draw = (
-            self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
-        ) / np.sqrt(2.0)
-        self._count_transfer(np.asarray(draw))
-        return self.xp.asarray(draw, dtype=self.xp.complex_dtype)
-
-    def transfer(self, array, kind: str = "float"):
-        """Move an already-drawn NumPy array onto the namespace.
-
-        ``kind`` selects the target dtype family: ``"float"``, ``"complex"``,
-        or ``"exact"`` (keep integer/bool dtypes untouched).
-        """
-        self._count_transfer(np.asarray(array))
-        if kind == "float":
-            return self.xp.asarray(array, dtype=self.xp.float_dtype)
-        if kind == "complex":
-            return self.xp.asarray(array, dtype=self.xp.complex_dtype)
-        if kind == "exact":
-            return self.xp.asarray(array)
-        raise ValueError("kind must be 'float', 'complex', or 'exact'")

@@ -6,7 +6,6 @@ from repro.api import (
     ENVIRONMENTS,
     EXPERIMENTS,
     PRECODERS,
-    SCENARIOS,
     DuplicateNameError,
     Registry,
     UnknownNameError,
@@ -77,11 +76,6 @@ class TestBuiltinRegistrations:
 
     def test_environments_registered(self):
         assert "office_a" in ENVIRONMENTS and "office_b" in ENVIRONMENTS
-
-    def test_scenarios_registered(self):
-        for name in ("single_ap", "paired", "three_ap", "eight_ap",
-                     "hidden_terminal"):
-            assert name in SCENARIOS
 
     def test_all_16_experiments_registered(self):
         load_builtin_experiments()

@@ -7,11 +7,10 @@ from repro.topology import geometry
 from repro.topology.deployment import (
     AntennaMode,
     Deployment,
-    build_multi_ap,
-    build_single_ap,
     cas_antenna_layout,
     das_antenna_layout,
 )
+from repro.topology.scenarios import office_b, paired_scenarios, single_ap_scenario
 
 WAVELENGTH = 0.057
 
@@ -101,52 +100,28 @@ class TestDeploymentInvariants:
             )
 
     def test_counts(self):
-        dep = build_single_ap(
-            np.random.default_rng(0),
-            mode=AntennaMode.DAS,
-            n_antennas=4,
-            n_clients=3,
-            wavelength_m=WAVELENGTH,
-        )
+        dep = single_ap_scenario(
+            office_b(), AntennaMode.DAS, n_antennas=4, n_clients=3, seed=0
+        ).deployment
         assert dep.n_aps == 1
         assert dep.n_antennas == 4
         assert dep.n_clients == 3
 
     def test_distance_matrix_shapes(self):
-        dep = build_single_ap(
-            np.random.default_rng(0),
-            mode=AntennaMode.CAS,
-            n_antennas=4,
-            n_clients=3,
-            wavelength_m=WAVELENGTH,
-        )
-        assert dep.antenna_client_distances().shape == (3, 4)
-        assert dep.antenna_antenna_distances().shape == (4, 4)
+        dep = single_ap_scenario(
+            office_b(), AntennaMode.CAS, n_antennas=4, n_clients=3, seed=0
+        ).deployment
+        assert geometry.pairwise_distances(
+            dep.client_positions, dep.antenna_positions
+        ).shape == (3, 4)
+        assert geometry.pairwise_distances(
+            dep.antenna_positions, dep.antenna_positions
+        ).shape == (4, 4)
 
     def test_multi_ap_ownership(self):
-        dep = build_multi_ap(
-            np.random.default_rng(0),
-            [(0, 0), (20, 0)],
-            mode=AntennaMode.DAS,
-            antennas_per_ap=4,
-            clients_per_ap=2,
-            wavelength_m=WAVELENGTH,
-        )
+        dep = paired_scenarios(
+            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seed=0
+        )[AntennaMode.DAS].deployment
         assert len(dep.antennas_of(0)) == 4
         assert len(dep.antennas_of(1)) == 4
         assert len(dep.clients_of(1)) == 2
-
-    def test_subset_for_ap(self):
-        dep = build_multi_ap(
-            np.random.default_rng(0),
-            [(0, 0), (20, 0)],
-            mode=AntennaMode.DAS,
-            antennas_per_ap=4,
-            clients_per_ap=2,
-            wavelength_m=WAVELENGTH,
-        )
-        sub = dep.subset_for_ap(1)
-        assert sub.n_aps == 1
-        assert sub.n_antennas == 4
-        assert sub.n_clients == 2
-        np.testing.assert_allclose(sub.ap_positions[0], [20, 0])

@@ -141,12 +141,26 @@ class TestSpansAndCounters:
         telemetry.count("still.counting")
         assert telemetry.counters["still.counting"] == 1
 
+    def test_span_totals_count_spans_past_the_buffer(self, tmp_path):
+        telemetry = Telemetry(max_events=2)
+        for __ in range(5):
+            with telemetry.span("phase"):
+                pass
+        assert telemetry.dropped_events == 3
+        assert telemetry.span_totals()["phase"]["count"] == 5
+        summary = telemetry.summary()
+        assert summary.span_totals["phase"]["count"] == 5
+        assert summary.dropped_events == 3
+        payload = json.loads(telemetry.write_metrics(tmp_path / "m.json").read_text())
+        assert payload["span_totals"]["phase"]["count"] == 5
+
     def test_clear_resets_everything(self):
         telemetry = Telemetry()
         with telemetry.span("s"):
             telemetry.count("c")
         telemetry.clear()
         assert telemetry.span_events() == []
+        assert telemetry.span_totals() == {}
         assert "c" not in telemetry.counters
         assert telemetry.spans_entered == 0
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.pathloss import (
-    LogDistancePathLoss,
-    coverage_range_m,
-    cs_range_m,
-    nav_range_m,
-)
+from repro.channel.pathloss import LogDistancePathLoss, coverage_range_m, cs_range_m
 from repro.config import MacConfig, RadioConfig
 
 
@@ -53,10 +48,6 @@ class TestRanges:
         low = RadioConfig(per_antenna_power_dbm=0.0)
         high = RadioConfig(per_antenna_power_dbm=10.0)
         assert coverage_range_m(high) > coverage_range_m(low)
-
-    def test_nav_range_exceeds_cs_range(self):
-        radio, mac = RadioConfig(), MacConfig()
-        assert nav_range_m(radio, mac) > cs_range_m(radio, mac)
 
     def test_walls_shrink_coverage(self):
         no_walls = RadioConfig(wall_loss_db=0.0)

@@ -1,10 +1,9 @@
-"""MCS table, OFDM numerology, and sounding overhead tests."""
+"""MCS table and sounding overhead tests."""
 
 import numpy as np
 import pytest
 
 from repro.phy.mcs import MCS_TABLE, highest_mcs_for_snr, rate_bps_hz_for_snr
-from repro.phy.ofdm import VHT20
 from repro.phy.sounding import sounding_overhead_us
 
 
@@ -31,21 +30,6 @@ class TestMcs:
     def test_rate_bps_hz_consistency(self):
         entry = MCS_TABLE[4]
         assert entry.rate_bps_hz == pytest.approx(entry.data_rate_mbps * 1e6 / 20e6)
-
-
-class TestOfdm:
-    def test_vht20_subcarrier_spacing(self):
-        assert VHT20.subcarrier_spacing_hz == pytest.approx(312.5e3)
-
-    def test_symbols_for_bits_rounds_up(self):
-        assert VHT20.symbols_for_bits(100, 52) == 2
-
-    def test_symbols_minimum_one(self):
-        assert VHT20.symbols_for_bits(1, 1000) == 1
-
-    def test_invalid_bits_per_symbol(self):
-        with pytest.raises(ValueError):
-            VHT20.symbols_for_bits(10, 0)
 
 
 class TestSounding:

@@ -239,12 +239,6 @@ class TestNewScenarioFamilies:
         for result, golden in zip(results, GOLDEN["families"][family]):
             assert_rounds_match(result, golden)
 
-    def test_families_are_registered(self):
-        from repro.api.scenarios import scenario_factory
-
-        assert scenario_factory("grid_region") is grid_region_scenario
-        assert scenario_factory("dense_office") is dense_office_scenario
-
     def test_grid_region_shape(self):
         pair = grid_region_scenario(ENV, n_rows=2, n_cols=3, seed=1)
         deployment = pair[AntennaMode.DAS].deployment

@@ -1,11 +1,10 @@
-"""Analysis helper and simulation statistics tests."""
+"""Analysis helper tests."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.cdf import EmpiricalCdf, median_gain, paired_ratio, percentile_gain
 from repro.analysis.report import format_cdf_summary, format_gain_line, format_series_table
-from repro.sim.stats import jain_fairness
 
 
 class TestEmpiricalCdf:
@@ -75,31 +74,3 @@ class TestReports:
 
     def test_gain_line_format(self):
         assert format_gain_line("MIDAS over CAS", 0.5) == "MIDAS over CAS: +50.0%"
-
-
-class TestJainFairness:
-    def test_equal_allocation_is_one(self):
-        assert jain_fairness(np.array([3.0, 3.0, 3.0])) == pytest.approx(1.0)
-
-    def test_single_winner_is_1_over_n(self):
-        assert jain_fairness(np.array([1.0, 0.0, 0.0, 0.0])) == pytest.approx(0.25)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            jain_fairness(np.zeros(4))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one client"):
-            jain_fairness(np.array([]))
-
-    def test_no_runtime_warning_on_valid_input(self):
-        with np.errstate(all="raise"):
-            assert jain_fairness(np.array([1.0, 2.0])) == pytest.approx(0.9)
-
-
-class TestSummarize:
-    def test_empty_list_raises_clear_error(self):
-        from repro.sim.stats import summarize
-
-        with pytest.raises(ValueError, match="at least one SimulationResult"):
-            summarize([])

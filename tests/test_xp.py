@@ -12,7 +12,6 @@ import repro.xp as xpmod
 from repro.xp import (
     BackendUnavailableError,
     NumpyNamespace,
-    RngBridge,
     array_namespace,
     get_namespace,
     namespace_names,
@@ -157,47 +156,6 @@ def test_use_rejects_non_namespace_arguments():
     with pytest.raises(TypeError, match="ArrayNamespace"):
         with xpmod.use("numpy"):
             pass
-
-
-# ----------------------------------------------------------------------
-# RNG bridge
-# ----------------------------------------------------------------------
-def test_rng_bridge_draws_are_bitwise_numpy_draws():
-    # The bridge must consume the generator stream exactly as direct NumPy
-    # code would -- same draw order, same bits -- and only then transfer.
-    bridged = RngBridge(np.random.default_rng(42), get_namespace())
-    a = bridged.standard_normal((3, 4))
-    b = bridged.standard_complex((2, 2))
-    rng = np.random.default_rng(42)
-    assert np.array_equal(a, rng.standard_normal((3, 4)))
-    expected = (
-        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    ) / np.sqrt(2.0)
-    assert np.array_equal(b, expected)
-
-
-def test_rng_bridge_transfer_applies_the_namespace_dtype():
-    f32 = get_namespace("numpy", dtype="float32")
-    bridged = RngBridge(np.random.default_rng(0), f32)
-    assert bridged.standard_normal((4,)).dtype == np.float32
-    assert bridged.standard_complex((4,)).dtype == np.complex64
-    assert bridged.transfer(np.arange(3.0)).dtype == np.float32
-    assert bridged.transfer(np.arange(3.0) + 0j, kind="complex").dtype == np.complex64
-    exact = bridged.transfer(np.arange(3), kind="exact")
-    assert exact.dtype == np.int64 or exact.dtype == np.intp
-    with pytest.raises(ValueError, match="kind"):
-        bridged.transfer(np.arange(3.0), kind="double")
-
-
-def test_same_seed_same_stream_across_namespaces():
-    # The backend RNG contract in one assertion: the float32 namespace sees
-    # the same underlying draws as the exact one, just narrowed.
-    exact = RngBridge(np.random.default_rng(7), get_namespace())
-    narrow = RngBridge(
-        np.random.default_rng(7), get_namespace("numpy", dtype="float32")
-    )
-    a, b = exact.standard_normal((8,)), narrow.standard_normal((8,))
-    assert np.array_equal(a.astype(np.float32), b)
 
 
 # ----------------------------------------------------------------------
