@@ -38,6 +38,19 @@ class TestChannelMatrix:
         b = one_channel(scenario.deployment, scenario.radio, seed=9).channel_matrices()
         np.testing.assert_array_equal(a, b)
 
+    def test_reads_draw_nothing_from_the_fading_stream(self, scenario):
+        read = one_channel(scenario.deployment, scenario.radio, seed=9)
+        first = read.channel_matrices().copy()
+        np.testing.assert_array_equal(read.channel_matrices(), first)
+        read.advance(0.05)
+        direct = one_channel(scenario.deployment, scenario.radio, seed=9)
+        direct.advance(0.05)
+        np.testing.assert_array_equal(read.channel_matrices(), direct.channel_matrices())
+
+    def test_host_complex128_snapshot(self, model):
+        h = model.channel_matrices()
+        assert type(h) is np.ndarray and h.dtype == np.complex128
+
     def test_advance_changes_matrix(self, scenario):
         m = one_channel(scenario.deployment, scenario.radio, seed=9)
         before = m.channel_matrices().copy()

@@ -125,3 +125,30 @@ class TestDeploymentInvariants:
         assert len(dep.antennas_of(0)) == 4
         assert len(dep.antennas_of(1)) == 4
         assert len(dep.clients_of(1)) == 2
+
+    def test_multi_ap_positions_follow_the_centres(self):
+        pair = paired_scenarios(
+            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seed=0
+        )
+        for scenario in pair.values():
+            np.testing.assert_allclose(scenario.deployment.ap_positions, [[0, 0], [20, 0]])
+
+    def test_ownership_partitions_antennas_and_clients(self):
+        dep = paired_scenarios(
+            office_b(), [(0, 0), (20, 0), (0, 20)], antennas_per_ap=3, clients_per_ap=2,
+            seed=1,
+        )[AntennaMode.DAS].deployment
+        antennas = np.concatenate([dep.antennas_of(ap) for ap in range(dep.n_aps)])
+        clients = np.concatenate([dep.clients_of(ap) for ap in range(dep.n_aps)])
+        assert sorted(antennas) == list(range(dep.n_antennas))
+        assert sorted(clients) == list(range(dep.n_clients))
+
+    @pytest.mark.parametrize("mode", [AntennaMode.CAS, AntennaMode.DAS])
+    def test_owned_nodes_sit_nearest_their_ap(self, mode):
+        dep = paired_scenarios(
+            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seed=0
+        )[mode].deployment
+        to_ap = geometry.pairwise_distances(dep.antenna_positions, dep.ap_positions)
+        assert np.array_equal(np.argmin(to_ap, axis=1), dep.antenna_ap)
+        to_ap = geometry.pairwise_distances(dep.client_positions, dep.ap_positions)
+        assert np.array_equal(np.argmin(to_ap, axis=1), dep.client_ap)

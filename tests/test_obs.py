@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,35 @@ class TestSpansAndCounters:
         assert summary.dropped_events == 3
         payload = json.loads(telemetry.write_metrics(tmp_path / "m.json").read_text())
         assert payload["span_totals"]["phase"]["count"] == 5
+
+    def test_span_totals_sum_durations_past_the_buffer(self):
+        telemetry = Telemetry(max_events=2)
+        for __ in range(5):
+            with telemetry.span("phase"):
+                time.sleep(0.001)
+        buffered_us = sum(e["dur_us"] for e in telemetry.span_events())
+        total_us = telemetry.span_totals()["phase"]["total_us"]
+        assert total_us >= 5 * 1000.0
+        assert total_us > buffered_us
+
+    def test_span_totals_returns_a_copy(self):
+        telemetry = Telemetry()
+        with telemetry.span("phase"):
+            pass
+        telemetry.span_totals()["phase"]["count"] = 99
+        telemetry.span_totals().clear()
+        assert telemetry.span_totals()["phase"]["count"] == 1
+
+    def test_nested_spans_fold_their_own_inclusive_totals(self):
+        telemetry = Telemetry()
+        with telemetry.span("outer"):
+            for __ in range(2):
+                with telemetry.span("inner"):
+                    time.sleep(0.001)
+        totals = telemetry.span_totals()
+        assert totals["outer"]["count"] == 1
+        assert totals["inner"]["count"] == 2
+        assert totals["outer"]["total_us"] >= totals["inner"]["total_us"]
 
     def test_clear_resets_everything(self):
         telemetry = Telemetry()

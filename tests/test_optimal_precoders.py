@@ -97,6 +97,13 @@ class TestWmmse:
             result = wmmse_precoder(h, P, NOISE, iterations=15)
             assert result.capacity_bps_hz >= capacity(h, naive_scaled_precoder(h, P)) - 1e-9
 
+    def test_deterministic(self):
+        h = random_channel(2)
+        a = wmmse_precoder(h, P, NOISE, iterations=10)
+        b = wmmse_precoder(h, P, NOISE, iterations=10)
+        np.testing.assert_array_equal(a.v, b.v)
+        assert a.capacity_bps_hz == b.capacity_bps_hz
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             wmmse_precoder(random_channel(0), 0.0, NOISE)

@@ -1,9 +1,12 @@
 """Analysis helper tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.analysis.cdf import EmpiricalCdf, median_gain, paired_ratio, percentile_gain
+from repro.analysis.delay import throughput_delay_curve
 from repro.analysis.report import format_cdf_summary, format_gain_line, format_series_table
 
 
@@ -74,3 +77,39 @@ class TestReports:
 
     def test_gain_line_format(self):
         assert format_gain_line("MIDAS over CAS", 0.5) == "MIDAS over CAS: +50.0%"
+
+    def test_series_table_rows_are_ten_wide_three_decimals(self):
+        text = format_series_table({"a": [1.0, 2.5], "b": [3.14159, -4.0]})
+        assert text.splitlines()[2:] == [
+            "     1.000     3.142",
+            "     2.500    -4.000",
+        ]
+
+    def test_series_table_header_is_right_aligned(self):
+        header, rule = format_series_table({"cas": [1.0], "midas": [2.0]}).splitlines()[:2]
+        assert header == "         cas       midas"
+        assert rule == "-" * len(header)
+
+
+class TestThroughputDelayCurve:
+    @staticmethod
+    def _result(throughput, delay, loads=(10.0, 20.0)):
+        return SimpleNamespace(
+            params={"offered_loads_mbps": list(loads)},
+            series={"midas_throughput_mbps": throughput, "midas_delay_ms": delay},
+        )
+
+    def test_reduces_topologies_by_median(self):
+        result = self._result(
+            [[1.0, 10.0], [2.0, 20.0], [9.0, 90.0]],
+            [[0.5, 5.0], [0.1, 1.0], [0.3, 3.0]],
+        )
+        offered, throughput, delay = throughput_delay_curve(result, "midas")
+        np.testing.assert_array_equal(offered, [10.0, 20.0])
+        np.testing.assert_array_equal(throughput, [2.0, 20.0])
+        np.testing.assert_array_equal(delay, [0.3, 3.0])
+
+    def test_rejects_series_that_do_not_match_the_loads(self):
+        result = self._result([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="offered loads"):
+            throughput_delay_curve(result, "midas")

@@ -52,6 +52,22 @@ class TestDirections:
         with pytest.raises(np.linalg.LinAlgError):
             zfbf_directions(h)
 
+    @staticmethod
+    def _weak_second_client(scale):
+        h = np.zeros((2, 4), dtype=complex)
+        h[0, 0], h[1, 1] = 1.0, scale
+        return h
+
+    def test_weak_but_independent_client_accepted(self):
+        # Singular-value ratio 1e-9 sits above the 1e-12 rank tolerance.
+        v = zfbf_directions(self._weak_second_client(1e-9))
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(v[:2]), np.eye(2), atol=1e-12)
+
+    def test_client_below_rank_tolerance_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            zfbf_directions(self._weak_second_client(1e-13))
+
 
 class TestEqualPower:
     def test_column_powers_equal_split(self):
@@ -67,6 +83,10 @@ class TestEqualPower:
     def test_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
             zfbf_equal_power(random_channel(6), 0.0)
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            zfbf_equal_power(np.ones((2, 4), dtype=complex), 8.0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
