@@ -53,9 +53,9 @@ def main(n_topologies: int = 8) -> None:
 
     # -- EDCA classes: voice CBR rides VOICE and sees low jitter ----------
     # One topology is a batch of one for the round engine.
-    scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=1)
+    scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[1])
     [voice] = RoundBasedEvaluatorBatch(
-        [scenario],
+        scenario,
         MacMode.MIDAS,
         seeds=[1],
         traffic="cbr",

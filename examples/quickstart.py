@@ -59,15 +59,15 @@ def main(seed: int = 7) -> None:
         print(f"results round-trip through JSON/npz (wrote {saved.name})\n")
 
     # -- 3. the low-level library is still right there ---------------------
-    scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=seed)
-    channel = ChannelBatch([scenario.deployment], scenario.radio, seeds=[seed])
+    scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[seed])
+    channel = ChannelBatch(scenario.deployment, scenario.radio, seeds=[seed])
     h = channel.channel_matrices()  # (1, n_clients, n_antennas)
     balanced = power_balanced_precoder(
         h, scenario.radio.per_antenna_power_mw, scenario.radio.noise_mw
     )
     sinrs = stream_sinrs(h, balanced.v, scenario.radio.noise_mw)[0]
     sinrs_db = 10 * np.log10(sinrs)
-    print(f"one {scenario.name} channel, power-balanced by hand:")
+    print(f"one single-AP office_b {scenario.mode.value} channel, power-balanced by hand:")
     print(
         f"  capacity {sum_capacity_bps_hz(sinrs):.2f} "
         f"b/s/Hz, converged in {int(balanced.rounds[0])} round(s)"

@@ -42,8 +42,8 @@ batched, and a single topology is a batch of one:
 
 >>> from repro import AntennaMode, ChannelBatch, office_b, single_ap_scenario
 >>> from repro import power_balanced_precoder
->>> scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=7)
->>> channel = ChannelBatch([scenario.deployment], scenario.radio, seeds=[7])
+>>> scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[7])
+>>> channel = ChannelBatch(scenario.deployment, scenario.radio, seeds=[7])
 >>> h = channel.channel_matrices()  # (1, n_clients, n_antennas)
 >>> radio = scenario.radio
 >>> result = power_balanced_precoder(h, radio.per_antenna_power_mw, radio.noise_mw)
@@ -55,7 +55,7 @@ See ``examples/quickstart.py`` for a longer tour.
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 from .analysis import (
     EmpiricalCdf,
@@ -112,9 +112,7 @@ from .topology import (
     AntennaMode,
     Deployment,
     Scenario,
-    dense_office_scenario,
     eight_ap_scenario,
-    grid_region_scenario,
     hidden_terminal_scenario,
     office_a,
     office_b,
@@ -180,9 +178,7 @@ __all__ = [
     "AntennaMode",
     "Deployment",
     "Scenario",
-    "dense_office_scenario",
     "eight_ap_scenario",
-    "grid_region_scenario",
     "hidden_terminal_scenario",
     "office_a",
     "office_b",

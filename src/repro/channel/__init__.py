@@ -7,26 +7,17 @@ evolution.
 """
 
 from .batch import ChannelBatch, apply_csi_error, stacked_correlation
-from .fading import (
-    angular_spread_correlation,
-    correlation_for,
-    jakes_correlation,
-    sample_fading,
-)
+from .fading import sample_fading
 from .pathloss import LogDistancePathLoss, coverage_range_m, cs_range_m
-from .shadowing import ShadowingField, group_antenna_sites
+from .shadowing import group_antenna_sites
 
 __all__ = [
     "ChannelBatch",
     "apply_csi_error",
     "stacked_correlation",
-    "angular_spread_correlation",
-    "correlation_for",
-    "jakes_correlation",
     "sample_fading",
     "LogDistancePathLoss",
     "coverage_range_m",
     "cs_range_m",
-    "ShadowingField",
     "group_antenna_sites",
 ]

@@ -1,6 +1,6 @@
 """The composite channel model: path loss x shadowing x fading, batched.
 
-:class:`ChannelBatch` binds N same-shape
+:class:`ChannelBatch` binds a batch of
 :class:`~repro.topology.deployment.Deployment` draws to one
 :class:`~repro.config.RadioConfig` and produces
 
@@ -54,11 +54,19 @@ def stacked_correlation(
     wavelength_m: float,
     angular_spread_deg: float | None,
 ) -> np.ndarray:
-    """Tx-side fading correlation for a stack of antenna layouts.
+    """Tx-side fading correlation for a ``(batch, n_tx, 2)`` stack of
+    antenna layouts, ``(batch, n_tx, n_tx)``, clipped to the PSD cone with
+    a stacked ``eigh``; bit-identical per slice.
 
-    Same formulas as :func:`repro.channel.fading.correlation_for`, evaluated
-    over ``(batch, n_tx, 2)`` positions at once (stacked ``eigh`` for the
-    PSD projection); bit-identical per slice.
+    With ``angular_spread_deg=None`` scattering is isotropic (Clarke/Jakes):
+    entry ``(i, j)`` is ``J0(2 pi d_ij / lambda)``, the *most optimistic*
+    decorrelation model for a co-located array.  Otherwise the angular
+    spread ``sigma`` gives the Salz-Winters / Gaussian power-azimuth
+    approximation ``exp(-2 (pi d sigma / lambda)^2)``: indoor offices (sigma
+    ~ 15-30 deg) leave a half-wavelength CAS array correlated around
+    0.4-0.75, which is what makes a CAS channel matrix lower rank than a
+    DAS one (paper §2), while antennas meters apart decorrelate under any
+    spread.
     """
     pts = geometry.as_point_stack(antenna_positions)
     dists = geometry.stacked_pairwise_distances(pts, pts)
@@ -73,18 +81,17 @@ def stacked_correlation(
 
 
 class ChannelBatch:
-    """Composite indoor channel for a batch of same-shape deployments.
+    """Composite indoor channel for a batch of topologies.
 
     Parameters
     ----------
-    deployments:
-        One :class:`~repro.topology.deployment.Deployment` per topology
-        draw; all must share the same ``(n_clients, n_antennas)`` so the
-        batch stacks into rectangular arrays.
+    deployment:
+        The :class:`~repro.topology.deployment.Deployment` batch; item
+        ``i`` is one topology draw.
     radio:
         Radio constants shared by the whole batch (one environment).
     seeds:
-        One seed per deployment: an int, a generator, or a seed-tree node
+        One seed per item: an int, a generator, or a seed-tree node
         (:class:`numpy.random.SeedSequence`).  Two children are spawned from
         it -- shadowing (one leaf per antenna site under it) and fading --
         so the two streams are independent; a caller-held generator or
@@ -92,22 +99,15 @@ class ChannelBatch:
         randomness only from the tree of ``seeds[i]``.
     """
 
-    def __init__(self, deployments, radio: RadioConfig, seeds):
-        deployments = list(deployments)
+    def __init__(self, deployment, radio: RadioConfig, seeds):
         seeds = list(seeds)
-        if len(deployments) != len(seeds):
-            raise ValueError("need one seed per deployment")
-        if not deployments:
-            raise ValueError("need at least one deployment")
-        shapes = {(d.n_clients, d.n_antennas) for d in deployments}
-        if len(shapes) > 1:
-            raise ValueError(
-                f"deployments must share one (n_clients, n_antennas) shape to "
-                f"batch; got {sorted(shapes)}"
-            )
-        self.deployments = deployments
+        if len(deployment) != len(seeds):
+            raise ValueError("need one seed per deployment item")
+        if not seeds:
+            raise ValueError("need at least one deployment item")
+        self.deployment = deployment
         self.radio = radio
-        self.n_items = len(deployments)
+        self.n_items = len(deployment)
 
         self._pathloss = LogDistancePathLoss.from_radio(radio)
         self._sensing_pathloss = LogDistancePathLoss(
@@ -116,12 +116,9 @@ class ChannelBatch:
             reference_loss_db=self._pathloss.reference_loss_db,
         )
 
-        # Stacked geometry and deterministic propagation terms.
-        self._antennas = np.stack([d.antenna_positions for d in deployments])
-        self._clients = np.stack([d.client_positions for d in deployments])
-        ap_of_antenna = np.stack(
-            [d.ap_positions[d.antenna_ap] for d in deployments]
-        )
+        # Deterministic propagation terms over the whole stack.
+        self._antennas = deployment.antenna_positions
+        ap_of_antenna = deployment.ap_positions[:, deployment.antenna_ap]
         cable_lengths = np.linalg.norm(self._antennas - ap_of_antenna, axis=-1)
         self._cable_loss_db = radio.cable_loss_db_per_m * cable_lengths
 
@@ -151,7 +148,7 @@ class ChannelBatch:
         self._lazy_state: np.ndarray | None = None
         self._time_s = 0.0
 
-        self._client_gain_db = self.large_scale_gain_db(self._clients)
+        self._client_gain_db = self.large_scale_gain_db(deployment.client_positions)
 
     # ------------------------------------------------------------------
     # Large-scale propagation
@@ -218,12 +215,11 @@ class ChannelBatch:
         """
         idx = self._item_indices(items)
         pts = geometry.as_point_stack(positions)
-        expected = (len(idx),) + self._clients.shape[1:]
+        expected = (len(idx), self.deployment.n_clients, 2)
         if pts.shape != expected:
             raise ValueError(
                 f"expected {expected} client positions, got {pts.shape}"
             )
-        self._clients[idx] = pts
         self._client_gain_db[idx] = self.large_scale_gain_db(pts, items=idx)
 
     @property
@@ -317,8 +313,8 @@ class ChannelBatch:
         return self._lazy_corr_sqrt
 
     def _innovation(self, items=None) -> np.ndarray:
-        n_clients = self._clients.shape[1]
-        n_antennas = self._antennas.shape[1]
+        n_clients = self.deployment.n_clients
+        n_antennas = self.deployment.n_antennas
         rngs = (
             self._fading_rngs
             if items is None
@@ -390,7 +386,7 @@ class ChannelBatch:
             self._time_s += dt_s
             return
         idx = self._item_indices(items)
-        n_clients = self._clients.shape[1]
+        n_clients = self.deployment.n_clients
         fd = np.broadcast_to(
             np.asarray(doppler_hz, dtype=float), (len(idx), n_clients)
         )

@@ -3,8 +3,8 @@
 Two effects the paper leans on are modelled here:
 
 * **Spatial correlation.**  Antennas co-located within a wavelength or two
-  produce correlated fades (Jakes' ``J0(2*pi*d/lambda)`` model), which lowers
-  the rank/conditioning of a CAS channel matrix.  Distributed antennas fade
+  produce correlated fades (:func:`repro.channel.batch.stacked_correlation`),
+  which lowers the rank/conditioning of a CAS channel matrix.  Distributed antennas fade
   independently, giving DAS its "potentially higher rank channel matrix"
   (paper §2).
 * **Temporal evolution.**  Block fading evolves between coherence blocks as
@@ -17,9 +17,6 @@ Two effects the paper leans on are modelled here:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import j0
-
-from ..topology import geometry
 
 
 def _project_psd(matrix: np.ndarray) -> np.ndarray:
@@ -27,50 +24,6 @@ def _project_psd(matrix: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(matrix)
     eigvals = np.clip(eigvals, 0.0, None)
     return (eigvecs * eigvals[..., None, :]) @ np.conj(np.swapaxes(eigvecs, -1, -2))
-
-
-def jakes_correlation(antenna_positions, wavelength_m: float) -> np.ndarray:
-    """Antenna-pair fading correlation under isotropic (Clarke/Jakes)
-    scattering: entry ``(i, j)`` is ``J0(2 pi d_ij / lambda)``.
-
-    Isotropic scattering is the *most optimistic* decorrelation model for a
-    co-located array; see :func:`angular_spread_correlation` for the indoor
-    default.
-    """
-    pts = geometry.as_points(antenna_positions)
-    dists = geometry.pairwise_distances(pts, pts)
-    return _project_psd(j0(2.0 * np.pi * dists / wavelength_m))
-
-
-def angular_spread_correlation(
-    antenna_positions, wavelength_m: float, angular_spread_deg: float
-) -> np.ndarray:
-    """Antenna correlation under limited angular spread (Salz-Winters /
-    Gaussian power-azimuth approximation).
-
-    ``rho(d) = exp(-2 * (pi * d * sigma / lambda)^2)`` with ``sigma`` the
-    angular spread in radians.  Indoor offices (sigma ~ 15-30 deg) leave a
-    half-wavelength CAS array correlated around 0.4-0.75, which is what makes
-    a CAS channel matrix lower rank than a DAS one (paper §2).  Antennas
-    meters apart decorrelate under any spread.
-    """
-    if angular_spread_deg <= 0:
-        raise ValueError("angular_spread_deg must be positive")
-    pts = geometry.as_points(antenna_positions)
-    dists = geometry.pairwise_distances(pts, pts)
-    sigma = np.radians(angular_spread_deg)
-    corr = np.exp(-2.0 * (np.pi * dists * sigma / wavelength_m) ** 2)
-    return _project_psd(corr)
-
-
-def correlation_for(
-    antenna_positions, wavelength_m: float, angular_spread_deg: float | None
-) -> np.ndarray:
-    """Select the correlation model: limited angular spread (default indoor)
-    or isotropic Jakes when ``angular_spread_deg`` is ``None``."""
-    if angular_spread_deg is None:
-        return jakes_correlation(antenna_positions, wavelength_m)
-    return angular_spread_correlation(antenna_positions, wavelength_m, angular_spread_deg)
 
 
 def correlation_sqrt(correlation: np.ndarray) -> np.ndarray:

@@ -139,40 +139,6 @@ def _merge(old: np.ndarray, kept: np.ndarray, new: np.ndarray, at: np.ndarray) -
     return merged
 
 
-class ShadowingField:
-    """A smooth 2-D Gaussian field with st.dev. ``sigma_db``: a lattice
-    node store of one field.
-
-    Values at lattice nodes are drawn lazily and kept, so the field is
-    consistent: querying the same point twice returns the same value, and
-    nearby points are correlated with decorrelation length ``correlation_m``.
-
-    ``rng`` is a generator, or a seed-tree leaf
-    (:class:`numpy.random.SeedSequence`) whose generator is built on the
-    first draw -- a field that never draws never builds one.
-    """
-
-    def __init__(self, rng, sigma_db: float, correlation_m: float):
-        self._store = LatticeNodeStore([[rng]], sigma_db, correlation_m)
-
-    @property
-    def sigma_db(self) -> float:
-        return self._store.sigma_db
-
-    @property
-    def correlation_m(self) -> float:
-        return self._store.correlation_m
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The field's generator (built from its seed leaf on first use)."""
-        return self._store.generator(0)
-
-    def sample(self, points) -> np.ndarray:
-        """Shadowing in dB at each point, shape ``(n_points,)``."""
-        return sample_site_fields(self._store, geometry.as_points(points))[0, 0]
-
-
 def _lattice(pts: np.ndarray, correlation_m: float):
     """Packed corner lattice keys ``(..., n, 4)`` (field bits zero),
     bilinear weights ``(..., n, 4)`` and weight norms ``(..., n)`` of a

@@ -20,14 +20,14 @@ from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.precoders import precoder_matrix_batch
 from ..api.scenarios import resolve_environment
-from ..channel.batch import apply_csi_error
+from ..channel.batch import ChannelBatch, apply_csi_error
 from ..channel.pathloss import coverage_range_m
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..core.tagging import tag_mask
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios, single_ap_scenario
-from .common import ExperimentResult, batched_channels, batched_selection_capacities
+from .common import ExperimentResult, batched_selection_capacities
 from .fig14_tagging import _subchannel, tagged_selection
 
 
@@ -40,10 +40,8 @@ def _series_from(outcomes: list[dict], keys) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 def _tag_width_build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
-    scenarios = [
-        single_ap_scenario(env, AntennaMode.DAS, seed=seed) for seed in topo_seeds
-    ]
-    batch = batched_channels(scenarios, topo_seeds)
+    scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=topo_seeds)
+    batch = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds)
     h = batch.channel_matrices()
     rssi = batch.client_rx_power_dbm()
     widths = list(params["widths"])
@@ -55,7 +53,7 @@ def _tag_width_build_batch(topo_seeds, params: dict) -> list[dict]:
         for width_tags in tags:
             clients = tagged_selection(width_tags[index], available, rssi[index])
             subchannels.append(_subchannel(h[index], available, clients))
-    capacities = batched_selection_capacities(subchannels, scenarios[0].radio)
+    capacities = batched_selection_capacities(subchannels, scenario.radio)
     stride = len(widths)
     return [
         {
@@ -105,19 +103,16 @@ def _das_radius_build_batch(topo_seeds, params: dict) -> list[dict]:
     coverage = coverage_range_m(env.radio)
     series = {}
     for low, high in params["fractions"]:
-        scenarios = [
-            paired_scenarios(
-                env,
-                [(0.0, 0.0)],
-                seed=seed,
-                das_radius_min_m=low * coverage,
-                das_radius_max_m=high * coverage,
-                name="ablation_radius",
-            )[AntennaMode.DAS]
-            for seed in topo_seeds
-        ]
-        radio = scenarios[0].radio
-        h = batched_channels(scenarios, topo_seeds).channel_matrices()
+        scenario = paired_scenarios(
+            env,
+            [(0.0, 0.0)],
+            seeds=topo_seeds,
+            das_radius_min_m=low * coverage,
+            das_radius_max_m=high * coverage,
+            modes=(AntennaMode.DAS,),
+        )[AntennaMode.DAS]
+        radio = scenario.radio
+        h = ChannelBatch(scenario.deployment, radio, topo_seeds).channel_matrices()
         v = batch_power_balanced(h, radio.per_antenna_power_mw, radio.noise_mw).v
         series[_ring_key(low, high)] = sum_capacity_bps_hz(
             stream_sinrs(h, v, radio.noise_mw)
@@ -167,13 +162,11 @@ def _precoder_names(params: dict) -> list[str]:
 
 def _precoders_build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
-    scenarios = [
-        single_ap_scenario(env, AntennaMode.DAS, seed=seed) for seed in topo_seeds
-    ]
-    radio = scenarios[0].radio
+    scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=topo_seeds)
+    radio = scenario.radio
     p = radio.per_antenna_power_mw
     noise = radio.noise_mw
-    h = batched_channels(scenarios, topo_seeds).channel_matrices()
+    h = ChannelBatch(scenario.deployment, radio, topo_seeds).channel_matrices()
     series = {
         name: sum_capacity_bps_hz(
             stream_sinrs(h, precoder_matrix_batch(name, h, p, noise), noise)
@@ -213,13 +206,11 @@ class PrecoderAblation:
 # ----------------------------------------------------------------------
 def _csi_error_build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
-    scenarios = [
-        single_ap_scenario(env, AntennaMode.DAS, seed=seed) for seed in topo_seeds
-    ]
-    radio = scenarios[0].radio
+    scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=topo_seeds)
+    radio = scenario.radio
     p = radio.per_antenna_power_mw
     noise = radio.noise_mw
-    h = batched_channels(scenarios, topo_seeds).channel_matrices()
+    h = ChannelBatch(scenario.deployment, radio, topo_seeds).channel_matrices()
     # CSI noise draws walk each item's own generator in error_stds order, so
     # an item's draws never depend on its batch; the precoding/capacity
     # math batches.

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: batched channels, gates, capacities, sweeps.
+"""Shared experiment plumbing: gates, capacities, sweeps.
 
 Every helper here works on a batch of topology draws; a single topology is
 a batch of one.  The result type and precoder dispatch live in
@@ -17,7 +17,6 @@ from .. import xp as xpmod
 from ..api.precoders import capacity_for_batch  # noqa: F401  (re-export)
 from ..api.registry import MOBILITY
 from ..api.result import ExperimentResult  # noqa: F401  (re-export)
-from ..channel.batch import ChannelBatch
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..mobility import resolve_mobility
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
@@ -27,46 +26,26 @@ from ..topology.deployment import AntennaMode
 def three_ap_overhearing_batch(environment, seeds):
     """CAS-gate a batch of three-AP topology seeds (figs 12 and 15).
 
-    Builds CAS-only scenarios for every seed, applies the paper's mutual
+    Builds the CAS-only scenario batch, applies the paper's mutual
     overhearing rule via the batched carrier-sense gate, and builds the
-    (expensive, rejection-sampled, independently-seeded) DAS scenarios only
-    for the survivors.  Returns ``(index, accepted_seeds, cas_scenarios,
-    das_scenarios)`` where ``index`` maps survivor slots back to positions
-    in ``seeds`` and the scenario lists cover survivors only.
+    (expensive, rejection-sampled, independently-seeded) DAS layouts only
+    for the survivors.  Returns ``(index, accepted_seeds, cas, das)`` where
+    ``index`` maps survivor slots back to positions in ``seeds`` and the two
+    scenario batches cover survivors only.
     """
     from ..sim.batch import RoundBasedEvaluatorBatch
     from ..topology.scenarios import three_ap_scenario
 
     seeds = list(seeds)
-    cas_all = [
-        three_ap_scenario(environment, seed=seed, modes=(AntennaMode.CAS,))[
-            AntennaMode.CAS
-        ]
-        for seed in seeds
+    cas = three_ap_scenario(environment, seeds=seeds, modes=(AntennaMode.CAS,))[
+        AntennaMode.CAS
     ]
-    accepted = RoundBasedEvaluatorBatch.mutual_overhear_mask(cas_all, seeds)
-    index = np.flatnonzero(accepted)
+    index = np.flatnonzero(RoundBasedEvaluatorBatch.mutual_overhear_mask(cas, seeds))
     accepted_seeds = [seeds[i] for i in index]
-    das_scenarios = [
-        three_ap_scenario(environment, seed=seed, modes=(AntennaMode.DAS,))[
-            AntennaMode.DAS
-        ]
-        for seed in accepted_seeds
+    das = three_ap_scenario(environment, seeds=accepted_seeds, modes=(AntennaMode.DAS,))[
+        AntennaMode.DAS
     ]
-    return index, accepted_seeds, [cas_all[i] for i in index], das_scenarios
-
-
-def batched_channels(scenarios, seeds) -> ChannelBatch:
-    """Batched channel state for same-shape scenarios, one per topology seed.
-
-    Item ``i`` of every stacked array is the channel of ``scenarios[i]``
-    drawn from ``seeds[i]``, bit-identical to a batch of that one pair.
-    """
-    scenarios = list(scenarios)
-    radio = scenarios[0].radio
-    if any(s.radio != radio for s in scenarios[1:]):
-        raise ValueError("batched scenarios must share one RadioConfig")
-    return ChannelBatch([s.deployment for s in scenarios], radio, seeds)
+    return index, accepted_seeds, cas.take(index), das
 
 
 def greedy_siso_snrs_batch(snr_db: np.ndarray) -> np.ndarray:

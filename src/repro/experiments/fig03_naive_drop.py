@@ -12,31 +12,22 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..topology.deployment import AntennaMode
+from ..channel.batch import ChannelBatch
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels, capacity_for_batch
+from .common import ExperimentResult, capacity_for_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
-    pairs = [
-        paired_scenarios(
-            env,
-            [(0.0, 0.0)],
-            antennas_per_ap=n,
-            clients_per_ap=n,
-            seed=seed,
-            name="fig03",
-        )
-        for seed in topo_seeds
-    ]
+    pair = paired_scenarios(
+        env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
+    )
     drops = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        scenarios = [pair[mode] for pair in pairs]
-        h = batched_channels(scenarios, topo_seeds).channel_matrices()
-        reference = capacity_for_batch(scenarios[0], h, "total_power")
-        naive = capacity_for_batch(scenarios[0], h, "naive")
+    for mode, scenario in pair.items():
+        h = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).channel_matrices()
+        reference = capacity_for_batch(scenario, h, "total_power")
+        naive = capacity_for_batch(scenario, h, "naive")
         drops[mode.value] = np.maximum(0.0, reference - naive)
     return [
         {"cas": drops["cas"][i], "das": drops["das"][i]}

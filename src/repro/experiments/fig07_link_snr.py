@@ -11,28 +11,20 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..topology.deployment import AntennaMode
+from ..channel.batch import ChannelBatch
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels, greedy_siso_snrs_batch
+from .common import ExperimentResult, greedy_siso_snrs_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
-    pairs = [
-        paired_scenarios(
-            env,
-            [(0.0, 0.0)],
-            antennas_per_ap=n,
-            clients_per_ap=n,
-            seed=seed,
-            name="fig07",
-        )
-        for seed in topo_seeds
-    ]
+    pair = paired_scenarios(
+        env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
+    )
     per_mode = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        batch = batched_channels([pair[mode] for pair in pairs], topo_seeds)
+    for mode, scenario in pair.items():
+        batch = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds)
         per_mode[mode.value] = greedy_siso_snrs_batch(batch.snr_db_map())
     return [
         {"cas": per_mode["cas"][i], "das": per_mode["das"][i]}

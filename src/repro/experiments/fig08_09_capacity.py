@@ -15,33 +15,26 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
+from ..channel.batch import ChannelBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels, capacity_for_batch
+from .common import ExperimentResult, capacity_for_batch
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     series: dict[str, np.ndarray] = {}
     for n in params["antenna_counts"]:
-        pairs = [
-            paired_scenarios(
-                env,
-                [(0.0, 0.0)],
-                antennas_per_ap=n,
-                clients_per_ap=n,
-                seed=seed,
-                name="fig0809",
-            )
-            for seed in topo_seeds
-        ]
+        pair = paired_scenarios(
+            env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
+        )
         for mode, key, precoder in (
             (AntennaMode.CAS, f"cas_{n}x{n}", "naive"),
             (AntennaMode.DAS, f"midas_{n}x{n}", params["precoder"]),
         ):
-            scenarios = [pair[mode] for pair in pairs]
-            h = batched_channels(scenarios, topo_seeds).channel_matrices()
-            series[key] = capacity_for_batch(scenarios[0], h, precoder)
+            scenario = pair[mode]
+            h = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).channel_matrices()
+            series[key] = capacity_for_batch(scenario, h, precoder)
     return [
         {key: values[i] for key, values in series.items()}
         for i in range(len(topo_seeds))

@@ -11,9 +11,9 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..topology.deployment import AntennaMode
+from ..channel.batch import ChannelBatch
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels, capacity_for_batch
+from .common import ExperimentResult, capacity_for_batch
 
 _SERIES = ("cas_naive", "cas_balanced", "das_naive", "das_balanced")
 
@@ -21,25 +21,14 @@ _SERIES = ("cas_naive", "cas_balanced", "das_naive", "das_balanced")
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
-    pairs = [
-        paired_scenarios(
-            env,
-            [(0.0, 0.0)],
-            antennas_per_ap=n,
-            clients_per_ap=n,
-            seed=seed,
-            name="fig10",
-        )
-        for seed in topo_seeds
-    ]
+    pair = paired_scenarios(
+        env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
+    )
     series = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        scenarios = [pair[mode] for pair in pairs]
-        h = batched_channels(scenarios, topo_seeds).channel_matrices()
+    for mode, scenario in pair.items():
+        h = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).channel_matrices()
         for precoder in ("naive", "balanced"):
-            series[f"{mode.value}_{precoder}"] = capacity_for_batch(
-                scenarios[0], h, precoder
-            )
+            series[f"{mode.value}_{precoder}"] = capacity_for_batch(scenario, h, precoder)
     return [
         {key: values[i] for key, values in series.items()}
         for i in range(len(topo_seeds))

@@ -14,27 +14,25 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
+from ..channel.batch import ChannelBatch
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..core.optimal import optimal_power_allocation
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
-from .common import ExperimentResult, batched_channels
+from .common import ExperimentResult
 
 
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
-    scenarios = [
-        single_ap_scenario(
-            env, AntennaMode.DAS, n_antennas=n, n_clients=n, seed=seed
-        )
-        for seed in topo_seeds
-    ]
-    radio = scenarios[0].radio
+    scenario = single_ap_scenario(
+        env, AntennaMode.DAS, n_antennas=n, n_clients=n, seeds=topo_seeds
+    )
+    radio = scenario.radio
     p = radio.per_antenna_power_mw
     noise = radio.noise_mw
-    batch = batched_channels(scenarios, topo_seeds)
+    batch = ChannelBatch(scenario.deployment, radio, topo_seeds)
     h = batch.channel_matrices()
     balanced = batch_power_balanced(h, p, noise)
     midas = sum_capacity_bps_hz(stream_sinrs(h, balanced.v, noise))

@@ -22,20 +22,16 @@ from .common import ExperimentResult, three_ap_overhearing_batch
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    index, accepted_seeds, cas_scenarios, das_scenarios = three_ap_overhearing_batch(
-        env, seeds
-    )
+    index, accepted_seeds, cas, das = three_ap_overhearing_batch(env, seeds)
     outcomes: list[dict | None] = [None] * len(seeds)
     if index.size == 0:
         return outcomes
-    das_batch = RoundBasedEvaluatorBatch(
-        das_scenarios, MacMode.MIDAS, seeds=accepted_seeds
-    )
+    das_batch = RoundBasedEvaluatorBatch(das, MacMode.MIDAS, seeds=accepted_seeds)
     rngs = [rng_mod.make_rng(seed) for seed in accepted_seeds]
     midas_streams = count_streams_batch(
         das_batch, rngs, params["rounds_per_topology"]
     )
-    cas_streams = float(len(cas_scenarios[0].deployment.antennas_of(0)))
+    cas_streams = float(len(cas.deployment.antennas_of(0)))
     for slot, i in enumerate(index):
         outcomes[i] = {"midas": float(midas_streams[slot]), "cas": cas_streams}
     return outcomes

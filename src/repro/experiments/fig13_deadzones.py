@@ -13,11 +13,11 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
+from ..channel.batch import ChannelBatch
 from ..channel.pathloss import coverage_range_m
 from ..topology import geometry
-from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, batched_channels
+from .common import ExperimentResult
 
 
 @lru_cache(maxsize=8)
@@ -34,19 +34,12 @@ def _survey_points(environment_name: str, grid_step_m: float) -> np.ndarray:
 def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     survey_points = _survey_points(params["environment"], float(params["grid_step_m"]))
-    pairs = [
-        paired_scenarios(env, [(0.0, 0.0)], seed=seed, name="fig13")
-        for seed in topo_seeds
-    ]
     masks = {}
-    for mode in (AntennaMode.CAS, AntennaMode.DAS):
-        scenarios = [pair[mode] for pair in pairs]
-        batch = batched_channels(scenarios, topo_seeds)
+    for mode, scenario in paired_scenarios(env, [(0.0, 0.0)], seeds=topo_seeds).items():
+        batch = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds)
         snr = batch.snr_db_map(survey_points)  # (batch, n_points, n_antennas)
         best = snr.max(axis=-1)
-        masks[mode.value] = (
-            best - params["fade_margin_db"] < scenarios[0].mac.decode_snr_db
-        )
+        masks[mode.value] = best - params["fade_margin_db"] < scenario.mac.decode_snr_db
     return [
         {"cas": masks["cas"][i], "das": masks["das"][i]}
         for i in range(len(topo_seeds))

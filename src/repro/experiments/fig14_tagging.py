@@ -13,10 +13,11 @@ import numpy as np
 from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
+from ..channel.batch import ChannelBatch
 from ..core.tagging import tag_mask
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
-from .common import ExperimentResult, batched_channels, batched_selection_capacities
+from .common import ExperimentResult, batched_selection_capacities
 
 
 def tagged_selection(tags: np.ndarray, available: np.ndarray, rssi: np.ndarray) -> list[int]:
@@ -45,13 +46,10 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     n_antennas = params["n_antennas"]
     n_available = params["n_available"]
-    scenarios = [
-        single_ap_scenario(
-            env, AntennaMode.DAS, n_antennas=n_antennas, n_clients=n_antennas, seed=seed
-        )
-        for seed in topo_seeds
-    ]
-    batch = batched_channels(scenarios, topo_seeds)
+    scenario = single_ap_scenario(
+        env, AntennaMode.DAS, n_antennas=n_antennas, n_clients=n_antennas, seeds=topo_seeds
+    )
+    batch = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds)
     h = batch.channel_matrices()
     rssi = batch.client_rx_power_dbm()
     tags = tag_mask(rssi, params["tag_width"])
@@ -65,7 +63,7 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
         random_clients = list(rng.choice(n_antennas, size=n_available, replace=False))
         subchannels.append(_subchannel(h[index], available, with_tags))
         subchannels.append(_subchannel(h[index], available, random_clients))
-    capacities = batched_selection_capacities(subchannels, scenarios[0].radio)
+    capacities = batched_selection_capacities(subchannels, scenario.radio)
     return [
         {"tagged": capacities[2 * i], "random": capacities[2 * i + 1]}
         for i in range(len(topo_seeds))

@@ -24,9 +24,7 @@ from .common import ExperimentResult, three_ap_overhearing_batch
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    index, accepted_seeds, cas_scenarios, das_scenarios = three_ap_overhearing_batch(
-        env, seeds
-    )
+    index, accepted_seeds, cas, das = three_ap_overhearing_batch(env, seeds)
     outcomes: list[dict | None] = [None] * len(seeds)
     if index.size == 0:
         return outcomes
@@ -37,10 +35,10 @@ def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
         for slot, i in enumerate(index):
             seed = accepted_seeds[slot]
             cas_run = NetworkSimulation(
-                cas_scenarios[slot], MacMode.CAS, sim_cfg, seed=seed
+                cas.take([slot]), MacMode.CAS, sim_cfg, seed=seed
             ).run()
             midas_run = NetworkSimulation(
-                das_scenarios[slot], MacMode.MIDAS, sim_cfg, seed=seed
+                das.take([slot]), MacMode.MIDAS, sim_cfg, seed=seed
             ).run()
             outcomes[i] = {
                 "cas": cas_run.network_capacity_bps_hz,
@@ -50,10 +48,10 @@ def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
             }
         return outcomes
     cas_results = RoundBasedEvaluatorBatch(
-        cas_scenarios, MacMode.CAS, seeds=accepted_seeds
+        cas, MacMode.CAS, seeds=accepted_seeds
     ).run(params["rounds_per_topology"])
     das_results = RoundBasedEvaluatorBatch(
-        das_scenarios, MacMode.MIDAS, seeds=accepted_seeds
+        das, MacMode.MIDAS, seeds=accepted_seeds
     ).run(params["rounds_per_topology"])
     for slot, i in enumerate(index):
         cas_res = cas_results[slot]

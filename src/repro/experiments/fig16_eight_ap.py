@@ -25,25 +25,20 @@ from .common import ExperimentResult
 def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    pairs: list[dict | None] = []
-    for seed in seeds:
-        try:
-            pairs.append(
-                eight_ap_scenario(env, seed=seed, region_m=params["region_m"])
-            )
-        except RuntimeError:
-            pairs.append(None)
+    # A seed whose AP placement fails is a rejected item: its outcome stays
+    # None and the Runner draws a replacement.
+    placed, pair = eight_ap_scenario(env, seeds=seeds, region_m=params["region_m"])
     outcomes: list[dict | None] = [None] * len(seeds)
-    index = [i for i, pair in enumerate(pairs) if pair is not None]
-    if not index:
+    index = np.flatnonzero(placed)
+    if index.size == 0:
         return outcomes
     accepted_seeds = [seeds[i] for i in index]
     rounds = params["rounds_per_topology"]
     cas_results = RoundBasedEvaluatorBatch(
-        [pairs[i][AntennaMode.CAS] for i in index], MacMode.CAS, seeds=accepted_seeds
+        pair[AntennaMode.CAS], MacMode.CAS, seeds=accepted_seeds
     ).run(rounds)
     das_results = RoundBasedEvaluatorBatch(
-        [pairs[i][AntennaMode.DAS] for i in index], MacMode.MIDAS, seeds=accepted_seeds
+        pair[AntennaMode.DAS], MacMode.MIDAS, seeds=accepted_seeds
     ).run(rounds)
     for slot, i in enumerate(index):
         outcomes[i] = {

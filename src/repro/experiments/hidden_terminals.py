@@ -16,12 +16,13 @@ import numpy as np
 from .. import units
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
+from ..channel.batch import ChannelBatch
 from ..channel.pathloss import coverage_range_m
 from ..sim.batch import CarrierSenseBatch
 from ..topology import geometry
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import hidden_terminal_scenario
-from .common import ExperimentResult, batched_channels
+from .common import ExperimentResult
 
 
 def hidden_spot_count_batch(
@@ -35,8 +36,8 @@ def hidden_spot_count_batch(
 
     A spot is hidden when it decodes its serving AP, the other AP's
     downlink lands there above ``interference_inr_db``, and no antenna of
-    the other AP senses any antenna of the serving one.  ``scenario``
-    provides the (shared) ownership structure and constants;
+    the other AP senses any antenna of the serving one.  ``scenario`` is
+    the batch (its shared ownership structure and constants);
     ``channels`` is the matching :class:`~repro.channel.batch.ChannelBatch`.
     """
     deployment = scenario.deployment
@@ -75,21 +76,17 @@ def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     seeds = list(topo_seeds)
     # CAS-only first; DAS layouts (independent spawned generators) are
     # built below only for topologies that pass the no-overhearing gate.
-    cas_scenarios = [
-        hidden_terminal_scenario(env, seed=seed, modes=(AntennaMode.CAS,))[
-            AntennaMode.CAS
-        ]
-        for seed in seeds
+    cas_scenario = hidden_terminal_scenario(env, seeds=seeds, modes=(AntennaMode.CAS,))[
+        AntennaMode.CAS
     ]
     # The corridor geometry (AP span) is deterministic per environment, so
     # one survey grid serves the whole batch.
-    cas_scenario = cas_scenarios[0]
-    span = float(cas_scenario.deployment.ap_positions[1, 0])
+    span = float(cas_scenario.deployment.ap_positions[0, 1, 0])
     grid = geometry.grid_points(
         (-coverage, span + coverage), (-coverage, coverage), params["grid_step_m"]
     )
 
-    cas_channels = batched_channels(cas_scenarios, seeds)
+    cas_channels = ChannelBatch(cas_scenario.deployment, cas_scenario.radio, seeds)
     cas_sense = CarrierSenseBatch(
         cas_channels.antenna_cross_power_dbm(), cas_scenario.mac
     )
@@ -114,14 +111,11 @@ def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
     cas_counts = hidden_spot_count_batch(
         cas_scenario, cas_channels, cas_sense, grid, params["interference_inr_db"]
     )
-    das_scenarios = [
-        hidden_terminal_scenario(env, seed=seeds[i], modes=(AntennaMode.DAS,))[
-            AntennaMode.DAS
-        ]
-        for i in index
+    das_seeds = [seeds[i] for i in index]
+    das_scenario = hidden_terminal_scenario(env, seeds=das_seeds, modes=(AntennaMode.DAS,))[
+        AntennaMode.DAS
     ]
-    das_scenario = das_scenarios[0]
-    das_channels = batched_channels(das_scenarios, [seeds[i] for i in index])
+    das_channels = ChannelBatch(das_scenario.deployment, das_scenario.radio, das_seeds)
     das_sense = CarrierSenseBatch(
         das_channels.antenna_cross_power_dbm(), das_scenario.mac
     )

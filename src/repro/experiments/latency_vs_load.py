@@ -49,17 +49,6 @@ def _traffic_kwargs(params: dict, offered_mbps: float) -> dict:
     }
 
 
-def _pair(env, params: dict, seed: int):
-    return paired_scenarios(
-        env,
-        [(0.0, 0.0)],
-        antennas_per_ap=params["antennas_per_ap"],
-        clients_per_ap=params["clients_per_ap"],
-        seed=seed,
-        name="latency",
-    )
-
-
 def _metrics(result) -> dict[str, float]:
     return {
         "throughput_mbps": result.throughput_mbps,
@@ -73,12 +62,21 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
 
     def evaluate(item_seeds, item_points):
-        pairs = {seed: _pair(env, params, seed) for seed in dict.fromkeys(item_seeds)}
+        # Each seed is synthesized once; its sweep points repeat its item.
+        first_item: dict = {}
+        items = [first_item.setdefault(seed, len(first_item)) for seed in item_seeds]
+        pair = paired_scenarios(
+            env,
+            [(0.0, 0.0)],
+            antennas_per_ap=params["antennas_per_ap"],
+            clients_per_ap=params["clients_per_ap"],
+            seeds=list(first_item),
+        )
         traffic_kwargs = [_traffic_kwargs(params, load) for (load,) in item_points]
         metrics: list[dict] = [{} for _ in item_seeds]
         for label, antenna_mode, mac_mode in _SYSTEMS:
             results = RoundBasedEvaluatorBatch(
-                [pairs[seed][antenna_mode] for seed in item_seeds],
+                pair[antenna_mode].take(items),
                 mac_mode,
                 seeds=item_seeds,
                 traffic=params["traffic"],

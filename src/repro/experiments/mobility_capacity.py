@@ -43,17 +43,6 @@ _SYSTEMS = (
 )
 
 
-def _pair(env, params: dict, seed: int):
-    return paired_scenarios(
-        env,
-        [(0.0, 0.0)],
-        antennas_per_ap=params["antennas_per_ap"],
-        clients_per_ap=params["clients_per_ap"],
-        seed=seed,
-        name="mobility",
-    )
-
-
 def _metrics(result, txop_us: float) -> dict[str, float]:
     sounding_us = result.mean_sounding_us
     return {
@@ -69,19 +58,28 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     require_moving("mobility_capacity", params["mobility"])
 
     def evaluate(item_seeds, item_points):
-        pairs = {seed: _pair(env, params, seed) for seed in dict.fromkeys(item_seeds)}
+        # Each seed is synthesized once; its sweep points repeat its item.
+        first_item: dict = {}
+        items = [first_item.setdefault(seed, len(first_item)) for seed in item_seeds]
+        pair = paired_scenarios(
+            env,
+            [(0.0, 0.0)],
+            antennas_per_ap=params["antennas_per_ap"],
+            clients_per_ap=params["clients_per_ap"],
+            seeds=list(first_item),
+        )
         metrics: list[dict] = [{} for _ in item_seeds]
         for label, antenna_mode, mac_mode in _SYSTEMS:
-            scenarios = [pairs[seed][antenna_mode] for seed in item_seeds]
+            scenario = pair[antenna_mode]
             results = RoundBasedEvaluatorBatch(
-                scenarios,
+                scenario.take(items),
                 mac_mode,
                 seeds=item_seeds,
                 mobility=params["mobility"],
                 mobility_kwargs=[{"speed_mps": speed} for (speed,) in item_points],
                 resound_period_rounds=params["resound_period_rounds"],
             ).run(params["rounds_per_topology"])
-            txop_us = scenarios[0].mac.txop_us
+            txop_us = scenario.mac.txop_us
             for item, result in zip(metrics, results):
                 for metric, value in _metrics(result, txop_us).items():
                     item[f"{label}_{metric}"] = value

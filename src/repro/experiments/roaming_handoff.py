@@ -60,19 +60,6 @@ def _policy_kwargs(policy: str, params: dict) -> dict | None:
     return None
 
 
-def _scenario(env, params: dict, seed: int):
-    return campus_scenario(
-        env,
-        n_rows=params["n_rows"],
-        n_cols=params["n_cols"],
-        spacing_m=params["spacing_m"],
-        antennas_per_ap=params["antennas_per_ap"],
-        clients_per_ap=params["clients_per_ap"],
-        seed=seed,
-        modes=(AntennaMode.DAS,),
-    )[AntennaMode.DAS]
-
-
 def _metrics(result, handoffs: int, outages: int) -> dict[str, float]:
     return {
         "capacity_bps_hz": result.mean_capacity_bps_hz,
@@ -86,11 +73,21 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     require_moving("roaming_handoff", params["mobility"])
 
     def evaluate(item_seeds, item_points):
-        scenarios = {
-            seed: _scenario(env, params, seed) for seed in dict.fromkeys(item_seeds)
-        }
+        # Each seed is synthesized once; its sweep points repeat its item.
+        first_item: dict = {}
+        items = [first_item.setdefault(seed, len(first_item)) for seed in item_seeds]
+        scenario = campus_scenario(
+            env,
+            n_rows=params["n_rows"],
+            n_cols=params["n_cols"],
+            spacing_m=params["spacing_m"],
+            antennas_per_ap=params["antennas_per_ap"],
+            clients_per_ap=params["clients_per_ap"],
+            seeds=list(first_item),
+            modes=(AntennaMode.DAS,),
+        )[AntennaMode.DAS]
         batch = RoundBasedEvaluatorBatch(
-            [scenarios[seed] for seed in item_seeds],
+            scenario.take(items),
             MacMode.MIDAS,
             seeds=item_seeds,
             mobility=params["mobility"],

@@ -56,19 +56,19 @@ class MobilityModel:
     margin_m = 3.0
 
     def roaming_bounds(self, deployment) -> tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` corners of the roaming box: the bounding box
-        of every AP, antenna, and client, padded by ``margin_m``.  Purely
-        deterministic in the deployment so both backends agree."""
-        pts = np.vstack(
+        """``(lower, upper)`` corners of each item's roaming box, each
+        ``(batch, 2)``: the bounding box of every AP, antenna, and client,
+        padded by ``margin_m``.  Purely deterministic in the deployment so
+        both engines agree."""
+        pts = np.concatenate(
             [
                 deployment.ap_positions,
                 deployment.antenna_positions,
                 deployment.client_positions,
-            ]
+            ],
+            axis=1,
         )
-        lo = pts.min(axis=0) - self.margin_m
-        hi = pts.max(axis=0) + self.margin_m
-        return lo, hi
+        return pts.min(axis=1) - self.margin_m, pts.max(axis=1) + self.margin_m
 
     def init_state(self, rngs, positions: np.ndarray, bounds):
         """Fresh mutable state for a group of ``g`` items: ``None`` when

@@ -45,39 +45,35 @@ def _group_by_model(models) -> list[tuple[MobilityModel, np.ndarray]]:
 
 class MobilityState:
     """Trajectory state of a batch: one model per item (equal models share
-    a group), one deployment per item (all with the same client count) and
-    one generator or seed-tree node per item."""
+    a group), the batched deployment the clients start from, and one
+    generator or seed-tree node per item.  The deployment is read, never
+    written: the state moves its own copy of the client positions."""
 
-    def __init__(self, models, deployments, rngs):
+    def __init__(self, models, deployment, rngs):
         models = list(models)
-        deployments = list(deployments)
-        if not models or not len(models) == len(deployments) == len(rngs):
-            raise ValueError("need one model, deployment and generator per item")
+        if not models or not len(models) == len(deployment) == len(rngs):
+            raise ValueError("need one model, deployment item and generator per item")
         if any(model.is_static for model in models):
             raise ValueError(
                 "static mobility needs no MobilityState; run the engine "
                 "without a mobility model instead"
             )
         self._rngs = [rng_mod.make_rng(rng) for rng in rngs]
-        self.positions = np.stack(
-            [np.array(d.client_positions, dtype=float) for d in deployments]
-        )
+        self.positions = np.array(deployment.client_positions)
         self.speeds_mps = np.zeros(self.positions.shape[:2])
         #: Per-item trajectory clock (seconds since the topology draw).
         self.time_s = np.zeros(len(models))
-        corners = [model.roaming_bounds(d) for model, d in zip(models, deployments)]
         #: Per-item roaming boxes: ``(lo, hi)`` corners, each ``(batch, 2)``.
-        self.bounds = (
-            np.stack([lo for lo, __ in corners]),
-            np.stack([hi for __, hi in corners]),
-        )
+        self.bounds = (np.empty((len(models), 2)), np.empty((len(models), 2)))
         #: ``(model, items, generators, bounds, state)`` per model group.
         self._groups = []
         for model, items in _group_by_model(models):
+            lo, hi = (corner[items] for corner in model.roaming_bounds(deployment))
+            self.bounds[0][items] = lo
+            self.bounds[1][items] = hi
             rngs = [self._rngs[i] for i in items]
-            bounds = (self.bounds[0][items], self.bounds[1][items])
-            state = model.init_state(rngs, self.positions[items], bounds)
-            self._groups.append((model, items, rngs, bounds, state))
+            state = model.init_state(rngs, self.positions[items], (lo, hi))
+            self._groups.append((model, items, rngs, (lo, hi), state))
 
     @property
     def n_items(self) -> int:
@@ -131,14 +127,14 @@ class MobilityState:
 
 
 def build_mobility_state(
-    mobility, mobility_kwargs, deployments, seeds
+    mobility, mobility_kwargs, deployment, seeds
 ) -> MobilityState | None:
     """Resolve an engine's ``mobility=`` argument into a batch state.
 
-    ``mobility_kwargs``, ``deployments`` and ``seeds`` hold one entry per
-    item.  ``None`` and ``"static"`` both yield ``None`` -- the engines
-    then take their historical frozen-topology path untouched
-    (bit-identical to every pre-mobility release).  Each seed is a
+    ``mobility_kwargs`` and ``seeds`` hold one entry per item of the
+    batched ``deployment``.  ``None`` and ``"static"`` both yield ``None``
+    -- the engines then take their historical frozen-topology path
+    untouched (bit-identical to every pre-mobility release).  Each seed is a
     generator or a seed-tree node; a node's generator is built only for a
     moving model.
     """
@@ -153,4 +149,4 @@ def build_mobility_state(
             "a batch cannot mix static and moving clients; run them as "
             "separate evaluators"
         )
-    return MobilityState(models, deployments, seeds)
+    return MobilityState(models, deployment, seeds)

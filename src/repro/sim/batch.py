@@ -529,22 +529,24 @@ def _mutual_overhear_from_decodable(
 
 
 class RoundBasedEvaluatorBatch:
-    """Quasi-static evaluation of a batch of same-shape scenarios.
+    """Quasi-static evaluation of a batch of topologies.
 
     Parameters
     ----------
-    scenarios:
-        One :class:`~repro.topology.scenarios.Scenario` per topology draw;
-        all must share radio/MAC constants and the same AP/antenna/client
-        ownership structure so stacks are rectangular.
+    scenario:
+        The batched :class:`~repro.topology.scenarios.Scenario`: one shared
+        ownership structure and radio/MAC constants, one item per topology
+        draw.  It is never modified; moving clients live in the engine's
+        own copies.
     mode:
         CAS or MIDAS, applied to the whole batch.
     sim:
         Simulation constants shared by the batch.
     seeds:
-        One seed per scenario; item ``i`` consumes randomness only from the
+        One seed per item; item ``i`` consumes randomness only from the
         generator tree of ``seeds[i]``, so it evaluates identically alone
-        (``RoundBasedEvaluatorBatch([scenarios[i]], mode, sim, seeds=[seeds[i]])``).
+        (``RoundBasedEvaluatorBatch(scenario.take([i]), mode, sim,
+        seeds=[seeds[i]])``).
     traffic / traffic_kwargs:
         Finite-load arrivals (see :func:`build_traffic_state`).  One stacked
         :class:`~repro.traffic.TrafficState` holds every item's queues; each
@@ -572,7 +574,7 @@ class RoundBasedEvaluatorBatch:
 
     def __init__(
         self,
-        scenarios,
+        scenario: Scenario,
         mode: MacMode,
         sim: SimConfig | None = None,
         seeds=None,
@@ -585,30 +587,16 @@ class RoundBasedEvaluatorBatch:
         association_kwargs=None,
         coordination=None,
     ):
-        scenarios = list(scenarios)
-        if not scenarios:
-            raise ValueError("need at least one scenario")
-        seeds = [0] * len(scenarios) if seeds is None else list(seeds)
-        if len(seeds) != len(scenarios):
-            raise ValueError("need one seed per scenario")
-        first = scenarios[0]
-        if any(s.radio != first.radio or s.mac != first.mac for s in scenarios[1:]):
-            raise ValueError("batched scenarios must share radio and MAC configs")
-        deployments = [s.deployment for s in scenarios]
-        structure = deployments[0]
-        for dep in deployments[1:]:
-            if not (
-                np.array_equal(dep.antenna_ap, structure.antenna_ap)
-                and np.array_equal(dep.client_ap, structure.client_ap)
-            ):
-                raise ValueError(
-                    "batched deployments must share one AP/antenna/client "
-                    "ownership structure"
-                )
-        self.scenarios = scenarios
+        if not len(scenario):
+            raise ValueError("need at least one scenario item")
+        seeds = [0] * len(scenario) if seeds is None else list(seeds)
+        if len(seeds) != len(scenario):
+            raise ValueError("need one seed per scenario item")
+        structure = scenario.deployment
+        self.scenario = scenario
         self.mode = mode
         self.sim = sim or SimConfig()
-        self.n_items = len(scenarios)
+        self.n_items = len(scenario)
         self.n_aps = structure.n_aps
         self._n_clients = structure.n_clients
         self._antennas_of = [structure.antennas_of(ap) for ap in range(self.n_aps)]
@@ -619,7 +607,7 @@ class RoundBasedEvaluatorBatch:
         self._sounding_us = _shape_table(sounding_overhead_us, self._slot_width)
         self._data_fraction = {
             with_sounding: _shape_table(
-                lambda k, n, flag=with_sounding: data_fraction(first.mac, k, n, flag),
+                lambda k, n, flag=with_sounding: data_fraction(scenario.mac, k, n, flag),
                 self._slot_width,
             )
             for with_sounding in (False, True)
@@ -644,12 +632,12 @@ class RoundBasedEvaluatorBatch:
         traffic_kwargs = one_per_item("traffic_kwargs", traffic_kwargs, self.n_items)
         mobility_kwargs = one_per_item("mobility_kwargs", mobility_kwargs, self.n_items)
         self._traffic = build_traffic_state(
-            traffic, traffic_kwargs, structure.n_clients, traffic_seeds, first
+            traffic, traffic_kwargs, structure.n_clients, traffic_seeds, scenario
         )
         #: One stacked trajectory state for the whole batch (``None`` for
         #: static clients).
         self._mobility = build_mobility_state(
-            mobility, mobility_kwargs, deployments, mobility_seeds
+            mobility, mobility_kwargs, structure, mobility_seeds
         )
         self._resound_period = int(resound_period_rounds)
         self._round_index = 0
@@ -659,9 +647,9 @@ class RoundBasedEvaluatorBatch:
         #: first sounding round (and always for static runs, which sound
         #: fresh CSI every round).
         self._h_csi: np.ndarray | None = None
-        self.channel = ChannelBatch(deployments, first.radio, list(channel_seeds))
+        self.channel = ChannelBatch(structure, scenario.radio, channel_seeds)
         self.carrier_sense = CarrierSenseBatch(
-            self.channel.antenna_cross_power_dbm(), first.mac
+            self.channel.antenna_cross_power_dbm(), scenario.mac
         )
         # DRR counters live on the *global* client axis so membership can
         # change at a handoff without resizing any scheduler state; argmax
@@ -674,31 +662,27 @@ class RoundBasedEvaluatorBatch:
         #: tags and handoff/outage log, re-evaluated at construction and at
         #: every sounding round.
         self.association = build_batch_association_state(
-            association, association_kwargs, self.n_items, structure, first.mac,
+            association, association_kwargs, self.n_items, structure, scenario.mac,
             coordination,
         )
         self.association.resound(self.channel.client_rx_power_dbm())
 
     # ------------------------------------------------------------------
     @classmethod
-    def mutual_overhear_mask(cls, scenarios, seeds=None) -> np.ndarray:
+    def mutual_overhear_mask(cls, scenario: Scenario, seeds=None) -> np.ndarray:
         """Per-item mutual-overhearing verdicts without a full evaluator.
 
-        Identical to ``cls(scenarios, mode, seeds=seeds).aps_mutually_overhear()``
+        Identical to ``cls(scenario, mode, seeds=seeds).aps_mutually_overhear()``
         -- the per-item generator tree and shadowing node order are the same
         -- but skips the DRR/tag/fading state that rejected topologies never
         use.  Experiments gate large candidate batches with this, then build
         evaluators for the survivors only.
         """
-        scenarios = list(scenarios)
-        seeds = [0] * len(scenarios) if seeds is None else list(seeds)
+        seeds = [0] * len(scenario) if seeds is None else list(seeds)
         channel_seeds = [rng_mod.spawn_seeds(seed, 2)[0] for seed in seeds]
-        first = scenarios[0]
-        channel = ChannelBatch(
-            [s.deployment for s in scenarios], first.radio, channel_seeds
-        )
-        sense = CarrierSenseBatch(channel.antenna_cross_power_dbm(), first.mac)
-        structure = first.deployment
+        structure = scenario.deployment
+        channel = ChannelBatch(structure, scenario.radio, channel_seeds)
+        sense = CarrierSenseBatch(channel.antenna_cross_power_dbm(), scenario.mac)
         return _mutual_overhear_from_decodable(
             sense.decodable_mask(),
             [structure.antennas_of(ap) for ap in range(structure.n_aps)],
@@ -731,7 +715,7 @@ class RoundBasedEvaluatorBatch:
         ``(batch, n_own)`` (the paper's §5.3.1 check)."""
         own = self._antennas_of[ap]
         sensed = self.carrier_sense.sensed_power_mw(active_mask, listeners=own)
-        busy = sensed >= self.scenarios[0].mac.cs_threshold_mw
+        busy = sensed >= self.scenario.mac.cs_threshold_mw
         nav = self.carrier_sense.nav_blocked_mask(active_mask, listeners=own)
         return ~busy & ~nav
 
@@ -890,7 +874,7 @@ class RoundBasedEvaluatorBatch:
             if self._mobility is not None and sounding_round:
                 self._h_csi = h  # never mutated; aliasing the snapshot is safe
             h_csi = h if self._h_csi is None else self._h_csi
-            radio = self.scenarios[0].radio
+            radio = self.scenario.radio
 
             # Committed slots in item-then-slot (plan) order.  CSI noise
             # draws consume each item's own generator in that order, on the
@@ -1059,7 +1043,7 @@ class RoundBasedEvaluatorBatch:
             self.channel.advance(dt_s, items=advance_items)
             return
         positions = self._mobility.advance(dt_s, items=advance_items)
-        doppler = self._mobility.doppler_hz(self.scenarios[0].radio.wavelength_m)
+        doppler = self._mobility.doppler_hz(self.scenario.radio.wavelength_m)
         if advance_items is not None:
             doppler = doppler[advance_items]
         self.channel.advance(dt_s, items=advance_items, doppler_hz=doppler)

@@ -80,7 +80,8 @@ class _Contender:
 
 
 class NetworkSimulation:
-    """Event-driven downlink simulation of one scenario."""
+    """Event-driven downlink simulation of one topology: a batched
+    :class:`~repro.topology.scenarios.Scenario` of one item."""
 
     def __init__(
         self,
@@ -97,6 +98,8 @@ class NetworkSimulation:
         association_kwargs=None,
         coordination=None,
     ):
+        if len(scenario) != 1:
+            raise ValueError("NetworkSimulation runs a batch of one scenario item")
         self.scenario = scenario
         self.mode = mode
         self.sim = sim or SimConfig()
@@ -119,7 +122,7 @@ class NetworkSimulation:
             scenario,
         )
         self._mobility = build_mobility_state(
-            mobility, [mobility_kwargs], [self.deployment], [mobility_seed]
+            mobility, [mobility_kwargs], self.deployment, [mobility_seed]
         )
         #: Mobility CSI staleness: with an interval, TXOPs between
         #: re-soundings precode from the snapshot captured at the last
@@ -135,7 +138,7 @@ class NetworkSimulation:
         #: not paid for yet; subsequent transmitting TXOPs charge them one
         #: at a time.
         self._sounding_unpaid = 0
-        self.channel = ChannelBatch([self.deployment], scenario.radio, seeds=[channel_seed])
+        self.channel = ChannelBatch(self.deployment, scenario.radio, seeds=[channel_seed])
         self._csi_rng = (
             rng_mod.make_rng(csi_seed) if self.sim.csi_error_std > 0 else None
         )
@@ -551,7 +554,7 @@ class NetworkSimulation:
         return aggregate statistics."""
         duration_us = (duration_s or self.sim.duration_s) * 1e6
         with _obs().span("engine.run", engine="network"):
-            start_rng = rng_mod.make_rng(self.scenario.seed)
+            start_rng = rng_mod.make_rng(self.scenario.seeds[0])
             for contender in self._contenders:
                 # Stagger initial attempts over one contention window.
                 self._schedule_attempt(

@@ -13,9 +13,7 @@ from .scenarios import (
     OfficeEnvironment,
     Scenario,
     campus_scenario,
-    dense_office_scenario,
     eight_ap_scenario,
-    grid_region_scenario,
     hidden_terminal_scenario,
     office_a,
     office_b,
@@ -37,9 +35,7 @@ __all__ = [
     "OfficeEnvironment",
     "Scenario",
     "campus_scenario",
-    "dense_office_scenario",
     "eight_ap_scenario",
-    "grid_region_scenario",
     "hidden_terminal_scenario",
     "office_a",
     "office_b",

@@ -17,7 +17,7 @@ Placement rules implemented here come straight from the paper's methodology
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +33,24 @@ class AntennaMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Deployment:
-    """Positions of APs, antennas and clients for one topology.
+    """Positions of APs, antennas and clients for a batch of topologies.
+
+    Every item of the batch shares one ownership structure; a single
+    topology is a batch of one.  The position arrays are copied and made
+    read-only at construction, so code that moves clients keeps its own
+    copy and never changes the deployment it was given.
 
     Attributes
     ----------
     ap_positions:
-        ``(n_aps, 2)`` AP (central processing node) locations in meters.
+        ``(batch, n_aps, 2)`` AP (central processing node) locations in
+        meters.
     antenna_positions:
-        ``(n_antennas_total, 2)`` antenna locations.
+        ``(batch, n_antennas, 2)`` antenna locations.
     antenna_ap:
-        ``(n_antennas_total,)`` index of the owning AP for each antenna.
+        ``(n_antennas,)`` index of the owning AP for each antenna.
     client_positions:
-        ``(n_clients, 2)`` client locations.
+        ``(batch, n_clients, 2)`` client locations.
     client_ap:
         ``(n_clients,)`` index of the serving AP for each client.
     mode:
@@ -57,48 +63,72 @@ class Deployment:
     client_positions: np.ndarray
     client_ap: np.ndarray
     mode: AntennaMode = AntennaMode.CAS
-    extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ap_positions", geometry.as_points(self.ap_positions))
-        object.__setattr__(self, "antenna_positions", geometry.as_points(self.antenna_positions))
-        object.__setattr__(self, "antenna_ap", np.asarray(self.antenna_ap, dtype=int))
-        object.__setattr__(self, "client_positions", geometry.as_points(self.client_positions))
-        object.__setattr__(self, "client_ap", np.asarray(self.client_ap, dtype=int))
-        if len(self.antenna_positions) != len(self.antenna_ap):
-            raise ValueError("antenna_positions and antenna_ap length mismatch")
-        if len(self.client_positions) != len(self.client_ap):
-            raise ValueError("client_positions and client_ap length mismatch")
-        if len(self.antenna_ap) and (
-            self.antenna_ap.min() < 0 or self.antenna_ap.max() >= self.n_aps
+        for name, dtype in (
+            ("ap_positions", float),
+            ("antenna_positions", float),
+            ("antenna_ap", int),
+            ("client_positions", float),
+            ("client_ap", int),
         ):
-            raise ValueError("antenna_ap references an unknown AP")
-        if len(self.client_ap) and (
-            self.client_ap.min() < 0 or self.client_ap.max() >= self.n_aps
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        for name in ("ap_positions", "antenna_positions", "client_positions"):
+            shape = getattr(self, name).shape
+            if len(shape) != 3 or shape[2] != 2 or shape[0] != len(self.ap_positions):
+                raise ValueError(
+                    f"{name} must be one (batch, n, 2) stack per deployment; "
+                    f"got shape {shape}"
+                )
+        for name, positions in (
+            ("antenna_ap", self.antenna_positions),
+            ("client_ap", self.client_positions),
         ):
-            raise ValueError("client_ap references an unknown AP")
+            owners = getattr(self, name)
+            if owners.ndim != 1 or len(owners) != positions.shape[1]:
+                raise ValueError(f"{name} needs one owning AP per position")
+            if len(owners) and (owners.min() < 0 or owners.max() >= self.n_aps):
+                raise ValueError(f"{name} references an unknown AP")
+
+    def __len__(self) -> int:
+        """Number of topologies in the batch."""
+        return len(self.ap_positions)
+
+    def take(self, items) -> Deployment:
+        """The batch of items ``items`` (in that order, repeats allowed)."""
+        items = np.asarray(items, dtype=int)
+        return Deployment(
+            self.ap_positions[items],
+            self.antenna_positions[items],
+            self.antenna_ap,
+            self.client_positions[items],
+            self.client_ap,
+            self.mode,
+        )
 
     @property
     def n_aps(self) -> int:
-        """Number of access points."""
-        return len(self.ap_positions)
+        """Number of access points per topology."""
+        return self.ap_positions.shape[1]
 
     @property
     def n_antennas(self) -> int:
-        """Total number of antennas across all APs."""
-        return len(self.antenna_positions)
+        """Total number of antennas across all APs of a topology."""
+        return len(self.antenna_ap)
 
     @property
     def n_clients(self) -> int:
-        """Total number of clients."""
-        return len(self.client_positions)
+        """Total number of clients of a topology."""
+        return len(self.client_ap)
 
     def antennas_of(self, ap: int) -> np.ndarray:
-        """Global antenna indices owned by AP ``ap``."""
+        """Antenna indices owned by AP ``ap`` (shared by all items)."""
         return np.flatnonzero(self.antenna_ap == ap)
 
     def clients_of(self, ap: int) -> np.ndarray:
-        """Client indices served by AP ``ap``."""
+        """Client indices served by AP ``ap`` (shared by all items)."""
         return np.flatnonzero(self.client_ap == ap)
 
 
@@ -106,13 +136,18 @@ def cas_antenna_layout(
     ap_position, n_antennas: int, wavelength_m: float
 ) -> np.ndarray:
     """Co-located antenna positions: a uniform linear array at half-wavelength
-    spacing centered on the AP (paper §5.1)."""
+    spacing centered on the AP (paper §5.1).
+
+    ``ap_position`` is one ``(2,)`` point or any ``(..., 2)`` stack of them;
+    the result is ``(..., n_antennas, 2)``.
+    """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    cx, cy = np.asarray(ap_position, dtype=float)
+    center = np.asarray(ap_position, dtype=float)
     spacing = wavelength_m / 2.0
     offsets = (np.arange(n_antennas) - (n_antennas - 1) / 2.0) * spacing
-    return np.column_stack((cx + offsets, np.full(n_antennas, cy)))
+    x = center[..., 0, None] + offsets
+    return np.stack((x, np.broadcast_to(center[..., 1, None], x.shape)), axis=-1)
 
 
 def das_antenna_layout(

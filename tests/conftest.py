@@ -23,18 +23,18 @@ def mac() -> MacConfig:
 
 @pytest.fixture(scope="session")
 def das_scenario():
-    return single_ap_scenario(office_b(), AntennaMode.DAS, seed=11)
+    return single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[11])
 
 
 @pytest.fixture(scope="session")
 def cas_scenario():
-    return single_ap_scenario(office_b(), AntennaMode.CAS, seed=11)
+    return single_ap_scenario(office_b(), AntennaMode.CAS, seeds=[11])
 
 
 @pytest.fixture(scope="session")
 def das_channel(das_scenario):
     """A batch of one channel for ``das_scenario``."""
-    return ChannelBatch([das_scenario.deployment], das_scenario.radio, seeds=[11])
+    return ChannelBatch(das_scenario.deployment, das_scenario.radio, seeds=[11])
 
 
 @pytest.fixture(scope="session")

@@ -131,13 +131,13 @@ def step(model, state, rng, positions, dt_s, bounds, t_s):
 
 
 class MobilityState:
-    """One item's trajectory state."""
+    """One item's trajectory state (``deployment`` is a batch of one)."""
 
     def __init__(self, model, deployment, rng: np.random.Generator):
         self.model = model
         self.rng = rng
-        self.bounds = model.roaming_bounds(deployment)
-        self.positions = np.array(deployment.client_positions, dtype=float, copy=True)
+        self.bounds = tuple(corner[0] for corner in model.roaming_bounds(deployment))
+        self.positions = np.array(deployment.client_positions[0], dtype=float, copy=True)
         self.speeds_mps = np.zeros(len(self.positions))
         self.model_state = init_state(model, rng, self.positions, self.bounds)
         self.time_s = 0.0

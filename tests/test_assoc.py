@@ -35,7 +35,7 @@ def campus_das():
         n_cols=2,
         spacing_m=18.0,
         clients_per_ap=3,
-        seed=4,
+        seeds=[4],
         modes=(AntennaMode.DAS,),
     )[AntennaMode.DAS]
 
@@ -251,7 +251,7 @@ class TestBatchAssociationState:
         scenario = replace(campus_das, mac=replace(campus_das.mac, tag_width=0))
         with pytest.raises(ValueError, match="tag_width"):
             if engine == "round":
-                RoundBasedEvaluatorBatch([scenario], MacMode.MIDAS, seeds=[4])
+                RoundBasedEvaluatorBatch(scenario, MacMode.MIDAS, seeds=[4])
             else:
                 NetworkSimulation(scenario, MacMode.MIDAS, seed=4)
 
@@ -375,9 +375,9 @@ class TestHandoffTagRederivation:
         resound_period_rounds=2,
     )
 
-    def _evaluator(self, scenarios, seeds):
+    def _evaluator(self, scenario, seeds):
         return RoundBasedEvaluatorBatch(
-            scenarios,
+            scenario,
             MacMode.MIDAS,
             seeds=seeds,
             association="strongest_rssi",
@@ -402,23 +402,23 @@ class TestHandoffTagRederivation:
         )
 
     def test_round_engine_rederives_once_per_sounding(self, campus_das):
-        ev = self._evaluator([campus_das], [4])
+        ev = self._evaluator(campus_das, [4])
         ev.run(12)
         assert ev.association.handoff_count[0] > 0
         assert ev.association.tag_builds == ev.association.sounding_count == 7
 
     def test_handoffs_match_goldens(self, campus_das):
         golden = goldens()["campus_handoffs"]
-        ev = self._evaluator([campus_das], [4])
+        ev = self._evaluator(campus_das, [4])
         [result] = ev.run(12)
         assert self._events(ev.association) == golden["events"]
         assert ev.association.tag_builds == golden["tag_builds"]
         assert_rounds_match(result, golden["rounds"])
 
     def test_handoffs_independent_of_batch(self, campus_das):
-        alone = self._evaluator([campus_das], [4])
+        alone = self._evaluator(campus_das, [4])
         alone_result = alone.run(12)[0]
-        paired = self._evaluator([campus_das, campus_das], [4, 5])
+        paired = self._evaluator(campus_das.take([0, 0]), [4, 5])
         paired_result = paired.run(12)[0]
         item, reference = paired.association, alone.association
         assert self._events(item) == self._events(reference)

@@ -12,12 +12,12 @@ from repro.topology.scenarios import office_b, single_ap_scenario
 
 def one_channel(deployment, radio, seed):
     """One topology's channel: a batch of one."""
-    return ChannelBatch([deployment], radio, seeds=[seed])
+    return ChannelBatch(deployment, radio, seeds=[seed])
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return single_ap_scenario(office_b(), AntennaMode.DAS, seed=5)
+    return single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[5])
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestLargeScaleMaps:
     def test_gain_decreases_with_distance(self, scenario):
         radio = scenario.radio.with_(shadowing_sigma_db=0.0, cable_loss_db_per_m=0.0)
         m = one_channel(scenario.deployment, radio, seed=1)
-        antenna = scenario.deployment.antenna_positions[0]
+        antenna = scenario.deployment.antenna_positions[0, 0]
         near = antenna + np.array([1.0, 0.0])
         far = antenna + np.array([12.0, 0.0])
         gain = m.large_scale_gain_db([near, far])[0]
@@ -98,7 +98,7 @@ class TestLargeScaleMaps:
         )
 
     def test_cable_loss_zero_for_cas(self):
-        cas = single_ap_scenario(office_b(), AntennaMode.CAS, seed=5)
+        cas = single_ap_scenario(office_b(), AntennaMode.CAS, seeds=[5])
         m = one_channel(cas.deployment, cas.radio, seed=5)
         assert np.all(m.cable_loss_db < 0.1)
 
@@ -154,12 +154,12 @@ class TestVectorizedGainLoops:
         radio = scenario.radio
         pts = geometry.as_points(rx_points)
         pathloss = LogDistancePathLoss.from_radio(radio)
-        dists = geometry.pairwise_distances(pts, scenario.deployment.antenna_positions)
+        dists = geometry.pairwise_distances(pts, scenario.deployment.antenna_positions[0])
         gain = -pathloss.loss_db(dists)
         if radio.wall_loss_db > 0:
             gain -= walls.wall_loss_db(
                 pts,
-                scenario.deployment.antenna_positions,
+                scenario.deployment.antenna_positions[0],
                 radio.wall_spacing_m,
                 radio.wall_loss_db,
                 max_walls=radio.max_wall_count,
@@ -167,7 +167,7 @@ class TestVectorizedGainLoops:
         site_of = model._site_of_antenna[0]
         fields = channel_site_fields(seed, int(site_of.max()) + 1, radio)
         for field in fields:  # the model sampled its clients at construction
-            field.sample(scenario.deployment.client_positions)
+            field.sample(scenario.deployment.client_positions[0])
         for k in range(scenario.deployment.n_antennas):
             gain[:, k] += fields[site_of[k]].sample(pts)
         gain -= model._cable_loss_db[0][None, :]
@@ -186,8 +186,8 @@ class TestVectorizedGainLoops:
         # per-antenna reference exactly.
         env = office_b()
         for mode in (AntennaMode.CAS, AntennaMode.DAS):
-            scenario = single_ap_scenario(env, mode, seed=21)
-            points = scenario.deployment.client_positions
+            scenario = single_ap_scenario(env, mode, seeds=[21])
+            points = scenario.deployment.client_positions[0]
             vectorized = one_channel(
                 scenario.deployment, scenario.radio, seed=21
             ).large_scale_gain_db(points)[0]
@@ -197,7 +197,7 @@ class TestVectorizedGainLoops:
     def test_antenna_cross_power_matches_per_antenna_reference(self, scenario):
         model = one_channel(scenario.deployment, scenario.radio, seed=13)
         reference_model = one_channel(scenario.deployment, scenario.radio, seed=13)
-        pts = scenario.deployment.antenna_positions
+        pts = scenario.deployment.antenna_positions[0]
         # Reference: recompute the shadowing sum with an explicit antenna loop
         # over identically-seeded oracle fields that first sampled the
         # clients, as the model did at construction.
@@ -205,7 +205,7 @@ class TestVectorizedGainLoops:
         fields = channel_site_fields(13, int(site_of.max()) + 1, scenario.radio)
         expected_shadow = np.zeros((len(pts), scenario.deployment.n_antennas))
         for field in fields:
-            field.sample(scenario.deployment.client_positions)
+            field.sample(scenario.deployment.client_positions[0])
         for k in range(scenario.deployment.n_antennas):
             expected_shadow[:, k] = fields[site_of[k]].sample(pts)
         np.testing.assert_array_equal(model.shadowing_db(pts)[0], expected_shadow)
@@ -215,10 +215,9 @@ class TestVectorizedGainLoops:
         )
 
     def test_negative_items_match_their_positive_numbers(self):
-        scenarios = [single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in range(3)]
-        deployments = [s.deployment for s in scenarios]
-        by_sign = ChannelBatch(deployments, scenarios[0].radio, seeds=[1, 2, 3])
-        by_number = ChannelBatch(deployments, scenarios[0].radio, seeds=[1, 2, 3])
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=range(3))
+        by_sign = ChannelBatch(scenario.deployment, scenario.radio, seeds=[1, 2, 3])
+        by_number = ChannelBatch(scenario.deployment, scenario.radio, seeds=[1, 2, 3])
         rng = np.random.default_rng(4)
         for points in (rng.uniform(-10, 10, (6, 2)), rng.uniform(-10, 10, (6, 2))):
             for _ in range(2):  # a revisit reads the stored nodes back
@@ -262,8 +261,8 @@ class TestGoldens:
             (AntennaMode.CAS, "cas21_client_gain_db"),
             (AntennaMode.DAS, "das21_client_gain_db"),
         ):
-            other = single_ap_scenario(office_b(), mode, seed=21)
+            other = single_ap_scenario(office_b(), mode, seeds=[21])
             gain = one_channel(other.deployment, other.radio, seed=21).large_scale_gain_db(
-                other.deployment.client_positions
+                other.deployment.client_positions[0]
             )
             assert np.array_equal(gain[0], floats(self.GOLDEN[key]))

@@ -82,26 +82,26 @@ class TestDeploymentInvariants:
     def test_antenna_ap_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             Deployment(
-                ap_positions=[(0, 0)],
-                antenna_positions=[(1, 1), (2, 2)],
+                ap_positions=[[(0, 0)]],
+                antenna_positions=[[(1, 1), (2, 2)]],
                 antenna_ap=[0],
-                client_positions=[(3, 3)],
+                client_positions=[[(3, 3)]],
                 client_ap=[0],
             )
 
     def test_unknown_ap_reference_raises(self):
         with pytest.raises(ValueError):
             Deployment(
-                ap_positions=[(0, 0)],
-                antenna_positions=[(1, 1)],
+                ap_positions=[[(0, 0)]],
+                antenna_positions=[[(1, 1)]],
                 antenna_ap=[1],
-                client_positions=[(3, 3)],
+                client_positions=[[(3, 3)]],
                 client_ap=[0],
             )
 
     def test_counts(self):
         dep = single_ap_scenario(
-            office_b(), AntennaMode.DAS, n_antennas=4, n_clients=3, seed=0
+            office_b(), AntennaMode.DAS, n_antennas=4, n_clients=3, seeds=[0]
         ).deployment
         assert dep.n_aps == 1
         assert dep.n_antennas == 4
@@ -109,18 +109,18 @@ class TestDeploymentInvariants:
 
     def test_distance_matrix_shapes(self):
         dep = single_ap_scenario(
-            office_b(), AntennaMode.CAS, n_antennas=4, n_clients=3, seed=0
+            office_b(), AntennaMode.CAS, n_antennas=4, n_clients=3, seeds=[0]
         ).deployment
         assert geometry.pairwise_distances(
-            dep.client_positions, dep.antenna_positions
+            dep.client_positions[0], dep.antenna_positions[0]
         ).shape == (3, 4)
         assert geometry.pairwise_distances(
-            dep.antenna_positions, dep.antenna_positions
+            dep.antenna_positions[0], dep.antenna_positions[0]
         ).shape == (4, 4)
 
     def test_multi_ap_ownership(self):
         dep = paired_scenarios(
-            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seed=0
+            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seeds=[0]
         )[AntennaMode.DAS].deployment
         assert len(dep.antennas_of(0)) == 4
         assert len(dep.antennas_of(1)) == 4
@@ -128,15 +128,15 @@ class TestDeploymentInvariants:
 
     def test_multi_ap_positions_follow_the_centres(self):
         pair = paired_scenarios(
-            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seed=0
+            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seeds=[0]
         )
         for scenario in pair.values():
-            np.testing.assert_allclose(scenario.deployment.ap_positions, [[0, 0], [20, 0]])
+            np.testing.assert_allclose(scenario.deployment.ap_positions[0], [[0, 0], [20, 0]])
 
     def test_ownership_partitions_antennas_and_clients(self):
         dep = paired_scenarios(
             office_b(), [(0, 0), (20, 0), (0, 20)], antennas_per_ap=3, clients_per_ap=2,
-            seed=1,
+            seeds=[1],
         )[AntennaMode.DAS].deployment
         antennas = np.concatenate([dep.antennas_of(ap) for ap in range(dep.n_aps)])
         clients = np.concatenate([dep.clients_of(ap) for ap in range(dep.n_aps)])
@@ -146,9 +146,9 @@ class TestDeploymentInvariants:
     @pytest.mark.parametrize("mode", [AntennaMode.CAS, AntennaMode.DAS])
     def test_owned_nodes_sit_nearest_their_ap(self, mode):
         dep = paired_scenarios(
-            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seed=0
+            office_b(), [(0, 0), (20, 0)], antennas_per_ap=4, clients_per_ap=2, seeds=[0]
         )[mode].deployment
-        to_ap = geometry.pairwise_distances(dep.antenna_positions, dep.ap_positions)
+        to_ap = geometry.pairwise_distances(dep.antenna_positions[0], dep.ap_positions[0])
         assert np.array_equal(np.argmin(to_ap, axis=1), dep.antenna_ap)
-        to_ap = geometry.pairwise_distances(dep.client_positions, dep.ap_positions)
+        to_ap = geometry.pairwise_distances(dep.client_positions[0], dep.ap_positions[0])
         assert np.array_equal(np.argmin(to_ap, axis=1), dep.client_ap)

@@ -124,9 +124,9 @@ class TestRoundEngineMultiClass:
     ]
 
     def _run(self, rounds=1, seed=3):
-        scenario = single_ap_scenario(ENV, AntennaMode.CAS, seed=seed)
+        scenario = single_ap_scenario(ENV, AntennaMode.CAS, seeds=[seed])
         return RoundBasedEvaluatorBatch(
-            [scenario], MacMode.CAS, seeds=[seed], traffic=ScriptedTraffic(self.SCRIPT)
+            scenario, MacMode.CAS, seeds=[seed], traffic=ScriptedTraffic(self.SCRIPT)
         ).run(rounds)[0]
 
     def test_only_backlogged_clients_selected(self):
@@ -151,9 +151,9 @@ class TestRoundEngineMultiClass:
         # client 1, and it must win the first pick even though clients
         # credited in round 0 hold larger deficit counters.
         script = self.SCRIPT + [(1, 1, 200.0, AccessCategory.VOICE)]
-        scenario = single_ap_scenario(ENV, AntennaMode.CAS, seed=3)
+        scenario = single_ap_scenario(ENV, AntennaMode.CAS, seeds=[3])
         [result] = RoundBasedEvaluatorBatch(
-            [scenario], MacMode.CAS, seeds=[3], traffic=ScriptedTraffic(script)
+            scenario, MacMode.CAS, seeds=[3], traffic=ScriptedTraffic(script)
         ).run(2)
         served = result.column("served_per_client")[1]
         assert served[1] > 0  # the VOICE client transmitted
@@ -164,9 +164,7 @@ class TestRoundEngineMultiClass:
 
     def test_batch_engine_matches_goldens_on_multiclass_script(self):
         seeds = [5, 6]
-        scenarios = [
-            single_ap_scenario(ENV, AntennaMode.CAS, seed=s) for s in seeds
-        ]
+        scenarios = single_ap_scenario(ENV, AntennaMode.CAS, seeds=seeds)
         model = ScriptedTraffic(self.SCRIPT)
         batch = RoundBasedEvaluatorBatch(
             scenarios, MacMode.CAS, seeds=seeds, traffic=model
@@ -175,9 +173,9 @@ class TestRoundEngineMultiClass:
             assert_rounds_match(result, golden)
 
     def test_cbr_voice_rides_voice_class_in_midas(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=2)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[2])
         [result] = RoundBasedEvaluatorBatch(
-            [scenario], MacMode.MIDAS, seeds=[2],
+            scenario, MacMode.MIDAS, seeds=[2],
             traffic="cbr", traffic_kwargs={"rate_mbps": 0.5, "category": "voice"},
         ).run(20)
         categories = result.delay_category_samples

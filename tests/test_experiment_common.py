@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import capacity_for
+from repro.channel.batch import ChannelBatch
 from repro.experiments.common import (
     ExperimentResult,
-    batched_channels,
     greedy_siso_snrs_batch,
     require_moving,
     sweep_on_batch_axis,
@@ -17,16 +17,16 @@ from repro.topology.scenarios import office_b, single_ap_scenario
 
 @pytest.fixture(scope="module")
 def scenario():
-    return single_ap_scenario(office_b(), AntennaMode.DAS, seed=2)
+    return single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[2])
 
 
 def _channel(scenario, seed):
-    return batched_channels([scenario], [seed]).channel_matrices()[0]
+    return ChannelBatch(scenario.deployment, scenario.radio, [seed]).channel_matrices()[0]
 
 
 def _snr_batch_of_one(scenario, seed):
     """``(1, n_clients, n_antennas)`` link SNRs: a batch of one topology."""
-    return batched_channels([scenario], [seed]).snr_db_map()
+    return ChannelBatch(scenario.deployment, scenario.radio, [seed]).snr_db_map()
 
 
 class TestCapacityFor:

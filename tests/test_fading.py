@@ -5,14 +5,8 @@ import pytest
 from scipy.special import j0
 
 from repro import units
-from repro.channel.batch import ChannelBatch
-from repro.channel.fading import (
-    angular_spread_correlation,
-    correlation_for,
-    correlation_sqrt,
-    jakes_correlation,
-    sample_fading,
-)
+from repro.channel.batch import ChannelBatch, stacked_correlation
+from repro.channel.fading import correlation_sqrt, sample_fading
 from repro.config import RadioConfig
 from repro.topology.deployment import AntennaMode, Deployment
 
@@ -34,14 +28,14 @@ def fading_channel(
     )
     antennas = np.asarray(antenna_positions, dtype=float)
     deployment = Deployment(
-        ap_positions=[(0.0, 0.0)],
-        antenna_positions=antennas,
+        ap_positions=[[(0.0, 0.0)]],
+        antenna_positions=antennas[None],
         antenna_ap=np.zeros(len(antennas), dtype=int),
-        client_positions=np.tile([[3.0, 4.0]], (n_rx, 1)),
+        client_positions=np.tile([[3.0, 4.0]], (1, n_rx, 1)),
         client_ap=np.zeros(n_rx, dtype=int),
         mode=AntennaMode.DAS,
     )
-    return ChannelBatch([deployment], radio, seeds=[seed])
+    return ChannelBatch(deployment, radio, seeds=[seed])
 
 
 def unit_fading(channel) -> np.ndarray:
@@ -69,61 +63,68 @@ class TestSampleFading:
             sample_fading(np.random.default_rng(0), 2, 2, rician_k=-1.0)
 
 
+def correlation(points, spread_deg=None):
+    """One layout's tx-side correlation: ``stacked_correlation`` on a batch
+    of one (``spread_deg=None`` is isotropic Jakes scattering)."""
+    return stacked_correlation(np.asarray(points, dtype=float)[None], WAVELENGTH, spread_deg)[0]
+
+
 class TestCorrelationModels:
     def test_jakes_diagonal_is_one(self):
-        pts = [(0, 0), (WAVELENGTH / 2, 0)]
-        corr = jakes_correlation(pts, WAVELENGTH)
+        corr = correlation([(0, 0), (WAVELENGTH / 2, 0)])
         np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-9)
 
     def test_jakes_matches_bessel(self):
         d = WAVELENGTH / 2
-        corr = jakes_correlation([(0, 0), (d, 0)], WAVELENGTH)
+        corr = correlation([(0, 0), (d, 0)])
         assert corr[0, 1] == pytest.approx(float(j0(np.pi)), abs=0.05)
 
     def test_angular_spread_decreases_with_distance(self):
         pts = [(0, 0), (WAVELENGTH / 2, 0), (5 * WAVELENGTH, 0)]
-        corr = angular_spread_correlation(pts, WAVELENGTH, 15.0)
+        corr = correlation(pts, 15.0)
         assert corr[0, 1] > corr[0, 2]
 
     def test_angular_spread_higher_correlation_for_narrow_spread(self):
         pts = [(0, 0), (WAVELENGTH / 2, 0)]
-        narrow = angular_spread_correlation(pts, WAVELENGTH, 8.0)
-        wide = angular_spread_correlation(pts, WAVELENGTH, 40.0)
-        assert narrow[0, 1] > wide[0, 1]
+        assert correlation(pts, 8.0)[0, 1] > correlation(pts, 40.0)[0, 1]
 
     def test_distributed_antennas_nearly_uncorrelated(self):
-        pts = [(0, 0), (5.0, 0)]
-        corr = angular_spread_correlation(pts, WAVELENGTH, 15.0)
+        corr = correlation([(0, 0), (5.0, 0)], 15.0)
         assert abs(corr[0, 1]) < 0.01
 
     def test_psd(self):
         pts = [(0, 0), (WAVELENGTH / 2, 0), (WAVELENGTH, 0), (3 * WAVELENGTH / 2, 0)]
-        for corr in (
-            jakes_correlation(pts, WAVELENGTH),
-            angular_spread_correlation(pts, WAVELENGTH, 15.0),
-        ):
+        for corr in (correlation(pts), correlation(pts, 15.0)):
             eigvals = np.linalg.eigvalsh(corr)
             assert np.all(eigvals >= -1e-9)
 
-    def test_correlation_for_selects_model(self):
-        pts = [(0, 0), (WAVELENGTH / 2, 0)]
-        np.testing.assert_allclose(
-            correlation_for(pts, WAVELENGTH, None), jakes_correlation(pts, WAVELENGTH)
-        )
-        np.testing.assert_allclose(
-            correlation_for(pts, WAVELENGTH, 15.0),
-            angular_spread_correlation(pts, WAVELENGTH, 15.0),
+    def test_spread_selects_the_model(self):
+        """``None`` is Jakes' ``J0(2 pi d / lambda)``; a spread is the
+        Gaussian ``exp(-2 (pi d sigma / lambda)^2)`` (both already PSD for
+        two antennas, so the projection leaves them as they are)."""
+        d = WAVELENGTH / 2
+        pts = [(0, 0), (d, 0)]
+        assert correlation(pts)[0, 1] == pytest.approx(float(j0(2 * np.pi * d / WAVELENGTH)))
+        sigma = np.radians(15.0)
+        assert correlation(pts, 15.0)[0, 1] == pytest.approx(
+            np.exp(-2.0 * (np.pi * d * sigma / WAVELENGTH) ** 2)
         )
 
+    @pytest.mark.parametrize("spread_deg", [None, 15.0])
+    def test_stacked_batch_equals_each_layout_alone(self, spread_deg):
+        layouts = np.random.default_rng(3).uniform(-0.2, 0.2, (5, 4, 2))
+        stacked = stacked_correlation(layouts, WAVELENGTH, spread_deg)
+        for item, layout in enumerate(layouts):
+            np.testing.assert_array_equal(stacked[item], correlation(layout, spread_deg))
+
     def test_sqrt_squares_back(self):
-        pts = [(0, 0), (WAVELENGTH / 2, 0), (WAVELENGTH, 0)]
-        corr = angular_spread_correlation(pts, WAVELENGTH, 15.0)
+        corr = correlation([(0, 0), (WAVELENGTH / 2, 0), (WAVELENGTH, 0)], 15.0)
         root = correlation_sqrt(corr)
         np.testing.assert_allclose(root @ root.conj().T, corr, atol=1e-9)
 
     def test_invalid_spread_rejected(self):
         with pytest.raises(ValueError):
-            angular_spread_correlation([(0, 0)], WAVELENGTH, 0.0)
+            correlation([(0, 0)], 0.0)
 
 
 class TestFadingEvolution:
@@ -243,14 +244,12 @@ class TestBatchAdvanceComposition:
 
         env = office_a()
         seeds = [0, 1, 2]
-        scens = [
-            single_ap_scenario(env, AntennaMode.DAS, seed=s) for s in seeds
-        ]
+        scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=seeds)
         singles = [
-            ChannelBatch([s.deployment], s.radio, seeds=[seed])
-            for s, seed in zip(scens, seeds)
+            ChannelBatch(scenario.deployment.take([i]), scenario.radio, seeds=[seed])
+            for i, seed in enumerate(seeds)
         ]
-        batch = ChannelBatch([s.deployment for s in scens], scens[0].radio, seeds)
+        batch = ChannelBatch(scenario.deployment, scenario.radio, seeds)
         return singles, batch
 
     def test_full_batch_per_item_doppler(self):

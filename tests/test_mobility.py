@@ -45,18 +45,18 @@ MOVING_CASES = [
 GOLDEN = goldens()
 
 
-def _deployment(seed=0):
-    return single_ap_scenario(ENV, AntennaMode.DAS, seed=seed).deployment
+def _deployment(*seeds):
+    return single_ap_scenario(ENV, AntennaMode.DAS, seeds=seeds or [0]).deployment
 
 
 def one_state(model, deployment, rng):
     """The stacked mobility state of one topology: a batch of one."""
-    return MobilityState([model], [deployment], [rng])
+    return MobilityState([model], deployment, [rng])
 
 
 def one_topology(scenario, mode, seed, **kwargs):
     """The round engine on one topology: a batch of one."""
-    return RoundBasedEvaluatorBatch([scenario], mode, seeds=[seed], **kwargs)
+    return RoundBasedEvaluatorBatch(scenario, mode, seeds=[seed], **kwargs)
 
 
 class TestRegistry:
@@ -113,7 +113,7 @@ class TestModels:
         model = resolve_mobility(name, **kwargs)
         state = one_state(model, deployment, np.random.default_rng(0))
         start = state.positions[0].copy()
-        lo, hi = model.roaming_bounds(deployment)
+        lo, hi = (corner[0] for corner in model.roaming_bounds(deployment))
         for __ in range(200):
             state.advance(0.02)
             assert np.all(state.positions[0] >= lo - 1e-9)
@@ -204,20 +204,19 @@ class TestMobilityState:
     def test_build_helper_sentinels(self):
         deployment = _deployment()
         rng = np.random.default_rng(0)
-        assert build_mobility_state(None, [None], [deployment], [rng]) is None
-        assert build_mobility_state("static", [None], [deployment], [rng]) is None
+        assert build_mobility_state(None, [None], deployment, [rng]) is None
+        assert build_mobility_state("static", [None], deployment, [rng]) is None
         state = build_mobility_state(
-            "gauss_markov", [{"speed_mps": 1.0}], [deployment], [rng]
+            "gauss_markov", [{"speed_mps": 1.0}], deployment, [rng]
         )
         assert isinstance(state, MobilityState)
         assert state.positions.shape == (1, deployment.n_clients, 2)
 
     def test_equal_models_share_one_group(self):
-        deployments = [_deployment(s) for s in range(4)]
         state = build_mobility_state(
             "gauss_markov",
             [{"speed_mps": 1.0}, {"speed_mps": 2.0}, {"speed_mps": 1.0}, {}],
-            deployments,
+            _deployment(0, 1, 2, 3),
             [np.random.default_rng(s) for s in range(4)],
         )
         groups = [items.tolist() for __, items, *__ in state._groups]
@@ -280,13 +279,15 @@ class TestStackedMatchesPerItemOracle:
     )
     def test_positions_speeds_clocks_and_draws(self, picks, advances):
         models = [_MODEL_POOL[p] for p in picks]
-        deployments = [_deployment(b % 2) for b in range(len(models))]
+        deployment = _deployment(*(b % 2 for b in range(len(models))))
         stacked = MobilityState(
-            models, deployments, [np.random.default_rng(100 + b) for b in range(len(models))]
+            models, deployment, [np.random.default_rng(100 + b) for b in range(len(models))]
         )
         oracles = [
-            mobility_oracle.MobilityState(model, dep, np.random.default_rng(100 + b))
-            for b, (model, dep) in enumerate(zip(models, deployments))
+            mobility_oracle.MobilityState(
+                model, deployment.take([b]), np.random.default_rng(100 + b)
+            )
+            for b, model in enumerate(models)
         ]
         for dt_s, mask in advances:
             items = None if mask is None else np.flatnonzero(mask[: len(models)])
@@ -309,7 +310,7 @@ class TestStaticBitIdentity:
     first round of a moving run (sounded, not yet moved) matches static."""
 
     def test_round_engine_static_sentinel(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=3)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[3])
         [a] = one_topology(scenario, MacMode.MIDAS, 3).run(6)
         [b] = one_topology(scenario, MacMode.MIDAS, 3, mobility="static").run(6)
         for name in ("capacity_bps_hz", "n_streams"):
@@ -318,7 +319,7 @@ class TestStaticBitIdentity:
         assert np.all(b.column("sounding_us") == 0.0)
 
     def test_batch_engine_static_sentinel(self):
-        scenarios = [three_ap_scenario(ENV, seed=s)[AntennaMode.DAS] for s in SEEDS]
+        scenarios = three_ap_scenario(ENV, seeds=SEEDS)[AntennaMode.DAS]
         a = RoundBasedEvaluatorBatch(scenarios, MacMode.MIDAS, seeds=SEEDS).run(4)
         b = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS, mobility="static"
@@ -329,7 +330,7 @@ class TestStaticBitIdentity:
             )
 
     def test_network_sim_static_sentinel(self):
-        scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         sim = SimConfig(duration_s=0.03)
         a = NetworkSimulation(scenario, MacMode.MIDAS, sim, seed=0).run()
         b = NetworkSimulation(
@@ -344,7 +345,7 @@ class TestStaticBitIdentity:
         # Round 0 of a mobility run is freshly sounded and nothing has
         # moved yet, so its plan/precoders/SINRs must equal the static
         # run's round 0 exactly (tags re-derive to the same tables).
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=5)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[5])
         static = one_topology(scenario, MacMode.MIDAS, 5)
         moving = one_topology(
             scenario, MacMode.MIDAS, 5,
@@ -366,7 +367,7 @@ class TestFiniteSpeedGoldens:
         (MacMode.CAS, AntennaMode.CAS),
     ])
     def test_three_ap_batch_matches_goldens(self, name, kwargs, mode, antenna_mode):
-        scenarios = [three_ap_scenario(ENV, seed=s)[antenna_mode] for s in SEEDS]
+        scenarios = three_ap_scenario(ENV, seeds=SEEDS)[antenna_mode]
         batch = RoundBasedEvaluatorBatch(
             scenarios, mode, seeds=SEEDS, mobility=name, mobility_kwargs=kwargs,
             resound_period_rounds=3,
@@ -375,9 +376,7 @@ class TestFiniteSpeedGoldens:
             assert_rounds_match(result, golden)
 
     def test_mobility_with_traffic_matches_goldens(self):
-        scenarios = [
-            single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
-        ]
+        scenarios = single_ap_scenario(ENV, AntennaMode.DAS, seeds=SEEDS)
         common = dict(
             traffic="poisson", traffic_kwargs={"rate_mbps": 10.0},
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.2},
@@ -390,9 +389,7 @@ class TestFiniteSpeedGoldens:
             assert_rounds_match(result, golden)
 
     def test_item_mask_matches_goldens(self):
-        scenarios = [
-            single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
-        ]
+        scenarios = single_ap_scenario(ENV, AntennaMode.DAS, seeds=SEEDS)
         mask = np.array([True, False, True])
         results = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS,
@@ -406,7 +403,7 @@ class TestFiniteSpeedGoldens:
 
 class TestStaleness:
     def test_resound_period_charges_sounding_only_on_sounding_rounds(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=1)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[1])
         [result] = one_topology(
             scenario, MacMode.MIDAS, 1,
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.0},
@@ -423,7 +420,7 @@ class TestStaleness:
         # With pedestrian Doppler at 5 GHz the channel decorrelates within
         # a few coherence blocks, so precoding on 8-round-old CSI must lose
         # capacity against per-round re-sounding on the same trajectory.
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=2)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[2])
         kwargs = dict(
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.5},
         )
@@ -436,12 +433,12 @@ class TestStaleness:
         assert stale.mean_capacity_bps_hz < fresh.mean_capacity_bps_hz
 
     def test_invalid_resound_period(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=0)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[0])
         with pytest.raises(ValueError):
             one_topology(scenario, MacMode.MIDAS, 0, resound_period_rounds=0)
 
     def test_network_sim_mobility_runs(self):
-        scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         result = NetworkSimulation(
             scenario, MacMode.MIDAS, SimConfig(duration_s=0.03), seed=0,
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.5},
@@ -454,7 +451,7 @@ class TestStaleness:
     def test_network_sim_mobility_without_interval_runs(self):
         # No re-sounding interval: every TXOP sounds fresh CSI and the
         # tags re-derive per TXOP (anchor handoff without staleness).
-        scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         result = NetworkSimulation(
             scenario, MacMode.MIDAS, SimConfig(duration_s=0.03), seed=0,
             mobility="gauss_markov", mobility_kwargs={"speed_mps": 1.5},

@@ -20,48 +20,48 @@ SIM = SimConfig(duration_s=0.05)
 
 @pytest.fixture(scope="module")
 def three_ap_pair():
-    return three_ap_scenario(office_b(), seed=3)
+    return three_ap_scenario(office_b(), seeds=[3])
 
 
 class TestSingleAp:
     def test_cas_run_produces_throughput(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=1)
+        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seeds=[1])
         result = NetworkSimulation(scenario, MacMode.CAS, SIM, seed=1).run()
         assert result.txop_count > 0
         assert result.network_capacity_bps_hz > 0
 
     def test_midas_run_produces_throughput(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=1)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[1])
         result = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=1).run()
         assert result.txop_count > 0
         assert result.network_capacity_bps_hz > 0
 
     def test_per_client_nonnegative(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=2)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[2])
         result = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=2).run()
         assert np.all(result.per_client_bits_per_hz >= 0)
 
     def test_concurrency_bounded_by_antennas(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=2)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[2])
         result = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=2).run()
         assert result.mean_concurrent_streams <= scenario.deployment.n_antennas
 
     def test_deterministic_by_seed(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=4)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[4])
         a = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=7).run()
         b = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=7).run()
         np.testing.assert_allclose(a.per_client_bits_per_hz, b.per_client_bits_per_hz)
         assert a.txop_count == b.txop_count
 
     def test_different_seeds_differ(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=4)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[4])
         a = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=1).run()
         b = NetworkSimulation(scenario, MacMode.MIDAS, SIM, seed=2).run()
         assert not np.allclose(a.per_client_bits_per_hz, b.per_client_bits_per_hz)
 
     def test_cas_single_ap_serializes(self):
         # One CAS AP alone: streams per TXOP equals antennas, airtime < 100%.
-        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=5)
+        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seeds=[5])
         result = NetworkSimulation(scenario, MacMode.CAS, SIM, seed=5).run()
         assert result.stream_count == 4 * result.txop_count
 
@@ -95,22 +95,22 @@ def _sim_overhears(scenario) -> bool:
         sim.carrier_sense.decodable_mask(),
         [deployment.antennas_of(ap) for ap in range(deployment.n_aps)],
     )
-    gate = RoundBasedEvaluatorBatch.mutual_overhear_mask([scenario], seeds=[0])
+    gate = RoundBasedEvaluatorBatch.mutual_overhear_mask(scenario, seeds=[0])
     assert np.array_equal(verdict, gate)
     return bool(verdict[0])
 
 
 class TestOverhearPredicate:
     def test_colocated_aps_overhear(self):
-        pair = three_ap_scenario(office_b(), seed=0, inter_ap_m=2.0)
+        pair = three_ap_scenario(office_b(), seeds=[0], inter_ap_m=2.0)
         assert _sim_overhears(pair[AntennaMode.CAS])
 
     def test_distant_aps_do_not_overhear(self):
-        pair = three_ap_scenario(office_b(), seed=0, inter_ap_m=500.0)
+        pair = three_ap_scenario(office_b(), seeds=[0], inter_ap_m=500.0)
         assert not _sim_overhears(pair[AntennaMode.CAS])
 
     def test_single_ap_trivially_true(self):
-        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=0)
+        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seeds=[0])
         assert _sim_overhears(scenario)
 
 
@@ -126,7 +126,7 @@ class TestGoldens:
     ], ids=lambda case: case[0])
     def test_single_ap(self, case):
         key, antenna_mode, mac_mode = case
-        scenario = single_ap_scenario(office_b(), antenna_mode, seed=1)
+        scenario = single_ap_scenario(office_b(), antenna_mode, seeds=[1])
         result = NetworkSimulation(scenario, mac_mode, SIM, seed=1).run()
         assert_network_matches(result, self.GOLDEN[key])
 

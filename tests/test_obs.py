@@ -271,11 +271,11 @@ class TestProbes:
             obs.gauge("queue_bytes", float(log.queue_bytes[round_index].sum()))
 
         telemetry = Telemetry()
-        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seed=3)
+        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seeds=[3])
         try:
             with obs.use(telemetry):
                 [result] = RoundBasedEvaluatorBatch(
-                    [scenario], MacMode.CAS, seeds=[3],
+                    scenario, MacMode.CAS, seeds=[3],
                     traffic="poisson", traffic_kwargs={"rate_mbps": 40.0},
                 ).run(4)
         finally:

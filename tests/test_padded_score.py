@@ -29,7 +29,7 @@ SEEDS = (0, 1, 2)
 @lru_cache(maxsize=None)
 def _evaluator(mode: MacMode, csi_error_std: float) -> RoundBasedEvaluatorBatch:
     antenna_mode = AntennaMode.CAS if mode is MacMode.CAS else AntennaMode.DAS
-    scenarios = [three_ap_scenario(office_b(), seed=s)[antenna_mode] for s in SEEDS]
+    scenarios = three_ap_scenario(office_b(), seeds=SEEDS)[antenna_mode]
     return RoundBasedEvaluatorBatch(
         scenarios, mode, sim=SimConfig(csi_error_std=csi_error_std), seeds=list(SEEDS)
     )
@@ -82,7 +82,7 @@ def _plans(draw):
 def test_padded_score_matches_grouped_oracle(plan, mode, csi_error_std):
     plan, item_active = plan
     ev = _evaluator(mode, csi_error_std)
-    radio = ev.scenarios[0].radio
+    radio = ev.scenario.radio
     h = ev.channel.channel_matrices()
     oracle_rngs = copy.deepcopy(ev._csi_rngs)
     capacity, n_streams, per_ap_streams, sinrs = ev._score_round(plan)

@@ -32,9 +32,9 @@ class TestImportSurface:
 class TestReadmeQuickstart:
     def test_quickstart_flow(self):
         scenario = repro.single_ap_scenario(
-            repro.office_b(), repro.AntennaMode.DAS, seed=7
+            repro.office_b(), repro.AntennaMode.DAS, seeds=[7]
         )
-        channel = repro.ChannelBatch([scenario.deployment], scenario.radio, seeds=[7])
+        channel = repro.ChannelBatch(scenario.deployment, scenario.radio, seeds=[7])
         h = channel.channel_matrices()  # a batch of one
         p = scenario.radio.per_antenna_power_mw
         noise = scenario.radio.noise_mw
@@ -54,9 +54,9 @@ class TestReadmeQuickstart:
     def test_docstring_example_values(self):
         # The module docstring promises converged=True for seed 7.
         scenario = repro.single_ap_scenario(
-            repro.office_b(), repro.AntennaMode.DAS, seed=7
+            repro.office_b(), repro.AntennaMode.DAS, seeds=[7]
         )
-        channel = repro.ChannelBatch([scenario.deployment], scenario.radio, seeds=[7])
+        channel = repro.ChannelBatch(scenario.deployment, scenario.radio, seeds=[7])
         result = repro.power_balanced_precoder(
             channel.channel_matrices(),
             scenario.radio.per_antenna_power_mw,

@@ -139,10 +139,10 @@ class TestSpawnSeeds:
         from repro.topology.deployment import AntennaMode
         from repro.topology.scenarios import office_b, single_ap_scenario
 
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=2)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[2])
         parent = np.random.default_rng(4)
         reference = np.random.default_rng(4)
-        ChannelBatch([scenario.deployment], scenario.radio, [parent])
+        ChannelBatch(scenario.deployment, scenario.radio, [parent])
         _old_spawn(reference, 2)
         assert (
             parent.bit_generator.seed_seq.n_children_spawned
@@ -183,12 +183,12 @@ class TestEngineLeaves:
         from repro.topology.deployment import AntennaMode
         from repro.topology.scenarios import office_b, single_ap_scenario
 
-        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seed=2)
-        n_sites = len(set(group_antenna_sites(scenario.deployment.antenna_positions)))
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=[2])
+        n_sites = len(set(group_antenna_sites(scenario.deployment.antenna_positions[0])))
 
         def build(**kwargs):
             return lambda: RoundBasedEvaluatorBatch(
-                [scenario], MacMode.MIDAS, seeds=[3], **kwargs
+                scenario, MacMode.MIDAS, seeds=[3], **kwargs
             )
 
         # Full buffer, static clients, perfect CSI: only the site fields draw

@@ -24,13 +24,13 @@ COLUMNS = (
 )
 
 
-def _scenario(seed):
-    return single_ap_scenario(ENV, AntennaMode.DAS, seed=seed)
+def _scenario(seeds):
+    return single_ap_scenario(ENV, AntennaMode.DAS, seeds=seeds)
 
 
 def _run(seeds, loads, n_rounds=N_ROUNDS, item_mask=None):
     return RoundBasedEvaluatorBatch(
-        [_scenario(s) for s in seeds], MacMode.MIDAS, seeds=seeds,
+        _scenario(seeds), MacMode.MIDAS, seeds=seeds,
         traffic="poisson", traffic_kwargs=loads,
     ).run(n_rounds, item_mask=item_mask)
 
@@ -100,7 +100,7 @@ class TestBatchComposition:
         # One AP: the primary-AP rotation restarts in the second run without
         # changing anything, so run(6) then run(4) replays run(10).
         evaluator = RoundBasedEvaluatorBatch(
-            [_scenario(s) for s in SEEDS], MacMode.MIDAS, seeds=SEEDS,
+            _scenario(SEEDS), MacMode.MIDAS, seeds=SEEDS,
             traffic="poisson", traffic_kwargs=LOADS,
         )
         evaluator.run(6)
@@ -119,7 +119,7 @@ class TestBatchComposition:
 class TestEvaluateRound:
     def test_returns_one_row_of_batch_arrays(self):
         evaluator = RoundBasedEvaluatorBatch(
-            [_scenario(s) for s in SEEDS], MacMode.MIDAS, seeds=SEEDS,
+            _scenario(SEEDS), MacMode.MIDAS, seeds=SEEDS,
             traffic="poisson", traffic_kwargs=LOADS,
         )
         row = evaluator.evaluate_round(0, [True, False, True])
@@ -127,7 +127,7 @@ class TestEvaluateRound:
         for name, values in row.items():
             assert values.shape[0] == len(SEEDS), name
             assert not np.any(values[1]), name
-        n_clients = _scenario(4).deployment.n_clients
+        n_clients = _scenario([4]).deployment.n_clients
         log = RoundLog(1, len(SEEDS), 1, n_clients, 1e-3)
         log.record(0, row)
         assert np.array_equal(log.per_ap_streams[0], row["per_ap_streams"])
@@ -136,7 +136,7 @@ class TestEvaluateRound:
 class TestFullBuffer:
     def test_traffic_accessors_raise_and_columns_are_absent(self):
         [result] = RoundBasedEvaluatorBatch(
-            [_scenario(4)], MacMode.MIDAS, seeds=[4]
+            _scenario([4]), MacMode.MIDAS, seeds=[4]
         ).run(3)
         assert not result.has_traffic
         assert result.log.arrived_bytes is None and result.log.delays_s is None

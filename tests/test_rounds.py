@@ -10,7 +10,7 @@ from repro.topology.scenarios import office_b, three_ap_scenario
 
 def evaluator(scenario, mode, seed):
     """The round engine on one topology: a batch of one."""
-    return RoundBasedEvaluatorBatch([scenario], mode, seeds=[seed])
+    return RoundBasedEvaluatorBatch(scenario, mode, seeds=[seed])
 
 
 def run(scenario, mode, seed, n_rounds):
@@ -21,8 +21,8 @@ def run(scenario, mode, seed, n_rounds):
 def overhearing_pair():
     # Find a topology where the CAS APs mutually overhear (the paper's rule).
     for seed in range(200):
-        pair = three_ap_scenario(office_b(), seed=seed)
-        if RoundBasedEvaluatorBatch.mutual_overhear_mask([pair[AntennaMode.CAS]], [seed])[0]:
+        pair = three_ap_scenario(office_b(), seeds=[seed])
+        if RoundBasedEvaluatorBatch.mutual_overhear_mask(pair[AntennaMode.CAS], [seed])[0]:
             return pair, seed
     pytest.skip("no overhearing topology found in 200 seeds")
 

@@ -11,7 +11,6 @@ from helpers import shadowing_oracle as oracle
 from repro.channel.batch import ChannelBatch
 from repro.channel.shadowing import (
     LatticeNodeStore,
-    ShadowingField,
     group_antenna_sites,
     group_antenna_sites_batch,
     sample_site_fields,
@@ -21,39 +20,49 @@ from repro.topology.deployment import AntennaMode, Deployment
 from repro.topology.scenarios import office_b, single_ap_scenario
 
 
+def one_field(rng, sigma_db, correlation_m) -> LatticeNodeStore:
+    """A lattice node store of one shadowing field (one item, one site)."""
+    return LatticeNodeStore([[rng]], sigma_db, correlation_m)
+
+
+def sample(store, points) -> np.ndarray:
+    """The one field's shadowing in dB at each point, ``(n_points,)``."""
+    return sample_site_fields(store, np.asarray(points, dtype=float))[0, 0]
+
+
 class TestShadowingField:
     def test_zero_sigma_is_zero_everywhere(self):
-        field = ShadowingField(np.random.default_rng(0), 0.0, 8.0)
-        np.testing.assert_array_equal(field.sample([(1, 2), (3, 4)]), [0.0, 0.0])
+        field = one_field(np.random.default_rng(0), 0.0, 8.0)
+        np.testing.assert_array_equal(sample(field, [(1, 2), (3, 4)]), [0.0, 0.0])
 
     def test_consistent_resampling(self):
-        field = ShadowingField(np.random.default_rng(0), 6.0, 8.0)
+        field = one_field(np.random.default_rng(0), 6.0, 8.0)
         pts = [(1.0, 2.0), (-3.0, 0.5)]
-        np.testing.assert_array_equal(field.sample(pts), field.sample(pts))
+        np.testing.assert_array_equal(sample(field, pts), sample(field, pts))
 
     def test_marginal_std_close_to_sigma(self):
-        field = ShadowingField(np.random.default_rng(1), 6.0, 8.0)
+        field = one_field(np.random.default_rng(1), 6.0, 8.0)
         rng = np.random.default_rng(2)
         # Sample far-apart points so they are nearly independent draws.
         pts = rng.uniform(-500, 500, (600, 2))
-        values = field.sample(pts)
+        values = sample(field, pts)
         assert np.std(values) == pytest.approx(6.0, rel=0.15)
 
     def test_nearby_points_are_correlated(self):
         sigma = 6.0
         diffs_near, diffs_far = [], []
         for seed in range(60):
-            field = ShadowingField(np.random.default_rng(seed), sigma, 8.0)
-            base, near, far = field.sample([(10.0, 10.0), (10.5, 10.0), (300.0, 300.0)])
+            field = one_field(np.random.default_rng(seed), sigma, 8.0)
+            base, near, far = sample(field, [(10.0, 10.0), (10.5, 10.0), (300.0, 300.0)])
             diffs_near.append(base - near)
             diffs_far.append(base - far)
         assert np.std(diffs_near) < np.std(diffs_far) * 0.5
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ShadowingField(np.random.default_rng(0), -1.0, 8.0)
+            one_field(np.random.default_rng(0), -1.0, 8.0)
         with pytest.raises(ValueError):
-            ShadowingField(np.random.default_rng(0), 5.0, 0.0)
+            one_field(np.random.default_rng(0), 5.0, 0.0)
 
 
 class TestSiteGrouping:
@@ -104,18 +113,18 @@ class TestVectorizedSampling:
     def test_matches_scalar_reference(self, n_points):
         rng = np.random.default_rng(4)
         points = rng.uniform(-25, 25, (n_points, 2))
-        fast = ShadowingField(np.random.default_rng(77), 9.0, 8.0)
+        fast = one_field(np.random.default_rng(77), 9.0, 8.0)
         reference = oracle.ShadowingField(np.random.default_rng(77), 9.0, 8.0)
         np.testing.assert_array_equal(
-            fast.sample(points), oracle.walk_sample(reference, points)
+            sample(fast, points), oracle.walk_sample(reference, points)
         )
         # A second overlapping query reuses stored nodes identically.
         more = rng.uniform(-25, 25, (n_points, 2))
         np.testing.assert_array_equal(
-            fast.sample(more), oracle.walk_sample(reference, more)
+            sample(fast, more), oracle.walk_sample(reference, more)
         )
-        assert oracle.store_nodes(fast._store, 0) == reference.nodes
-        assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert oracle.store_nodes(fast, 0) == reference.nodes
+        assert fast.generator(0).bit_generator.state == reference.rng.bit_generator.state
 
 
 def _components_oracle(points, tolerance_m=1.0):
@@ -197,17 +206,14 @@ def _chained_deployments():
         [(0.0, 0.0), (0.0286, 0.0), (0.0572, 0.0), (0.0858, 0.0)],
     ]
     clients = np.random.default_rng(5).uniform(-15, 15, (len(layouts), 3, 2))
-    return [
-        Deployment(
-            ap_positions=[(0.0, 0.0)],
-            antenna_positions=layout,
-            antenna_ap=[0] * 4,
-            client_positions=clients[b],
-            client_ap=[0] * 3,
-            mode=AntennaMode.DAS,
-        )
-        for b, layout in enumerate(layouts)
-    ]
+    return Deployment(
+        ap_positions=np.zeros((len(layouts), 1, 2)),
+        antenna_positions=layouts,
+        antenna_ap=[0] * 4,
+        client_positions=clients,
+        client_ap=[0] * 3,
+        mode=AntennaMode.DAS,
+    )
 
 
 class TestStackedNodeCache:
@@ -218,9 +224,9 @@ class TestStackedNodeCache:
     SEEDS = [3, 41, 2**33 + 1]
 
     @staticmethod
-    def _reference_fields(deployment, radio, seed):
+    def _reference_fields(antenna_positions, radio, seed):
         shadow, _fading = _old_spawn(np.random.default_rng(seed), 2)
-        site_of = group_antenna_sites(deployment.antenna_positions)
+        site_of = group_antenna_sites(antenna_positions)
         site_rngs = _old_spawn(shadow, int(site_of.max()) + 1)
         fields = [
             oracle.ShadowingField(
@@ -230,18 +236,19 @@ class TestStackedNodeCache:
         ]
         return site_of, fields
 
-    def _check(self, deployments, radio, survey=None):
-        moved = np.stack([d.client_positions for d in deployments]) + 3.7
-        channel = ChannelBatch(deployments, radio, self.SEEDS[: len(deployments)])
+    def _check(self, deployment, radio, survey=None):
+        moved = deployment.client_positions + 3.7
+        channel = ChannelBatch(deployment, radio, self.SEEDS[: len(deployment)])
         channel.antenna_cross_power_dbm()
         channel.update_client_positions(moved)
         survey_db = None if survey is None else channel.shadowing_db(survey)
-        for b, deployment in enumerate(deployments):
-            site_of, fields = self._reference_fields(deployment, radio, self.SEEDS[b])
+        for b in range(len(deployment)):
+            antennas = deployment.antenna_positions[b]
+            site_of, fields = self._reference_fields(antennas, radio, self.SEEDS[b])
             for field in fields:
-                field.sample(deployment.client_positions)
+                field.sample(deployment.client_positions[b])
             for field in fields:
-                field.sample(deployment.antenna_positions)
+                field.sample(antennas)
             for field in fields:
                 field.sample(moved[b])
             if survey is not None:
@@ -258,12 +265,12 @@ class TestStackedNodeCache:
                 )
 
     def test_cas_one_site(self):
-        scenarios = [single_ap_scenario(office_b(), AntennaMode.CAS, seed=s) for s in range(3)]
-        self._check([s.deployment for s in scenarios], scenarios[0].radio)
+        scenario = single_ap_scenario(office_b(), AntennaMode.CAS, seeds=range(3))
+        self._check(scenario.deployment, scenario.radio)
 
     def test_das_one_site_per_antenna(self):
-        scenarios = [single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in range(3)]
-        self._check([s.deployment for s in scenarios], scenarios[0].radio)
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=range(3))
+        self._check(scenario.deployment, scenario.radio)
 
     def test_chained_and_mixed_site_counts(self):
         self._check(_chained_deployments(), office_b().radio)
@@ -280,10 +287,10 @@ class TestStackedNodeCache:
         assert np.all(values[0] != 0.0)
 
     def test_survey_grid_over_64_keys(self):
-        scenarios = [single_ap_scenario(office_b(), AntennaMode.DAS, seed=s) for s in range(2)]
+        scenario = single_ap_scenario(office_b(), AntennaMode.DAS, seeds=range(2))
         grid = geometry.grid_points((-12.0, 12.0), (-12.0, 12.0), 1.0)
         assert grid.size * 2 > 64
-        self._check([s.deployment for s in scenarios], scenarios[0].radio, survey=grid)
+        self._check(scenario.deployment, scenario.radio, survey=grid)
 
 
 #: Lattice-scale coordinates on both sides of the origin: with 2.5 m cells,
@@ -374,25 +381,25 @@ class TestLatticeNodeStore:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected_without_drawing(self, bad):
-        field = ShadowingField(np.random.default_rng(0), 6.0, 8.0)
+        field = one_field(np.random.default_rng(0), 6.0, 8.0)
         with pytest.raises(ValueError, match="finite"):
-            field.sample([(1.0, 2.0), (bad, 0.0)])
-        assert field._store.keys.size == 0
-        assert field._store._generators == [None]
+            sample(field, [(1.0, 2.0), (bad, 0.0)])
+        assert field.keys.size == 0
+        assert field._generators == [None]
 
     def test_lattice_index_range_checked(self):
-        field = ShadowingField(np.random.default_rng(0), 6.0, 8.0)
+        field = one_field(np.random.default_rng(0), 6.0, 8.0)
         lo = -8.0 * 2**20  # lowest cell index, -2**20
         hi = 8.0 * (2**20 - 2) + 4.0  # highest cell whose +1 corner still packs
-        values = field.sample([(lo, hi), (hi, lo), (0.0, 0.0)])
+        values = sample(field, [(lo, hi), (hi, lo), (0.0, 0.0)])
         assert np.all(np.isfinite(values))
-        assert field._store.keys.size == 12  # no two corners collide
-        nodes = oracle.store_nodes(field._store, 0)
+        assert field.keys.size == 12  # no two corners collide
+        nodes = oracle.store_nodes(field, 0)
         assert min(k // 2**31 for k in nodes) == -(2**20)
         for point in [(lo - 4.0, 0.0), (0.0, lo - 4.0), (hi + 4.0, 0.0), (0.0, hi + 4.0)]:
             with pytest.raises(ValueError, match="within"):
-                field.sample([point])
-        assert field._store.keys.size == 12
+                sample(field, [point])
+        assert field.keys.size == 12
 
     def test_field_count_checked(self):
         with pytest.raises(ValueError, match="2\\*\\*20 fields"):

@@ -30,9 +30,8 @@ from repro.sim.batch import (
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import (
     campus_scenario,
-    dense_office_scenario,
-    grid_region_scenario,
     office_b,
+    paired_scenarios,
     three_ap_scenario,
 )
 from repro.traffic.models import FullBufferTraffic, PoissonTraffic
@@ -42,7 +41,7 @@ SEEDS = [0, 1, 2, 3]
 
 
 def _three_ap(mode, seeds=SEEDS):
-    return [three_ap_scenario(ENV, seed=s)[mode] for s in seeds]
+    return three_ap_scenario(ENV, seeds=seeds)[mode]
 
 
 GOLDEN = goldens()
@@ -205,12 +204,6 @@ class TestRoundBasedEvaluatorBatch:
         )
         assert np.array_equal(counted, floats(GOLDEN["count_streams"]))
 
-    def test_rejects_mixed_structure(self):
-        three = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
-        dense = dense_office_scenario(ENV, seed=0)[AntennaMode.DAS]
-        with pytest.raises(ValueError, match="structure|share"):
-            RoundBasedEvaluatorBatch([three, dense], MacMode.MIDAS, seeds=[0, 1])
-
     def test_rejects_seed_count_mismatch(self):
         scenarios = _three_ap(AntennaMode.DAS, [0, 1])
         with pytest.raises(ValueError, match="seed"):
@@ -218,38 +211,35 @@ class TestRoundBasedEvaluatorBatch:
 
 
 # ----------------------------------------------------------------------
-# New scenario families at scale
+# Larger AP layouts
 # ----------------------------------------------------------------------
-class TestNewScenarioFamilies:
-    @pytest.mark.parametrize(
-        "factory,kwargs",
-        [
-            (grid_region_scenario, {"n_rows": 2, "n_cols": 2, "spacing_m": 18.0}),
-            (dense_office_scenario, {"n_aps": 2, "clients_per_ap": 10}),
-        ],
-    )
-    def test_batch_matches_goldens_on_family(self, factory, kwargs):
+def _grid_aps(n_rows, n_cols, spacing_m):
+    return [(col * spacing_m, row * spacing_m) for row in range(n_rows) for col in range(n_cols)]
+
+
+#: The AP grid and the crowded office row the goldens were recorded on,
+#: built with their historical placement rules.
+_FAMILIES = {
+    "grid_region": dict(
+        ap_positions=_grid_aps(2, 2, 18.0), client_radius_fraction=0.55,
+        das_radius_min_m=5.0, das_radius_max_m=10.0, min_separation_m=5.0,
+    ),
+    "dense_office": dict(
+        ap_positions=[(0.0, 0.0), (15.0, 0.0)], clients_per_ap=10,
+        client_radius_fraction=0.6,
+    ),
+}
+
+
+class TestLargerLayouts:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_batch_matches_goldens_on_family(self, family):
         seeds = [0, 1]
-        scenarios = [
-            factory(ENV, seed=s, **kwargs)[AntennaMode.DAS] for s in seeds
-        ]
-        batch = RoundBasedEvaluatorBatch(scenarios, MacMode.MIDAS, seeds=seeds)
+        scenario = paired_scenarios(ENV, seeds=seeds, **_FAMILIES[family])[AntennaMode.DAS]
+        batch = RoundBasedEvaluatorBatch(scenario, MacMode.MIDAS, seeds=seeds)
         results = batch.run(3)
-        family = factory.__name__.removesuffix("_scenario")
         for result, golden in zip(results, GOLDEN["families"][family]):
             assert_rounds_match(result, golden)
-
-    def test_grid_region_shape(self):
-        pair = grid_region_scenario(ENV, n_rows=2, n_cols=3, seed=1)
-        deployment = pair[AntennaMode.DAS].deployment
-        assert deployment.n_aps == 6
-        assert deployment.n_antennas == 24
-
-    def test_dense_office_overloads_antennas(self):
-        pair = dense_office_scenario(ENV, n_aps=2, clients_per_ap=12, seed=1)
-        deployment = pair[AntennaMode.DAS].deployment
-        assert deployment.n_clients == 24
-        assert deployment.n_clients > deployment.n_antennas
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +249,11 @@ ITEM_SEEDS = (3, 8)
 
 
 @lru_cache(maxsize=None)
-def _campus(seed: int):
+def _campus(*seeds: int):
     """A two-AP campus strip, small enough for many hypothesis examples."""
     return campus_scenario(
         ENV, n_rows=1, n_cols=2, spacing_m=18.0, antennas_per_ap=2,
-        clients_per_ap=2, seed=seed, modes=(AntennaMode.DAS,),
+        clients_per_ap=2, seeds=seeds, modes=(AntennaMode.DAS,),
     )[AntennaMode.DAS]
 
 
@@ -350,13 +340,13 @@ class TestPerItemArguments:
         }
         seeds = [seed for seed, __ in items]
         mixed = RoundBasedEvaluatorBatch(
-            [_campus(seed) for seed in seeds], mode, seeds=seeds,
+            _campus(*seeds), mode, seeds=seeds,
             **shared, **per_item,
         )
         results = mixed.run(4)
         for index, (seed, args) in enumerate(items):
             alone = RoundBasedEvaluatorBatch(
-                [_campus(seed)], mode, seeds=[seed], **shared, **args
+                _campus(seed), mode, seeds=[seed], **shared, **args
             )
             [expected] = alone.run(4)
             _assert_same_rounds(results[index], expected)
@@ -378,7 +368,7 @@ class TestPerItemArguments:
     def test_wrong_length_sequence_rejected(self, keyword, value):
         with pytest.raises(ValueError, match=f"{keyword} must be one value"):
             RoundBasedEvaluatorBatch(
-                [_campus(s) for s in ITEM_SEEDS], MacMode.MIDAS,
+                _campus(*ITEM_SEEDS), MacMode.MIDAS,
                 seeds=list(ITEM_SEEDS), traffic="poisson",
                 mobility="gauss_markov", **{keyword: value},
             )
@@ -394,7 +384,7 @@ class TestPerItemArguments:
         monkeypatch.setitem(TRAFFIC._items, "saturating", saturating)
         with pytest.raises(ValueError, match="full-buffer and finite-load"):
             RoundBasedEvaluatorBatch(
-                [_campus(s) for s in ITEM_SEEDS], MacMode.MIDAS,
+                _campus(*ITEM_SEEDS), MacMode.MIDAS,
                 seeds=list(ITEM_SEEDS), traffic="saturating",
                 traffic_kwargs=[{"rate_mbps": 0.0}, {"rate_mbps": 10.0}],
             )
@@ -408,7 +398,7 @@ class TestPerItemArguments:
         monkeypatch.setitem(MOBILITY._items, "parking", parking)
         with pytest.raises(ValueError, match="static and moving"):
             RoundBasedEvaluatorBatch(
-                [_campus(s) for s in ITEM_SEEDS], MacMode.MIDAS,
+                _campus(*ITEM_SEEDS), MacMode.MIDAS,
                 seeds=list(ITEM_SEEDS), mobility="parking",
                 mobility_kwargs=[{"speed_mps": 1.0}, {"speed_mps": 0.0}],
             )

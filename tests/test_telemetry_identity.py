@@ -125,7 +125,7 @@ def _scalar_engine_series(config: str) -> dict[str, np.ndarray]:
     if config == "roaming":
         scenario = campus_scenario(
             env, n_rows=2, n_cols=2, spacing_m=20.0, antennas_per_ap=4,
-            clients_per_ap=3, seed=7, modes=(AntennaMode.DAS,),
+            clients_per_ap=3, seeds=[7], modes=(AntennaMode.DAS,),
         )[AntennaMode.DAS]
         engine = NetworkSimulation(
             scenario, MacMode.MIDAS, sim, seed=7, mobility="gauss_markov",
@@ -133,7 +133,7 @@ def _scalar_engine_series(config: str) -> dict[str, np.ndarray]:
             association="hysteresis_handoff",
         )
     else:
-        scenario = paired_scenarios(env, [(0.0, 0.0)], seed=7, name="telemetry")[
+        scenario = paired_scenarios(env, [(0.0, 0.0)], seeds=[7])[
             AntennaMode.DAS
         ]
         engine = NetworkSimulation(

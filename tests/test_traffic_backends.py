@@ -27,7 +27,7 @@ TRAFFIC_CASES = [
 
 def one_topology(scenario, mode, seed, **kwargs):
     """The round engine on one topology: a batch of one."""
-    return RoundBasedEvaluatorBatch([scenario], mode, seeds=[seed], **kwargs)
+    return RoundBasedEvaluatorBatch(scenario, mode, seeds=[seed], **kwargs)
 
 
 class TestRoundEngineGoldens:
@@ -37,7 +37,7 @@ class TestRoundEngineGoldens:
         (MacMode.CAS, AntennaMode.CAS),
     ])
     def test_three_ap_batch_matches_goldens(self, traffic, kwargs, mode, antenna_mode):
-        scenarios = [three_ap_scenario(ENV, seed=s)[antenna_mode] for s in SEEDS]
+        scenarios = three_ap_scenario(ENV, seeds=SEEDS)[antenna_mode]
         batch = RoundBasedEvaluatorBatch(
             scenarios, mode, seeds=SEEDS, traffic=traffic, traffic_kwargs=kwargs
         ).run(8)
@@ -45,9 +45,7 @@ class TestRoundEngineGoldens:
             assert_rounds_match(result, golden)
 
     def test_single_ap_batch_matches_goldens(self):
-        scenarios = [
-            single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
-        ]
+        scenarios = single_ap_scenario(ENV, AntennaMode.DAS, seeds=SEEDS)
         batch = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS,
             traffic="poisson", traffic_kwargs={"rate_mbps": 10.0},
@@ -56,9 +54,7 @@ class TestRoundEngineGoldens:
             assert_rounds_match(result, golden)
 
     def test_item_mask_skips_inactive_items(self):
-        scenarios = [
-            single_ap_scenario(ENV, AntennaMode.DAS, seed=s) for s in SEEDS
-        ]
+        scenarios = single_ap_scenario(ENV, AntennaMode.DAS, seeds=SEEDS)
         mask = np.array([True, False, True])
         results = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS,
@@ -70,7 +66,7 @@ class TestRoundEngineGoldens:
 
 class TestFullBufferNoOp:
     def test_full_buffer_equals_no_traffic_single_item(self):
-        scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         [plain] = one_topology(scenario, MacMode.MIDAS, 0).run(6)
         [full] = one_topology(
             scenario, MacMode.MIDAS, 0, traffic="full_buffer"
@@ -81,7 +77,7 @@ class TestFullBufferNoOp:
         assert not full.has_traffic and full.log.arrived_bytes is None
 
     def test_full_buffer_equals_no_traffic_batch(self):
-        scenarios = [three_ap_scenario(ENV, seed=s)[AntennaMode.DAS] for s in SEEDS]
+        scenarios = three_ap_scenario(ENV, seeds=SEEDS)[AntennaMode.DAS]
         plain = RoundBasedEvaluatorBatch(scenarios, MacMode.MIDAS, seeds=SEEDS).run(6)
         full = RoundBasedEvaluatorBatch(
             scenarios, MacMode.MIDAS, seeds=SEEDS, traffic="full_buffer"
@@ -92,7 +88,7 @@ class TestFullBufferNoOp:
             )
 
     def test_accessors_raise_without_traffic(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=0)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[0])
         [result] = one_topology(scenario, MacMode.MIDAS, 0).run(2)
         assert not result.has_traffic
         with pytest.raises(ValueError, match="full-buffer"):
@@ -104,7 +100,7 @@ class TestFullBufferNoOp:
 class TestResultAccessors:
     @pytest.fixture(scope="class")
     def loaded(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=1)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[1])
         [result] = one_topology(
             scenario, MacMode.MIDAS, 1,
             traffic="poisson", traffic_kwargs={"rate_mbps": 8.0},
@@ -217,7 +213,7 @@ class TestExistingExperimentsFullBuffer:
 
 class TestDynamicMacTraffic:
     def test_finite_load_metrics(self):
-        scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         result = NetworkSimulation(
             scenario, MacMode.MIDAS, SimConfig(duration_s=0.04), seed=0,
             traffic="poisson", traffic_kwargs={"rate_mbps": 5.0},
@@ -232,7 +228,7 @@ class TestDynamicMacTraffic:
         assert np.isfinite(summary.mean_delay_s)
 
     def test_full_buffer_unchanged(self):
-        scenario = three_ap_scenario(ENV, seed=0)[AntennaMode.DAS]
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         sim_cfg = SimConfig(duration_s=0.03)
         plain = NetworkSimulation(scenario, MacMode.MIDAS, sim_cfg, seed=0).run()
         full = NetworkSimulation(
@@ -266,7 +262,7 @@ class TestDynamicMacTraffic:
             return served
 
         monkeypatch.setattr(TrafficState, "serve_burst", recording)
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=0)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[0])
         NetworkSimulation(
             scenario, MacMode.MIDAS, SimConfig(duration_s=0.5), seed=0,
             traffic="poisson", traffic_kwargs={"rate_mbps": 0.5},
@@ -277,7 +273,7 @@ class TestDynamicMacTraffic:
         assert not wasted, f"{len(wasted)}/{len(calls)} zero-byte bursts"
 
     def test_light_load_delays_below_saturation_queueing(self):
-        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seed=3)
+        scenario = single_ap_scenario(ENV, AntennaMode.DAS, seeds=[3])
         light = NetworkSimulation(
             scenario, MacMode.MIDAS, SimConfig(duration_s=0.05), seed=3,
             traffic="poisson", traffic_kwargs={"rate_mbps": 1.0},
