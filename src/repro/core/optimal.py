@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..phy.capacity import (
     per_antenna_row_power,
@@ -87,6 +86,8 @@ def optimal_power_allocation(
         for k in range(b.shape[0])
     ]
     bounds = [(0.0, per_antenna_power_mw * b.shape[0])] * n_clients
+    from scipy import optimize  # imported on first use: it is slow to load
+
     solution = optimize.minimize(
         objective,
         p0,
@@ -153,6 +154,8 @@ def full_optimal_precoder(
         {"type": "ineq", "fun": (lambda x, k=k: row_constraint(x, k))}
         for k in range(n_antennas)
     ]
+    from scipy import optimize  # imported on first use: it is slow to load
+
     solution = optimize.minimize(
         objective,
         pack(v0),

@@ -101,9 +101,13 @@ def wmmse_precoder(
             if float(np.sum(np.abs(v_of_mu(hi)) ** 2)) <= total_power:
                 break
             hi *= 4.0
-        if float(np.sum(np.abs(v_of_mu(lo + 1e-15)) ** 2)) <= total_power:
+        try:
             v_new = v_of_mu(lo + 1e-15)
-        else:
+        except np.linalg.LinAlgError:
+            # A singular system at mu -> 0 (a collapsed MSE weight leaves A
+            # rank deficient) means unbounded power: over budget.
+            v_new = None
+        if v_new is None or float(np.sum(np.abs(v_new) ** 2)) > total_power:
             for _ in range(_MU_BISECTIONS):
                 mid = 0.5 * (lo + hi)
                 if float(np.sum(np.abs(v_of_mu(mid)) ** 2)) > total_power:

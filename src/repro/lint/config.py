@@ -35,7 +35,8 @@ class LintConfig:
         array-API dispatched) or a tuple of dotted qualnames
         (``"CarrierSenseBatch.decode_mask"``) naming the dispatched
         compute boundaries inside an otherwise host-side module
-        (RPL001's scope).
+        (RPL001's scope).  RPL001 reports a qualname that names no
+        function or class in its file.
     numpy_member_allowlist:
         ``np.<member>`` paths RPL001 never flags: exception types, dtype
         and index plumbing -- things that are not numerical compute and
@@ -83,6 +84,7 @@ class LintConfig:
                 "CarrierSenseBatch.nav_blocked_mask",
                 "CarrierSenseBatch.decodable_mask",
                 "CarrierSenseBatch.single_tx_busy",
+                "_EngineCore._precode",
                 "RoundBasedEvaluatorBatch._score_round",
             ),
         }

@@ -19,6 +19,10 @@ call is a recognized host-transfer boundary:
 
 Anything else needs an explicit ``# repro-lint: disable=RPL001`` stating
 why that line is genuinely host-side.
+
+A configured qualname that names no function or class in its file is
+reported too: a renamed or moved compute boundary must not silently drop
+out of the rule's scope.
 """
 
 from __future__ import annotations
@@ -49,8 +53,18 @@ class XpDispatchRule(Rule):
         self._aliases = numpy_aliases(self.ctx.tree)
         self._from_imports = numpy_from_imports(self.ctx.tree)
         self._qualname: list[str] = []
+        self._defined: set[str] = set()
         self._transfer_args: set[int] = self._collect_transfer_args()
         self.visit(self.ctx.tree)
+        if self._scope != "*":
+            for target in self._scope:
+                if target not in self._defined:
+                    self.report(
+                        self.ctx.tree,
+                        f"dispatched scope `{target}` names no function or "
+                        "class in this file; update `dispatched_scopes` to "
+                        "the renamed or moved compute boundary",
+                    )
         return self.diagnostics
 
     # -- scope bookkeeping ---------------------------------------------
@@ -65,18 +79,15 @@ class XpDispatchRule(Rule):
             for target in self._scope
         )
 
-    def visit_ClassDef(self, node: ast.ClassDef):
+    def _visit_definition(self, node):
         self._qualname.append(node.name)
+        self._defined.add(".".join(self._qualname))
         self.generic_visit(node)
         self._qualname.pop()
 
-    def _visit_function(self, node):
-        self._qualname.append(node.name)
-        self.generic_visit(node)
-        self._qualname.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
+    visit_ClassDef = _visit_definition
+    visit_FunctionDef = _visit_definition
+    visit_AsyncFunctionDef = _visit_definition
 
     # -- exemptions ----------------------------------------------------
     def _collect_transfer_args(self) -> set:

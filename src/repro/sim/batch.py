@@ -35,9 +35,14 @@ per-item generator tree is private to its item, and every aggregate is a
 reduction over the same trailing axes of the same stacked operands.
 
 The fully dynamic discrete-event MAC lives in
-:class:`repro.sim.network.NetworkSimulation`, which runs these kernels on a
-batch of one; it is the closed-loop extension the paper's methodology could
-not measure.
+:class:`repro.sim.network.NetworkSimulation`, the closed-loop extension the
+paper's methodology could not measure.  Both engines derive from
+:class:`_EngineCore`, which owns their shared state and stages: set-up
+(traffic, mobility, channel, carrier sense, per-AP DRR counters,
+association and CSI-noise generators), eligibility with the
+coordinated-scheduling veto, the mode's precoder, re-sounding, and
+mobility plus channel advance.  This engine keeps its own seed-tree
+layout, the §5.3.1 planning, padded scoring and :class:`RoundLog`.
 """
 
 from __future__ import annotations
@@ -528,7 +533,128 @@ def _mutual_overhear_from_decodable(
     return ok
 
 
-class RoundBasedEvaluatorBatch:
+class _EngineCore:
+    """The state and stages the round engine and the event engine share.
+
+    Each engine passes its own per-item seed leaves (the seed-tree layouts
+    stay engine-specific) and the traffic, mobility and association
+    arguments it was given.  Set-up builds the stacked traffic and mobility
+    states, channel, carrier sense, per-AP DRR counters, association state
+    (with its first sounding) and CSI-noise generators; the stages are
+    :meth:`_eligibility`, :meth:`_precode`, :meth:`_resound` and
+    :meth:`_advance`.
+    """
+
+    def __init__(
+        self, scenario: Scenario, mode: MacMode, sim: SimConfig | None,
+        channel_seeds, csi_seeds, traffic_seeds, mobility_seeds,
+        traffic, traffic_kwargs, mobility, mobility_kwargs,
+        association, association_kwargs, coordination,
+    ):
+        structure = scenario.deployment
+        self.scenario = scenario
+        self.mode = mode
+        self.sim = sim or SimConfig()
+        self.n_items = len(scenario)
+        # Leaves stay seed-tree nodes until a consumer draws (the CSI leaf
+        # only when CSI noise is on).
+        self._csi_rngs = [
+            rng_mod.make_rng(s) if self.sim.csi_error_std > 0 else None
+            for s in csi_seeds
+        ]
+        self._traffic = build_traffic_state(
+            traffic,
+            one_per_item("traffic_kwargs", traffic_kwargs, self.n_items),
+            structure.n_clients,
+            traffic_seeds,
+            scenario,
+        )
+        #: ``None`` for static clients.
+        self._mobility = build_mobility_state(
+            mobility,
+            one_per_item("mobility_kwargs", mobility_kwargs, self.n_items),
+            structure,
+            mobility_seeds,
+        )
+        self.channel = ChannelBatch(structure, scenario.radio, channel_seeds)
+        # The cross-power map is read before the association's first RSSI
+        # read: shadowing lattice nodes are drawn in first-visit order (see
+        # ChannelBatch.antenna_cross_power_dbm).
+        self.carrier_sense = CarrierSenseBatch(
+            self.channel.antenna_cross_power_dbm(), scenario.mac
+        )
+        # DRR counters live on the *global* client axis so membership can
+        # change at a handoff without resizing any scheduler state; argmax
+        # ties break toward the lowest client id.
+        self._drr = {
+            ap: BatchDeficitRoundRobin(self.n_items, structure.n_clients)
+            for ap in range(structure.n_aps)
+        }
+        self.association = build_batch_association_state(
+            association, association_kwargs, self.n_items, structure, scenario.mac,
+            coordination,
+        )
+        self.association.resound(self.channel.client_rx_power_dbm())
+
+    def _eligibility(
+        self, member: np.ndarray, tx_mask: np.ndarray, arrival_cutoff_s=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked (primary-class, any-class) candidate masks, each
+        ``(batch, n_clients)``: an AP's members ``member`` with backlog
+        queued by ``arrival_cutoff_s`` (``member`` twice under full
+        buffer).  Under coordinated scheduling, clients overhearing an
+        antenna of ``tx_mask`` -- other APs' transmissions already on the
+        air, ``(batch, n_antennas)`` -- are vetoed."""
+        if self._traffic is None:
+            primary_mask = any_mask = member
+        else:
+            primary_mask, any_mask = self._traffic.eligibility(member, arrival_cutoff_s)
+        if (
+            self.association.coordination is CoordinationMode.COORDINATED_SCHEDULING
+            and tx_mask.any()
+        ):
+            allowed = ~self.association.overheard_masks(tx_mask)
+            primary_mask, any_mask = primary_mask & allowed, any_mask & allowed
+        return primary_mask, any_mask
+
+    def _precode(self, stack, **masks):
+        """The mode's precoder (naive scaled ZFBF for CAS, power-balanced for
+        MIDAS) on a channel stack, in the namespace of ``stack``; ``masks``
+        are the kernels' ``client_mask``/``antenna_mask``."""
+        radio = self.scenario.radio
+        if self.mode is MacMode.CAS:
+            return batch_naive_precoder(stack, radio.per_antenna_power_mw, **masks)
+        balanced = batch_power_balanced_precoder(
+            stack, radio.per_antenna_power_mw, radio.noise_mw, **masks
+        )
+        xp = xpmod.array_namespace(stack)
+        _obs().count("precode.rounds", int(xp.sum(balanced.rounds)))
+        _obs().count("precode.unconverged", int(xp.sum(~balanced.converged)))
+        return balanced.v
+
+    def _resound(self) -> None:
+        """One sounding: the association re-reads every client's RSSI
+        (handoffs plus tag re-derivation)."""
+        with _obs().span("sounding"):
+            rssi_dbm = self.channel.client_rx_power_dbm()
+            with _obs().span("assoc_update"):
+                self.association.resound(rssi_dbm)
+
+    def _advance(self, dt_s: float, items=None) -> None:
+        """Advance fading, and any client trajectories, by ``dt_s`` for the
+        selected items; moving clients fade under their own Doppler."""
+        if self._mobility is None:
+            self.channel.advance(dt_s, items=items)
+            return
+        positions = self._mobility.advance(dt_s, items=items)
+        doppler = self._mobility.doppler_hz(self.scenario.radio.wavelength_m)
+        if items is not None:
+            doppler = doppler[items]
+        self.channel.advance(dt_s, items=items, doppler_hz=doppler)
+        self.channel.update_client_positions(positions, items=items)
+
+
+class RoundBasedEvaluatorBatch(_EngineCore):
     """Quasi-static evaluation of a batch of topologies.
 
     Parameters
@@ -592,11 +718,21 @@ class RoundBasedEvaluatorBatch:
         seeds = [0] * len(scenario) if seeds is None else list(seeds)
         if len(seeds) != len(scenario):
             raise ValueError("need one seed per scenario item")
+        if resound_period_rounds < 1:
+            raise ValueError("resound_period_rounds must be >= 1")
+        # Per-item seed trees.  Four children are always spawned so
+        # enabling traffic/mobility never perturbs the channel/CSI streams
+        # (spawn(4)[:2] == spawn(2)); traffic uses the third, mobility the
+        # fourth.
+        channel_seeds, csi_seeds, traffic_seeds, mobility_seeds = zip(
+            *(rng_mod.spawn_seeds(seed, 4) for seed in seeds)
+        )
+        super().__init__(
+            scenario, mode, sim, channel_seeds, csi_seeds, traffic_seeds,
+            mobility_seeds, traffic, traffic_kwargs, mobility, mobility_kwargs,
+            association, association_kwargs, coordination,
+        )
         structure = scenario.deployment
-        self.scenario = scenario
-        self.mode = mode
-        self.sim = sim or SimConfig()
-        self.n_items = len(scenario)
         self.n_aps = structure.n_aps
         self._n_clients = structure.n_clients
         self._antennas_of = [structure.antennas_of(ap) for ap in range(self.n_aps)]
@@ -612,33 +748,6 @@ class RoundBasedEvaluatorBatch:
             )
             for with_sounding in (False, True)
         }
-
-        if resound_period_rounds < 1:
-            raise ValueError("resound_period_rounds must be >= 1")
-        # Per-item seed trees.  Four children are always spawned so
-        # enabling traffic/mobility never perturbs the channel/CSI streams
-        # (spawn(4)[:2] == spawn(2)); traffic uses the third, mobility the
-        # fourth.  Children stay seed-tree nodes until a consumer draws:
-        # ChannelBatch builds generators only at its leaves, the traffic and
-        # mobility builders only for finite load / moving clients, and the
-        # CSI leaf only when CSI noise is on.
-        channel_seeds, csi_seeds, traffic_seeds, mobility_seeds = zip(
-            *(rng_mod.spawn_seeds(seed, 4) for seed in seeds)
-        )
-        self._csi_rngs = [
-            rng_mod.make_rng(s) if self.sim.csi_error_std > 0 else None
-            for s in csi_seeds
-        ]
-        traffic_kwargs = one_per_item("traffic_kwargs", traffic_kwargs, self.n_items)
-        mobility_kwargs = one_per_item("mobility_kwargs", mobility_kwargs, self.n_items)
-        self._traffic = build_traffic_state(
-            traffic, traffic_kwargs, structure.n_clients, traffic_seeds, scenario
-        )
-        #: One stacked trajectory state for the whole batch (``None`` for
-        #: static clients).
-        self._mobility = build_mobility_state(
-            mobility, mobility_kwargs, structure, mobility_seeds
-        )
         self._resound_period = int(resound_period_rounds)
         self._round_index = 0
         #: Stacked channel snapshots captured at the last sounding round; a
@@ -647,25 +756,6 @@ class RoundBasedEvaluatorBatch:
         #: first sounding round (and always for static runs, which sound
         #: fresh CSI every round).
         self._h_csi: np.ndarray | None = None
-        self.channel = ChannelBatch(structure, scenario.radio, channel_seeds)
-        self.carrier_sense = CarrierSenseBatch(
-            self.channel.antenna_cross_power_dbm(), scenario.mac
-        )
-        # DRR counters live on the *global* client axis so membership can
-        # change at a handoff without resizing any scheduler state; argmax
-        # ties break toward the lowest client id.
-        self._drr = {
-            ap: BatchDeficitRoundRobin(self.n_items, self._n_clients)
-            for ap in range(self.n_aps)
-        }
-        #: The association layer: the stacked client->AP map, anchor-antenna
-        #: tags and handoff/outage log, re-evaluated at construction and at
-        #: every sounding round.
-        self.association = build_batch_association_state(
-            association, association_kwargs, self.n_items, structure, scenario.mac,
-            coordination,
-        )
-        self.association.resound(self.channel.client_rx_power_dbm())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -720,40 +810,23 @@ class RoundBasedEvaluatorBatch:
         return ~busy & ~nav
 
     # ------------------------------------------------------------------
-    def _eligibility(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (primary-class, any-class) backlog masks over *all*
-        clients restricted to an AP's current members ``member``, each
-        ``(batch, n_clients)``.  The membership mask twice under full
-        buffer."""
-        if self._traffic is None:
-            return member, member
-        return self._traffic.eligibility(member)
-
     def _select_clients(
-        self,
-        ap: int,
-        use_mask: np.ndarray,
-        member: np.ndarray,
-        allowed: np.ndarray | None = None,
+        self, ap: int, use_mask: np.ndarray, member: np.ndarray, active_mask: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Masked client selection for AP ``ap`` this round.
 
         ``use_mask`` flags, per item, which of the AP's antennas transmit
         (own-antenna order; all or none in CAS, and none for items that do
         not participate); ``member`` is the AP's ``(batch, n_clients)``
-        membership; ``allowed`` (optional, ``(batch, n_clients)``) is the
-        coordination veto over clients already covered by a committed
-        neighboring transmission.  Returns
+        membership; ``active_mask`` holds the antennas of the transmissions
+        committed so far (the coordination veto's input).  Returns
         :func:`~repro.core.selection.pick_in_visit_order`'s chosen-client
         mask (global client axis) and ``(batch, n_own)`` picks: MIDAS
         visits each own antenna in order, CAS visits the membership once
         per antenna.
         """
         n_own = use_mask.shape[1]
-        primary_mask, any_mask = self._eligibility(member)
-        if allowed is not None:
-            primary_mask = primary_mask & allowed
-            any_mask = any_mask & allowed
+        primary_mask, any_mask = self._eligibility(member, active_mask)
         if self.mode is MacMode.CAS:
             # At most min(n_antennas, n_members) picks land; n_own visits
             # suffice -- once an item's eligible members are exhausted every
@@ -779,18 +852,9 @@ class RoundBasedEvaluatorBatch:
         slot_antennas = np.full((self.n_items, n_slots, width), -1, dtype=int)
         slot_clients = np.full((self.n_items, n_slots, width), -1, dtype=int)
         served = np.zeros((self.n_items, n_slots, self._n_clients), dtype=bool)
-        coordinated = (
-            self.association.coordination is CoordinationMode.COORDINATED_SCHEDULING
-        )
         for position, ap in enumerate(aps.tolist()):
             own = self._antennas_of[ap]
             n_own = len(own)
-            # Coordinated scheduling: APs planning after others skip clients
-            # already covered by a committed transmission (per item; an item
-            # with nothing active yet keeps its full candidate set).
-            allowed = None
-            if coordinated and position > 0:
-                allowed = ~self.association.overheard_masks(active_mask)
             if position == 0:
                 free = np.ones((self.n_items, n_own), dtype=bool)
             else:
@@ -807,7 +871,7 @@ class RoundBasedEvaluatorBatch:
                 use = free
                 participate = item_active & use.any(axis=1)
                 use = use & participate[:, None]
-            chosen_mask, picks = self._select_clients(ap, use, members[ap], allowed)
+            chosen_mask, picks = self._select_clients(ap, use, members[ap], active_mask)
             # Items that do not participate are offered no candidates, so
             # their picks are all -1 already.
             committed = participate & chosen_mask.any(axis=1)
@@ -906,17 +970,7 @@ class RoundBasedEvaluatorBatch:
                     "client_mask": xp.asarray(stream_on[item, slot], dtype=xp.bool_dtype),
                     "antenna_mask": xp.asarray(antenna_on[item, slot], dtype=xp.bool_dtype),
                 }
-                if self.mode is MacMode.CAS:
-                    v[item, slot] = batch_naive_precoder(
-                        stack, radio.per_antenna_power_mw, **masks
-                    )
-                else:
-                    balanced = batch_power_balanced_precoder(
-                        stack, radio.per_antenna_power_mw, radio.noise_mw, **masks
-                    )
-                    v[item, slot] = balanced.v
-                    _obs().count("precode.rounds", int(xp.sum(balanced.rounds)))
-                    _obs().count("precode.unconverged", int(xp.sum(~balanced.converged)))
+                v[item, slot] = self._precode(stack, **masks)
 
         with _obs().span("score"):
             # true_np[b, s, o]: slot s's clients x slot o's antennas.
@@ -1002,10 +1056,7 @@ class RoundBasedEvaluatorBatch:
         if self._mobility is not None:
             sounding_round = self._round_index % self._resound_period == 0
             if sounding_round:
-                with _obs().span("sounding"):
-                    rssi_dbm = self.channel.client_rx_power_dbm()
-                    with _obs().span("assoc_update"):
-                        self.association.resound(rssi_dbm)
+                self._resound()
         self._round_index += 1
         with_sounding = self.sim.sounding_overhead and (
             self._mobility is None or sounding_round
@@ -1035,20 +1086,6 @@ class RoundBasedEvaluatorBatch:
             self._settle_round(plan, item_active)
         return row
 
-    def advance_between_rounds(self, advance_items=None) -> None:
-        """Advance fading (and any client mobility) by one coherence block
-        for the selected items."""
-        dt_s = self.sim.coherence_block_s
-        if self._mobility is None:
-            self.channel.advance(dt_s, items=advance_items)
-            return
-        positions = self._mobility.advance(dt_s, items=advance_items)
-        doppler = self._mobility.doppler_hz(self.scenario.radio.wavelength_m)
-        if advance_items is not None:
-            doppler = doppler[advance_items]
-        self.channel.advance(dt_s, items=advance_items, doppler_hz=doppler)
-        self.channel.update_client_positions(positions, items=advance_items)
-
     def run(self, n_rounds: int = 30, item_mask=None) -> list[RoundBasedResult | None]:
         """Evaluate ``n_rounds`` rounds for every (selected) item, rotating
         the primary AP and advancing all fading processes (and client
@@ -1073,7 +1110,7 @@ class RoundBasedEvaluatorBatch:
             for r in range(n_rounds):
                 log.record(r, self.evaluate_round(r % self.n_aps, item_active))
                 with _obs().span("channel_advance"):
-                    self.advance_between_rounds(advance_items)
+                    self._advance(self.sim.coherence_block_s, advance_items)
                 _obs().count("engine.rounds", int(item_active.sum()))
                 _obs().probe(
                     "round", engine="batch", evaluator=self, round_index=r, log=log

@@ -17,12 +17,19 @@ SINRs are evaluated post-hoc with interference weighted by TXOP overlap
 (see :mod:`repro.sim.radio_state`), then converted to Shannon capacity as
 the paper does (§5.1).
 
-The engine runs the batched kernels on a batch of one: the channel is a
-one-item :class:`~repro.channel.batch.ChannelBatch`, carrier sense a
-one-item :class:`~repro.sim.batch.CarrierSenseBatch`, clients are picked
-by :func:`~repro.core.selection.pick_in_visit_order` on ``(1, n_clients)``
-masks, and every TXOP is precoded by the :mod:`repro.core.batch` solvers
-on ``h[None]``.
+The engine runs on a batch of one and shares its state and stages with
+the round engine through :class:`repro.sim.batch._EngineCore`: set-up (a
+one-item :class:`~repro.channel.batch.ChannelBatch`,
+:class:`~repro.sim.batch.CarrierSenseBatch`, traffic, mobility,
+association, per-AP DRR counters and CSI-noise generator), eligibility
+with the coordinated-scheduling veto (cut off at the contention
+decision's time), the mode's precoder on ``h[None]``, re-sounding, and
+mobility plus channel advance.  Clients are picked by
+:func:`~repro.core.selection.pick_in_visit_order` on ``(1, n_clients)``
+masks.  What stays its own: the five-child seed tree (channel, MAC, CSI,
+traffic, mobility), per-antenna contention with backoff, the
+:class:`~repro.mac.nav.NavTable`, the event queue, the wall-clock
+re-sounding interval and the overlap-weighted SINRs of :meth:`_tx_sinrs`.
 """
 
 from __future__ import annotations
@@ -32,20 +39,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import rng as rng_mod
-from ..assoc import CoordinationMode, build_batch_association_state
-from ..channel.batch import ChannelBatch, apply_csi_error
+from ..channel.batch import apply_csi_error
 from ..config import MacConfig, SimConfig
-from ..core.batch import naive_scaled_precoder, power_balanced_precoder
-from ..core.selection import BatchDeficitRoundRobin, pick_in_visit_order
+from ..core.selection import pick_in_visit_order
 from ..mac.backoff import BackoffState
 from ..mac.frames import txop_durations
 from ..mac.nav import NavTable
-from ..mobility import build_mobility_state
 from ..obs import active as _obs
 from ..topology.scenarios import Scenario
-from ..traffic import TrafficState, TrafficSummary
+from ..traffic import TrafficSummary
 from . import EventQueue
-from .batch import CarrierSenseBatch, MacMode, build_traffic_state
+from .batch import MacMode, _EngineCore
 from .radio_state import ActiveTransmission, TransmissionLog
 
 
@@ -79,7 +83,7 @@ class _Contender:
     scheduled: bool = field(default=False)
 
 
-class NetworkSimulation:
+class NetworkSimulation(_EngineCore):
     """Event-driven downlink simulation of one topology: a batched
     :class:`~repro.topology.scenarios.Scenario` of one item."""
 
@@ -100,30 +104,20 @@ class NetworkSimulation:
     ):
         if len(scenario) != 1:
             raise ValueError("NetworkSimulation runs a batch of one scenario item")
-        self.scenario = scenario
-        self.mode = mode
-        self.sim = sim or SimConfig()
-        self.mac: MacConfig = scenario.mac
-        self.deployment = scenario.deployment
         if resound_interval_s is not None and resound_interval_s <= 0:
             raise ValueError("resound_interval_s must be positive (or None)")
-
         # Five children are always spawned so enabling traffic/mobility
         # never perturbs the channel/MAC/CSI streams (spawn(5)[:3] == spawn(3)).
-        # Only leaves that draw build a generator: the children stay
-        # seed-tree nodes until their consumer needs one (the CSI leaf only
-        # when CSI noise is on).
         channel_seed, mac_seed, csi_seed, traffic_seed, mobility_seed = (
             rng_mod.spawn_seeds(seed, 5)
         )
-        #: A batch of one: item 0 is this run.
-        self._traffic: TrafficState | None = build_traffic_state(
-            traffic, [traffic_kwargs], self.deployment.n_clients, [traffic_seed],
-            scenario,
+        super().__init__(
+            scenario, mode, sim, [channel_seed], [csi_seed], [traffic_seed],
+            [mobility_seed], traffic, [traffic_kwargs], mobility, [mobility_kwargs],
+            association, association_kwargs, coordination,
         )
-        self._mobility = build_mobility_state(
-            mobility, [mobility_kwargs], self.deployment, [mobility_seed]
-        )
+        self.mac: MacConfig = scenario.mac
+        self.deployment = scenario.deployment
         #: Mobility CSI staleness: with an interval, TXOPs between
         #: re-soundings precode from the snapshot captured at the last
         #: sounding (and skip the per-TXOP sounding airtime); ``None``
@@ -138,30 +132,9 @@ class NetworkSimulation:
         #: not paid for yet; subsequent transmitting TXOPs charge them one
         #: at a time.
         self._sounding_unpaid = 0
-        self.channel = ChannelBatch(self.deployment, scenario.radio, seeds=[channel_seed])
-        self._csi_rng = (
-            rng_mod.make_rng(csi_seed) if self.sim.csi_error_std > 0 else None
-        )
-        self.carrier_sense = CarrierSenseBatch(
-            self.channel.antenna_cross_power_dbm(), self.mac
-        )
         self.nav = NavTable(self.deployment.n_antennas)
         self.queue = EventQueue()
         self.log = TransmissionLog()
-
-        # Per-AP scheduling state: global-axis fairness counters (see the
-        # round engine) plus the association layer, which owns the
-        # client->AP map, the (MIDAS) packet tags, and the handoff log.
-        self._drr = {
-            ap: BatchDeficitRoundRobin(1, self.deployment.n_clients)
-            for ap in range(self.deployment.n_aps)
-        }
-        #: A one-item association state: row 0 is this run.
-        self.association = build_batch_association_state(
-            association, association_kwargs, 1, self.deployment, self.mac,
-            coordination,
-        )
-        self.association.resound(self.channel.client_rx_power_dbm())
 
         contender_rngs = rng_mod.spawn(mac_seed, self.deployment.n_aps * 8)
         self._contenders: list[_Contender] = []
@@ -241,39 +214,6 @@ class NetworkSimulation:
         ordered = self.nav.order_by_expiry(available) if available else np.empty(0, dtype=int)
         return ordered, start_us
 
-    def _eligibility(
-        self, member: np.ndarray, now_us: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(primary-class, any-class) backlog masks over *all* clients,
-        restricted to the AP's current members ``member``, each ``(1,
-        n_clients)``; the membership mask twice under full buffer (see the
-        round engine's twin).
-
-        Eligibility is cut off at ``now_us``: the arrival generator works
-        in whole TXOP windows that can extend past the present, and a
-        packet "arriving" later than the contention decision must neither
-        win the medium nor be DRR-settled as served -- the service step
-        applies the same cutoff at the TXOP start.
-        """
-        if self._traffic is None:
-            return member, member
-        return self._traffic.eligibility(member, arrival_cutoff_s=now_us * 1e-6)
-
-    def _coordination_allowed(self, ap: int) -> np.ndarray | None:
-        """Coordinated-scheduling veto for ``ap``: clients able to overhear
-        another AP's in-flight TXOP are skipped (``None`` when coordination
-        is off or nothing foreign is on the air)."""
-        if self.association.coordination is not CoordinationMode.COORDINATED_SCHEDULING:
-            return None
-        foreign = [
-            a
-            for a in self.log.transmitting_antennas()
-            if int(self.deployment.antenna_ap[a]) != ap
-        ]
-        if not foreign:
-            return None
-        return ~self.association.overheard_masks(self._tx_mask(foreign))
-
     # ------------------------------------------------------------------
     # TXOP execution
     # ------------------------------------------------------------------
@@ -282,21 +222,13 @@ class NetworkSimulation:
         if dt_s <= 0:
             return
         with _obs().span("channel_advance"):
-            if self._mobility is None:
-                self.channel.advance(dt_s)
-            else:
-                positions = self._mobility.advance(dt_s)
-                self.channel.advance(
-                    dt_s,
-                    doppler_hz=self._mobility.doppler_hz(self.scenario.radio.wavelength_m),
-                )
-                self.channel.update_client_positions(positions)
+            self._advance(dt_s)
             self._last_channel_advance_us = now_us
 
     def _maybe_resound(self, now_us: float) -> None:
-        """Refresh the stale-CSI snapshot (and re-evaluate the association:
-        handoffs plus tag re-derivation) when the re-sounding interval has
-        elapsed; mobility runs only.  The
+        """Re-sound when the re-sounding interval has elapsed (mobility
+        runs only): the association re-evaluates (handoffs plus tag
+        re-derivation) and the stale-CSI snapshot refreshes.  The
         sounding's airtime is marked unpaid until a TXOP actually
         transmits and charges it (the triggering TXOP may still abort).
 
@@ -306,21 +238,16 @@ class NetworkSimulation:
         """
         if self._mobility is None:
             return
-        if self._resound_interval_us is None:
-            with _obs().span("sounding"):
-                rssi_dbm = self.channel.client_rx_power_dbm()
-                with _obs().span("assoc_update"):
-                    self.association.resound(rssi_dbm)
-            return
+        stale = self._resound_interval_us is not None
         if (
-            self._h_csi is None
-            or now_us - self._last_resound_us >= self._resound_interval_us
+            stale
+            and self._h_csi is not None
+            and now_us - self._last_resound_us < self._resound_interval_us
         ):
-            with _obs().span("sounding"):
-                self._h_csi = self.channel.channel_matrices()[0]
-                rssi_dbm = self.channel.client_rx_power_dbm()
-                with _obs().span("assoc_update"):
-                    self.association.resound(rssi_dbm)
+            return
+        self._resound()
+        if stale:
+            self._h_csi = self.channel.channel_matrices()[0]
             self._last_resound_us = now_us
             self._sounding_unpaid += 1
 
@@ -337,11 +264,18 @@ class NetworkSimulation:
             self._traffic.advance_arrivals_to(now_us * 1e-6)
         with _obs().span("schedule"):
             member = self.association.members_mask(ap)
-            primary_mask, any_mask = self._eligibility(member, now_us)
-            allowed = self._coordination_allowed(ap)
-            if allowed is not None:
-                primary_mask = primary_mask & allowed
-                any_mask = any_mask & allowed
+            # Eligibility is cut off at ``now_us``: the arrival generator
+            # works in whole TXOP windows that can extend past the present,
+            # and a packet "arriving" later than the contention decision
+            # must neither win the medium nor be DRR-settled as served --
+            # the service step applies the same cutoff at the TXOP start.
+            # Coordinated scheduling vetoes clients overhearing another AP's
+            # in-flight TXOP.
+            foreign = self._tx_mask(self.log.transmitting_antennas())
+            foreign[0, self.deployment.antennas_of(ap)] = False
+            primary_mask, any_mask = self._eligibility(
+                member, foreign, arrival_cutoff_s=now_us * 1e-6
+            )
             if self.mode is MacMode.CAS:
                 antennas = self.deployment.antennas_of(ap)
                 visits = [member] * len(antennas)
@@ -382,18 +316,8 @@ class NetworkSimulation:
             stale = self._mobility is not None and self._resound_interval_us is not None
             h_source = self._h_csi if stale else h_full
             h_sub = h_source[clients_global, :][:, antennas]
-            h_est = apply_csi_error(h_sub, self.sim.csi_error_std, self._csi_rng)
-
-            radio = self.scenario.radio
-            if self.mode is MacMode.CAS:
-                v = naive_scaled_precoder(h_est[None], radio.per_antenna_power_mw)[0]
-            else:
-                balanced = power_balanced_precoder(
-                    h_est[None], radio.per_antenna_power_mw, radio.noise_mw
-                )
-                v = balanced.v[0]
-                _obs().count("precode.rounds", int(balanced.rounds[0]))
-                _obs().count("precode.unconverged", int(not balanced.converged[0]))
+            h_est = apply_csi_error(h_sub, self.sim.csi_error_std, self._csi_rngs[0])
+            v = self._precode(h_est[None])[0]
 
         # A stale run pays sounding airtime only on TXOPs carrying an (as
         # yet unpaid) sounding exchange; fresh runs pay every TXOP.

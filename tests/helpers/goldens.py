@@ -17,7 +17,11 @@ roaming handoff log, tag builds and result) were recorded from repro 7.0.0,
 the last release with one association state object per batch item.
 ``mobility_capacity_random_waypoint_series`` was recorded from repro 8.0.0,
 the last release with one mobility state object per item and one lattice
-node dict per shadowing field.
+node dict per shadowing field.  ``network_coordinated`` (the event engine's
+coordinated-scheduling veto under roaming), ``network_csi_error`` and
+``fig15_dynamic_jobs`` (fig15 ``dynamic`` at ``jobs=1``, which ``jobs=2``
+must match) were recorded from repro 12.0.0, the last release whose event
+engine kept its own copy of the stages it shares with the round engine.
 
 Layout: one top-level key per case family.  A round-engine run is a dict of
 per-round lists (``capacity``, ``n_streams``, ``active_antennas``,

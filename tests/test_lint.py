@@ -16,6 +16,7 @@ import pytest
 
 from repro.lint import RULES, Diagnostic, lint_file, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
+from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.engine import PARSE_ERROR_CODE
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,9 +30,9 @@ def codes(diagnostics):
     return [d.code for d in diagnostics]
 
 
-def run_fixture(name, logical_path=LIB, select=None):
+def run_fixture(name, logical_path=LIB, select=None, config=DEFAULT_CONFIG):
     return lint_file(
-        FIXTURES / name, logical_path=logical_path, select=select
+        FIXTURES / name, logical_path=logical_path, select=select, config=config
     )
 
 
@@ -104,10 +105,26 @@ class TestRpl001:
             "    def host_helper(self, x):\n"
             "        return np.sqrt(x)\n"
         )
+        config = LintConfig(
+            dispatched_scopes={"repro/sim/batch.py": ("CarrierSenseBatch.decode_mask",)}
+        )
         diagnostics = lint_source(
-            source, logical_path="repro/sim/batch.py", select=["RPL001"]
+            source, logical_path="repro/sim/batch.py", config=config,
+            select=["RPL001"],
         )
         assert [d.line for d in diagnostics] == [4]
+
+    def test_scope_naming_no_definition_is_reported(self):
+        config = LintConfig(
+            dispatched_scopes={
+                LIB: ("Engine", "Engine._precode", "Engine._score_round")
+            }
+        )
+        diagnostics = run_fixture(
+            "rpl001_stale_scope.py", select=["RPL001"], config=config
+        )
+        assert [(d.line, d.code) for d in diagnostics] == [(1, "RPL001")]
+        assert "`Engine._score_round` names no function" in diagnostics[0].message
 
 
 # ----------------------------------------------------------------------

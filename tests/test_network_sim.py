@@ -152,3 +152,55 @@ class TestGoldens:
         assert sorted(series) == sorted(expected)
         for key, values in expected.items():
             assert np.array_equal(np.ravel(series[key]), floats(values)), key
+
+
+MODES = {"cas": (AntennaMode.CAS, MacMode.CAS), "midas": (AntennaMode.DAS, MacMode.MIDAS)}
+
+
+class TestUncoveredPathGoldens:
+    """Event-engine paths the older goldens do not reach, recorded from
+    repro 12.0.0: the coordinated-scheduling veto under roaming, CSI noise,
+    and fig15 ``dynamic`` over a process pool."""
+
+    @pytest.mark.parametrize("key", sorted(MODES))
+    def test_coordinated_scheduling_with_roaming(self, three_ap_pair, key):
+        antenna_mode, mac_mode = MODES[key]
+        golden = goldens()["network_coordinated"][key]
+        sim = NetworkSimulation(
+            three_ap_pair[antenna_mode],
+            mac_mode,
+            SIM,
+            seed=3,
+            association="hysteresis_handoff",
+            mobility="gauss_markov",
+            mobility_kwargs={"speed_mps": 3.0},
+            resound_interval_s=0.01,
+            coordination="coordinated_scheduling",
+        )
+        result = sim.run()
+        log = sim.association.handoff_log
+        assert log[:, [0, 2, 3, 4]].tolist() == golden["events"]
+        assert sim.association.tag_builds == golden["tag_builds"]
+        assert sim.association.outage_count[0] == golden["outages"]
+        assert_network_matches(result, golden["result"])
+
+    @pytest.mark.parametrize("key", sorted(MODES))
+    def test_csi_error(self, three_ap_pair, key):
+        antenna_mode, mac_mode = MODES[key]
+        sim = SimConfig(duration_s=0.05, csi_error_std=0.1)
+        result = NetworkSimulation(three_ap_pair[antenna_mode], mac_mode, sim, seed=3).run()
+        assert_network_matches(result, goldens()["network_csi_error"][key])
+
+    def test_fig15_dynamic_over_a_process_pool(self):
+        spec = RunSpec(
+            "fig15",
+            n_topologies=4,
+            seed=5,
+            params={"rounds_per_topology": 2, "dynamic": True, "duration_s": 0.02},
+        )
+        expected = goldens()["fig15_dynamic_jobs"]
+        for jobs in (1, 2):
+            series = Runner(jobs=jobs).run(spec).series
+            assert sorted(series) == sorted(expected)
+            for key, values in expected.items():
+                assert np.array_equal(np.ravel(series[key]), floats(values)), (jobs, key)

@@ -84,6 +84,63 @@ class TestFullOptimal:
         assert result.capacity_bps_hz >= capacity(h, naive_scaled_precoder(h, P)) - 1e-9
 
 
+#: 4x4 Office A channels (``float.hex`` real and imaginary parts, row-major)
+#: on which the mu -> 0 probe of the WMMSE precoder update met an exactly
+#: singular weighted matrix: fig08 at seed 0 and fig09 at seed 1, 200
+#: topologies, ``precoder="wmmse"``, with the runs' per-antenna budget and
+#: noise floor (mW).
+SINGULAR_P = float.fromhex("0x1.93d00d2348997p+2")
+SINGULAR_NOISE = float.fromhex("0x1.b83b4318002dcp-31")
+SINGULAR_WEIGHT_CHANNELS = [
+    # fig08-seed0: one stream's MSE weight collapses and A turns singular.
+    (
+        [
+            "-0x1.3d193bffe7c50p-16", "0x1.1e1f1080f4166p-16",
+            "0x1.e9ff71d712104p-16", "-0x1.b1f509997a106p-16",
+            "0x1.b6b4d3345e806p-13", "0x1.1545cc79bed6ep-15",
+            "-0x1.2ec22d2b77bbbp-16", "-0x1.b57751d0e4b63p-17",
+            "0x1.a36755213a560p-21", "0x1.56e5f331fe11cp-18",
+            "0x1.703d0ceee4987p-20", "0x1.1c25fb5d655c3p-21",
+            "0x1.e2a7a77a4c849p-20", "-0x1.a9ece1a7af18cp-17",
+            "0x1.958af2039a8bdp-24", "0x1.ec9c9cbc2ab24p-20",
+        ],
+        [
+            "-0x1.b43c86337eeadp-16", "-0x1.173e5766cddd9p-20",
+            "0x1.4406197aca760p-18", "-0x1.063898725be7ep-17",
+            "0x1.afa53e592c4ccp-15", "0x1.ae42ae841856dp-15",
+            "0x1.061eb212a36a8p-14", "-0x1.48ba1753444bcp-13",
+            "-0x1.4e404918dc0b1p-17", "0x1.01ef3e726f0ffp-15",
+            "0x1.13d7e58ee1259p-20", "-0x1.955e674446f7fp-18",
+            "-0x1.62e4b45ce7b8bp-17", "0x1.64e1dac5330eap-15",
+            "-0x1.0abee9b261e19p-21", "-0x1.1a186310515f7p-19",
+        ],
+    ),
+    # fig09-seed1: one stream's MSE weight collapses and A turns singular.
+    (
+        [
+            "-0x1.cfeca841c925bp-18", "0x1.6932f6e178c18p-21",
+            "-0x1.174f42b1ca3ebp-20", "-0x1.c5c1989765c53p-16",
+            "-0x1.2edbd4b44c6cbp-15", "-0x1.d1ab1b4129442p-17",
+            "0x1.4bb30c0902971p-13", "-0x1.ee9ea2ce5dbe4p-11",
+            "0x1.7c533775603c0p-14", "0x1.5d64222a1e8ffp-15",
+            "0x1.0bcb27469603ap-16", "-0x1.88b56e7b0959fp-18",
+            "-0x1.a0d9ac28394dep-16", "-0x1.21298b8ea6098p-18",
+            "0x1.145f6da6280e7p-21", "-0x1.a45151cda53f4p-20",
+        ],
+        [
+            "-0x1.101b8ce1c4bccp-18", "-0x1.6e41342857fc9p-20",
+            "-0x1.43f16939577d2p-20", "-0x1.2a608e5588031p-15",
+            "0x1.120dc745a1464p-15", "0x1.8aee452d23bfep-20",
+            "-0x1.225c3e0bb465fp-12", "-0x1.d33c4866ab7d4p-9",
+            "0x1.efbfe99d99d45p-15", "0x1.b5413a4d38a24p-15",
+            "0x1.b5269677c1712p-17", "-0x1.e082c8f5dc16bp-18",
+            "0x1.d70b6f71cc807p-19", "-0x1.39057f39aa3d6p-19",
+            "0x1.b9c0ee05fb059p-19", "0x1.9ed24aa344c28p-16",
+        ],
+    ),
+]
+
+
 class TestWmmse:
     def test_feasible(self):
         h = random_channel(1)
@@ -107,3 +164,16 @@ class TestWmmse:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             wmmse_precoder(random_channel(0), 0.0, NOISE)
+
+    @pytest.mark.parametrize("case", range(len(SINGULAR_WEIGHT_CHANNELS)))
+    def test_singular_weighted_matrix_falls_back_to_bisection(self, case):
+        real, imag = SINGULAR_WEIGHT_CHANNELS[case]
+        h = np.array([float.fromhex(x) for x in real]).reshape(4, 4) + 1j * np.array(
+            [float.fromhex(x) for x in imag]
+        ).reshape(4, 4)
+        p, noise = SINGULAR_P, SINGULAR_NOISE
+        result = wmmse_precoder(h, p, noise)
+        assert np.isfinite(result.v).all()
+        assert per_antenna_row_power(result.v).max() <= p * (1 + 1e-9)
+        naive = sum_capacity_bps_hz(stream_sinrs(h, naive_scaled_precoder(h, p), noise))
+        assert result.capacity_bps_hz >= naive

@@ -1,6 +1,9 @@
 """Public API surface tests: the README quickstart must keep working."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,20 @@ class TestImportSurface:
         )
         assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', project, re.MULTILINE)
         assert 'version = {attr = "repro.__version__"}' in text
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # The numerical comparators import it on first use; every CLI call
+        # pays ``import repro``.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        completed = subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print('scipy.optimize' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestReadmeQuickstart:
