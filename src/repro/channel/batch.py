@@ -92,10 +92,11 @@ class ChannelBatch:
         Radio constants shared by the whole batch (one environment).
     seeds:
         One seed per item: an int, a generator, or a seed-tree node
-        (:class:`numpy.random.SeedSequence`).  Two children are spawned from
-        it -- shadowing (one leaf per antenna site under it) and fading --
-        so the two streams are independent; a caller-held generator or
-        node advances its spawn counter by two.  Item ``i`` consumes
+        (:class:`repro.rng.SeedNode` or :class:`numpy.random.SeedSequence`).
+        Two children are spawned from it -- shadowing (one leaf per
+        antenna site under it) and fading -- so the two streams are
+        independent; a caller-held generator or node advances its spawn
+        counter by two.  Item ``i`` consumes
         randomness only from the tree of ``seeds[i]``.
     """
 
@@ -299,7 +300,7 @@ class ChannelBatch:
     @property
     def _fading_rngs(self) -> list[np.random.Generator]:
         if self._lazy_fading_rngs is None:
-            self._lazy_fading_rngs = [rng_mod.make_rng(s) for s in self._fading_seeds]
+            self._lazy_fading_rngs = rng_mod.make_rngs(self._fading_seeds)
         return self._lazy_fading_rngs
 
     @property

@@ -87,10 +87,15 @@ class LatticeNodeStore:
 
     def generator(self, field: int) -> np.random.Generator:
         """Field ``field``'s generator (built from its seed on first use)."""
-        generator = self._generators[field]
-        if generator is None:
-            generator = self._generators[field] = rng_mod.make_rng(self._seeds[field])
-        return generator
+        self._build([field])
+        return self._generators[field]
+
+    def _build(self, fields) -> None:
+        """Build the generators of ``fields`` that have none yet, their
+        leaves hashed in one pass."""
+        new = [field for field in fields if self._generators[field] is None]
+        for field, generator in zip(new, rng_mod.make_rngs([self._seeds[f] for f in new])):
+            self._generators[field] = generator
 
     def fetch(self, keys, pair_fields, pair_lengths, first_visit) -> np.ndarray:
         """Node values of sorted packed ``keys``: one run of
@@ -125,8 +130,10 @@ class LatticeNodeStore:
         drawing = np.flatnonzero(draws)
         fresh = np.empty(missing.size)
         end = 0
-        for field, count in zip(pair_fields[drawing].tolist(), draws[drawing].tolist()):
-            self.generator(field).standard_normal(out=fresh[end : end + count])
+        fields = pair_fields[drawing].tolist()
+        self._build(fields)
+        for field, count in zip(fields, draws[drawing].tolist()):
+            self._generators[field].standard_normal(out=fresh[end : end + count])
             end += count
         values[draw_order] = fresh
 

@@ -58,7 +58,7 @@ class MobilityState:
                 "static mobility needs no MobilityState; run the engine "
                 "without a mobility model instead"
             )
-        self._rngs = [rng_mod.make_rng(rng) for rng in rngs]
+        self._rngs = rng_mod.make_rngs(rngs)
         self.positions = np.array(deployment.client_positions)
         self.speeds_mps = np.zeros(self.positions.shape[:2])
         #: Per-item trajectory clock (seconds since the topology draw).

@@ -34,6 +34,8 @@ CORE_COUNTERS = (
     "runner.cache.recomputes",
     "rng.generators_spawned",
     "rng.seeds_derived",
+    "topology.placement_attempts",
+    "topology.placements",
     "engine.rounds",
     "engine.txops",
     "precode.rounds",

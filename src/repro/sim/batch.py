@@ -110,7 +110,7 @@ def build_traffic_state(
     return TrafficState(
         models,
         n_clients,
-        [rng_mod.make_rng(rng) for rng in rngs],
+        rng_mod.make_rngs(rngs),
         round_duration_s=scenario.mac.txop_us * 1e-6,
         bandwidth_hz=scenario.radio.bandwidth_hz,
     )
@@ -558,10 +558,11 @@ class _EngineCore:
         self.n_items = len(scenario)
         # Leaves stay seed-tree nodes until a consumer draws (the CSI leaf
         # only when CSI noise is on).
-        self._csi_rngs = [
-            rng_mod.make_rng(s) if self.sim.csi_error_std > 0 else None
-            for s in csi_seeds
-        ]
+        self._csi_rngs = (
+            rng_mod.make_rngs(csi_seeds)
+            if self.sim.csi_error_std > 0
+            else [None] * len(csi_seeds)
+        )
         self._traffic = build_traffic_state(
             traffic,
             one_per_item("traffic_kwargs", traffic_kwargs, self.n_items),

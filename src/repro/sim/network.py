@@ -85,7 +85,12 @@ class _Contender:
 
 class NetworkSimulation(_EngineCore):
     """Event-driven downlink simulation of one topology: a batched
-    :class:`~repro.topology.scenarios.Scenario` of one item."""
+    :class:`~repro.topology.scenarios.Scenario` of one item.
+
+    ``traffic_kwargs``, ``mobility_kwargs``, ``association`` and
+    ``association_kwargs`` are each one value or a per-item list of one
+    (:func:`repro.assoc.state.one_per_item`), as in the round engine.
+    """
 
     def __init__(
         self,
@@ -113,7 +118,7 @@ class NetworkSimulation(_EngineCore):
         )
         super().__init__(
             scenario, mode, sim, [channel_seed], [csi_seed], [traffic_seed],
-            [mobility_seed], traffic, [traffic_kwargs], mobility, [mobility_kwargs],
+            [mobility_seed], traffic, traffic_kwargs, mobility, mobility_kwargs,
             association, association_kwargs, coordination,
         )
         self.mac: MacConfig = scenario.mac

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs import active as _obs_active
 from . import geometry
 
 
@@ -158,37 +159,68 @@ def das_antenna_layout(
     radius_max_m: float = 10.0,
     min_sector_deg: float = 0.0,
     min_separation_m: float = 0.0,
-    within_center=None,
     within_radius_m: float = np.inf,
     max_attempts: int = 20_000,
 ) -> np.ndarray:
-    """Distributed antenna positions around an AP under the paper's rules.
+    """Distributed antenna positions around each AP under the paper's rules.
 
-    Rejection-samples positions in the ``[radius_min_m, radius_max_m]``
-    annulus around the AP until all active constraints hold:
+    ``ap_position`` is one ``(2,)`` point or an ``(n_aps, 2)`` set; the
+    result is ``(n_antennas, 2)`` or ``(n_aps, n_antennas, 2)``.  Each AP
+    rejection-samples positions in the ``[radius_min_m, radius_max_m]``
+    annulus around it until all active constraints hold:
 
     * ``min_sector_deg`` -- Fig 12's 60° no-clustering rule;
     * ``min_separation_m`` -- Fig 16's 5 m antenna separation rule;
-    * ``within_center/within_radius_m`` -- Fig 16's rule that antennas stay
-      inside the original AP coverage area.
+    * ``within_radius_m`` -- Fig 16's rule that antennas stay inside the
+      original AP coverage area.
+
+    An attempt is ``2 * n_antennas`` doubles of ``rng``: the radius draws,
+    then the angle draws (:func:`geometry.annulus_points`).  Attempts are
+    drawn and checked in blocks, and the APs take the first passing
+    attempt in turn, each AP starting at the attempt after the previous
+    AP's; an AP whose ``max_attempts`` attempts all fail raises
+    :class:`RuntimeError`.  ``rng`` must draw nothing else afterwards:
+    the unused tail of the last block is consumed.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    center = np.asarray(ap_position, dtype=float)
-    bound_center = center if within_center is None else np.asarray(within_center, dtype=float)
-    for _ in range(max_attempts):
-        pts = geometry.random_point_in_annulus(rng, center, radius_min_m, radius_max_m, n_antennas)
-        if min_separation_m > 0 and geometry.min_pairwise_distance(pts) < min_separation_m:
-            continue
-        if min_sector_deg > 0 and not geometry.sector_angles_ok(center, pts, min_sector_deg):
-            continue
-        if np.isfinite(within_radius_m) and not np.all(
-            geometry.points_within(pts, bound_center, within_radius_m)
-        ):
-            continue
-        return pts
-    raise RuntimeError(
-        "could not satisfy DAS placement constraints after "
-        f"{max_attempts} attempts (radius {radius_min_m}-{radius_max_m} m, "
-        f"sector {min_sector_deg} deg, separation {min_separation_m} m)"
-    )
+    centers = np.asarray(ap_position, dtype=float)
+    flat = centers.reshape(-1, 2)
+    layout = np.empty((len(flat), n_antennas, 2))
+    ap = tried = attempts = 0
+    block = len(flat)
+    while ap < len(flat):
+        left = flat[ap:, None, :]
+        pts = geometry.annulus_points(
+            rng.random((block, 2, n_antennas)), left, radius_min_m, radius_max_m
+        )
+        ok = np.ones(pts.shape[:2], dtype=bool)
+        if min_separation_m > 0:
+            ok &= geometry.min_pairwise_distance(pts) >= min_separation_m
+        if min_sector_deg > 0:
+            ok &= geometry.sector_angles_ok(left, pts, min_sector_deg)
+        if np.isfinite(within_radius_m):
+            ok &= geometry.points_within(pts, left, within_radius_m).all(axis=-1)
+        first, start = ap, 0
+        while ap < len(flat):
+            stop = min(block, start + max_attempts - tried)
+            hits = np.flatnonzero(ok[ap - first, start:stop])
+            if not hits.size:
+                tried += stop - start
+                attempts += stop - start
+                break
+            accepted = start + int(hits[0])
+            layout[ap] = pts[ap - first, accepted]
+            attempts += accepted + 1 - start
+            ap, tried, start = ap + 1, 0, accepted + 1
+        if tried >= max_attempts:
+            raise RuntimeError(
+                "could not satisfy DAS placement constraints after "
+                f"{max_attempts} attempts (radius {radius_min_m}-{radius_max_m} m, "
+                f"sector {min_sector_deg} deg, separation {min_separation_m} m)"
+            )
+        block = min(8 * block, max_attempts)
+    telemetry = _obs_active()
+    telemetry.count("topology.placement_attempts", attempts)
+    telemetry.count("topology.placements", len(flat))
+    return layout.reshape(centers.shape[:-1] + (n_antennas, 2))

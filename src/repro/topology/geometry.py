@@ -51,14 +51,40 @@ def stacked_pairwise_distances(a, b) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def min_pairwise_distance(points) -> float:
-    """Smallest distance between any two distinct points (inf for < 2 points)."""
-    pts = as_points(points)
-    if len(pts) < 2:
-        return float("inf")
-    dists = pairwise_distances(pts, pts)
-    np.fill_diagonal(dists, np.inf)
-    return float(dists.min())
+def min_pairwise_distance(points):
+    """Smallest distance between any two distinct points (inf for < 2
+    points); a ``(..., n, 2)`` stack gives one value per point set."""
+    pts = as_point_stack(points)
+    if pts.shape[-2] < 2:
+        return np.full(pts.shape[:-2], np.inf)[()]
+    dists = stacked_pairwise_distances(pts, pts)
+    dists[..., np.arange(pts.shape[-2]), np.arange(pts.shape[-2])] = np.inf
+    return dists.min(axis=(-2, -1))
+
+
+def annulus_points(draws, center, r_min: float, r_max: float) -> np.ndarray:
+    """Points in the annulus ``r_min <= r <= r_max`` around ``center`` from
+    uniform ``draws`` in [0, 1) of shape ``(..., 2, count)``: row 0 sets
+    each point's area-uniform radius, row 1 its angle.
+
+    ``center`` is one ``(2,)`` point or a stack broadcasting against the
+    leading axes; the result is ``(..., count, 2)``.  Every value is the
+    one :func:`random_point_in_annulus` computes from the same doubles.
+    """
+    if not 0.0 <= r_min <= r_max:
+        raise ValueError("need 0 <= r_min <= r_max")
+    center = np.asarray(center, dtype=float)
+    # Area-uniform radius: r = sqrt(u * (r_max^2 - r_min^2) + r_min^2), and
+    # ``uniform(0, 2 pi)``'s ``0 + 2 pi * u`` angle.
+    radii = np.sqrt(draws[..., 0, :] * (r_max**2 - r_min**2) + r_min**2)
+    angles = 2.0 * np.pi * draws[..., 1, :]
+    return np.stack(
+        (
+            center[..., 0, None] + radii * np.cos(angles),
+            center[..., 1, None] + radii * np.sin(angles),
+        ),
+        axis=-1,
+    )
 
 
 def random_point_in_disk(
@@ -73,46 +99,44 @@ def random_point_in_disk(
 def random_point_in_annulus(
     rng: np.random.Generator, center, r_min: float, r_max: float, count: int = 1
 ) -> np.ndarray:
-    """Uniform random points in the annulus ``r_min <= r <= r_max`` around ``center``."""
-    if not 0.0 <= r_min <= r_max:
-        raise ValueError("need 0 <= r_min <= r_max")
-    cx, cy = np.asarray(center, dtype=float)
-    # Area-uniform radius: r = sqrt(u * (r_max^2 - r_min^2) + r_min^2).
-    u = rng.random(count)
-    radii = np.sqrt(u * (r_max**2 - r_min**2) + r_min**2)
-    angles = rng.uniform(0.0, 2.0 * np.pi, count)
-    return np.column_stack((cx + radii * np.cos(angles), cy + radii * np.sin(angles)))
+    """Uniform random points in the annulus ``r_min <= r <= r_max`` around
+    ``center``: ``count`` radius draws, then ``count`` angle draws."""
+    return annulus_points(rng.random((2, count)), center, r_min, r_max)
 
 
-def random_point_in_rect(
-    rng: np.random.Generator, x_range, y_range, count: int = 1
-) -> np.ndarray:
-    """Uniform random points in an axis-aligned rectangle."""
-    x0, x1 = x_range
-    y0, y1 = y_range
+def rect_points(draws, x_range, y_range) -> np.ndarray:
+    """Points in an axis-aligned rectangle from uniform ``draws`` of shape
+    ``(..., 2, count)`` (row 0 for x, row 1 for y), ``(..., count, 2)``;
+    each coordinate is ``uniform(lo, hi)``'s ``lo + (hi - lo) * u``."""
+    (x0, x1), (y0, y1) = x_range, y_range
     if x1 < x0 or y1 < y0:
         raise ValueError("ranges must be non-decreasing")
-    return np.column_stack((rng.uniform(x0, x1, count), rng.uniform(y0, y1, count)))
+    return np.stack(
+        (x0 + (x1 - x0) * draws[..., 0, :], y0 + (y1 - y0) * draws[..., 1, :]), axis=-1
+    )
 
 
-def sector_angles_ok(center, points, min_sector_deg: float) -> bool:
+def sector_angles_ok(center, points, min_sector_deg: float):
     """True if no two ``points`` fall within ``min_sector_deg`` of each other
-    as seen from ``center``.
+    as seen from ``center``; a ``(..., n, 2)`` stack (with ``center``
+    broadcasting as ``(..., 2)``) gives one verdict per point set.
 
     This is the paper's Fig 12 deployment rule: "any two antennas from the
     same AP cannot be deployed within a 60-degree sector measured with
     respect to the AP", which prevents antennas clustering on the far side.
     """
-    pts = as_points(points)
-    if len(pts) < 2:
-        return True
-    cx, cy = np.asarray(center, dtype=float)
-    angles = np.degrees(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx))
-    angles = np.sort(np.mod(angles, 360.0))
+    pts = as_point_stack(points)
+    if pts.shape[-2] < 2:
+        return np.ones(pts.shape[:-2], dtype=bool)[()]
+    center = np.asarray(center, dtype=float)
+    angles = np.degrees(
+        np.arctan2(pts[..., 1] - center[..., 1, None], pts[..., 0] - center[..., 0, None])
+    )
+    angles = np.sort(np.mod(angles, 360.0), axis=-1)
     # Consecutive gaps around the circle (including the wrap-around gap);
     # the minimum consecutive gap equals the minimum pairwise separation.
-    gaps = np.diff(np.concatenate((angles, [angles[0] + 360.0])))
-    return bool(np.min(gaps) >= min_sector_deg)
+    gaps = np.diff(np.concatenate((angles, angles[..., :1] + 360.0), axis=-1), axis=-1)
+    return np.min(gaps, axis=-1) >= min_sector_deg
 
 
 def grid_points(x_range, y_range, step: float) -> np.ndarray:
@@ -129,7 +153,8 @@ def grid_points(x_range, y_range, step: float) -> np.ndarray:
 
 
 def points_within(points, center, radius: float) -> np.ndarray:
-    """Boolean mask of which ``points`` lie within ``radius`` of ``center``."""
-    pts = as_points(points)
+    """Boolean mask of which ``points`` (``(..., n, 2)``) lie within
+    ``radius`` of ``center`` (``(2,)`` or broadcasting as ``(..., 2)``)."""
+    pts = as_point_stack(points)
     center = np.asarray(center, dtype=float)
-    return np.linalg.norm(pts - center[None, :], axis=1) <= radius
+    return np.linalg.norm(pts - center[..., None, :], axis=-1) <= radius

@@ -144,35 +144,26 @@ def paired_scenarios(
         max(2.0, client_radius_min_fraction * coverage),
         client_radius_fraction * coverage,
     )
-    clients = np.empty((len(seeds), n_aps, clients_per_ap, 2))
-    das = (
-        np.empty((len(seeds), n_aps, antennas_per_ap, 2))
-        if AntennaMode.DAS in modes
-        else None
-    )
-    for item, seed in enumerate(seeds):
-        # Only the leaves draw: CAS layouts are deterministic, so the root
-        # never builds a generator, and a CAS-only call never builds the
-        # DAS one.
-        client_seed, das_seed = rng_mod.spawn_seeds(seed, 2)
-        client_rng = rng_mod.make_rng(client_seed)
-        for ap in range(n_aps):
-            clients[item, ap] = geometry.random_point_in_annulus(
-                client_rng, aps[item, ap], *client_radii, clients_per_ap
-            )
-        if das is None:
-            continue
-        das_rng = rng_mod.make_rng(das_seed)
-        for ap in range(n_aps):
-            das[item, ap] = das_antenna_layout(
+    # Only the leaves draw: CAS layouts are deterministic, so the root
+    # never builds a generator, and a CAS-only call never builds the DAS
+    # one.  Each client leaf draws one radius row and one angle row per AP.
+    leaves = [rng_mod.spawn_seeds(seed, 2) for seed in seeds]
+    draws = np.empty((len(seeds), n_aps, 2, clients_per_ap))
+    for item, client_rng in enumerate(rng_mod.make_rngs([c for c, _ in leaves])):
+        client_rng.random(out=draws[item])
+    clients = geometry.annulus_points(draws, aps, *client_radii)
+    das = None
+    if AntennaMode.DAS in modes:
+        das = np.empty((len(seeds), n_aps, antennas_per_ap, 2))
+        for item, das_rng in enumerate(rng_mod.make_rngs([d for _, d in leaves])):
+            das[item] = das_antenna_layout(
                 das_rng,
-                aps[item, ap],
+                aps[item],
                 antennas_per_ap,
                 radius_min_m=das_radius_min_m,
                 radius_max_m=das_radius_max_m,
                 min_sector_deg=min_sector_deg,
                 min_separation_m=min_separation_m,
-                within_center=aps[item, ap],
                 within_radius_m=coverage,
             )
     return {
@@ -263,17 +254,28 @@ def _place_eight_aps(
     max_attempts: int,
 ) -> np.ndarray | None:
     """Rejection-sample 8 AP positions at least 8 m apart, none overhearing
-    more than ``max_overhearers`` others; ``None`` if every attempt fails."""
-    for _ in range(max_attempts):
-        candidate = geometry.random_point_in_rect(
-            rng, (5.0, region_m - 5.0), (5.0, region_m - 5.0), 8
+    more than ``max_overhearers`` others; ``None`` if every attempt fails.
+
+    An attempt is 16 doubles of ``rng`` (8 x, then 8 y draws); attempts
+    are drawn and checked in growing blocks, and the first passing one
+    wins.  ``rng`` must draw nothing else: the tail of the block is
+    consumed.
+    """
+    side = (5.0, region_m - 5.0)
+    tried, block = 0, 1
+    while tried < max_attempts:
+        block = min(block, max_attempts - tried)
+        candidates = geometry.rect_points(rng.random((block, 2, 8)), side, side)
+        dists = geometry.stacked_pairwise_distances(candidates, candidates)
+        dists[:, np.arange(8), np.arange(8)] = np.inf
+        ok = (dists.min(axis=(1, 2)) >= 8.0) & np.all(
+            np.sum(dists < sense_range_m, axis=2) <= max_overhearers, axis=1
         )
-        dists = geometry.pairwise_distances(candidate, candidate)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() < 8.0:
-            continue
-        if np.all(np.sum(dists < sense_range_m, axis=1) <= max_overhearers):
-            return candidate
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return candidates[hits[0]]
+        tried += block
+        block *= 8
     return None
 
 
@@ -305,8 +307,10 @@ def eight_ap_scenario(
     placed = np.zeros(len(seeds), dtype=bool)
     aps = []
     synthesis_seeds = []
-    for item, seed in enumerate(seeds):
-        placement_rng, scenario_rng = rng_mod.spawn(seed, 2)
+    rngs = rng_mod.make_rngs(
+        [leaf for seed in seeds for leaf in rng_mod.spawn_seeds(seed, 2)]
+    )
+    for item, (placement_rng, scenario_rng) in enumerate(zip(rngs[::2], rngs[1::2])):
         candidate = _place_eight_aps(
             placement_rng, region_m, sense_range, max_overhearers, max_attempts
         )

@@ -59,7 +59,6 @@ class TestDasLayout:
             4,
             radius_min_m=5,
             radius_max_m=10,
-            within_center=(10, 10),
             within_radius_m=9.0,
         )
         assert np.all(geometry.points_within(ants, (10, 10), 9.0))

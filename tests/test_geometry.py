@@ -61,7 +61,7 @@ class TestRandomSampling:
 
     def test_rect_sampling_in_bounds(self):
         rng = np.random.default_rng(2)
-        pts = geometry.random_point_in_rect(rng, (0, 4), (-2, 2), 30)
+        pts = geometry.rect_points(rng.random((2, 30)), (0, 4), (-2, 2))
         assert np.all((pts[:, 0] >= 0) & (pts[:, 0] <= 4))
         assert np.all((pts[:, 1] >= -2) & (pts[:, 1] <= 2))
 

@@ -3,6 +3,9 @@
 import itertools
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import rng as rng_mod
 
@@ -201,3 +204,155 @@ class TestEngineLeaves:
         old_csi = _old_spawn(rng_mod.make_rng(9), 4)[1]
         new_csi = rng_mod.make_rng(rng_mod.spawn_seeds(9, 4)[1])
         np.testing.assert_array_equal(old_csi.random(6), new_csi.random(6))
+
+
+ENTROPY_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, (7, 3), (2**40, 2**32 + 1), [1, 2, 3, 4, 5]]
+
+entropies = st.one_of(
+    st.integers(0, 2**130),
+    st.tuples(st.integers(0, 2**64), st.integers(0, 2**64)),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+)
+spawn_keys = st.lists(st.integers(0, 2**40), max_size=3).map(tuple)
+
+
+class TestSeedNodeHash:
+    """The vectorized hash is NumPy's ``SeedSequence`` hash, word for word."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(entropy=entropies, spawn_key=spawn_keys)
+    @example(entropy=0, spawn_key=())
+    @example(entropy=2**32 - 1, spawn_key=(2**32,))
+    @example(entropy=2**32, spawn_key=(0, 2**33 + 7))
+    @example(entropy=2**64 + 5, spawn_key=(2**32, 5, 2**40))
+    @example(entropy=(3, 2**32), spawn_key=(1, 2, 3))
+    def test_state_matches_seed_sequence(self, entropy, spawn_key):
+        reference = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        node = rng_mod.SeedNode(entropy, spawn_key)
+        for n_words, dtype in ((1, np.uint32), (4, np.uint64), (9, np.uint32), (5, np.uint64)):
+            np.testing.assert_array_equal(
+                node.generate_state(n_words, dtype), reference.generate_state(n_words, dtype)
+            )
+        np.testing.assert_array_equal(
+            rng_mod.make_rng(node).random(4), np.random.default_rng(reference).random(4)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(entropies, spawn_keys), min_size=1, max_size=12))
+    def test_one_batch_hashes_mixed_lengths(self, pairs):
+        nodes = [rng_mod.SeedNode(entropy, key) for entropy, key in pairs]
+        for generator, (entropy, key) in zip(rng_mod.make_rngs(nodes), pairs):
+            reference = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+            np.testing.assert_array_equal(generator.random(3), reference.random(3))
+
+    def test_spawned_children_match_seed_sequence_children(self):
+        for entropy in ENTROPY_EDGES:
+            node = rng_mod.SeedNode(entropy)
+            reference = np.random.SeedSequence(entropy)
+            for _ in range(2):  # the second spawn continues the counter
+                for depth in range(3):
+                    kids = node.spawn(2)
+                    ref_kids = reference.spawn(2)
+                    assert [k.spawn_key for k in kids] == [k.spawn_key for k in ref_kids]
+                    for kid, ref_kid in zip(rng_mod.make_rngs(kids), ref_kids):
+                        np.testing.assert_array_equal(
+                            kid.random(3), np.random.default_rng(ref_kid).random(3)
+                        )
+                    node, reference = kids[1], ref_kids[1]
+            assert node.n_children_spawned == reference.n_children_spawned
+
+    def test_spawn_index_past_32_bits(self):
+        node = rng_mod.SeedNode(5, (1,), n_children_spawned=2**32 - 1)
+        kids = node.spawn(2)
+        assert [kid.spawn_key for kid in kids] == [(1, 2**32 - 1), (1, 2**32)]
+        for kid in kids:
+            reference = np.random.SeedSequence(5, spawn_key=kid.spawn_key)
+            np.testing.assert_array_equal(kid.generate_state(4), reference.generate_state(4))
+
+    def test_node_is_a_numpy_seed_sequence(self):
+        node = rng_mod.SeedNode(11, (2,))
+        assert isinstance(node, np.random.bit_generator.ISpawnableSeedSequence)
+        generator = np.random.default_rng(node)
+        assert generator.bit_generator.seed_seq is node
+        reference = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(2,)))
+        np.testing.assert_array_equal(generator.random(4), reference.random(4))
+        # Spawning through a generator built on a node continues its counter.
+        child = generator.spawn(1)[0]
+        np.testing.assert_array_equal(child.random(3), reference.spawn(1)[0].random(3))
+        assert rng_mod.spawn_seeds(generator, 1)[0].spawn_key == (2, 1)
+
+    def test_bad_entropy_rejected(self):
+        with pytest.raises(ValueError):
+            rng_mod.make_rng(-1)
+        with pytest.raises(TypeError):
+            rng_mod.make_rng(rng_mod.SeedNode(3, (1.5,)))
+
+    def test_generate_state_dtype_checked(self):
+        with pytest.raises(ValueError):
+            rng_mod.SeedNode(1).generate_state(2, np.int32)
+
+
+class TestDerivedSeedBatches:
+    def test_batch_across_the_32_bit_index_boundary(self):
+        start = 2**32 - 3
+        batch = rng_mod.derived_seeds(4, start, 6)
+        assert batch == [rng_mod.derived_seed(4, i) for i in range(start, start + 6)]
+        assert batch == [
+            int(np.random.SeedSequence((4, i)).generate_state(1)[0])
+            for i in range(start, start + 6)
+        ]
+
+    def test_large_root(self):
+        root = 2**70 + 9
+        assert rng_mod.derived_seeds(root, 0, 3) == [
+            int(np.random.SeedSequence((root, i)).generate_state(1)[0]) for i in range(3)
+        ]
+
+    def test_counts_each_derived_seed(self):
+        from repro import obs
+
+        telemetry = obs.Telemetry()
+        with obs.use(telemetry):
+            rng_mod.derived_seeds(1, 0, 7)
+        assert telemetry.counters["rng.seeds_derived"] == 7
+
+
+class TestBatchComposition:
+    """A leaf's generator does not depend on the batch it is built in."""
+
+    @staticmethod
+    def _leaves():
+        return [
+            leaf
+            for seed in (0, 5, 2**33, 2**64 + 5)
+            for child in rng_mod.spawn_seeds(seed, 2)
+            for leaf in (child, *rng_mod.spawn_seeds(child, 3))
+        ]
+
+    def test_any_batching_gives_the_same_streams(self):
+        alone = [rng_mod.make_rng(leaf).random(4) for leaf in self._leaves()]
+        together = [g.random(4) for g in rng_mod.make_rngs(self._leaves())]
+        np.testing.assert_array_equal(alone, together)
+        leaves = self._leaves()
+        order = np.random.default_rng(0).permutation(len(leaves))
+        shuffled = rng_mod.make_rngs([leaves[i] for i in order])
+        np.testing.assert_array_equal([g.random(4) for g in shuffled], np.asarray(alone)[order])
+
+    def test_mixed_inputs_pass_through(self):
+        held = np.random.default_rng(1)
+        sequence = np.random.SeedSequence(2, spawn_key=(4,))
+        built = rng_mod.make_rngs([held, sequence, 3, rng_mod.SeedNode(2, (4,))])
+        assert built[0] is held
+        np.testing.assert_array_equal(built[1].random(3), built[3].random(3))
+        np.testing.assert_array_equal(built[2].random(3), np.random.default_rng(3).random(3))
+
+    def test_scenario_items_do_not_depend_on_the_batch(self):
+        from repro.topology.deployment import AntennaMode
+        from repro.topology.scenarios import office_b, three_ap_scenario
+
+        seeds = [4, 9, 2**40, 17]
+        full = three_ap_scenario(office_b(), seeds=seeds)[AntennaMode.DAS].deployment
+        for item, seed in enumerate(seeds):
+            alone = three_ap_scenario(office_b(), seeds=[seed])[AntennaMode.DAS].deployment
+            np.testing.assert_array_equal(full.antenna_positions[item], alone.antenna_positions[0])
+            np.testing.assert_array_equal(full.client_positions[item], alone.client_positions[0])

@@ -227,6 +227,27 @@ class TestDynamicMacTraffic:
         assert summary.throughput_mbps > 0
         assert np.isfinite(summary.mean_delay_s)
 
+    def test_per_item_kwargs_list_of_one(self):
+        # A batch of one takes one value or a per-item list of one, as the
+        # round engine and the association arguments do.
+        scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
+        sim_cfg = SimConfig(duration_s=0.04)
+        shared = NetworkSimulation(
+            scenario, MacMode.MIDAS, sim_cfg, seed=0,
+            traffic="poisson", traffic_kwargs={"rate_mbps": 5.0},
+        ).run()
+        listed = NetworkSimulation(
+            scenario, MacMode.MIDAS, sim_cfg, seed=0,
+            traffic="poisson", traffic_kwargs=[{"rate_mbps": 5.0}],
+        ).run()
+        assert np.array_equal(shared.per_client_bits_per_hz, listed.per_client_bits_per_hz)
+        assert np.array_equal(shared.traffic.delays_s, listed.traffic.delays_s)
+        with pytest.raises(ValueError, match="one entry per item"):
+            NetworkSimulation(
+                scenario, MacMode.MIDAS, sim_cfg, seed=0, traffic="poisson",
+                traffic_kwargs=[{"rate_mbps": 5.0}, {"rate_mbps": 6.0}],
+            )
+
     def test_full_buffer_unchanged(self):
         scenario = three_ap_scenario(ENV, seeds=[0])[AntennaMode.DAS]
         sim_cfg = SimConfig(duration_s=0.03)
