@@ -55,7 +55,7 @@ See ``examples/quickstart.py`` for a longer tour.
 
 # Defined before the subpackage imports below: repro.api.runner folds the
 # version into its cache keys at import time.
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 from .analysis import (
     EmpiricalCdf,

@@ -13,14 +13,17 @@ The runner owns everything the declarative spec deliberately leaves out:
   choice, and ``"array_api"`` on the default namespace, is
   **bit-identical**; other namespace configurations meet documented
   tolerance contracts instead (see ``docs/api.md``);
-* **parallelism** -- each round's seeds are split into contiguous chunks,
-  one per worker, and fanned out over a ``ProcessPoolExecutor`` when
-  ``jobs > 1`` (workers activate the runner's namespace); outcomes are
-  accepted in stream order, so ``jobs=1`` and ``jobs=N`` produce
-  bit-identical series for a fixed seed;
-* **rejection sampling** -- experiments may reject topologies (placement
-  constraints); the runner keeps drawing seed batches until the requested
-  count is met (with the classic generous attempt cap);
+* **rejection sampling** -- a sweep gates first and evaluates once.  An
+  experiment's optional ``accept_batch`` hook judges derived-seed chunks
+  (placement constraints, overhearing rules); the runner keeps drawing
+  until the requested count of seeds is accepted (with the classic
+  generous attempt cap), then calls ``build_batch`` on the accepted seeds
+  only.  An experiment without the gate accepts every seed;
+* **parallelism** -- each round's seeds, in either phase, are split into
+  contiguous chunks, one per worker, and fanned out over a
+  ``ProcessPoolExecutor`` when ``jobs > 1`` (workers activate the
+  runner's namespace); verdicts and outcomes are kept in stream order, so
+  ``jobs=1`` and ``jobs=N`` produce bit-identical series for a fixed seed;
 * **caching** -- with a ``cache_dir``, results are persisted as JSON keyed
   by a hash of the fully resolved parameters plus the package version, and
   reloaded on a hit (``batch_size``, ``jobs`` and the backend on the exact
@@ -41,6 +44,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .. import __version__ as _PACKAGE_VERSION
 from .. import obs as obsmod
@@ -120,10 +125,15 @@ def resolve_params(defn: ExperimentDef, spec: RunSpec) -> dict:
     return params
 
 
-def _build_chunk(
-    experiment: str, seeds: list[int], params: dict, xp_config: tuple[str, str, str]
-) -> list:
-    """Worker entry point: one seed chunk through ``build_batch``.
+def _run_hook(
+    experiment: str,
+    hook: str,
+    seeds: list[int],
+    params: dict,
+    xp_config: tuple[str, str, str],
+):
+    """Worker entry point: one seed chunk through the experiment's ``hook``
+    (``"accept_batch"`` or ``"build_batch"``).
 
     Runs under the runner's :mod:`repro.xp` namespace, given as its
     ``(namespace, device, dtype)`` config.  Module-level (picklable), and
@@ -132,11 +142,11 @@ def _build_chunk(
     """
     defn = get_experiment_def(experiment)
     with xpmod.use(xpmod.get_namespace(*xp_config)):
-        return defn.build_batch(seeds, params)
+        return getattr(defn, hook)(seeds, params)
 
 
-#: Seeds per ``build_batch`` call when ``batch_size`` is unset.  Large
-#: enough that a typical sweep runs as one stacked batch.
+#: Seeds per ``accept_batch`` / ``build_batch`` call when ``batch_size``
+#: is unset.  Large enough that a typical sweep builds one stacked batch.
 _VECTORIZED_BATCH_CAP = 1024
 
 _BACKENDS = ("vectorized", "array_api")
@@ -170,10 +180,11 @@ class Runner:
         Directory for on-disk result caching keyed by spec hash, or
         ``None`` (default) to disable caching.
     batch_size:
-        Upper bound on topology seeds per ``build_batch`` call; defaults
-        to 1024.  A round schedules at most ``jobs * batch_size`` seeds;
-        ``batch_size=1`` is the one-seed-per-call reference.  Affects
-        scheduling only, never results.
+        Upper bound on topology seeds per ``accept_batch`` and
+        ``build_batch`` call; defaults to 1024.  A round schedules at most
+        ``jobs * batch_size`` seeds; ``batch_size=1`` is the
+        one-seed-per-call reference.  Affects scheduling only, never
+        results.
     backend:
         ``"vectorized"`` (default) or ``"array_api"``.  Both hand
         contiguous seed chunks to the experiment's ``build_batch`` hook,
@@ -336,7 +347,7 @@ class Runner:
         Evaluates exactly the topology-seed indices
         ``seed_start .. seed_start + seed_count - 1`` of ``spec.seed``'s
         derived stream -- the same seeds :meth:`run` would walk -- and
-        keeps whatever passes the experiment's placement constraints (no
+        builds whatever passes the experiment's ``accept_batch`` gate (no
         rejection top-up: the window *is* the work unit, so a partition of
         windows always covers each seed index exactly once).  This is the
         shard primitive of :mod:`repro.campaign`: disjoint windows of one
@@ -454,83 +465,133 @@ class Runner:
     ) -> list:
         """Accepted per-topology outcomes, in derived-seed-stream order.
 
-        With ``window=(start, count)`` the sweep evaluates exactly the
-        seed-stream indices ``start .. start+count-1`` -- no rejection
-        top-up, no attempt cap -- and returns whatever those indices
-        accept (the campaign shard contract).  Without a window it keeps
-        drawing until ``params["n_topologies"]`` topologies are accepted.
+        Two phases.  The *gate* draws seed chunks from the derived stream
+        and keeps the seeds ``defn.accept_batch`` accepts; the *build* then
+        evaluates exactly those seeds through ``build_batch``, in chunks of
+        at most ``jobs * batch_size``.  With ``window=(start, count)`` the
+        gate judges exactly the seed-stream indices ``start ..
+        start+count-1`` -- no rejection top-up, no attempt cap -- and the
+        build evaluates whatever those indices accept (the campaign shard
+        contract).  Without a window the gate keeps drawing until
+        ``params["n_topologies"]`` seeds are accepted.
         """
         n = int(params["n_topologies"])
         if n < 1:
             raise ValueError("need at least one topology")
+        telemetry = obsmod.active()
+        with contextlib.ExitStack() as stack:
+            pool = self._shared_pool
+            if self.jobs > 1 and pool is None:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=self.jobs))
+            with telemetry.span("runner.gate", experiment=defn.name):
+                accepted = self._gate(defn, params, window, pool)
+            telemetry.count("api.sweep.accepted", len(accepted))
+            with telemetry.span("runner.build", experiment=defn.name):
+                step = self.jobs * (self.batch_size or _VECTORIZED_BATCH_CAP)
+                outcomes: list = []
+                for start in range(0, len(accepted), step):
+                    seeds = accepted[start : start + step]
+                    batch = self._fan_out(pool, defn, "build_batch", seeds, params)
+                    if len(batch) != len(seeds) or any(o is None for o in batch):
+                        raise ValueError(
+                            f"experiment {defn.name!r}: build_batch must return "
+                            f"one outcome per seed, never None (reject seeds in "
+                            f"accept_batch instead)"
+                        )
+                    outcomes.extend(batch)
+        return outcomes
+
+    def _fan_out(
+        self,
+        pool: ProcessPoolExecutor | None,
+        defn: ExperimentDef,
+        hook: str,
+        seeds: list[int],
+        params: dict,
+    ) -> list:
+        """``hook`` over ``seeds``: in-process without a pool, else one
+        contiguous chunk per worker; results concatenated in seed order."""
+        if pool is None:
+            with xpmod.use(self._resolve_namespace()):
+                return list(getattr(defn, hook)(seeds, params))
+        size = -(-len(seeds) // self.jobs)
+        chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+        return list(
+            chain.from_iterable(
+                pool.map(
+                    _run_hook,
+                    repeat(defn.name),
+                    repeat(hook),
+                    chunks,
+                    repeat(params),
+                    repeat((self.namespace, self.device, self.dtype)),
+                )
+            )
+        )
+
+    def _gate(
+        self,
+        defn: ExperimentDef,
+        params: dict,
+        window: tuple[int, int] | None,
+        pool: ProcessPoolExecutor | None,
+    ) -> list[int]:
+        """The accepted topology seeds, in derived-seed-stream order.
+
+        Without a window: the first ``params["n_topologies"]`` seeds of the
+        stream that ``defn.accept_batch`` accepts (``RuntimeError`` when the
+        attempt cap runs out first).  With one: every accepted seed of the
+        window's indices.
+        """
+        n = int(params["n_topologies"])
         root_seed = int(params["seed"])
         stream_start = 0 if window is None else int(window[0])
         max_attempts = n if window is not None else max(200, 80 * n)
-        namespace = self._resolve_namespace()
         chunk_cap = self.batch_size or _VECTORIZED_BATCH_CAP
+        telemetry = obsmod.active()
 
-        accepted: list = []
+        accepted: list[int] = []
         attempts = 0
-        executor = self._shared_pool
-        owns_executor = False
-        try:
-            while attempts < max_attempts and (
-                window is not None or len(accepted) < n
-            ):
-                if window is not None:
-                    # The window is the work unit: evaluate every index in
-                    # it, chunked only to bound per-round memory.
-                    target = max_attempts - attempts
-                else:
-                    # Aim for exactly what is still needed (padded to keep
-                    # every worker busy); the caps only bound a single round.
-                    target = max(n - len(accepted), self.jobs)
-                    if attempts:
-                        # Rejection-heavy sweeps would otherwise shrink to
-                        # deficit-sized (eventually single-seed) batches and
-                        # forfeit the stacking win.  Overdraw by the observed
-                        # acceptance rate instead: the derived-seed stream and
-                        # each seed's accept/reject verdict are deterministic
-                        # and outcomes are consumed in stream order up to n,
-                        # so results are unchanged -- extra draws only cost
-                        # the (rejected) build work.
-                        rate = max(len(accepted) / attempts, 1.0 / 64.0)
-                        target = max(target, math.ceil((n - len(accepted)) / rate))
-                count = min(target, self.jobs * chunk_cap, max_attempts - attempts)
-                seeds = rng_mod.derived_seeds(
-                    root_seed, stream_start + attempts, count
-                )
-                attempts += count
-                if self.jobs == 1:
-                    with xpmod.use(namespace):
-                        outcomes = defn.build_batch(seeds, params)
-                else:
-                    if executor is None:
-                        executor = ProcessPoolExecutor(max_workers=self.jobs)
-                        owns_executor = True
-                    size = -(-count // self.jobs)
-                    chunks = [seeds[i : i + size] for i in range(0, count, size)]
-                    outcomes = chain.from_iterable(
-                        executor.map(
-                            _build_chunk,
-                            repeat(defn.name),
-                            chunks,
-                            repeat(params),
-                            repeat((self.namespace, self.device, self.dtype)),
-                        )
-                    )
-                for outcome in outcomes:
-                    if outcome is None:
-                        continue
-                    accepted.append(outcome)
-                    if window is None and len(accepted) == n:
-                        break
-        finally:
-            if owns_executor and executor is not None:
-                executor.shutdown()
-        if window is None and len(accepted) < n:
-            raise RuntimeError(
-                f"only {len(accepted)}/{n} topologies satisfied the "
-                f"placement constraints after {attempts} attempts"
+        while attempts < max_attempts and (window is not None or len(accepted) < n):
+            if window is not None:
+                # The window is the work unit: gate every index in it,
+                # chunked only to bound per-round memory.
+                target = max_attempts - attempts
+            else:
+                # Aim for exactly what is still needed (padded to keep
+                # every worker busy); the caps only bound a single round.
+                target = max(n - len(accepted), self.jobs)
+                if attempts:
+                    # Rejection-heavy sweeps would otherwise shrink to
+                    # deficit-sized (eventually single-seed) rounds.
+                    # Overdraw by the observed acceptance rate instead: the
+                    # derived-seed stream and each seed's verdict are
+                    # deterministic and accepted seeds are kept in stream
+                    # order up to n, so results are unchanged -- extra
+                    # draws only cost gate work.
+                    rate = max(len(accepted) / attempts, 1.0 / 64.0)
+                    target = max(target, math.ceil((n - len(accepted)) / rate))
+            count = min(target, self.jobs * chunk_cap, max_attempts - attempts)
+            seeds = rng_mod.derived_seeds(root_seed, stream_start + attempts, count)
+            attempts += count
+            telemetry.count("api.sweep.seeds_drawn", count)
+            if defn.accept_batch is None:
+                accepted.extend(seeds)
+                continue
+            verdicts = np.asarray(
+                self._fan_out(pool, defn, "accept_batch", seeds, params), dtype=bool
             )
+            if verdicts.shape != (count,):
+                raise ValueError(
+                    f"experiment {defn.name!r}: accept_batch must return one "
+                    f"bool per seed, got shape {verdicts.shape} for {count} seeds"
+                )
+            accepted.extend(seed for seed, ok in zip(seeds, verdicts.tolist()) if ok)
+        if window is None:
+            if len(accepted) < n:
+                raise RuntimeError(
+                    f"only {len(accepted)}/{n} topologies satisfied the "
+                    f"placement constraints after {attempts} attempts"
+                )
+            del accepted[n:]
         return accepted

@@ -17,35 +17,32 @@ from .. import xp as xpmod
 from ..api.precoders import capacity_for_batch  # noqa: F401  (re-export)
 from ..api.registry import MOBILITY
 from ..api.result import ExperimentResult  # noqa: F401  (re-export)
+from ..api.scenarios import resolve_environment
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..mobility import resolve_mobility
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 
 
-def three_ap_overhearing_batch(environment, seeds):
-    """CAS-gate a batch of three-AP topology seeds (figs 12 and 15).
+def accept_three_ap_overhearing(topo_seeds, params: dict) -> np.ndarray:
+    """The acceptance gate of figs 12 and 15: ``(len(topo_seeds),)`` bool.
 
-    Builds the CAS-only scenario batch, applies the paper's mutual
-    overhearing rule via the batched carrier-sense gate, and builds the
-    (expensive, rejection-sampled, independently-seeded) DAS layouts only
-    for the survivors.  Returns ``(index, accepted_seeds, cas, das)`` where
-    ``index`` maps survivor slots back to positions in ``seeds`` and the two
-    scenario batches cover survivors only.
+    Builds the CAS-only three-AP scenario batch and applies the paper's
+    mutual overhearing rule via the batched carrier-sense gate.  CAS-only
+    synthesis builds only the client generators, so the expensive,
+    rejection-sampled DAS layouts are drawn for accepted seeds only, by
+    the experiment's ``build_batch``.
     """
     from ..sim.batch import RoundBasedEvaluatorBatch
     from ..topology.scenarios import three_ap_scenario
 
-    seeds = list(seeds)
-    cas = three_ap_scenario(environment, seeds=seeds, modes=(AntennaMode.CAS,))[
-        AntennaMode.CAS
-    ]
-    index = np.flatnonzero(RoundBasedEvaluatorBatch.mutual_overhear_mask(cas, seeds))
-    accepted_seeds = [seeds[i] for i in index]
-    das = three_ap_scenario(environment, seeds=accepted_seeds, modes=(AntennaMode.DAS,))[
-        AntennaMode.DAS
-    ]
-    return index, accepted_seeds, cas.take(index), das
+    seeds = list(topo_seeds)
+    cas = three_ap_scenario(
+        resolve_environment(params["environment"]),
+        seeds=seeds,
+        modes=(AntennaMode.CAS,),
+    )[AntennaMode.CAS]
+    return RoundBasedEvaluatorBatch.mutual_overhear_mask(cas, seeds)
 
 
 def greedy_siso_snrs_batch(snr_db: np.ndarray) -> np.ndarray:

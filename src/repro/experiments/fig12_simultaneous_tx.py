@@ -16,25 +16,22 @@ from .. import rng as rng_mod
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..sim.batch import MacMode, RoundBasedEvaluatorBatch, count_streams_batch
-from .common import ExperimentResult, three_ap_overhearing_batch
+from ..topology.deployment import AntennaMode
+from ..topology.scenarios import three_ap_scenario
+from .common import ExperimentResult, accept_three_ap_overhearing
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
+def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    index, accepted_seeds, cas, das = three_ap_overhearing_batch(env, seeds)
-    outcomes: list[dict | None] = [None] * len(seeds)
-    if index.size == 0:
-        return outcomes
-    das_batch = RoundBasedEvaluatorBatch(das, MacMode.MIDAS, seeds=accepted_seeds)
-    rngs = [rng_mod.make_rng(seed) for seed in accepted_seeds]
+    pair = three_ap_scenario(env, seeds=seeds)
+    das_batch = RoundBasedEvaluatorBatch(pair[AntennaMode.DAS], MacMode.MIDAS, seeds=seeds)
+    rngs = [rng_mod.make_rng(seed) for seed in seeds]
     midas_streams = count_streams_batch(
         das_batch, rngs, params["rounds_per_topology"]
     )
-    cas_streams = float(len(cas.deployment.antennas_of(0)))
-    for slot, i in enumerate(index):
-        outcomes[i] = {"midas": float(midas_streams[slot]), "cas": cas_streams}
-    return outcomes
+    cas_streams = float(len(pair[AntennaMode.CAS].deployment.antennas_of(0)))
+    return [{"midas": float(streams), "cas": cas_streams} for streams in midas_streams]
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
@@ -60,5 +57,6 @@ class Fig12Experiment:
         "environment": "office_b",
         "rounds_per_topology": 12,
     }
+    accept_batch = staticmethod(accept_three_ap_overhearing)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

@@ -18,50 +18,48 @@ from ..api.scenarios import resolve_environment
 from ..config import SimConfig
 from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..sim.network import NetworkSimulation
-from .common import ExperimentResult, three_ap_overhearing_batch
+from ..topology.deployment import AntennaMode
+from ..topology.scenarios import three_ap_scenario
+from .common import ExperimentResult, accept_three_ap_overhearing
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
+def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    index, accepted_seeds, cas, das = three_ap_overhearing_batch(env, seeds)
-    outcomes: list[dict | None] = [None] * len(seeds)
-    if index.size == 0:
-        return outcomes
+    pair = three_ap_scenario(env, seeds=seeds)
+    cas, das = pair[AntennaMode.CAS], pair[AntennaMode.DAS]
     if params["dynamic"]:
         # The closed-loop discrete-event MAC is event-serial by nature: the
-        # gate is batched, each survivor then simulates on its own.
+        # gate is batched, each accepted topology then simulates on its own.
         sim_cfg = SimConfig(duration_s=params["duration_s"])
-        for slot, i in enumerate(index):
-            seed = accepted_seeds[slot]
+        outcomes = []
+        for item, seed in enumerate(seeds):
             cas_run = NetworkSimulation(
-                cas.take([slot]), MacMode.CAS, sim_cfg, seed=seed
+                cas.take([item]), MacMode.CAS, sim_cfg, seed=seed
             ).run()
             midas_run = NetworkSimulation(
-                das.take([slot]), MacMode.MIDAS, sim_cfg, seed=seed
+                das.take([item]), MacMode.MIDAS, sim_cfg, seed=seed
             ).run()
-            outcomes[i] = {
-                "cas": cas_run.network_capacity_bps_hz,
-                "midas": midas_run.network_capacity_bps_hz,
-                "streams": midas_run.mean_concurrent_streams
-                / max(cas_run.mean_concurrent_streams, 1e-9),
-            }
+            outcomes.append(
+                {
+                    "cas": cas_run.network_capacity_bps_hz,
+                    "midas": midas_run.network_capacity_bps_hz,
+                    "streams": midas_run.mean_concurrent_streams
+                    / max(cas_run.mean_concurrent_streams, 1e-9),
+                }
+            )
         return outcomes
-    cas_results = RoundBasedEvaluatorBatch(
-        cas, MacMode.CAS, seeds=accepted_seeds
-    ).run(params["rounds_per_topology"])
-    das_results = RoundBasedEvaluatorBatch(
-        das, MacMode.MIDAS, seeds=accepted_seeds
-    ).run(params["rounds_per_topology"])
-    for slot, i in enumerate(index):
-        cas_res = cas_results[slot]
-        midas_res = das_results[slot]
-        outcomes[i] = {
+    rounds = params["rounds_per_topology"]
+    cas_results = RoundBasedEvaluatorBatch(cas, MacMode.CAS, seeds=seeds).run(rounds)
+    das_results = RoundBasedEvaluatorBatch(das, MacMode.MIDAS, seeds=seeds).run(rounds)
+    return [
+        {
             "cas": cas_res.mean_capacity_bps_hz,
             "midas": midas_res.mean_capacity_bps_hz,
             "streams": midas_res.mean_streams / max(cas_res.mean_streams, 1e-9),
         }
-    return outcomes
+        for cas_res, midas_res in zip(cas_results, das_results)
+    ]
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
@@ -93,5 +91,6 @@ class Fig15Experiment:
         "dynamic": False,
         "duration_s": 0.1,
     }
+    accept_batch = staticmethod(accept_three_ap_overhearing)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

@@ -18,34 +18,39 @@ from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..sim.batch import MacMode, RoundBasedEvaluatorBatch
 from ..topology.deployment import AntennaMode
-from ..topology.scenarios import eight_ap_scenario
+from ..topology.scenarios import eight_ap_placed, eight_ap_scenario
 from .common import ExperimentResult
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
+def _accept_batch(topo_seeds, params: dict) -> np.ndarray:
+    return eight_ap_placed(
+        resolve_environment(params["environment"]),
+        seeds=list(topo_seeds),
+        region_m=params["region_m"],
+    )
+
+
+def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
-    # A seed whose AP placement fails is a rejected item: its outcome stays
-    # None and the Runner draws a replacement.
     placed, pair = eight_ap_scenario(env, seeds=seeds, region_m=params["region_m"])
-    outcomes: list[dict | None] = [None] * len(seeds)
-    index = np.flatnonzero(placed)
-    if index.size == 0:
-        return outcomes
-    accepted_seeds = [seeds[i] for i in index]
+    if not placed.all():
+        raise ValueError(
+            f"fig16: AP placement fails for seeds "
+            f"{[seed for seed, ok in zip(seeds, placed) if not ok]}; "
+            f"build only seeds its accept_batch accepts"
+        )
     rounds = params["rounds_per_topology"]
     cas_results = RoundBasedEvaluatorBatch(
-        pair[AntennaMode.CAS], MacMode.CAS, seeds=accepted_seeds
+        pair[AntennaMode.CAS], MacMode.CAS, seeds=seeds
     ).run(rounds)
     das_results = RoundBasedEvaluatorBatch(
-        pair[AntennaMode.DAS], MacMode.MIDAS, seeds=accepted_seeds
+        pair[AntennaMode.DAS], MacMode.MIDAS, seeds=seeds
     ).run(rounds)
-    for slot, i in enumerate(index):
-        outcomes[i] = {
-            "cas": cas_results[slot].mean_capacity_bps_hz,
-            "das": das_results[slot].mean_capacity_bps_hz,
-        }
-    return outcomes
+    return [
+        {"cas": cas_res.mean_capacity_bps_hz, "das": das_res.mean_capacity_bps_hz}
+        for cas_res, das_res in zip(cas_results, das_results)
+    ]
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
@@ -75,5 +80,6 @@ class Fig16Experiment:
         "rounds_per_topology": 16,
         "region_m": 60.0,
     }
+    accept_batch = staticmethod(_accept_batch)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

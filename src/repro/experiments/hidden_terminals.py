@@ -70,61 +70,64 @@ def hidden_spot_count_batch(
     return counts
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict | None]:
+def _cas_sense(env, seeds):
+    """The CAS scenario batch of ``seeds``, its channels and carrier sense."""
+    scenario = hidden_terminal_scenario(env, seeds=seeds, modes=(AntennaMode.CAS,))[
+        AntennaMode.CAS
+    ]
+    channels = ChannelBatch(scenario.deployment, scenario.radio, seeds)
+    return scenario, channels, CarrierSenseBatch(
+        channels.antenna_cross_power_dbm(), scenario.mac
+    )
+
+
+def _accept_batch(topo_seeds, params: dict) -> np.ndarray:
+    """The paper's premise: the two CAS APs must NOT overhear each other.
+
+    CAS-only synthesis: the DAS layouts (independent spawned generators)
+    are drawn by ``build_batch`` for accepted topologies only.
+    """
+    seeds = list(topo_seeds)
+    scenario, __, sense = _cas_sense(resolve_environment(params["environment"]), seeds)
+    decodable = sense.decodable_mask()
+    a_ants = scenario.deployment.antennas_of(0)
+    b_ants = scenario.deployment.antennas_of(1)
+    items = range(len(seeds))
+    overhears = (
+        decodable[np.ix_(items, a_ants, b_ants)].any(axis=(1, 2))
+        | decodable[np.ix_(items, b_ants, a_ants)].any(axis=(1, 2))
+    )
+    return ~overhears
+
+
+def _build_batch(topo_seeds, params: dict) -> list[dict]:
     env = resolve_environment(params["environment"])
     coverage = coverage_range_m(env.radio)
     seeds = list(topo_seeds)
-    # CAS-only first; DAS layouts (independent spawned generators) are
-    # built below only for topologies that pass the no-overhearing gate.
-    cas_scenario = hidden_terminal_scenario(env, seeds=seeds, modes=(AntennaMode.CAS,))[
-        AntennaMode.CAS
-    ]
+    inr_db = params["interference_inr_db"]
+    cas_scenario, cas_channels, cas_sense = _cas_sense(env, seeds)
     # The corridor geometry (AP span) is deterministic per environment, so
     # one survey grid serves the whole batch.
     span = float(cas_scenario.deployment.ap_positions[0, 1, 0])
     grid = geometry.grid_points(
         (-coverage, span + coverage), (-coverage, coverage), params["grid_step_m"]
     )
-
-    cas_channels = ChannelBatch(cas_scenario.deployment, cas_scenario.radio, seeds)
-    cas_sense = CarrierSenseBatch(
-        cas_channels.antenna_cross_power_dbm(), cas_scenario.mac
-    )
-    # The paper's premise: the CAS APs must NOT overhear each other.
-    decodable = cas_sense.decodable_mask()
-    a_ants = cas_scenario.deployment.antennas_of(0)
-    b_ants = cas_scenario.deployment.antennas_of(1)
-    items = range(len(seeds))
-    overhears = (
-        decodable[np.ix_(items, a_ants, b_ants)].any(axis=(1, 2))
-        | decodable[np.ix_(items, b_ants, a_ants)].any(axis=(1, 2))
-    )
-    outcomes: list[dict | None] = [None] * len(seeds)
-    index = np.flatnonzero(~overhears)
-    if index.size == 0:
-        return outcomes
-    # Survey grids are the expensive step: skip them entirely for an
-    # all-rejected batch.  When survivors exist, counting runs over the
-    # full stack -- the no-overhearing gate accepts nearly every topology
-    # (the corridor is built past CS range), so subsetting to survivors
-    # would cost a channel rebuild for almost all items and save none.
     cas_counts = hidden_spot_count_batch(
-        cas_scenario, cas_channels, cas_sense, grid, params["interference_inr_db"]
+        cas_scenario, cas_channels, cas_sense, grid, inr_db
     )
-    das_seeds = [seeds[i] for i in index]
-    das_scenario = hidden_terminal_scenario(env, seeds=das_seeds, modes=(AntennaMode.DAS,))[
+    das_scenario = hidden_terminal_scenario(env, seeds=seeds, modes=(AntennaMode.DAS,))[
         AntennaMode.DAS
     ]
-    das_channels = ChannelBatch(das_scenario.deployment, das_scenario.radio, das_seeds)
+    das_channels = ChannelBatch(das_scenario.deployment, das_scenario.radio, seeds)
     das_sense = CarrierSenseBatch(
         das_channels.antenna_cross_power_dbm(), das_scenario.mac
     )
     das_counts = hidden_spot_count_batch(
-        das_scenario, das_channels, das_sense, grid, params["interference_inr_db"]
+        das_scenario, das_channels, das_sense, grid, inr_db
     )
-    for slot, i in enumerate(index):
-        outcomes[i] = {"cas": int(cas_counts[i]), "das": int(das_counts[slot])}
-    return outcomes
+    return [
+        {"cas": int(cas), "das": int(das)} for cas, das in zip(cas_counts, das_counts)
+    ]
 
 
 def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
@@ -161,5 +164,6 @@ class HiddenTerminalsExperiment:
         "grid_step_m": 1.0,
         "interference_inr_db": 3.0,
     }
+    accept_batch = staticmethod(_accept_batch)
     build_batch = staticmethod(_build_batch)
     finalize = staticmethod(_finalize)

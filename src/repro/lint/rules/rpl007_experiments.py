@@ -1,8 +1,10 @@
 """RPL007: registered experiments must ship a ``build_batch`` hook.
 
 ``build_batch`` is the only evaluation hook the :class:`repro.api.Runner`
-calls, with contiguous seed chunks on every backend.  A registration
-without it cannot run on any backend, so the rule has no opt-out -- every
+calls, with contiguous chunks of accepted seeds on every backend (the
+optional ``accept_batch`` gate only judges seeds; it evaluates nothing).
+A registration without it cannot run on any backend, so the rule has no
+opt-out -- every
 ``@register_experiment`` class must define ``build_batch``, and every
 ``register_experiment(ExperimentDef(...))`` call must pass it by keyword.
 """
@@ -53,8 +55,8 @@ class ExperimentBatchRule(Rule):
                 self.report(
                     node,
                     f"registered experiment `{node.name}` ships no "
-                    "`build_batch`, the only hook the Runner evaluates "
-                    "through; add it (a single topology is a batch of one)",
+                    "`build_batch`, the only evaluation hook the Runner "
+                    "calls; add it (a single topology is a batch of one)",
                 )
         self.generic_visit(node)
 
@@ -68,7 +70,7 @@ class ExperimentBatchRule(Rule):
                     self.report(
                         node,
                         "registered experiment definition ships no "
-                        "`build_batch`, the only hook the Runner evaluates "
-                        "through; pass it to ExperimentDef",
+                        "`build_batch`, the only evaluation hook the Runner "
+                        "calls; pass it to ExperimentDef",
                     )
         self.generic_visit(node)

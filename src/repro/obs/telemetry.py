@@ -32,6 +32,8 @@ CORE_COUNTERS = (
     "runner.cache.hits",
     "runner.cache.misses",
     "runner.cache.recomputes",
+    "api.sweep.seeds_drawn",
+    "api.sweep.accepted",
     "rng.generators_spawned",
     "rng.seeds_derived",
     "topology.placement_attempts",

@@ -766,8 +766,8 @@ class RoundBasedEvaluatorBatch(_EngineCore):
         Identical to ``cls(scenario, mode, seeds=seeds).aps_mutually_overhear()``
         -- the per-item generator tree and shadowing node order are the same
         -- but skips the DRR/tag/fading state that rejected topologies never
-        use.  Experiments gate large candidate batches with this, then build
-        evaluators for the survivors only.
+        use.  Experiments gate large candidate batches with this in their
+        ``accept_batch``, then build evaluators for the accepted seeds only.
         """
         seeds = [0] * len(scenario) if seeds is None else list(seeds)
         channel_seeds = [rng_mod.spawn_seeds(seed, 2)[0] for seed in seeds]

@@ -279,6 +279,42 @@ def _place_eight_aps(
     return None
 
 
+def _eight_ap_placements(
+    environment: OfficeEnvironment,
+    seeds,
+    region_m: float,
+    max_overhearers: int,
+    max_attempts: int,
+) -> list[np.ndarray | None]:
+    """Per seed, its 8-AP placement (``None`` when every attempt fails).
+
+    Each seed's placement draws only from the first leaf of its tree, so
+    the verdicts are the same whatever batch they are computed in.
+    """
+    sense_range = cs_range_m(environment.radio, DEFAULT_MAC)
+    rngs = rng_mod.make_rngs([rng_mod.spawn_seeds(seed, 2)[0] for seed in seeds])
+    return [
+        _place_eight_aps(rng, region_m, sense_range, max_overhearers, max_attempts)
+        for rng in rngs
+    ]
+
+
+def eight_ap_placed(
+    environment: OfficeEnvironment,
+    *,
+    seeds,
+    region_m: float = 60.0,
+    max_overhearers: int = 3,
+    max_attempts: int = 5_000,
+) -> np.ndarray:
+    """``(len(seeds),)`` bool: which seeds :func:`eight_ap_scenario` can
+    place (Fig 16's acceptance gate); draws nothing but the placements."""
+    placements = _eight_ap_placements(
+        environment, seeds, region_m, max_overhearers, max_attempts
+    )
+    return np.array([aps is not None for aps in placements], dtype=bool)
+
+
 def eight_ap_scenario(
     environment: OfficeEnvironment,
     *,
@@ -297,34 +333,25 @@ def eight_ap_scenario(
     are within 5 m of each other.
 
     Returns ``(placed, pair)``: ``placed`` is a ``(len(seeds),)`` bool mask
-    of the seeds whose AP placement succeeded within ``max_attempts``, and
-    ``pair`` holds those items only, in seed order.  A rejected seed draws
-    nothing more and leaves every other item unchanged.  Each placed item's
-    ``Scenario.seeds`` entry is the int its placement tree drew for the
-    paired synthesis.
+    of the seeds whose AP placement succeeded within ``max_attempts`` (what
+    :func:`eight_ap_placed` returns), and ``pair`` holds those items only,
+    in seed order.  A rejected seed draws nothing more and leaves every
+    other item unchanged.  Each placed item's ``Scenario.seeds`` entry is
+    the int its placement tree drew for the paired synthesis.
     """
-    sense_range = cs_range_m(environment.radio, DEFAULT_MAC)
-    placed = np.zeros(len(seeds), dtype=bool)
-    aps = []
-    synthesis_seeds = []
-    rngs = rng_mod.make_rngs(
-        [leaf for seed in seeds for leaf in rng_mod.spawn_seeds(seed, 2)]
+    placements = _eight_ap_placements(
+        environment, seeds, region_m, max_overhearers, max_attempts
     )
-    for item, (placement_rng, scenario_rng) in enumerate(zip(rngs[::2], rngs[1::2])):
-        candidate = _place_eight_aps(
-            placement_rng, region_m, sense_range, max_overhearers, max_attempts
-        )
-        if candidate is None:
-            continue
-        placed[item] = True
-        aps.append(candidate)
-        synthesis_seeds.append(int(scenario_rng.integers(0, 2**31 - 1)))
+    placed = np.array([aps is not None for aps in placements], dtype=bool)
+    scenario_rngs = rng_mod.make_rngs(
+        [rng_mod.spawn_seeds(seed, 2)[1] for seed, ok in zip(seeds, placed) if ok]
+    )
     return placed, paired_scenarios(
         environment,
-        np.reshape(aps, (-1, 8, 2)),
+        np.reshape([aps for aps in placements if aps is not None], (-1, 8, 2)),
         antennas_per_ap=antennas_per_ap,
         clients_per_ap=clients_per_ap,
-        seeds=synthesis_seeds,
+        seeds=[int(rng.integers(0, 2**31 - 1)) for rng in scenario_rngs],
         client_radius_fraction=0.55,
         das_radius_min_m=5.0,
         das_radius_max_m=10.0,

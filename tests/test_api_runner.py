@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.api import RunResult, Runner, RunSpec, UnknownNameError, resolve_params
 from repro.api.experiments import get_experiment_def
+from repro.rng import derived_seeds
 from repro.experiments.registry import main
 
 
@@ -179,8 +181,9 @@ class TestBuildBatchHook:
 
 
 class TestSweep:
-    """Rejection sampling: the runner keeps drawing derived seeds until
-    ``n_topologies`` outcomes are accepted, or gives up at the attempt cap."""
+    """Rejection sampling: the runner gates derived seeds through
+    ``accept_batch`` until ``n_topologies`` are accepted (or gives up at the
+    attempt cap), then builds the accepted seeds only."""
 
     NAME = "_sweep_probe"
 
@@ -190,14 +193,18 @@ class TestSweep:
         from repro.api.registry import EXPERIMENTS
         from repro.api.result import ExperimentResult
 
-        state = {"build": None, "calls": 0}
+        state = {"accept": lambda seed: True, "calls": 0, "built": []}
 
-        def build_batch(seeds, params):
+        def accept_batch(seeds, params):
             out = []
             for seed in seeds:
                 state["calls"] += 1
-                out.append(state["build"](seed))
-            return out
+                out.append(state["accept"](seed))
+            return np.asarray(out, dtype=bool)
+
+        def build_batch(seeds, params):
+            state["built"].extend(seeds)
+            return [{"seed": seed} for seed in seeds]
 
         def finalize(outcomes, params):
             return ExperimentResult(
@@ -214,6 +221,7 @@ class TestSweep:
                 build_batch=build_batch,
                 finalize=finalize,
                 defaults={"n_topologies": 2},
+                accept_batch=accept_batch,
             )
         )
         try:
@@ -221,36 +229,95 @@ class TestSweep:
         finally:
             EXPERIMENTS._items.pop(self.NAME, None)
 
-    def _run(self, n, seed=0):
-        return Runner().run(RunSpec(self.NAME, n_topologies=n, seed=seed))
+    def _run(self, n, seed=0, **runner_kwargs):
+        return Runner(**runner_kwargs).run(
+            RunSpec(self.NAME, n_topologies=n, seed=seed)
+        )
 
     def test_collects_requested_count(self, probe):
-        probe["build"] = lambda s: {"seed": s}
         assert len(self._run(5).series["seed"]) == 5
 
     def test_seeds_are_stable(self, probe):
-        probe["build"] = lambda s: {"seed": s}
         a = self._run(3, seed=1).series["seed"]
         b = self._run(3, seed=1).series["seed"]
         np.testing.assert_array_equal(a, b)
 
     def test_rejections_are_skipped(self, probe):
-        def build(seed):
-            return None if probe["calls"] % 2 else {"seed": seed}
+        probe["accept"] = lambda seed: probe["calls"] % 2 == 1
 
-        probe["build"] = build
-        assert len(self._run(4).series["seed"]) == 4
+        series = self._run(4).series["seed"]
+        assert len(series) == 4
         assert probe["calls"] == 8
+        # Only the accepted seeds are built, in stream order, once each.
+        assert probe["built"] == series.tolist()
+        assert probe["built"] == derived_seeds(0, 0, 8)[::2]
 
     def test_always_rejecting_raises(self, probe):
-        probe["build"] = lambda s: None
+        probe["accept"] = lambda seed: False
         with pytest.raises(RuntimeError, match="0/2 topologies"):
             self._run(2)
+        assert probe["built"] == []
 
     def test_zero_topologies_rejected(self, probe):
-        probe["build"] = lambda s: {"seed": s}
         with pytest.raises(ValueError):
             self._run(0)
+
+    def test_surplus_accepted_seeds_are_not_built(self, probe):
+        # Round one accepts 2 of 4 draws, so round two draws 4 more and
+        # accepts them all: 6 accepted, and only the first 4 are built.
+        probe["accept"] = lambda seed: probe["calls"] % 2 == 1 or probe["calls"] > 4
+        telemetry = obs.Telemetry()
+        self._run(4, telemetry=telemetry)
+        stream = derived_seeds(0, 0, 8)
+        assert probe["built"] == [stream[i] for i in (0, 2, 4, 5)]
+        assert telemetry.counters["api.sweep.seeds_drawn"] == 8
+        assert telemetry.counters["api.sweep.accepted"] == 4
+
+    def test_gate_and_build_spans(self, probe):
+        telemetry = obs.Telemetry()
+        self._run(2, telemetry=telemetry)
+        totals = telemetry.span_totals()
+        assert totals["runner.gate"]["count"] == totals["runner.build"]["count"] == 1
+
+    def test_build_returning_none_raises_naming_the_experiment(self, probe):
+        from repro.api.experiments import get_experiment_def
+
+        defn = get_experiment_def(self.NAME)
+        build = defn.build_batch
+        object.__setattr__(
+            defn, "build_batch", lambda seeds, params: [None] + build(seeds, params)[1:]
+        )
+        with pytest.raises(ValueError, match=self.NAME):
+            self._run(2)
+
+    def test_build_returning_too_few_outcomes_raises(self, probe):
+        from repro.api.experiments import get_experiment_def
+
+        defn = get_experiment_def(self.NAME)
+        object.__setattr__(defn, "build_batch", lambda seeds, params: [])
+        with pytest.raises(ValueError, match="one outcome per seed"):
+            self._run(2)
+
+    def test_bad_verdict_shape_raises(self, probe):
+        from repro.api.experiments import get_experiment_def
+
+        defn = get_experiment_def(self.NAME)
+        object.__setattr__(defn, "accept_batch", lambda seeds, params: [True])
+        with pytest.raises(ValueError, match="one bool per seed"):
+            self._run(2)
+
+    def test_non_callable_accept_batch_rejected(self):
+        from repro.api.experiments import ExperimentDef
+
+        with pytest.raises(TypeError, match="accept_batch"):
+            ExperimentDef(
+                name="_bad_gate",
+                description="",
+                build_batch=lambda seeds, params: [],
+                finalize=lambda outcomes, params: None,
+                defaults={"n_topologies": 1},
+                accept_batch="yes",
+            )
 
 
 class TestCli:

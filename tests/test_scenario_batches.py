@@ -23,6 +23,7 @@ from repro.topology.deployment import AntennaMode, Deployment
 from repro.topology.scenarios import (
     Scenario,
     campus_scenario,
+    eight_ap_placed,
     eight_ap_scenario,
     hidden_terminal_scenario,
     office_b,
@@ -126,6 +127,40 @@ class TestEightApRejection:
         placed, pair = eight_ap_scenario(ENV, seeds=[2], **self.KWARGS)
         assert placed.tolist() == [False]
         assert all(len(scenario) == 0 for scenario in pair.values())
+
+    def test_placed_mask_alone_matches_the_scenario(self):
+        placed, __ = eight_ap_scenario(ENV, seeds=[1, 2, 3], **self.KWARGS)
+        np.testing.assert_array_equal(
+            eight_ap_placed(ENV, seeds=[1, 2, 3], **self.KWARGS), placed
+        )
+
+
+class TestFig16Gate:
+    """A 40 m region: seeds 3 and 7 find no AP placement, the rest do."""
+
+    def _params(self):
+        defn = get_experiment_def("fig16")
+        params = resolve_params(
+            defn,
+            RunSpec("fig16", params={"region_m": 40.0, "rounds_per_topology": 2}),
+        )
+        return defn, params
+
+    def test_gate_is_the_placement_verdict(self):
+        defn, params = self._params()
+        seeds = list(range(1, 9))
+        np.testing.assert_array_equal(
+            defn.accept_batch(seeds, params),
+            eight_ap_placed(ENV, seeds=seeds, region_m=40.0),
+        )
+        assert defn.accept_batch(seeds, params).tolist() == [
+            True, True, False, True, True, True, False, True
+        ]
+
+    def test_building_a_rejected_seed_raises(self):
+        defn, params = self._params()
+        with pytest.raises(ValueError, match=r"fig16.*\[3\]"):
+            defn.build_batch([1, 2, 3], params)
 
 
 class TestDeploymentBatch:

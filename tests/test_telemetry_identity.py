@@ -179,14 +179,14 @@ def test_scalar_engine_byte_identical_with_telemetry_on_or_off(config, monkeypat
 @pytest.mark.parametrize(
     "experiment,params",
     [("roaming_handoff", {"rounds_per_topology": 8}),
-     ("latency_vs_load", {"rounds_per_topology": 20})],
+     ("latency_vs_load", {"rounds_per_topology": 20}),
+     ("fig15", {"rounds_per_topology": 3})],
 )
 def test_precoder_counters_agree_across_backends(experiment, params):
     # precode.rounds / precode.unconverged count the same MIDAS solves at
     # every stack size; the test above covers their output-byte neutrality.
-    # (Rejection-sampled sweeps such as fig15 are left out: the overdraw
-    # evaluates surplus draws it then drops, and how many depends on the
-    # round size, so engine counters legitimately differ there.)
+    # Rejection-sampled sweeps (fig15) evaluate their accepted seeds only,
+    # so no surplus draw reaches an engine at any stack size.
     counts = {}
     series = {}
     for stacking in _BATCH_SIZES:
@@ -200,6 +200,20 @@ def test_precoder_counters_agree_across_backends(experiment, params):
         assert np.array_equal(
             np.asarray(series["batch_size=1"][name]), np.asarray(series["stacked"][name])
         )
+
+
+def test_fig15_sweep_runs_one_engine_per_mode():
+    """fig15 at 128 topologies gates 3,084 draws in five rounds, then
+    builds the 128 accepted seeds in one call: one round engine per MAC
+    mode, never one per gate round."""
+    telemetry = obs.Telemetry()
+    Runner(telemetry=telemetry).run(RunSpec("fig15", n_topologies=128, seed=1))
+    totals = telemetry.span_totals()
+    assert totals["engine.run"]["count"] == 2
+    assert totals["runner.gate"]["count"] == totals["runner.build"]["count"] == 1
+    assert telemetry.counters["api.sweep.seeds_drawn"] == 3084
+    assert telemetry.counters["api.sweep.accepted"] == 128
+    assert telemetry.counters["engine.rounds"] == 2 * 128 * 24
 
 
 def test_result_telemetry_summary_only_when_enabled():

@@ -329,17 +329,66 @@ def test_build_batch_outcomes_ignore_order_and_neighbours(
     defn = get_experiment_def(experiment)
     resolved = resolve_params(defn, RunSpec(experiment, seed=7, params=params))
     seeds = rng_mod.derived_seeds(7, *window)
+    if defn.accept_batch is not None:
+        verdicts = defn.accept_batch(seeds, resolved)
+        seeds = [seed for seed, ok in zip(seeds, verdicts) if ok]
+    assert len(seeds) >= 2
     forward = defn.build_batch(seeds, resolved)
     backward = defn.build_batch(seeds[::-1], resolved)[::-1]
     alone = [defn.build_batch([seed], resolved)[0] for seed in seeds]
-    assert sum(outcome is not None for outcome in forward) >= 2
     for outcome, other, single in zip(forward, backward, alone):
-        assert (outcome is None) == (other is None) == (single is None)
-        if outcome is None:
-            continue
         for key in outcome:
             assert np.array_equal(outcome[key], other[key]), key
             assert np.array_equal(outcome[key], single[key]), key
+
+
+#: The rejection-sampled experiments, each with its acceptance gate.
+GATED_CASES = [
+    ("fig12", 3, {"rounds_per_topology": 3}),
+    ("fig15", 3, {"rounds_per_topology": 3}),
+    ("fig16", 2, {"rounds_per_topology": 2}),
+    ("hidden_terminals", 3, {"grid_step_m": 2.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment,n_topologies,params", GATED_CASES, ids=[c[0] for c in GATED_CASES]
+)
+def test_gated_sweeps_are_invariant_to_chunking(experiment, n_topologies, params):
+    """Gate rounds and build chunks of any size, in-process or over the
+    pool, accept the same seeds and produce the same series."""
+    spec = RunSpec(experiment, n_topologies=n_topologies, seed=7, params=params)
+    reference = Runner().run(spec).series
+    for label, runner in {
+        "batch_size=1": Runner(batch_size=1),
+        "batch_size=7": Runner(batch_size=7),
+        "jobs=2": Runner(jobs=2),
+    }.items():
+        series = runner.run(spec).series
+        assert set(series) == set(reference), label
+        for key in reference:
+            assert len(series[key]) == n_topologies, (label, key)
+            assert np.array_equal(series[key], reference[key]), (label, key)
+
+
+@pytest.mark.parametrize(
+    "experiment,n_topologies,params", GATED_CASES, ids=[c[0] for c in GATED_CASES]
+)
+def test_gate_verdicts_ignore_order_and_neighbours(experiment, n_topologies, params):
+    from repro import rng as rng_mod
+    from repro.api import resolve_params
+
+    defn = get_experiment_def(experiment)
+    resolved = resolve_params(defn, RunSpec(experiment, seed=7, params=params))
+    seeds = rng_mod.derived_seeds(7, 24, 24)  # holds accepted and rejected seeds
+    forward = np.asarray(defn.accept_batch(seeds, resolved))
+    backward = np.asarray(defn.accept_batch(seeds[::-1], resolved))[::-1]
+    alone = [bool(defn.accept_batch([seed], resolved)[0]) for seed in seeds]
+    assert forward.dtype == bool and forward.shape == (len(seeds),)
+    np.testing.assert_array_equal(forward, backward)
+    np.testing.assert_array_equal(forward, alone)
+    if experiment != "fig16":  # fig16's 60 m region places every seed
+        assert 0 < forward.sum() < len(seeds)
 
 
 #: The sweep experiments put their points on the batch axis.  The series of
