@@ -9,20 +9,25 @@ An experiment is a set of pure functions over plain parameter dicts:
     pass, and builds only those.  An experiment without it accepts every
     seed.  Verdict ``i`` must not depend on the batch it was computed in.
 
-``build_batch(topo_seeds, params) -> list[dict]``
+``build_batch(topo_seeds, params) -> dict[str, np.ndarray]``
     Evaluate a batch of accepted topology seeds (stacked channel
-    synthesis + batched linear algebra), returning one outcome per seed
-    in order; it never rejects (a ``None`` entry is a ``ValueError``).
-    This is the only evaluation hook: a single topology is a batch of
-    one, and the runner calls it with contiguous seed chunks whose size
-    depends on ``batch_size`` and ``jobs``.  Entry ``i`` must not depend
-    on the batch it was computed in (its size, order, or neighbours).
+    synthesis + batched linear algebra), returning named columns: one
+    ``(len(topo_seeds), ...)`` array per name, row ``i`` for seed ``i``.
+    It never rejects (reject seeds in ``accept_batch`` instead).  This is
+    the only evaluation hook: a single topology is a batch of one, and
+    the runner calls it with contiguous seed chunks whose size depends on
+    ``batch_size`` and ``jobs``.  Row ``i`` must not depend on the batch
+    it was computed in (its size, order, or neighbours), and every chunk
+    must return the same names.
 
 Both hooks must be module-level callables so worker processes can resolve
 them.
 
-``finalize(outcomes, params) -> ExperimentResult``
-    Reduce the accepted per-topology outcomes into named series.
+``finalize(columns, params) -> ExperimentResult``
+    Reduce the accepted seeds' columns into named series.  The runner
+    concatenates the chunks' columns name by name, in derived-seed-stream
+    order.  When a seed window accepts no seed, every name reads as an
+    empty float series.
 
 Modules register experiments with the :func:`register_experiment`
 decorator, either on an :class:`ExperimentDef` factory call or on a class
@@ -41,8 +46,8 @@ from .registry import EXPERIMENTS
 from .result import ExperimentResult
 
 AcceptBatchFn = Callable[[Sequence[int], dict], np.ndarray]
-BatchBuildFn = Callable[[Sequence[int], dict], "list[dict]"]
-FinalizeFn = Callable[[list, dict], ExperimentResult]
+BatchBuildFn = Callable[[Sequence[int], dict], Mapping[str, np.ndarray]]
+FinalizeFn = Callable[[Mapping[str, np.ndarray], dict], ExperimentResult]
 
 _RESERVED_PARAMS = {"seed"}
 

@@ -22,8 +22,9 @@ The runner owns everything the declarative spec deliberately leaves out:
 * **parallelism** -- each round's seeds, in either phase, are split into
   contiguous chunks, one per worker, and fanned out over a
   ``ProcessPoolExecutor`` when ``jobs > 1`` (workers activate the
-  runner's namespace); verdicts and outcomes are kept in stream order, so
-  ``jobs=1`` and ``jobs=N`` produce bit-identical series for a fixed seed;
+  runner's namespace); verdicts and outcome columns are kept in stream
+  order, so ``jobs=1`` and ``jobs=N`` produce bit-identical series for a
+  fixed seed;
 * **caching** -- with a ``cache_dir``, results are persisted as JSON keyed
   by a hash of the fully resolved parameters plus the package version, and
   reloaded on a hit (``batch_size``, ``jobs`` and the backend on the exact
@@ -40,10 +41,12 @@ import json
 import math
 import warnings
 import zipfile
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -164,6 +167,33 @@ _CACHE_READ_ERRORS = (
     ValueError,  # includes json.JSONDecodeError and format-version errors
     zipfile.BadZipFile,
 )
+
+
+def _checked_columns(
+    experiment: str, columns: Any, n_seeds: int, first: dict | None
+) -> dict[str, np.ndarray]:
+    """One ``build_batch`` chunk as arrays, after checking its shape: a
+    mapping of ``(n_seeds, ...)`` columns with the same names as the
+    ``first`` chunk's (``None`` for the first chunk itself)."""
+    if not isinstance(columns, Mapping):
+        raise ValueError(
+            f"experiment {experiment!r}: build_batch must return a mapping of "
+            f"named (batch, ...) columns, got {type(columns).__name__}"
+        )
+    if first is not None and set(columns) != set(first):
+        raise ValueError(
+            f"experiment {experiment!r}: build_batch chunks disagree on column "
+            f"names: {sorted(columns)} vs {sorted(first)}"
+        )
+    arrays = {name: np.asarray(column) for name, column in columns.items()}
+    for name, column in arrays.items():
+        if column.shape[:1] != (n_seeds,):
+            raise ValueError(
+                f"experiment {experiment!r}: build_batch column {name!r} has "
+                f"shape {column.shape}; its leading axis must be one row per "
+                f"seed ({n_seeds})"
+            )
+    return arrays
 
 
 @dataclass
@@ -328,12 +358,12 @@ class Runner:
         if cache_path is not None:
             obsmod.active().count("runner.cache.misses")
 
-        outcomes = self._sweep(defn, params, window=window)
-        base = defn.finalize(outcomes, params)
+        accepted, columns = self._sweep(defn, params, window=window)
+        base = defn.finalize(columns, params)
         result = RunResult.from_experiment_result(base, spec)
         if window is not None:
             notes = dict(
-                result.notes, seed_window=list(window), n_accepted=len(outcomes)
+                result.notes, seed_window=list(window), n_accepted=len(accepted)
             )
             result = replace(result, notes=notes)
 
@@ -462,18 +492,22 @@ class Runner:
         defn: ExperimentDef,
         params: dict,
         window: tuple[int, int] | None = None,
-    ) -> list:
-        """Accepted per-topology outcomes, in derived-seed-stream order.
+    ) -> tuple[list[int], dict[str, np.ndarray]]:
+        """The accepted seeds and their outcome columns, in derived-seed-stream
+        order.
 
         Two phases.  The *gate* draws seed chunks from the derived stream
         and keeps the seeds ``defn.accept_batch`` accepts; the *build* then
         evaluates exactly those seeds through ``build_batch``, in chunks of
-        at most ``jobs * batch_size``.  With ``window=(start, count)`` the
-        gate judges exactly the seed-stream indices ``start ..
-        start+count-1`` -- no rejection top-up, no attempt cap -- and the
-        build evaluates whatever those indices accept (the campaign shard
-        contract).  Without a window the gate keeps drawing until
-        ``params["n_topologies"]`` seeds are accepted.
+        at most ``jobs * batch_size``, and concatenates the chunks' columns
+        name by name.  With ``window=(start, count)`` the gate judges
+        exactly the seed-stream indices ``start .. start+count-1`` -- no
+        rejection top-up, no attempt cap -- and the build evaluates
+        whatever those indices accept (the campaign shard contract).
+        Without a window the gate keeps drawing until
+        ``params["n_topologies"]`` seeds are accepted.  A window that
+        accepts no seed builds nothing: every name of its columns reads as
+        an empty float series.
         """
         n = int(params["n_topologies"])
         if n < 1:
@@ -488,18 +522,23 @@ class Runner:
             telemetry.count("api.sweep.accepted", len(accepted))
             with telemetry.span("runner.build", experiment=defn.name):
                 step = self.jobs * (self.batch_size or _VECTORIZED_BATCH_CAP)
-                outcomes: list = []
+                built: list[dict[str, np.ndarray]] = []
                 for start in range(0, len(accepted), step):
                     seeds = accepted[start : start + step]
-                    batch = self._fan_out(pool, defn, "build_batch", seeds, params)
-                    if len(batch) != len(seeds) or any(o is None for o in batch):
-                        raise ValueError(
-                            f"experiment {defn.name!r}: build_batch must return "
-                            f"one outcome per seed, never None (reject seeds in "
-                            f"accept_batch instead)"
+                    for chunk, columns in self._fan_out(
+                        pool, defn, "build_batch", seeds, params
+                    ):
+                        first = built[0] if built else None
+                        built.append(
+                            _checked_columns(defn.name, columns, len(chunk), first)
                         )
-                    outcomes.extend(batch)
-        return outcomes
+        if not built:
+            # No seed accepted: every name reads as an empty float series.
+            return accepted, defaultdict(lambda: np.empty(0))
+        return accepted, {
+            name: np.concatenate([columns[name] for columns in built])
+            for name in built[0]
+        }
 
     def _fan_out(
         self,
@@ -508,26 +547,24 @@ class Runner:
         hook: str,
         seeds: list[int],
         params: dict,
-    ) -> list:
+    ) -> list[tuple[list[int], Any]]:
         """``hook`` over ``seeds``: in-process without a pool, else one
-        contiguous chunk per worker; results concatenated in seed order."""
+        contiguous chunk per worker; ``(chunk, result)`` pairs in seed
+        order."""
         if pool is None:
             with xpmod.use(self._resolve_namespace()):
-                return list(getattr(defn, hook)(seeds, params))
+                return [(seeds, getattr(defn, hook)(seeds, params))]
         size = -(-len(seeds) // self.jobs)
         chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
-        return list(
-            chain.from_iterable(
-                pool.map(
-                    _run_hook,
-                    repeat(defn.name),
-                    repeat(hook),
-                    chunks,
-                    repeat(params),
-                    repeat((self.namespace, self.device, self.dtype)),
-                )
-            )
+        results = pool.map(
+            _run_hook,
+            repeat(defn.name),
+            repeat(hook),
+            chunks,
+            repeat(params),
+            repeat((self.namespace, self.device, self.dtype)),
         )
+        return list(zip(chunks, results))
 
     def _gate(
         self,
@@ -578,8 +615,10 @@ class Runner:
             if defn.accept_batch is None:
                 accepted.extend(seeds)
                 continue
+            chunks = self._fan_out(pool, defn, "accept_batch", seeds, params)
             verdicts = np.asarray(
-                self._fan_out(pool, defn, "accept_batch", seeds, params), dtype=bool
+                [ok for __, chunk_verdicts in chunks for ok in chunk_verdicts],
+                dtype=bool,
             )
             if verdicts.shape != (count,):
                 raise ValueError(

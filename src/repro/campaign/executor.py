@@ -10,7 +10,8 @@ to a :class:`~repro.campaign.result.CampaignResult`:
 * shards fan out over a ``ProcessPoolExecutor`` (``jobs > 1``) with
   per-shard retry and an optional per-shard wall-clock timeout (enforced
   inside the worker via ``SIGALRM``, so a wedged shard fails cleanly and
-  is retried without tearing the pool down);
+  is retried without tearing the pool down, and checked again when the
+  shard ends; the caller's own alarm handler and timer are restored);
 * each completion is appended to the JSONL journal together with the
   shard's streaming-accumulator states, so an interrupted campaign
   (including ``kill -9`` mid-shard) resumes by re-reading the manifest,
@@ -23,6 +24,7 @@ to a :class:`~repro.campaign.result.CampaignResult`:
 from __future__ import annotations
 
 import contextlib
+import gc
 import signal
 import sys
 import time
@@ -83,17 +85,27 @@ def _shard_worker(payload: dict) -> dict:
         telemetry=telemetry,
     )
 
-    timer_armed = False
+    def over_budget() -> ShardTimeout:
+        return ShardTimeout(f"shard {payload['key']} exceeded its {timeout_s}s budget")
+
+    def _on_alarm(signum, frame):
+        if frame is not None and frame.f_code in {
+            getattr(callback, "__code__", None) for callback in gc.callbacks
+        }:
+            # Python swallows an exception raised inside a gc callback: ring
+            # again once the callback has returned.
+            signal.setitimer(signal.ITIMER_REAL, 1e-3)
+            return
+        raise over_budget()
+
+    # The caller's SIGALRM handler and ITIMER_REAL timer (inline campaigns
+    # run in the caller's process), restored when the shard ends.
+    previous = None
     if timeout_s is not None and hasattr(signal, "SIGALRM"):
-
-        def _on_alarm(signum, frame):
-            raise ShardTimeout(
-                f"shard {payload['key']} exceeded its {timeout_s}s budget"
-            )
-
-        signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-        timer_armed = True
+        previous = (
+            signal.signal(signal.SIGALRM, _on_alarm),
+            signal.setitimer(signal.ITIMER_REAL, float(timeout_s)),
+        )
     started = time.perf_counter()
     scope = obsmod.use(telemetry) if telemetry is not None else contextlib.nullcontext()
     try:
@@ -115,9 +127,21 @@ def _shard_worker(payload: dict) -> dict:
             if result is None:
                 result = runner.run_window(spec, seed_start, seed_count)
     finally:
-        if timer_armed:
+        if previous is not None:
+            handler, (delay, interval) = previous
             signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            # None: the caller's handler was not installed from Python.
+            signal.signal(signal.SIGALRM, signal.SIG_DFL if handler is None else handler)
+            if delay > 0.0:
+                # Whatever of the caller's delay the shard used up is gone;
+                # an overdue timer still fires, at once.
+                remaining = delay - (time.perf_counter() - started)
+                signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-6), interval)
+    # The alarm raises at the next bytecode, and Python swallows it when that
+    # bytecode runs in a finalizer (``__del__``, a weakref callback), so the
+    # clock is checked again once the shard is done.
+    if timeout_s is not None and time.perf_counter() - started > timeout_s:
+        raise over_budget()
 
     resolution = float(payload["sketch_resolution"])
     states = {}

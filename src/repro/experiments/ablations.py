@@ -18,7 +18,6 @@ import numpy as np
 
 from .. import rng as rng_mod
 from ..api.experiments import register_experiment
-from ..api.precoders import precoder_matrix_batch
 from ..api.scenarios import resolve_environment
 from ..channel.batch import ChannelBatch, apply_csi_error
 from ..channel.pathloss import coverage_range_m
@@ -27,18 +26,14 @@ from ..core.tagging import tag_mask
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios, single_ap_scenario
-from .common import ExperimentResult, batched_selection_capacities
+from .common import ExperimentResult, batched_selection_capacities, capacity_columns
 from .fig14_tagging import _subchannel, tagged_selection
-
-
-def _series_from(outcomes: list[dict], keys) -> dict[str, np.ndarray]:
-    return {k: np.asarray([o[k] for o in outcomes]) for k in keys}
 
 
 # ----------------------------------------------------------------------
 # Tag width
 # ----------------------------------------------------------------------
-def _tag_width_build_batch(topo_seeds, params: dict) -> list[dict]:
+def _tag_width_build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=topo_seeds)
     batch = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds)
@@ -53,22 +48,19 @@ def _tag_width_build_batch(topo_seeds, params: dict) -> list[dict]:
         for width_tags in tags:
             clients = tagged_selection(width_tags[index], available, rssi[index])
             subchannels.append(_subchannel(h[index], available, clients))
-    capacities = batched_selection_capacities(subchannels, scenario.radio)
-    stride = len(widths)
-    return [
-        {
-            f"width_{width}": capacities[index * stride + offset]
-            for offset, width in enumerate(widths)
-        }
-        for index in range(len(topo_seeds))
-    ]
+    capacities = np.asarray(
+        batched_selection_capacities(subchannels, scenario.radio)
+    ).reshape(len(topo_seeds), len(widths))
+    return {
+        f"width_{width}": capacities[:, offset] for offset, width in enumerate(widths)
+    }
 
 
-def _tag_width_finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _tag_width_finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="ablation_tag_width",
         description="Tagged-selection capacity vs tag width (b/s/Hz)",
-        series=_series_from(outcomes, [f"width_{w}" for w in params["widths"]]),
+        series=dict(columns),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],
@@ -98,37 +90,32 @@ def _ring_key(low: float, high: float) -> str:
     return f"ring_{int(low * 100)}_{int(high * 100)}"
 
 
-def _das_radius_build_batch(topo_seeds, params: dict) -> list[dict]:
+def _das_radius_build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     coverage = coverage_range_m(env.radio)
-    series = {}
+    columns: dict[str, np.ndarray] = {}
     for low, high in params["fractions"]:
-        scenario = paired_scenarios(
+        ring = paired_scenarios(
             env,
             [(0.0, 0.0)],
             seeds=topo_seeds,
             das_radius_min_m=low * coverage,
             das_radius_max_m=high * coverage,
             modes=(AntennaMode.DAS,),
-        )[AntennaMode.DAS]
-        radio = scenario.radio
-        h = ChannelBatch(scenario.deployment, radio, topo_seeds).channel_matrices()
-        v = batch_power_balanced(h, radio.per_antenna_power_mw, radio.noise_mw).v
-        series[_ring_key(low, high)] = sum_capacity_bps_hz(
-            stream_sinrs(h, v, radio.noise_mw)
         )
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(topo_seeds))
-    ]
+        columns.update(
+            capacity_columns(
+                ring, topo_seeds, [(AntennaMode.DAS, "balanced", _ring_key(low, high))]
+            )
+        )
+    return columns
 
 
-def _das_radius_finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    keys = [_ring_key(low, high) for low, high in params["fractions"]]
+def _das_radius_finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="ablation_das_radius",
         description="MIDAS capacity vs DAS ring radius (b/s/Hz)",
-        series=_series_from(outcomes, keys),
+        series=dict(columns),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],
@@ -160,30 +147,21 @@ def _precoder_names(params: dict) -> list[str]:
     return names
 
 
-def _precoders_build_batch(topo_seeds, params: dict) -> list[dict]:
+def _precoders_build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=topo_seeds)
-    radio = scenario.radio
-    p = radio.per_antenna_power_mw
-    noise = radio.noise_mw
-    h = ChannelBatch(scenario.deployment, radio, topo_seeds).channel_matrices()
-    series = {
-        name: sum_capacity_bps_hz(
-            stream_sinrs(h, precoder_matrix_batch(name, h, p, noise), noise)
-        )
-        for name in _precoder_names(params)
-    }
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(topo_seeds))
-    ]
+    return capacity_columns(
+        {AntennaMode.DAS: scenario},
+        topo_seeds,
+        [(AntennaMode.DAS, name, name) for name in _precoder_names(params)],
+    )
 
 
-def _precoders_finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _precoders_finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="ablation_precoders",
         description="Precoder zoo on identical DAS channels (b/s/Hz)",
-        series=_series_from(outcomes, _precoder_names(params)),
+        series=dict(columns),
         params={"n_topologies": params["n_topologies"], "seed": params["seed"]},
     )
 
@@ -204,7 +182,7 @@ class PrecoderAblation:
 # ----------------------------------------------------------------------
 # CSI error
 # ----------------------------------------------------------------------
-def _csi_error_build_batch(topo_seeds, params: dict) -> list[dict]:
+def _csi_error_build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     scenario = single_ap_scenario(env, AntennaMode.DAS, seeds=topo_seeds)
     radio = scenario.radio
@@ -220,23 +198,19 @@ def _csi_error_build_batch(topo_seeds, params: dict) -> list[dict]:
         rng = rng_mod.make_rng(seed)
         for err in error_stds:
             estimates[err].append(apply_csi_error(h[index], err, rng))
-    series = {}
+    columns = {}
     for err in error_stds:
         h_est = np.stack(estimates[err])
         v = batch_power_balanced(h_est, p, noise).v
-        series[f"err_{err:g}"] = sum_capacity_bps_hz(stream_sinrs(h, v, noise))
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(topo_seeds))
-    ]
+        columns[f"err_{err:g}"] = sum_capacity_bps_hz(stream_sinrs(h, v, noise))
+    return columns
 
 
-def _csi_error_finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    keys = [f"err_{e:g}" for e in params["error_stds"]]
+def _csi_error_finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="ablation_csi_error",
         description="Power-balanced capacity vs CSI error (b/s/Hz)",
-        series=_series_from(outcomes, keys),
+        series=dict(columns),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -14,10 +14,11 @@ import itertools
 import numpy as np
 
 from .. import xp as xpmod
-from ..api.precoders import capacity_for_batch  # noqa: F401  (re-export)
+from ..api.precoders import capacity_for_batch
 from ..api.registry import MOBILITY
 from ..api.result import ExperimentResult  # noqa: F401  (re-export)
 from ..api.scenarios import resolve_environment
+from ..channel.batch import ChannelBatch
 from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..mobility import resolve_mobility
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
@@ -102,7 +103,33 @@ def batched_selection_capacities(subchannels, radio) -> list[float]:
     return capacities
 
 
-MODE_LABEL = {AntennaMode.CAS: "cas", AntennaMode.DAS: "das"}
+def capacity_columns(scenarios, topo_seeds, plan) -> dict[str, np.ndarray]:
+    """Sum capacities of single-AP scenario batches under registered
+    precoders: one ``(batch,)`` column per ``plan`` entry.
+
+    ``scenarios`` maps each antenna mode to its scenario batch over
+    ``topo_seeds``; ``plan`` lists ``(mode, precoder, name)`` entries.
+    Each mode's channels are synthesized once, on first use, and every
+    entry precodes them with its precoder into column ``name``.
+    """
+    channels: dict = {}
+    columns = {}
+    for mode, precoder, name in plan:
+        scenario = scenarios[mode]
+        if mode not in channels:
+            channels[mode] = ChannelBatch(
+                scenario.deployment, scenario.radio, topo_seeds
+            ).channel_matrices()
+        columns[name] = capacity_for_batch(scenario, channels[mode], precoder)
+    return columns
+
+
+def removal_fraction(cas_counts, das_counts) -> np.ndarray:
+    """Per-item share of CAS spots that DAS removes, ``1 - das / cas``, and
+    0.0 where CAS has none."""
+    cas = np.asarray(cas_counts, dtype=float)
+    das = np.asarray(das_counts, dtype=float)
+    return np.where(cas > 0, 1.0 - das / np.maximum(cas, 1.0), 0.0)
 
 
 def require_moving(experiment: str, mobility: str) -> None:
@@ -124,32 +151,27 @@ def require_moving(experiment: str, mobility: str) -> None:
         ) from None
 
 
-def sweep_on_batch_axis(seeds, evaluate, **axes) -> list[dict[str, np.ndarray]]:
+def sweep_on_batch_axis(seeds, evaluate, **axes) -> dict[str, np.ndarray]:
     """Evaluate a parameter sweep with its points on the batch axis.
 
     ``axes`` names each swept parameter with its values.  Items are the
     product of ``seeds`` with every axis (seed-major, last axis fastest),
     so each seed repeats once per sweep point.  ``evaluate(item_seeds,
-    item_points)`` gets the per-item seeds and point tuples and returns one
-    ``{series_key: value}`` dict per item.  Returns one outcome per seed:
-    each key maps to its values in item order, ``(n_points,)`` for a key
-    every point reports.
+    item_points)`` gets the per-item seeds and point tuples and returns
+    named columns of one value per item.  Returns each column as floats of
+    shape ``(n_seeds, *axis lengths)``: ``(n_seeds, n_points)`` for one
+    axis.
     """
     for name, values in axes.items():
         if len(values) == 0:
             raise ValueError(f"{name} is empty; give at least one value to sweep")
     seeds = list(seeds)
     points = list(itertools.product(*axes.values()))
-    metrics = evaluate(
+    columns = evaluate(
         [seed for seed in seeds for _ in points], points * len(seeds)
     )
-    outcomes = []
-    for i in range(len(seeds)):
-        rows: dict[str, list] = {}
-        for item in metrics[i * len(points) : (i + 1) * len(points)]:
-            for key, value in item.items():
-                rows.setdefault(key, []).append(value)
-        outcomes.append(
-            {key: np.asarray(values, dtype=float) for key, values in rows.items()}
-        )
-    return outcomes
+    shape = (len(seeds), *(len(values) for values in axes.values()))
+    return {
+        name: np.asarray(column, dtype=float).reshape(shape)
+        for name, column in columns.items()
+    }

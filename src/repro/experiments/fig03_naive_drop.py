@@ -12,36 +12,36 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..channel.batch import ChannelBatch
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, capacity_for_batch
+from .common import ExperimentResult, capacity_columns
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
     pair = paired_scenarios(
         env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
     )
-    drops = {}
-    for mode, scenario in pair.items():
-        h = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).channel_matrices()
-        reference = capacity_for_batch(scenario, h, "total_power")
-        naive = capacity_for_batch(scenario, h, "naive")
-        drops[mode.value] = np.maximum(0.0, reference - naive)
-    return [
-        {"cas": drops["cas"][i], "das": drops["das"][i]}
-        for i in range(len(topo_seeds))
-    ]
+    return capacity_columns(
+        pair,
+        topo_seeds,
+        [
+            (mode, precoder, f"{mode.value}_{precoder}")
+            for mode in pair
+            for precoder in ("total_power", "naive")
+        ],
+    )
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig03",
         description="Capacity drop of naive power scaling (b/s/Hz), 4x4 MU-MIMO",
         series={
-            "cas_drop": np.asarray([o["cas"] for o in outcomes]),
-            "das_drop": np.asarray([o["das"] for o in outcomes]),
+            f"{mode}_drop": np.maximum(
+                0.0, columns[f"{mode}_total_power"] - columns[f"{mode}_naive"]
+            )
+            for mode in ("cas", "das")
         },
         params={
             "n_topologies": params["n_topologies"],

@@ -16,33 +16,27 @@ from ..topology.scenarios import paired_scenarios
 from .common import ExperimentResult, greedy_siso_snrs_batch
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
     pair = paired_scenarios(
         env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
     )
-    per_mode = {}
-    for mode, scenario in pair.items():
-        batch = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds)
-        per_mode[mode.value] = greedy_siso_snrs_batch(batch.snr_db_map())
-    return [
-        {"cas": per_mode["cas"][i], "das": per_mode["das"][i]}
-        for i in range(len(topo_seeds))
-    ]
+    return {
+        mode.value: greedy_siso_snrs_batch(
+            ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).snr_db_map()
+        )
+        for mode, scenario in pair.items()
+    }
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    snrs: dict[str, list[float]] = {"cas": [], "das": []}
-    for outcome in outcomes:
-        snrs["cas"].extend(outcome["cas"])
-        snrs["das"].extend(outcome["das"])
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig07",
         description="Link-layer SISO SNR across clients (dB)",
         series={
-            "cas_snr_db": np.asarray(snrs["cas"]),
-            "das_snr_db": np.asarray(snrs["das"]),
+            "cas_snr_db": columns["cas"].ravel(),
+            "das_snr_db": columns["das"].ravel(),
         },
         params={
             "n_topologies": params["n_topologies"],

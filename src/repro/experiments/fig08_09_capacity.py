@@ -15,43 +15,37 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..channel.batch import ChannelBatch
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, capacity_for_batch
+from .common import ExperimentResult, capacity_columns
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
-    series: dict[str, np.ndarray] = {}
+    columns: dict[str, np.ndarray] = {}
     for n in params["antenna_counts"]:
         pair = paired_scenarios(
             env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
         )
-        for mode, key, precoder in (
-            (AntennaMode.CAS, f"cas_{n}x{n}", "naive"),
-            (AntennaMode.DAS, f"midas_{n}x{n}", params["precoder"]),
-        ):
-            scenario = pair[mode]
-            h = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).channel_matrices()
-            series[key] = capacity_for_batch(scenario, h, precoder)
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(topo_seeds))
-    ]
+        columns.update(
+            capacity_columns(
+                pair,
+                topo_seeds,
+                [
+                    (AntennaMode.CAS, "naive", f"cas_{n}x{n}"),
+                    (AntennaMode.DAS, params["precoder"], f"midas_{n}x{n}"),
+                ],
+            )
+        )
+    return columns
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     env = resolve_environment(params["environment"])
-    series: dict[str, np.ndarray] = {}
-    for n in params["antenna_counts"]:
-        for stack in ("cas", "midas"):
-            key = f"{stack}_{n}x{n}"
-            series[key] = np.asarray([o[key] for o in outcomes])
     return ExperimentResult(
         name=f"fig08_09[{env.name}]",
         description=f"MU-MIMO capacity (b/s/Hz), {env.name}",
-        series=series,
+        series=dict(columns),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -11,35 +11,32 @@ import numpy as np
 
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
-from ..channel.batch import ChannelBatch
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult, capacity_for_batch
-
-_SERIES = ("cas_naive", "cas_balanced", "das_naive", "das_balanced")
+from .common import ExperimentResult, capacity_columns
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
     pair = paired_scenarios(
         env, [(0.0, 0.0)], antennas_per_ap=n, clients_per_ap=n, seeds=topo_seeds
     )
-    series = {}
-    for mode, scenario in pair.items():
-        h = ChannelBatch(scenario.deployment, scenario.radio, topo_seeds).channel_matrices()
-        for precoder in ("naive", "balanced"):
-            series[f"{mode.value}_{precoder}"] = capacity_for_batch(scenario, h, precoder)
-    return [
-        {key: values[i] for key, values in series.items()}
-        for i in range(len(topo_seeds))
-    ]
+    return capacity_columns(
+        pair,
+        topo_seeds,
+        [
+            (mode, precoder, f"{mode.value}_{precoder}")
+            for mode in pair
+            for precoder in ("naive", "balanced")
+        ],
+    )
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig10",
         description="Impact of power-balanced precoding (b/s/Hz), 4x4",
-        series={k: np.asarray([o[k] for o in outcomes]) for k in _SERIES},
+        series=dict(columns),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -15,15 +15,14 @@ import numpy as np
 from ..api.experiments import register_experiment
 from ..api.scenarios import resolve_environment
 from ..channel.batch import ChannelBatch
-from ..core.batch import power_balanced_precoder as batch_power_balanced
 from ..core.optimal import optimal_power_allocation
 from ..phy.capacity import stream_sinrs, sum_capacity_bps_hz
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import single_ap_scenario
-from .common import ExperimentResult
+from .common import ExperimentResult, capacity_for_batch
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     n = params["n_antennas"]
     scenario = single_ap_scenario(
@@ -34,36 +33,27 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     noise = radio.noise_mw
     batch = ChannelBatch(scenario.deployment, radio, topo_seeds)
     h = batch.channel_matrices()
-    balanced = batch_power_balanced(h, p, noise)
-    midas = sum_capacity_bps_hz(stream_sinrs(h, balanced.v, noise))
+    midas = capacity_for_batch(scenario, h, "balanced")
     # The numerical optimum stays per item (iterative convex solver); the
     # stale-capacity evaluation of its precoders is batched again.
     optima = [optimal_power_allocation(item, p, noise) for item in h]
     opt_v = np.stack([opt.v for opt in optima])
     batch.advance(params["solver_latency_s"])
     h_later = batch.channel_matrices()
-    stale = sum_capacity_bps_hz(stream_sinrs(h_later, opt_v, noise))
-    return [
-        {
-            "midas": midas[i],
-            "optimal": optima[i].capacity_bps_hz,
-            "optimal_stale": stale[i],
-        }
-        for i in range(len(topo_seeds))
-    ]
+    return {
+        "midas": midas,
+        "optimal": np.asarray([opt.capacity_bps_hz for opt in optima]),
+        "optimal_stale": sum_capacity_bps_hz(stream_sinrs(h_later, opt_v, noise)),
+    }
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    midas_arr = np.asarray([o["midas"] for o in outcomes])
-    optimal_arr = np.asarray([o["optimal"] for o in outcomes])
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig11",
         description="MIDAS vs optimal precoder, per-topology capacity (b/s/Hz)",
         series={
-            "midas": midas_arr,
-            "optimal": optimal_arr,
-            "optimal_stale": np.asarray([o["optimal_stale"] for o in outcomes]),
-            "efficiency": midas_arr / np.maximum(optimal_arr, 1e-12),
+            **columns,
+            "efficiency": columns["midas"] / np.maximum(columns["optimal"], 1e-12),
         },
         params={
             "n_topologies": params["n_topologies"],

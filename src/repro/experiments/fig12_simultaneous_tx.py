@@ -21,7 +21,7 @@ from ..topology.scenarios import three_ap_scenario
 from .common import ExperimentResult, accept_three_ap_overhearing
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
     pair = three_ap_scenario(env, seeds=seeds)
@@ -30,16 +30,18 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     midas_streams = count_streams_batch(
         das_batch, rngs, params["rounds_per_topology"]
     )
-    cas_streams = float(len(pair[AntennaMode.CAS].deployment.antennas_of(0)))
-    return [{"midas": float(streams), "cas": cas_streams} for streams in midas_streams]
+    cas_streams = len(pair[AntennaMode.CAS].deployment.antennas_of(0))
+    return {
+        "midas": np.asarray(midas_streams, dtype=float),
+        "cas": np.full(len(seeds), float(cas_streams)),
+    }
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    ratios = [o["midas"] / o["cas"] for o in outcomes]
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig12",
         description="Ratio of simultaneous streams (MIDAS/CAS), 3 APs",
-        series={"stream_ratio": np.asarray(ratios)},
+        series={"stream_ratio": columns["midas"] / columns["cas"]},
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -17,7 +17,7 @@ from ..channel.batch import ChannelBatch
 from ..channel.pathloss import coverage_range_m
 from ..topology import geometry
 from ..topology.scenarios import paired_scenarios
-from .common import ExperimentResult
+from .common import ExperimentResult, removal_fraction
 
 
 @lru_cache(maxsize=8)
@@ -31,7 +31,7 @@ def _survey_points(environment_name: str, grid_step_m: float) -> np.ndarray:
     return grid[geometry.points_within(grid, (0.0, 0.0), coverage)]
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     survey_points = _survey_points(params["environment"], float(params["grid_step_m"]))
     masks = {}
@@ -40,36 +40,21 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
         snr = batch.snr_db_map(survey_points)  # (batch, n_points, n_antennas)
         best = snr.max(axis=-1)
         masks[mode.value] = best - params["fade_margin_db"] < scenario.mac.decode_snr_db
-    return [
-        {"cas": masks["cas"][i], "das": masks["das"][i]}
-        for i in range(len(topo_seeds))
-    ]
+    return masks
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     env = resolve_environment(params["environment"])
     survey_points = _survey_points(params["environment"], float(params["grid_step_m"]))
-    cas_counts, das_counts, reductions = [], [], []
-    example_maps: dict = {}
-    for index, masks in enumerate(outcomes):
-        cas = int(masks["cas"].sum())
-        das = int(masks["das"].sum())
-        cas_counts.append(cas)
-        das_counts.append(das)
-        reductions.append(1.0 - das / cas if cas > 0 else 0.0)
-        if index == 0:
-            example_maps = {
-                "points": survey_points,
-                "cas_mask": masks["cas"],
-                "das_mask": masks["das"],
-            }
+    cas_counts = columns["cas"].sum(axis=1)
+    das_counts = columns["das"].sum(axis=1)
     return ExperimentResult(
         name="fig13",
         description="Deadspot counts per deployment (0.5 m grid)",
         series={
-            "cas_deadspots": np.asarray(cas_counts, dtype=float),
-            "das_deadspots": np.asarray(das_counts, dtype=float),
-            "reduction": np.asarray(reductions),
+            "cas_deadspots": cas_counts.astype(float),
+            "das_deadspots": das_counts.astype(float),
+            "reduction": removal_fraction(cas_counts, das_counts),
         },
         params={
             "n_topologies": params["n_topologies"],
@@ -78,7 +63,13 @@ def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
             "coverage_m": coverage_range_m(env.radio),
             "fade_margin_db": params["fade_margin_db"],
         },
-        notes={"example_maps": example_maps},
+        notes={
+            "example_maps": {
+                "points": survey_points,
+                "cas_mask": columns["cas"][0],
+                "das_mask": columns["das"][0],
+            }
+        },
     )
 
 

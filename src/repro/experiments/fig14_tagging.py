@@ -42,7 +42,7 @@ def _subchannel(h: np.ndarray, antennas: np.ndarray, clients: list[int]):
     return h[np.ix_(np.asarray(clients, dtype=int), antennas)]
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     n_antennas = params["n_antennas"]
     n_available = params["n_available"]
@@ -63,21 +63,15 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
         random_clients = list(rng.choice(n_antennas, size=n_available, replace=False))
         subchannels.append(_subchannel(h[index], available, with_tags))
         subchannels.append(_subchannel(h[index], available, random_clients))
-    capacities = batched_selection_capacities(subchannels, scenario.radio)
-    return [
-        {"tagged": capacities[2 * i], "random": capacities[2 * i + 1]}
-        for i in range(len(topo_seeds))
-    ]
+    capacities = np.asarray(batched_selection_capacities(subchannels, scenario.radio))
+    return {"tagged": capacities[0::2], "random": capacities[1::2]}
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig14",
         description="Virtual packet tagging vs random client pick (b/s/Hz)",
-        series={
-            "tagged": np.asarray([o["tagged"] for o in outcomes]),
-            "random": np.asarray([o["random"] for o in outcomes]),
-        },
+        series=dict(columns),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -23,7 +23,7 @@ from ..topology.scenarios import three_ap_scenario
 from .common import ExperimentResult, accept_three_ap_overhearing
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
     pair = three_ap_scenario(env, seeds=seeds)
@@ -32,45 +32,37 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
         # The closed-loop discrete-event MAC is event-serial by nature: the
         # gate is batched, each accepted topology then simulates on its own.
         sim_cfg = SimConfig(duration_s=params["duration_s"])
-        outcomes = []
-        for item, seed in enumerate(seeds):
-            cas_run = NetworkSimulation(
-                cas.take([item]), MacMode.CAS, sim_cfg, seed=seed
-            ).run()
-            midas_run = NetworkSimulation(
-                das.take([item]), MacMode.MIDAS, sim_cfg, seed=seed
-            ).run()
-            outcomes.append(
-                {
-                    "cas": cas_run.network_capacity_bps_hz,
-                    "midas": midas_run.network_capacity_bps_hz,
-                    "streams": midas_run.mean_concurrent_streams
-                    / max(cas_run.mean_concurrent_streams, 1e-9),
-                }
+        runs = [
+            (
+                NetworkSimulation(cas.take([item]), MacMode.CAS, sim_cfg, seed=seed).run(),
+                NetworkSimulation(das.take([item]), MacMode.MIDAS, sim_cfg, seed=seed).run(),
             )
-        return outcomes
-    rounds = params["rounds_per_topology"]
-    cas_results = RoundBasedEvaluatorBatch(cas, MacMode.CAS, seeds=seeds).run(rounds)
-    das_results = RoundBasedEvaluatorBatch(das, MacMode.MIDAS, seeds=seeds).run(rounds)
-    return [
-        {
-            "cas": cas_res.mean_capacity_bps_hz,
-            "midas": midas_res.mean_capacity_bps_hz,
-            "streams": midas_res.mean_streams / max(cas_res.mean_streams, 1e-9),
-        }
-        for cas_res, midas_res in zip(cas_results, das_results)
-    ]
+            for item, seed in enumerate(seeds)
+        ]
+        capacities = [(c.network_capacity_bps_hz, m.network_capacity_bps_hz) for c, m in runs]
+        streams = [(c.mean_concurrent_streams, m.mean_concurrent_streams) for c, m in runs]
+    else:
+        rounds = params["rounds_per_topology"]
+        runs = list(
+            zip(
+                RoundBasedEvaluatorBatch(cas, MacMode.CAS, seeds=seeds).run(rounds),
+                RoundBasedEvaluatorBatch(das, MacMode.MIDAS, seeds=seeds).run(rounds),
+            )
+        )
+        capacities = [(c.mean_capacity_bps_hz, m.mean_capacity_bps_hz) for c, m in runs]
+        streams = [(c.mean_streams, m.mean_streams) for c, m in runs]
+    capacities, streams = np.asarray(capacities), np.asarray(streams)
+    return {
+        "cas": capacities[:, 0],
+        "midas": capacities[:, 1],
+        "stream_ratio": streams[:, 1] / np.maximum(streams[:, 0], 1e-9),
+    }
 
-
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig15" + ("_dynamic" if params["dynamic"] else ""),
         description="3-AP end-to-end network capacity (b/s/Hz)",
-        series={
-            "cas": np.asarray([o["cas"] for o in outcomes]),
-            "midas": np.asarray([o["midas"] for o in outcomes]),
-            "stream_ratio": np.asarray([o["streams"] for o in outcomes]),
-        },
+        series={key: columns[key] for key in ("cas", "midas", "stream_ratio")},
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -30,7 +30,7 @@ def _accept_batch(topo_seeds, params: dict) -> np.ndarray:
     )
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     seeds = list(topo_seeds)
     placed, pair = eight_ap_scenario(env, seeds=seeds, region_m=params["region_m"])
@@ -47,20 +47,17 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     das_results = RoundBasedEvaluatorBatch(
         pair[AntennaMode.DAS], MacMode.MIDAS, seeds=seeds
     ).run(rounds)
-    return [
-        {"cas": cas_res.mean_capacity_bps_hz, "das": das_res.mean_capacity_bps_hz}
-        for cas_res, das_res in zip(cas_results, das_results)
-    ]
+    return {
+        "cas": np.asarray([r.mean_capacity_bps_hz for r in cas_results]),
+        "midas": np.asarray([r.mean_capacity_bps_hz for r in das_results]),
+    }
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     return ExperimentResult(
         name="fig16",
         description="8-AP 60x60 m network capacity (b/s/Hz)",
-        series={
-            "cas": np.asarray([o["cas"] for o in outcomes]),
-            "midas": np.asarray([o["das"] for o in outcomes]),
-        },
+        series={key: columns[key] for key in ("cas", "midas")},
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -22,7 +22,7 @@ from ..sim.batch import CarrierSenseBatch
 from ..topology import geometry
 from ..topology.deployment import AntennaMode
 from ..topology.scenarios import hidden_terminal_scenario
-from .common import ExperimentResult
+from .common import ExperimentResult, removal_fraction
 
 
 def hidden_spot_count_batch(
@@ -100,7 +100,7 @@ def _accept_batch(topo_seeds, params: dict) -> np.ndarray:
     return ~overhears
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     coverage = coverage_range_m(env.radio)
     seeds = list(topo_seeds)
@@ -125,25 +125,18 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
     das_counts = hidden_spot_count_batch(
         das_scenario, das_channels, das_sense, grid, inr_db
     )
-    return [
-        {"cas": int(cas), "das": int(das)} for cas, das in zip(cas_counts, das_counts)
-    ]
+    return {"cas": cas_counts, "das": das_counts}
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    cas_counts = [o["cas"] for o in outcomes]
-    das_counts = [o["das"] for o in outcomes]
-    removals = [
-        1.0 - das / cas if cas > 0 else 0.0
-        for cas, das in zip(cas_counts, das_counts)
-    ]
+def _finalize(columns, params: dict) -> ExperimentResult:
+    cas_counts, das_counts = columns["cas"], columns["das"]
     return ExperimentResult(
         name="hidden_terminals",
         description="Hidden-terminal spots per deployment (1 m grid)",
         series={
-            "cas_spots": np.asarray(cas_counts, dtype=float),
-            "das_spots": np.asarray(das_counts, dtype=float),
-            "removal": np.asarray(removals),
+            "cas_spots": cas_counts.astype(float),
+            "das_spots": das_counts.astype(float),
+            "removal": removal_fraction(cas_counts, das_counts),
         },
         params={
             "n_topologies": params["n_topologies"],

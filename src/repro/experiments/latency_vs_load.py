@@ -49,16 +49,16 @@ def _traffic_kwargs(params: dict, offered_mbps: float) -> dict:
     }
 
 
-def _metrics(result) -> dict[str, float]:
+def _metrics(results) -> dict[str, list[float]]:
     return {
-        "throughput_mbps": result.throughput_mbps,
-        "delay_ms": result.mean_delay_s * 1e3,
-        "p95_delay_ms": result.delay_quantile(0.95) * 1e3,
-        "queue_kbytes": result.mean_queue_bytes / 1e3,
+        "throughput_mbps": [r.throughput_mbps for r in results],
+        "delay_ms": [r.mean_delay_s * 1e3 for r in results],
+        "p95_delay_ms": [r.delay_quantile(0.95) * 1e3 for r in results],
+        "queue_kbytes": [r.mean_queue_bytes / 1e3 for r in results],
     }
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
 
     def evaluate(item_seeds, item_points):
@@ -73,7 +73,7 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
             seeds=list(first_item),
         )
         traffic_kwargs = [_traffic_kwargs(params, load) for (load,) in item_points]
-        metrics: list[dict] = [{} for _ in item_seeds]
+        columns = {}
         for label, antenna_mode, mac_mode in _SYSTEMS:
             results = RoundBasedEvaluatorBatch(
                 pair[antenna_mode].take(items),
@@ -82,28 +82,24 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
                 traffic=params["traffic"],
                 traffic_kwargs=traffic_kwargs,
             ).run(params["rounds_per_topology"])
-            for item, result in zip(metrics, results):
-                for metric, value in _metrics(result).items():
-                    item[f"{label}_{metric}"] = value
-        return metrics
+            for metric, values in _metrics(results).items():
+                columns[f"{label}_{metric}"] = values
+        return columns
 
     return sweep_on_batch_axis(
         topo_seeds, evaluate, offered_loads_mbps=params["offered_loads_mbps"]
     )
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     env = resolve_environment(params["environment"])
-    series = {
-        key: np.stack([o[key] for o in outcomes]) for key in sorted(outcomes[0])
-    }
     return ExperimentResult(
         name=f"latency_vs_load[{env.name}]",
         description=(
             "Throughput-delay curves vs offered load, single-cell "
             f"{env.name}, CAS vs MIDAS"
         ),
-        series=series,
+        series=dict(sorted(columns.items())),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

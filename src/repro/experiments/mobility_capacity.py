@@ -43,17 +43,17 @@ _SYSTEMS = (
 )
 
 
-def _metrics(result, txop_us: float) -> dict[str, float]:
-    sounding_us = result.mean_sounding_us
+def _metrics(results, txop_us: float) -> dict[str, list[float]]:
+    sounding_us = [r.mean_sounding_us for r in results]
     return {
-        "capacity_bps_hz": result.mean_capacity_bps_hz,
+        "capacity_bps_hz": [r.mean_capacity_bps_hz for r in results],
         # Each round is one TXOP window; the explicit re-sounding exchanges
         # stretch it, so overhead = sounding / (sounding + TXOP airtime).
-        "sounding_fraction": sounding_us / (sounding_us + txop_us),
+        "sounding_fraction": [s / (s + txop_us) for s in sounding_us],
     }
 
 
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     require_moving("mobility_capacity", params["mobility"])
 
@@ -68,7 +68,7 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
             clients_per_ap=params["clients_per_ap"],
             seeds=list(first_item),
         )
-        metrics: list[dict] = [{} for _ in item_seeds]
+        columns = {}
         for label, antenna_mode, mac_mode in _SYSTEMS:
             scenario = pair[antenna_mode]
             results = RoundBasedEvaluatorBatch(
@@ -79,27 +79,22 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
                 mobility_kwargs=[{"speed_mps": speed} for (speed,) in item_points],
                 resound_period_rounds=params["resound_period_rounds"],
             ).run(params["rounds_per_topology"])
-            txop_us = scenario.mac.txop_us
-            for item, result in zip(metrics, results):
-                for metric, value in _metrics(result, txop_us).items():
-                    item[f"{label}_{metric}"] = value
-        return metrics
+            for metric, values in _metrics(results, scenario.mac.txop_us).items():
+                columns[f"{label}_{metric}"] = values
+        return columns
 
     return sweep_on_batch_axis(topo_seeds, evaluate, speeds_mps=params["speeds_mps"])
 
 
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
+def _finalize(columns, params: dict) -> ExperimentResult:
     env = resolve_environment(params["environment"])
-    series = {
-        key: np.stack([o[key] for o in outcomes]) for key in sorted(outcomes[0])
-    }
     return ExperimentResult(
         name=f"mobility_capacity[{env.name}]",
         description=(
             "Capacity and re-sounding overhead vs client speed, single-cell "
             f"{env.name}, CAS vs MIDAS under CSI staleness"
         ),
-        series=series,
+        series=dict(sorted(columns.items())),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

@@ -60,15 +60,7 @@ def _policy_kwargs(policy: str, params: dict) -> dict | None:
     return None
 
 
-def _metrics(result, handoffs: int, outages: int) -> dict[str, float]:
-    return {
-        "capacity_bps_hz": result.mean_capacity_bps_hz,
-        "handoffs": float(handoffs),
-        "outage_fraction": outages / max(1, handoffs),
-    }
-
-
-def _build_batch(topo_seeds, params: dict) -> list[dict]:
+def _build_batch(topo_seeds, params: dict) -> dict[str, np.ndarray]:
     env = resolve_environment(params["environment"])
     require_moving("roaming_handoff", params["mobility"])
 
@@ -102,29 +94,27 @@ def _build_batch(topo_seeds, params: dict) -> list[dict]:
         results = batch.run(params["rounds_per_topology"])
         handoffs = batch.association.handoff_count.tolist()
         outages = batch.association.outage_count.tolist()
-        return [
-            {
-                f"{policy}_{metric}": value
-                for metric, value in _metrics(result, *counts).items()
-            }
-            for (policy, __), result, counts in zip(
-                item_points, results, zip(handoffs, outages)
-            )
-        ]
+        return {
+            "capacity_bps_hz": [r.mean_capacity_bps_hz for r in results],
+            "handoffs": handoffs,
+            "outage_fraction": [o / max(1, h) for h, o in zip(handoffs, outages)],
+        }
 
-    return sweep_on_batch_axis(
-        topo_seeds,
-        evaluate,
-        policies=_policies(params),
-        speeds_mps=params["speeds_mps"],
+    policies = _policies(params)
+    columns = sweep_on_batch_axis(
+        topo_seeds, evaluate, policies=policies, speeds_mps=params["speeds_mps"]
     )
-
-
-def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
-    env = resolve_environment(params["environment"])
-    series = {
-        key: np.stack([o[key] for o in outcomes]) for key in sorted(outcomes[0])
+    # (n_seeds, n_policies, n_speeds) -> one (n_seeds, n_speeds) column per
+    # (policy, metric).
+    return {
+        f"{policy}_{metric}": column[:, index]
+        for metric, column in columns.items()
+        for index, policy in enumerate(policies)
     }
+
+
+def _finalize(columns, params: dict) -> ExperimentResult:
+    env = resolve_environment(params["environment"])
     return ExperimentResult(
         name=f"roaming_handoff[{env.name}]",
         description=(
@@ -132,7 +122,7 @@ def _finalize(outcomes: list[dict], params: dict) -> ExperimentResult:
             f"speed per association policy, {params['n_rows']}x"
             f"{params['n_cols']} campus grid, {env.name}, MIDAS"
         ),
-        series=series,
+        series=dict(sorted(columns.items())),
         params={
             "n_topologies": params["n_topologies"],
             "seed": params["seed"],

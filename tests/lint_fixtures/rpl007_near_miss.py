@@ -1,14 +1,16 @@
 """RPL007 near-misses: every registration ships build_batch."""
 
+import numpy as np
+
 from repro.api.experiments import ExperimentDef, register_experiment
 
 
 def _build_batch(topo_seeds, params):
-    return [{"capacity": float(s)} for s in topo_seeds]
+    return {"capacity": np.asarray(topo_seeds, dtype=float)}
 
 
-def _finalize(outcomes, params):
-    return outcomes
+def _finalize(columns, params):
+    return columns
 
 
 @register_experiment

@@ -7,8 +7,8 @@ def _build(topo_seed, params):
     return {"capacity": float(topo_seed)}
 
 
-def _finalize(outcomes, params):
-    return outcomes
+def _finalize(columns, params):
+    return columns
 
 
 # VIOLATION: no build_batch -- the Runner has no hook to evaluate through.

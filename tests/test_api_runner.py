@@ -144,7 +144,7 @@ class TestBuildBatchHook:
     callable one is rejected at construction, naming the experiment."""
 
     @staticmethod
-    def _finalize(outcomes, params):
+    def _finalize(columns, params):
         raise AssertionError("never reached")
 
     def test_non_callable_build_batch_rejected_with_name(self):
@@ -204,13 +204,13 @@ class TestSweep:
 
         def build_batch(seeds, params):
             state["built"].extend(seeds)
-            return [{"seed": seed} for seed in seeds]
+            return {"seed": np.asarray(seeds)}
 
-        def finalize(outcomes, params):
+        def finalize(columns, params):
             return ExperimentResult(
                 name=self.NAME,
                 description="probe",
-                series={"seed": np.asarray([o["seed"] for o in outcomes])},
+                series={"seed": columns["seed"]},
                 params={},
             )
 
@@ -279,24 +279,35 @@ class TestSweep:
         totals = telemetry.span_totals()
         assert totals["runner.gate"]["count"] == totals["runner.build"]["count"] == 1
 
-    def test_build_returning_none_raises_naming_the_experiment(self, probe):
+    def _replace_build(self, build_batch):
         from repro.api.experiments import get_experiment_def
 
-        defn = get_experiment_def(self.NAME)
-        build = defn.build_batch
-        object.__setattr__(
-            defn, "build_batch", lambda seeds, params: [None] + build(seeds, params)[1:]
-        )
-        with pytest.raises(ValueError, match=self.NAME):
+        object.__setattr__(get_experiment_def(self.NAME), "build_batch", build_batch)
+
+    def test_build_returning_non_mapping_raises_naming_the_experiment(self, probe):
+        self._replace_build(lambda seeds, params: [{"seed": seed} for seed in seeds])
+        with pytest.raises(ValueError, match=f"{self.NAME}.*mapping.*list"):
             self._run(2)
 
-    def test_build_returning_too_few_outcomes_raises(self, probe):
-        from repro.api.experiments import get_experiment_def
-
-        defn = get_experiment_def(self.NAME)
-        object.__setattr__(defn, "build_batch", lambda seeds, params: [])
-        with pytest.raises(ValueError, match="one outcome per seed"):
+    @pytest.mark.parametrize(
+        "column", [lambda seeds: np.asarray(seeds[1:]), lambda seeds: 0.0],
+        ids=["one_row_short", "scalar"],
+    )
+    def test_build_returning_wrong_leading_length_raises(self, probe, column):
+        self._replace_build(lambda seeds, params: {"seed": column(seeds)})
+        with pytest.raises(ValueError, match=f"{self.NAME}.*'seed'.*one row per seed"):
             self._run(2)
+
+    def test_build_chunks_with_different_names_raise(self, probe):
+        # batch_size=1 builds one chunk per seed; the second renames a column.
+        def build_batch(seeds, params):
+            name = "seed" if not probe["built"] else "renamed"
+            probe["built"].extend(seeds)
+            return {name: np.asarray(seeds)}
+
+        self._replace_build(build_batch)
+        with pytest.raises(ValueError, match=f"{self.NAME}.*disagree.*renamed"):
+            self._run(2, batch_size=1)
 
     def test_bad_verdict_shape_raises(self, probe):
         from repro.api.experiments import get_experiment_def
@@ -314,7 +325,7 @@ class TestSweep:
                 name="_bad_gate",
                 description="",
                 build_batch=lambda seeds, params: [],
-                finalize=lambda outcomes, params: None,
+                finalize=lambda columns, params: None,
                 defaults={"n_topologies": 1},
                 accept_batch="yes",
             )
@@ -445,6 +456,16 @@ class TestRunWindow:
         for key in whole.series:
             glued = np.concatenate([np.asarray(p.series[key]) for p in parts])
             np.testing.assert_array_equal(glued, np.asarray(whole.series[key]))
+
+    def test_window_accepting_no_seed_emits_empty_series(self):
+        # Under root seed 0, fig15's gate rejects all of indices 4..7: the
+        # build never runs, and finalize still emits every series.
+        result = Runner().run_window(RunSpec("fig15", seed=0), 4, 4)
+        assert result.notes["n_accepted"] == 0
+        assert set(result.series) == {"cas", "midas", "stream_ratio"}
+        for series in result.series.values():
+            assert series.shape == (0,)
+            assert series.dtype == float
 
     def test_window_notes_and_validation(self):
         runner = Runner()

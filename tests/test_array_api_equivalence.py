@@ -99,7 +99,7 @@ def test_array_api_rejects_definition_without_build_batch():
             name="_loop_only_xp_probe",
             description="loop-only probe experiment",
             build_batch="not callable",
-            finalize=lambda outcomes, params: outcomes,
+            finalize=lambda columns, params: columns,
             defaults={"n_topologies": 2},
         )
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import signal
+import sys
+import time
 
 import pytest
 
@@ -109,6 +113,97 @@ class TestInlineFailures:
             runner.run(_campaign())
         assert isinstance(info.value.__cause__, ShardTimeout)
         assert "exceeded its 0.0001s budget" in str(info.value)
+
+    def test_swallowed_alarm_still_times_the_shard_out(self, tmp_path, monkeypatch):
+        # Python drops an exception a signal handler raises inside a gc
+        # finalizer.  Model that with an alarm handler that never raises,
+        # and shards slower than their budget: the clock check after the
+        # shard must still fail each first attempt.  The retry is served
+        # from the cache the slow attempt wrote.
+        real_signal = signal.signal
+
+        def quiet_alarms(signum, handler):
+            if getattr(handler, "__name__", "") == "_on_alarm":
+                handler = lambda *args: None  # noqa: E731
+            return real_signal(signum, handler)
+
+        real_run_window = executor_mod.Runner.run_window
+
+        def slow_run_window(self, *args, **kwargs):
+            time.sleep(0.3)
+            return real_run_window(self, *args, **kwargs)
+
+        clean = _runner(tmp_path, "clean").run(_campaign())
+        monkeypatch.setattr(executor_mod.signal, "signal", quiet_alarms)
+        monkeypatch.setattr(executor_mod.Runner, "run_window", slow_run_window)
+        telemetry = obs.Telemetry()
+        runner = _runner(tmp_path, retries=1, timeout_s=0.1, telemetry=telemetry)
+        result = runner.run(_campaign())
+        assert result.aggregates_equal(clean)
+        n_shards = len(_campaign().shards())
+        assert telemetry.counters["campaign.shards.timeouts"] == n_shards
+        assert telemetry.counters["campaign.shards.retried"] == n_shards
+        retries = _events(runner, "shard_retry")
+        assert [e["attempt"] for e in retries] == [1] * n_shards
+        assert all(e["error"].startswith("ShardTimeout: ") for e in retries)
+        done = _events(runner, "shard_done")
+        assert len(done) == n_shards
+        metrics = json.loads((runner.campaign_dir / "metrics.json").read_text())
+        assert metrics["shards_timed_out"] == n_shards
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_alarm_inside_a_gc_callback_is_not_swallowed(self, tmp_path, monkeypatch):
+        # A gc callback that outlasts the budget: the alarm lands inside it,
+        # where Python would swallow the ShardTimeout as unraisable.
+        swallowed = []
+        monkeypatch.setattr(sys, "unraisablehook", swallowed.append)
+        slow_gc = {"on": False}
+
+        def gc_callback(phase, info):
+            deadline = time.perf_counter() + 0.2
+            while slow_gc["on"] and phase == "start" and time.perf_counter() < deadline:
+                pass
+
+        real_run_window = executor_mod.Runner.run_window
+
+        def collecting_run_window(self, *args, **kwargs):
+            slow_gc["on"] = True
+            try:
+                gc.collect()
+            finally:
+                slow_gc["on"] = False
+            return real_run_window(self, *args, **kwargs)
+
+        monkeypatch.setattr(executor_mod.Runner, "run_window", collecting_run_window)
+        gc.callbacks.append(gc_callback)
+        try:
+            runner = _runner(tmp_path, retries=0, timeout_s=0.05)
+            with pytest.raises(CampaignError) as info:
+                runner.run(_campaign())
+        finally:
+            gc.callbacks.remove(gc_callback)
+        assert isinstance(info.value.__cause__, ShardTimeout)
+        assert swallowed == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_inline_campaign_keeps_the_callers_alarm(self, tmp_path):
+        fired = []
+
+        def handler(signum, frame):
+            fired.append(signum)
+
+        before = signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, 60.0, 30.0)
+        try:
+            _runner(tmp_path, timeout_s=30.0).run(_campaign())
+            assert signal.getsignal(signal.SIGALRM) is handler
+            delay, interval = signal.getitimer(signal.ITIMER_REAL)
+            assert 0.0 < delay <= 60.0
+            assert interval == 30.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, before)
+        assert fired == []
 
     def test_failed_campaign_resumes_to_the_clean_result(self, tmp_path, monkeypatch):
         clean = _runner(tmp_path, "clean").run(_campaign())

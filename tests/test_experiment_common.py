@@ -79,23 +79,23 @@ class TestSweepOnBatchAxis:
 
         def evaluate(item_seeds, item_points):
             seen["seeds"], seen["points"] = item_seeds, item_points
-            return [
-                {f"{policy}_x": seed * 10.0 + speed}
-                for seed, (policy, speed) in zip(item_seeds, item_points)
-            ]
+            return {
+                "x": [seed * 10 + speed for seed, (__, speed) in zip(item_seeds, item_points)]
+            }
 
-        outcomes = sweep_on_batch_axis(
-            [7, 9], evaluate, policies=["a", "b"], speeds=[1.0, 2.0, 3.0]
+        columns = sweep_on_batch_axis(
+            [7, 9], evaluate, policies=["a", "b"], speeds=[1, 2, 3]
         )
         assert seen["seeds"] == [7] * 6 + [9] * 6
         assert seen["points"][:6] == [
-            ("a", 1.0), ("a", 2.0), ("a", 3.0), ("b", 1.0), ("b", 2.0), ("b", 3.0)
+            ("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)
         ]
         assert seen["points"][6:] == seen["points"][:6]
-        assert len(outcomes) == 2
-        np.testing.assert_array_equal(outcomes[1]["a_x"], [91.0, 92.0, 93.0])
-        np.testing.assert_array_equal(outcomes[0]["b_x"], [71.0, 72.0, 73.0])
-        assert outcomes[0]["a_x"].dtype == float
+        # (n_seeds, n_policies, n_speeds), as floats.
+        assert columns["x"].shape == (2, 2, 3)
+        assert columns["x"].dtype == float
+        np.testing.assert_array_equal(columns["x"][1, 0], [91.0, 92.0, 93.0])
+        np.testing.assert_array_equal(columns["x"][0, 1], [71.0, 72.0, 73.0])
 
     @pytest.mark.parametrize("empty", ["loads", "speeds"])
     def test_empty_axis_named(self, empty):

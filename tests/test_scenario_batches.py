@@ -309,6 +309,8 @@ def test_fig09_builds_one_deployment_per_stack(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counting)
     defn = get_experiment_def("fig09")
     params = resolve_params(defn, RunSpec("fig09", n_topologies=64, seed=0))
-    outcomes = defn.build_batch(list(range(64)), params)
-    assert len(outcomes) == 64
+    columns = defn.build_batch(list(range(64)), params)
+    assert {name: column.shape for name, column in columns.items()} == {
+        name: (64,) for name in ("cas_2x2", "midas_2x2", "cas_4x4", "midas_4x4")
+    }
     assert built == {"deployment": 4, "scenario": 4}

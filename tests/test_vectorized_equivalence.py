@@ -334,12 +334,14 @@ def test_build_batch_outcomes_ignore_order_and_neighbours(
         seeds = [seed for seed, ok in zip(seeds, verdicts) if ok]
     assert len(seeds) >= 2
     forward = defn.build_batch(seeds, resolved)
-    backward = defn.build_batch(seeds[::-1], resolved)[::-1]
-    alone = [defn.build_batch([seed], resolved)[0] for seed in seeds]
-    for outcome, other, single in zip(forward, backward, alone):
-        for key in outcome:
-            assert np.array_equal(outcome[key], other[key]), key
-            assert np.array_equal(outcome[key], single[key]), key
+    backward = defn.build_batch(seeds[::-1], resolved)
+    alone = [defn.build_batch([seed], resolved) for seed in seeds]
+    for name, column in forward.items():
+        assert len(column) == len(seeds), name
+        for i, single in enumerate(alone):
+            row = column[i]
+            assert np.array_equal(row, backward[name][len(seeds) - 1 - i]), name
+            assert np.array_equal(row, single[name][0]), name
 
 
 #: The rejection-sampled experiments, each with its acceptance gate.
