@@ -92,16 +92,16 @@ class ChannelBatch:
         Radio constants shared by the whole batch (one environment).
     seeds:
         One seed per item: an int, a generator, or a seed-tree node
-        (:class:`repro.rng.SeedNode` or :class:`numpy.random.SeedSequence`).
-        Two children are spawned from it -- shadowing (one leaf per
-        antenna site under it) and fading -- so the two streams are
-        independent; a caller-held generator or node advances its spawn
-        counter by two.  Item ``i`` consumes
-        randomness only from the tree of ``seeds[i]``.
+        (:class:`repro.rng.SeedNode` or :class:`numpy.random.SeedSequence`),
+        or a :class:`repro.rng.SeedBatch` with one row per item.  Two
+        children are spawned from it -- shadowing (one leaf per antenna
+        site under it) and fading -- so the two streams are independent;
+        a caller-held generator or node advances its spawn counter by two.
+        Item ``i`` consumes randomness only from the tree of ``seeds[i]``.
     """
 
     def __init__(self, deployment, radio: RadioConfig, seeds):
-        seeds = list(seeds)
+        seeds = rng_mod.SeedBatch.from_seeds(seeds)
         if len(deployment) != len(seeds):
             raise ValueError("need one seed per deployment item")
         if not seeds:
@@ -124,18 +124,17 @@ class ChannelBatch:
         self._cable_loss_db = radio.cable_loss_db_per_m * cable_lengths
 
         # Per-item seed trees: a shadowing and a fading child each, and one
-        # leaf per antenna site under shadowing.  One store holds every
-        # site field's lattice nodes.
+        # leaf per antenna site under shadowing, spawned for the whole
+        # batch at once.  One store holds every site field's lattice nodes.
         self._site_of_antenna = group_antenna_sites_batch(self._antennas)
         site_counts = self._site_of_antenna.max(axis=1, initial=-1) + 1
-        site_seeds = []
-        self._fading_seeds = []
-        for seed, n_sites in zip(seeds, site_counts.tolist()):
-            shadow_seed, fading_seed = rng_mod.spawn_seeds(seed, 2)
-            site_seeds.append(rng_mod.spawn_seeds(shadow_seed, n_sites))
-            self._fading_seeds.append(fading_seed)
+        children = seeds.spawn(2)
+        self._fading_seeds = children[1::2]
         self._shadowing = LatticeNodeStore(
-            site_seeds, radio.shadowing_sigma_db, radio.shadowing_correlation_m
+            children[0::2].spawn(site_counts),
+            site_counts,
+            radio.shadowing_sigma_db,
+            radio.shadowing_correlation_m,
         )
 
         # The small-scale side -- fading generators, tx-side correlation

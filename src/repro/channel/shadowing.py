@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import rng as rng_mod
 from ..topology import geometry
 
 #: A node key packs ``(field, ix, iy)`` as
@@ -50,11 +49,12 @@ _CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
 class LatticeNodeStore:
     """Every drawn lattice node of a batch of shadowing fields.
 
-    ``site_seeds`` holds one list of seeds per item, one seed per site
-    field (a generator, or a seed-tree leaf whose generator is built on the
-    field's first draw -- a field that never draws never builds one).
-    Fields are numbered item by item, site by site.  All fields share one
-    ``sigma_db`` and decorrelation length ``correlation_m``.
+    ``field_seeds`` is a :class:`repro.rng.SeedBatch` of one seed-tree
+    leaf per site field, item by item and site by site, and
+    ``site_counts`` the number of sites of each item.  A field builds its
+    generator on its first draw -- a field that never draws never builds
+    one.  All fields share one ``sigma_db`` and decorrelation length
+    ``correlation_m``.
 
     :attr:`keys` are the sorted packed ``(field, ix, iy)`` keys of every
     node drawn so far and :attr:`values` their standard-normal values, so
@@ -62,22 +62,24 @@ class LatticeNodeStore:
     correlated.
     """
 
-    def __init__(self, site_seeds, sigma_db: float, correlation_m: float):
+    def __init__(self, field_seeds, site_counts, sigma_db: float, correlation_m: float):
         if sigma_db < 0:
             raise ValueError("sigma_db must be non-negative")
         if correlation_m <= 0:
             raise ValueError("correlation_m must be positive")
         self.sigma_db = float(sigma_db)
         self.correlation_m = float(correlation_m)
-        self.site_counts = np.array([len(item) for item in site_seeds], dtype=np.int64)
+        self.site_counts = np.array(site_counts, dtype=np.int64).reshape(-1)
         self.field_offsets = np.cumsum(self.site_counts) - self.site_counts
-        self._seeds = [seed for item in site_seeds for seed in item]
-        if len(self._seeds) > 1 << _FIELD_BITS:
+        if len(field_seeds) != self.site_counts.sum():
+            raise ValueError("need one seed per site field")
+        if len(field_seeds) > 1 << _FIELD_BITS:
             raise ValueError(
                 f"a lattice node store holds at most 2**{_FIELD_BITS} fields; "
-                f"got {len(self._seeds)}"
+                f"got {len(field_seeds)}"
             )
-        self._generators: list[np.random.Generator | None] = [None] * len(self._seeds)
+        self._seeds = field_seeds
+        self._generators: list[np.random.Generator | None] = [None] * len(field_seeds)
         self.keys = np.empty(0, dtype=np.int64)
         self.values = np.empty(0)
 
@@ -94,8 +96,9 @@ class LatticeNodeStore:
         """Build the generators of ``fields`` that have none yet, their
         leaves hashed in one pass."""
         new = [field for field in fields if self._generators[field] is None]
-        for field, generator in zip(new, rng_mod.make_rngs([self._seeds[f] for f in new])):
-            self._generators[field] = generator
+        if new:
+            for field, generator in zip(new, self._seeds[np.array(new)].generators()):
+                self._generators[field] = generator
 
     def fetch(self, keys, pair_fields, pair_lengths, first_visit) -> np.ndarray:
         """Node values of sorted packed ``keys``: one run of

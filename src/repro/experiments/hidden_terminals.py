@@ -84,8 +84,8 @@ def _cas_sense(env, seeds):
 def _accept_batch(topo_seeds, params: dict) -> np.ndarray:
     """The paper's premise: the two CAS APs must NOT overhear each other.
 
-    CAS-only synthesis: the DAS layouts (independent spawned generators)
-    are drawn by ``build_batch`` for accepted topologies only.
+    CAS-only synthesis: the DAS layouts (independent spawned lanes) are
+    drawn by ``build_batch`` for accepted topologies only.
     """
     seeds = list(topo_seeds)
     scenario, __, sense = _cas_sense(resolve_environment(params["environment"]), seeds)

@@ -716,7 +716,7 @@ class RoundBasedEvaluatorBatch(_EngineCore):
     ):
         if not len(scenario):
             raise ValueError("need at least one scenario item")
-        seeds = [0] * len(scenario) if seeds is None else list(seeds)
+        seeds = rng_mod.SeedBatch.from_seeds([0] * len(scenario) if seeds is None else seeds)
         if len(seeds) != len(scenario):
             raise ValueError("need one seed per scenario item")
         if resound_period_rounds < 1:
@@ -725,8 +725,9 @@ class RoundBasedEvaluatorBatch(_EngineCore):
         # enabling traffic/mobility never perturbs the channel/CSI streams
         # (spawn(4)[:2] == spawn(2)); traffic uses the third, mobility the
         # fourth.
-        channel_seeds, csi_seeds, traffic_seeds, mobility_seeds = zip(
-            *(rng_mod.spawn_seeds(seed, 4) for seed in seeds)
+        children = seeds.spawn(4)
+        channel_seeds, csi_seeds, traffic_seeds, mobility_seeds = (
+            children[leaf::4] for leaf in range(4)
         )
         super().__init__(
             scenario, mode, sim, channel_seeds, csi_seeds, traffic_seeds,
@@ -769,8 +770,8 @@ class RoundBasedEvaluatorBatch(_EngineCore):
         use.  Experiments gate large candidate batches with this in their
         ``accept_batch``, then build evaluators for the accepted seeds only.
         """
-        seeds = [0] * len(scenario) if seeds is None else list(seeds)
-        channel_seeds = [rng_mod.spawn_seeds(seed, 2)[0] for seed in seeds]
+        seeds = rng_mod.SeedBatch.from_seeds([0] * len(scenario) if seeds is None else seeds)
+        channel_seeds = seeds.spawn(2)[0::2]
         structure = scenario.deployment
         channel = ChannelBatch(structure, scenario.radio, channel_seeds)
         sense = CarrierSenseBatch(channel.antenna_cross_power_dbm(), scenario.mac)

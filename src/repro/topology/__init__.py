@@ -5,8 +5,6 @@ from .geometry import (
     grid_points,
     min_pairwise_distance,
     pairwise_distances,
-    random_point_in_annulus,
-    random_point_in_disk,
     sector_angles_ok,
 )
 from .scenarios import (
@@ -29,8 +27,6 @@ __all__ = [
     "grid_points",
     "min_pairwise_distance",
     "pairwise_distances",
-    "random_point_in_annulus",
-    "random_point_in_disk",
     "sector_angles_ok",
     "OfficeEnvironment",
     "Scenario",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import active as _obs_active
+from ..rng import PCG64Lanes
 from . import geometry
 
 
@@ -152,8 +153,8 @@ def cas_antenna_layout(
 
 
 def das_antenna_layout(
-    rng: np.random.Generator,
-    ap_position,
+    lanes: PCG64Lanes,
+    ap_positions,
     n_antennas: int,
     radius_min_m: float = 5.0,
     radius_max_m: float = 10.0,
@@ -162,10 +163,11 @@ def das_antenna_layout(
     within_radius_m: float = np.inf,
     max_attempts: int = 20_000,
 ) -> np.ndarray:
-    """Distributed antenna positions around each AP under the paper's rules.
+    """Distributed antenna positions around every AP of a batch under the
+    paper's rules, ``(batch, n_aps, n_antennas, 2)``.
 
-    ``ap_position`` is one ``(2,)`` point or an ``(n_aps, 2)`` set; the
-    result is ``(n_antennas, 2)`` or ``(n_aps, n_antennas, 2)``.  Each AP
+    ``lanes`` holds one uniform stream per item; ``ap_positions`` is a ``(batch, n_aps, 2)`` stack or one
+    ``(n_aps, 2)`` set (or ``(2,)`` point) shared by every item.  Each AP
     rejection-samples positions in the ``[radius_min_m, radius_max_m]``
     annulus around it until all active constraints hold:
 
@@ -174,53 +176,80 @@ def das_antenna_layout(
     * ``within_radius_m`` -- Fig 16's rule that antennas stay inside the
       original AP coverage area.
 
-    An attempt is ``2 * n_antennas`` doubles of ``rng``: the radius draws,
-    then the angle draws (:func:`geometry.annulus_points`).  Attempts are
-    drawn and checked in blocks, and the APs take the first passing
-    attempt in turn, each AP starting at the attempt after the previous
-    AP's; an AP whose ``max_attempts`` attempts all fail raises
-    :class:`RuntimeError`.  ``rng`` must draw nothing else afterwards:
-    the unused tail of the last block is consumed.
+    An attempt is ``2 * n_antennas`` doubles of the item's lane: the radius
+    draws, then the angle draws (:func:`geometry.annulus_points`).  Every
+    item still being placed draws its next block of attempts in one masked
+    pass, and each item's APs take the first passing attempt in turn, each
+    AP starting at the attempt after the previous AP's; an AP whose
+    ``max_attempts`` attempts all fail raises :class:`RuntimeError`.  A
+    lane must draw nothing else afterwards: the unused tail of its last
+    block is consumed.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    centers = np.asarray(ap_position, dtype=float)
-    flat = centers.reshape(-1, 2)
-    layout = np.empty((len(flat), n_antennas, 2))
-    ap = tried = attempts = 0
-    block = len(flat)
-    while ap < len(flat):
-        left = flat[ap:, None, :]
-        pts = geometry.annulus_points(
-            rng.random((block, 2, n_antennas)), left, radius_min_m, radius_max_m
-        )
+    centers = geometry.as_point_stack(ap_positions)
+    centers = np.broadcast_to(centers, (len(lanes),) + centers.shape[-2:])
+    n_items, n_aps = centers.shape[:2]
+    layout = np.empty((n_items, n_aps, n_antennas, 2))
+    ap = np.zeros(n_items, dtype=np.int64)  # the AP each item places next
+    tried = np.zeros(n_items, dtype=np.int64)  # attempts that AP has spent
+    attempts, block = 0, n_aps
+    pending = np.flatnonzero(ap < n_aps)
+    while pending.size:
+        # Check the block around every (pending item, unplaced AP) pair:
+        # pair ``offset[r] + j`` is row ``r``'s ``j``-th unplaced AP.
+        first_ap = ap[pending]
+        span = n_aps - first_ap
+        offset = np.cumsum(span) - span
+        pair_row = np.repeat(np.arange(len(pending)), span)
+        pair_ap = first_ap[pair_row] + np.arange(len(pair_row)) - offset[pair_row]
+        around = centers[pending[pair_row], pair_ap][:, None, :]
+        draws = lanes.random((block, 2, n_antennas), lanes=pending)
+        pts = geometry.annulus_points(draws[pair_row], around, radius_min_m, radius_max_m)
         ok = np.ones(pts.shape[:2], dtype=bool)
         if min_separation_m > 0:
             ok &= geometry.min_pairwise_distance(pts) >= min_separation_m
         if min_sector_deg > 0:
-            ok &= geometry.sector_angles_ok(left, pts, min_sector_deg)
+            ok &= geometry.sector_angles_ok(around, pts, min_sector_deg)
         if np.isfinite(within_radius_m):
-            ok &= geometry.points_within(pts, left, within_radius_m).all(axis=-1)
-        first, start = ap, 0
-        while ap < len(flat):
-            stop = min(block, start + max_attempts - tried)
-            hits = np.flatnonzero(ok[ap - first, start:stop])
-            if not hits.size:
-                tried += stop - start
-                attempts += stop - start
-                break
-            accepted = start + int(hits[0])
-            layout[ap] = pts[ap - first, accepted]
-            attempts += accepted + 1 - start
-            ap, tried, start = ap + 1, 0, accepted + 1
-        if tried >= max_attempts:
+            ok &= geometry.points_within(pts, around, within_radius_m).all(axis=-1)
+        # Each item's APs take their attempts in turn; ``start`` is a row's
+        # next unread attempt, -1 once its block is spent.
+        start = np.zeros(len(pending), dtype=np.int64)
+        columns = np.arange(block)
+        for k in range(int(first_ap.min()), n_aps):
+            rows = np.flatnonzero((ap[pending] == k) & (start >= 0))
+            if not rows.size:
+                continue
+            items = pending[rows]
+            stop = np.minimum(block, start[rows] + max_attempts - tried[items])
+            window = (
+                ok[offset[rows] + k - first_ap[rows]]
+                & (columns >= start[rows, None])
+                & (columns < stop[:, None])
+            )
+            hit = window.any(axis=1)
+            accepted = window.argmax(axis=1)[hit]
+            placed = rows[hit]
+            layout[pending[placed], k] = pts[offset[placed] + k - first_ap[placed], accepted]
+            attempts += int((accepted + 1 - start[placed]).sum())
+            ap[pending[placed]] += 1
+            tried[pending[placed]] = 0
+            start[placed] = accepted + 1
+            missed = rows[~hit]
+            spent = stop[~hit] - start[missed]
+            tried[pending[missed]] += spent
+            attempts += int(spent.sum())
+            start[missed] = -1
+        if (tried[pending] >= max_attempts).any():
             raise RuntimeError(
                 "could not satisfy DAS placement constraints after "
                 f"{max_attempts} attempts (radius {radius_min_m}-{radius_max_m} m, "
                 f"sector {min_sector_deg} deg, separation {min_separation_m} m)"
             )
+        pending = pending[ap[pending] < n_aps]
         block = min(8 * block, max_attempts)
     telemetry = _obs_active()
     telemetry.count("topology.placement_attempts", attempts)
-    telemetry.count("topology.placements", len(flat))
-    return layout.reshape(centers.shape[:-1] + (n_antennas, 2))
+    telemetry.count("topology.placements", n_items * n_aps)
+    return layout

@@ -1,8 +1,8 @@
 """2-D geometry helpers for deployment generation and coverage mapping.
 
 Positions are ``(x, y)`` coordinates in meters, stored as numpy arrays of
-shape ``(n, 2)``.  All sampling functions take an explicit
-:class:`numpy.random.Generator` so callers control determinism.
+shape ``(n, 2)``.  Sampling helpers take their uniform draws as an array
+(from the caller's seed-tree lanes), so callers control determinism.
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ def min_pairwise_distance(points):
     pts = as_point_stack(points)
     if pts.shape[-2] < 2:
         return np.full(pts.shape[:-2], np.inf)[()]
-    dists = stacked_pairwise_distances(pts, pts)
-    dists[..., np.arange(pts.shape[-2]), np.arange(pts.shape[-2])] = np.inf
-    return dists.min(axis=(-2, -1))
+    # Each unordered pair once: ``(a - b)**2 == (b - a)**2`` exactly, so
+    # this is the minimum of the full distance matrix, bit for bit.
+    first, second = np.triu_indices(pts.shape[-2], 1)
+    diff = pts[..., first, :] - pts[..., second, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1)).min(axis=-1)
 
 
 def annulus_points(draws, center, r_min: float, r_max: float) -> np.ndarray:
@@ -68,8 +70,7 @@ def annulus_points(draws, center, r_min: float, r_max: float) -> np.ndarray:
     each point's area-uniform radius, row 1 its angle.
 
     ``center`` is one ``(2,)`` point or a stack broadcasting against the
-    leading axes; the result is ``(..., count, 2)``.  Every value is the
-    one :func:`random_point_in_annulus` computes from the same doubles.
+    leading axes; the result is ``(..., count, 2)``.
     """
     if not 0.0 <= r_min <= r_max:
         raise ValueError("need 0 <= r_min <= r_max")
@@ -85,23 +86,6 @@ def annulus_points(draws, center, r_min: float, r_max: float) -> np.ndarray:
         ),
         axis=-1,
     )
-
-
-def random_point_in_disk(
-    rng: np.random.Generator, center, radius: float, count: int = 1
-) -> np.ndarray:
-    """Uniform random points inside a disk, shape ``(count, 2)``."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return random_point_in_annulus(rng, center, 0.0, radius, count)
-
-
-def random_point_in_annulus(
-    rng: np.random.Generator, center, r_min: float, r_max: float, count: int = 1
-) -> np.ndarray:
-    """Uniform random points in the annulus ``r_min <= r <= r_max`` around
-    ``center``: ``count`` radius draws, then ``count`` angle draws."""
-    return annulus_points(rng.random((2, count)), center, r_min, r_max)
 
 
 def rect_points(draws, x_range, y_range) -> np.ndarray:

@@ -144,28 +144,25 @@ def paired_scenarios(
         max(2.0, client_radius_min_fraction * coverage),
         client_radius_fraction * coverage,
     )
-    # Only the leaves draw: CAS layouts are deterministic, so the root
-    # never builds a generator, and a CAS-only call never builds the DAS
-    # one.  Each client leaf draws one radius row and one angle row per AP.
-    leaves = [rng_mod.spawn_seeds(seed, 2) for seed in seeds]
-    draws = np.empty((len(seeds), n_aps, 2, clients_per_ap))
-    for item, client_rng in enumerate(rng_mod.make_rngs([c for c, _ in leaves])):
-        client_rng.random(out=draws[item])
+    # Only the leaves draw, each from its own PCG64 lane: CAS layouts are
+    # deterministic, so the root never draws, and a CAS-only call never
+    # hashes the DAS leaves.  Each client leaf draws one radius row and
+    # one angle row per AP.
+    leaves = rng_mod.SeedBatch.from_seeds(seeds).spawn(2)
+    draws = leaves[0::2].lanes().random((n_aps, 2, clients_per_ap))
     clients = geometry.annulus_points(draws, aps, *client_radii)
     das = None
     if AntennaMode.DAS in modes:
-        das = np.empty((len(seeds), n_aps, antennas_per_ap, 2))
-        for item, das_rng in enumerate(rng_mod.make_rngs([d for _, d in leaves])):
-            das[item] = das_antenna_layout(
-                das_rng,
-                aps[item],
-                antennas_per_ap,
-                radius_min_m=das_radius_min_m,
-                radius_max_m=das_radius_max_m,
-                min_sector_deg=min_sector_deg,
-                min_separation_m=min_separation_m,
-                within_radius_m=coverage,
-            )
+        das = das_antenna_layout(
+            leaves[1::2].lanes(),
+            aps,
+            antennas_per_ap,
+            radius_min_m=das_radius_min_m,
+            radius_max_m=das_radius_max_m,
+            min_sector_deg=min_sector_deg,
+            min_separation_m=min_separation_m,
+            within_radius_m=coverage,
+        )
     return {
         mode: Scenario(
             Deployment(
@@ -247,56 +244,49 @@ def three_ap_scenario(
 
 
 def _place_eight_aps(
-    rng: np.random.Generator,
+    environment: OfficeEnvironment,
+    leaves: rng_mod.SeedBatch,
     region_m: float,
-    sense_range_m: float,
     max_overhearers: int,
     max_attempts: int,
-) -> np.ndarray | None:
-    """Rejection-sample 8 AP positions at least 8 m apart, none overhearing
-    more than ``max_overhearers`` others; ``None`` if every attempt fails.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection-sample 8 AP positions per seed, at least 8 m apart and
+    none overhearing more than ``max_overhearers`` others: ``(placed,
+    aps)``, ``(n,)`` bool and ``(n, 8, 2)`` (rows of unplaced seeds are
+    unspecified).
 
-    An attempt is 16 doubles of ``rng`` (8 x, then 8 y draws); attempts
-    are drawn and checked in growing blocks, and the first passing one
-    wins.  ``rng`` must draw nothing else: the tail of the block is
-    consumed.
+    ``leaves`` holds each seed's two children, and a seed's placement
+    draws only from the lane of the first, so the verdicts are the same
+    whatever batch they are computed in.  An attempt is 16 doubles of the
+    lane (8 x, then 8 y draws).  Every seed still unplaced draws its next
+    block of attempts in one masked pass; blocks grow, and a seed's first
+    passing attempt wins.  A lane draws nothing else: the tail of its last
+    block is consumed.
     """
+    lanes = leaves[0::2].lanes()
+    sense_range_m = cs_range_m(environment.radio, DEFAULT_MAC)
     side = (5.0, region_m - 5.0)
+    placed = np.zeros(len(lanes), dtype=bool)
+    aps = np.empty((len(lanes), 8, 2))
+    pending = np.arange(len(lanes))
     tried, block = 0, 1
-    while tried < max_attempts:
+    while pending.size and tried < max_attempts:
         block = min(block, max_attempts - tried)
-        candidates = geometry.rect_points(rng.random((block, 2, 8)), side, side)
-        dists = geometry.stacked_pairwise_distances(candidates, candidates)
-        dists[:, np.arange(8), np.arange(8)] = np.inf
-        ok = (dists.min(axis=(1, 2)) >= 8.0) & np.all(
-            np.sum(dists < sense_range_m, axis=2) <= max_overhearers, axis=1
+        candidates = geometry.rect_points(
+            lanes.random((block, 2, 8), lanes=pending), side, side
         )
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return candidates[hits[0]]
+        dists = geometry.stacked_pairwise_distances(candidates, candidates)
+        dists[..., np.arange(8), np.arange(8)] = np.inf
+        ok = (dists.min(axis=(-2, -1)) >= 8.0) & np.all(
+            np.sum(dists < sense_range_m, axis=-1) <= max_overhearers, axis=-1
+        )
+        hit = ok.any(axis=1)
+        aps[pending[hit]] = candidates[hit, ok[hit].argmax(axis=1)]
+        placed[pending[hit]] = True
+        pending = pending[~hit]
         tried += block
         block *= 8
-    return None
-
-
-def _eight_ap_placements(
-    environment: OfficeEnvironment,
-    seeds,
-    region_m: float,
-    max_overhearers: int,
-    max_attempts: int,
-) -> list[np.ndarray | None]:
-    """Per seed, its 8-AP placement (``None`` when every attempt fails).
-
-    Each seed's placement draws only from the first leaf of its tree, so
-    the verdicts are the same whatever batch they are computed in.
-    """
-    sense_range = cs_range_m(environment.radio, DEFAULT_MAC)
-    rngs = rng_mod.make_rngs([rng_mod.spawn_seeds(seed, 2)[0] for seed in seeds])
-    return [
-        _place_eight_aps(rng, region_m, sense_range, max_overhearers, max_attempts)
-        for rng in rngs
-    ]
+    return placed, aps
 
 
 def eight_ap_placed(
@@ -309,10 +299,8 @@ def eight_ap_placed(
 ) -> np.ndarray:
     """``(len(seeds),)`` bool: which seeds :func:`eight_ap_scenario` can
     place (Fig 16's acceptance gate); draws nothing but the placements."""
-    placements = _eight_ap_placements(
-        environment, seeds, region_m, max_overhearers, max_attempts
-    )
-    return np.array([aps is not None for aps in placements], dtype=bool)
+    leaves = rng_mod.SeedBatch.from_seeds(seeds).spawn(2)
+    return _place_eight_aps(environment, leaves, region_m, max_overhearers, max_attempts)[0]
 
 
 def eight_ap_scenario(
@@ -339,16 +327,12 @@ def eight_ap_scenario(
     other item unchanged.  Each placed item's ``Scenario.seeds`` entry is
     the int its placement tree drew for the paired synthesis.
     """
-    placements = _eight_ap_placements(
-        environment, seeds, region_m, max_overhearers, max_attempts
-    )
-    placed = np.array([aps is not None for aps in placements], dtype=bool)
-    scenario_rngs = rng_mod.make_rngs(
-        [rng_mod.spawn_seeds(seed, 2)[1] for seed, ok in zip(seeds, placed) if ok]
-    )
+    leaves = rng_mod.SeedBatch.from_seeds(seeds).spawn(2)
+    placed, aps = _place_eight_aps(environment, leaves, region_m, max_overhearers, max_attempts)
+    scenario_rngs = leaves[1::2][placed].generators()
     return placed, paired_scenarios(
         environment,
-        np.reshape([aps for aps in placements if aps is not None], (-1, 8, 2)),
+        aps[placed],
         antennas_per_ap=antennas_per_ap,
         clients_per_ap=clients_per_ap,
         seeds=[int(rng.integers(0, 2**31 - 1)) for rng in scenario_rngs],

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.channel.batch import ChannelBatch
 from repro.config import MacConfig, RadioConfig
 from repro.topology.deployment import AntennaMode
 from repro.topology.scenarios import office_b, single_ap_scenario
+
+# ``pytest --hypothesis-profile ci`` raises the example budget of every
+# property test that does not pin its own (the seed-tree and PCG64 oracles
+# among them); a local run keeps Hypothesis' default.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

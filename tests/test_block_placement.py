@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import placement_oracle as oracle
+from repro import rng as rng_mod
 from repro.channel.pathloss import cs_range_m
 from repro.config import DEFAULT_MAC
 from repro.obs import Telemetry, use
@@ -28,21 +29,43 @@ RULES = {
 }
 
 
+def _lanes(*seeds):
+    """One PCG64 lane per seed: lane ``i`` is ``np.random.default_rng(seeds[i])``."""
+    return rng_mod.SeedBatch.from_seeds(seeds).lanes()
+
+
 class TestDasLayout:
     @pytest.mark.parametrize("rules", RULES.values(), ids=RULES.keys())
     def test_matches_per_attempt_layout(self, rules):
-        for seed in SEEDS:
-            block_rng = np.random.default_rng(seed)
+        layouts = das_antenna_layout(_lanes(*SEEDS), CENTERS, 4, **rules)
+        for seed, layout in zip(SEEDS, layouts):
             attempt_rng = np.random.default_rng(seed)
-            layout = das_antenna_layout(block_rng, CENTERS, 4, **rules)
             expected = [oracle.das_antenna_layout(attempt_rng, c, 4, **rules) for c in CENTERS]
             np.testing.assert_array_equal(layout, expected, err_msg=f"seed {seed}")
 
+    @pytest.mark.parametrize("rules", RULES.values(), ids=RULES.keys())
+    def test_per_item_centers_match_per_attempt_layout(self, rules):
+        centers = np.random.default_rng(8).uniform(-20.0, 20.0, size=(len(SEEDS), 2, 2))
+        layouts = das_antenna_layout(_lanes(*SEEDS), centers, 3, **rules)
+        for seed, item_centers, layout in zip(SEEDS, centers, layouts):
+            attempt_rng = np.random.default_rng(seed)
+            expected = [
+                oracle.das_antenna_layout(attempt_rng, c, 3, **rules) for c in item_centers
+            ]
+            np.testing.assert_array_equal(layout, expected, err_msg=f"seed {seed}")
+
     def test_one_center_gives_one_layout(self):
-        layout = das_antenna_layout(np.random.default_rng(3), (2.0, -1.0), 3)
+        layout = das_antenna_layout(_lanes(3), (2.0, -1.0), 3)
         expected = oracle.das_antenna_layout(np.random.default_rng(3), (2.0, -1.0), 3)
-        assert layout.shape == (3, 2)
-        np.testing.assert_array_equal(layout, expected)
+        assert layout.shape == (1, 1, 3, 2)
+        np.testing.assert_array_equal(layout[0, 0], expected)
+
+    def test_items_do_not_depend_on_the_batch(self):
+        rules = RULES["all"]
+        together = das_antenna_layout(_lanes(*SEEDS), CENTERS, 4, **rules)
+        for seed in (0, 7, 199):
+            alone = das_antenna_layout(_lanes(seed), CENTERS, 4, **rules)
+            np.testing.assert_array_equal(together[seed], alone[0])
 
     @staticmethod
     def _attempts_needed(seed, rules):
@@ -55,29 +78,39 @@ class TestDasLayout:
         needed = self._attempts_needed(0, rules)
         budget = max(needed)
         assert budget > 1
-        layout = das_antenna_layout(
-            np.random.default_rng(0), CENTERS, 4, max_attempts=budget, **rules
-        )
-        expected = das_antenna_layout(np.random.default_rng(0), CENTERS, 4, **rules)
+        layout = das_antenna_layout(_lanes(0), CENTERS, 4, max_attempts=budget, **rules)
+        expected = das_antenna_layout(_lanes(0), CENTERS, 4, **rules)
         np.testing.assert_array_equal(layout, expected)
         with pytest.raises(RuntimeError, match=f"after {budget - 1} attempts"):
-            das_antenna_layout(
-                np.random.default_rng(0), CENTERS, 4, max_attempts=budget - 1, **rules
-            )
+            das_antenna_layout(_lanes(0), CENTERS, 4, max_attempts=budget - 1, **rules)
+
+    def test_max_attempts_is_per_ap_in_a_batch(self):
+        # Every item's budget is its own: the tightest budget all of them
+        # meet places each exactly as an unbounded run does.
+        rules = RULES["sector"]
+        seeds = range(12)
+        budget = max(max(self._attempts_needed(seed, rules)) for seed in seeds)
+        layout = das_antenna_layout(_lanes(*seeds), CENTERS, 4, max_attempts=budget, **rules)
+        expected = das_antenna_layout(_lanes(*seeds), CENTERS, 4, **rules)
+        np.testing.assert_array_equal(layout, expected)
+        with pytest.raises(RuntimeError, match=f"after {budget - 1} attempts"):
+            das_antenna_layout(_lanes(*seeds), CENTERS, 4, max_attempts=budget - 1, **rules)
 
     def test_telemetry_counts_attempts_per_item(self):
         rules = RULES["sector"]
         telemetry = Telemetry()
         with use(telemetry):
-            das_antenna_layout(np.random.default_rng(0), CENTERS, 4, **rules)
+            das_antenna_layout(_lanes(0, 1, 2), CENTERS, 4, **rules)
         counters = telemetry.counters
-        assert counters["topology.placements"] == 3
-        assert counters["topology.placement_attempts"] == sum(self._attempts_needed(0, rules))
+        assert counters["topology.placements"] == 9
+        assert counters["topology.placement_attempts"] == sum(
+            sum(self._attempts_needed(seed, rules)) for seed in (0, 1, 2)
+        )
 
     def test_null_telemetry_draws_the_same(self):
-        plain = das_antenna_layout(np.random.default_rng(5), CENTERS, 4, **RULES["all"])
+        plain = das_antenna_layout(_lanes(5, 6), CENTERS, 4, **RULES["all"])
         with use(Telemetry()):
-            traced = das_antenna_layout(np.random.default_rng(5), CENTERS, 4, **RULES["all"])
+            traced = das_antenna_layout(_lanes(5, 6), CENTERS, 4, **RULES["all"])
         np.testing.assert_array_equal(plain, traced)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import rng as rng_mod
 from repro.topology import geometry
 from repro.topology.deployment import (
     AntennaMode,
@@ -30,44 +31,43 @@ class TestCasLayout:
             cas_antenna_layout((0, 0), 0, WAVELENGTH)
 
 
+def _lanes(seed):
+    return rng_mod.SeedBatch.from_seeds([seed]).lanes()
+
+
 class TestDasLayout:
     def test_radii_within_annulus(self):
-        rng = np.random.default_rng(0)
-        ants = das_antenna_layout(rng, (0, 0), 4, radius_min_m=5, radius_max_m=10)
+        ants = das_antenna_layout(_lanes(0), (0, 0), 4, radius_min_m=5, radius_max_m=10)[0, 0]
         radii = np.linalg.norm(ants, axis=1)
         assert np.all((radii >= 5) & (radii <= 10))
 
     def test_min_separation_respected(self):
-        rng = np.random.default_rng(1)
         ants = das_antenna_layout(
-            rng, (0, 0), 4, radius_min_m=5, radius_max_m=10, min_separation_m=5.0
-        )
+            _lanes(1), (0, 0), 4, radius_min_m=5, radius_max_m=10, min_separation_m=5.0
+        )[0, 0]
         assert geometry.min_pairwise_distance(ants) >= 5.0
 
     def test_sector_rule_respected(self):
-        rng = np.random.default_rng(2)
         ants = das_antenna_layout(
-            rng, (0, 0), 4, radius_min_m=5, radius_max_m=10, min_sector_deg=60.0
-        )
+            _lanes(2), (0, 0), 4, radius_min_m=5, radius_max_m=10, min_sector_deg=60.0
+        )[0, 0]
         assert geometry.sector_angles_ok((0, 0), ants, 60.0)
 
     def test_coverage_bound_respected(self):
-        rng = np.random.default_rng(3)
         ants = das_antenna_layout(
-            rng,
+            _lanes(3),
             (10, 10),
             4,
             radius_min_m=5,
             radius_max_m=10,
             within_radius_m=9.0,
-        )
+        )[0, 0]
         assert np.all(geometry.points_within(ants, (10, 10), 9.0))
 
     def test_impossible_constraints_raise(self):
-        rng = np.random.default_rng(4)
         with pytest.raises(RuntimeError):
             das_antenna_layout(
-                rng,
+                _lanes(4),
                 (0, 0),
                 4,
                 radius_min_m=5,

@@ -40,24 +40,24 @@ class TestRandomSampling:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_annulus_radii_within_bounds(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = geometry.random_point_in_annulus(rng, (1.0, -2.0), 2.0, 5.0, 40)
+        draws = np.random.default_rng(seed).random((2, 40))
+        pts = geometry.annulus_points(draws, (1.0, -2.0), 2.0, 5.0)
         radii = np.linalg.norm(pts - np.array([1.0, -2.0]), axis=1)
         assert np.all(radii >= 2.0 - 1e-9)
         assert np.all(radii <= 5.0 + 1e-9)
 
     def test_disk_is_annulus_with_zero_inner(self):
-        rng = np.random.default_rng(1)
-        pts = geometry.random_point_in_disk(rng, (0, 0), 3.0, 50)
+        draws = np.random.default_rng(1).random((2, 50))
+        pts = geometry.annulus_points(draws, (0, 0), 0.0, 3.0)
         assert np.all(np.linalg.norm(pts, axis=1) <= 3.0 + 1e-9)
-
-    def test_disk_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            geometry.random_point_in_disk(np.random.default_rng(0), (0, 0), 0.0)
 
     def test_annulus_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            geometry.random_point_in_annulus(np.random.default_rng(0), (0, 0), 5.0, 2.0)
+            geometry.annulus_points(np.random.default_rng(0).random((2, 1)), (0, 0), 5.0, 2.0)
+
+    def test_annulus_rejects_negative_inner_radius(self):
+        with pytest.raises(ValueError):
+            geometry.annulus_points(np.random.default_rng(0).random((2, 1)), (0, 0), -1.0, 2.0)
 
     def test_rect_sampling_in_bounds(self):
         rng = np.random.default_rng(2)

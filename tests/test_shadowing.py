@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import shadowing_oracle as oracle
+from repro import rng as rng_mod
 from repro.channel.batch import ChannelBatch
 from repro.channel.shadowing import (
     LatticeNodeStore,
@@ -20,9 +21,20 @@ from repro.topology.deployment import AntennaMode, Deployment
 from repro.topology.scenarios import office_b, single_ap_scenario
 
 
-def one_field(rng, sigma_db, correlation_m) -> LatticeNodeStore:
+def store_of(site_seeds, sigma_db, correlation_m) -> LatticeNodeStore:
+    """A lattice node store of one list of integer field seeds per item;
+    field ``f`` draws what ``np.random.default_rng(seed_f)`` draws."""
+    return LatticeNodeStore(
+        rng_mod.SeedBatch.from_seeds([seed for item in site_seeds for seed in item]),
+        [len(item) for item in site_seeds],
+        sigma_db,
+        correlation_m,
+    )
+
+
+def one_field(seed, sigma_db, correlation_m) -> LatticeNodeStore:
     """A lattice node store of one shadowing field (one item, one site)."""
-    return LatticeNodeStore([[rng]], sigma_db, correlation_m)
+    return store_of([[seed]], sigma_db, correlation_m)
 
 
 def sample(store, points) -> np.ndarray:
@@ -32,16 +44,16 @@ def sample(store, points) -> np.ndarray:
 
 class TestShadowingField:
     def test_zero_sigma_is_zero_everywhere(self):
-        field = one_field(np.random.default_rng(0), 0.0, 8.0)
+        field = one_field(0, 0.0, 8.0)
         np.testing.assert_array_equal(sample(field, [(1, 2), (3, 4)]), [0.0, 0.0])
 
     def test_consistent_resampling(self):
-        field = one_field(np.random.default_rng(0), 6.0, 8.0)
+        field = one_field(0, 6.0, 8.0)
         pts = [(1.0, 2.0), (-3.0, 0.5)]
         np.testing.assert_array_equal(sample(field, pts), sample(field, pts))
 
     def test_marginal_std_close_to_sigma(self):
-        field = one_field(np.random.default_rng(1), 6.0, 8.0)
+        field = one_field(1, 6.0, 8.0)
         rng = np.random.default_rng(2)
         # Sample far-apart points so they are nearly independent draws.
         pts = rng.uniform(-500, 500, (600, 2))
@@ -52,7 +64,7 @@ class TestShadowingField:
         sigma = 6.0
         diffs_near, diffs_far = [], []
         for seed in range(60):
-            field = one_field(np.random.default_rng(seed), sigma, 8.0)
+            field = one_field(seed, sigma, 8.0)
             base, near, far = sample(field, [(10.0, 10.0), (10.5, 10.0), (300.0, 300.0)])
             diffs_near.append(base - near)
             diffs_far.append(base - far)
@@ -60,9 +72,9 @@ class TestShadowingField:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            one_field(np.random.default_rng(0), -1.0, 8.0)
+            one_field(0, -1.0, 8.0)
         with pytest.raises(ValueError):
-            one_field(np.random.default_rng(0), 5.0, 0.0)
+            one_field(0, 5.0, 0.0)
 
 
 class TestSiteGrouping:
@@ -113,7 +125,7 @@ class TestVectorizedSampling:
     def test_matches_scalar_reference(self, n_points):
         rng = np.random.default_rng(4)
         points = rng.uniform(-25, 25, (n_points, 2))
-        fast = one_field(np.random.default_rng(77), 9.0, 8.0)
+        fast = one_field(77, 9.0, 8.0)
         reference = oracle.ShadowingField(np.random.default_rng(77), 9.0, 8.0)
         np.testing.assert_array_equal(
             sample(fast, points), oracle.walk_sample(reference, points)
@@ -276,8 +288,8 @@ class TestStackedNodeCache:
         self._check(_chained_deployments(), office_b().radio)
 
     def test_rows_past_an_items_sites_are_zero(self):
-        store = LatticeNodeStore(
-            [[np.random.default_rng(s) for s in range(3)], [np.random.default_rng(9)]],
+        store = store_of(
+            [[0, 1, 2], [9]],
             6.0,
             8.0,
         )
@@ -344,7 +356,7 @@ class TestLatticeNodeStore:
     def test_matches_dict_oracle(self, session):
         site_counts, calls = session
         seeds = [[7 * b + s for s in range(n)] for b, n in enumerate(site_counts)]
-        store = LatticeNodeStore(seeds, 6.0, 2.5)
+        store = store_of(seeds, 6.0, 2.5)
         fields = [[oracle.ShadowingField(seed, 6.0, 2.5) for seed in item] for item in seeds]
         for items, points in calls:
             chosen = range(len(seeds)) if items is None else items
@@ -363,7 +375,7 @@ class TestLatticeNodeStore:
         assert np.all(np.diff(store.keys) > 0)
 
     def test_item_without_sites_draws_nothing(self):
-        store = LatticeNodeStore([[], [5]], 6.0, 8.0)
+        store = store_of([[], [5]], 6.0, 8.0)
         reference = oracle.ShadowingField(5, 6.0, 8.0)
         points = np.array([[(1.0, 2.0), (-9.0, 3.0)], [(4.0, -7.0), (30.0, 1.0)]])
         values = sample_site_fields(store, points)
@@ -372,7 +384,7 @@ class TestLatticeNodeStore:
         np.testing.assert_array_equal(values[1, 0], reference.sample(points[1]))
 
     def test_only_fields_with_missing_nodes_draw(self):
-        store = LatticeNodeStore([[0, 1], [2]], 6.0, 8.0)
+        store = store_of([[0, 1], [2]], 6.0, 8.0)
         sample_site_fields(store, [[(1.0, 1.0)], [(1.0, 1.0)]])
         states = [store.generator(f).bit_generator.state for f in range(3)]
         sample_site_fields(store, [[(2.0, 3.0)], [(40.0, 1.0)]])
@@ -381,14 +393,14 @@ class TestLatticeNodeStore:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected_without_drawing(self, bad):
-        field = one_field(np.random.default_rng(0), 6.0, 8.0)
+        field = one_field(0, 6.0, 8.0)
         with pytest.raises(ValueError, match="finite"):
             sample(field, [(1.0, 2.0), (bad, 0.0)])
         assert field.keys.size == 0
         assert field._generators == [None]
 
     def test_lattice_index_range_checked(self):
-        field = one_field(np.random.default_rng(0), 6.0, 8.0)
+        field = one_field(0, 6.0, 8.0)
         lo = -8.0 * 2**20  # lowest cell index, -2**20
         hi = 8.0 * (2**20 - 2) + 4.0  # highest cell whose +1 corner still packs
         values = sample(field, [(lo, hi), (hi, lo), (0.0, 0.0)])
@@ -403,10 +415,14 @@ class TestLatticeNodeStore:
 
     def test_field_count_checked(self):
         with pytest.raises(ValueError, match="2\\*\\*20 fields"):
-            LatticeNodeStore([[0] * (2**20 + 1)], 6.0, 8.0)
+            store_of([[0] * (2**20 + 1)], 6.0, 8.0)
+
+    def test_one_seed_per_site_field(self):
+        with pytest.raises(ValueError, match="one seed per site field"):
+            LatticeNodeStore(rng_mod.SeedBatch.from_seeds([0, 1]), [1, 2], 6.0, 8.0)
 
     def test_repeated_items_rejected(self):
-        store = LatticeNodeStore([[0], [1]], 6.0, 8.0)
+        store = store_of([[0], [1]], 6.0, 8.0)
         with pytest.raises(ValueError, match="repeat"):
             sample_site_fields(store, [(1.0, 1.0)], items=[1, 1])
         with pytest.raises(ValueError, match="repeat"):
@@ -414,7 +430,7 @@ class TestLatticeNodeStore:
         assert store.keys.size == 0
 
     def test_out_of_range_items_rejected(self):
-        store = LatticeNodeStore([[0], [1]], 6.0, 8.0)
+        store = store_of([[0], [1]], 6.0, 8.0)
         for items in ([2], [-3]):
             with pytest.raises(IndexError):
                 sample_site_fields(store, [(1.0, 1.0)], items=items)
